@@ -11,10 +11,10 @@ not assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
+from .arith import divisors, is_prime
 from .cyclotomic import Cyclotomic, cyclo_sum
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
@@ -30,7 +30,7 @@ __all__ = [
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return a is b or (a.order == b.order and np.array_equal(a.mul, b.mul))
+    return a._cache is b._cache
 
 
 class ClassFunction:
@@ -119,7 +119,7 @@ def _dixon_prime(exponent: int, order: int) -> int:
     """Smallest prime p with p = 1 (mod exponent) and p > 2*sqrt(order)."""
     p = exponent + 1 if exponent > 1 else 2
     while True:
-        if p * p > 4 * order and all(p % d for d in range(2, isqrt(p) + 1)):
+        if p * p > 4 * order and is_prime(p):
             return p
         p += exponent if exponent > 1 else 1
 
@@ -271,11 +271,16 @@ class CharacterTable:
 
 def character_table(g: FiniteGroup,
                     max_order: int = DEFAULT_MAX_ORDER) -> CharacterTable:
-    """Compute the exact irreducible character table of a finite group."""
-    if "table" in g._cache:
-        return g._cache["table"]
+    """Exact irreducible character table; equal tables share its rows."""
     if g.order > max_order:
         raise TooLarge(f"group order {g.order} exceeds the cap of {max_order}")
+    if "table_rows" not in g._cache:
+        g._cache["table_rows"] = _dixon_rows(g)
+    return CharacterTable(g, g._cache["table_rows"])
+
+
+def _dixon_rows(g: FiniteGroup) -> tuple[Character, ...]:
+    """Dixon's method, then one exact `validate` of the whole table."""
     part = conjugacy_classes(g)
     k = len(part)
     n = g.order
@@ -318,7 +323,8 @@ def character_table(g: FiniteGroup,
     # primitive e-th root of unity in F_p, smallest for determinism
     def _has_order_e(w: int) -> bool:
         return (pow(w, e, p) == 1
-                and all(pow(w, e // q, p) != 1 for q in _prime_factors(e)))
+                and all(pow(w, e // q, p) != 1
+                        for q in divisors(e) if is_prime(q)))
 
     w = 1
     if e > 1:
@@ -367,26 +373,13 @@ def character_table(g: FiniteGroup,
             values.append(val)
         rows.append(values)
 
-    chars = [Character(g, vals, irreducible=True) for vals in rows]
+    chars = [Character(g, vals) for vals in rows]
     chars.sort(key=lambda c: (c.degree, c.sort_key()))
-    table = CharacterTable(g, tuple(chars))
-    table.validate()
-    g._cache["table"] = table
-    return table
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    CharacterTable(g, tuple(chars)).validate()
+    # validate() checked every norm <chi, chi> = 1 exactly
+    for c in chars:
+        c.irreducible = True
+    return tuple(chars)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce, inflate,
                          inner_product, pointwise_product, restrict,
@@ -19,7 +20,7 @@ from .characters import (Character, ClassFunction, character_table,
 from .errors import (BadChain, IndexNotPrime, InternalContradiction,
                      NotInvariant, NotIrreducible, NotNormal)
 from .groups import (FiniteGroup, Subgroup, is_abelian, is_normal, quotient,
-                     subgroup, _is_prime)
+                     subgroup)
 
 __all__ = [
     "InertiaKind", "ClassificationKind", "Classification", "NormalChain",
@@ -70,7 +71,7 @@ def inertia_group(s: Subgroup, theta: Character) -> Subgroup:
 
 def inertia_dichotomy(s: Subgroup, theta: Character) -> InertiaKind:
     """For prime index, the inertia group is the whole group or the subgroup."""
-    if not _is_prime(s.index):
+    if not is_prime(s.index):
         raise IndexNotPrime(f"index {s.index} is not prime")
     inert = inertia_group(s, theta)
     if inert.order == s.parent.order:
@@ -87,8 +88,7 @@ def conjugate_orbit(s: Subgroup, theta: Character) -> tuple[Character, ...]:
     for g in _orbit_perm_reps(s):
         cand = conjugate_character(theta, s, g)
         if cand.values not in seen:
-            seen[cand.values] = Character(cand.group, cand.values,
-                                          irreducible=theta.irreducible)
+            seen[cand.values] = cand
     rest = sorted((v for k, v in seen.items() if k != theta.values),
                   key=lambda c: c.sort_key())
     return (theta,) + tuple(rest)
@@ -154,7 +154,7 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
     """
     _require_irreducible(chi)
     q = s.index
-    if not _is_prime(q):
+    if not is_prime(q):
         raise IndexNotPrime(f"index {q} is not prime")
     res = restrict(chi, s)
     norm = inner_product(res, res)
@@ -186,7 +186,7 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
 def find_extensions(theta: Character, s: Subgroup) -> tuple[Character, ...]:
     """All irreducibles of the parent group restricting to theta, table order."""
     _require_irreducible(theta)
-    if not _is_prime(s.index):
+    if not is_prime(s.index):
         raise IndexNotPrime(f"index {s.index} is not prime")
     if inertia_group(s, theta).order != s.parent.order:
         raise NotInvariant("character is not invariant in the parent group")
@@ -250,15 +250,6 @@ def _reindex_subgroup(inner: Subgroup, outer: Subgroup) -> Subgroup:
     return subgroup(outer.as_group(), elems)
 
 
-def _transplant(fn: ClassFunction, target: FiniteGroup) -> ClassFunction:
-    """Move a class function onto an identical copy of its group."""
-    if not _same_group(fn.group, target):
-        raise InternalContradiction("transplant between non-identical groups")
-    if isinstance(fn, Character):
-        return Character(target, fn.values, irreducible=fn.irreducible)
-    return ClassFunction(target, fn.values)
-
-
 def _max_degree_constituent(fn: ClassFunction, table) -> tuple[Character, int]:
     parts = decompose(fn, table)
     best = max(parts, key=lambda im: (table[im[0]].degree, -im[0]))
@@ -295,11 +286,10 @@ def construct_large_degree(chain: NormalChain) -> Character:
         outer = subs[m + 1]
         outer_group = outer.as_group()
         inner = _reindex_subgroup(subs[m], outer)
-        psi_here = _transplant(psi, inner.as_group())
         table_outer = character_table(outer_group)
-        ind = induce(psi_here, inner)
+        ind = induce(psi, inner)
         cand, e = _max_degree_constituent(ind, table_outer)
-        t = len(conjugate_orbit(inner, psi_here))
+        t = len(conjugate_orbit(inner, psi))
         if e * t >= 2:
             psi = cand
         else:
@@ -311,8 +301,7 @@ def construct_large_degree(chain: NormalChain) -> Character:
         if psi.degree < 2 ** (m + 1):
             raise InternalContradiction(
                 f"degree {psi.degree} fell below 2^{m + 1} during the walk")
-    result = _transplant(psi, chain.group)
-    return Character(chain.group, result.values, irreducible=True)
+    return Character(chain.group, psi.values, irreducible=True)
 
 
 def _pick_max_row(table) -> Character:

@@ -21,11 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .characters import ClassFunction, CharacterTable, conjugacy_classes
+from .arith import factor_integer, is_prime
+from .characters import (ClassFunction, CharacterTable, conjugacy_classes,
+                         _same_group)
 from .cyclotomic import cyclo_sum
 from .errors import InvalidData, NonIntegralExponent, NotACharacter
 from .groups import (FiniteGroup, Subgroup, build_from_table, load_group_file,
-                     subgroup, _is_prime)
+                     subgroup)
 
 __all__ = [
     "RamificationFiltration", "GaloisContext", "FactoredConductor",
@@ -35,22 +37,6 @@ __all__ = [
     "bound_induced_case", "global_constant", "verify_conductor_discriminant",
     "load_context", "parse_context_dict", "factor_integer",
 ]
-
-
-def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine for conductor-sized values."""
-    if n < 1:
-        raise ValueError("can only factor positive integers")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +241,11 @@ class RamificationFiltration:
     groups: tuple[Subgroup, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.prime):
+        if not is_prime(self.prime):
             raise InvalidData(f"{self.prime} is not a prime")
         n = self.residue_norm
         p = self.prime
-        while n % p == 0:
+        while n > 1 and n % p == 0:
             n //= p
         if n != 1:
             raise InvalidData(
@@ -361,8 +347,7 @@ def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:
     """
     if not filt.groups:
         return 0
-    if filt.groups[0].parent is not chi.group and not _same_table(
-            filt.groups[0].parent, chi.group):
+    if not _same_group(filt.groups[0].parent, chi.group):
         raise NotACharacter("character does not live on the filtration's group")
     deg = chi.at_identity()
     if not deg.is_rational():
@@ -378,10 +363,6 @@ def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:
         raise NonIntegralExponent(
             f"conductor exponent at {filt.prime} is {f}, not a nonnegative integer")
     return int(f)
-
-
-def _same_table(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return a is b or (a.order == b.order and np.array_equal(a.mul, b.mul))
 
 
 def artin_conductor(chi: ClassFunction, ctx: GaloisContext) -> FactoredConductor:
@@ -432,7 +413,7 @@ class BoundInputs:
     def __post_init__(self):
         if self.disc < 1 or self.theta_degree < 1 or self.norm_f_theta < 1:
             raise InvalidData("bound inputs must be positive")
-        if not _is_prime(self.q):
+        if not is_prime(self.q):
             raise InvalidData(f"degree q = {self.q} must be prime")
         if self.T is not None and self.T <= 0:
             raise InvalidData("the norm cap T must be positive")
@@ -477,7 +458,7 @@ def global_constant(disc: int, t) -> Fraction:
 def verify_conductor_discriminant(ctx: GaloisContext, table: CharacterTable,
                                   disc: int) -> bool:
     """Conductor-discriminant oracle: prod over Irr of norm(f_chi)^chi(1) == disc."""
-    if not _same_table(table.group, ctx.group):
+    if not _same_group(table.group, ctx.group):
         raise NotACharacter("table does not belong to the context's group")
     prod = 1
     for chi in table:

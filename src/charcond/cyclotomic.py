@@ -16,21 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .arith import divisors
 from .errors import InternalContradiction
 
 __all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum"]
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -61,7 +50,7 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     if e == 1:
         return (-1, 1)
     poly: list[int] = [-1] + [0] * (e - 1) + [1]
-    for d in _divisors(e)[:-1]:
+    for d in divisors(e)[:-1]:
         poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
@@ -227,7 +216,7 @@ def _normalize(e: int, nums: list[int], den: int) -> tuple[int, tuple[int, ...],
     if all(v == 0 for v in nums[1:]):
         return 1, (nums[0],), den
     tnums = tuple(nums)
-    for d in _divisors(e)[:-1]:
+    for d in divisors(e)[:-1]:
         if all(_galois_nums(e, tnums, k) == nums for k in _descent_kernel(e, d)):
             rebased = _try_rebase(e, d, tnums)
             if rebased is None:

@@ -8,14 +8,23 @@ the integer combinatorics; all objects are immutable after construction.
 
 from __future__ import annotations
 
+import weakref
 from math import lcm
 from pathlib import Path
 
 import numpy as np
 
+from .arith import is_prime
 from .errors import InvalidData, NotAGroup, NotNormal, TooLarge
 
 DEFAULT_MAX_ORDER = 20000
+
+
+class _TableCache(dict):
+    """Data derived from one multiplication table; weakly referenceable."""
+
+
+_TABLE_CACHES = weakref.WeakValueDictionary()  # int64 table bytes -> cache
 
 
 class FiniteGroup:
@@ -23,7 +32,10 @@ class FiniteGroup:
 
     Elements are the indices 0..order-1.  ``mul[a, b]`` is the product a*b,
     ``inv[a]`` the inverse of a.  ``labels`` are optional display strings.
-    Instances compare and hash by identity; caches hang off ``_cache``.
+    Instances compare and hash by identity.  Groups with byte-identical tables
+    share ``_cache`` (exponent, classes, table rows), so ``a._cache is b._cache``
+    tests equal tables.  Normal subgroups point back at their parent, so they
+    are memoized per object.
     """
 
     def __init__(self, mul: np.ndarray, identity: int, inv: np.ndarray,
@@ -35,7 +47,9 @@ class FiniteGroup:
         self.inv = inv
         self.labels = labels
         self.name = name
-        self._cache: dict = {}
+        self._cache = _TABLE_CACHES.setdefault(
+            mul.astype(np.int64, copy=False).tobytes(), _TableCache())
+        self._normal_subgroups: tuple[Subgroup, ...] | None = None
         mul.setflags(write=False)
         inv.setflags(write=False)
 
@@ -211,9 +225,6 @@ def product_chain(groups, max_order: int = DEFAULT_MAX_ORDER,
         prod = direct_product(prod, g, max_order=max_order,
                               name=name if (name and last) else None)
     orders = [g.order for g in groups]
-    suffix = [1] * len(groups)
-    for i in range(len(groups) - 2, -1, -1):
-        suffix[i] = suffix[i + 1] * orders[i + 1]
     idents = [g.identity for g in groups]
 
     def encode(coords):
@@ -224,7 +235,6 @@ def product_chain(groups, max_order: int = DEFAULT_MAX_ORDER,
 
     chain = []
     for k in range(len(groups) + 1):
-        members = []
         ranges = [range(orders[i]) if i < k else [idents[i]]
                   for i in range(len(groups))]
         stack = [[]]
@@ -421,6 +431,8 @@ def derived_subgroup(g: FiniteGroup) -> Subgroup:
 
 def normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     """All normal subgroups, found as closures of unions of conjugacy classes."""
+    if g._normal_subgroups is not None:
+        return g._normal_subgroups
     part = conjugacy_classes(g)
     found: dict[tuple[int, ...], Subgroup] = {}
     triv = trivial_subgroup(g)
@@ -436,22 +448,12 @@ def normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
                 found[bigger.elements] = bigger
                 agenda.append(bigger)
     subs = sorted(found.values(), key=lambda s: (s.order, s.elements))
-    return tuple(subs)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    g._normal_subgroups = tuple(subs)
+    return g._normal_subgroups
 
 
 def prime_index_normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
-    return tuple(s for s in normal_subgroups(g) if _is_prime(s.index))
+    return tuple(s for s in normal_subgroups(g) if is_prime(s.index))
 
 
 class QuotientMap:

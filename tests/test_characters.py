@@ -262,3 +262,7 @@ def test_character_table_cap():
     from charcond.errors import TooLarge
     with pytest.raises(TooLarge):
         character_table(s3(), max_order=5)
+    g = s3()
+    character_table(g)
+    with pytest.raises(TooLarge):      # a cached table does not skip the cap
+        character_table(g, max_order=5)

@@ -2,6 +2,7 @@
 
 import json
 
+from charcond import characters
 from charcond.cli import main
 
 
@@ -24,6 +25,24 @@ def test_table_json(capsys):
     data = json.loads(out)
     assert data["order"] == 6
     assert [r["degree"] for r in data["rows"]] == [1, 1, 2]
+
+
+def test_table_equal_tables_computed_once_named_apart(capsys, monkeypatch):
+    # S2 has the table of C2, and C2xC2 that of D2
+    computed = []
+    dixon = characters._dixon_rows
+
+    def counted(g):
+        computed.append(g.name)
+        return dixon(g)
+
+    monkeypatch.setattr(characters, "_dixon_rows", counted)
+    for first, second in (("C2", "S2"), ("D2", "C2xC2")):
+        run(capsys, "table", "--group", first)
+        code, out, _ = run(capsys, "table", "--group", second)
+        assert code == 0
+        assert out.startswith(f"character table of {second} (order ")
+        assert second not in computed
 
 
 def test_table_bad_file_exits_2(capsys, tmp_path):

@@ -142,6 +142,8 @@ def test_filtration_validation():
     with pytest.raises(InvalidData):
         RamificationFiltration(2, 6, (full,))       # 6 is not a power of 2
     with pytest.raises(InvalidData):
+        RamificationFiltration(2, 0, (full,))       # 0 is not a power of 2
+    with pytest.raises(InvalidData):
         RamificationFiltration(2, 2, (trivial_subgroup(g),))  # trivial G_0
     with pytest.raises(InvalidData):
         RamificationFiltration(2, 2, (trivial_subgroup(g), full))  # ascending

@@ -1,9 +1,11 @@
 """Verification report plumbing and small-cap suite runs."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from charcond import characters
 from charcond.catalog import Catalog
 from charcond.errors import InvalidData
 from charcond.verify import SUITE_NAMES, VerificationReport, run_suite
@@ -50,3 +52,19 @@ def test_all_suite_merges_everything():
     identities = {c.identity.split(":")[0] for c in rep.checks}
     assert {"clifford", "gallagher", "dichotomy", "classification",
             "degrees", "conductor", "tables"} <= identities
+
+
+def test_sweep_runs_dixon_once_per_table(monkeypatch):
+    # groups with byte-identical tables share one cache, so however warm it
+    # already is, no multiplication table goes through Dixon's method twice
+    runs = Counter()
+    dixon = characters._dixon_rows
+
+    def counted(g):
+        runs[g.mul.tobytes()] += 1
+        return dixon(g)
+
+    monkeypatch.setattr(characters, "_dixon_rows", counted)
+    rep = run_suite("all", cat=Catalog(), max_order=12)
+    assert rep.passed
+    assert [n for n in runs.values() if n > 1] == []
