@@ -6,6 +6,10 @@ and p > 2*sqrt(|G|), and the eigenvalue data is lifted back to Q(zeta_e) by
 matching against roots of unity in F_p.  Every lifted row is then re-verified
 exactly (orthogonality, degree sums), so the flags on the results are earned,
 not assumed.
+
+Inner products and both orthogonality relations go through one batched
+integer kernel, `cyclotomic.gram`; values become `Cyclotomic` objects again
+only where a caller needs them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import divisors, is_prime
-from .cyclotomic import Cyclotomic, cyclo_sum
+from .cyclotomic import Cyclotomic, cyclo_sum, encode, gram
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
@@ -24,8 +28,8 @@ from .groups import DEFAULT_MAX_ORDER
 
 __all__ = [
     "ClassFunction", "Character", "CharacterTable", "character_table",
-    "inner_product", "restrict", "induce", "conjugate_character", "inflate",
-    "pointwise_product", "decompose",
+    "inner_product", "inner_product_matrix", "restrict", "induce",
+    "conjugate_character", "inflate", "pointwise_product", "decompose",
 ]
 
 
@@ -107,12 +111,29 @@ class Character(ClassFunction):
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
     """(1/|G|) sum over G of phi(g) * conj(psi(g)), computed classwise."""
-    if not _same_group(phi.group, psi.group):
+    return inner_product_matrix([phi], [psi])[0][0]
+
+
+def inner_product_matrix(phis, psis) -> list[list[Cyclotomic]]:
+    """All <phi, psi> for phi in phis, psi in psis, from one Gram kernel call."""
+    phis, psis = list(phis), list(psis)
+    g = phis[0].group
+    if not all(_same_group(g, fn.group) for fn in phis + psis):
         raise GroupMismatch("inner product needs both functions on one group")
-    sizes = phi.partition.sizes
-    total = cyclo_sum(a * b.conjugate() * sz
-                      for a, b, sz in zip(phi.values, psi.values, sizes))
-    return total * Fraction(1, phi.group.order)
+    vals, den = encode(fn.values for fn in phis + psis)
+    nums = gram(vals[:len(phis)], vals[len(phis):], phis[0].partition.sizes)
+    e = vals.shape[2]
+    scale = den * den * g.order
+    return [[Cyclotomic._build(e, [int(c) for c in v], scale) for v in row]
+            for row in nums]
+
+
+def _first_off_delta(got: np.ndarray, diag: list[int]):
+    """First (i, j), row-major, where got[i, j] is not diag[i] * delta_ij."""
+    want = np.zeros(got.shape, dtype=object)
+    want[range(len(diag)), range(len(diag)), 0] = diag
+    hits = np.argwhere((got != want).any(axis=2))
+    return tuple(int(x) for x in hits[0]) if len(hits) else None
 
 
 def _dixon_prime(exponent: int, order: int) -> int:
@@ -218,21 +239,18 @@ class CharacterTable:
             raise InternalContradiction("row count differs from class count")
         if sum(r.degree ** 2 for r in self.rows) != n:
             raise InternalContradiction("degree squares do not sum to |G|")
-        for i, a in enumerate(self.rows):
-            for j, b in enumerate(self.rows):
-                want = 1 if i == j else 0
-                if inner_product(a, b) != want:
-                    raise InternalContradiction(
-                        f"row orthogonality fails at ({i}, {j})")
+        vals, den = encode(r.values for r in self.rows)
         sizes = self.partition.sizes
-        for ci in range(k):
-            for cj in range(k):
-                s = cyclo_sum(r.values[ci] * r.values[cj].conjugate()
-                              for r in self.rows)
-                want = Fraction(n, sizes[ci]) if ci == cj else Fraction(0)
-                if s != Cyclotomic.from_rational(want):
-                    raise InternalContradiction(
-                        f"column orthogonality fails at ({ci}, {cj})")
+        # sum_c |C| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on numerators
+        bad = _first_off_delta(gram(vals, vals, sizes), [n * den * den] * k)
+        if bad:
+            raise InternalContradiction(f"row orthogonality fails at {bad}")
+        # sum_chi chi(c_i) conj(chi(c_j)) = (|G| / |C_i|) delta_ij
+        cols = vals.transpose(1, 0, 2)
+        bad = _first_off_delta(gram(cols, cols, [1] * k),
+                               [n // sz * den * den for sz in sizes])
+        if bad:
+            raise InternalContradiction(f"column orthogonality fails at {bad}")
 
     def render_text(self) -> str:
         part = self.partition
@@ -271,15 +289,23 @@ class CharacterTable:
 
 def character_table(g: FiniteGroup,
                     max_order: int = DEFAULT_MAX_ORDER) -> CharacterTable:
-    """Exact irreducible character table; equal tables share its rows."""
+    """Exact irreducible character table; equal tables share its row values.
+
+    The shared cache holds values only, never characters bound to a group, so
+    it does not keep any group alive.
+    """
     if g.order > max_order:
         raise TooLarge(f"group order {g.order} exceeds the cap of {max_order}")
     if "table_rows" not in g._cache:
         g._cache["table_rows"] = _dixon_rows(g)
-    return CharacterTable(g, g._cache["table_rows"])
+    rows = tuple(Character(g, vals) for vals in g._cache["table_rows"])
+    # the cached rows passed one exact validate(), norms included
+    for c in rows:
+        c.irreducible = True
+    return CharacterTable(g, rows)
 
 
-def _dixon_rows(g: FiniteGroup) -> tuple[Character, ...]:
+def _dixon_rows(g: FiniteGroup) -> tuple[tuple[Cyclotomic, ...], ...]:
     """Dixon's method, then one exact `validate` of the whole table."""
     part = conjugacy_classes(g)
     k = len(part)
@@ -376,10 +402,7 @@ def _dixon_rows(g: FiniteGroup) -> tuple[Character, ...]:
     chars = [Character(g, vals) for vals in rows]
     chars.sort(key=lambda c: (c.degree, c.sort_key()))
     CharacterTable(g, tuple(chars)).validate()
-    # validate() checked every norm <chi, chi> = 1 exactly
-    for c in chars:
-        c.irreducible = True
-    return tuple(chars)
+    return tuple(c.values for c in chars)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +523,7 @@ def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]
     if not _same_group(phi.group, table.group):
         raise GroupMismatch("class function does not live on the table's group")
     out = []
-    for i, row in enumerate(table.rows):
-        m = inner_product(phi, row)
+    for i, m in enumerate(inner_product_matrix([phi], table.rows)[0]):
         if not m.is_integer() or m.as_integer() < 0:
             raise NotACharacter(
                 f"multiplicity of row {i} is {m}, not a nonnegative integer")

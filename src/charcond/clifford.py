@@ -159,7 +159,8 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
     res = restrict(chi, s)
     norm = inner_product(res, res)
     if norm == 1:
-        theta = Character(res.group, res.values, irreducible=True)
+        theta = Character(res.group, res.values)
+        theta.irreducible = True  # the exact norm check above
         checks = {
             "restriction_irreducible": True,
             "restriction_matches": restrict(chi, s) == theta,

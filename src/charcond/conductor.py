@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import factor_integer, is_prime
+from .arith import PRIME_TEST_BOUND, factor_integer, is_prime
 from .characters import (ClassFunction, CharacterTable, conjugacy_classes,
                          _same_group)
 from .cyclotomic import cyclo_sum
@@ -228,6 +228,14 @@ class RadicalValue:
 # ramification data
 
 
+def _require_prime(p: int) -> None:
+    if p >= PRIME_TEST_BOUND:
+        raise InvalidData(
+            f"prime {p} is not below {PRIME_TEST_BOUND}, the exact-test bound")
+    if not is_prime(p):
+        raise InvalidData(f"{p} is not a prime")
+
+
 @dataclass(frozen=True)
 class RamificationFiltration:
     """A prime with residue norm and a descending chain G_0 >= G_1 >= ...
@@ -241,8 +249,7 @@ class RamificationFiltration:
     groups: tuple[Subgroup, ...]
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise InvalidData(f"{self.prime} is not a prime")
+        _require_prime(self.prime)
         n = self.residue_norm
         p = self.prime
         while n > 1 and n % p == 0:
@@ -413,7 +420,7 @@ class BoundInputs:
     def __post_init__(self):
         if self.disc < 1 or self.theta_degree < 1 or self.norm_f_theta < 1:
             raise InvalidData("bound inputs must be positive")
-        if not is_prime(self.q):
+        if self.q >= PRIME_TEST_BOUND or not is_prime(self.q):
             raise InvalidData(f"degree q = {self.q} must be prime")
         if self.T is not None and self.T <= 0:
             raise InvalidData("the norm cap T must be positive")
@@ -496,6 +503,7 @@ def parse_context_dict(data: dict, base_dir=None,
             p = int(entry["p"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidData(f"bad prime entry {entry!r}") from exc
+        _require_prime(p)   # before the filtration subgroups are validated
         rn = int(entry.get("residue_norm", p))
         subs = tuple(subgroup(group, members)
                      for members in entry.get("filtration", []))

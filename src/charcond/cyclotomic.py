@@ -6,20 +6,30 @@ positive denominator.  Every element is normalized to the smallest conductor
 that contains it, so equality and hashing are plain component comparisons and
 a value equal to a rational number always reports conductor 1.
 
-Character values, inner products and conductor sums all live here; the whole
-module is integer/Fraction exact with no floating point anywhere.
+Many values at once have a second, unnormalized form for batched work: rows
+of integers in Z[x]/(x^e - 1) over one common denominator (`encode`).  The
+map x -> zeta_e from Z[x]/(x^e - 1) onto Z[zeta_e] is a ring map that
+commutes with x -> x^-1, so sums of products and complex conjugation (index
+negation) computed on the rows agree exactly with the same operations on the
+values; one product with the power table then gives power-basis vectors of
+Q(zeta_e), where equality is equality of integer vectors.  `gram` computes
+weighted inner products of class functions this way.
+
+Everything is integer/Fraction exact with no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+
+import numpy as np
 
 from .arith import divisors
 from .errors import InternalContradiction
 
-__all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum"]
+__all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum", "encode", "gram"]
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -466,3 +476,67 @@ def cyclo_sum(values) -> Cyclotomic:
             if c:
                 acc[j] += c * f
     return Cyclotomic._build(e, acc, den)
+
+
+# ---------------------------------------------------------------------------
+# batched values: rows in Z[x]/(x^e - 1)
+
+_INT64_LIMIT = 1 << 62
+
+
+def encode(rows) -> tuple[np.ndarray, int]:
+    """Rows of values as one integer array of shape (rows, values, e), and den.
+
+    e is the lcm of the value conductors.  A value of conductor d puts its
+    power-basis numerator i, scaled to the common denominator den, at index
+    i * e / d.  Entries are int64 when they are small enough, Python ints
+    (dtype object) otherwise.
+    """
+    rows = [tuple(r) for r in rows]
+    vals = [v for r in rows for v in r]
+    e = lcm(1, *(v.order for v in vals))
+    den = lcm(1, *(v.den for v in vals))
+    where, coeffs = [], []
+    for pos, v in zip(range(0, len(vals) * e, e), vals):
+        step, f = e // v.order, den // v.den
+        for i, c in enumerate(v.nums):
+            if c:
+                where.append(pos + i * step)
+                coeffs.append(c * f)
+    big = max(map(abs, coeffs), default=0)
+    dtype = np.int64 if big < _INT64_LIMIT else object
+    flat = np.zeros(len(vals) * e, dtype=dtype)
+    flat[where] = coeffs
+    return flat.reshape(len(rows), len(rows[0]) if rows else 0, e), den
+
+
+def _absmax(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def gram(a: np.ndarray, b: np.ndarray, weights) -> np.ndarray:
+    """Power-basis numerators of sum_c w_c * a[i, c] * conj(b[j, c]).
+
+    `a` (ka, k, e) and `b` (kb, k, e) are encodings on one e; the result has
+    shape (ka, kb, phi(e)).  The sum is a cyclic correlation over the last
+    axis, one integer matmul per shift.  It runs in int64 when a bound on
+    every partial sum, exact in Python ints, is below 2^62, and in Python ints
+    otherwise.
+    """
+    ka, k, e = a.shape
+    kb = b.shape[0]
+    w = [int(x) for x in weights]
+    table = _power_table(e)
+    # a correlation entry is at most sum|w| * e * max|a| * max|b|, and an
+    # output sums e of those times power-table entries
+    bound = (sum(abs(x) for x in w) * e * _absmax(a) * _absmax(b)
+             * e * max(abs(c) for row in table for c in row))
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    aw = (a.astype(dtype, copy=False)
+          * np.array(w, dtype=dtype)[:, None]).reshape(ka, k * e)
+    bb = np.concatenate((b, b), axis=2).astype(dtype, copy=False)
+    corr = np.empty((ka, kb, e), dtype=dtype)
+    for m in range(e):
+        # x^s * conj(x^t) = x^(s-t): shift m pairs index s of a with s - m of b
+        corr[:, :, m] = aw @ bb[:, :, e - m:2 * e - m].reshape(kb, k * e).T
+    return corr @ np.array(table, dtype=dtype)

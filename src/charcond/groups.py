@@ -34,8 +34,9 @@ class FiniteGroup:
     ``inv[a]`` the inverse of a.  ``labels`` are optional display strings.
     Instances compare and hash by identity.  Groups with byte-identical tables
     share ``_cache`` (exponent, classes, table rows), so ``a._cache is b._cache``
-    tests equal tables.  Normal subgroups point back at their parent, so they
-    are memoized per object.
+    tests equal tables.  Normal subgroups are memoized per object as element
+    sets with their subgroup caches, never as subgroups pointing back at the
+    group, so a group is freed as soon as it is unreachable.
     """
 
     def __init__(self, mul: np.ndarray, identity: int, inv: np.ndarray,
@@ -49,7 +50,8 @@ class FiniteGroup:
         self.name = name
         self._cache = _TABLE_CACHES.setdefault(
             mul.astype(np.int64, copy=False).tobytes(), _TableCache())
-        self._normal_subgroups: tuple[Subgroup, ...] | None = None
+        # (elements, subgroup cache) per normal subgroup, once computed
+        self._normal_subgroups: tuple | None = None
         mul.setflags(write=False)
         inv.setflags(write=False)
 
@@ -430,9 +432,23 @@ def derived_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, found as closures of unions of conjugacy classes."""
-    if g._normal_subgroups is not None:
-        return g._normal_subgroups
+    """All normal subgroups, found as closures of unions of conjugacy classes.
+
+    Each call returns fresh subgroups that share the memoized caches, so
+    `as_group()`, induction counts and conjugation data are computed once.
+    """
+    if g._normal_subgroups is None:
+        g._normal_subgroups = tuple((s.elements, s._cache)
+                                    for s in _normal_subgroup_closure(g))
+    subs = []
+    for elements, cache in g._normal_subgroups:
+        s = Subgroup(g, elements)
+        s._cache = cache
+        subs.append(s)
+    return tuple(subs)
+
+
+def _normal_subgroup_closure(g: FiniteGroup) -> list[Subgroup]:
     part = conjugacy_classes(g)
     found: dict[tuple[int, ...], Subgroup] = {}
     triv = trivial_subgroup(g)
@@ -447,9 +463,7 @@ def normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
             if bigger.elements not in found:
                 found[bigger.elements] = bigger
                 agenda.append(bigger)
-    subs = sorted(found.values(), key=lambda s: (s.order, s.elements))
-    g._normal_subgroups = tuple(subs)
-    return g._normal_subgroups
+    return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
 def prime_index_normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:

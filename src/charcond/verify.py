@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from .catalog import Catalog, default_catalog
 from .characters import (ClassFunction, character_table, induce, inflate,
-                         inner_product, pointwise_product, restrict)
+                         inner_product, inner_product_matrix,
+                         pointwise_product, restrict)
 from .clifford import (ClassificationKind, NormalChain, classify_irreducible,
                        clifford_decomposition, conjugate_orbit,
                        construct_large_degree, find_extensions, inertia_group,
@@ -413,17 +414,17 @@ def suite_tables(cat: Catalog | None = None,
             if s.order == g.order:
                 continue
             table_h = character_table(s.as_group())
-            inds = [induce(theta, s) for theta in table_h]
-            ress = [restrict(chi, s) for chi in table]
+            lhs = inner_product_matrix([induce(theta, s) for theta in table_h],
+                                       table)
+            rhs = inner_product_matrix(table_h,
+                                       [restrict(chi, s) for chi in table])
             ok_fr = True
             detail = ""
-            for i, theta in enumerate(table_h):
-                for j, chi in enumerate(table):
-                    lhs = inner_product(inds[i], chi)
-                    rhs = inner_product(theta, ress[j])
-                    if lhs != rhs:
+            for i, (lrow, rrow) in enumerate(zip(lhs, rhs)):
+                for j, (a, b) in enumerate(zip(lrow, rrow)):
+                    if a != b:
                         ok_fr = False
-                        detail = f"<Ind t{i}, x{j}> = {lhs} != {rhs}"
+                        detail = f"<Ind t{i}, x{j}> = {a} != {b}"
             rep.add("tables: Frobenius reciprocity",
                     _pair_name(g, s), ok_fr, detail)
     return rep

@@ -55,6 +55,15 @@ def test_table_bad_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_conduct_huge_prime_exits_2(capsys, tmp_path):
+    ctx = tmp_path / "huge.json"
+    ctx.write_text(json.dumps({"group": [[0, 1], [1, 0]], "primes": [
+        {"p": 2 ** 89 - 1, "filtration": [[0, 1]]}]}))
+    code, out, err = run(capsys, "conduct", "--context", str(ctx), "--all")
+    assert code == 2 and out == ""
+    assert "exact-test bound" in err
+
+
 def test_classify_s3(capsys):
     code, out, _ = run(capsys, "classify", "--group", "S3",
                        "--subgroup", "derived")

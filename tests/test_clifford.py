@@ -2,6 +2,7 @@
 
 import pytest
 
+from charcond import characters, clifford
 from charcond.characters import character_table, induce, inner_product, restrict
 from charcond.clifford import (ClassificationKind, InertiaKind, NormalChain,
                                classify_irreducible, clifford_decomposition,
@@ -112,6 +113,27 @@ def test_classification_s3():
     assert ind.t == 2
     assert induce(ind.theta, a3) == t[2]
     assert len(ind.orbit) == 2
+
+
+def test_restricted_case_computes_the_norm_once(monkeypatch):
+    g = s3()
+    a3 = a3_of(g)
+    t = character_table(g)
+    calls = []
+    real = characters.inner_product
+
+    def counted(phi, psi):
+        calls.append(phi.group.order)
+        return real(phi, psi)
+
+    monkeypatch.setattr(characters, "inner_product", counted)
+    monkeypatch.setattr(clifford, "inner_product", counted)
+    for chi in t[:2]:
+        calls.clear()
+        c = classify_irreducible(chi, a3)
+        assert c.kind == ClassificationKind.RESTRICTED
+        assert c.theta.irreducible and c.verified()
+        assert calls == [3]
 
 
 def test_classification_requires_prime_index():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from charcond.arith import PRIME_TEST_BOUND
 from charcond.characters import character_table, induce
 from charcond.conductor import (BoundInputs, FactoredConductor, GaloisContext,
                                 RadicalValue, RamificationFiltration,
@@ -150,6 +151,21 @@ def test_filtration_validation():
     with pytest.raises(InvalidData):
         GaloisContext(g, (RamificationFiltration(2, 2, (full,)),
                           RamificationFiltration(2, 2, (full,))))
+
+
+def test_primes_beyond_the_exact_test_fail_fast():
+    g = c_n(2)
+    full = full_subgroup(g)
+    big = 1000000000000000003   # prime, and far beyond trial division
+    assert RamificationFiltration(big, big, (full,)).prime == big
+    for p in (PRIME_TEST_BOUND, 2 ** 89 - 1):
+        with pytest.raises(InvalidData, match="exact-test bound"):
+            RamificationFiltration(p, p, (full,))
+        with pytest.raises(InvalidData, match="exact-test bound"):
+            parse_context_dict({"group": [[0, 1], [1, 0]],
+                                "primes": [{"p": p, "filtration": [[0, 1]]}]})
+    with pytest.raises(InvalidData):
+        BoundInputs(disc=5, q=2 ** 89 - 1, theta_degree=1, norm_f_theta=1)
 
 
 def test_unramified_triviality():

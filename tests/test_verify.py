@@ -1,5 +1,6 @@
 """Verification report plumbing and small-cap suite runs."""
 
+import gc
 import json
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from charcond import characters
 from charcond.catalog import Catalog
 from charcond.errors import InvalidData
+from charcond.groups import FiniteGroup, Subgroup
 from charcond.verify import SUITE_NAMES, VerificationReport, run_suite
 
 
@@ -68,3 +70,21 @@ def test_sweep_runs_dixon_once_per_table(monkeypatch):
     rep = run_suite("all", cat=Catalog(), max_order=12)
     assert rep.passed
     assert [n for n in runs.values() if n > 1] == []
+
+
+def test_sweep_leaves_no_groups_in_reference_cycles():
+    # cached table rows and memoized normal subgroups must not point back at
+    # their group, or each dead group waits for a full collection
+    gc.collect()
+    rep = run_suite("all", cat=Catalog(), max_order=12)
+    assert rep.passed
+    del rep
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        stuck = [type(o).__name__ for o in gc.garbage
+                 if isinstance(o, (FiniteGroup, Subgroup, characters.Character))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert stuck == []
