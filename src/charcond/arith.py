@@ -1,29 +1,94 @@
 """Integer helpers: factorization, primality and divisors.
 
-Factorization and divisors use trial division: the integers that reach them
-are group orders, exponents, Dixon primes and conductor norms.  Primality is
-a deterministic Miller-Rabin test, because primes in ramification data come
-from user input and may be large.  The module imports nothing from the
-package, so every other module can use it.
+Primality is a deterministic Miller-Rabin test, because primes in
+ramification data come from user input and may be large.  Factorization
+trial-divides by small numbers only; what is left is certified prime by that
+test or split by Pollard-Brent rho, and every factor rho finds is checked by
+division, so the result is exact.  Divisors use trial division: the integers
+that reach them are group orders and exponents.  The module imports nothing
+from the package but its exception types, so every other module can use it.
 """
 
 from functools import lru_cache
+from math import gcd
+
+from .errors import InvalidData
+
+# trial division stops here; a cofactor below its square is then prime
+_TRIAL_LIMIT = 1 << 10
+# Pollard-Brent rho gives up on a cofactor after about this many steps
+_RHO_STEPS = 1 << 18
 
 
 def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine for conductor-sized values."""
+    """Exact prime factorization of a positive integer.
+
+    Raises InvalidData when a cofactor is at least PRIME_TEST_BOUND and
+    passes the primality test (it cannot be certified prime), or when rho
+    cannot split a composite cofactor within its step budget.
+    """
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
+    rest = n
+    for d in range(2, _TRIAL_LIMIT):
+        if d * d > rest:
+            break
+        while rest % d == 0:
             out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+            rest //= d
+    pending = [rest] if rest > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _is_probable_prime(m):
+            if m >= PRIME_TEST_BOUND:
+                raise InvalidData(
+                    f"cannot certify the factor {m} of {n} as prime: it is not "
+                    f"below {PRIME_TEST_BOUND}, the exact-test bound")
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _split(m)
+        pending += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _split(n: int) -> int:
+    """A proper factor of a composite n with no factor below _TRIAL_LIMIT."""
+    for c in range(1, 9):
+        d = _brent_rho(n, c)
+        if d is None:
+            break
+        if 1 < d < n and n % d == 0:
+            return d
+    raise InvalidData(f"cannot factor {n} within the step budget")
+
+
+def _brent_rho(n: int, c: int) -> int | None:
+    """Pollard-Brent rho on x -> x^2 + c from 2, products of 128 differences
+    per gcd; returns a divisor of n (possibly n), or None past _RHO_STEPS."""
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        if r > _RHO_STEPS:
+            return None
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = gcd(q, n)
+            k += 128
+        r *= 2
+    if g == n:
+        # the batch overshot: replay it one difference at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(abs(x - ys), n)
+    return g
 
 
 # Miller-Rabin with the first 13 prime bases decides every n below this bound
@@ -41,6 +106,11 @@ def is_prime(n: int) -> bool:
             return n == p
     if n >= PRIME_TEST_BOUND:
         raise ValueError(f"{n} is too large for an exact primality test")
+    return _is_probable_prime(n)
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the 13 bases; False proves an odd n > 41 composite."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -7,19 +7,29 @@ matching against roots of unity in F_p.  Every lifted row is then re-verified
 exactly (orthogonality, degree sums), so the flags on the results are earned,
 not assumed.
 
-Inner products and both orthogonality relations go through one batched
-integer kernel, `cyclotomic.gram`; values become `Cyclotomic` objects again
-only where a caller needs them.
+The F_p stage works on integer arrays.  Each eigenspace split finds its
+eigenvalues with one batched elimination of (img - lam * basis)^T over all
+lam in F_p, taken in chunks of at most _LAMBDA_CHUNK entries so that memory
+stays flat, and solves a null space only for the eigenvalues.  The lift
+computes the root-of-unity multiplicities of every row at a class with one
+DFT matmul over F_p.  Arrays are int64 while an exact Python-int bound on
+every sum, max(k, e) * (p - 1)^2, stays below 2^62, and Python ints (dtype
+object) otherwise, the same rule as `cyclotomic.gram`.
+
+Inner products, both orthogonality relations and induction go through
+batched integer kernels (`cyclotomic.gram`, one matmul with the induction
+counts); values become `Cyclotomic` objects again only where a caller needs
+them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .arith import divisors, is_prime
-from .cyclotomic import Cyclotomic, cyclo_sum, encode, gram
+# cyclo_sum is unused here, but stays importable from this module
+from .cyclotomic import (Cyclotomic, cyclo_sum, encode, gram,  # noqa: F401
+                         int_dtype, power_basis)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
@@ -31,6 +41,10 @@ __all__ = [
     "inner_product", "inner_product_matrix", "restrict", "induce",
     "conjugate_character", "inflate", "pointwise_product", "decompose",
 ]
+
+
+# at most this many entries in one batched elimination stack of `_split_space`
+_LAMBDA_CHUNK = 1 << 15
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -145,60 +159,84 @@ def _dixon_prime(exponent: int, order: int) -> int:
         p += exponent if exponent > 1 else 1
 
 
-def _mod_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of the null space of a matrix over F_p (RREF back-substitution)."""
-    m = [r[:] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if piv is None:
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse mod p (0 maps to 0)."""
+    return np.array([pow(int(x), p - 2, p) for x in a], dtype=a.dtype)
+
+
+def _nullities(stack: np.ndarray, p: int) -> np.ndarray:
+    """d - rank over F_p of every matrix in an (L, k, d) stack, at once.
+
+    Fraction-free elimination, column by column: each member takes its first
+    nonzero row as pivot and every row r becomes piv * r - r[c] * pivot row.
+    That zeroes the pivot row itself, so used rows are never picked again and
+    no row swaps are needed.
+    """
+    a = stack % p
+    idx = np.arange(a.shape[0])
+    rank = np.zeros(a.shape[0], dtype=np.int64)
+    while a.shape[2]:
+        col, a = a[:, :, 0], a[:, :, 1:]
+        nonzero = col != 0
+        has = nonzero.any(axis=1)
+        if not has.any():
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
+        piv = nonzero.argmax(axis=1)
+        pval = np.where(has, col[idx, piv], 1)
+        prow = a[idx, piv]
+        a = (a * pval[:, None, None] - col[:, :, None] * prow[:, None, :]) % p
+        rank += has
+    return stack.shape[2] - rank
+
+
+def _null_space(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis of {x : a x = 0} over F_p, one row per free column (RREF)."""
+    a = a % p
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        nz = np.flatnonzero(a[r:, c])
+        if not len(nz):
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        f = a[:, c].copy()
+        f[r] = 0
+        a = (a - f[:, None] * a[r]) % p
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == rows:
             break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-m[i][fc]) % p
-        basis.append(vec)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=a.dtype)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-a[:len(pivots), free]).T % p
     return basis
 
 
-def _split_space(mat: list[list[int]], basis: list[list[int]], p: int):
-    """Split a subspace (list of basis vectors) into eigenspaces of `mat`."""
-    k = len(mat)
-    d = len(basis)
-    img = [[sum(mat[r][c] * vec[c] for c in range(k)) % p for r in range(k)]
-           for vec in basis]
-    out = []
+def _split_space(mat: np.ndarray, basis: np.ndarray, p: int) -> list[np.ndarray]:
+    """Split a subspace (rows of `basis`) into eigenspaces of `mat` over F_p.
+
+    The eigenvalues are found by one batched elimination of the stack
+    (img - lam * basis)^T over lam in F_p, in chunks of at most
+    _LAMBDA_CHUNK entries; a null space is solved only for lam of nonzero
+    nullity.
+    """
+    d, k = basis.shape
+    img = basis @ mat.T % p
+    out: list[np.ndarray] = []
     found = 0
-    for lam in range(p):
-        rows = [[(img[j][r] - lam * basis[j][r]) % p for j in range(d)]
-                for r in range(k)]
-        ker = _mod_kernel(rows, d, p)
-        if ker:
-            space = [[sum(coeffs[j] * basis[j][r] for j in range(d)) % p
-                      for r in range(k)]
-                     for coeffs in ker]
-            out.append(space)
+    step = max(1, _LAMBDA_CHUNK // (k * d))
+    for lo in range(0, p, step):
+        lams = np.arange(lo, min(lo + step, p)).astype(basis.dtype)
+        stack = ((img - lams[:, None, None] * basis) % p).transpose(0, 2, 1)
+        for i in np.flatnonzero(_nullities(stack, p)):
+            ker = _null_space(stack[i], p)
+            out.append(ker @ basis % p)
             found += len(ker)
-            if found == d:
-                break
-    if found != d:
-        raise InternalContradiction("class algebra failed to split over F_p")
-    return out
+        if found == d:
+            return out
+    raise InternalContradiction("class algebra failed to split over F_p")
 
 
 class CharacterTable:
@@ -312,39 +350,47 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[Cyclotomic, ...], ...]:
     n = g.order
     e = g.exponent()
     p = _dixon_prime(e, n)
-    sizes = part.sizes
-    classes = [np.array(c, dtype=np.int64) for c in part.classes]
+    sizes = np.array(part.sizes, dtype=np.int64)
     classof = part.class_of
+    # every product below sums at most max(k, e) terms below p^2
+    dtype = int_dtype(max(k, e) * (p - 1) ** 2)
 
+    # mats[i][j, l] = #{(x, y) in C_i x C_j : x y = z} for any z in C_l,
+    # from one count of (class of y, class of x y) over x in C_i, y in G
     mats = []
-    for i in range(k):
-        m = np.zeros((k, k), dtype=np.int64)
-        for j in range(k):
-            prods = g.mul[np.ix_(classes[i], classes[j])]
-            cnt = np.bincount(classof[prods].ravel(), minlength=k)
-            if np.any(cnt % sizes):
-                raise InternalContradiction("structure constants not class-constant")
-            m[j] = cnt // np.array(sizes)
-        mats.append([[int(v) % p for v in row] for row in m])
+    for cls in part.classes:
+        prods = classof[g.mul[np.array(cls, dtype=np.int64)]]
+        cnt = np.bincount((classof * k + prods).ravel(),
+                          minlength=k * k).reshape(k, k)
+        if np.any(cnt % sizes):
+            raise InternalContradiction("structure constants not class-constant")
+        mats.append((cnt // sizes % p).astype(dtype))
 
-    spaces: list[list[list[int]]] = [[[int(r == c) for r in range(k)]
-                                      for c in range(k)]]
+    spaces = [np.eye(k, dtype=dtype)]
     for mat in mats:
         if all(len(s) == 1 for s in spaces):
             break
-        nxt: list[list[list[int]]] = []
-        for space in spaces:
-            if len(space) == 1:
-                nxt.append(space)
-            else:
-                nxt.extend(_split_space(mat, space, p))
-        spaces = nxt
+        spaces = [piece for s in spaces
+                  for piece in (_split_space(mat, s, p) if len(s) > 1 else [s])]
     if not all(len(s) == 1 for s in spaces):
         raise InternalContradiction("simultaneous diagonalization incomplete")
 
+    # scale each eigenvector to 1 at the identity class, recover the degrees
     c0 = int(classof[g.identity])
-    inv_sizes = [pow(sz, p - 2, p) for sz in sizes]
-    inv_class = [int(classof[g.inv[part.representatives[j]]]) for j in range(k)]
+    vecs = np.concatenate(spaces)
+    if np.any(vecs[:, c0] == 0):
+        raise InternalContradiction("central character vanishes at identity")
+    vecs = vecs * _inverses(vecs[:, c0], p)[:, None] % p
+    reps = np.array(part.representatives, dtype=np.int64)
+    inv_sizes = _inverses(sizes.astype(dtype), p)
+    norms = (vecs * vecs[:, classof[g.inv[reps]]] % p) @ inv_sizes % p
+    square_root = np.zeros(p, dtype=np.int64)
+    roots = np.arange(1, (p + 1) // 2)
+    square_root[roots * roots % p] = roots
+    degs = square_root[(n % p * _inverses(norms, p) % p).astype(np.int64)]
+    if np.any(degs == 0):
+        raise InternalContradiction("degree recovery failed")
+    chivals = degs.astype(dtype)[:, None] * vecs % p * inv_sizes % p
 
     # primitive e-th root of unity in F_p, smallest for determinism
     def _has_order_e(w: int) -> bool:
@@ -355,49 +401,30 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[Cyclotomic, ...], ...]:
     w = 1
     if e > 1:
         w = next(c for c in range(2, p) if _has_order_e(c))
+    w_powers = np.array([pow(w, t, p) for t in range(e)], dtype=dtype)
 
-    reps = part.representatives
-    orders = [g.element_order(r) for r in reps]
-    powmaps = []
-    for j, r in enumerate(reps):
-        pm = [c0]
-        x = g.identity
-        for _ in range(orders[j] - 1):
-            x = int(g.mul[x, r])
-            pm.append(int(classof[x]))
-        powmaps.append(pm)
+    # powers[t, j] = class of reps[j]^t
+    orders = [g.element_order(int(r)) for r in reps]
+    cur = np.full(k, g.identity, dtype=np.int64)
+    powers = [cur]
+    for _ in range(max(orders) - 1):
+        cur = g.mul[cur, reps]
+        powers.append(cur)
+    powers = classof[np.array(powers)]
 
-    rows = []
-    for space in spaces:
-        v = space[0]
-        if v[c0] % p == 0:
-            raise InternalContradiction("central character vanishes at identity")
-        scale = pow(v[c0], p - 2, p)
-        v = [(x * scale) % p for x in v]
-        s = sum(v[j] * v[inv_class[j]] * inv_sizes[j] for j in range(k)) % p
-        d2 = (n * pow(s, p - 2, p)) % p
-        deg = next((r for r in range(1, (p + 1) // 2) if (r * r) % p == d2), None)
-        if deg is None:
-            raise InternalContradiction("degree recovery failed")
-        chivals_p = [(deg * v[j] * inv_sizes[j]) % p for j in range(k)]
-        values = []
-        for j in range(k):
-            nj = orders[j]
-            step = e // nj
-            inv_nj = pow(nj, p - 2, p)
-            mult = []
-            for m in range(nj):
-                acc = 0
-                for t in range(nj):
-                    expo = (-step * m * t) % e
-                    acc += chivals_p[powmaps[j][t]] * pow(w, expo, p)
-                mult.append((acc * inv_nj) % p)
-            if sum(mult) != deg:
-                raise InternalContradiction("root-of-unity multiplicities broken")
-            val = cyclo_sum(Cyclotomic.zeta(e, step * m) * c
-                            for m, c in enumerate(mult) if c)
-            values.append(val)
-        rows.append(values)
+    # multiplicity of zeta_o^m in chi(g_j), o = o(g_j), for every row at once:
+    # (1/o) sum_t chi(g_j^t) zeta_o^(-m t), one DFT matmul over F_p
+    rows = [[] for _ in range(k)]
+    dft: dict[int, np.ndarray] = {}
+    for j, o in enumerate(orders):
+        if o not in dft:
+            t = np.arange(o)
+            dft[o] = w_powers[-(e // o) * np.outer(t, t) % e]
+        mult = chivals[:, powers[:o, j]] @ dft[o] % p * pow(o, p - 2, p) % p
+        if np.any(mult.sum(axis=1) != degs):
+            raise InternalContradiction("root-of-unity multiplicities broken")
+        for row, nums in zip(rows, power_basis(mult, o)):
+            row.append(Cyclotomic._build(o, [int(c) for c in nums], 1))
 
     chars = [Character(g, vals) for vals in rows]
     chars.sort(key=lambda c: (c.degree, c.sort_key()))
@@ -447,15 +474,14 @@ def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:
     """Induce a class function on the subgroup up to the parent group."""
     if not _same_group(theta.group, s.as_group()):
         raise GroupMismatch("class function does not live on the subgroup")
-    counts = _induction_counts(s)
-    inv_h = Fraction(1, s.order)
-    vals = []
-    for ci in range(counts.shape[0]):
-        row = counts[ci]
-        total = cyclo_sum(theta.values[hj] * int(row[hj])
-                          for hj in range(len(row)) if row[hj])
-        vals.append(total * inv_h)
-    return ClassFunction(s.parent, vals)
+    vals, den = encode([theta.values])
+    e = vals.shape[2]
+    # a count row sums to at most |G|
+    dtype = int_dtype(s.parent.order * int(np.abs(vals).max()))
+    sums = _induction_counts(s).astype(dtype) @ vals[0].astype(dtype, copy=False)
+    return ClassFunction(s.parent, [
+        Cyclotomic._build(e, [int(c) for c in nums], den * s.order)
+        for nums in power_basis(sums, e)])
 
 
 def _conj_class_perms(s: Subgroup) -> np.ndarray:

@@ -29,7 +29,8 @@ import numpy as np
 from .arith import divisors
 from .errors import InternalContradiction
 
-__all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum", "encode", "gram"]
+__all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum", "encode", "gram",
+           "int_dtype", "power_basis"]
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -484,6 +485,27 @@ def cyclo_sum(values) -> Cyclotomic:
 _INT64_LIMIT = 1 << 62
 
 
+def int_dtype(bound: int):
+    """int64 when `bound`, an exact bound on every partial sum, is below 2^62;
+    Python ints (dtype object) otherwise."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _absmax(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def power_basis(coeffs: np.ndarray, e: int) -> np.ndarray:
+    """Power-basis numerators of rows of coefficients in Z[x]/(x^e - 1).
+
+    One product with `_power_table(e)`: shape (..., e) -> (..., phi(e)).
+    """
+    table = _power_table(e)
+    bound = e * _absmax(coeffs) * max(abs(c) for row in table for c in row)
+    dtype = int_dtype(bound)
+    return coeffs.astype(dtype, copy=False) @ np.array(table, dtype=dtype)
+
+
 def encode(rows) -> tuple[np.ndarray, int]:
     """Rows of values as one integer array of shape (rows, values, e), and den.
 
@@ -503,15 +525,10 @@ def encode(rows) -> tuple[np.ndarray, int]:
             if c:
                 where.append(pos + i * step)
                 coeffs.append(c * f)
-    big = max(map(abs, coeffs), default=0)
-    dtype = np.int64 if big < _INT64_LIMIT else object
+    dtype = int_dtype(max(map(abs, coeffs), default=0))
     flat = np.zeros(len(vals) * e, dtype=dtype)
     flat[where] = coeffs
     return flat.reshape(len(rows), len(rows[0]) if rows else 0, e), den
-
-
-def _absmax(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
 
 
 def gram(a: np.ndarray, b: np.ndarray, weights) -> np.ndarray:
@@ -531,7 +548,7 @@ def gram(a: np.ndarray, b: np.ndarray, weights) -> np.ndarray:
     # output sums e of those times power-table entries
     bound = (sum(abs(x) for x in w) * e * _absmax(a) * _absmax(b)
              * e * max(abs(c) for row in table for c in row))
-    dtype = np.int64 if bound < _INT64_LIMIT else object
+    dtype = int_dtype(bound)
     aw = (a.astype(dtype, copy=False)
           * np.array(w, dtype=dtype)[:, None]).reshape(ka, k * e)
     bb = np.concatenate((b, b), axis=2).astype(dtype, copy=False)

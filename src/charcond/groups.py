@@ -413,13 +413,11 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
 def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
     if s.parent is not g:
         raise NotNormal("subgroup belongs to a different group")
-    member = s.member_index()
-    emb = s.embedding()
-    for x in range(g.order):
-        conj = g.mul[g.mul[x, emb], g.inv[x]]
-        if np.any(member[conj] < 0):
-            return False
-    return True
+    if "normal" not in s._cache:
+        # conj[x, i] = x h_i x^-1 for every x in G and h_i in H, in one gather
+        conj = g.mul[g.mul[:, s.embedding()], g.inv[:, None]]
+        s._cache["normal"] = bool(np.all(s.member_index()[conj] >= 0))
+    return s._cache["normal"]
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:

@@ -1,6 +1,11 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import time
+from pathlib import Path
+
+import pytest
 
 from charcond import characters
 from charcond.cli import main
@@ -153,6 +158,22 @@ def test_bound_validation_exits_2(capsys):
     assert code == 2
 
 
+def test_bound_huge_prime_disc_answers_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bound", "--disc", "1000000000000000003",
+                       "--q", "5", "--theta-degree", "1", "--norm-ftheta", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "1000000000000000003^(1/5) = 3981.07170553" in out
+
+
+def test_bound_uncertifiable_disc_exits_2(capsys):
+    code, out, err = run(capsys, "bound", "--disc", str(2 ** 89 - 1),
+                         "--q", "5", "--theta-degree", "1", "--norm-ftheta", "1")
+    assert code == 2 and out == ""
+    assert "exact-test bound" in err
+
+
 def test_bound_json(capsys):
     code, out, _ = run(capsys, "bound", "--dataset", "martinet-constants",
                        "--format", "json")
@@ -240,3 +261,16 @@ def test_failed_identity_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "dichotomy")
     assert code == 3
     assert "internal error" in err
+
+
+# the byte-exact outputs the benchmark records for its one-shot requests
+_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+_DIGESTS = json.loads(_EXPECTED.read_text(encoding="utf-8"))["oneshot"]["digests"]
+
+
+@pytest.mark.parametrize("request_key", sorted(
+    key for key in _DIGESTS if key.startswith("table ")))
+def test_table_output_matches_recorded_digest(capsys, request_key):
+    code, out, _ = run(capsys, *request_key.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[request_key]

@@ -154,6 +154,26 @@ def test_normality():
     assert len(normal_subgroups(c5)) == 2
 
 
+def test_normality_is_memoized(monkeypatch):
+    g = s3()
+    a3 = generated_subgroup(g, [2])
+    flip = generated_subgroup(g, [1])
+    assert is_normal(g, a3) and not is_normal(g, flip)
+
+    def no_conjugation(*args):
+        raise AssertionError("conjugation recomputed")
+
+    for s in (a3, flip):
+        monkeypatch.setattr(s, "embedding", no_conjugation)
+        monkeypatch.setattr(s, "member_index", no_conjugation)
+    assert is_normal(g, a3) and not is_normal(g, flip)
+    # normal_subgroups hands out fresh subgroups that share the verdict
+    for n in normal_subgroups(g):
+        assert is_normal(g, n)
+    with pytest.raises(NotNormal):
+        is_normal(s3(), a3)
+
+
 def test_quotients():
     g = s3()
     q, proj = quotient(g, full_subgroup(g))
