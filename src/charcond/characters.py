@@ -1,11 +1,29 @@
 """Exact irreducible character tables and the class-function calculus.
 
+A class function is one exact integer array.  It stores (e, nums, den): row c
+of the k x phi(e) array ``nums`` holds the power-basis numerators of the
+value on class c in Q(zeta_e), over one denominator den > 0 with
+gcd(den, nums) = 1.  The conductor e is canonical, lcm(exp(G), the minimal
+conductors of the values), so every table row and everything derived from
+table rows sits at e = exp(G).  The stored form is therefore unique: equality
+is equality of e, den and the array (on one table cache), and the hash is
+taken over the same data.  Sums, scalings, pointwise products, conjugation
+(a permutation of rows), inflation and restriction (a gather, then a lift or
+an exactly checked descent of the conductor) and induction (one matmul with
+the induction counts) are array operations; inner products, both
+orthogonality relations and decompositions are one `cyclotomic.gram` call on
+the stored arrays.  Values outside Q(zeta_exp(G)), which only user-built
+functions have, are canonicalized value by value through the same
+constructor.  ``values``, the tuple of `Cyclotomic`, is built on demand for
+rendering, JSON, sort keys and the public API.
+
 Tables are computed by Dixon's method: the class-sum structure constants are
 simultaneously diagonalized over a prime field F_p with p = 1 (mod exponent)
 and p > 2*sqrt(|G|), and the eigenvalue data is lifted back to Q(zeta_e) by
-matching against roots of unity in F_p.  Every lifted row is then re-verified
-exactly (orthogonality, degree sums), so the flags on the results are earned,
-not assumed.
+matching against roots of unity in F_p.  Every lifted table is then
+re-verified exactly (orthogonality, degree sums), so the flags on the results
+are earned, not assumed.  The table cache holds each table's values and its
+array once.
 
 The F_p stage works on integer arrays.  Each eigenspace split finds its
 eigenvalues with one batched elimination of (img - lam * basis)^T over all
@@ -15,21 +33,19 @@ computes the root-of-unity multiplicities of every row at a class with one
 DFT matmul over F_p.  Arrays are int64 while an exact Python-int bound on
 every sum, max(k, e) * (p - 1)^2, stays below 2^62, and Python ints (dtype
 object) otherwise, the same rule as `cyclotomic.gram`.
-
-Inner products, both orthogonality relations and induction go through
-batched integer kernels (`cyclotomic.gram`, one matmul with the induction
-counts); values become `Cyclotomic` objects again only where a caller needs
-them.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 import numpy as np
 
 from .arith import divisors, is_prime
 # cyclo_sum is unused here, but stays importable from this module
-from .cyclotomic import (Cyclotomic, cyclo_sum, encode, gram,  # noqa: F401
-                         int_dtype, power_basis)
+from .cyclotomic import (Cyclotomic, cyclo_sum, descend, encode,  # noqa: F401
+                         gram, int_dtype, lift, multiply, power_basis,
+                         reduced, scaled)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
@@ -51,21 +67,95 @@ def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a._cache is b._cache
 
 
+def _canonical(base: int, e: int, nums: np.ndarray,
+               den: int) -> tuple[int, np.ndarray, int]:
+    """The stored form of values nums / den in Q(zeta_e) on a group of exponent
+    `base`: conductor lcm(base, minimal conductors of the values), lowest
+    terms.  Values outside Q(zeta_base) find their conductors one at a time."""
+    big = lcm(e, base)
+    nums = lift(nums, e, big)
+    if big != base:
+        down = descend(nums, big, base)
+        if down is None:
+            vals = [Cyclotomic._build(big, [int(c) for c in row], den)
+                    for row in nums]
+            e, rows, den = _encoded(base, [vals])
+            return e, rows[0], den
+        nums, den, big = down[0], den * down[1], base
+    return (big, *reduced(nums, den))
+
+
+def _encoded(base: int, rows) -> tuple[int, np.ndarray, int]:
+    """Rows of exact values on a group of exponent `base` as one array of
+    shape (rows, classes, phi(e)), e = lcm(base, conductors), over one
+    denominator in lowest terms."""
+    coeffs, den = encode(rows)
+    e = coeffs.shape[2]
+    big = lcm(e, base)
+    return (big, *reduced(lift(power_basis(coeffs, e), e, big), den))
+
+
+def _aligned(fns) -> tuple[int, np.ndarray, int]:
+    """Numerators of class functions over one conductor e and one denominator:
+    (e, array of shape (functions, classes, phi(e)), den)."""
+    e = lcm(*(fn.e for fn in fns))
+    den = lcm(*(fn.den for fn in fns))
+    return e, np.stack([scaled(lift(fn.nums, fn.e, e), den // fn.den)
+                        for fn in fns]), den
+
+
 class ClassFunction:
-    """A function on a group constant on conjugacy classes, with exact values."""
+    """A function on a group constant on conjugacy classes, with exact values.
+
+    Stored as one integer array: row c of ``nums`` holds the power-basis
+    numerators of the value on class c in Q(zeta_e), over the common
+    denominator ``den``.  ``values`` builds the `Cyclotomic` tuple on demand.
+    """
 
     def __init__(self, group: FiniteGroup, values) -> None:
-        self.group = group
-        self.partition = conjugacy_classes(group)
         vals = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
                      for v in values)
-        if len(vals) != len(self.partition):
-            raise ValueError(
-                f"need {len(self.partition)} class values, got {len(vals)}")
-        self.values = vals
+        k = len(conjugacy_classes(group))
+        if len(vals) != k:
+            raise ValueError(f"need {k} class values, got {len(vals)}")
+        e, nums, den = _encoded(group.exponent(), [vals])
+        self._set(group, e, nums[0], den, vals)
+
+    def _set(self, group: FiniteGroup, e: int, nums: np.ndarray, den: int,
+             values=None) -> None:
+        self.group = group
+        self.partition = conjugacy_classes(group)
+        nums.setflags(write=False)
+        self.e, self.nums, self.den = e, nums, den
+        self._values = values
+
+    @classmethod
+    def _make(cls, group: FiniteGroup, e: int, nums: np.ndarray, den: int,
+              values=None):
+        """A function from a stored form that is already canonical."""
+        fn = cls.__new__(cls)
+        fn._set(group, e, nums, den, values)
+        return fn
+
+    @classmethod
+    def _from_array(cls, group: FiniteGroup, e: int, nums: np.ndarray,
+                    den: int) -> "ClassFunction":
+        """The function with values nums / den in Q(zeta_e), canonicalized."""
+        return cls._make(group, *_canonical(group.exponent(), e, nums, den))
+
+    @property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        if self._values is None:
+            self._values = tuple(self._value(c) for c in range(len(self.nums)))
+        return self._values
+
+    def _value(self, c: int) -> Cyclotomic:
+        if self._values is not None:
+            return self._values[c]
+        return Cyclotomic._build(self.e, [int(x) for x in self.nums[c]], self.den)
 
     def __call__(self, g: int) -> Cyclotomic:
-        return self.values[int(self.partition.class_of[g])]
+        return self._value(int(self.partition.class_of[g]))
 
     def at_identity(self) -> Cyclotomic:
         return self(self.group.identity)
@@ -75,20 +165,34 @@ class ClassFunction:
             return NotImplemented
         if not _same_group(self.group, other.group):
             raise GroupMismatch("cannot add class functions on different groups")
-        return ClassFunction(self.group,
-                             [a + b for a, b in zip(self.values, other.values)])
+        e, (a, b), den = _aligned([self, other])
+        # stored entries are below 2^62, so the sum fits in int64
+        return ClassFunction._from_array(self.group, e, a + b, den)
 
     def scale(self, c) -> "ClassFunction":
-        return ClassFunction(self.group, [v * c for v in self.values])
+        c = c if isinstance(c, Cyclotomic) else Cyclotomic.from_rational(c)
+        if not c.is_rational():
+            return pointwise_product(
+                self, ClassFunction(self.group, [c] * len(self.partition)))
+        q = c.as_rational()
+        return ClassFunction._from_array(self.group, self.e,
+                                         scaled(self.nums, q.numerator),
+                                         self.den * q.denominator)
+
+    def _same_values(self, other: "ClassFunction") -> bool:
+        return (self.e == other.e and self.den == other.den
+                and np.array_equal(self.nums, other.nums))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return (_same_group(self.group, other.group)
-                and self.values == other.values)
+        return _same_group(self.group, other.group) and self._same_values(other)
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        nums = self.nums
+        key = (tuple(nums.ravel().tolist()) if nums.dtype == object
+               else nums.tobytes())
+        return hash((self.e, self.den, key))
 
     def sort_key(self):
         return tuple(v.sort_key() for v in self.values)
@@ -105,18 +209,32 @@ class Character(ClassFunction):
     exactly and enforced rather than trusted.
     """
 
+    irreducible = False
+
     def __init__(self, group: FiniteGroup, values, irreducible: bool = False) -> None:
         super().__init__(group, values)
-        deg = self.at_identity()
-        if not deg.is_integer() or deg.as_integer() < 1:
-            raise NotACharacter(f"degree {deg} is not a positive integer")
+        self._certify(irreducible)
+
+    @classmethod
+    def of(cls, fn: ClassFunction, irreducible: bool = False) -> "Character":
+        """`fn` as a character, with the constructor's checks."""
+        chi = cls._make(fn.group, fn.e, fn.nums, fn.den, fn._values)
+        chi._certify(irreducible)
+        return chi
+
+    def _certify(self, irreducible: bool) -> None:
+        deg = self.nums[int(self.partition.class_of[self.group.identity])]
+        if deg[1:].any() or int(deg[0]) % self.den or deg[0] < 1:
+            raise NotACharacter(
+                f"degree {self.at_identity()} is not a positive integer")
         if irreducible and inner_product(self, self) != 1:
             raise NotACharacter("character claimed irreducible has norm != 1")
         self.irreducible = irreducible
 
     @property
     def degree(self) -> int:
-        return self.at_identity().as_integer()
+        c0 = int(self.partition.class_of[self.group.identity])
+        return int(self.nums[c0, 0]) // self.den
 
     def __repr__(self) -> str:
         vals = ", ".join(str(v) for v in self.values)
@@ -134,12 +252,11 @@ def inner_product_matrix(phis, psis) -> list[list[Cyclotomic]]:
     g = phis[0].group
     if not all(_same_group(g, fn.group) for fn in phis + psis):
         raise GroupMismatch("inner product needs both functions on one group")
-    vals, den = encode(fn.values for fn in phis + psis)
-    nums = gram(vals[:len(phis)], vals[len(phis):], phis[0].partition.sizes)
-    e = vals.shape[2]
+    e, nums, den = _aligned(phis + psis)
+    got = gram(nums[:len(phis)], nums[len(phis):], phis[0].partition.sizes, e)
     scale = den * den * g.order
     return [[Cyclotomic._build(e, [int(c) for c in v], scale) for v in row]
-            for row in nums]
+            for row in got]
 
 
 def _first_off_delta(got: np.ndarray, diag: list[int]):
@@ -265,7 +382,7 @@ class CharacterTable:
 
     def index_of(self, fn: ClassFunction) -> int:
         for i, row in enumerate(self.rows):
-            if row.values == fn.values:
+            if row._same_values(fn):
                 return i
         raise ValueError("class function is not a row of this table")
 
@@ -277,15 +394,15 @@ class CharacterTable:
             raise InternalContradiction("row count differs from class count")
         if sum(r.degree ** 2 for r in self.rows) != n:
             raise InternalContradiction("degree squares do not sum to |G|")
-        vals, den = encode(r.values for r in self.rows)
+        e, vals, den = _aligned(self.rows)
         sizes = self.partition.sizes
         # sum_c |C| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on numerators
-        bad = _first_off_delta(gram(vals, vals, sizes), [n * den * den] * k)
+        bad = _first_off_delta(gram(vals, vals, sizes, e), [n * den * den] * k)
         if bad:
             raise InternalContradiction(f"row orthogonality fails at {bad}")
         # sum_chi chi(c_i) conj(chi(c_j)) = (|G| / |C_i|) delta_ij
         cols = vals.transpose(1, 0, 2)
-        bad = _first_off_delta(gram(cols, cols, [1] * k),
+        bad = _first_off_delta(gram(cols, cols, [1] * k, e),
                                [n // sz * den * den for sz in sizes])
         if bad:
             raise InternalContradiction(f"column orthogonality fails at {bad}")
@@ -334,9 +451,22 @@ def character_table(g: FiniteGroup,
     """
     if g.order > max_order:
         raise TooLarge(f"group order {g.order} exceeds the cap of {max_order}")
-    if "table_rows" not in g._cache:
-        g._cache["table_rows"] = _dixon_rows(g)
-    rows = tuple(Character(g, vals) for vals in g._cache["table_rows"])
+    cache = g._cache
+    if "table_rows" not in cache:
+        cache["table_rows"] = _dixon_rows(g)
+    e = g.exponent()
+    if "table_nums" not in cache:
+        # one array for the whole table, row i is chi_i; character values are
+        # algebraic integers in Q(zeta_exp(G))
+        got, nums, den = _encoded(e, cache["table_rows"])
+        if got != e or den != 1:
+            raise InternalContradiction(
+                "table values are not integers of Q(zeta_exp(G))")
+        nums.setflags(write=False)
+        cache["table_nums"] = nums
+    nums = cache["table_nums"]
+    rows = tuple(Character._make(g, e, nums[i], 1, vals)
+                 for i, vals in enumerate(cache["table_rows"]))
     # the cached rows passed one exact validate(), norms included
     for c in rows:
         c.irreducible = True
@@ -464,59 +594,67 @@ def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
     if not _same_group(chi.group, s.parent):
         raise GroupMismatch("class function does not live on the parent group")
     k_sub = s.as_group()
-    part_h = conjugacy_classes(k_sub)
-    emb = s.embedding()
-    vals = [chi(int(emb[rep])) for rep in part_h.representatives]
-    return ClassFunction(k_sub, vals)
+    reps = s.embedding()[list(conjugacy_classes(k_sub).representatives)]
+    classes = chi.partition.class_of[reps]
+    return ClassFunction._from_array(k_sub, chi.e, chi.nums[classes], chi.den)
 
 
 def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:
     """Induce a class function on the subgroup up to the parent group."""
     if not _same_group(theta.group, s.as_group()):
         raise GroupMismatch("class function does not live on the subgroup")
-    vals, den = encode([theta.values])
-    e = vals.shape[2]
     # a count row sums to at most |G|
-    dtype = int_dtype(s.parent.order * int(np.abs(vals).max()))
-    sums = _induction_counts(s).astype(dtype) @ vals[0].astype(dtype, copy=False)
-    return ClassFunction(s.parent, [
-        Cyclotomic._build(e, [int(c) for c in nums], den * s.order)
-        for nums in power_basis(sums, e)])
+    dtype = int_dtype(s.parent.order * int(np.abs(theta.nums).max()))
+    sums = _induction_counts(s).astype(dtype) @ theta.nums.astype(dtype, copy=False)
+    return ClassFunction._from_array(s.parent, theta.e, sums, theta.den * s.order)
 
 
 def _conj_class_perms(s: Subgroup) -> np.ndarray:
-    """For each g in G, the permutation of H-classes induced by h -> g h g^-1."""
+    """For each g in G, the permutation of H-classes induced by h -> g h g^-1.
+
+    Every row is checked to permute the H-classes, fix the identity class and
+    preserve class sizes, so conjugation preserves degrees and norms.
+    """
     if "conj_perms" in s._cache:
         return s._cache["conj_perms"]
     g = s.parent
     if not is_normal(g, s):
         raise NotNormal("conjugation action needs a normal subgroup")
-    k_sub = s.as_group()
-    part_h = conjugacy_classes(k_sub)
-    member = s.member_index()
-    emb = s.embedding()
-    reps = np.array([int(emb[r]) for r in part_h.representatives], dtype=np.int64)
-    perms = np.empty((g.order, len(part_h)), dtype=np.int64)
-    for x in range(g.order):
-        conj = g.mul[g.mul[x, reps], g.inv[x]]
-        sub = member[conj]
-        if np.any(sub < 0):
-            raise NotNormal("subgroup is not closed under conjugation")
-        perms[x] = part_h.class_of[sub]
+    part_h = conjugacy_classes(s.as_group())
+    reps = s.embedding()[list(part_h.representatives)]
+    sub = s.member_index()[g.mul[g.mul[:, reps], g.inv[:, None]]]
+    if np.any(sub < 0):
+        raise NotNormal("subgroup is not closed under conjugation")
+    perms = part_h.class_of[sub]
+    k = len(part_h)
+    sizes = np.array(part_h.sizes)
+    if not (np.array_equal(np.sort(perms, axis=1),
+                           np.broadcast_to(np.arange(k), perms.shape))
+            and np.all(perms[:, 0] == 0) and np.all(sizes[perms] == sizes)):
+        raise InternalContradiction(
+            "conjugation does not permute the H-classes preserving sizes")
     perms.setflags(write=False)
     s._cache["conj_perms"] = perms
     return perms
 
 
 def conjugate_character(theta: ClassFunction, s: Subgroup, g: int) -> ClassFunction:
-    """theta^g with theta^g(h) = theta(g h g^-1); needs H normal in G."""
+    """theta^g with theta^g(h) = theta(g h g^-1); needs H normal in G.
+
+    A permutation of the classes that preserves sizes (checked once per
+    subgroup) keeps degree and norm, so a character stays a character and an
+    irreducible stays irreducible.
+    """
     if not _same_group(theta.group, s.as_group()):
         raise GroupMismatch("class function does not live on the subgroup")
     perm = _conj_class_perms(s)[g]
-    vals = [theta.values[int(perm[c])] for c in range(len(perm))]
-    if isinstance(theta, Character):
-        return Character(theta.group, vals, irreducible=theta.irreducible)
-    return ClassFunction(theta.group, vals)
+    vals = (None if theta._values is None
+            else tuple(theta._values[c] for c in perm))
+    cls = Character if isinstance(theta, Character) else ClassFunction
+    out = cls._make(theta.group, theta.e, theta.nums[perm], theta.den, vals)
+    if cls is Character:
+        out.irreducible = theta.irreducible
+    return out
 
 
 def inflate(beta: ClassFunction, qmap: QuotientMap) -> ClassFunction:
@@ -524,35 +662,40 @@ def inflate(beta: ClassFunction, qmap: QuotientMap) -> ClassFunction:
     if not _same_group(beta.group, qmap.group):
         raise GroupMismatch("class function does not live on the quotient group")
     src = qmap.source
-    part = conjugacy_classes(src)
-    qpart = conjugacy_classes(qmap.group)
-    vals = [beta.values[int(qpart.class_of[qmap(rep)])]
-            for rep in part.representatives]
-    if isinstance(beta, Character):
-        return Character(src, vals, irreducible=False)
-    return ClassFunction(src, vals)
+    reps = list(conjugacy_classes(src).representatives)
+    classes = beta.partition.class_of[qmap.mapping[reps]]
+    fn = ClassFunction._from_array(src, beta.e, beta.nums[classes], beta.den)
+    return Character.of(fn) if isinstance(beta, Character) else fn
 
 
 def pointwise_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     if not _same_group(phi.group, psi.group):
         raise GroupMismatch("cannot multiply class functions on different groups")
-    return ClassFunction(phi.group,
-                         [a * b for a, b in zip(phi.values, psi.values)])
+    e = lcm(phi.e, psi.e)
+    prod = multiply(lift(phi.nums, phi.e, e), lift(psi.nums, psi.e, e), e)
+    return ClassFunction._from_array(phi.group, e, prod, phi.den * psi.den)
 
 
 def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]]:
     """Multiplicities of a character in terms of table rows.
 
     Raises NotACharacter unless every inner product is a nonnegative rational
-    integer (reconstruction is then automatic by orthonormality).
+    integer (reconstruction is then automatic by orthonormality).  Integrality
+    is read off the Gram numerators: a value is rational exactly when its
+    power-basis coordinates beyond the first vanish.
     """
     if not _same_group(phi.group, table.group):
         raise GroupMismatch("class function does not live on the table's group")
+    e, nums, den = _aligned([phi, *table.rows])
+    got = gram(nums[:1], nums[1:], phi.partition.sizes, e)[0]
+    scale = den * den * phi.group.order
     out = []
-    for i, m in enumerate(inner_product_matrix([phi], table.rows)[0]):
-        if not m.is_integer() or m.as_integer() < 0:
+    for i, v in enumerate(got):
+        m, rest = divmod(int(v[0]), scale)
+        if v[1:].any() or rest or m < 0:
+            value = Cyclotomic._build(e, [int(c) for c in v], scale)
             raise NotACharacter(
-                f"multiplicity of row {i} is {m}, not a nonnegative integer")
-        if m.as_integer():
-            out.append((i, m.as_integer()))
+                f"multiplicity of row {i} is {value}, not a nonnegative integer")
+        if m:
+            out.append((i, m))
     return out

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce, inflate,
@@ -45,15 +47,13 @@ def _require_irreducible(chi: Character) -> None:
         raise NotIrreducible("operation needs a verified irreducible character")
 
 
-def _orbit_perm_reps(s: Subgroup) -> list[int]:
-    """Representatives g of the distinct class-permutations h -> g h g^-1."""
-    perms = _conj_class_perms(s)
-    seen = {}
-    for g in range(s.parent.order):
-        key = perms[g].tobytes()
-        if key not in seen:
-            seen[key] = g
-    return sorted(seen.values())
+def _orbit_perm_reps(s: Subgroup) -> tuple[int, ...]:
+    """Representatives g of the distinct class-permutations h -> g h g^-1,
+    each the least g giving its permutation."""
+    if "orbit_reps" not in s._cache:
+        _, first = np.unique(_conj_class_perms(s), axis=0, return_index=True)
+        s._cache["orbit_reps"] = tuple(sorted(int(g) for g in first))
+    return s._cache["orbit_reps"]
 
 
 def inertia_group(s: Subgroup, theta: Character) -> Subgroup:
@@ -62,11 +62,11 @@ def inertia_group(s: Subgroup, theta: Character) -> Subgroup:
         raise NotNormal("inertia groups need a normal subgroup")
     if not _same_group(theta.group, s.as_group()):
         raise NotNormal("character does not live on the subgroup")
-    perms = _conj_class_perms(s)
-    vals = theta.values
-    members = [g for g in range(s.parent.order)
-               if all(vals[int(p)] == vals[c] for c, p in enumerate(perms[g]))]
-    return subgroup(s.parent, members)
+    nums = theta.nums
+    # g fixes theta when theta(g h g^-1) = theta(h) on every class; stored
+    # forms are canonical, so equal values have equal numerator rows
+    fixed = (nums[_conj_class_perms(s)] == nums).all(axis=(1, 2))
+    return subgroup(s.parent, np.flatnonzero(fixed))
 
 
 def inertia_dichotomy(s: Subgroup, theta: Character) -> InertiaKind:
@@ -84,14 +84,11 @@ def inertia_dichotomy(s: Subgroup, theta: Character) -> InertiaKind:
 
 def conjugate_orbit(s: Subgroup, theta: Character) -> tuple[Character, ...]:
     """The distinct conjugates of theta under the parent group, theta first."""
-    seen = {theta.values: theta}
+    seen = {theta}
     for g in _orbit_perm_reps(s):
-        cand = conjugate_character(theta, s, g)
-        if cand.values not in seen:
-            seen[cand.values] = cand
-    rest = sorted((v for k, v in seen.items() if k != theta.values),
-                  key=lambda c: c.sort_key())
-    return (theta,) + tuple(rest)
+        seen.add(conjugate_character(theta, s, g))
+    seen.discard(theta)
+    return (theta,) + tuple(sorted(seen, key=lambda c: c.sort_key()))
 
 
 def clifford_decomposition(chi: Character, s: Subgroup) -> tuple[int, tuple[Character, ...]]:
@@ -114,8 +111,7 @@ def clifford_decomposition(chi: Character, s: Subgroup) -> tuple[int, tuple[Char
     e = mults.pop()
     theta = table_h[parts[0][0]]
     orbit = conjugate_orbit(s, theta)
-    got = {table_h[i].values for i, _ in parts}
-    if got != {c.values for c in orbit}:
+    if {table_h[i] for i, _ in parts} != set(orbit):
         raise InternalContradiction("constituents are not a single conjugate orbit")
     t = len(orbit)
     inert = inertia_group(s, theta)
@@ -159,7 +155,7 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
     res = restrict(chi, s)
     norm = inner_product(res, res)
     if norm == 1:
-        theta = Character(res.group, res.values)
+        theta = Character.of(res)
         theta.irreducible = True  # the exact norm check above
         checks = {
             "restriction_irreducible": True,
@@ -298,7 +294,7 @@ def construct_large_degree(chain: NormalChain) -> Character:
             qtable = character_table(q)
             beta = next(row for row in qtable if row.degree >= 2)
             prod = pointwise_product(cand, inflate(beta, qmap))
-            psi = Character(prod.group, prod.values, irreducible=True)
+            psi = Character.of(prod, irreducible=True)
         if psi.degree < 2 ** (m + 1):
             raise InternalContradiction(
                 f"degree {psi.degree} fell below 2^{m + 1} during the walk")

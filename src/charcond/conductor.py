@@ -24,7 +24,7 @@ import numpy as np
 from .arith import PRIME_TEST_BOUND, factor_integer, is_prime
 from .characters import (ClassFunction, CharacterTable, conjugacy_classes,
                          _same_group)
-from .cyclotomic import cyclo_sum
+from .cyclotomic import Cyclotomic, int_dtype
 from .errors import InvalidData, NonIntegralExponent, NotACharacter
 from .groups import (FiniteGroup, Subgroup, build_from_table, load_group_file,
                      subgroup)
@@ -337,12 +337,14 @@ def _character_subgroup_sum(chi: ClassFunction, sub: Subgroup) -> Fraction:
     part = conjugacy_classes(chi.group)
     counts = np.bincount(part.class_of[np.array(sub.elements, dtype=np.int64)],
                          minlength=len(part))
-    total = cyclo_sum(chi.values[c] * int(n)
-                      for c, n in enumerate(counts) if n)
-    if not total.is_rational():
+    dtype = int_dtype(sub.order * int(np.abs(chi.nums).max()))
+    total = counts.astype(dtype) @ chi.nums.astype(dtype, copy=False)
+    # rational exactly when every power-basis coordinate beyond the first is 0
+    if total[1:].any():
+        value = Cyclotomic._build(chi.e, [int(c) for c in total], chi.den)
         raise NonIntegralExponent(
-            f"character sum over a filtration group is irrational: {total}")
-    return total.as_rational()
+            f"character sum over a filtration group is irrational: {value}")
+    return Fraction(int(total[0]), chi.den)
 
 
 def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:

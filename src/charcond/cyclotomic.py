@@ -6,14 +6,19 @@ positive denominator.  Every element is normalized to the smallest conductor
 that contains it, so equality and hashing are plain component comparisons and
 a value equal to a rational number always reports conductor 1.
 
-Many values at once have a second, unnormalized form for batched work: rows
-of integers in Z[x]/(x^e - 1) over one common denominator (`encode`).  The
-map x -> zeta_e from Z[x]/(x^e - 1) onto Z[zeta_e] is a ring map that
-commutes with x -> x^-1, so sums of products and complex conjugation (index
-negation) computed on the rows agree exactly with the same operations on the
-values; one product with the power table then gives power-basis vectors of
-Q(zeta_e), where equality is equality of integer vectors.  `gram` computes
-weighted inner products of class functions this way.
+Many values at once are integer arrays, the form class functions are stored
+in: rows of power-basis numerators at one conductor e over one denominator.
+The kernels here work on those rows: `lift` to a multiple of e, `descend` to a
+divisor of e (with an exact check), `multiply`, `scaled`, `reduced` (lowest
+terms) and `gram`.  `encode` writes `Cyclotomic` values as rows in
+Z[x]/(x^e - 1); `power_basis` reduces such rows.  The map x -> zeta_e from
+Z[x]/(x^e - 1) onto Z[zeta_e] is a ring map that commutes with x -> x^-1, so
+sums of products and complex conjugation (index negation) computed on
+coefficient rows, power-basis rows included, agree exactly with the same
+operations on the values; one product with the power table then gives
+power-basis vectors of Q(zeta_e), where equality is equality of integer
+vectors.  Arrays are int64 while an exact Python-int bound on every partial
+sum is below 2^62, and Python ints (dtype object) otherwise (`int_dtype`).
 
 Everything is integer/Fraction exact with no floating point anywhere.
 """
@@ -167,7 +172,11 @@ def _invert_fraction_matrix(rows: list[list[int]]) -> tuple[list[list[int]], int
 
 @lru_cache(maxsize=None)
 def _rebase_data(e: int, d: int):
-    """Pivot rows and exact pseudo-inverse for rewriting conductor e in conductor d."""
+    """Pivot rows and exact pseudo-inverse for rewriting conductor e in conductor d.
+
+    Returns (pivots, inv^T, den, cols) with arrays for `descend`: cols[c] is
+    zeta_d^c on the conductor-e basis, and inv / den inverts the pivot rows.
+    """
     phi_e, phi_d = _phi(e), _phi(d)
     pt = _power_table(e)
     step = e // d
@@ -192,20 +201,7 @@ def _rebase_data(e: int, d: int):
         raise InternalContradiction("rebase basis not of full rank")
     square = [[cols[c][r] for c in range(phi_d)] for r in pivots]
     inv, den = _invert_fraction_matrix(square)
-    return tuple(pivots), tuple(tuple(r) for r in inv), den, tuple(cols)
-
-
-def _try_rebase(e: int, d: int,
-                nums: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Rewrite `nums` at conductor d; returns (new nums, denominator factor)."""
-    pivots, inv, den, cols = _rebase_data(e, d)
-    picked = [nums[r] for r in pivots]
-    y = [sum(inv[r][c] * picked[c] for c in range(len(picked))) for r in range(len(inv))]
-    # confirm the candidate reproduces every coordinate, not just the pivots
-    for r in range(len(nums)):
-        if sum(cols[c][r] * y[c] for c in range(len(y))) != nums[r] * den:
-            return None
-    return tuple(y), den
+    return _int_array(pivots), _int_array(inv).T, den, _int_array(cols)
 
 
 def _normalize(e: int, nums: list[int], den: int) -> tuple[int, tuple[int, ...], int]:
@@ -229,11 +225,11 @@ def _normalize(e: int, nums: list[int], den: int) -> tuple[int, tuple[int, ...],
     tnums = tuple(nums)
     for d in divisors(e)[:-1]:
         if all(_galois_nums(e, tnums, k) == nums for k in _descent_kernel(e, d)):
-            rebased = _try_rebase(e, d, tnums)
+            rebased = descend(_int_array([nums]), e, d)
             if rebased is None:
                 raise InternalContradiction("Galois-fixed value failed to rebase")
             ynums, extra = rebased
-            return _normalize(d, list(ynums), den * extra)
+            return _normalize(d, [int(c) for c in ynums[0]], den * extra)
     return e, tnums, den
 
 
@@ -480,9 +476,11 @@ def cyclo_sum(values) -> Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# batched values: rows in Z[x]/(x^e - 1)
+# batched values: rows of power-basis numerators, and rows in Z[x]/(x^e - 1)
 
 _INT64_LIMIT = 1 << 62
+# at most this many coefficient products in one block of `gram`
+_GRAM_BLOCK = 1 << 15
 
 
 def int_dtype(bound: int):
@@ -492,7 +490,48 @@ def int_dtype(bound: int):
 
 
 def _absmax(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
+    """Largest |entry|, at least 1: a bound factor that every entry fits in,
+    so that a product of bounds covers each operand even beside a zero one."""
+    return max(1, int(np.abs(a).max())) if a.size else 1
+
+
+def _int_array(rows) -> np.ndarray:
+    """Python integers as a read-only array, int64 when they are small enough."""
+    a = np.array(rows, dtype=object)
+    a = a.astype(int_dtype(_absmax(a)))
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _power_array(e: int) -> np.ndarray:
+    """`_power_table(e)` as an array of shape (e, phi(e))."""
+    return _int_array(_power_table(e))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact a @ b: int64 when a bound on every sum is below 2^62, Python ints
+    otherwise."""
+    dtype = int_dtype(a.shape[-1] * _absmax(a) * _absmax(b))
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
+def scaled(a: np.ndarray, c: int) -> np.ndarray:
+    """Exact a * c for an integer c, switching to Python ints when needed."""
+    if c == 1:
+        return a
+    return a.astype(int_dtype(_absmax(a) * max(1, abs(c))), copy=False) * c
+
+
+def reduced(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """nums / den in lowest terms (den > 0), entries int64 when they fit."""
+    if den != 1:
+        g = gcd(den, int(np.gcd.reduce(nums, axis=None)))
+        if g > 1:
+            if g >= _INT64_LIMIT:
+                nums = nums.astype(object)
+            nums, den = nums // g, den // g
+    return nums.astype(int_dtype(_absmax(nums)), copy=False), den
 
 
 def power_basis(coeffs: np.ndarray, e: int) -> np.ndarray:
@@ -500,10 +539,46 @@ def power_basis(coeffs: np.ndarray, e: int) -> np.ndarray:
 
     One product with `_power_table(e)`: shape (..., e) -> (..., phi(e)).
     """
-    table = _power_table(e)
-    bound = e * _absmax(coeffs) * max(abs(c) for row in table for c in row)
-    dtype = int_dtype(bound)
-    return coeffs.astype(dtype, copy=False) @ np.array(table, dtype=dtype)
+    return _matmul(coeffs, _power_array(e))
+
+
+def lift(nums: np.ndarray, e: int, big: int) -> np.ndarray:
+    """Power-basis numerators at conductor e rewritten at conductor big, e | big."""
+    if big % e:
+        raise ValueError(f"conductor {e} does not divide {big}")
+    if e == big:
+        return nums
+    return _matmul(nums, _power_array(big)[::big // e][:_phi(e)])
+
+
+def descend(nums: np.ndarray, e: int, d: int) -> tuple[np.ndarray, int] | None:
+    """Power-basis numerators at conductor e rewritten at conductor d, d | e.
+
+    Returns (numerators, extra denominator), or None unless every value lies
+    in Q(zeta_d).  One product with the pseudo-inverse of `_rebase_data`,
+    then the exact check that the candidate reproduces every coordinate.
+    """
+    pivots, inv_t, den, cols = _rebase_data(e, d)
+    got = _matmul(nums[..., pivots], inv_t)
+    if not np.array_equal(_matmul(got, cols), scaled(nums, den)):
+        return None
+    return got, den
+
+
+def multiply(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
+    """Power-basis numerators of the products of corresponding rows of a and
+    b, values in Q(zeta_e).
+
+    A convolution of the coefficient rows, then one product with the power
+    table to fold x^m (m < 2 phi(e) - 1) back onto the power basis.
+    """
+    phi = a.shape[-1]
+    dtype = int_dtype(phi * _absmax(a) * _absmax(b))
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    conv = np.zeros(a.shape[:-1] + (2 * phi - 1,), dtype=dtype)
+    for i in range(phi):
+        conv[..., i:i + phi] += a[..., i:i + 1] * b
+    return _matmul(conv, _power_array(e)[np.arange(2 * phi - 1) % e])
 
 
 def encode(rows) -> tuple[np.ndarray, int]:
@@ -531,29 +606,54 @@ def encode(rows) -> tuple[np.ndarray, int]:
     return flat.reshape(len(rows), len(rows[0]) if rows else 0, e), den
 
 
-def gram(a: np.ndarray, b: np.ndarray, weights) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _correlation_data(e: int, w: int):
+    """How `gram` folds x^(s - t), 0 <= s, t < w, onto the power basis.
+
+    Returns the order that sorts the w*w pairs (s, t) by m = (s - t) mod e, the
+    start of each run of equal m, and the power-table rows of those m.
+    """
+    s, t = np.divmod(np.arange(w * w), w)
+    m = (s - t) % e
+    order = np.argsort(m, kind="stable")
+    ms, starts = np.unique(m[order], return_index=True)
+    table = _power_array(e)[ms]
+    for a in (order, starts, table):
+        a.setflags(write=False)
+    return order, starts, table
+
+
+def gram(a: np.ndarray, b: np.ndarray, weights, e: int | None = None) -> np.ndarray:
     """Power-basis numerators of sum_c w_c * a[i, c] * conj(b[j, c]).
 
-    `a` (ka, k, e) and `b` (kb, k, e) are encodings on one e; the result has
-    shape (ka, kb, phi(e)).  The sum is a cyclic correlation over the last
-    axis, one integer matmul per shift.  It runs in int64 when a bound on
+    `a` (ka, k, w) and `b` (kb, k, w) are rows of coefficients in
+    Z[x]/(x^e - 1) of one width w <= e: encodings (w = e, the default) or
+    power-basis numerators (w = phi(e)).  The result has shape
+    (ka, kb, phi(e)).  One integer matmul over the classes gives every
+    product of coefficients, the products of each x^(s - t) are summed, and one
+    product with the power table finishes.  It runs in int64 when a bound on
     every partial sum, exact in Python ints, is below 2^62, and in Python ints
-    otherwise.
+    otherwise; blocks of rows of `a` keep memory flat.
     """
-    ka, k, e = a.shape
+    ka, k, w = a.shape
     kb = b.shape[0]
-    w = [int(x) for x in weights]
-    table = _power_table(e)
-    # a correlation entry is at most sum|w| * e * max|a| * max|b|, and an
-    # output sums e of those times power-table entries
-    bound = (sum(abs(x) for x in w) * e * _absmax(a) * _absmax(b)
-             * e * max(abs(c) for row in table for c in row))
+    e = w if e is None else e
+    wts = [int(x) for x in weights]
+    order, starts, table = _correlation_data(e, w)
+    # a product sum is at most sum|w| * max|a| * max|b|; a power of x collects
+    # at most w of them, and an output sums at most e powers times the table
+    bound = (max(1, sum(abs(x) for x in wts)) * w * _absmax(a) * _absmax(b)
+             * e * _absmax(table))
     dtype = int_dtype(bound)
-    aw = (a.astype(dtype, copy=False)
-          * np.array(w, dtype=dtype)[:, None]).reshape(ka, k * e)
-    bb = np.concatenate((b, b), axis=2).astype(dtype, copy=False)
-    corr = np.empty((ka, kb, e), dtype=dtype)
-    for m in range(e):
-        # x^s * conj(x^t) = x^(s-t): shift m pairs index s of a with s - m of b
-        corr[:, :, m] = aw @ bb[:, :, e - m:2 * e - m].reshape(kb, k * e).T
-    return corr @ np.array(table, dtype=dtype)
+    # aw[i, s, c] = w_c a[i, c, s]; one (w x k) @ (k x w) product per pair
+    aw = (a.astype(dtype, copy=False) * np.array(wts, dtype=dtype)[:, None]
+          ).transpose(0, 2, 1)[:, None]
+    bb = b.astype(dtype, copy=False)[None]
+    table = table.astype(dtype, copy=False)
+    out = np.empty((ka, kb, table.shape[1]), dtype=dtype)
+    step = max(1, _GRAM_BLOCK // (kb * w * w))
+    for lo in range(0, ka, step):
+        prods = (aw[lo:lo + step] @ bb).reshape(-1, kb, w * w)
+        out[lo:lo + step] = np.add.reduceat(prods[..., order], starts,
+                                            axis=2) @ table
+    return out

@@ -19,6 +19,9 @@ from .errors import InvalidData, NotAGroup, NotNormal, TooLarge
 
 DEFAULT_MAX_ORDER = 20000
 
+# at most this many products in one block of the closure check of `subgroup`
+_CLOSURE_BLOCK = 1 << 20
+
 
 class _TableCache(dict):
     """Data derived from one multiplication table; weakly referenceable."""
@@ -370,15 +373,26 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
         raise NotAGroup("a subgroup cannot be empty")
     if any(v < 0 or v >= g.order for v in elems):
         raise NotAGroup("subgroup element out of range")
-    eset = set(elems)
-    if g.identity not in eset:
+    inside = np.zeros(g.order, dtype=bool)
+    arr = np.array(elems, dtype=np.int64)
+    inside[arr] = True
+    if not inside[g.identity]:
         raise NotAGroup("subgroup does not contain the identity")
-    for a in elems:
-        if int(g.inv[a]) not in eset:
-            raise NotAGroup(f"subgroup not closed under inversion at {a}")
-        for b in elems:
-            if int(g.mul[a, b]) not in eset:
-                raise NotAGroup(f"subgroup not closed under product at ({a}, {b})")
+    # closure in blocks of rows: the first failing a in sorted order, its
+    # inverse checked before its products, then the first failing b
+    step = max(1, _CLOSURE_BLOCK // len(arr))
+    for lo in range(0, len(arr), step):
+        rows = arr[lo:lo + step]
+        inv_ok = inside[g.inv[rows]]
+        mul_ok = inside[g.mul[np.ix_(rows, arr)]]
+        bad = ~inv_ok | ~mul_ok.all(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            a = int(rows[i])
+            if not inv_ok[i]:
+                raise NotAGroup(f"subgroup not closed under inversion at {a}")
+            b = int(arr[mul_ok[i].argmin()])
+            raise NotAGroup(f"subgroup not closed under product at ({a}, {b})")
     return Subgroup(g, elems)
 
 

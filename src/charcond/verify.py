@@ -241,8 +241,7 @@ def suite_gallagher(cat: Catalog | None = None,
                 exts = find_extensions(theta, s)
                 chi = exts[0]
                 products = [pointwise_product(chi, psi) for psi in lifted]
-                values_seen = {p.values for p in products}
-                if len(values_seen) != len(products):
+                if len(set(products)) != len(products):
                     ok = False
                     detail = "products chi * psi_i are not distinct"
                 total = products[0]

@@ -1,8 +1,10 @@
 """Inertia, classification, extendibility, and degree-growth constructions."""
 
+import numpy as np
 import pytest
 
 from charcond import characters, clifford
+from charcond.catalog import Catalog
 from charcond.characters import character_table, induce, inner_product, restrict
 from charcond.clifford import (ClassificationKind, InertiaKind, NormalChain,
                                classify_irreducible, clifford_decomposition,
@@ -10,10 +12,11 @@ from charcond.clifford import (ClassificationKind, InertiaKind, NormalChain,
                                find_extension, find_extensions,
                                inertia_dichotomy, inertia_group,
                                promote_degree)
-from charcond.errors import (BadChain, IndexNotPrime, NotInvariant,
-                             NotIrreducible)
-from charcond.groups import (build_from_permutations, full_subgroup,
-                             generated_subgroup, product_chain,
+from charcond.errors import (BadChain, IndexNotPrime, InternalContradiction,
+                             NotInvariant, NotIrreducible)
+from charcond.groups import (ConjugacyPartition, build_from_permutations,
+                             full_subgroup, generated_subgroup,
+                             normal_subgroups, product_chain, subgroup,
                              trivial_subgroup)
 
 
@@ -246,3 +249,60 @@ def test_promote_degree():
     triv = trivial_subgroup(g)
     ttriv = character_table(triv.as_group())
     assert promote_degree(ttriv[0], triv).degree >= 1
+
+
+def test_conjugate_orbit_computes_no_inner_products(monkeypatch):
+    cat = Catalog()
+    cases = [(s, theta) for name in ("S3", "D4", "Q8", "S4", "D6")
+             for s in normal_subgroups(cat.group(name))
+             for theta in character_table(s.as_group())]
+
+    def forbidden(*args):
+        raise AssertionError("conjugation recomputed an inner product")
+
+    monkeypatch.setattr(characters, "inner_product", forbidden)
+    monkeypatch.setattr(characters, "inner_product_matrix", forbidden)
+    for s, theta in cases:
+        orbit = conjugate_orbit(s, theta)
+        # every conjugate, by value permutation, and nothing else
+        perms = characters._conj_class_perms(s)
+        want = {tuple(theta.values[int(c)] for c in p) for p in perms}
+        assert {o.values for o in orbit} == want
+        assert all(o.irreducible and o.degree == theta.degree for o in orbit)
+
+
+def test_orbit_representatives_are_the_first_of_each_permutation():
+    g = Catalog().group("S4")
+    for s in normal_subgroups(g):
+        perms = characters._conj_class_perms(s)
+        first = {}
+        for x in range(g.order):
+            first.setdefault(perms[x].tobytes(), x)
+        reps = clifford._orbit_perm_reps(s)
+        assert reps == tuple(sorted(first.values()))
+        assert clifford._orbit_perm_reps(s) is reps
+
+
+def test_conjugation_that_moves_class_sizes_is_refused(monkeypatch):
+    g = Catalog().group("D4")
+    klein = next(s for s in normal_subgroups(g) if s.order == 4
+                 and all(g.element_order(x) <= 2 for x in s.elements))
+    fresh = subgroup(g, klein.elements)
+    h = fresh.as_group()
+    # z is central in G; a rotation swaps the two other involutions u and v
+    central = [i for i, x in enumerate(fresh.elements)
+               if all(g.mul[x, y] == g.mul[y, x] for y in range(g.order))]
+    z = next(i for i in central if i != h.identity)
+    u, v = (i for i in range(4) if i not in (h.identity, z))
+    # classes {u} and {v, z}: every conjugation still permutes the classes,
+    # but the swap sends a class of size 1 onto one of size 2
+    classes = ((h.identity,), (u,), (v, z))
+    class_of = np.empty(h.order, dtype=np.int64)
+    for i, cls in enumerate(classes):
+        class_of[list(cls)] = i
+    fake = ConjugacyPartition(classes, class_of)
+    real = characters.conjugacy_classes
+    monkeypatch.setattr(characters, "conjugacy_classes",
+                        lambda grp: fake if grp is h else real(grp))
+    with pytest.raises(InternalContradiction, match="preserving sizes"):
+        characters._conj_class_perms(fresh)

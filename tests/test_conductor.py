@@ -8,10 +8,12 @@ comparison is re-run in-test.
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from charcond.arith import PRIME_TEST_BOUND
-from charcond.characters import character_table, induce
+from charcond.catalog import Catalog
+from charcond.characters import ClassFunction, character_table, induce
 from charcond.conductor import (BoundInputs, FactoredConductor, GaloisContext,
                                 RadicalValue, RamificationFiltration,
                                 artin_conductor, bound_induced_case,
@@ -20,10 +22,13 @@ from charcond.conductor import (BoundInputs, FactoredConductor, GaloisContext,
                                 induced_conductor_norm, load_context,
                                 parse_context_dict, root_conductor,
                                 unramified_triviality,
-                                verify_conductor_discriminant)
+                                verify_conductor_discriminant,
+                                _character_subgroup_sum)
+from charcond.cyclotomic import Cyclotomic, cyclo_sum
 from charcond.errors import InvalidData, NonIntegralExponent
-from charcond.groups import (build_from_permutations, full_subgroup,
-                             generated_subgroup, trivial_subgroup)
+from charcond.groups import (build_from_permutations, conjugacy_classes,
+                             full_subgroup, generated_subgroup,
+                             trivial_subgroup)
 
 
 def c_n(n, name=None):
@@ -345,3 +350,37 @@ def test_context_json_errors(tmp_path):
     bad.write_text("{ not json")
     with pytest.raises(InvalidData):
         load_context(bad)
+
+
+def oracle_subgroup_sum(chi, sub):
+    """The classwise `cyclo_sum` the conductor sum replaced: chi summed over
+    the subgroup, as one cyclotomic value."""
+    part = conjugacy_classes(chi.group)
+    counts = np.bincount(part.class_of[np.array(sub.elements, dtype=np.int64)],
+                         minlength=len(part))
+    return cyclo_sum(chi.values[c] * int(n) for c, n in enumerate(counts) if n)
+
+
+def test_subgroup_sum_matches_the_classwise_oracle():
+    cat = Catalog()
+    checked = 0
+    for name in cat.context_names():
+        ctx = cat.context(name)
+        table = character_table(ctx.group)
+        for filt in ctx.filtrations:
+            for sub in filt.groups:
+                for chi in table:
+                    want = oracle_subgroup_sum(chi, sub)
+                    assert _character_subgroup_sum(chi, sub) == want.as_rational()
+                    checked += 1
+    assert checked > 0
+    # an irrational sum is refused with the oracle's value in the message
+    g, ctx = quintic_context()
+    sub = ctx.filtrations[0].groups[0]
+    fn = ClassFunction(g, [1, Cyclotomic.zeta(5), 0, Fraction(1, 2), 0])
+    want = oracle_subgroup_sum(fn, sub)
+    assert not want.is_rational()
+    with pytest.raises(NonIntegralExponent) as exc:
+        _character_subgroup_sum(fn, sub)
+    assert str(exc.value) == (
+        f"character sum over a filtration group is irrational: {want}")

@@ -6,7 +6,9 @@ right here in the tests, independent of the package's own closure code.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charcond import groups
 from charcond.errors import InvalidData, NotAGroup, NotNormal, TooLarge
 from charcond.groups import (build_from_permutations, build_from_table,
                              conjugacy_classes, derived_subgroup,
@@ -287,3 +289,47 @@ def test_exponent_and_element_orders():
     assert g.exponent() == 6
     orders = sorted(g.element_order(x) for x in range(6))
     assert orders == [1, 2, 2, 2, 3, 3]
+
+
+def oracle_closure_failure(g, elems):
+    """The pure-Python loop `subgroup` ran before its numpy check: the first
+    failure message, or None when the set is closed."""
+    eset = set(elems)
+    for a in elems:
+        if int(g.inv[a]) not in eset:
+            return f"subgroup not closed under inversion at {a}"
+        for b in elems:
+            if int(g.mul[a, b]) not in eset:
+                return f"subgroup not closed under product at ({a}, {b})"
+    return None
+
+
+_CLOSURE_GROUPS = [s3(), build_from_permutations(4, [(1, 2, 3, 0), (3, 2, 1, 0)]),
+                   build_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+                   build_from_permutations(5, [(1, 2, 3, 4, 0)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subgroup_closure_matches_the_loop_oracle(data):
+    g = data.draw(st.sampled_from(_CLOSURE_GROUPS))
+    elem = st.integers(0, g.order - 1)
+    # a generated subgroup with a few elements added and removed, so that
+    # closed sets, missing inverses and missing products all occur
+    gens = data.draw(st.lists(elem, max_size=2))
+    base = set(generated_subgroup(g, gens).elements)
+    base |= data.draw(st.sets(elem, max_size=3))
+    base -= data.draw(st.sets(elem, max_size=2)) - {g.identity}
+    elems = sorted(base)
+    want = oracle_closure_failure(g, elems)
+    block = data.draw(st.sampled_from([1, 7, groups._CLOSURE_BLOCK]))
+    saved, groups._CLOSURE_BLOCK = groups._CLOSURE_BLOCK, block
+    try:
+        if want is None:
+            assert subgroup(g, elems).elements == tuple(elems)
+        else:
+            with pytest.raises(NotAGroup) as exc:
+                subgroup(g, elems)
+            assert str(exc.value) == want
+    finally:
+        groups._CLOSURE_BLOCK = saved
