@@ -13,9 +13,9 @@ an exactly checked descent of the conductor) and induction (one matmul with
 the induction counts) are array operations; inner products, both
 orthogonality relations and decompositions are one `cyclotomic.gram` call on
 the stored arrays.  Values outside Q(zeta_exp(G)), which only user-built
-functions have, are canonicalized value by value through the same
-constructor.  ``values``, the tuple of `Cyclotomic`, is built on demand for
-rendering, JSON, sort keys and the public API.
+functions have, take one batched search for their minimal conductors.
+``values``, the tuple of `Cyclotomic`, is built on demand by the one builder
+`cyclotomic.values` for rendering, JSON, sort keys and the public API.
 
 Tables are computed by Dixon's method: the class-sum structure constants are
 simultaneously diagonalized over a prime field F_p with p = 1 (mod exponent)
@@ -42,10 +42,9 @@ from math import lcm
 import numpy as np
 
 from .arith import divisors, is_prime
-# cyclo_sum is unused here, but stays importable from this module
-from .cyclotomic import (Cyclotomic, cyclo_sum, descend, encode,  # noqa: F401
-                         gram, int_dtype, lift, multiply, power_basis,
-                         reduced, scaled)
+from .cyclotomic import (Cyclotomic, descend, encode, gram, int_dtype, lift,
+                         minimal_conductors, multiply, power_basis, reduced,
+                         scaled, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
@@ -71,16 +70,18 @@ def _canonical(base: int, e: int, nums: np.ndarray,
                den: int) -> tuple[int, np.ndarray, int]:
     """The stored form of values nums / den in Q(zeta_e) on a group of exponent
     `base`: conductor lcm(base, minimal conductors of the values), lowest
-    terms.  Values outside Q(zeta_base) find their conductors one at a time."""
+    terms.  One descent to exp(G) settles every function derived from table
+    rows; only values outside Q(zeta_base) take the conductor search."""
     big = lcm(e, base)
     nums = lift(nums, e, big)
     if big != base:
         down = descend(nums, big, base)
         if down is None:
-            vals = [Cyclotomic._build(big, [int(c) for c in row], den)
-                    for row in nums]
-            e, rows, den = _encoded(base, [vals])
-            return e, rows[0], den
+            base = lcm(base, *minimal_conductors(nums, big).tolist())
+            down = (nums, 1) if base == big else descend(nums, big, base)
+            if down is None:
+                raise InternalContradiction(
+                    "values failed to descend to their conductors")
         nums, den, big = down[0], den * down[1], base
     return (big, *reduced(nums, den))
 
@@ -146,13 +147,13 @@ class ClassFunction:
     @property
     def values(self) -> tuple[Cyclotomic, ...]:
         if self._values is None:
-            self._values = tuple(self._value(c) for c in range(len(self.nums)))
+            self._values = tuple(values(self.nums, self.e, self.den))
         return self._values
 
     def _value(self, c: int) -> Cyclotomic:
         if self._values is not None:
             return self._values[c]
-        return Cyclotomic._build(self.e, [int(x) for x in self.nums[c]], self.den)
+        return values(self.nums[c:c + 1], self.e, self.den)[0]
 
     def __call__(self, g: int) -> Cyclotomic:
         return self._value(int(self.partition.class_of[g]))
@@ -254,9 +255,8 @@ def inner_product_matrix(phis, psis) -> list[list[Cyclotomic]]:
         raise GroupMismatch("inner product needs both functions on one group")
     e, nums, den = _aligned(phis + psis)
     got = gram(nums[:len(phis)], nums[len(phis):], phis[0].partition.sizes, e)
-    scale = den * den * g.order
-    return [[Cyclotomic._build(e, [int(c) for c in v], scale) for v in row]
-            for row in got]
+    flat = values(got.reshape(-1, got.shape[2]), e, den * den * g.order)
+    return [flat[i:i + len(psis)] for i in range(0, len(flat), len(psis))]
 
 
 def _first_off_delta(got: np.ndarray, diag: list[int]):
@@ -544,7 +544,7 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[Cyclotomic, ...], ...]:
 
     # multiplicity of zeta_o^m in chi(g_j), o = o(g_j), for every row at once:
     # (1/o) sum_t chi(g_j^t) zeta_o^(-m t), one DFT matmul over F_p
-    rows = [[] for _ in range(k)]
+    cols = []
     dft: dict[int, np.ndarray] = {}
     for j, o in enumerate(orders):
         if o not in dft:
@@ -553,10 +553,9 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[Cyclotomic, ...], ...]:
         mult = chivals[:, powers[:o, j]] @ dft[o] % p * pow(o, p - 2, p) % p
         if np.any(mult.sum(axis=1) != degs):
             raise InternalContradiction("root-of-unity multiplicities broken")
-        for row, nums in zip(rows, power_basis(mult, o)):
-            row.append(Cyclotomic._build(o, [int(c) for c in nums], 1))
+        cols.append(values(power_basis(mult, o), o))
 
-    chars = [Character(g, vals) for vals in rows]
+    chars = [Character(g, vals) for vals in zip(*cols)]
     chars.sort(key=lambda c: (c.degree, c.sort_key()))
     CharacterTable(g, tuple(chars)).validate()
     return tuple(c.values for c in chars)
@@ -693,7 +692,7 @@ def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]
     for i, v in enumerate(got):
         m, rest = divmod(int(v[0]), scale)
         if v[1:].any() or rest or m < 0:
-            value = Cyclotomic._build(e, [int(c) for c in v], scale)
+            value = values(v[None], e, scale)[0]
             raise NotACharacter(
                 f"multiplicity of row {i} is {value}, not a nonnegative integer")
         if m:

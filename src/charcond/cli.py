@@ -27,12 +27,27 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# 1000 digits take about 1.7 s; the cost grows faster than quadratically
+MAX_PRECISION = 1000
+
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default text)")
-    p.add_argument("--precision", type=int, default=12,
-                   help="significant digits for decimal renderings (default 12)")
+
+
+def _precision(text: str) -> int:
+    """A --precision value: an integer from 1 to MAX_PRECISION."""
+    if not text.strip().isdigit() or not 1 <= int(text) <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"precision must be an integer from 1 to {MAX_PRECISION}, got {text!r}")
+    return int(text)
+
+
+def _precision_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--precision", type=_precision, default=12,
+                   help="significant digits for decimal renderings "
+                        f"(default 12, at most {MAX_PRECISION})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--char", type=int, default=None,
                      help="single character by table row index")
     _common_flags(p)
+    _precision_flag(p)
 
     p = sub.add_parser("bound", help="root-conductor bound arithmetic")
     p.add_argument("--dataset", default=None, help="named bound dataset")
@@ -73,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=str, default=None,
                    help="per-degree conductor norm cap (rational, e.g. 753664)")
     _common_flags(p)
+    _precision_flag(p)
 
     p = sub.add_parser("verify", help="run a catalog verification sweep")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
@@ -240,7 +257,10 @@ def _cmd_bound(args) -> int:
     if disc is None or q is None or theta_degree is None or norm_ftheta is None:
         raise InvalidData(
             "need --dataset or all of --disc, --q, --theta-degree, --norm-ftheta")
-    t_value = Fraction(cap) if cap is not None else None
+    try:
+        t_value = Fraction(cap) if cap is not None else None
+    except ZeroDivisionError as exc:
+        raise InvalidData(f"T = {cap} has a zero denominator") from exc
     inputs = BoundInputs(disc=disc, q=q, theta_degree=theta_degree,
                          norm_f_theta=norm_ftheta, T=t_value)
     restricted = bound_restricted_case(inputs)

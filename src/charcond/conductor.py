@@ -24,7 +24,7 @@ import numpy as np
 from .arith import PRIME_TEST_BOUND, factor_integer, is_prime
 from .characters import (ClassFunction, CharacterTable, conjugacy_classes,
                          _same_group)
-from .cyclotomic import Cyclotomic, int_dtype
+from .cyclotomic import int_dtype, values
 from .errors import InvalidData, NonIntegralExponent, NotACharacter
 from .groups import (FiniteGroup, Subgroup, build_from_table, load_group_file,
                      subgroup)
@@ -341,7 +341,7 @@ def _character_subgroup_sum(chi: ClassFunction, sub: Subgroup) -> Fraction:
     total = counts.astype(dtype) @ chi.nums.astype(dtype, copy=False)
     # rational exactly when every power-basis coordinate beyond the first is 0
     if total[1:].any():
-        value = Cyclotomic._build(chi.e, [int(c) for c in total], chi.den)
+        value = values(total[None], chi.e, chi.den)[0]
         raise NonIntegralExponent(
             f"character sum over a filtration group is irrational: {value}")
     return Fraction(int(total[0]), chi.den)
@@ -487,7 +487,7 @@ def parse_context_dict(data: dict, base_dir=None,
       "residue_norm": int, "filtration": [[indices of G_0], [G_1], ...] } ],
       "disc": int, "labels": {...} }
     """
-    if "group" not in data or "primes" not in data:
+    if not isinstance(data, dict) or "group" not in data or "primes" not in data:
         raise InvalidData("context needs 'group' and 'primes' fields")
     spec = data["group"]
     if isinstance(spec, str):
@@ -500,20 +500,32 @@ def parse_context_dict(data: dict, base_dir=None,
     else:
         raise InvalidData("'group' must be a file path or an inline table")
     filts = []
-    for entry in data["primes"]:
-        try:
-            p = int(entry["p"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidData(f"bad prime entry {entry!r}") from exc
+    for entry in _field(data["primes"], list, "'primes'"):
+        if not isinstance(entry, dict) or "p" not in entry:
+            raise InvalidData(f"bad prime entry {entry!r}")
+        p = _field(entry["p"], int, "'p'")
         _require_prime(p)   # before the filtration subgroups are validated
-        rn = int(entry.get("residue_norm", p))
-        subs = tuple(subgroup(group, members)
-                     for members in entry.get("filtration", []))
+        rn = _field(entry.get("residue_norm", p), int, "'residue_norm'")
+        subs = tuple(
+            subgroup(group, [_field(v, int, "a filtration element")
+                             for v in _field(members, list, "a filtration group")])
+            for members in _field(entry.get("filtration", []), list,
+                                  "'filtration'"))
         filts.append(RamificationFiltration(p, rn, subs))
     disc = data.get("disc")
     return GaloisContext(group, tuple(filts), name=name,
-                         disc=int(disc) if disc is not None else None,
-                         labels=dict(data.get("labels", {})))
+                         disc=None if disc is None else _field(disc, int, "'disc'"),
+                         labels=_field(data.get("labels", {}), dict, "'labels'"))
+
+
+_JSON_TYPES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _field(value, kind: type, what: str):
+    """A context-document field of JSON type `kind` (bools are not integers)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InvalidData(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 def load_context(path) -> GaloisContext:

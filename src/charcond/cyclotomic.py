@@ -1,24 +1,26 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""Exact arithmetic in cyclotomic fields Q(zeta_e), on integer arrays.
 
-An element is stored on the power basis 1, z, ..., z^(phi(e)-1) reduced modulo
-the e-th cyclotomic polynomial, as an integer coefficient vector over a single
-positive denominator.  Every element is normalized to the smallest conductor
-that contains it, so equality and hashing are plain component comparisons and
-a value equal to a rational number always reports conductor 1.
+There is one implementation.  Values are rows of power-basis numerators: row
+i holds the coordinates of a value on 1, z, ..., z^(phi(e)-1), z = zeta_e,
+modulo the e-th cyclotomic polynomial, over one positive denominator.  The
+kernels work on such rows: `lift` to a multiple of e, `descend` to a divisor
+of e (with an exact check), `multiply`, `scaled`, `reduced` (lowest terms)
+and `gram`; `encode` writes `Cyclotomic` values as rows in Z[x]/(x^e - 1) and
+`power_basis` reduces such rows with one product with the power table.  The
+map x -> zeta_e from Z[x]/(x^e - 1) onto Z[zeta_e] is a ring map that
+commutes with x -> x^-1, so sums of products and complex conjugation (index
+negation) computed on coefficient rows, power-basis rows included, agree
+exactly with the same operations on the values.  Arrays are int64 while an
+exact Python-int bound on every partial sum is below 2^62, and Python ints
+(dtype object) otherwise (`int_dtype`).
 
-Many values at once are integer arrays, the form class functions are stored
-in: rows of power-basis numerators at one conductor e over one denominator.
-The kernels here work on those rows: `lift` to a multiple of e, `descend` to a
-divisor of e (with an exact check), `multiply`, `scaled`, `reduced` (lowest
-terms) and `gram`.  `encode` writes `Cyclotomic` values as rows in
-Z[x]/(x^e - 1); `power_basis` reduces such rows.  The map x -> zeta_e from
-Z[x]/(x^e - 1) onto Z[zeta_e] is a ring map that commutes with x -> x^-1, so
-sums of products and complex conjugation (index negation) computed on
-coefficient rows, power-basis rows included, agree exactly with the same
-operations on the values; one product with the power table then gives
-power-basis vectors of Q(zeta_e), where equality is equality of integer
-vectors.  Arrays are int64 while an exact Python-int bound on every partial
-sum is below 2^62, and Python ints (dtype object) otherwise (`int_dtype`).
+There is one builder.  `values` turns rows into `Cyclotomic`s, each in
+lowest terms at its minimal conductor, so that equality and hashing are
+component comparisons and a rational value always reports conductor 1.
+`minimal_conductors` finds the conductors of a whole batch at once, with one
+Galois generator per prime step, and each conductor found costs one
+`descend`.  A `Cyclotomic` is a scalar view of one row: its sums, products
+and Galois images are the kernels above on one row, then `values`.
 
 Everything is integer/Fraction exact with no floating point anywhere.
 """
@@ -31,11 +33,11 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import divisors
+from .arith import divisors, factor_integer
 from .errors import InternalContradiction
 
 __all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum", "encode", "gram",
-           "int_dtype", "power_basis"]
+           "int_dtype", "minimal_conductors", "power_basis", "values"]
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -77,169 +79,46 @@ def _phi(e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(e: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced coefficient vector of zeta_e^m for every m in 0..e-1."""
-    phi = _phi(e)
-    mod = cyclotomic_polynomial(e)
-    rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(e):
-        rows.append(tuple(cur))
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
-        if lead:
-            for j in range(phi):
-                cur[j] -= lead * mod[j]
-    return tuple(rows)
-
-
-def _reduce_mod(e: int, coeffs: list[int]) -> list[int]:
-    # reduce a polynomial of any degree to the power basis, in place
-    mod = cyclotomic_polynomial(e)
-    phi = len(mod) - 1
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        lead = coeffs[i]
-        if lead:
-            coeffs[i] = 0
-            for j in range(phi):
-                coeffs[i - phi + j] -= lead * mod[j]
-    out = coeffs[:phi]
-    if len(out) < phi:
-        out += [0] * (phi - len(out))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _units(e: int) -> tuple[int, ...]:
-    return tuple(k for k in range(1, e + 1) if gcd(k, e) == 1)
-
-
-@lru_cache(maxsize=None)
-def _descent_kernel(e: int, d: int) -> tuple[int, ...]:
-    # Galois automorphisms of Q(zeta_e) fixing Q(zeta_d), as exponents k != 1
-    return tuple(k for k in _units(e) if k % d == 1 % d and k != 1)
-
-
-def _galois_nums(e: int, nums: tuple[int, ...], k: int) -> list[int]:
-    pt = _power_table(e)
-    phi = len(nums)
-    out = [0] * phi
-    for i, c in enumerate(nums):
-        if c:
-            row = pt[(i * k) % e]
-            for j in range(phi):
-                out[j] += c * row[j]
-    return out
-
-
-def _lift_nums(e: int, nums: tuple[int, ...], big: int) -> list[int]:
-    # rewrite a conductor-e vector on the conductor-`big` basis (e | big)
-    pt = _power_table(big)
-    step = big // e
-    out = [0] * _phi(big)
-    for i, c in enumerate(nums):
-        if c:
-            row = pt[(i * step) % big]
-            for j in range(len(out)):
-                out[j] += c * row[j]
-    return out
-
-
-def _invert_fraction_matrix(rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Exact inverse of a square integer matrix as (integer matrix, denominator)."""
-    n = len(rows)
-    a = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise InternalContradiction("rebase matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    den = 1
-    for r in range(n):
-        for c in range(n, 2 * n):
-            den = den * a[r][c].denominator // gcd(den, a[r][c].denominator)
-    out = [[int(a[r][c] * den) for c in range(n, 2 * n)] for r in range(n)]
-    return out, den
-
-
-@lru_cache(maxsize=None)
 def _rebase_data(e: int, d: int):
-    """Pivot rows and exact pseudo-inverse for rewriting conductor e in conductor d.
+    """Pivots and exact inverse for rewriting conductor e in conductor d.
 
-    Returns (pivots, inv^T, den, cols) with arrays for `descend`: cols[c] is
-    zeta_d^c on the conductor-e basis, and inv / den inverts the pivot rows.
+    Returns (pivots, inv, den, cols) for `descend`: cols[c] is zeta_d^c on the
+    conductor-e basis, pivots are the first phi(d) coordinates on which the
+    cols are independent, and inv / den inverts cols at the pivots.  One
+    Gauss-Jordan elimination of [cols | I] over Q gives both: the pivot
+    columns of the reduced form, and the inverse in place of I.
     """
-    phi_e, phi_d = _phi(e), _phi(d)
-    pt = _power_table(e)
-    step = e // d
-    cols = [pt[(step * i) % e] for i in range(phi_d)]
-    # pick phi_d independent rows of the phi_e x phi_d basis matrix
+    cols = _power_array(e)[::e // d][:_phi(d)]
+    n = len(cols)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(cols.tolist())]
     pivots: list[int] = []
-    work: list[list[Fraction]] = []
-    for r in range(phi_e):
-        row = [Fraction(cols[c][r]) for c in range(phi_d)]
-        probe = list(row)
-        for w, p in zip(work, pivots):
-            lead = next(i for i, v in enumerate(w) if v != 0)
-            if probe[lead] != 0:
-                f = probe[lead] / w[lead]
-                probe = [x - f * y for x, y in zip(probe, w)]
-        if any(v != 0 for v in probe):
-            work.append(probe)
-            pivots.append(r)
-            if len(pivots) == phi_d:
-                break
-    if len(pivots) != phi_d:
-        raise InternalContradiction("rebase basis not of full rank")
-    square = [[cols[c][r] for c in range(phi_d)] for r in pivots]
-    inv, den = _invert_fraction_matrix(square)
-    return _int_array(pivots), _int_array(inv).T, den, _int_array(cols)
-
-
-def _normalize(e: int, nums: list[int], den: int) -> tuple[int, tuple[int, ...], int]:
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        den = -den
-        nums = [-v for v in nums]
-    g = den
-    for v in nums:
-        g = gcd(g, v)
-        if g == 1:
+    for c in range(_phi(e)):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        if len(pivots) == n:
             break
-    if g > 1:
-        den //= g
-        nums = [v // g for v in nums]
-    if e == 1:
-        return 1, (nums[0],), den
-    if all(v == 0 for v in nums[1:]):
-        return 1, (nums[0],), den
-    tnums = tuple(nums)
-    for d in divisors(e)[:-1]:
-        if all(_galois_nums(e, tnums, k) == nums for k in _descent_kernel(e, d)):
-            rebased = descend(_int_array([nums]), e, d)
-            if rebased is None:
-                raise InternalContradiction("Galois-fixed value failed to rebase")
-            ynums, extra = rebased
-            return _normalize(d, [int(c) for c in ynums[0]], den * extra)
-    return e, tnums, den
+    if len(pivots) != n:
+        raise InternalContradiction("rebase basis not of full rank")
+    den = lcm(*(v.denominator for row in a for v in row[-n:]))
+    inv = [[int(v * den) for v in row[-n:]] for row in a]
+    return _int_array(pivots), _int_array(inv), den, cols
 
 
 def _coerce(value) -> "Cyclotomic | None":
     if isinstance(value, Cyclotomic):
         return value
-    if isinstance(value, int):
-        return Cyclotomic._raw(1, (value,), 1)
-    if isinstance(value, Fraction):
-        return Cyclotomic._raw(1, (value.numerator,), value.denominator)
+    if isinstance(value, (int, Fraction)):
+        return Cyclotomic.from_rational(value)
     return None
 
 
@@ -253,47 +132,40 @@ class Cyclotomic:
         if len(vals) != _phi(order):
             raise ValueError(
                 f"conductor {order} needs {_phi(order)} coefficients, got {len(vals)}")
-        den = 1
-        for v in vals:
-            den = den * v.denominator // gcd(den, v.denominator)
-        nums = [int(v * den) for v in vals]
-        e, n, d = _normalize(order, nums, den)
-        object.__setattr__(self, "order", e)
-        object.__setattr__(self, "nums", n)
-        object.__setattr__(self, "den", d)
+        den = lcm(1, *(v.denominator for v in vals))
+        (x,) = values(_int_array([[int(v * den) for v in vals]]), order, den)
+        for slot in self.__slots__:
+            object.__setattr__(self, slot, getattr(x, slot))
 
     @classmethod
-    def _raw(cls, order: int, nums: tuple[int, ...], den: int) -> "Cyclotomic":
+    def _lowest(cls, order: int, nums, den: int) -> "Cyclotomic":
+        """nums / den in lowest terms; order must be the minimal conductor."""
+        g = gcd(den, *nums)
         self = object.__new__(cls)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(v // g for v in nums))
+        object.__setattr__(self, "den", den // g)
         return self
-
-    @classmethod
-    def _build(cls, order: int, nums: list[int], den: int) -> "Cyclotomic":
-        return cls._raw(*_normalize(order, nums, den))
 
     @classmethod
     def from_rational(cls, value) -> "Cyclotomic":
         f = Fraction(value)
-        return cls._raw(1, (f.numerator,), f.denominator)
+        return cls._lowest(1, (f.numerator,), f.denominator)
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls._raw(1, (0,), 1)
+        return cls._lowest(1, (0,), 1)
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls._raw(1, (1,), 1)
+        return cls._lowest(1, (1,), 1)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "Cyclotomic":
         """The root of unity zeta_order**power."""
         if order < 1:
             raise ValueError("order must be positive")
-        row = list(_power_table(order)[power % order])
-        return cls._build(order, row, 1)
+        return values(_power_array(order)[power % order][None], order)[0]
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -311,20 +183,12 @@ class Cyclotomic:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if self.order == 1 and o.order == 1:
-            a, b = self.nums[0], o.nums[0]
-            return Cyclotomic._build(1, [a * o.den + b * self.den], self.den * o.den)
-        e = self.order * o.order // gcd(self.order, o.order)
-        x = _lift_nums(self.order, self.nums, e) if self.order != e else list(self.nums)
-        y = _lift_nums(o.order, o.nums, e) if o.order != e else list(o.nums)
-        den = self.den * o.den // gcd(self.den, o.den)
-        fx, fy = den // self.den, den // o.den
-        return Cyclotomic._build(e, [a * fx + b * fy for a, b in zip(x, y)], den)
+        return cyclo_sum((self, o))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic._raw(self.order, tuple(-v for v in self.nums), self.den)
+        return Cyclotomic._lowest(self.order, [-v for v in self.nums], self.den)
 
     def __sub__(self, other) -> "Cyclotomic":
         o = _coerce(other)
@@ -342,23 +206,9 @@ class Cyclotomic:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if o.order == 1:
-            if o.nums[0] == 0:
-                return Cyclotomic.zero()
-            return Cyclotomic._build(
-                self.order, [v * o.nums[0] for v in self.nums], self.den * o.den)
-        if self.order == 1:
-            return o * self
-        e = self.order * o.order // gcd(self.order, o.order)
-        x = _lift_nums(self.order, self.nums, e) if self.order != e else list(self.nums)
-        y = _lift_nums(o.order, o.nums, e) if o.order != e else list(o.nums)
-        prod = [0] * (len(x) + len(y) - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        prod[i + j] += a * b
-        return Cyclotomic._build(e, _reduce_mod(e, prod), self.den * o.den)
+        e = lcm(self.order, o.order)
+        a, b = (lift(_int_array([x.nums]), x.order, e) for x in (self, o))
+        return values(multiply(a, b, e), e, self.den * o.den)[0]
 
     __rmul__ = __mul__
 
@@ -376,18 +226,15 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(-1)."""
-        if self.order <= 2:
-            return self
-        return self.galois(self.order - 1)
+        return self.galois(-1)
 
     def galois(self, k: int) -> "Cyclotomic":
         """Apply the automorphism zeta -> zeta^k; k must be prime to the conductor."""
         if gcd(k, self.order) != 1:
             raise ValueError(f"{k} is not prime to the conductor {self.order}")
-        if self.order == 1:
-            return self
-        return Cyclotomic._build(
-            self.order, _galois_nums(self.order, self.nums, k % self.order), self.den)
+        gal = _galois_matrix(self.order, k)
+        return values(_matmul(_int_array([self.nums]), gal), self.order,
+                      self.den)[0]
 
     # predicates and conversions -------------------------------------------
 
@@ -455,24 +302,14 @@ class Cyclotomic:
         return f"Cyclotomic({self})"
 
 
-def cyclo_sum(values) -> Cyclotomic:
-    """Exact sum of many cyclotomic values, normalizing once at the end."""
-    items = [v if isinstance(v, Cyclotomic) else _coerce(v) for v in values]
-    if not items:
-        return Cyclotomic.zero()
-    e = 1
-    den = 1
-    for v in items:
-        e = e * v.order // gcd(e, v.order)
-        den = den * v.den // gcd(den, v.den)
-    acc = [0] * _phi(e)
-    for v in items:
-        f = den // v.den
-        lifted = _lift_nums(v.order, v.nums, e) if v.order != e else v.nums
-        for j, c in enumerate(lifted):
-            if c:
-                acc[j] += c * f
-    return Cyclotomic._build(e, acc, den)
+def cyclo_sum(items) -> Cyclotomic:
+    """Exact sum of many cyclotomic values: one encoding, one sum, one
+    reduction to the power basis."""
+    vals = [_coerce(v) for v in items]
+    coeffs, den = encode([vals])
+    e = coeffs.shape[2]
+    total = _matmul(np.ones((1, len(vals)), dtype=np.int64), coeffs[0])
+    return values(power_basis(total, e), e, den)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +342,25 @@ def _int_array(rows) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _power_array(e: int) -> np.ndarray:
-    """`_power_table(e)` as an array of shape (e, phi(e))."""
-    return _int_array(_power_table(e))
+    """Row m holds the power-basis numerators of zeta_e^m, m in 0..e-1: shape
+    (e, phi(e)).
+
+    Built by the shift recurrence x^(m+1) = x * x^m modulo the monic Phi_e; a
+    step grows entries by at most the factor 1 + max|Phi_e|, so rows switch to
+    Python ints before int64 could overflow.
+    """
+    mod = cyclotomic_polynomial(e)
+    phi = len(mod) - 1
+    low = _int_array([mod[:phi]])[0]
+    growth = 1 + _absmax(low)
+    out = np.eye(e, phi, dtype=low.dtype)
+    for m in range(phi, e):
+        if out.dtype != object and _absmax(out[m - 1]) * growth >= _INT64_LIMIT:
+            out = out.astype(object)
+        out[m, 1:] = out[m - 1, :-1]
+        out[m] -= out[m - 1, -1] * low
+    out.setflags(write=False)
+    return out
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -537,7 +391,7 @@ def reduced(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
 def power_basis(coeffs: np.ndarray, e: int) -> np.ndarray:
     """Power-basis numerators of rows of coefficients in Z[x]/(x^e - 1).
 
-    One product with `_power_table(e)`: shape (..., e) -> (..., phi(e)).
+    One product with `_power_array(e)`: shape (..., e) -> (..., phi(e)).
     """
     return _matmul(coeffs, _power_array(e))
 
@@ -558,8 +412,8 @@ def descend(nums: np.ndarray, e: int, d: int) -> tuple[np.ndarray, int] | None:
     in Q(zeta_d).  One product with the pseudo-inverse of `_rebase_data`,
     then the exact check that the candidate reproduces every coordinate.
     """
-    pivots, inv_t, den, cols = _rebase_data(e, d)
-    got = _matmul(nums[..., pivots], inv_t)
+    pivots, inv, den, cols = _rebase_data(e, d)
+    got = _matmul(nums[..., pivots], inv)
     if not np.array_equal(_matmul(got, cols), scaled(nums, den)):
         return None
     return got, den
@@ -656,4 +510,101 @@ def gram(a: np.ndarray, b: np.ndarray, weights, e: int | None = None) -> np.ndar
         prods = (aw[lo:lo + step] @ bb).reshape(-1, kb, w * w)
         out[lo:lo + step] = np.add.reduceat(prods[..., order], starts,
                                             axis=2) @ table
+    return out
+
+
+# ---------------------------------------------------------------------------
+# minimal conductors, and the one builder of `Cyclotomic` values
+
+
+def _galois_matrix(e: int, k: int) -> np.ndarray:
+    """sigma_k: zeta_e -> zeta_e^k on power-basis rows, one gather of the
+    power table: row i is zeta_e^(i k)."""
+    return _power_array(e)[np.arange(_phi(e)) * k % e]
+
+
+def _primitive_root(q: int) -> int:
+    """The smallest generator of the units modulo the prime q."""
+    halves = [(q - 1) // r for r in factor_integer(q - 1)]
+    return next(g for g in range(2, q) if all(pow(g, h, q) != 1 for h in halves))
+
+
+@lru_cache(maxsize=None)
+def _search_steps(e: int) -> tuple[tuple[int, tuple], ...]:
+    """For each prime q | e, the steps c -> c/q for c = e, e/q, ... while q | c.
+
+    A step holds one unit k = 1 (mod c/q) whose restriction generates
+    Gal(Q(zeta_c)/Q(zeta_(c/q))), or None where that group is trivial (q = 2,
+    c = 2 mod 4).  With the steps before it, k generates
+    Gal(Q(zeta_e)/Q(zeta_(c/q))).
+    """
+    out = []
+    for q in factor_integer(e):
+        steps, c = [], e
+        while c % q == 0:
+            d = c // q
+            if d % q == 0:          # {1 + t d : t mod q} is cyclic of order q
+                k = 1 + d
+            elif q > 2:             # k = g (mod q), k = 1 (mod d): order q - 1
+                k = 1 + d * ((_primitive_root(q) - 1) * pow(d, -1, q) % q)
+            else:
+                k = None
+            steps.append(k)
+            c = d
+        out.append((q, tuple(steps)))
+    return tuple(out)
+
+
+def minimal_conductors(nums: np.ndarray, e: int) -> np.ndarray:
+    """The minimal conductor of each row of power-basis numerators at
+    conductor e.
+
+    A value lies in Q(zeta_(c/q)) when it is fixed by the generator of each
+    step of `_search_steps` down to c/q, so each prime q takes steps while the
+    rows stay fixed.  Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so
+    the primes are independent.  One product with a phi(e) x phi(e) matrix
+    per step, for all rows at once; the matrix is not kept.
+    """
+    cond = np.full(len(nums), e, dtype=np.int64)
+    for q, steps in _search_steps(e):
+        live = np.arange(len(nums))
+        for k in steps:
+            if k is not None:
+                rows = nums[live]
+                live = live[(_matmul(rows, _galois_matrix(e, k)) == rows)
+                            .all(axis=1)]
+            cond[live] //= q
+    return cond
+
+
+def values(nums: np.ndarray, e: int, den: int = 1) -> list[Cyclotomic]:
+    """Rows of power-basis numerators at conductor e over den > 0 as
+    `Cyclotomic`s, each in lowest terms at its minimal conductor.
+
+    Rational rows (zero beyond the first coordinate) are built in Python; the
+    rest take one `minimal_conductors` search and one `descend` per conductor
+    found.
+    """
+    rows = nums.tolist()
+    out = [None] * len(rows)
+    irrational = []
+    for i, row in enumerate(rows):
+        if any(row[1:]):
+            irrational.append(i)
+        else:
+            out[i] = Cyclotomic._lowest(1, row[:1], den)
+    if irrational:
+        sub = nums[irrational]
+        cond = minimal_conductors(sub, e)
+        for d in np.unique(cond).tolist():
+            at = np.flatnonzero(cond == d)
+            got, extra = sub[at], 1
+            if d != e:
+                down = descend(got, e, d)
+                if down is None:
+                    raise InternalContradiction(
+                        "a Galois-fixed value failed to descend")
+                got, extra = down
+            for i, row in zip(at.tolist(), got.tolist()):
+                out[irrational[i]] = Cyclotomic._lowest(d, row, den * extra)
     return out

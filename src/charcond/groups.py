@@ -121,8 +121,16 @@ def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray]:
 def build_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     """Validate a raw multiplication table and wrap it as a group.
 
-    Raises NotAGroup with a reason when any axiom fails.
+    Raises NotAGroup with a reason when any axiom fails, or when the table
+    is not n lists of n integers in 0..n-1 (no floats, no bools).
     """
+    n = len(table)
+    if not all(isinstance(row, (list, tuple, np.ndarray)) and len(row) == n
+               for row in table):
+        raise NotAGroup("multiplication table is not square")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and 0 <= v < n for row in table for v in row):
+        raise NotAGroup(f"table entries must be integers in 0..{n - 1}")
     mul = np.array(table, dtype=np.int64)
     if mul.ndim != 2:
         raise NotAGroup("table must be two-dimensional")
@@ -397,7 +405,10 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
-    seed = {g.identity} | {int(v) for v in gens}
+    gens = {int(v) for v in gens}
+    if any(v < 0 or v >= g.order for v in gens):
+        raise NotAGroup("subgroup generator out of range")
+    seed = {g.identity} | gens
     members = set(seed)
     frontier = list(seed)
     while frontier:

@@ -199,30 +199,24 @@ def test_table_rows_keep_the_exponent_and_integer_numerators():
 # ---------------------------------------------------------------------------
 # the hot path does no per-value cyclotomic arithmetic
 
-def test_clifford_sweeps_do_no_cyclotomic_arithmetic(monkeypatch):
-    calls = []
-
-    def counting(fn, name):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    cls = cyclotomic.Cyclotomic
-    for attr in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__pow__", "galois", "conjugate"):
-        monkeypatch.setattr(cls, attr, counting(getattr(cls, attr), attr))
-    for mod in (cyclotomic, characters):
-        monkeypatch.setattr(mod, "cyclo_sum", counting(cyclo_sum, "cyclo_sum"))
+def test_clifford_sweeps_do_no_cyclotomic_arithmetic(cyclotomic_calls):
+    calls = cyclotomic_calls
     cat = Catalog()
     for suite in (suite_clifford, suite_dichotomy, suite_classification,
                   suite_gallagher):
         rep = suite(cat, 12)
         assert rep.checks and rep.passed
-    assert calls == []
-    # the patches do see per-value arithmetic where it still happens
+    # values are built (inner products, tables), but never by arithmetic
+    assert set(calls) <= {"values"}
+    calls.clear()
+    # the patches do see per-value arithmetic where it still happens, and an
+    # inner product reaching the builder
     Cyclotomic.zeta(3) + 1
-    assert calls == ["__add__"]
+    assert calls == ["values", "__add__", "cyclo_sum", "values"]
+    calls.clear()
+    g = cat.group("C3")
+    inner_product(ClassFunction(g, [1, 1, 1]), ClassFunction(g, [1, 1, 1]))
+    assert calls == ["values"]
 
 
 def test_character_checks_hold_on_the_python_int_path():
