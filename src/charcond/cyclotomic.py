@@ -27,8 +27,9 @@ Everything is integer/Fraction exact with no floating point anywhere.
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, lcm
 
 import numpy as np
@@ -38,6 +39,45 @@ from .errors import InternalContradiction
 
 __all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum", "encode", "gram",
            "int_dtype", "minimal_conductors", "power_basis", "values"]
+
+
+# Each conductor cache keeps at most its own count of results and at most
+# this many bytes of arrays, evicting the least recently used first.  A sweep
+# round plus the largest catalog tables touches 24 _power_array, 60
+# _rebase_data, 24 _correlation_data and 22 _search_steps keys, well under a
+# megabyte in all; one conductor near 1000 needs 8 MB of power table.
+_CACHE_BYTES = 1 << 25
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+def _conductor_cache(maxsize: int):
+    """Memoize a function of conductors within `maxsize` results and
+    _CACHE_BYTES of arrays; `cache_info()` reads like `lru_cache`'s."""
+    def wrap(fn):
+        memo: OrderedDict = OrderedDict()   # args -> (result, bytes)
+        stats = {"hits": 0, "misses": 0, "bytes": 0}
+
+        @wraps(fn)
+        def cached(*args):
+            if args in memo:
+                memo.move_to_end(args)
+                stats["hits"] += 1
+                return memo[args][0]
+            stats["misses"] += 1
+            out = fn(*args)
+            size = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,))
+                       if isinstance(a, np.ndarray))
+            memo[args] = (out, size)
+            stats["bytes"] += size
+            while len(memo) > maxsize or (stats["bytes"] > _CACHE_BYTES
+                                          and len(memo) > 1):
+                stats["bytes"] -= memo.popitem(last=False)[1][1]
+            return out
+
+        cached.cache_info = lambda: _CacheInfo(stats["hits"], stats["misses"],
+                                               maxsize, len(memo))
+        return cached
+    return wrap
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -78,7 +118,7 @@ def _phi(e: int) -> int:
     return len(cyclotomic_polynomial(e)) - 1
 
 
-@lru_cache(maxsize=None)
+@_conductor_cache(256)
 def _rebase_data(e: int, d: int):
     """Pivots and exact inverse for rewriting conductor e in conductor d.
 
@@ -88,7 +128,9 @@ def _rebase_data(e: int, d: int):
     Gauss-Jordan elimination of [cols | I] over Q gives both: the pivot
     columns of the reduced form, and the inverse in place of I.
     """
-    cols = _power_array(e)[::e // d][:_phi(d)]
+    # a copy, so that the cache does not keep the whole power table alive
+    cols = _power_array(e)[::e // d][:_phi(d)].copy()
+    cols.setflags(write=False)
     n = len(cols)
     a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(cols.tolist())]
@@ -176,6 +218,10 @@ class Cyclotomic:
 
     def __setattr__(self, *_):
         raise AttributeError("Cyclotomic is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, not __setattr__
+        return (Cyclotomic, (self.order, self.coeffs))
 
     # ring operations ------------------------------------------------------
 
@@ -340,7 +386,7 @@ def _int_array(rows) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
+@_conductor_cache(64)
 def _power_array(e: int) -> np.ndarray:
     """Row m holds the power-basis numerators of zeta_e^m, m in 0..e-1: shape
     (e, phi(e)).
@@ -460,7 +506,7 @@ def encode(rows) -> tuple[np.ndarray, int]:
     return flat.reshape(len(rows), len(rows[0]) if rows else 0, e), den
 
 
-@lru_cache(maxsize=None)
+@_conductor_cache(64)
 def _correlation_data(e: int, w: int):
     """How `gram` folds x^(s - t), 0 <= s, t < w, onto the power basis.
 
@@ -529,7 +575,7 @@ def _primitive_root(q: int) -> int:
     return next(g for g in range(2, q) if all(pow(g, h, q) != 1 for h in halves))
 
 
-@lru_cache(maxsize=None)
+@_conductor_cache(64)
 def _search_steps(e: int) -> tuple[tuple[int, tuple], ...]:
     """For each prime q | e, the steps c -> c/q for c = e, e/q, ... while q | c.
 

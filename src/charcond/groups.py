@@ -1,33 +1,55 @@
 """Finite groups as explicit multiplication tables on elements 0..order-1.
 
-Groups are validated at construction (row/column permutations, two-sided
-identity and inverses, exhaustive associativity), so everything downstream can
-trust the axioms.  Tables, conjugacy data and subgroup machinery use numpy for
-the integer combinatorics; all objects are immutable after construction.
+Every table is validated at construction, so everything downstream can trust
+the axioms: rows and columns are permutations, the identity and inverses are
+two-sided, and associativity is certified by Light's test over a greedy
+generating set, in O(n^2 log n) rather than O(n^3).  Permutation groups are
+closed breadth first on integer arrays.  Normal subgroups are the
+intersections of kernels of irreducible characters, read off the character
+table and each checked as a normal subgroup; the derived subgroup is the
+intersection of the kernels of the linear characters.  Tables, conjugacy data
+and subgroup machinery use numpy for the integer combinatorics; all objects
+are immutable after construction.
 """
 
 from __future__ import annotations
 
+import io
 import weakref
+import zlib
 from math import lcm
 from pathlib import Path
 
 import numpy as np
 
 from .arith import is_prime
-from .errors import InvalidData, NotAGroup, NotNormal, TooLarge
+from .errors import (InternalContradiction, InvalidData, NotAGroup,
+                     NotNormal, TooLarge)
 
-DEFAULT_MAX_ORDER = 20000
+# The order cap of builds and tables, from measured cost on a 2-vCPU Xeon
+# (Python 3.11, numpy 2.4): the table of S7 (order 5040, from a 3-line
+# permutation file) takes 2.3 to 2.9 s and 380 MB VmHWM in a fresh
+# interpreter, most of it to build and certify the group.  The int64 table is
+# 8 n^2 bytes, so the next symmetric-group size, 10080, would need 813 MB
+# before any other work.
+DEFAULT_MAX_ORDER = 5040
 
-# at most this many products in one block of the closure check of `subgroup`
+# at most this many products in one block of the table checks, closures and
+# the subgroup and normality checks, so that memory stays flat
 _CLOSURE_BLOCK = 1 << 20
 
 
 class _TableCache(dict):
     """Data derived from one multiplication table; weakly referenceable."""
 
+    def __init__(self, mul: np.ndarray) -> None:
+        super().__init__()
+        self.mul = mul
 
-_TABLE_CACHES = weakref.WeakValueDictionary()  # int64 table bytes -> cache
+
+# (order, CRC-32, Adler-32 of the table) -> cache; a cache is shared only
+# with an equal table, so a checksum collision costs sharing, not correctness
+_TABLE_CACHES = weakref.WeakValueDictionary()
 
 
 class FiniteGroup:
@@ -51,8 +73,13 @@ class FiniteGroup:
         self.inv = inv
         self.labels = labels
         self.name = name
-        self._cache = _TABLE_CACHES.setdefault(
-            mul.astype(np.int64, copy=False).tobytes(), _TableCache())
+        narrow = mul.astype(np.min_scalar_type(self.order), order="C")
+        key = (self.order, zlib.crc32(narrow), zlib.adler32(narrow))
+        cache = _TABLE_CACHES.get(key)
+        if cache is None or not np.array_equal(cache.mul, mul):
+            cache = _TableCache(mul)
+            _TABLE_CACHES.setdefault(key, cache)
+        self._cache = cache
         # (elements, subgroup cache) per normal subgroup, once computed
         self._normal_subgroups: tuple | None = None
         mul.setflags(write=False)
@@ -89,32 +116,80 @@ class FiniteGroup:
         return f"<{tag} of order {self.order}>"
 
 
+def _grow_closure(mul: np.ndarray, inside: np.ndarray, new) -> None:
+    """Grow `inside`, a mask closed under products, to the closure of it and
+    `new` under products, in place.
+
+    Breadth first: each round multiplies the newest elements by all members
+    on both sides, in blocks of rows, so every product of two members is
+    formed at most twice.  In a finite group this closure is the generated
+    subgroup.
+    """
+    frontier = np.asarray(new, dtype=np.int64)
+    frontier = np.unique(frontier[~inside[frontier]])
+    while len(frontier):
+        inside[frontier] = True
+        members = np.flatnonzero(inside)
+        reached = np.zeros(len(inside), dtype=bool)
+        step = max(1, _CLOSURE_BLOCK // len(members))
+        for lo in range(0, len(frontier), step):
+            rows = frontier[lo:lo + step]
+            reached[mul[rows[:, None], members]] = True
+            reached[mul[members[:, None], rows]] = True
+        frontier = np.flatnonzero(reached & ~inside)
+
+
 def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray]:
+    """Check the group axioms on a table; return the identity and inverses.
+
+    Rows and columns must be permutations, the identity and the inverses
+    two-sided.  Associativity is certified by Light's test: the elements s
+    with (x s) y = x (s y) for all x and y are closed under products, so it
+    suffices to check s over a set S whose closure under products is the
+    whole table.  S is built greedily, each s the least element outside the
+    closure of the ones before it (which contains the identity); every
+    closure is a subquasigroup, at most half of the next, so |S| <= log2 n + 1
+    and the test costs O(n^2 log n).
+    """
     n = len(mul)
     if mul.shape != (n, n):
         raise NotAGroup("multiplication table is not square")
     if mul.min() < 0 or mul.max() >= n:
         raise NotAGroup("table entry out of range")
     want = np.arange(n)
-    for a in range(n):
-        if not np.array_equal(np.sort(mul[a]), want):
-            raise NotAGroup(f"row {a} is not a permutation")
-        if not np.array_equal(np.sort(mul[:, a]), want):
-            raise NotAGroup(f"column {a} is not a permutation")
-    ids = [e for e in range(n)
-           if np.array_equal(mul[e], want) and np.array_equal(mul[:, e], want)]
-    if not ids:
+    step = max(1, _CLOSURE_BLOCK // n)
+    for what, lines in (("row", mul), ("column", mul.T)):
+        for lo in range(0, n, step):
+            # hits[a, v]: value v occurs in line lo + a
+            block = lines[lo:lo + step]
+            hits = np.zeros(block.size, dtype=bool)
+            hits[block + want[:len(block), None] * n] = True
+            bad = ~hits.reshape(len(block), n).all(axis=1)
+            if bad.any():
+                raise NotAGroup(
+                    f"{what} {lo + int(bad.argmax())} is not a permutation")
+    # column 0 is a permutation, so only one element can be the identity
+    e = int(np.argmax(mul[:, 0] == 0))
+    if not (np.array_equal(mul[e], want) and np.array_equal(mul[:, e], want)):
         raise NotAGroup("no two-sided identity")
-    e = ids[0]
     inv = np.argmax(mul == e, axis=1)
     if not (np.array_equal(mul[want, inv], np.full(n, e))
             and np.array_equal(mul[inv, want], np.full(n, e))):
         raise NotAGroup("inverses are not two-sided")
-    for a in range(n):
-        if not np.array_equal(mul[mul[a]], mul[a][mul]):
-            bad = np.argwhere(mul[mul[a]] != mul[a][mul])[0]
-            raise NotAGroup(
-                f"associativity fails at ({a}, {int(bad[0])}, {int(bad[1])})")
+    inside = np.zeros(n, dtype=bool)
+    inside[e] = True
+    while not inside.all():
+        s = int(inside.argmin())
+        for lo in range(0, n, step):
+            # (x s) y against x (s y) for x in one block of rows
+            left = mul[mul[lo:lo + step, s]]
+            right = mul[lo:lo + step][:, mul[s]]
+            bad = np.argwhere(left != right)
+            if len(bad):
+                x, y = (int(v) for v in bad[0])
+                raise NotAGroup(
+                    f"associativity fails at ({lo + x}, {s}, {y})")
+        _grow_closure(mul, inside, [s])
     return e, inv
 
 
@@ -122,25 +197,31 @@ def build_from_table(table, labels=None, name: str | None = None) -> FiniteGroup
     """Validate a raw multiplication table and wrap it as a group.
 
     Raises NotAGroup with a reason when any axiom fails, or when the table
-    is not n lists of n integers in 0..n-1 (no floats, no bools).
+    is not n lists of n integers in 0..n-1 (no floats, no bools); an integer
+    numpy array is checked as a whole.  Raises TooLarge when n exceeds
+    DEFAULT_MAX_ORDER.
     """
     n = len(table)
-    if not all(isinstance(row, (list, tuple, np.ndarray)) and len(row) == n
-               for row in table):
-        raise NotAGroup("multiplication table is not square")
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               and 0 <= v < n for row in table for v in row):
-        raise NotAGroup(f"table entries must be integers in 0..{n - 1}")
+    if n > DEFAULT_MAX_ORDER:
+        raise TooLarge(
+            f"table order {n} exceeds the cap of {DEFAULT_MAX_ORDER}")
+    if isinstance(table, np.ndarray):
+        if table.dtype.kind not in "iu" or table.shape != (n, n) or not n:
+            raise NotAGroup("table must be two-dimensional, n x n integers")
+        if table.min() < 0 or table.max() >= n:
+            raise NotAGroup(f"table entries must be integers in 0..{n - 1}")
+    else:
+        if not all(isinstance(row, (list, tuple, np.ndarray)) and len(row) == n
+                   for row in table):
+            raise NotAGroup("multiplication table is not square")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   and 0 <= v < n for row in table for v in row):
+            raise NotAGroup(f"table entries must be integers in 0..{n - 1}")
     mul = np.array(table, dtype=np.int64)
     if mul.ndim != 2:
         raise NotAGroup("table must be two-dimensional")
     e, inv = _validate_table(mul)
     return FiniteGroup(mul, e, inv, tuple(labels) if labels else None, name)
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p*q)(x) = p(q(x)): apply q first
-    return tuple(p[i] for i in q)
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
@@ -161,6 +242,13 @@ def _cycle_label(p: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
+def _row_codes(rows: np.ndarray) -> list[bytes]:
+    """One code per row of a 2-d array; equal rows, equal codes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))
+                     )[:, 0].tolist()
+
+
 def build_from_permutations(degree: int, generators,
                             max_order: int = DEFAULT_MAX_ORDER,
                             name: str | None = None) -> FiniteGroup:
@@ -168,37 +256,52 @@ def build_from_permutations(degree: int, generators,
 
     Elements are discovered breadth-first (shortest word, then lexicographic
     word), so element 0 is always the identity and the numbering is canonical.
+    Elements are rows of one integer array, each with an extra fixed point
+    `degree` so that no row is empty.  Element i was found as p * g for an
+    earlier element p and a generator g, so row i of the table is row p
+    gathered at the positions of g * j: one gather per row.
     """
     gens = []
-    ident = tuple(range(degree))
     for g in generators:
         t = tuple(int(v) for v in g)
         if sorted(t) != list(range(degree)):
             raise NotAGroup(f"generator {g} is not a permutation of {degree} points")
-        gens.append(t)
-    elems: list[tuple[int, ...]] = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(p, g)
-                if q not in index:
-                    if len(elems) >= max_order:
-                        raise TooLarge(
-                            f"closure exceeded the cap of {max_order} elements")
-                    index[q] = len(elems)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
+        gens.append(t + (degree,))
+    dtype = np.min_scalar_type(degree)
+    gen_rows = np.array(gens, dtype=dtype).reshape(len(gens), degree + 1)
+    frontier = np.arange(degree + 1, dtype=dtype)[None]
+    index = {_row_codes(frontier)[0]: 0}
+    blocks = [frontier]
+    # element i = element born[i] // len(gens) times gens[born[i] % len(gens)]
+    born, seen = [0], 0
+    while len(frontier):
+        # (p * g)(x) = p(g(x)) for p in the frontier, then g, in order
+        cands = frontier[:, gen_rows].reshape(-1, degree + 1)
+        fresh = []
+        for pos, code in enumerate(_row_codes(cands)):
+            if code not in index:
+                if len(index) >= max_order:
+                    raise TooLarge(
+                        f"closure exceeded the cap of {max_order} elements")
+                index[code] = len(index)
+                fresh.append(pos)
+                born.append(seen + pos)
+        seen += len(cands)
+        frontier = cands[fresh]
+        blocks.append(frontier)
+    elems = np.concatenate(blocks)
     n = len(elems)
+    # left[k, j] = gens[k] * j
+    left = np.array([index[code] for code in
+                     _row_codes(gen_rows[:, elems].reshape(-1, degree + 1))],
+                    dtype=np.int64).reshape(len(gens), n)
     mul = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mul[i, j] = index[_compose(p, q)]
+    mul[0] = np.arange(n)
+    for i in range(1, n):
+        p, k = divmod(born[i], len(gens))
+        mul[i] = mul[p, left[k]]
     e, inv = _validate_table(mul)
-    labels = tuple(_cycle_label(p) for p in elems)
+    labels = tuple(_cycle_label(p) for p in elems[:, :degree].tolist())
     return FiniteGroup(mul, e, inv, labels, name)
 
 
@@ -408,23 +511,10 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     gens = {int(v) for v in gens}
     if any(v < 0 or v >= g.order for v in gens):
         raise NotAGroup("subgroup generator out of range")
-    seed = {g.identity} | gens
-    members = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (int(g.mul[a, b]), int(g.mul[b, a])):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-            ia = int(g.inv[a])
-            if ia not in members:
-                members.add(ia)
-                nxt.append(ia)
-        frontier = nxt
-    return Subgroup(g, tuple(sorted(members)))
+    inside = np.zeros(g.order, dtype=bool)
+    inside[g.identity] = True
+    _grow_closure(g.mul, inside, sorted(gens))
+    return Subgroup(g, tuple(np.flatnonzero(inside).tolist()))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
@@ -439,54 +529,77 @@ def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
     if s.parent is not g:
         raise NotNormal("subgroup belongs to a different group")
     if "normal" not in s._cache:
-        # conj[x, i] = x h_i x^-1 for every x in G and h_i in H, in one gather
-        conj = g.mul[g.mul[:, s.embedding()], g.inv[:, None]]
-        s._cache["normal"] = bool(np.all(s.member_index()[conj] >= 0))
+        emb, member = s.embedding(), s.member_index()
+        step = max(1, _CLOSURE_BLOCK // len(emb))
+        # x h x^-1 for every h in H and x in one block of G, in one gather
+        s._cache["normal"] = all(
+            np.all(member[g.mul[g.mul[lo:lo + step][:, emb],
+                                g.inv[lo:lo + step, None]]] >= 0)
+            for lo in range(0, g.order, step))
     return s._cache["normal"]
 
 
+def _kernel_masks(g: FiniteGroup, linear_only: bool = False) -> list[int]:
+    """The kernel of each irreducible character (of each linear one, with
+    `linear_only`) as a bit mask of classes: the classes where the row's
+    numerators equal its numerators at the identity."""
+    from .characters import character_table
+    c0 = int(conjugacy_classes(g).class_of[g.identity])
+    return [sum(1 << c for c in
+                np.flatnonzero((chi.nums == chi.nums[c0]).all(axis=1)).tolist())
+            for chi in character_table(g)
+            if not linear_only or chi.degree == 1]
+
+
+def _union_of_classes(g: FiniteGroup, mask: int) -> tuple[int, ...]:
+    """The elements of the classes in a bit mask, sorted."""
+    part = conjugacy_classes(g)
+    on = np.array([mask >> c & 1 for c in range(len(part))], dtype=bool)
+    return tuple(np.flatnonzero(on[part.class_of]).tolist())
+
+
 def derived_subgroup(g: FiniteGroup) -> Subgroup:
-    comms = set()
-    for a in range(g.order):
-        ia = int(g.inv[a])
-        for b in range(g.order):
-            comms.add(int(g.mul[g.mul[a, b], g.mul[ia, g.inv[b]]]))
-    return generated_subgroup(g, comms)
+    """The commutator subgroup: the intersection of the kernels of the linear
+    characters, checked as a subgroup.
+
+    Needs the character table, so it raises TooLarge for a group with more
+    than `characters.MAX_TABLE_CLASSES` (256) conjugacy classes.
+    """
+    mask = (1 << len(conjugacy_classes(g))) - 1
+    for ker in _kernel_masks(g, linear_only=True):
+        mask &= ker
+    return subgroup(g, _union_of_classes(g, mask))
 
 
 def normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, found as closures of unions of conjugacy classes.
+    """All normal subgroups, sorted by order, then elements.
 
-    Each call returns fresh subgroups that share the memoized caches, so
-    `as_group()`, induction counts and conjugation data are computed once.
+    Every normal subgroup is an intersection of kernels of irreducible
+    characters, so the kernels of the table rows, closed under intersection,
+    give them all as unions of classes; each is checked by `subgroup` and
+    `is_normal`.  The table is computed once per multiplication table, so
+    this raises TooLarge for a group with more than
+    `characters.MAX_TABLE_CLASSES` (256) conjugacy classes.  Each call
+    returns fresh subgroups that share the memoized caches, so `as_group()`,
+    induction counts and conjugation data are computed once.
     """
     if g._normal_subgroups is None:
-        g._normal_subgroups = tuple((s.elements, s._cache)
-                                    for s in _normal_subgroup_closure(g))
+        found = {(1 << len(conjugacy_classes(g))) - 1}
+        for ker in _kernel_masks(g):
+            found |= {mask & ker for mask in found}
+        subs = sorted((subgroup(g, _union_of_classes(g, mask))
+                       for mask in found), key=lambda s: (s.order, s.elements))
+        for s in subs:
+            if not is_normal(g, s):
+                raise InternalContradiction(
+                    "an intersection of kernels is not normal")
+        g._normal_subgroups = tuple((s.elements, s._cache) for s in subs)
     subs = []
     for elements, cache in g._normal_subgroups:
         s = Subgroup(g, elements)
         s._cache = cache
         subs.append(s)
     return tuple(subs)
-
-
-def _normal_subgroup_closure(g: FiniteGroup) -> list[Subgroup]:
-    part = conjugacy_classes(g)
-    found: dict[tuple[int, ...], Subgroup] = {}
-    triv = trivial_subgroup(g)
-    found[triv.elements] = triv
-    agenda = [triv]
-    while agenda:
-        base = agenda.pop()
-        for cls in part.classes:
-            if cls[0] in set(base.elements):
-                continue
-            bigger = generated_subgroup(g, set(base.elements) | set(cls))
-            if bigger.elements not in found:
-                found[bigger.elements] = bigger
-                agenda.append(bigger)
-    return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
 def prime_index_normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -539,20 +652,25 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, QuotientMap]:
 # followed by n*n whitespace-separated entries.  `#` starts a comment.
 
 def parse_group_text(text: str, name: str | None = None) -> FiniteGroup:
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append(body)
-    if not lines:
+    return _parse_group_lines(io.StringIO(text), name)
+
+
+def _parse_group_lines(raw_lines, name: str | None) -> FiniteGroup:
+    """A group from the lines of a group file, read lazily: a `table <n>`
+    header over the order cap is refused before any entry is read, and the
+    entries go line by line into one integer array."""
+    lines = (body for body in (raw.split("#", 1)[0].strip() for raw in raw_lines)
+             if body)
+    first = next(lines, None)
+    if first is None:
         raise InvalidData("empty group file")
-    head = lines[0].split()
+    head = first.split()
     if head[0] == "perm":
         if len(head) != 2 or not head[1].isdigit():
-            raise InvalidData(f"bad header {lines[0]!r}; expected 'perm <degree>'")
+            raise InvalidData(f"bad header {first!r}; expected 'perm <degree>'")
         degree = int(head[1])
         gens = []
-        for ln in lines[1:]:
+        for ln in lines:
             parts = ln.split()
             if parts[0] != "gen":
                 raise InvalidData(f"expected 'gen ...' line, got {ln!r}")
@@ -569,24 +687,35 @@ def parse_group_text(text: str, name: str | None = None) -> FiniteGroup:
         return build_from_permutations(degree, gens, name=name)
     if head[0] == "table":
         if len(head) != 2 or not head[1].isdigit():
-            raise InvalidData(f"bad header {lines[0]!r}; expected 'table <n>'")
+            raise InvalidData(f"bad header {first!r}; expected 'table <n>'")
         n = int(head[1])
-        toks = " ".join(lines[1:]).split()
-        try:
-            vals = [int(v) for v in toks]
-        except ValueError as exc:
-            raise InvalidData("non-integer table entry") from exc
-        if len(vals) != n * n:
-            raise InvalidData(f"table needs {n * n} entries, got {len(vals)}")
-        rows = [vals[i * n:(i + 1) * n] for i in range(n)]
-        return build_from_table(rows, name=name)
-    raise InvalidData(f"unknown header {lines[0]!r}; expected 'perm' or 'table'")
+        if n > DEFAULT_MAX_ORDER:
+            raise TooLarge(
+                f"table order {n} exceeds the cap of {DEFAULT_MAX_ORDER}")
+        vals = np.zeros(n * n, dtype=np.int64)
+        count = 0
+        for ln in lines:
+            try:
+                row = [int(v) for v in ln.split()]
+            except ValueError as exc:
+                raise InvalidData("non-integer table entry") from exc
+            if count + len(row) <= n * n:
+                try:
+                    vals[count:count + len(row)] = row
+                except OverflowError as exc:
+                    raise NotAGroup(
+                        f"table entries must be integers in 0..{n - 1}") from exc
+            count += len(row)
+        if count != n * n:
+            raise InvalidData(f"table needs {n * n} entries, got {count}")
+        return build_from_table(vals.reshape(n, n), name=name)
+    raise InvalidData(f"unknown header {first!r}; expected 'perm' or 'table'")
 
 
 def load_group_file(path) -> FiniteGroup:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        with p.open(encoding="utf-8") as fh:
+            return _parse_group_lines(fh, p.stem)
     except OSError as exc:
         raise InvalidData(f"cannot read group file {p}: {exc}") from exc
-    return parse_group_text(text, name=p.stem)

@@ -266,3 +266,8 @@ def test_character_table_cap():
     character_table(g)
     with pytest.raises(TooLarge):      # a cached table does not skip the cap
         character_table(g, max_order=5)
+    # Dixon's method needs k matrices of k x k: 257 classes are refused
+    # before any of them is built
+    c257 = build_from_permutations(257, [tuple((i + 1) % 257 for i in range(257))])
+    with pytest.raises(TooLarge, match="257 classes exceed the cap of 256"):
+        character_table(c257)

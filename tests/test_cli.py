@@ -9,6 +9,7 @@ import pytest
 
 from charcond import characters
 from charcond.cli import main
+from conftest import run_fresh
 
 
 def run(capsys, *argv):
@@ -274,3 +275,49 @@ def test_table_output_matches_recorded_digest(capsys, request_key):
     code, out, _ = run(capsys, *request_key.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[request_key]
+
+
+# ---------------------------------------------------------------------------
+# size caps, each request in a fresh interpreter
+
+_TIMED_TABLE = """
+import json, re, sys, time
+from pathlib import Path
+from charcond.cli import main
+# the clock starts after the imports: interpreter start and the numpy import
+# are the same for every request and vary with the load on the host
+t = time.perf_counter()
+code = main(["table", "--group", sys.argv[1]])
+status = Path("/proc/self/status").read_text()
+print(json.dumps({"code": code, "s": time.perf_counter() - t,
+                  "peak_mb": int(re.search(r"VmHWM:\\s*(\\d+)", status)
+                                 .group(1)) / 1024}), file=sys.stderr)
+"""
+
+
+def _timed_table(path):
+    run = run_fresh(_TIMED_TABLE, args=[str(path)])
+    return run, json.loads(run.stderr.strip().splitlines()[-1])
+
+
+def test_over_cap_requests_exit_2_fast_and_small(tmp_path):
+    s8 = tmp_path / "s8.grp"
+    s8.write_text("perm 8\ngen 1 0 2 3 4 5 6 7\ngen 1 2 3 4 5 6 7 0\n")
+    huge = tmp_path / "huge.grp"
+    huge.write_text("table 100000\n" + "0 1 2 3 4 5 6 7 8 9\n" * 20000)
+    for path, reason in ((s8, "closure exceeded the cap of 5040"),
+                         (huge, "table order 100000 exceeds the cap of 5040")):
+        run, got = _timed_table(path)
+        assert got["code"] == 2 and reason in run.stderr
+        assert got["s"] < 1.0 and got["peak_mb"] < 100, got
+
+
+@pytest.mark.slow
+def test_s7_from_three_lines_answers_within_the_measured_budget(tmp_path):
+    # measured 2.3 to 2.9 s and 380 MB VmHWM on a 2-vCPU Xeon
+    s7 = tmp_path / "s7.grp"
+    s7.write_text("perm 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n")
+    run, got = _timed_table(s7)
+    assert got["code"] == 0, run.stderr
+    assert "character table of s7 (order 5040, 15 classes)" in run.stdout
+    assert got["s"] < 15 and got["peak_mb"] < 600, got

@@ -1,11 +1,14 @@
 """Exactness and ring laws for the cyclotomic arithmetic kernel."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcond.cyclotomic import Cyclotomic, cyclo_sum, cyclotomic_polynomial
+from conftest import run_fresh
 
 
 def sympy_cyclotomic(e):
@@ -128,3 +131,49 @@ def test_normal_form_is_stable(a):
     # rebuilding from the exposed coefficients reproduces the same element
     assert Cyclotomic(a.order, a.coeffs) == a
     assert hash(Cyclotomic(a.order, a.coeffs)) == hash(a)
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_rebuild_an_equal_value(copier):
+    for v in (Cyclotomic.zeta(3), Cyclotomic.zeta(12) * Fraction(3, 7),
+              Cyclotomic.from_rational(Fraction(-5, 2))):
+        w = copier(v)
+        assert w == v and hash(w) == hash(v)
+        assert (w.order, w.nums, w.den) == (v.order, v.nums, v.den)
+
+
+def test_a_sweep_round_evicts_nothing_from_the_conductor_caches(fresh_sweep):
+    # misses equal the entries held only when nothing was evicted
+    for name, info in fresh_sweep["caches"].items():
+        assert info["misses"] == info["currsize"] < info["maxsize"], name
+
+
+_MANY_PRIMES = """
+import re
+from pathlib import Path
+from charcond.arith import is_prime
+from charcond.cyclotomic import Cyclotomic
+
+def rss():
+    status = Path("/proc/self/status").read_text()
+    return int(re.search(r"VmRSS:\\s*(\\d+)", status).group(1)) / 1024
+
+z = Cyclotomic.zeta(7)
+z + z.conjugate()
+start = rss()
+primes = [p for p in range(1000, 800, -1) if is_prime(p)][:20]
+for p in primes:
+    z = Cyclotomic.zeta(p)
+    assert (z + z.conjugate()).order == p
+print(rss() - start)
+"""
+
+
+def test_conductor_caches_bound_memory_over_many_large_conductors():
+    # each conductor near 1000 holds an 8 MB power table; unbounded, the 20
+    # below grew VmRSS by 142 MB, and the byte bound keeps about 32 MB
+    run = run_fresh(_MANY_PRIMES)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 80

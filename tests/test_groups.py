@@ -274,6 +274,32 @@ def test_group_file_parsing(tmp_path):
         parse_group_text("lattice 3\n")
 
 
+def test_table_header_over_the_cap_is_refused_before_any_entry_is_read(
+        monkeypatch):
+    # the entries are not even integers: only the header was read
+    with pytest.raises(TooLarge, match="table order 5041 exceeds the cap"):
+        parse_group_text("table 5041\nnot a number\n")
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 2)
+    with pytest.raises(TooLarge, match="table order 3 exceeds the cap of 2"):
+        build_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    monkeypatch.undo()
+    z3 = parse_group_text("table 3\n0 1 2\n1 2 0\n2 0 1\n")
+    assert z3.order == 3 and z3.mul.tobytes() == np.array(
+        [[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64).tobytes()
+    with pytest.raises(NotAGroup, match="integers in 0..1"):
+        parse_group_text("table 2\n0 1\n1 99999999999999999999\n")
+
+
+def test_lattice_needs_a_character_table_within_the_class_cap():
+    # normal and derived subgroups are read off the character table, so a
+    # group with more classes than a table may have is refused, not answered
+    c257 = build_from_permutations(
+        257, [tuple((i + 1) % 257 for i in range(257))])
+    for lattice in (derived_subgroup, normal_subgroups):
+        with pytest.raises(TooLarge, match="257 classes exceed the cap of 256"):
+            lattice(c257)
+
+
 def test_table_rows_and_inverses_are_permutations():
     for g in (s3(), build_from_permutations(4, [(1, 2, 3, 0)])):
         n = g.order

@@ -72,6 +72,15 @@ def test_sweep_runs_dixon_once_per_table(monkeypatch):
     assert [n for n in runs.values() if n > 1] == []
 
 
+def test_fresh_sweep_at_cap_24_runs_dixon_60_times_and_validate_100_times(
+        fresh_sweep):
+    # normal subgroups come from character kernels, so the tables they read
+    # must be ones the sweep computes anyway
+    assert fresh_sweep["passed"]
+    assert fresh_sweep["dixon"] == [1] * 60
+    assert fresh_sweep["validate"] == 100
+
+
 def test_sweep_leaves_no_groups_in_reference_cycles():
     # cached table rows and memoized normal subgroups must not point back at
     # their group, or each dead group waits for a full collection
