@@ -10,12 +10,19 @@ is equality of e, den and the array (on one table cache), and the hash is
 taken over the same data.  Sums, scalings, pointwise products, conjugation
 (a permutation of rows), inflation and restriction (a gather, then a lift or
 an exactly checked descent of the conductor) and induction (one matmul with
-the induction counts) are array operations; inner products, both
+the induction counts) are array operations; inner products, norms, both
 orthogonality relations and decompositions are one `cyclotomic.gram` call on
-the stored arrays.  Values outside Q(zeta_exp(G)), which only user-built
-functions have, take one batched search for their minimal conductors.
-``values``, the tuple of `Cyclotomic`, is built on demand by the one builder
-`cyclotomic.values` for rendering, JSON, sort keys and the public API.
+the stored arrays.  `norm` hands callers that compare <f, f> with an integer
+an exact Fraction read off the Gram numerators.  Values outside
+Q(zeta_exp(G)), which only user-built functions have, take one batched search
+for their minimal conductors.  ``values``, the tuple of `Cyclotomic`, is built
+on demand by the one builder `cyclotomic.values` for rendering, JSON, sort
+keys and the public API.
+
+Restrictions and inertia groups are memoized per subgroup by `_memo`, in
+the subgroup's ``_cache`` next to its induction counts and conjugation data.
+An entry holds arrays, integers and element tuples only, never a group, so
+it keeps no group alive and dies with the subgroup's cache.
 
 Tables are computed by Dixon's method: the class-sum structure constants are
 simultaneously diagonalized over a prime field F_p with p = 1 (mod exponent)
@@ -37,6 +44,7 @@ object) otherwise, the same rule as `cyclotomic.gram`.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -53,7 +61,7 @@ from .groups import DEFAULT_MAX_ORDER
 
 __all__ = [
     "ClassFunction", "Character", "CharacterTable", "character_table",
-    "inner_product", "inner_product_matrix", "restrict", "induce",
+    "inner_product", "inner_product_matrix", "norm", "restrict", "induce",
     "conjugate_character", "inflate", "pointwise_product", "decompose",
 ]
 
@@ -65,6 +73,11 @@ MAX_TABLE_CLASSES = 256
 
 # at most this many entries in one batched elimination stack of `_split_space`
 _LAMBDA_CHUNK = 1 << 15
+
+# entries in one subgroup's restriction or inertia memo before it starts over;
+# a sweep at order cap 24 keeps at most 36, while a long-lived process
+# restricting ever new functions would otherwise keep every one
+_MEMO_ENTRIES = 1024
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -233,7 +246,7 @@ class Character(ClassFunction):
         if deg[1:].any() or int(deg[0]) % self.den or deg[0] < 1:
             raise NotACharacter(
                 f"degree {self.at_identity()} is not a positive integer")
-        if irreducible and inner_product(self, self) != 1:
+        if irreducible and norm(self) != 1:
             raise NotACharacter("character claimed irreducible has norm != 1")
         self.irreducible = irreducible
 
@@ -262,6 +275,17 @@ def inner_product_matrix(phis, psis) -> list[list[Cyclotomic]]:
     got = gram(nums[:len(phis)], nums[len(phis):], phis[0].partition.sizes, e)
     flat = values(got.reshape(-1, got.shape[2]), e, den * den * g.order)
     return [flat[i:i + len(psis)] for i in range(0, len(flat), len(psis))]
+
+
+def norm(fn: ClassFunction) -> Fraction | Cyclotomic:
+    """<fn, fn> from one Gram call on the stored array: an exact Fraction when
+    the numerators beyond the first power-basis coordinate vanish, the
+    `Cyclotomic` value otherwise."""
+    got = gram(fn.nums[None], fn.nums[None], fn.partition.sizes, fn.e)[0]
+    scale = fn.den * fn.den * fn.group.order
+    if got[0, 1:].any():
+        return values(got, fn.e, scale)[0]
+    return Fraction(int(got[0, 0]), scale)
 
 
 def _first_off_delta(got: np.ndarray, diag: list[int]):
@@ -597,14 +621,49 @@ def _induction_counts(s: Subgroup) -> np.ndarray:
     return counts
 
 
-def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
-    """Restrict a class function on G to the subgroup, re-classed over H."""
-    if not _same_group(chi.group, s.parent):
-        raise GroupMismatch("class function does not live on the parent group")
+def _memo(cache: dict, name: str, fn: ClassFunction, compute):
+    """compute(), once per stored form of fn, in the dict cache[name].
+
+    Stored forms are canonical, so equal (e, den, nums) mean equal functions.
+    An entry is filed under hash(fn) and a hit is confirmed exactly against a
+    reference to the input's array (a table row is a view of the cached
+    table, so the reference costs nothing); on a collision the newer entry
+    replaces the older, and a full memo is emptied before it grows.
+    """
+    memo = cache.setdefault(name, {})
+    key = hash(fn)
+    hit = memo.get(key)
+    if (hit is not None and hit[0] == fn.e and hit[1] == fn.den
+            and np.array_equal(hit[2], fn.nums)):
+        return hit[3]
+    got = compute()
+    if len(memo) >= _MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = (fn.e, fn.den, fn.nums, got)
+    return got
+
+
+def _restricted(chi: ClassFunction, s: Subgroup) -> tuple[int, np.ndarray, int]:
+    """The stored form of Res chi: one gather of class values, canonicalized
+    on the subgroup."""
     k_sub = s.as_group()
     reps = s.embedding()[list(conjugacy_classes(k_sub).representatives)]
     classes = chi.partition.class_of[reps]
-    return ClassFunction._from_array(k_sub, chi.e, chi.nums[classes], chi.den)
+    return _canonical(k_sub.exponent(), chi.e, chi.nums[classes], chi.den)
+
+
+def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
+    """Restrict a class function on G to the subgroup, re-classed over H.
+
+    The stored form (e, nums, den) of each restriction is memoized in
+    ``s._cache``, which normal subgroups share across calls, keyed by the
+    stored form of chi, and wrapped in a fresh `ClassFunction` per call.  The
+    memo holds arrays only, so it references no group.
+    """
+    if not _same_group(chi.group, s.parent):
+        raise GroupMismatch("class function does not live on the parent group")
+    got = _memo(s._cache, "restrict", chi, lambda: _restricted(chi, s))
+    return ClassFunction._make(s.as_group(), *got)
 
 
 def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:

@@ -17,8 +17,8 @@ import numpy as np
 from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce, inflate,
-                         inner_product, pointwise_product, restrict,
-                         _conj_class_perms, _same_group)
+                         norm, pointwise_product, restrict,
+                         _conj_class_perms, _memo, _same_group)
 from .errors import (BadChain, IndexNotPrime, InternalContradiction,
                      NotInvariant, NotIrreducible, NotNormal)
 from .groups import (FiniteGroup, Subgroup, is_abelian, is_normal, quotient,
@@ -56,17 +56,33 @@ def _orbit_perm_reps(s: Subgroup) -> tuple[int, ...]:
     return s._cache["orbit_reps"]
 
 
-def inertia_group(s: Subgroup, theta: Character) -> Subgroup:
-    """The stabilizer of theta under conjugation by the parent group."""
-    if not is_normal(s.parent, s):
-        raise NotNormal("inertia groups need a normal subgroup")
-    if not _same_group(theta.group, s.as_group()):
-        raise NotNormal("character does not live on the subgroup")
+def _stabilizer(s: Subgroup, theta: Character) -> tuple[tuple[int, ...], dict]:
     nums = theta.nums
     # g fixes theta when theta(g h g^-1) = theta(h) on every class; stored
     # forms are canonical, so equal values have equal numerator rows
     fixed = (nums[_conj_class_perms(s)] == nums).all(axis=(1, 2))
-    return subgroup(s.parent, np.flatnonzero(fixed))
+    inert = subgroup(s.parent, np.flatnonzero(fixed))
+    return inert.elements, inert._cache
+
+
+def inertia_group(s: Subgroup, theta: Character) -> Subgroup:
+    """The stabilizer of theta under conjugation by the parent group.
+
+    Memoized in ``s._cache`` by the stored form of theta, as the inertia
+    group's (elements, subgroup cache), the way `normal_subgroups` keeps its
+    results: a `Subgroup` points at its parent, so a memoized one would tie
+    the parent into a reference cycle.  Each call returns a fresh subgroup
+    sharing the memoized cache.
+    """
+    if not is_normal(s.parent, s):
+        raise NotNormal("inertia groups need a normal subgroup")
+    if not _same_group(theta.group, s.as_group()):
+        raise NotNormal("character does not live on the subgroup")
+    elements, cache = _memo(s._cache, "inertia", theta,
+                            lambda: _stabilizer(s, theta))
+    inert = Subgroup(s.parent, elements)
+    inert._cache = cache
+    return inert
 
 
 def inertia_dichotomy(s: Subgroup, theta: Character) -> InertiaKind:
@@ -116,10 +132,10 @@ def clifford_decomposition(chi: Character, s: Subgroup) -> tuple[int, tuple[Char
     t = len(orbit)
     inert = inertia_group(s, theta)
     over = inert.order // s.order
-    norm = inner_product(res, res)
+    res_norm = norm(res)
     if chi.degree != e * t * theta.degree:
         raise InternalContradiction("degree bookkeeping chi(1) = e t theta(1) fails")
-    if norm != e * e * t:
+    if res_norm != e * e * t:
         raise InternalContradiction("<Res chi, Res chi> != e^2 t")
     if e * e > over or e * e * t > s.index:
         raise InternalContradiction("Clifford e-bounds violated")
@@ -153,8 +169,8 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
     if not is_prime(q):
         raise IndexNotPrime(f"index {q} is not prime")
     res = restrict(chi, s)
-    norm = inner_product(res, res)
-    if norm == 1:
+    res_norm = norm(res)
+    if res_norm == 1:
         theta = Character.of(res)
         theta.irreducible = True  # the exact norm check above
         checks = {
@@ -172,7 +188,7 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
         "multiplicity_one": e == 1,
         "induced_matches": induce(theta, s) == chi,
         "inertia_is_subgroup": inertia_group(s, theta).elements == s.elements,
-        "restriction_reducible": norm == q,
+        "restriction_reducible": res_norm == q,
     }
     if not all(checks.values()):
         raise InternalContradiction(f"induced-case verification failed: {checks}")

@@ -479,13 +479,19 @@ class Subgroup:
 
 def subgroup(g: FiniteGroup, elements) -> Subgroup:
     """Validate an element set as a subgroup (closure, identity, inverses)."""
-    elems = tuple(sorted({int(v) for v in elements}))
-    if not elems:
+    try:
+        arr = np.asarray(elements if isinstance(elements, np.ndarray)
+                         else list(elements), dtype=np.int64)
+    except OverflowError:
+        raise NotAGroup("subgroup element out of range") from None
+    if arr.ndim != 1:
+        raise TypeError("subgroup elements must be a flat collection of integers")
+    arr = np.unique(arr)
+    if not len(arr):
         raise NotAGroup("a subgroup cannot be empty")
-    if any(v < 0 or v >= g.order for v in elems):
+    if arr[0] < 0 or arr[-1] >= g.order:
         raise NotAGroup("subgroup element out of range")
     inside = np.zeros(g.order, dtype=bool)
-    arr = np.array(elems, dtype=np.int64)
     inside[arr] = True
     if not inside[g.identity]:
         raise NotAGroup("subgroup does not contain the identity")
@@ -504,7 +510,7 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
                 raise NotAGroup(f"subgroup not closed under inversion at {a}")
             b = int(arr[mul_ok[i].argmin()])
             raise NotAGroup(f"subgroup not closed under product at ({a}, {b})")
-    return Subgroup(g, elems)
+    return Subgroup(g, tuple(arr.tolist()))
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:

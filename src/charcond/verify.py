@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .catalog import Catalog, default_catalog
 from .characters import (ClassFunction, character_table, induce, inflate,
-                         inner_product, inner_product_matrix,
-                         pointwise_product, restrict)
+                         inner_product_matrix, norm, pointwise_product,
+                         restrict)
 from .clifford import (ClassificationKind, NormalChain, classify_irreducible,
                        clifford_decomposition, conjugate_orbit,
                        construct_large_degree, find_extensions, inertia_group,
@@ -138,11 +138,11 @@ def suite_clifford(cat: Catalog | None = None,
                 if lhs != rhs:
                     ok_a = False
                     detail = f"Res Ind theta mismatch for theta degree {theta.degree}"
-                norm = inner_product(ind, ind)
-                if norm != ratio:
+                ind_norm = norm(ind)
+                if ind_norm != ratio:
                     ok_b = False
-                    detail = f"<Ind,Ind> = {norm}, expected {ratio}"
-                if (norm == 1) != (inert.elements == s.elements):
+                    detail = f"<Ind,Ind> = {ind_norm}, expected {ratio}"
+                if (ind_norm == 1) != (inert.elements == s.elements):
                     ok_b = False
                     detail = "irreducibility of Ind theta disagrees with I=H"
                 if ind.at_identity() != s.index * theta.degree:
@@ -198,7 +198,7 @@ def suite_classification(cat: Catalog | None = None,
                     ok = False
                     detail = f"unverified classification for degree {chi.degree}"
                 res = restrict(chi, s)
-                res_irr = inner_product(res, res) == 1
+                res_irr = norm(res) == 1
                 ind_match = induce(c.theta, s) == chi
                 if c.kind == ClassificationKind.RESTRICTED and not res_irr:
                     ok = False
@@ -251,7 +251,7 @@ def suite_gallagher(cat: Catalog | None = None,
                     ok = False
                     detail = "sum of chi * psi_i differs from Ind theta"
                 for p in products:
-                    if inner_product(p, p) != 1:
+                    if norm(p) != 1:
                         ok = False
                         detail = "a product chi * psi_i is not irreducible"
                 if len(exts) != len(lifted):

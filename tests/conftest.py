@@ -34,14 +34,15 @@ def cyclotomic_calls(monkeypatch):
 
 
 _FRESH_SWEEP = """
-import json
+import json, sys
 from collections import Counter
 from charcond import characters, cyclotomic
 from charcond.catalog import Catalog
 from charcond.verify import run_suite
 
-runs, checks = Counter(), []
+runs, checks, restricts = Counter(), [], Counter()
 dixon, validate = characters._dixon_rows, characters.CharacterTable.validate
+restrict, restricted = characters.restrict, characters._restricted
 
 def counted_dixon(g):
     runs[g.mul.tobytes()] += 1
@@ -51,11 +52,27 @@ def counted_validate(table):
     checks.append(table.group.order)
     return validate(table)
 
+def counted_restrict(chi, s):
+    restricts["calls"] += 1
+    return restrict(chi, s)
+
+def counted_restricted(chi, s):
+    restricts["computed"] += 1
+    return restricted(chi, s)
+
 characters._dixon_rows = counted_dixon
 characters.CharacterTable.validate = counted_validate
+characters._restricted = counted_restricted
+for name, mod in list(sys.modules.items()):
+    if name.startswith("charcond") and getattr(mod, "restrict", None) is restrict:
+        mod.restrict = counted_restrict
 rep = run_suite("all", cat=Catalog(), max_order=24)
 out = {"passed": rep.passed, "dixon": sorted(runs.values()),
-       "validate": len(checks)}
+       "validate": len(checks), "restrict": dict(restricts)}
+# no memo may carry a group of one round into the next
+runs.clear()
+rep = run_suite("all", cat=Catalog(), max_order=24)
+out["second"] = {"passed": rep.passed, "dixon": sorted(runs.values())}
 cat = Catalog()
 for name in ("Q8xS3xC4", "C4xC4xC3", "S3xS3xS3"):
     characters.character_table(cat.group(name))
@@ -85,7 +102,9 @@ def run_fresh(code: str, timeout: float = 120, args=()):
 @pytest.fixture(scope="session")
 def fresh_sweep():
     """Counts from `run_suite("all")` at cap 24 in a fresh interpreter: the
-    Dixon runs per table, the `validate()` calls, and then the conductor cache
+    Dixon runs per table, the `validate()` calls, the `restrict` calls and the
+    restrictions computed rather than served from a memo; the Dixon runs of a
+    second round in the same interpreter; and then the conductor cache
     statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""
     import json
     run = run_fresh(_FRESH_SWEEP)

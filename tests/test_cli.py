@@ -277,6 +277,21 @@ def test_table_output_matches_recorded_digest(capsys, request_key):
     assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[request_key]
 
 
+# sha256 of `charcond verify --suite all` stdout, recorded before restrictions
+# and inertia groups were memoized and norms read off the Gram numerators
+_VERIFY_ALL_DIGESTS = {
+    "text": "5241cdb7127e9a8b8f1175ca31f16c60194b9396a95f7e04f9e3827c30e1d5a3",
+    "json": "df95e7fa682c546b421b4cb207152d7998991976525b2c5dfe1c3132c381a4ab",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_VERIFY_ALL_DIGESTS))
+def test_verify_all_output_matches_recorded_digest(capsys, fmt):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_ALL_DIGESTS[fmt]
+
+
 # ---------------------------------------------------------------------------
 # size caps, each request in a fresh interpreter
 

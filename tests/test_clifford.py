@@ -123,14 +123,14 @@ def test_restricted_case_computes_the_norm_once(monkeypatch):
     a3 = a3_of(g)
     t = character_table(g)
     calls = []
-    real = characters.inner_product
+    real = characters.norm
 
-    def counted(phi, psi):
-        calls.append(phi.group.order)
-        return real(phi, psi)
+    def counted(fn):
+        calls.append(fn.group.order)
+        return real(fn)
 
-    monkeypatch.setattr(characters, "inner_product", counted)
-    monkeypatch.setattr(clifford, "inner_product", counted)
+    monkeypatch.setattr(characters, "norm", counted)
+    monkeypatch.setattr(clifford, "norm", counted)
     for chi in t[:2]:
         calls.clear()
         c = classify_irreducible(chi, a3)

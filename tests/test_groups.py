@@ -240,6 +240,22 @@ def test_subgroup_validation():
     assert trivial_subgroup(g).order == 1
 
 
+def test_subgroup_verdicts_for_every_kind_of_input():
+    g = s3()
+    for elems, reason in (([], "cannot be empty"), (set(), "cannot be empty"),
+                          ([0, 6], "out of range"), ([-1, 0], "out of range"),
+                          ([0, 10 ** 20], "out of range"),
+                          ([-(10 ** 20)], "out of range"),
+                          ([1, 2], "does not contain the identity")):
+        with pytest.raises(NotAGroup, match=reason):
+            subgroup(g, elems)
+    a3 = generated_subgroup(g, [2]).elements
+    for elems in (list(a3), set(a3), reversed(a3), np.array(a3[::-1]),
+                  (x for x in a3 + a3)):
+        got = subgroup(g, elems).elements
+        assert got == a3 and all(type(x) is int for x in got)
+
+
 def test_subgroup_as_group_preserves_structure():
     g = s3()
     a3 = generated_subgroup(g, [2])

@@ -81,6 +81,18 @@ def test_fresh_sweep_at_cap_24_runs_dixon_60_times_and_validate_100_times(
     assert fresh_sweep["validate"] == 100
 
 
+def test_fresh_sweep_at_cap_24_computes_each_restriction_once(fresh_sweep):
+    # 7,441 restrictions are asked for; each distinct (function, subgroup)
+    # pair is computed once and then served from the subgroup's cache
+    assert fresh_sweep["restrict"] == {"calls": 7441, "computed": 1540}
+
+
+def test_second_sweep_in_one_process_runs_dixon_60_times_again(fresh_sweep):
+    # the first round's catalog is unreachable once it ends, so no memo may
+    # keep one of its groups, and with it a table, alive into the next round
+    assert fresh_sweep["second"] == {"passed": True, "dixon": [1] * 60}
+
+
 def test_sweep_leaves_no_groups_in_reference_cycles():
     # cached table rows and memoized normal subgroups must not point back at
     # their group, or each dead group waits for a full collection
