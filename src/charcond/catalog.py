@@ -17,14 +17,16 @@ primes 2, 11, 23).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .conductor import (BoundInputs, GaloisContext, RamificationFiltration,
-                        load_context)
 from .errors import InvalidData, TooLarge
 from .groups import (FiniteGroup, build_from_table, build_from_permutations,
                      direct_product, full_subgroup, load_group_file)
+
+if TYPE_CHECKING:
+    from .bounds import BoundInputs
+    from .conductor import GaloisContext
 
 PRODUCT_ORDER_CAP = 216
 
@@ -180,6 +182,8 @@ class Catalog:
         return ctx
 
     def _build_context(self, key: str) -> GaloisContext | None:
+        # here and in resolve_context only: a `table` request needs no conductor
+        from .conductor import GaloisContext, RamificationFiltration
         if key == "quintic11":
             g = self.group("C5")
             filt = RamificationFiltration(11, 11, (full_subgroup(g),))
@@ -204,6 +208,7 @@ class Catalog:
         except InvalidData:
             pass
         if Path(ref).exists():
+            from .conductor import load_context
             return load_context(ref)
         raise InvalidData(
             f"{ref!r} is neither a catalog context nor a readable file")
@@ -212,20 +217,11 @@ class Catalog:
         return ["martinet-constants"]
 
     def bound_dataset(self, name: str) -> dict:
-        key = name.strip().lower()
-        if key == "martinet-constants":
-            return {
-                "name": "martinet-constants",
-                "disc": 14641,
-                "T": Fraction(2 ** 15 * 23),
-                "q": 5,
-                "theta_degree": 1,
-                "norm_f_theta": 1,
-                "ramified_primes": [2, 11, 23],
-            }
-        raise InvalidData(f"unknown bound dataset {name!r}")
+        from .bounds import bound_dataset
+        return bound_dataset(name)
 
     def bound_inputs(self, name: str) -> BoundInputs:
+        from .bounds import BoundInputs
         d = self.bound_dataset(name)
         return BoundInputs(disc=d["disc"], q=d["q"],
                            theta_degree=d["theta_degree"],

@@ -50,9 +50,9 @@ from math import lcm
 import numpy as np
 
 from .arith import divisors, is_prime
-from .cyclotomic import (Cyclotomic, descend, encode, gram, int_dtype, lift,
-                         minimal_conductors, multiply, power_basis, reduced,
-                         scaled, values)
+from .cyclotomic import (Cyclotomic, _phi, descend, encode, gram, int_dtype,
+                         lift, minimal_conductors, multiply, power_basis,
+                         reduced, scaled, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
@@ -70,6 +70,12 @@ __all__ = [
 # (C4^4) a table takes 7.7 s and 179 MB VmHWM on a 2-vCPU Xeon, and k = 216
 # (C6xC6xC6, the largest catalog product) 8.0 s and 122 MB; both grow as k^3
 MAX_TABLE_CLASSES = 256
+
+# validating k classes at exponent e takes two Gram products of k^3 phi(e)^2
+# steps, which the class cap does not bound; on the same Xeon, cyclic Cn from
+# one-generator files: C100 (1.6e9) 6.2 s, C120 (1.8e9) 10 s, C112 (3.2e9)
+# 12 s, C128 (8.6e9) 90 s; C24xC9 (5.8e9) 24 s; C6xC6xC6 is only 4e7
+MAX_TABLE_WORK = 1 << 31
 
 # at most this many entries in one batched elimination stack of `_split_space`
 _LAMBDA_CHUNK = 1 << 15
@@ -484,10 +490,14 @@ def character_table(g: FiniteGroup,
     if k > MAX_TABLE_CLASSES:
         raise TooLarge(f"{k} classes exceed the cap of {MAX_TABLE_CLASSES} "
                        "for a character table")
+    e = g.exponent()
+    work = k ** 3 * _phi(e) ** 2
+    if work > MAX_TABLE_WORK:
+        raise TooLarge(f"{k} classes at exponent {e} need k^3 phi(e)^2 = {work}"
+                       f" steps, over the cap of {MAX_TABLE_WORK} for a table")
     cache = g._cache
     if "table_rows" not in cache:
         cache["table_rows"] = _dixon_rows(g)
-    e = g.exponent()
     if "table_nums" not in cache:
         # one array for the whole table, row i is chi_i; character values are
         # algebraic integers in Q(zeta_exp(G))

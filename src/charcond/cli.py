@@ -3,7 +3,8 @@
 Commands: table, classify, conduct, bound, verify, catalog.  Group and context
 references resolve against the builtin catalog first, then as file paths.
 Output is deterministic byte-for-byte for fixed inputs and flags.  Exit codes:
-0 success, 2 input or validation error, 3 broken internal invariant.
+0 success, 2 input or validation error, 3 broken internal invariant.  Each
+command imports the modules it runs when it runs (`bound` loads no numpy).
 """
 
 from __future__ import annotations
@@ -13,15 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import default_catalog
-from .characters import character_table
-from .clifford import classify_irreducible
-from .conductor import (BoundInputs, artin_conductor, bound_induced_case,
-                        bound_restricted_case, factor_integer, global_constant,
-                        root_conductor, verify_conductor_discriminant)
+from . import SUITE_NAMES
 from .errors import CharcondError, InternalContradiction, InvalidData
-from .groups import derived_subgroup, generated_subgroup, is_normal, subgroup
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -104,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_subgroup(group, spec: str):
+    from .groups import derived_subgroup, generated_subgroup, subgroup
     spec = spec.strip()
     if spec == "derived":
         return derived_subgroup(group)
@@ -124,6 +119,8 @@ def _resolve_subgroup(group, spec: str):
 
 
 def _cmd_table(args) -> int:
+    from .catalog import default_catalog
+    from .characters import character_table
     cat = default_catalog()
     g = cat.resolve_group(args.group)
     table = character_table(g)
@@ -143,6 +140,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .catalog import default_catalog
+    from .characters import character_table
+    from .clifford import classify_irreducible
+    from .groups import is_normal
     cat = default_catalog()
     g = cat.resolve_group(args.group)
     s = _resolve_subgroup(g, args.subgroup)
@@ -186,6 +187,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_conduct(args) -> int:
+    from .catalog import default_catalog
+    from .characters import character_table
+    from .conductor import (artin_conductor, root_conductor,
+                            verify_conductor_discriminant)
     cat = default_catalog()
     ctx = cat.resolve_context(args.context)
     table = character_table(ctx.group)
@@ -240,13 +245,15 @@ def _render_radical(label: str, value, precision: int) -> str:
 
 
 def _cmd_bound(args) -> int:
-    cat = default_catalog()
+    from .arith import factor_integer
+    from .bounds import (BoundInputs, bound_dataset, bound_induced_case,
+                         bound_restricted_case, global_constant)
     disc, q, theta_degree, norm_ftheta, cap = (args.disc, args.q,
                                                args.theta_degree,
                                                args.norm_ftheta, args.T)
     dataset = None
     if args.dataset:
-        dataset = cat.bound_dataset(args.dataset)
+        dataset = bound_dataset(args.dataset)
         disc = disc if disc is not None else dataset["disc"]
         q = q if q is not None else dataset["q"]
         theta_degree = (theta_degree if theta_degree is not None
@@ -299,11 +306,9 @@ def _cmd_bound(args) -> int:
         print(_render_radical("induced case (equality):   disc^(1/q) * N^(1/(q t1))",
                               induced, args.precision))
         if t_value is not None:
-            c = global_constant(disc, t_value)
             if c.denominator == 1:
-                facs = factor_integer(int(c))
-                fac = " * ".join(f"{p}^{e}" if e > 1 else str(p)
-                                 for p, e in sorted(facs.items()))
+                fac = " * ".join(f"{p}^{e}" if e > 1 else p for p, e
+                                 in payload["C_factorization"].items())
                 print(f"  global constant C = disc * T = {int(c)} = {fac}")
             else:
                 print(f"  global constant C = disc * T = {c}")
@@ -311,6 +316,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
     rep = run_suite(args.suite, max_order=args.max_order)
     if args.format == "json":
         print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
@@ -323,6 +329,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import default_catalog
     cat = default_catalog()
     groups = [(name, cat.group(name).order) for name in cat.base_names()]
     payload = {

@@ -36,6 +36,7 @@ import numpy as np
 
 from .arith import divisors, factor_integer
 from .errors import InternalContradiction
+from .groups import unique_sorted
 
 __all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum", "encode", "gram",
            "int_dtype", "minimal_conductors", "power_basis", "values"]
@@ -642,7 +643,7 @@ def values(nums: np.ndarray, e: int, den: int = 1) -> list[Cyclotomic]:
     if irrational:
         sub = nums[irrational]
         cond = minimal_conductors(sub, e)
-        for d in np.unique(cond).tolist():
+        for d in unique_sorted(cond).tolist():
             at = np.flatnonzero(cond == d)
             got, extra = sub[at], 1
             if d != e:

@@ -39,6 +39,15 @@ DEFAULT_MAX_ORDER = 5040
 _CLOSURE_BLOCK = 1 << 20
 
 
+def unique_sorted(a) -> np.ndarray:
+    """np.unique(a) from one sort and one mask: numpy 2's np.unique imports
+    numpy.ma on first use, which every one-shot request would pay for."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 class _TableCache(dict):
     """Data derived from one multiplication table; weakly referenceable."""
 
@@ -126,7 +135,7 @@ def _grow_closure(mul: np.ndarray, inside: np.ndarray, new) -> None:
     subgroup.
     """
     frontier = np.asarray(new, dtype=np.int64)
-    frontier = np.unique(frontier[~inside[frontier]])
+    frontier = unique_sorted(frontier[~inside[frontier]])
     while len(frontier):
         inside[frontier] = True
         members = np.flatnonzero(inside)
@@ -397,7 +406,7 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
         if assigned[x] >= 0:
             continue
         col = g.mul[:, x]
-        orbit = np.unique(g.mul[col, g.inv[all_idx]])
+        orbit = unique_sorted(g.mul[col, g.inv[all_idx]])
         assigned[orbit] = len(raw)
         raw.append(tuple(int(v) for v in orbit))
     order = sorted(range(len(raw)),
@@ -486,7 +495,7 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
         raise NotAGroup("subgroup element out of range") from None
     if arr.ndim != 1:
         raise TypeError("subgroup elements must be a flat collection of integers")
-    arr = np.unique(arr)
+    arr = unique_sorted(arr)
     if not len(arr):
         raise NotAGroup("a subgroup cannot be empty")
     if arr[0] < 0 or arr[-1] >= g.order:
@@ -568,8 +577,9 @@ def derived_subgroup(g: FiniteGroup) -> Subgroup:
     """The commutator subgroup: the intersection of the kernels of the linear
     characters, checked as a subgroup.
 
-    Needs the character table, so it raises TooLarge for a group with more
-    than `characters.MAX_TABLE_CLASSES` (256) conjugacy classes.
+    Needs the character table, so it raises TooLarge where the table's caps
+    do: more than `characters.MAX_TABLE_CLASSES` (256) conjugacy classes, or
+    k^3 phi(exp G)^2 over `characters.MAX_TABLE_WORK`.
     """
     mask = (1 << len(conjugacy_classes(g))) - 1
     for ker in _kernel_masks(g, linear_only=True):
@@ -584,10 +594,9 @@ def normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     characters, so the kernels of the table rows, closed under intersection,
     give them all as unions of classes; each is checked by `subgroup` and
     `is_normal`.  The table is computed once per multiplication table, so
-    this raises TooLarge for a group with more than
-    `characters.MAX_TABLE_CLASSES` (256) conjugacy classes.  Each call
-    returns fresh subgroups that share the memoized caches, so `as_group()`,
-    induction counts and conjugation data are computed once.
+    this raises TooLarge where the table's caps do (see `derived_subgroup`).
+    Each call returns fresh subgroups that share the memoized caches, so
+    `as_group()`, induction counts and conjugation data are computed once.
     """
     if g._normal_subgroups is None:
         found = {(1 << len(conjugacy_classes(g))) - 1}
@@ -639,7 +648,7 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, QuotientMap]:
     for x in range(g.order):
         if proj[x] >= 0:
             continue
-        coset = np.unique(g.mul[x, emb])
+        coset = unique_sorted(g.mul[x, emb])
         proj[coset] = len(reps)
         reps.append(int(coset.min()))
     rep_arr = np.array(reps, dtype=np.int64)

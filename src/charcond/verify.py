@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import SUITE_NAMES
 from .catalog import Catalog, default_catalog
 from .characters import (ClassFunction, character_table, induce, inflate,
                          inner_product_matrix, norm, pointwise_product,
@@ -26,9 +27,6 @@ from .errors import CharcondError, InvalidData
 from .groups import (FiniteGroup, Subgroup, normal_subgroups,
                      prime_index_normal_subgroups, product_chain, quotient,
                      subgroup, trivial_subgroup)
-
-SUITE_NAMES = ("clifford", "gallagher", "dichotomy", "classification",
-               "degrees", "conductor", "tables", "all")
 
 DEFAULT_MAX_ORDER = 24
 _RANDOM_SEED = 20230923
@@ -446,8 +444,7 @@ def run_suite(name: str, cat: Catalog | None = None,
     cat = cat or default_catalog()
     if name == "all":
         rep = VerificationReport("all")
-        for key in ("clifford", "gallagher", "dichotomy", "classification",
-                    "degrees", "conductor", "tables"):
+        for key in SUITE_NAMES[:-1]:
             rep.extend(_SUITES[key](cat, max_order))
         return rep
     if name not in _SUITES:

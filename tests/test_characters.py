@@ -8,6 +8,7 @@ and classical value sets for the degree-2 row of the order-8 dihedral group.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -271,3 +272,37 @@ def test_character_table_cap():
     c257 = build_from_permutations(257, [tuple((i + 1) % 257 for i in range(257))])
     with pytest.raises(TooLarge, match="257 classes exceed the cap of 256"):
         character_table(c257)
+
+
+def test_table_work_cap_refuses_a_large_exponent_before_dixon(monkeypatch):
+    from charcond import characters
+    from charcond.errors import TooLarge
+
+    def never(g):
+        raise AssertionError("Dixon's method ran on an over-cap group")
+
+    monkeypatch.setattr(characters, "_dixon_rows", never)
+    # C128 has 128 classes, under the class cap, but 128^3 * phi(128)^2 =
+    # 128^3 * 64^2 steps of validation
+    with pytest.raises(TooLarge, match="128 classes at exponent 128 need"):
+        character_table(c_n(128))
+
+
+def test_table_work_cap_admits_every_catalog_and_benchmark_group():
+    import json
+    from pathlib import Path
+    from charcond.catalog import Catalog
+    from charcond.characters import MAX_TABLE_WORK
+    from charcond.groups import conjugacy_classes
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    digests = json.loads(expected.read_text(encoding="utf-8"))["oneshot"]["digests"]
+    cat = Catalog()
+    names = set(cat.base_names()) | {"C6xC6xC6"}
+    names |= {key.split()[2] for key in digests if "--group" in key}
+    for name in sorted(names):
+        g = cat.group(name)
+        e = g.exponent()
+        phi = sum(1 for m in range(1, e + 1) if gcd(m, e) == 1)
+        k = len(conjugacy_classes(g))
+        # not near the cap either: a tenth of it is measured at about 1 s
+        assert k ** 3 * phi ** 2 <= MAX_TABLE_WORK // 10, name

@@ -250,15 +250,16 @@ def test_table_output_file(capsys, tmp_path):
 
 
 def test_failed_identity_exits_3(capsys, monkeypatch):
+    from charcond import verify
     from charcond.verify import VerificationReport
-    import charcond.cli as cli_mod
 
     def fake_run_suite(name, max_order=24):
         rep = VerificationReport(name)
         rep.add("demo identity", "G=X", False, "lhs != rhs")
         return rep
 
-    monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
+    # `verify` looks run_suite up in charcond.verify when it runs
+    monkeypatch.setattr(verify, "run_suite", fake_run_suite)
     code, out, err = run(capsys, "verify", "--suite", "dichotomy")
     assert code == 3
     assert "internal error" in err
@@ -269,12 +270,23 @@ _EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 _DIGESTS = json.loads(_EXPECTED.read_text(encoding="utf-8"))["oneshot"]["digests"]
 
 
-@pytest.mark.parametrize("request_key", sorted(
-    key for key in _DIGESTS if key.startswith("table ")))
-def test_table_output_matches_recorded_digest(capsys, request_key):
+def _check_recorded_digest(capsys, request_key):
     code, out, _ = run(capsys, *request_key.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[request_key]
+
+
+@pytest.mark.parametrize("request_key", sorted(
+    key for key in _DIGESTS if key.startswith("table ")))
+def test_table_output_matches_recorded_digest(capsys, request_key):
+    _check_recorded_digest(capsys, request_key)
+
+
+# the other recorded requests: bound, classify and conduct
+@pytest.mark.parametrize("request_key", sorted(
+    key for key in _DIGESTS if not key.startswith("table ")))
+def test_request_output_matches_recorded_digest(capsys, request_key):
+    _check_recorded_digest(capsys, request_key)
 
 
 # sha256 of `charcond verify --suite all` stdout, recorded before restrictions
@@ -325,6 +337,18 @@ def test_over_cap_requests_exit_2_fast_and_small(tmp_path):
         run, got = _timed_table(path)
         assert got["code"] == 2 and reason in run.stderr
         assert got["s"] < 1.0 and got["peak_mb"] < 100, got
+
+
+def test_large_exponent_table_exits_2_fast(tmp_path):
+    # one generator of order 128: 128 classes pass the class cap, but the
+    # table took 90 s before the work cap weighed phi(exp G)
+    c128 = tmp_path / "c128.grp"
+    c128.write_text("perm 128\ngen " + " ".join(
+        str((i + 1) % 128) for i in range(128)) + "\n")
+    run, got = _timed_table(c128)
+    assert got["code"] == 2, run.stderr
+    assert "128 classes at exponent 128 need" in run.stderr
+    assert got["s"] < 1.0, got
 
 
 @pytest.mark.slow

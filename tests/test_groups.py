@@ -375,3 +375,19 @@ def test_subgroup_closure_matches_the_loop_oracle(data):
             assert str(exc.value) == want
     finally:
         groups._CLOSURE_BLOCK = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1),
+                max_size=40),
+       st.sampled_from([(-1,), (2, -1)]))
+def test_unique_sorted_matches_np_unique(values, shape):
+    # plain np.unique is the reference; the helper must agree exactly,
+    # dtype included, on flat and 2-d input
+    if shape == (2, -1):
+        values = values[:len(values) // 2 * 2]
+    arr = np.array(values, dtype=np.int64).reshape(shape)
+    got = groups.unique_sorted(arr)
+    want = np.unique(arr)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
