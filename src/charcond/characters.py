@@ -19,8 +19,9 @@ for their minimal conductors.  ``values``, the tuple of `Cyclotomic`, is built
 on demand by the one builder `cyclotomic.values` for rendering, JSON, sort
 keys and the public API.
 
-Restrictions and inertia groups are memoized per subgroup by `_memo`, in
-the subgroup's ``_cache`` next to its induction counts and conjugation data.
+Restrictions, inductions and inertia groups are memoized per subgroup by
+`_memo`, in the subgroup's ``_cache`` next to its induction counts and
+conjugation data.
 An entry holds arrays, integers and element tuples only, never a group, so
 it keeps no group alive and dies with the subgroup's cache.
 
@@ -32,14 +33,19 @@ re-verified exactly (orthogonality, degree sums), so the flags on the results
 are earned, not assumed.  The table cache holds each table's values and its
 array once.
 
-The F_p stage works on integer arrays.  Each eigenspace split finds its
-eigenvalues with one batched elimination of (img - lam * basis)^T over all
-lam in F_p, taken in chunks of at most _LAMBDA_CHUNK entries so that memory
-stays flat, and solves a null space only for the eigenvalues.  The lift
-computes the root-of-unity multiplicities of every row at a class with one
-DFT matmul over F_p.  Arrays are int64 while an exact Python-int bound on
-every sum, max(k, e) * (p - 1)^2, stays below 2^62, and Python ints (dtype
-object) otherwise, the same rule as `cyclotomic.gram`.
+The F_p stage works on integer arrays.  A common eigenspace is kept as a
+basis with an identity block on a tracked set of columns, so a class matrix
+acts on it by the d x d matrix of its images at those columns; the identity
+class, and any class matrix acting on a space as a scalar, are skipped.  A
+split finds all its eigenspaces with one batched Gauss-Jordan elimination of
+(A - lam)^T per chunk of lam in F_p, and reads every kernel off those reduced
+forms.  The lift writes the root-of-unity multiplicities of every value, one
+DFT matmul over F_p per element order, into one (k, k, e) coefficient array;
+one power-basis product gives the table's numerators, which one batched
+`values` call renders, one `validate` checks and the table cache keeps as
+they are.  Arrays are int64 while an exact Python-int bound on every sum,
+max(k, e) * (p - 1)^2, stays below 2^62, and Python ints (dtype object)
+otherwise, the same rule as `cyclotomic.gram`.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .cyclotomic import (Cyclotomic, _phi, descend, encode, gram, int_dtype,
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
-                     conjugacy_classes, is_normal)
+                     conjugacy_classes, is_normal, unique_sorted)
 from .groups import DEFAULT_MAX_ORDER
 
 __all__ = [
@@ -67,8 +73,9 @@ __all__ = [
 
 
 # Dixon's method keeps k structure-constant matrices of k x k: with k = 256
-# (C4^4) a table takes 7.7 s and 179 MB VmHWM on a 2-vCPU Xeon, and k = 216
-# (C6xC6xC6, the largest catalog product) 8.0 s and 122 MB; both grow as k^3
+# (C4^4) a table takes 5.9 s and 184 MB VmHWM on one CPU of a 2-vCPU Xeon,
+# and k = 216 (C6xC6xC6, the largest catalog product) 2.8 s and 128 MB; both
+# grow as k^3
 MAX_TABLE_CLASSES = 256
 
 # validating k classes at exponent e takes two Gram products of k^3 phi(e)^2
@@ -77,12 +84,15 @@ MAX_TABLE_CLASSES = 256
 # 12 s, C128 (8.6e9) 90 s; C24xC9 (5.8e9) 24 s; C6xC6xC6 is only 4e7
 MAX_TABLE_WORK = 1 << 31
 
-# at most this many entries in one batched elimination stack of `_split_space`
+# a chunk of the eigenvalue search stacks as many d x d matrices as fit in this
+# many entries, and at least one: a stack holds at most max(_LAMBDA_CHUNK, d^2)
+# entries, d^2 = 46,656 for the first split of C6xC6xC6
 _LAMBDA_CHUNK = 1 << 15
 
-# entries in one subgroup's restriction or inertia memo before it starts over;
-# a sweep at order cap 24 keeps at most 36, while a long-lived process
-# restricting ever new functions would otherwise keep every one
+# entries in one subgroup's restriction, induction or inertia memo before it
+# starts over; a sweep at order cap 24 keeps at most 36 restrictions and 12
+# inductions, while a long-lived process restricting ever new functions would
+# otherwise keep every one
 _MEMO_ENTRIES = 1024
 
 
@@ -110,16 +120,6 @@ def _canonical(base: int, e: int, nums: np.ndarray,
     return (big, *reduced(nums, den))
 
 
-def _encoded(base: int, rows) -> tuple[int, np.ndarray, int]:
-    """Rows of exact values on a group of exponent `base` as one array of
-    shape (rows, classes, phi(e)), e = lcm(base, conductors), over one
-    denominator in lowest terms."""
-    coeffs, den = encode(rows)
-    e = coeffs.shape[2]
-    big = lcm(e, base)
-    return (big, *reduced(lift(power_basis(coeffs, e), e, big), den))
-
-
 def _aligned(fns) -> tuple[int, np.ndarray, int]:
     """Numerators of class functions over one conductor e and one denominator:
     (e, array of shape (functions, classes, phi(e)), den)."""
@@ -143,7 +143,10 @@ class ClassFunction:
         k = len(conjugacy_classes(group))
         if len(vals) != k:
             raise ValueError(f"need {k} class values, got {len(vals)}")
-        e, nums, den = _encoded(group.exponent(), [vals])
+        coeffs, den = encode([vals])
+        w = coeffs.shape[2]
+        e = lcm(w, group.exponent())
+        nums, den = reduced(lift(power_basis(coeffs, w), w, e), den)
         self._set(group, e, nums[0], den, vals)
 
     def _set(self, group: FiniteGroup, e: int, nums: np.ndarray, den: int,
@@ -311,81 +314,75 @@ def _dixon_prime(exponent: int, order: int) -> int:
         p += exponent if exponent > 1 else 1
 
 
-def _inverses(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverse mod p (0 maps to 0)."""
-    return np.array([pow(int(x), p - 2, p) for x in a], dtype=a.dtype)
+def _row_reduce(stack: np.ndarray, p: int,
+                inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms over F_p of every matrix in an (L, r, c)
+    stack at once, and the (L, c) mask of their pivot columns.
 
-
-def _nullities(stack: np.ndarray, p: int) -> np.ndarray:
-    """d - rank over F_p of every matrix in an (L, k, d) stack, at once.
-
-    Fraction-free elimination, column by column: each member takes its first
-    nonzero row as pivot and every row r becomes piv * r - r[c] * pivot row.
-    That zeroes the pivot row itself, so used rows are never picked again and
-    no row swaps are needed.
+    Column by column, each member with a nonzero entry at or below its rank
+    swaps the first such row up to its rank, scales it to 1 by `inv`, the
+    table of inverses mod p, and clears the column in every other row.  Rows
+    from the rank down are zero left of the column, so only the columns from
+    it on change.
     """
     a = stack % p
-    idx = np.arange(a.shape[0])
-    rank = np.zeros(a.shape[0], dtype=np.int64)
-    while a.shape[2]:
-        col, a = a[:, :, 0], a[:, :, 1:]
-        nonzero = col != 0
-        has = nonzero.any(axis=1)
-        if not has.any():
-            continue
-        piv = nonzero.argmax(axis=1)
-        pval = np.where(has, col[idx, piv], 1)
-        prow = a[idx, piv]
-        a = (a * pval[:, None, None] - col[:, :, None] * prow[:, None, :]) % p
-        rank += has
-    return stack.shape[2] - rank
-
-
-def _null_space(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of {x : a x = 0} over F_p, one row per free column (RREF)."""
-    a = a % p
-    rows, cols = a.shape
-    pivots: list[int] = []
+    n, rows, cols = a.shape
+    rank = np.zeros(n, dtype=np.int64)
+    pivots = np.zeros((n, cols), dtype=bool)
     for c in range(cols):
-        r = len(pivots)
-        nz = np.flatnonzero(a[r:, c])
-        if not len(nz):
+        cand = (a[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
+        has = np.flatnonzero(cand.any(axis=1))
+        if not len(has):
             continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        f = a[:, c].copy()
-        f[r] = 0
-        a = (a - f[:, None] * a[r]) % p
-        pivots.append(c)
-        if len(pivots) == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=a.dtype)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = (-a[:len(pivots), free]).T % p
-    return basis
+        r, piv = rank[has], cand[has].argmax(axis=1)
+        top = a[has, piv, c:]
+        a[has, piv, c:] = a[has, r, c:]
+        top = top * inv[top[:, 0].astype(np.int64)][:, None] % p
+        f = a[has, :, c]
+        f[np.arange(len(has)), r] = 0
+        a[has, :, c:] = (a[has, :, c:] - f[:, :, None] * top[:, None]) % p
+        a[has, r, c:] = top
+        pivots[has, c] = True
+        rank[has] += 1
+    return a, pivots
 
 
-def _split_space(mat: np.ndarray, basis: np.ndarray, p: int) -> list[np.ndarray]:
-    """Split a subspace (rows of `basis`) into eigenspaces of `mat` over F_p.
+def _split(mat: np.ndarray, space: tuple[np.ndarray, np.ndarray], p: int,
+           inv: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split an invariant space into the eigenspaces of `mat` over F_p.
 
-    The eigenvalues are found by one batched elimination of the stack
-    (img - lam * basis)^T over lam in F_p, in chunks of at most
-    _LAMBDA_CHUNK entries; a null space is solved only for lam of nonzero
-    nullity.
+    A space is (basis, cols), rows with basis[:, cols] the identity, so a
+    vector of the space has its coordinates at cols and `mat` acts on the
+    space by the d x d matrix A of those coordinates of its images; that it
+    maps the space into itself is checked exactly.  A scalar A leaves the
+    space whole.  Otherwise one batched `_row_reduce` of (A - lam)^T per
+    chunk of lam values finds the eigenvalues, and every kernel is read off
+    those reduced forms with an identity block on its free columns.
     """
-    d, k = basis.shape
+    basis, cols = space
+    d = len(basis)
     img = basis @ mat.T % p
-    out: list[np.ndarray] = []
+    act = img[:, cols]
+    if not np.array_equal(act @ basis % p, img):
+        raise InternalContradiction("a class matrix leaves an eigenspace")
+    if np.array_equal(act, np.eye(d, dtype=act.dtype) * act[0, 0]):
+        return [space]
+    out = []
     found = 0
-    step = max(1, _LAMBDA_CHUNK // (k * d))
+    diag = np.arange(d)
+    step = max(1, _LAMBDA_CHUNK // (d * d))
     for lo in range(0, p, step):
-        lams = np.arange(lo, min(lo + step, p)).astype(basis.dtype)
-        stack = ((img - lams[:, None, None] * basis) % p).transpose(0, 2, 1)
-        for i in np.flatnonzero(_nullities(stack, p)):
-            ker = _null_space(stack[i], p)
-            out.append(ker @ basis % p)
-            found += len(ker)
+        lams = np.arange(lo, min(lo + step, p))
+        stack = np.repeat(act.T[None], len(lams), axis=0)
+        stack[:, diag, diag] -= lams[:, None].astype(act.dtype)
+        red, pivots = _row_reduce(stack, p, inv)
+        for i in np.flatnonzero(~pivots.all(axis=1)):
+            free = np.flatnonzero(~pivots[i])
+            ker = np.zeros((len(free), d), dtype=act.dtype)
+            ker[range(len(free)), free] = 1
+            ker[:, pivots[i]] = (-red[i, :d - len(free)][:, free]).T % p
+            out.append((ker @ basis % p, cols[free]))
+            found += len(free)
         if found == d:
             return out
     raise InternalContradiction("class algebra failed to split over F_p")
@@ -496,17 +493,8 @@ def character_table(g: FiniteGroup,
         raise TooLarge(f"{k} classes at exponent {e} need k^3 phi(e)^2 = {work}"
                        f" steps, over the cap of {MAX_TABLE_WORK} for a table")
     cache = g._cache
-    if "table_rows" not in cache:
-        cache["table_rows"] = _dixon_rows(g)
     if "table_nums" not in cache:
-        # one array for the whole table, row i is chi_i; character values are
-        # algebraic integers in Q(zeta_exp(G))
-        got, nums, den = _encoded(e, cache["table_rows"])
-        if got != e or den != 1:
-            raise InternalContradiction(
-                "table values are not integers of Q(zeta_exp(G))")
-        nums.setflags(write=False)
-        cache["table_nums"] = nums
+        cache["table_rows"], cache["table_nums"] = _dixon_rows(g)
     nums = cache["table_nums"]
     rows = tuple(Character._make(g, e, nums[i], 1, vals)
                  for i, vals in enumerate(cache["table_rows"]))
@@ -516,8 +504,13 @@ def character_table(g: FiniteGroup,
     return CharacterTable(g, rows)
 
 
-def _dixon_rows(g: FiniteGroup) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """Dixon's method, then one exact `validate` of the whole table."""
+def _dixon_rows(g: FiniteGroup) -> tuple[tuple[tuple[Cyclotomic, ...], ...],
+                                         np.ndarray]:
+    """Dixon's method, then one exact `validate` of the whole table.
+
+    Returns the rows of values in canonical order and their numerators at
+    e = exp(G) over den 1, one read-only array of shape (k, k, phi(e)).
+    """
     part = conjugacy_classes(g)
     k = len(part)
     n = g.order
@@ -539,28 +532,34 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[Cyclotomic, ...], ...]:
             raise InternalContradiction("structure constants not class-constant")
         mats.append((cnt // sizes % p).astype(dtype))
 
-    spaces = [np.eye(k, dtype=dtype)]
-    for mat in mats:
-        if all(len(s) == 1 for s in spaces):
+    c0 = int(classof[g.identity])
+    inv = np.array([pow(x, p - 2, p) for x in range(p)], dtype=dtype)
+    spaces = [(np.eye(k, dtype=dtype), np.arange(k))]
+    for c, mat in enumerate(mats):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
-        spaces = [piece for s in spaces
-                  for piece in (_split_space(mat, s, p) if len(s) > 1 else [s])]
-    if not all(len(s) == 1 for s in spaces):
+        if c == c0:         # the identity matrix
+            continue
+        split = []
+        for space in spaces:
+            split += _split(mat, space, p, inv) if len(space[0]) > 1 else [space]
+        spaces = split
+    if not all(len(basis) == 1 for basis, _ in spaces):
         raise InternalContradiction("simultaneous diagonalization incomplete")
 
     # scale each eigenvector to 1 at the identity class, recover the degrees
-    c0 = int(classof[g.identity])
-    vecs = np.concatenate(spaces)
+    vecs = np.concatenate([basis for basis, _ in spaces])
     if np.any(vecs[:, c0] == 0):
         raise InternalContradiction("central character vanishes at identity")
-    vecs = vecs * _inverses(vecs[:, c0], p)[:, None] % p
+    vecs = vecs * inv[vecs[:, c0].astype(np.int64)][:, None] % p
     reps = np.array(part.representatives, dtype=np.int64)
-    inv_sizes = _inverses(sizes.astype(dtype), p)
+    inv_sizes = inv[sizes % p]
     norms = (vecs * vecs[:, classof[g.inv[reps]]] % p) @ inv_sizes % p
     square_root = np.zeros(p, dtype=np.int64)
     roots = np.arange(1, (p + 1) // 2)
     square_root[roots * roots % p] = roots
-    degs = square_root[(n % p * _inverses(norms, p) % p).astype(np.int64)]
+    degs = square_root[(n % p * inv[norms.astype(np.int64)] % p)
+                       .astype(np.int64)]
     if np.any(degs == 0):
         raise InternalContradiction("degree recovery failed")
     chivals = degs.astype(dtype)[:, None] * vecs % p * inv_sizes % p
@@ -577,31 +576,47 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[Cyclotomic, ...], ...]:
     w_powers = np.array([pow(w, t, p) for t in range(e)], dtype=dtype)
 
     # powers[t, j] = class of reps[j]^t
-    orders = [g.element_order(int(r)) for r in reps]
+    orders = np.array([g.element_order(int(r)) for r in reps])
     cur = np.full(k, g.identity, dtype=np.int64)
     powers = [cur]
-    for _ in range(max(orders) - 1):
+    for _ in range(int(orders.max()) - 1):
         cur = g.mul[cur, reps]
         powers.append(cur)
     powers = classof[np.array(powers)]
 
-    # multiplicity of zeta_o^m in chi(g_j), o = o(g_j), for every row at once:
-    # (1/o) sum_t chi(g_j^t) zeta_o^(-m t), one DFT matmul over F_p
-    cols = []
-    dft: dict[int, np.ndarray] = {}
-    for j, o in enumerate(orders):
-        if o not in dft:
-            t = np.arange(o)
-            dft[o] = w_powers[-(e // o) * np.outer(t, t) % e]
-        mult = chivals[:, powers[:o, j]] @ dft[o] % p * pow(o, p - 2, p) % p
-        if np.any(mult.sum(axis=1) != degs):
-            raise InternalContradiction("root-of-unity multiplicities broken")
-        cols.append(values(power_basis(mult, o), o))
+    # coeffs[i, j, t] = multiplicity of zeta_e^t in chi_i(g_j): with o the
+    # order of g_j, zeta_o^m = zeta_e^(m e/o) occurs (1/o) sum_s chi(g_j^s)
+    # zeta_o^(-m s) times, one DFT matmul over F_p for each order o
+    coeffs = np.zeros((k, k, e), dtype=dtype)
+    for o in unique_sorted(orders).tolist():
+        js = np.flatnonzero(orders == o)
+        t = np.arange(o)
+        dft = w_powers[-(e // o) * np.outer(t, t) % e]
+        coeffs[:, js, ::e // o] = (chivals[:, powers[:o, js].T] @ dft % p
+                                   * pow(o, p - 2, p) % p)
+    # each multiplicity is below p and each degree is below p/2, so exact
+    # sums equal to the degrees make every value a sum of chi(1) e-th roots
+    # of unity
+    if np.any(coeffs.sum(axis=2) != degs[:, None]):
+        raise InternalContradiction("root-of-unity multiplicities broken")
 
-    chars = [Character(g, vals) for vals in zip(*cols)]
-    chars.sort(key=lambda c: (c.degree, c.sort_key()))
-    CharacterTable(g, tuple(chars)).validate()
-    return tuple(c.values for c in chars)
+    # one power-basis product and one batched build for the whole table,
+    # then the rows in canonical order: by degree, then by values
+    nums = reduced(power_basis(coeffs, e), 1)[0]
+    flat = values(nums.reshape(k * k, -1), e)
+    if any(v.den != 1 or e % v.order for v in flat):
+        raise InternalContradiction(
+            "table values are not integers of Q(zeta_exp(G))")
+    vals = [tuple(flat[i:i + k]) for i in range(0, k * k, k)]
+    order = sorted(range(k), key=lambda i: (int(degs[i]), tuple(
+        v.sort_key() for v in vals[i])))
+    nums = nums[order]
+    nums.setflags(write=False)
+    rows = tuple(vals[i] for i in order)
+    # each row's degree is degs: the identity class holds degs * zeta_e^0
+    CharacterTable(g, tuple(Character._make(g, e, nums[i], 1, rows[i])
+                            for i in range(k))).validate()
+    return rows, nums
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +691,25 @@ def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
     return ClassFunction._make(s.as_group(), *got)
 
 
-def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:
-    """Induce a class function on the subgroup up to the parent group."""
-    if not _same_group(theta.group, s.as_group()):
-        raise GroupMismatch("class function does not live on the subgroup")
+def _induced(theta: ClassFunction, s: Subgroup) -> tuple[int, np.ndarray, int]:
+    """The stored form of Ind theta: one matmul with the induction counts,
+    canonicalized on the parent."""
     # a count row sums to at most |G|
     dtype = int_dtype(s.parent.order * int(np.abs(theta.nums).max()))
     sums = _induction_counts(s).astype(dtype) @ theta.nums.astype(dtype, copy=False)
-    return ClassFunction._from_array(s.parent, theta.e, sums, theta.den * s.order)
+    return _canonical(s.parent.exponent(), theta.e, sums, theta.den * s.order)
+
+
+def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:
+    """Induce a class function on the subgroup up to the parent group.
+
+    Memoized in ``s._cache`` like `restrict`, keyed by the stored form of
+    theta; the memo holds arrays only.
+    """
+    if not _same_group(theta.group, s.as_group()):
+        raise GroupMismatch("class function does not live on the subgroup")
+    got = _memo(s._cache, "induce", theta, lambda: _induced(theta, s))
+    return ClassFunction._make(s.parent, *got)
 
 
 def _conj_class_perms(s: Subgroup) -> np.ndarray:

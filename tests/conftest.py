@@ -40,9 +40,10 @@ from charcond import characters, cyclotomic
 from charcond.catalog import Catalog
 from charcond.verify import run_suite
 
-runs, checks, restricts = Counter(), [], Counter()
+runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
 dixon, validate = characters._dixon_rows, characters.CharacterTable.validate
 restrict, restricted = characters.restrict, characters._restricted
+induce, induced = characters.induce, characters._induced
 
 def counted_dixon(g):
     runs[g.mul.tobytes()] += 1
@@ -60,15 +61,27 @@ def counted_restricted(chi, s):
     restricts["computed"] += 1
     return restricted(chi, s)
 
+def counted_induce(theta, s):
+    induces["calls"] += 1
+    return induce(theta, s)
+
+def counted_induced(theta, s):
+    induces["computed"] += 1
+    return induced(theta, s)
+
 characters._dixon_rows = counted_dixon
 characters.CharacterTable.validate = counted_validate
 characters._restricted = counted_restricted
+characters._induced = counted_induced
 for name, mod in list(sys.modules.items()):
     if name.startswith("charcond") and getattr(mod, "restrict", None) is restrict:
         mod.restrict = counted_restrict
+    if name.startswith("charcond") and getattr(mod, "induce", None) is induce:
+        mod.induce = counted_induce
 rep = run_suite("all", cat=Catalog(), max_order=24)
 out = {"passed": rep.passed, "dixon": sorted(runs.values()),
-       "validate": len(checks), "restrict": dict(restricts)}
+       "validate": len(checks), "restrict": dict(restricts),
+       "induce": dict(induces)}
 # no memo may carry a group of one round into the next
 runs.clear()
 rep = run_suite("all", cat=Catalog(), max_order=24)
@@ -102,8 +115,9 @@ def run_fresh(code: str, timeout: float = 120, args=()):
 @pytest.fixture(scope="session")
 def fresh_sweep():
     """Counts from `run_suite("all")` at cap 24 in a fresh interpreter: the
-    Dixon runs per table, the `validate()` calls, the `restrict` calls and the
-    restrictions computed rather than served from a memo; the Dixon runs of a
+    Dixon runs per table, the `validate()` calls, the `restrict` and `induce`
+    calls and the results computed rather than served from a memo; the Dixon
+    runs of a
     second round in the same interpreter; and then the conductor cache
     statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""
     import json

@@ -1,9 +1,10 @@
-"""Dixon's method over F_p: batched eigenvalue search, null spaces and lift.
+"""Dixon's method over F_p: batched row reduction, eigenspace splits and lift.
 
-The oracles are the pure-Python routines the numpy code replaced: an RREF
-null-space solver and an eigenspace split that tries every lambda in F_p
-with one kernel solve each.  Character tables are also recomputed over a
-second prime; the exact rows must not depend on the prime.
+The oracles are pure-Python routines: an RREF null-space solver and an
+eigenspace split that tries every lambda in F_p with one kernel solve each,
+on the full space rather than on the restricted action.  Character tables
+are also recomputed over a second prime; the exact rows must not depend on
+the prime.
 """
 
 import numpy as np
@@ -18,12 +19,14 @@ from charcond.errors import InternalContradiction
 from charcond.groups import ConjugacyPartition
 
 
-def oracle_mod_kernel(rows, ncols, p):
-    """Basis of the null space of a matrix over F_p (RREF back-substitution)."""
-    m = [r[:] for r in rows]
+def oracle_rref(rows, ncols, p):
+    """Reduced row echelon form over F_p and its pivot columns."""
+    m = [[v % p for v in r] for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == len(m):
+            break
         piv = next((i for i in range(r, len(m)) if m[i][c] % p), None)
         if piv is None:
             continue
@@ -36,8 +39,12 @@ def oracle_mod_kernel(rows, ncols, p):
                 m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
+    return m, pivots
+
+
+def oracle_mod_kernel(rows, ncols, p):
+    """Basis of the null space of a matrix over F_p (RREF back-substitution)."""
+    m, pivots = oracle_rref(rows, ncols, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -94,16 +101,23 @@ def stacks(draw):
     return stack, p
 
 
+def _inverses(p):
+    return np.array([pow(x, p - 2, p) for x in range(p)], dtype=np.int64)
+
+
 @settings(max_examples=300, deadline=None)
 @given(stacks())
 def test_nullities_and_null_spaces_match_the_oracle(case):
+    # the null space of each member is read off its reduced form, so equal
+    # reduced forms and pivots give the oracle's nullity and kernel basis
     stack, p = case
     d = stack.shape[2]
-    got = characters._nullities(stack, p)
-    for member, nullity in zip(stack, got):
-        want = oracle_mod_kernel(member.tolist(), d, p)
-        assert nullity == len(want)
-        assert characters._null_space(member, p).tolist() == want
+    red, pivots = characters._row_reduce(stack, p, _inverses(p))
+    for member, got, mask in zip(stack, red, pivots):
+        want, cols = oracle_rref(member.tolist(), d, p)
+        assert np.flatnonzero(mask).tolist() == cols
+        assert d - mask.sum() == len(oracle_mod_kernel(member.tolist(), d, p))
+        assert got.tolist() == want
 
 
 def _inverse(m, p):
@@ -137,51 +151,94 @@ def eigen_problems(draw):
     return mat.astype(np.int64), basis.astype(np.int64), p
 
 
+def _space(basis, p):
+    """A basis in the form `_split` takes: reduced rows, identity on cols."""
+    m, cols = oracle_rref(basis.tolist(), basis.shape[1], p)
+    return np.array(m[:len(cols)], dtype=np.int64), np.array(cols)
+
+
 @settings(max_examples=200, deadline=None)
 @given(eigen_problems())
 def test_eigenspace_split_matches_the_oracle(problem):
     mat, basis, p = problem
+    k = mat.shape[0]
+    space = _space(basis, p)
+    image = (basis @ mat.T % p).tolist()
+    if rank(basis.tolist() + image, k, p) > len(basis):
+        with pytest.raises(InternalContradiction, match="leaves"):
+            characters._split(mat, space, p, _inverses(p))
+        return
     try:
         want = oracle_split_space(mat.tolist(), basis.tolist(), p)
     except InternalContradiction:
-        with pytest.raises(InternalContradiction):
-            characters._split_space(mat, basis, p)
+        with pytest.raises(InternalContradiction, match="failed to split"):
+            characters._split(mat, space, p, _inverses(p))
         return
-    got = characters._split_space(mat, basis, p)
-    k = mat.shape[0]
+    got = characters._split(mat, space, p, _inverses(p))
     assert len(got) == len(want)
-    for space, ref in zip(got, want):
-        assert len(space) == len(ref)
-        both = space.tolist() + ref
-        assert rank(space.tolist(), k, p) == rank(ref, k, p) == rank(both, k, p)
+    for (piece, cols), ref in zip(got, want):
+        assert len(piece) == len(ref)
+        assert piece[:, cols].tolist() == np.eye(len(cols), dtype=int).tolist()
+        both = piece.tolist() + ref
+        assert rank(piece.tolist(), k, p) == rank(ref, k, p) == rank(both, k, p)
 
 
-def test_eigenvalue_search_chunks_and_solves_once_per_eigenvalue(monkeypatch):
-    solves, pieces, widest = [], [], []
-    null_space, split, nullities = (characters._null_space,
-                                    characters._split_space,
-                                    characters._nullities)
+def _counted_splits(monkeypatch, chunk=None):
+    """Patch `_split` and `_row_reduce` to record, per split, the dimension
+    d, whether the class matrix is the identity, the sizes of the stacks
+    reduced and the eigenspaces found."""
+    splits, outside = [], []
+    reduce, split = characters._row_reduce, characters._split
 
-    def counted_null_space(a, p):
-        solves.append(1)
-        return null_space(a, p)
+    def counted_reduce(stack, p, inv):
+        (splits[-1]["stacks"] if splits else outside).append(stack.size)
+        return reduce(stack, p, inv)
 
-    def counted_split(mat, basis, p):
-        out = split(mat, basis, p)
-        pieces.append(len(out))
+    def counted_split(mat, space, p, inv):
+        splits.append({"d": len(space[0]), "p": p, "stacks": [],
+                       "identity": np.array_equal(mat, np.eye(len(mat)))})
+        out = split(mat, space, p, inv)
+        splits[-1]["pieces"] = len(out)
         return out
 
-    def sized_nullities(stack, p):
-        widest.append(stack.size)
-        return nullities(stack, p)
+    monkeypatch.setattr(characters, "_row_reduce", counted_reduce)
+    monkeypatch.setattr(characters, "_split", counted_split)
+    if chunk is not None:
+        monkeypatch.setattr(characters, "_LAMBDA_CHUNK", chunk)
+    return splits, outside
 
-    monkeypatch.setattr(characters, "_null_space", counted_null_space)
-    monkeypatch.setattr(characters, "_split_space", counted_split)
-    monkeypatch.setattr(characters, "_nullities", sized_nullities)
-    rows = characters._dixon_rows(Catalog().group("Q8xS3xC4"))
+
+def test_one_batched_elimination_per_non_scalar_split(monkeypatch):
+    g = Catalog().group("Q8xS3xC4")
+    splits, outside = _counted_splits(monkeypatch)
+    rows, _ = characters._dixon_rows(g)
     assert len(rows) == 60
-    assert len(solves) == sum(pieces) == 441
-    assert max(widest) <= characters._LAMBDA_CHUNK
+    # no elimination outside a split, none where a class matrix acts on the
+    # space as a scalar, and the identity class matrix splits nothing
+    assert outside == []
+    assert all((s["pieces"] == 1) == (s["stacks"] == []) for s in splits)
+    assert not any(s["identity"] for s in splits)
+    real = [s for s in splits if s["stacks"]]
+    for s in real:
+        d, p = s["d"], s["p"]
+        step = max(1, characters._LAMBDA_CHUNK // (d * d))
+        # one reduction per chunk of lambda, however many eigenvalues it holds
+        assert len(s["stacks"]) <= -(-p // step)
+        if step >= p:
+            assert s["stacks"] == [p * d * d]
+    assert sum(len(s["stacks"]) for s in real) < sum(s["pieces"] for s in real)
+
+
+def test_elimination_stack_holds_at_most_the_chunk_or_one_square(monkeypatch):
+    # a space of d^2 > _LAMBDA_CHUNK entries takes one lambda at a time
+    g = Catalog().group("C4xC4xC3")
+    want = tuple(row.values for row in character_table(g))
+    splits, _ = _counted_splits(monkeypatch, chunk=200)
+    rows, _ = characters._dixon_rows(g)
+    assert rows == want
+    sizes = [(s["d"], size) for s in splits for size in s["stacks"]]
+    assert all(size <= max(200, d * d) for d, size in sizes)
+    assert max(size for _, size in sizes) == 48 * 48
 
 
 def _next_dixon_prime(exponent, order):
@@ -207,7 +264,9 @@ def test_rows_do_not_depend_on_the_prime(name, monkeypatch):
     want = tuple(row.values for row in character_table(g))
     monkeypatch.setattr(characters, "_dixon_prime", _next_dixon_prime)
     _USED.clear()
-    assert characters._dixon_rows(g) == want
+    rows, nums = characters._dixon_rows(g)
+    assert rows == want
+    assert np.array_equal(nums, g._cache["table_nums"])
     assert _USED and _USED[0] != _DIXON_PRIME(g.exponent(), g.order)
 
 
@@ -216,7 +275,7 @@ def test_object_dtype_path_gives_the_same_rows(name, monkeypatch):
     g = _CAT.group(name)
     want = tuple(row.values for row in character_table(g))
     monkeypatch.setattr(characters, "int_dtype", lambda bound: object)
-    assert characters._dixon_rows(g) == want
+    assert characters._dixon_rows(g)[0] == want
 
 
 def test_structure_constants_keep_the_class_constancy_check(monkeypatch):

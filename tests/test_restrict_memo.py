@@ -1,10 +1,12 @@
-"""Memoized restriction and inertia groups against uncached oracles.
+"""Memoized restriction, induction and inertia groups against uncached
+oracles.
 
-`restrict` and `inertia_group` keep their results in the subgroup's cache.
-Here every catalog group up to order 12 and each of its normal subgroups is
-checked, on the first (computing) call and on a second (memoized) one,
-against the gather-and-canonicalize restriction and the direct stabilizer,
-both written out below without the memo.
+`restrict`, `induce` and `inertia_group` keep their results in the
+subgroup's cache.  Here every catalog group up to order 12 and each of its
+normal subgroups is checked, on the first (computing) call and on a second
+(memoized) one, against the gather-and-canonicalize restriction, the
+induction matmul and the direct stabilizer, all written out below without
+the memo.
 """
 
 import numpy as np
@@ -26,6 +28,14 @@ def oracle_restrict(chi, s):
     reps = s.embedding()[list(conjugacy_classes(h).representatives)]
     nums = chi.nums[chi.partition.class_of[reps]]
     return characters._canonical(h.exponent(), chi.e, nums, chi.den)
+
+
+def oracle_induce(theta, s):
+    """(e, nums, den) of Ind theta: the induction counts times the values,
+    over |H|, in the canonical stored form on the parent."""
+    sums = characters._induction_counts(s).astype(object) @ theta.nums.astype(object)
+    return characters._canonical(s.parent.exponent(), theta.e, sums,
+                                 theta.den * s.order)
 
 
 def oracle_inertia(s, theta):
@@ -63,6 +73,19 @@ def test_memoized_restrict_and_inertia_match_the_oracles(name, s):
             assert inert.elements == oracle_inertia(s, theta)
 
 
+@pytest.mark.parametrize("name, s", _PAIRS,
+                         ids=[f"{n}-{s.order}" for n, s in _PAIRS])
+def test_memoized_induce_matches_the_oracle(name, s):
+    h = s.as_group()
+    rows = list(character_table(h))
+    fns = rows + [restrict(chi, s) for chi in character_table(s.parent)]
+    for _ in range(2):
+        for fn in fns:
+            got = induce(fn, s)
+            assert type(got) is ClassFunction and got.group is s.parent
+            assert _same_stored_form(got, oracle_induce(fn, s))
+
+
 def test_memo_confirms_a_hit_exactly_when_hashes_collide(monkeypatch):
     # with every stored form under one hash, only the exact comparison of
     # e, den and the array tells the memo entries apart
@@ -77,6 +100,9 @@ def test_memo_confirms_a_hit_exactly_when_hashes_collide(monkeypatch):
                 assert _same_stored_form(restrict(fn, s),
                                          oracle_restrict(fn, s))
             for theta in list(table_h) * 2:
+                assert _same_stored_form(induce(theta, s),
+                                         oracle_induce(theta, s))
+            for theta in list(table_h) * 2:
                 assert inertia_group(s, theta).elements == oracle_inertia(
                     s, theta)
 
@@ -84,26 +110,33 @@ def test_memo_confirms_a_hit_exactly_when_hashes_collide(monkeypatch):
 def test_memo_is_served_from_the_subgroup_cache_and_holds_no_group(monkeypatch):
     g = Catalog().group("D6")
     s = next(s for s in normal_subgroups(g) if s.index == 2)
-    computed = []
-    real = characters._restricted
+    computed, inductions = [], []
+    real, real_induced = characters._restricted, characters._induced
 
     def counted(chi, sub):
         computed.append(chi)
         return real(chi, sub)
 
+    def counted_induced(theta, sub):
+        inductions.append(theta)
+        return real_induced(theta, sub)
+
     monkeypatch.setattr(characters, "_restricted", counted)
+    monkeypatch.setattr(characters, "_induced", counted_induced)
     for _ in range(3):
         for chi in character_table(g):
             restrict(chi, s)
         for theta in character_table(s.as_group()):
             inertia_group(s, theta)
+            induce(theta, s)
     assert len(computed) == len(character_table(g))
+    assert len(inductions) == len(character_table(s.as_group()))
     # normal_subgroups hands out fresh subgroups over the same cache
     again = next(t for t in normal_subgroups(g) if t.elements == s.elements)
     restrict(character_table(g)[0], again)
     assert len(computed) == len(character_table(g))
     # entries are arrays, integers, element tuples and subgroup caches only
-    for key in ("restrict", "inertia"):
+    for key in ("restrict", "induce", "inertia"):
         for entry in s._cache[key].values():
             flat = list(entry[:3]) + list(entry[3])
             assert not any(isinstance(x, (FiniteGroup, Subgroup, ClassFunction))

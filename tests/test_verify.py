@@ -87,6 +87,12 @@ def test_fresh_sweep_at_cap_24_computes_each_restriction_once(fresh_sweep):
     assert fresh_sweep["restrict"] == {"calls": 7441, "computed": 1540}
 
 
+def test_fresh_sweep_at_cap_24_computes_each_induction_once(fresh_sweep):
+    # 2,251 inductions are asked for, of 401 distinct (function, subgroup)
+    # pairs; the memo serves the rest from the subgroup's cache
+    assert fresh_sweep["induce"] == {"calls": 2251, "computed": 401}
+
+
 def test_second_sweep_in_one_process_runs_dixon_60_times_again(fresh_sweep):
     # the first round's catalog is unreachable once it ends, so no memo may
     # keep one of its groups, and with it a table, alive into the next round
