@@ -19,11 +19,12 @@ for their minimal conductors.  ``values``, the tuple of `Cyclotomic`, is built
 on demand by the one builder `cyclotomic.values` for rendering, JSON, sort
 keys and the public API.
 
-Restrictions, inductions and inertia groups are memoized per subgroup by
-`_memo`, in the subgroup's ``_cache`` next to its induction counts and
-conjugation data.
-An entry holds arrays, integers and element tuples only, never a group, so
-it keeps no group alive and dies with the subgroup's cache.
+Restrictions and inductions of single functions are memoized per subgroup
+by `_memo`, in the subgroup's ``_cache`` next to its induction counts,
+restriction gather and conjugation data; whole tables restricted to and
+induced from a normal subgroup are kept there by `clifford._NormalPair`.
+An entry holds arrays and integers only, never a group, so it keeps no group
+alive and dies with the subgroup's cache.
 
 Tables are computed by Dixon's method: the class-sum structure constants are
 simultaneously diagonalized over a prime field F_p with p = 1 (mod exponent)
@@ -89,10 +90,11 @@ MAX_TABLE_WORK = 1 << 31
 # entries, d^2 = 46,656 for the first split of C6xC6xC6
 _LAMBDA_CHUNK = 1 << 15
 
-# entries in one subgroup's restriction, induction or inertia memo before it
-# starts over; a sweep at order cap 24 keeps at most 36 restrictions and 12
-# inductions, while a long-lived process restricting ever new functions would
-# otherwise keep every one
+# entries in one subgroup's restriction or induction memo before it starts
+# over; the sweeps restrict and induce whole tables per normal pair instead
+# (a round at order cap 24 induces 7 functions one at a time), while a
+# long-lived process restricting ever new functions would otherwise keep
+# every one
 _MEMO_ENTRIES = 1024
 
 
@@ -286,15 +288,19 @@ def inner_product_matrix(phis, psis) -> list[list[Cyclotomic]]:
     return [flat[i:i + len(psis)] for i in range(0, len(flat), len(psis))]
 
 
+def _exact(got: np.ndarray, e: int, scale: int) -> Fraction | Cyclotomic:
+    """The value got / scale, from power-basis numerators at conductor e: an
+    exact Fraction when the numerators beyond the first vanish, the
+    `Cyclotomic` otherwise."""
+    if got[1:].any():
+        return values(got[None], e, scale)[0]
+    return Fraction(int(got[0]), scale)
+
+
 def norm(fn: ClassFunction) -> Fraction | Cyclotomic:
-    """<fn, fn> from one Gram call on the stored array: an exact Fraction when
-    the numerators beyond the first power-basis coordinate vanish, the
-    `Cyclotomic` value otherwise."""
-    got = gram(fn.nums[None], fn.nums[None], fn.partition.sizes, fn.e)[0]
-    scale = fn.den * fn.den * fn.group.order
-    if got[0, 1:].any():
-        return values(got, fn.e, scale)[0]
-    return Fraction(int(got[0, 0]), scale)
+    """<fn, fn> from one Gram call on the stored array, by `_exact`."""
+    got = gram(fn.nums[None], fn.nums[None], fn.partition.sizes, fn.e)[0, 0]
+    return _exact(got, fn.e, fn.den * fn.den * fn.group.order)
 
 
 def _first_off_delta(got: np.ndarray, diag: list[int]):
@@ -474,13 +480,11 @@ class CharacterTable:
         }
 
 
-def character_table(g: FiniteGroup,
-                    max_order: int = DEFAULT_MAX_ORDER) -> CharacterTable:
-    """Exact irreducible character table; equal tables share its row values.
-
-    The shared cache holds values only, never characters bound to a group, so
-    it does not keep any group alive.
-    """
+def _table_nums(g: FiniteGroup,
+                max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
+    """The table's numerators at e = exp(G) over den 1, rows in canonical
+    order: one read-only (k, k, phi(e)) array from the table cache, computed
+    once per multiplication table under the caps below."""
     if g.order > max_order:
         raise TooLarge(f"group order {g.order} exceeds the cap of {max_order}")
     k = len(conjugacy_classes(g))
@@ -495,9 +499,19 @@ def character_table(g: FiniteGroup,
     cache = g._cache
     if "table_nums" not in cache:
         cache["table_rows"], cache["table_nums"] = _dixon_rows(g)
-    nums = cache["table_nums"]
-    rows = tuple(Character._make(g, e, nums[i], 1, vals)
-                 for i, vals in enumerate(cache["table_rows"]))
+    return cache["table_nums"]
+
+
+def character_table(g: FiniteGroup,
+                    max_order: int = DEFAULT_MAX_ORDER) -> CharacterTable:
+    """Exact irreducible character table; equal tables share its row values.
+
+    The shared cache holds values only, never characters bound to a group, so
+    it does not keep any group alive.
+    """
+    nums = _table_nums(g, max_order)
+    rows = tuple(Character._make(g, g.exponent(), nums[i], 1, vals)
+                 for i, vals in enumerate(g._cache["table_rows"]))
     # the cached rows passed one exact validate(), norms included
     for c in rows:
         c.irreducible = True
@@ -668,13 +682,22 @@ def _memo(cache: dict, name: str, fn: ClassFunction, compute):
     return got
 
 
+def _restriction_classes(s: Subgroup) -> np.ndarray:
+    """The class of G holding each class of H, in H's class order: the
+    gather that restricts class functions and tables."""
+    if "res_classes" not in s._cache:
+        reps = s.embedding()[list(conjugacy_classes(s.as_group()).representatives)]
+        cols = conjugacy_classes(s.parent).class_of[reps]
+        cols.setflags(write=False)
+        s._cache["res_classes"] = cols
+    return s._cache["res_classes"]
+
+
 def _restricted(chi: ClassFunction, s: Subgroup) -> tuple[int, np.ndarray, int]:
     """The stored form of Res chi: one gather of class values, canonicalized
     on the subgroup."""
-    k_sub = s.as_group()
-    reps = s.embedding()[list(conjugacy_classes(k_sub).representatives)]
-    classes = chi.partition.class_of[reps]
-    return _canonical(k_sub.exponent(), chi.e, chi.nums[classes], chi.den)
+    return _canonical(s.as_group().exponent(), chi.e,
+                      chi.nums[_restriction_classes(s)], chi.den)
 
 
 def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
@@ -691,13 +714,19 @@ def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
     return ClassFunction._make(s.as_group(), *got)
 
 
-def _induced(theta: ClassFunction, s: Subgroup) -> tuple[int, np.ndarray, int]:
-    """The stored form of Ind theta: one matmul with the induction counts,
-    canonicalized on the parent."""
+def _induction_sums(s: Subgroup, nums: np.ndarray) -> np.ndarray:
+    """|H| Ind of the class functions on H with numerators nums, of shape
+    (..., classes of H, w): one matmul with the induction counts, giving
+    shape (..., classes of G, w)."""
     # a count row sums to at most |G|
-    dtype = int_dtype(s.parent.order * int(np.abs(theta.nums).max()))
-    sums = _induction_counts(s).astype(dtype) @ theta.nums.astype(dtype, copy=False)
-    return _canonical(s.parent.exponent(), theta.e, sums, theta.den * s.order)
+    dtype = int_dtype(s.parent.order * int(np.abs(nums).max()))
+    return _induction_counts(s).astype(dtype) @ nums.astype(dtype, copy=False)
+
+
+def _induced(theta: ClassFunction, s: Subgroup) -> tuple[int, np.ndarray, int]:
+    """The stored form of Ind theta, canonicalized on the parent."""
+    return _canonical(s.parent.exponent(), theta.e,
+                      _induction_sums(s, theta.nums), theta.den * s.order)
 
 
 def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:
@@ -760,14 +789,25 @@ def conjugate_character(theta: ClassFunction, s: Subgroup, g: int) -> ClassFunct
     return out
 
 
+def _inflation_classes(qmap: QuotientMap) -> np.ndarray:
+    """The class of G/N holding the image of each class of G, in G's class
+    order: the gather that inflates class functions and tables."""
+    reps = list(conjugacy_classes(qmap.source).representatives)
+    return conjugacy_classes(qmap.group).class_of[qmap.mapping[reps]]
+
+
+def _inflated_table(qmap: QuotientMap) -> np.ndarray:
+    """The table of G/N inflated to G: its numerators at exp(G/N) over 1 on
+    the classes of G, one gather of columns."""
+    return _table_nums(qmap.group)[:, _inflation_classes(qmap)]
+
+
 def inflate(beta: ClassFunction, qmap: QuotientMap) -> ClassFunction:
     """Pull a class function on G/N back to G along the projection."""
     if not _same_group(beta.group, qmap.group):
         raise GroupMismatch("class function does not live on the quotient group")
-    src = qmap.source
-    reps = list(conjugacy_classes(src).representatives)
-    classes = beta.partition.class_of[qmap.mapping[reps]]
-    fn = ClassFunction._from_array(src, beta.e, beta.nums[classes], beta.den)
+    fn = ClassFunction._from_array(qmap.source, beta.e,
+                                   beta.nums[_inflation_classes(qmap)], beta.den)
     return Character.of(fn) if isinstance(beta, Character) else fn
 
 
@@ -779,19 +819,11 @@ def pointwise_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     return ClassFunction._from_array(phi.group, e, prod, phi.den * psi.den)
 
 
-def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]]:
-    """Multiplicities of a character in terms of table rows.
-
-    Raises NotACharacter unless every inner product is a nonnegative rational
-    integer (reconstruction is then automatic by orthonormality).  Integrality
-    is read off the Gram numerators: a value is rational exactly when its
-    power-basis coordinates beyond the first vanish.
-    """
-    if not _same_group(phi.group, table.group):
-        raise GroupMismatch("class function does not live on the table's group")
-    e, nums, den = _aligned([phi, *table.rows])
-    got = gram(nums[:1], nums[1:], phi.partition.sizes, e)[0]
-    scale = den * den * phi.group.order
+def _multiplicities(got: np.ndarray, e: int, scale: int) -> list[int]:
+    """Gram numerators got (rows of power-basis numerators at e) over scale
+    as nonnegative integers; NotACharacter names the first that is not one.
+    A value is rational exactly when its coordinates beyond the first
+    vanish."""
     out = []
     for i, v in enumerate(got):
         m, rest = divmod(int(v[0]), scale)
@@ -799,6 +831,19 @@ def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]
             value = values(v[None], e, scale)[0]
             raise NotACharacter(
                 f"multiplicity of row {i} is {value}, not a nonnegative integer")
-        if m:
-            out.append((i, m))
+        out.append(m)
     return out
+
+
+def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]]:
+    """Multiplicities of a character in terms of table rows.
+
+    Raises NotACharacter unless every inner product is a nonnegative rational
+    integer (reconstruction is then automatic by orthonormality).
+    """
+    if not _same_group(phi.group, table.group):
+        raise GroupMismatch("class function does not live on the table's group")
+    e, nums, den = _aligned([phi, *table.rows])
+    got = gram(nums[:1], nums[1:], phi.partition.sizes, e)[0]
+    mults = _multiplicities(got, e, den * den * phi.group.order)
+    return [(i, m) for i, m in enumerate(mults) if m]

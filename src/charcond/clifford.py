@@ -5,6 +5,13 @@ restricts irreducibly to H or is induced from H; this module computes which,
 produces extension witnesses, and builds irreducible characters of degree at
 least 2^n from chains of normal subgroups with non-abelian quotients.  Every
 classification carries verification data that was checked exactly.
+
+For a table row, Clifford decompositions, classifications and extensions
+are views over whole-table arrays built once per normal subgroup:
+`_Conjugation` (how G permutes the rows of H's table) and `_NormalPair` (the
+restricted table, its multiplicities and norms, the induced table).  The
+verification sweeps read the same arrays.  Inertia groups and conjugate
+orbits compare class values directly, so they read no character table.
 """
 
 from __future__ import annotations
@@ -17,12 +24,15 @@ import numpy as np
 from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce, inflate,
-                         norm, pointwise_product, restrict,
-                         _conj_class_perms, _memo, _same_group)
-from .errors import (BadChain, IndexNotPrime, InternalContradiction,
-                     NotInvariant, NotIrreducible, NotNormal)
-from .groups import (FiniteGroup, Subgroup, is_abelian, is_normal, quotient,
-                     subgroup)
+                         pointwise_product, _conj_class_perms, _exact,
+                         _induction_sums, _inflated_table, _multiplicities,
+                         _restriction_classes, _same_group, _table_nums)
+from .cyclotomic import gram, lift, multiply, scaled, values
+from .errors import (BadChain, GroupMismatch, IndexNotPrime,
+                     InternalContradiction, NotInvariant,
+                     NotIrreducible, NotNormal)
+from .groups import (FiniteGroup, QuotientMap, Subgroup, conjugacy_classes,
+                     is_abelian, is_normal, quotient, subgroup)
 
 __all__ = [
     "InertiaKind", "ClassificationKind", "Classification", "NormalChain",
@@ -47,42 +57,241 @@ def _require_irreducible(chi: Character) -> None:
         raise NotIrreducible("operation needs a verified irreducible character")
 
 
-def _orbit_perm_reps(s: Subgroup) -> tuple[int, ...]:
-    """Representatives g of the distinct class-permutations h -> g h g^-1,
-    each the least g giving its permutation."""
-    if "orbit_reps" not in s._cache:
-        _, first = np.unique(_conj_class_perms(s), axis=0, return_index=True)
-        s._cache["orbit_reps"] = tuple(sorted(int(g) for g in first))
-    return s._cache["orbit_reps"]
+def _table_row(g: FiniteGroup, chi: Character) -> int:
+    """The index of chi in G's table; stored forms are canonical, so equal
+    values have equal numerator rows."""
+    if not _same_group(chi.group, g):
+        raise GroupMismatch("character does not live on the table's group")
+    table = _table_nums(g)
+    hit = (np.flatnonzero((table == chi.nums).all(axis=(1, 2)))
+           if chi.e == g.exponent() and chi.den == 1 else [])
+    if not len(hit):
+        raise NotIrreducible("character is not a row of the character table")
+    return int(hit[0])
 
 
-def _stabilizer(s: Subgroup, theta: Character) -> tuple[tuple[int, ...], dict]:
-    nums = theta.nums
-    # g fixes theta when theta(g h g^-1) = theta(h) on every class; stored
-    # forms are canonical, so equal values have equal numerator rows
-    fixed = (nums[_conj_class_perms(s)] == nums).all(axis=(1, 2))
-    inert = subgroup(s.parent, np.flatnonzero(fixed))
-    return inert.elements, inert._cache
+def _row_keys(rows: np.ndarray) -> list:
+    if rows.dtype == object:
+        return [tuple(r.ravel().tolist()) for r in rows]
+    return [r.tobytes() for r in rows]
+
+
+class _Conjugation:
+    """How G permutes the rows of the table of a normal subgroup H.
+
+    ``perm[g, j]`` is the row equal to theta_j^g, theta_j^g(h) =
+    theta_j(g h g^-1): the rows are matched once per distinct permutation of
+    the H-classes, by array equality.  ``stab[j]`` is the order of the
+    inertia group of theta_j, ``is_h[j]`` says it is H itself, and
+    ``orbit[i, j]`` says theta_j is conjugate to theta_i.  Arrays only, so
+    the subgroup cache that keeps it keeps no group alive.
+    """
+
+    def __init__(self, s: Subgroup) -> None:
+        table = _table_nums(s.as_group())
+        k = len(table)
+        index = {key: j for j, key in enumerate(_row_keys(table))}
+        perms = _conj_class_perms(s)
+        keys = _row_keys(perms)
+        moved = {}
+        for p, key in zip(perms, keys):
+            if key not in moved:
+                moved[key] = [index.get(x, -1) for x in _row_keys(table[:, p])]
+        self.perm = np.array([moved[key] for key in keys], dtype=np.int64)
+        if np.any(self.perm < 0):
+            raise InternalContradiction(
+                "conjugation does not permute the rows of the subgroup's table")
+        self.orbit = np.zeros((k, k), dtype=bool)
+        self.orbit[np.arange(k), self.perm] = True
+        fixed = self.perm == np.arange(k)
+        self.stab = fixed.sum(axis=0)
+        self.is_h = (fixed == (s.member_index() >= 0)[:, None]).all(axis=0)
+
+    def orbit_of(self, j: int) -> list[int]:
+        """The rows conjugate to theta_j: j first, then the rest in table
+        order, which is `sort_key` order among rows of one degree."""
+        return [j] + [i for i in np.flatnonzero(self.orbit[j]).tolist() if i != j]
+
+
+class _NormalPair:
+    """Whole-table arrays of a normal pair (G, H), all at e = exp(G):
+
+    - ``tg``: the table of G; ``th``: the table of H, lifted to e;
+    - ``res``: the table of G restricted to H, one gather of columns;
+    - ``mult``: |H| <Res chi_r, theta_j>, one `gram`;
+    - ``res_norm``: |H| <Res chi_r, Res chi_r>, the diagonal of one `gram`;
+    - ``ind``: |H| Ind theta_j, one matmul with the induction counts.
+
+    Arrays and integers only, like `_Conjugation`.  The methods read exact
+    values and verdicts off these scaled arrays for the views and the sweeps.
+    """
+
+    def __init__(self, s: Subgroup) -> None:
+        g, h = s.parent, s.as_group()
+        e = self.e = g.exponent()
+        self.order_g, self.order_h = g.order, s.order
+        self.sizes_g = np.array(conjugacy_classes(g).sizes)
+        self.sizes_h = np.array(conjugacy_classes(h).sizes)
+        self.tg = _table_nums(g)
+        th = _table_nums(h)
+        self.th = lift(th, h.exponent(), e)
+        self.cols = _restriction_classes(s)
+        self.res = self.tg[:, self.cols]
+        self.mult = gram(self.res, self.th, self.sizes_h, e)
+        self.res_norm = _diagonal(gram(self.res, self.res, self.sizes_h, e))
+        self.ind = lift(_induction_sums(s, th), h.exponent(), e)
+
+    def multiplicities(self, r: int) -> list[int]:
+        """<Res chi_r, theta_j> for every j, as nonnegative integers."""
+        return _multiplicities(self.mult[r], self.e, self.order_h)
+
+    def restricted_norm(self, r: int):
+        """<Res chi_r, Res chi_r>, exactly."""
+        return _exact(self.res_norm[r], self.e, self.order_h)
+
+    def induced_degree(self, j: int):
+        """Ind theta_j (1), exactly."""
+        return _exact(self.ind[j, 0], self.e, self.order_h)
+
+    def induced_norms(self) -> list:
+        """<Ind theta_j, Ind theta_j> for every j, exactly, from one `gram`."""
+        got = _diagonal(gram(self.ind, self.ind, self.sizes_g, self.e))
+        return [_exact(x, self.e, self.order_h ** 2 * self.order_g) for x in got]
+
+    def is_induced(self, j: int, nums: np.ndarray) -> bool:
+        """Whether Ind theta_j has the values nums (numerators at e over 1)
+        on the classes of G."""
+        return np.array_equal(self.ind[j], scaled(nums, self.order_h))
+
+    def is_res_ind(self, j: int, nums: np.ndarray) -> bool:
+        """Whether Res Ind theta_j, by the gather of the induced table, has
+        the values nums (numerators at e over 1) on the classes of H."""
+        return np.array_equal(self.ind[j, self.cols], scaled(nums, self.order_h))
+
+    def frobenius(self) -> list[tuple]:
+        """(i, r, <Ind theta_i, chi_r>, <theta_i, Res chi_r>) wherever the
+        two differ: the left side from the induced table, the right from the
+        gather, one `gram` each."""
+        lhs = gram(self.ind, self.tg, self.sizes_g, self.e)
+        rhs = gram(self.th, self.res, self.sizes_h, self.e)
+        bad = np.argwhere((lhs != scaled(rhs, self.order_g)).any(axis=2))
+        return [(i, r,
+                 values(lhs[i, r][None], self.e, self.order_h * self.order_g)[0],
+                 values(rhs[i, r][None], self.e, self.order_h)[0])
+                for i, r in bad.tolist()]
+
+    def extensions(self, j: int) -> list[int]:
+        """The rows chi_r with Res chi_r = theta_j, in table order, for a
+        theta_j invariant under a prime index, which must have one."""
+        rows = np.flatnonzero((self.res == self.th[j]).all(axis=(1, 2))).tolist()
+        if not rows:
+            raise InternalContradiction(
+                "no extension found for an invariant character of prime index")
+        return rows
+
+    def products(self, rows: list[int], qmap: QuotientMap):
+        """chi_r * psi_i for r in rows and psi_i the table of G/H inflated to
+        G, as numerators at e of shape (rows, rows of G/H, classes of G, .),
+        by one `multiply`; and their norms, exactly, from one `gram`."""
+        psi = lift(_inflated_table(qmap), qmap.group.exponent(), self.e)
+        shape = (len(rows),) + psi.shape
+        prods = multiply(np.broadcast_to(self.tg[rows][:, None], shape),
+                         np.broadcast_to(psi, shape), self.e)
+        flat = prods.reshape((-1,) + shape[2:])
+        got = _diagonal(gram(flat, flat, self.sizes_g, self.e))
+        norms = [_exact(x, self.e, self.order_g) for x in got]
+        return prods, [norms[x:x + len(psi)] for x in range(0, len(norms), len(psi))]
+
+
+def _diagonal(got: np.ndarray) -> np.ndarray:
+    k = np.arange(len(got))
+    return got[k, k]
+
+
+def _cached(s: Subgroup, cls):
+    """The arrays `cls` builds for s, once per subgroup cache."""
+    key = cls.__name__
+    if key not in s._cache:
+        s._cache[key] = cls(s)
+    return s._cache[key]
+
+
+def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:
+    """Res chi_r as e * (the orbit of theta_j), as rows of H's table.
+
+    e and the constituents come from the multiplicity `gram`, the orbit and
+    |I/H| from the row permutations, <Res chi, Res chi> from its own `gram`;
+    checks chi(1) = e t theta(1), <Res chi, Res chi> = e^2 t, e^2 <= |I/H|
+    and e^2 t <= |G/H| exactly.
+    """
+    pair, conj = _cached(s, _NormalPair), _cached(s, _Conjugation)
+    mults = pair.multiplicities(r)
+    parts = [j for j, m in enumerate(mults) if m]
+    distinct = {mults[j] for j in parts}
+    if len(distinct) != 1:
+        raise InternalContradiction(
+            f"restriction constituents have unequal multiplicities {sorted(distinct)}")
+    e = distinct.pop()
+    j = parts[0]
+    orbit = conj.orbit_of(j)
+    if set(parts) != set(orbit):
+        raise InternalContradiction("constituents are not a single conjugate orbit")
+    t = len(orbit)
+    over = int(conj.stab[j]) // s.order
+    if pair.tg[r, 0, 0] != e * t * pair.th[j, 0, 0]:
+        raise InternalContradiction("degree bookkeeping chi(1) = e t theta(1) fails")
+    if pair.restricted_norm(r) != e * e * t:
+        raise InternalContradiction("<Res chi, Res chi> != e^2 t")
+    if e * e > over or e * e * t > s.index:
+        raise InternalContradiction("Clifford e-bounds violated")
+    return e, orbit
+
+
+def _classify_row(s: Subgroup, r: int):
+    """(kind, theta row, e, orbit rows, checks) of chi_r over a prime index.
+
+    Restricted when <Res chi, Res chi> = 1: then Res chi must be the row of
+    H's table that the multiplicity `gram` names, on the gather's values.
+    """
+    pair, conj = _cached(s, _NormalPair), _cached(s, _Conjugation)
+    q = s.index
+    if pair.restricted_norm(r) == 1:
+        mults = pair.multiplicities(r)
+        parts = [j for j, m in enumerate(mults) if m]
+        j = parts[0] if parts else 0
+        checks = {
+            "restriction_irreducible": True,
+            "restriction_matches": (parts == [j] and mults[j] == 1
+                                    and np.array_equal(pair.res[r], pair.th[j])),
+            "inertia_whole_group": bool(conj.stab[j] == s.parent.order),
+            "induced_differs": not pair.is_induced(j, pair.tg[r]),
+        }
+        return ClassificationKind.RESTRICTED, j, 1, [j], checks
+    e, orbit = _clifford_row(s, r)
+    j = orbit[0]
+    checks = {
+        "orbit_size_q": len(orbit) == q,
+        "multiplicity_one": e == 1,
+        "induced_matches": pair.is_induced(j, pair.tg[r]),
+        "inertia_is_subgroup": bool(conj.is_h[j]),
+        "restriction_reducible": pair.restricted_norm(r) == q,
+    }
+    if not all(checks.values()):
+        raise InternalContradiction(f"induced-case verification failed: {checks}")
+    return ClassificationKind.INDUCED, j, e, orbit, checks
 
 
 def inertia_group(s: Subgroup, theta: Character) -> Subgroup:
-    """The stabilizer of theta under conjugation by the parent group.
-
-    Memoized in ``s._cache`` by the stored form of theta, as the inertia
-    group's (elements, subgroup cache), the way `normal_subgroups` keeps its
-    results: a `Subgroup` points at its parent, so a memoized one would tie
-    the parent into a reference cycle.  Each call returns a fresh subgroup
-    sharing the memoized cache.
-    """
+    """The stabilizer of theta under conjugation by the parent group."""
     if not is_normal(s.parent, s):
         raise NotNormal("inertia groups need a normal subgroup")
     if not _same_group(theta.group, s.as_group()):
         raise NotNormal("character does not live on the subgroup")
-    elements, cache = _memo(s._cache, "inertia", theta,
-                            lambda: _stabilizer(s, theta))
-    inert = Subgroup(s.parent, elements)
-    inert._cache = cache
-    return inert
+    nums = theta.nums
+    # g fixes theta when theta(g h g^-1) = theta(h) on every class; stored
+    # forms are canonical, so equal values have equal numerator rows
+    fixed = (nums[_conj_class_perms(s)] == nums).all(axis=(1, 2))
+    return subgroup(s.parent, np.flatnonzero(fixed))
 
 
 def inertia_dichotomy(s: Subgroup, theta: Character) -> InertiaKind:
@@ -99,10 +308,10 @@ def inertia_dichotomy(s: Subgroup, theta: Character) -> InertiaKind:
 
 
 def conjugate_orbit(s: Subgroup, theta: Character) -> tuple[Character, ...]:
-    """The distinct conjugates of theta under the parent group, theta first."""
-    seen = {theta}
-    for g in _orbit_perm_reps(s):
-        seen.add(conjugate_character(theta, s, g))
+    """The distinct conjugates of theta under the parent group, theta first:
+    one conjugate per distinct permutation of the H-classes."""
+    _, reps = np.unique(_conj_class_perms(s), axis=0, return_index=True)
+    seen = {conjugate_character(theta, s, int(g)) for g in reps}
     seen.discard(theta)
     return (theta,) + tuple(sorted(seen, key=lambda c: c.sort_key()))
 
@@ -117,29 +326,9 @@ def clifford_decomposition(chi: Character, s: Subgroup) -> tuple[int, tuple[Char
     _require_irreducible(chi)
     if not is_normal(s.parent, s):
         raise NotNormal("Clifford decomposition needs a normal subgroup")
-    res = restrict(chi, s)
+    e, orbit = _clifford_row(s, _table_row(s.parent, chi))
     table_h = character_table(s.as_group())
-    parts = decompose(res, table_h)
-    mults = {m for _, m in parts}
-    if len(mults) != 1:
-        raise InternalContradiction(
-            f"restriction constituents have unequal multiplicities {sorted(mults)}")
-    e = mults.pop()
-    theta = table_h[parts[0][0]]
-    orbit = conjugate_orbit(s, theta)
-    if {table_h[i] for i, _ in parts} != set(orbit):
-        raise InternalContradiction("constituents are not a single conjugate orbit")
-    t = len(orbit)
-    inert = inertia_group(s, theta)
-    over = inert.order // s.order
-    res_norm = norm(res)
-    if chi.degree != e * t * theta.degree:
-        raise InternalContradiction("degree bookkeeping chi(1) = e t theta(1) fails")
-    if res_norm != e * e * t:
-        raise InternalContradiction("<Res chi, Res chi> != e^2 t")
-    if e * e > over or e * e * t > s.index:
-        raise InternalContradiction("Clifford e-bounds violated")
-    return e, orbit
+    return e, tuple(table_h[i] for i in orbit)
 
 
 @dataclass(frozen=True)
@@ -165,35 +354,14 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
     exact checks that were performed.
     """
     _require_irreducible(chi)
-    q = s.index
-    if not is_prime(q):
-        raise IndexNotPrime(f"index {q} is not prime")
-    res = restrict(chi, s)
-    res_norm = norm(res)
-    if res_norm == 1:
-        theta = Character.of(res)
-        theta.irreducible = True  # the exact norm check above
-        checks = {
-            "restriction_irreducible": True,
-            "restriction_matches": restrict(chi, s) == theta,
-            "inertia_whole_group": inertia_group(s, theta).order == s.parent.order,
-            "induced_differs": induce(theta, s) != chi,
-        }
-        return Classification(ClassificationKind.RESTRICTED, chi, theta,
-                              1, 1, (theta,), checks)
-    e, orbit = clifford_decomposition(chi, s)
-    theta = orbit[0]
-    checks = {
-        "orbit_size_q": len(orbit) == q,
-        "multiplicity_one": e == 1,
-        "induced_matches": induce(theta, s) == chi,
-        "inertia_is_subgroup": inertia_group(s, theta).elements == s.elements,
-        "restriction_reducible": res_norm == q,
-    }
-    if not all(checks.values()):
-        raise InternalContradiction(f"induced-case verification failed: {checks}")
-    return Classification(ClassificationKind.INDUCED, chi, theta,
-                          1, q, orbit, checks)
+    if not is_prime(s.index):
+        raise IndexNotPrime(f"index {s.index} is not prime")
+    if not is_normal(s.parent, s):
+        raise NotNormal("classification needs a normal subgroup")
+    kind, j, e, orbit, checks = _classify_row(s, _table_row(s.parent, chi))
+    table_h = character_table(s.as_group())
+    return Classification(kind, chi, table_h[j], e, len(orbit),
+                          tuple(table_h[i] for i in orbit), checks)
 
 
 def find_extensions(theta: Character, s: Subgroup) -> tuple[Character, ...]:
@@ -201,14 +369,14 @@ def find_extensions(theta: Character, s: Subgroup) -> tuple[Character, ...]:
     _require_irreducible(theta)
     if not is_prime(s.index):
         raise IndexNotPrime(f"index {s.index} is not prime")
-    if inertia_group(s, theta).order != s.parent.order:
+    if not is_normal(s.parent, s):
+        raise NotNormal("extensions need a normal subgroup")
+    j = _table_row(s.as_group(), theta)
+    if _cached(s, _Conjugation).stab[j] != s.parent.order:
         raise NotInvariant("character is not invariant in the parent group")
+    rows = _cached(s, _NormalPair).extensions(j)
     table = character_table(s.parent)
-    out = tuple(chi for chi in table if restrict(chi, s) == theta)
-    if not out:
-        raise InternalContradiction(
-            "no extension found for an invariant character of prime index")
-    return out
+    return tuple(table[r] for r in rows)
 
 
 def find_extension(theta: Character, s: Subgroup) -> Character:

@@ -1,9 +1,15 @@
 """Catalog-wide verification sweeps for the classification and conductor laws.
 
-Each suite walks every applicable (group, subgroup, character) combination in
-the builtin catalog up to an order cap and checks the exact identities; a
-report records one line per (identity, group, subgroup) with inner case counts
-and carries the offending exact values on failure.
+Each suite walks the builtin catalog up to an order cap and checks exact
+identities; a report records one line per (identity, group, subgroup) with
+inner case counts and carries the offending exact values on failure.  The
+clifford, dichotomy, classification, gallagher and Frobenius checks read whole
+tables per normal pair (G, H): the arrays of `clifford._NormalPair` and
+`clifford._Conjugation`, built once per subgroup.  The two sides of each
+identity come by different routes: Res Ind theta by the gather of the induced
+table, the orbit sums by the row permutations; <Ind theta, Ind theta> by a
+Gram product, |I/H| by the stabilizer; e and the constituents by the
+multiplicity Gram product, the orbit by the permutations.
 """
 
 from __future__ import annotations
@@ -11,15 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import SUITE_NAMES
 from .catalog import Catalog, default_catalog
-from .characters import (ClassFunction, character_table, induce, inflate,
-                         inner_product_matrix, norm, pointwise_product,
-                         restrict)
-from .clifford import (ClassificationKind, NormalChain, classify_irreducible,
-                       clifford_decomposition, conjugate_orbit,
-                       construct_large_degree, find_extensions, inertia_group,
-                       promote_degree)
+from .characters import ClassFunction, character_table, induce, _table_nums
+from .clifford import (ClassificationKind, NormalChain, construct_large_degree,
+                       promote_degree, _Conjugation, _NormalPair, _cached,
+                       _classify_row, _clifford_row, _row_keys)
+from .cyclotomic import scaled
 from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
                         conductor_exponent, induced_conductor_norm,
                         unramified_triviality, verify_conductor_discriminant)
@@ -46,11 +52,6 @@ class CheckRecord:
         if self.detail:
             out["detail"] = self.detail
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CheckRecord":
-        return cls(identity=data["identity"], inputs=data["inputs"],
-                   passed=data["pass"], detail=data.get("detail", ""))
 
 
 @dataclass
@@ -79,12 +80,6 @@ class VerificationReport:
         return {"suite": self.suite,
                 "checks": [c.to_json_dict() for c in self.checks],
                 "summary": {"total": total, "passed": ok, "failed": bad}}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VerificationReport":
-        rep = cls(suite=data["suite"])
-        rep.checks = [CheckRecord.from_json_dict(c) for c in data["checks"]]
-        return rep
 
     def render_text(self) -> str:
         lines = [f"suite {self.suite}"]
@@ -118,36 +113,30 @@ def suite_clifford(cat: Catalog | None = None,
     cat = cat or default_catalog()
     rep = VerificationReport("clifford")
     for g, s in _proper_normal_pairs(cat, max_order, prime_only=False):
-        table_g = character_table(g)
-        table_h = character_table(s.as_group())
         ok_a = ok_b = ok_c = True
         detail = ""
         try:
-            for theta in table_h:
-                inert = inertia_group(s, theta)
-                ratio = inert.order // s.order
-                orbit = conjugate_orbit(s, theta)
-                ind = induce(theta, s)
-                lhs = restrict(ind, s)
-                rhs = orbit[0].scale(0)
-                for member in orbit:
-                    rhs = rhs + member
-                rhs = rhs.scale(ratio)
-                if lhs != rhs:
+            pair, conj = _cached(s, _NormalPair), _cached(s, _Conjugation)
+            # Res Ind theta by the gather; the orbit sums by the row action
+            orbit_sums = (conj.orbit.astype(np.int64)
+                          @ pair.th.reshape(len(pair.th), -1)).reshape(pair.th.shape)
+            for i, ind_norm in enumerate(pair.induced_norms()):
+                deg = int(pair.th[i, 0, 0])
+                ratio = int(conj.stab[i]) // s.order
+                if not pair.is_res_ind(i, scaled(orbit_sums[i], ratio)):
                     ok_a = False
-                    detail = f"Res Ind theta mismatch for theta degree {theta.degree}"
-                ind_norm = norm(ind)
+                    detail = f"Res Ind theta mismatch for theta degree {deg}"
                 if ind_norm != ratio:
                     ok_b = False
                     detail = f"<Ind,Ind> = {ind_norm}, expected {ratio}"
-                if (ind_norm == 1) != (inert.elements == s.elements):
+                if (ind_norm == 1) != conj.is_h[i]:
                     ok_b = False
                     detail = "irreducibility of Ind theta disagrees with I=H"
-                if ind.at_identity() != s.index * theta.degree:
+                if pair.induced_degree(i) != s.index * deg:
                     ok_b = False
                     detail = "degree of Ind theta is not [G:H]*theta(1)"
-            for chi in table_g:
-                e, orbit = clifford_decomposition(chi, s)
+            for r in range(len(pair.tg)):
+                _clifford_row(s, r)
         except CharcondError as exc:
             ok_c = False
             detail = str(exc)
@@ -166,12 +155,11 @@ def suite_dichotomy(cat: Catalog | None = None,
     cat = cat or default_catalog()
     rep = VerificationReport("dichotomy")
     for g, s in _proper_normal_pairs(cat, max_order, prime_only=True):
-        table_h = character_table(s.as_group())
-        bad = []
-        for theta in table_h:
-            inert = inertia_group(s, theta)
-            if inert.order != g.order and inert.elements != s.elements:
-                bad.append((theta.degree, inert.order))
+        conj = _cached(s, _Conjugation)
+        degrees = _table_nums(s.as_group())[:, 0, 0].tolist()
+        bad = [(deg, order) for deg, order, is_h
+               in zip(degrees, conj.stab.tolist(), conj.is_h)
+               if order != g.order and not is_h]
         rep.add("dichotomy: I(theta) is G or H under prime index",
                 _pair_name(g, s), not bad,
                 f"violations {bad}" if bad else "")
@@ -184,34 +172,40 @@ def suite_classification(cat: Catalog | None = None,
     cat = cat or default_catalog()
     rep = VerificationReport("classification")
     for g, s in _proper_normal_pairs(cat, max_order, prime_only=True):
-        table_g = character_table(g)
+        k = len(_table_nums(g))
         ok = True
         detail = ""
         counts = {ClassificationKind.RESTRICTED: 0, ClassificationKind.INDUCED: 0}
         try:
-            for chi in table_g:
-                c = classify_irreducible(chi, s)
-                counts[c.kind] += 1
-                if not c.verified():
+            pair = _cached(s, _NormalPair)
+            for r in range(k):
+                kind, j, _, _, checks = _classify_row(s, r)
+                counts[kind] += 1
+                if not all(checks.values()):
                     ok = False
-                    detail = f"unverified classification for degree {chi.degree}"
-                res = restrict(chi, s)
-                res_irr = norm(res) == 1
-                ind_match = induce(c.theta, s) == chi
-                if c.kind == ClassificationKind.RESTRICTED and not res_irr:
+                    detail = ("unverified classification for degree "
+                              f"{int(pair.tg[r, 0, 0])}")
+                # the kind came from <Res chi, Res chi>; irreducibility and
+                # Ind theta = chi are read here off the multiplicities and
+                # the induced degree: by Frobenius, <Ind theta, chi> = 1
+                mults = pair.multiplicities(r)
+                res_irr = sum(mults) == 1
+                ind_match = (mults[j] == 1
+                             and pair.induced_degree(j) == pair.tg[r, 0, 0])
+                if kind == ClassificationKind.RESTRICTED and not res_irr:
                     ok = False
                     detail = "restricted case without irreducible restriction"
-                if c.kind == ClassificationKind.INDUCED and res_irr:
+                if kind == ClassificationKind.INDUCED and res_irr:
                     ok = False
                     detail = "induced case with irreducible restriction"
-                if c.kind == ClassificationKind.INDUCED and not ind_match:
+                if kind == ClassificationKind.INDUCED and not ind_match:
                     ok = False
                     detail = "induced case where Ind theta != chi"
         except CharcondError as exc:
             ok = False
             detail = str(exc)
         total = counts[ClassificationKind.RESTRICTED] + counts[ClassificationKind.INDUCED]
-        if total != len(table_g):
+        if total != k:
             ok = False
             detail = "classification is not total"
         rep.add("classification: totality and exclusivity under prime index",
@@ -225,36 +219,33 @@ def suite_gallagher(cat: Catalog | None = None,
     cat = cat or default_catalog()
     rep = VerificationReport("gallagher")
     for g, s in _proper_normal_pairs(cat, max_order, prime_only=True):
-        table_h = character_table(s.as_group())
-        q_group, qmap = quotient(g, s)
-        lifted = [inflate(psi, qmap) for psi in character_table(q_group)]
+        _, qmap = quotient(g, s)
         ok = True
         detail = ""
         invariant = 0
         try:
-            for theta in table_h:
-                if inertia_group(s, theta).order != g.order:
-                    continue
+            pair = _cached(s, _NormalPair)
+            thetas = np.flatnonzero(_cached(s, _Conjugation).stab == g.order)
+            exts = []
+            for j in thetas.tolist():
                 invariant += 1
-                exts = find_extensions(theta, s)
-                chi = exts[0]
-                products = [pointwise_product(chi, psi) for psi in lifted]
-                if len(set(products)) != len(products):
+                exts.append(pair.extensions(j))
+            # the trivial theta is invariant, so there is an extension chi;
+            # every chi * psi_i by one multiply, their norms by one gram
+            products, norms = pair.products([rows[0] for rows in exts], qmap)
+            for x, j in enumerate(thetas.tolist()):
+                if len(set(_row_keys(products[x]))) != len(products[x]):
                     ok = False
                     detail = "products chi * psi_i are not distinct"
-                total = products[0]
-                for p in products[1:]:
-                    total = total + p
-                if total != induce(theta, s):
+                if not pair.is_induced(j, products[x].sum(axis=0)):
                     ok = False
                     detail = "sum of chi * psi_i differs from Ind theta"
-                for p in products:
-                    if norm(p) != 1:
-                        ok = False
-                        detail = "a product chi * psi_i is not irreducible"
-                if len(exts) != len(lifted):
+                if any(got != 1 for got in norms[x]):
                     ok = False
-                    detail = f"{len(exts)} extensions, expected {len(lifted)}"
+                    detail = "a product chi * psi_i is not irreducible"
+                if len(exts[x]) != len(products[x]):
+                    ok = False
+                    detail = f"{len(exts[x])} extensions, expected {len(products[x])}"
         except CharcondError as exc:
             ok = False
             detail = str(exc)
@@ -410,20 +401,13 @@ def suite_tables(cat: Catalog | None = None,
         for s in normal_subgroups(g):
             if s.order == g.order:
                 continue
-            table_h = character_table(s.as_group())
-            lhs = inner_product_matrix([induce(theta, s) for theta in table_h],
-                                       table)
-            rhs = inner_product_matrix(table_h,
-                                       [restrict(chi, s) for chi in table])
-            ok_fr = True
+            bad = _cached(s, _NormalPair).frobenius()
             detail = ""
-            for i, (lrow, rrow) in enumerate(zip(lhs, rhs)):
-                for j, (a, b) in enumerate(zip(lrow, rrow)):
-                    if a != b:
-                        ok_fr = False
-                        detail = f"<Ind t{i}, x{j}> = {a} != {b}"
+            if bad:
+                i, j, lhs, rhs = bad[-1]
+                detail = f"<Ind t{i}, x{j}> = {lhs} != {rhs}"
             rep.add("tables: Frobenius reciprocity",
-                    _pair_name(g, s), ok_fr, detail)
+                    _pair_name(g, s), not bad, detail)
     return rep
 
 

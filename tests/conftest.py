@@ -36,11 +36,12 @@ def cyclotomic_calls(monkeypatch):
 _FRESH_SWEEP = """
 import json, sys
 from collections import Counter
-from charcond import characters, cyclotomic
+from charcond import characters, clifford, cyclotomic
 from charcond.catalog import Catalog
 from charcond.verify import run_suite
 
 runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
+builds, grams = Counter(), Counter()
 dixon, validate = characters._dixon_rows, characters.CharacterTable.validate
 restrict, restricted = characters.restrict, characters._restricted
 induce, induced = characters.induce, characters._induced
@@ -69,6 +70,20 @@ def counted_induced(theta, s):
     induces["computed"] += 1
     return induced(theta, s)
 
+def counted_build(cls):
+    init = cls.__init__
+    def build(self, s):
+        builds[(cls.__name__, s.parent.name, s.elements)] += 1
+        init(self, s)
+    cls.__init__ = build
+
+def counted_gram(*args, **kwargs):
+    grams[sys._getframe(1).f_code.co_name] += 1
+    return cyclotomic.gram(*args, **kwargs)
+
+counted_build(clifford._NormalPair)
+counted_build(clifford._Conjugation)
+clifford.gram = counted_gram
 characters._dixon_rows = counted_dixon
 characters.CharacterTable.validate = counted_validate
 characters._restricted = counted_restricted
@@ -81,7 +96,10 @@ for name, mod in list(sys.modules.items()):
 rep = run_suite("all", cat=Catalog(), max_order=24)
 out = {"passed": rep.passed, "dixon": sorted(runs.values()),
        "validate": len(checks), "restrict": dict(restricts),
-       "induce": dict(induces)}
+       "induce": dict(induces),
+       "builds": {cls: sorted(n for (c, _, _), n in builds.items() if c == cls)
+                  for cls in ("_NormalPair", "_Conjugation")},
+       "grams": dict(grams)}
 # no memo may carry a group of one round into the next
 runs.clear()
 rep = run_suite("all", cat=Catalog(), max_order=24)
@@ -116,10 +134,12 @@ def run_fresh(code: str, timeout: float = 120, args=()):
 def fresh_sweep():
     """Counts from `run_suite("all")` at cap 24 in a fresh interpreter: the
     Dixon runs per table, the `validate()` calls, the `restrict` and `induce`
-    calls and the results computed rather than served from a memo; the Dixon
-    runs of a
-    second round in the same interpreter; and then the conductor cache
-    statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""
+    calls and the results computed rather than served from a memo, how many
+    normal pairs built their table arrays how many times, and the `gram`
+    calls that `clifford` makes, by calling function; the Dixon
+    runs of a second round in the same interpreter; and then the conductor
+    cache statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as
+    well."""
     import json
     run = run_fresh(_FRESH_SWEEP)
     assert run.returncode == 0, run.stderr

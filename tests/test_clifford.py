@@ -119,24 +119,33 @@ def test_classification_s3():
 
 
 def test_restricted_case_computes_the_norm_once(monkeypatch):
+    # the norms of all restrictions come from one gram when the pair builds
+    # its arrays; classifying again reads them, and no character's own norm
+    # is computed
     g = s3()
     a3 = a3_of(g)
     t = character_table(g)
-    calls = []
-    real = characters.norm
+    norms, grams = [], []
+    real_norm, real_gram = characters.norm, clifford.gram
 
-    def counted(fn):
-        calls.append(fn.group.order)
-        return real(fn)
+    def counted_norm(fn):
+        norms.append(fn.group.order)
+        return real_norm(fn)
 
-    monkeypatch.setattr(characters, "norm", counted)
-    monkeypatch.setattr(clifford, "norm", counted)
-    for chi in t[:2]:
-        calls.clear()
-        c = classify_irreducible(chi, a3)
-        assert c.kind == ClassificationKind.RESTRICTED
-        assert c.theta.irreducible and c.verified()
-        assert calls == [3]
+    def counted_gram(a, b, *args):
+        grams.append((len(a), len(b)))
+        return real_gram(a, b, *args)
+
+    monkeypatch.setattr(characters, "norm", counted_norm)
+    monkeypatch.setattr(clifford, "gram", counted_gram)
+    for _ in range(2):
+        for chi in t[:2]:
+            c = classify_irreducible(chi, a3)
+            assert c.kind == ClassificationKind.RESTRICTED
+            assert c.theta.irreducible and c.verified()
+        assert norms == []
+        # the multiplicities and the norms of the restrictions
+        assert grams == [(3, 3), (3, 3)]
 
 
 def test_classification_requires_prime_index():
@@ -196,6 +205,26 @@ def test_conjugate_orbit():
     assert len(orbit) == 2
     assert orbit[0] == ta3[1]
     assert {o.values for o in orbit} == {ta3[1].values, ta3[2].values}
+
+
+def test_inertia_and_orbit_of_a_reducible_theta_read_no_table(monkeypatch):
+    # theta_0 + theta_1 on A3 is moved by S3 and theta_1 + theta_2 is fixed;
+    # neither is a table row, and neither call reads a character table, so
+    # both work where the subgroup's table is over the caps
+    g = s3()
+    a3 = a3_of(g)
+    ta3 = character_table(a3.as_group())
+    moved, fixed = ta3[0] + ta3[1], ta3[1] + ta3[2]
+
+    def forbidden(*args):
+        raise AssertionError("a character table was read")
+
+    for mod in (characters, clifford):
+        monkeypatch.setattr(mod, "_table_nums", forbidden)
+    assert inertia_group(a3, moved).elements == a3.elements
+    assert inertia_group(a3, fixed).order == 6
+    assert conjugate_orbit(a3, moved) == (moved, ta3[0] + ta3[2])
+    assert conjugate_orbit(a3, fixed) == (fixed,)
 
 
 def test_normal_chain_validation():
@@ -271,16 +300,25 @@ def test_conjugate_orbit_computes_no_inner_products(monkeypatch):
         assert all(o.irreducible and o.degree == theta.degree for o in orbit)
 
 
-def test_orbit_representatives_are_the_first_of_each_permutation():
-    g = Catalog().group("S4")
-    for s in normal_subgroups(g):
-        perms = characters._conj_class_perms(s)
-        first = {}
-        for x in range(g.order):
-            first.setdefault(perms[x].tobytes(), x)
-        reps = clifford._orbit_perm_reps(s)
-        assert reps == tuple(sorted(first.values()))
-        assert clifford._orbit_perm_reps(s) is reps
+def test_row_permutations_match_the_conjugated_rows():
+    # conjugating a row by g, on the class values, gives the row that the
+    # row permutation names; orbits, stabilizers and I = H by brute force
+    cat = Catalog()
+    for name in ("S4", "D4", "Q8", "D6", "S3xS3"):
+        g = cat.group(name)
+        for s in normal_subgroups(g):
+            table = characters._table_nums(s.as_group())
+            perms = characters._conj_class_perms(s)
+            conj = clifford._cached(s, clifford._Conjugation)
+            for x in range(g.order):
+                assert np.array_equal(table[conj.perm[x]], table[:, perms[x]])
+            for j, row in enumerate(table):
+                moved = [row[perms[x]].tobytes() for x in range(g.order)]
+                assert ({table[i].tobytes() for i in np.flatnonzero(conj.orbit[j])}
+                        == set(moved))
+                fixing = [x for x in range(g.order) if moved[x] == row.tobytes()]
+                assert conj.stab[j] == len(fixing)
+                assert conj.is_h[j] == (tuple(fixing) == s.elements)
 
 
 def test_conjugation_that_moves_class_sizes_is_refused(monkeypatch):

@@ -13,8 +13,10 @@ zeta_e, e = exp(G), reduced to power-basis numerators by its own cyclotomic
 polynomial, and compared with `character_table` as exact arrays: the
 classes are the group's own `class_of`, and the rows are compared as a set.
 The Frobenius-Schur count checks the Dixon tables against the group's
-square map alone.  Nothing here calls the cyclotomic kernels or the group
-layer beyond the multiplication table and the class partition.
+square map alone, and the power maps chi(g^m) = sigma_m(chi(g)) against its
+m-th power maps and the Galois action.  Nothing here calls the cyclotomic
+kernels or the group layer beyond the multiplication table, the class
+partition and, for sigma_m, `_galois_matrix`.
 """
 
 from functools import lru_cache
@@ -25,6 +27,7 @@ import pytest
 
 from charcond.catalog import Catalog
 from charcond.characters import character_table
+from charcond.cyclotomic import _galois_matrix
 from charcond.groups import conjugacy_classes
 
 
@@ -264,6 +267,26 @@ def test_frobenius_schur_count_matches_the_involutions(name):
     involutions = int(np.count_nonzero(
         g.mul[np.arange(g.order), np.arange(g.order)] == g.identity))
     assert sum(v * d for v, d in zip(nu, table.degrees())) == involutions
+
+
+@pytest.mark.parametrize("name", _BASE + _PRODUCTS)
+def test_power_maps_are_the_galois_action(name):
+    # g^m for m prime to |G| generates <g>, and chi(g^m) is chi(g) with
+    # zeta_e -> zeta_e^m; g^m and sigma_m depend on m mod e = exp(G) only, and
+    # m is prime to |G| exactly when it is prime to e
+    g = _CAT.group(name)
+    part = conjugacy_classes(g)
+    reps = np.array(part.representatives)
+    table = character_table(g)
+    e = table[0].e
+    nums = np.stack([row.nums for row in table])
+    power = np.full(len(reps), g.identity)
+    for m in range(1, e + 1):
+        power = g.mul[power, reps]
+        if gcd(m, e) == 1:
+            # entries of both are small, so the int64 product is exact
+            assert np.array_equal(nums[:, part.class_of[power]],
+                                  nums @ _galois_matrix(e, m))
 
 
 def test_own_cyclotomic_polynomials():

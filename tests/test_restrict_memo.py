@@ -1,18 +1,18 @@
 """Memoized restriction, induction and inertia groups against uncached
 oracles.
 
-`restrict`, `induce` and `inertia_group` keep their results in the
-subgroup's cache.  Here every catalog group up to order 12 and each of its
-normal subgroups is checked, on the first (computing) call and on a second
-(memoized) one, against the gather-and-canonicalize restriction, the
-induction matmul and the direct stabilizer, all written out below without
-the memo.
+`restrict` and `induce` keep their results in the subgroup's cache, and
+`inertia_group` reads the class permutations kept there.  Here every catalog
+group up to order 12 and each of its normal subgroups is checked, on the
+first (computing) call and on a second (memoized) one, against the
+gather-and-canonicalize restriction, the induction matmul and the direct
+stabilizer, all written out below without the memo.
 """
 
 import numpy as np
 import pytest
 
-from charcond import characters
+from charcond import characters, clifford
 from charcond.catalog import Catalog
 from charcond.characters import (ClassFunction, character_table, induce,
                                  restrict)
@@ -126,6 +126,7 @@ def test_memo_is_served_from_the_subgroup_cache_and_holds_no_group(monkeypatch):
     for _ in range(3):
         for chi in character_table(g):
             restrict(chi, s)
+            clifford.clifford_decomposition(chi, s)
         for theta in character_table(s.as_group()):
             inertia_group(s, theta)
             induce(theta, s)
@@ -135,12 +136,16 @@ def test_memo_is_served_from_the_subgroup_cache_and_holds_no_group(monkeypatch):
     again = next(t for t in normal_subgroups(g) if t.elements == s.elements)
     restrict(character_table(g)[0], again)
     assert len(computed) == len(character_table(g))
-    # entries are arrays, integers, element tuples and subgroup caches only
-    for key in ("restrict", "induce", "inertia"):
+    # entries are arrays and integers only
+    for key in ("restrict", "induce"):
         for entry in s._cache[key].values():
             flat = list(entry[:3]) + list(entry[3])
             assert not any(isinstance(x, (FiniteGroup, Subgroup, ClassFunction))
                            for x in flat)
+    # so are the pair's table arrays, which the Clifford views read
+    for cls in (clifford._NormalPair, clifford._Conjugation):
+        fields = vars(s._cache[cls.__name__]).values()
+        assert fields and all(isinstance(x, (np.ndarray, int)) for x in fields)
 
 
 def test_memo_stays_bounded_and_exact_when_full(monkeypatch):

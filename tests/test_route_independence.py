@@ -1,0 +1,99 @@
+"""Each side of a sweep identity comes by its own route.
+
+One route is broken at a time, in every charcond module that binds it, and
+the records comparing it with another route must FAIL with the detail the
+suites report for that failure.  The routes:
+- the induction counts give Ind theta, so Res Ind theta and Frobenius
+  reciprocity;
+- the class permutations give the orbits and inertia groups;
+- the restriction gather gives Res chi, so the multiplicities and the
+  classification.
+Records are read on S3 over A3, where the two non-trivial characters of A3
+are conjugate.
+"""
+
+import sys
+
+import numpy as np
+
+from charcond import characters
+from charcond.catalog import Catalog
+from charcond.verify import run_suite
+
+S3 = "G=S3, |H|=3"
+
+
+def _patch(monkeypatch, name, fn):
+    for modname, mod in list(sys.modules.items()):
+        if modname.partition(".")[0] == "charcond" and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, fn)
+
+
+def _records(*suites):
+    cat = Catalog()
+    return {c.identity: (c.passed, c.detail)
+            for suite in suites for c in run_suite(suite, cat, 6).checks
+            if c.inputs.startswith(S3)}
+
+
+def test_every_route_agrees_unbroken():
+    got = _records("clifford", "classification", "tables")
+    assert len(got) == 5 and all(ok for ok, _ in got.values())
+
+
+def test_perturbed_induction_counts_fail_res_ind_and_frobenius(monkeypatch):
+    real = characters._induction_counts
+
+    def perturbed(s):
+        counts = real(s).copy()
+        # count one more x with x^-1 g x = 1, g in the class of H's last class
+        counts[characters._restriction_classes(s)[-1], 0] += 1
+        return counts
+
+    _patch(monkeypatch, "_induction_counts", perturbed)
+    got = _records("clifford", "tables")
+    # the pair's records share the detail of the last check that failed
+    detail = "irreducibility of Ind theta disagrees with I=H"
+    assert got["clifford: Res Ind theta = |I/H| sum of conjugates"] == (
+        False, detail)
+    assert got["clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping"] == (
+        False, detail)
+    assert got["tables: Frobenius reciprocity"] == (
+        False, "<Ind t2, x2> = 8/9 != 1")
+
+
+def test_identity_class_permutations_fail_orbit_and_inertia(monkeypatch):
+    real = characters._conj_class_perms
+
+    def identity(s):
+        perms = real(s)
+        return np.ascontiguousarray(
+            np.broadcast_to(np.arange(perms.shape[1]), perms.shape))
+
+    _patch(monkeypatch, "_conj_class_perms", identity)
+    got = _records("clifford", "dichotomy")
+    # every theta looks invariant, so |I/H| = 2 for the two conjugates; the
+    # Clifford check of Res chi then stops the pair, and its detail is the one
+    # the pair's records carry
+    detail = "constituents are not a single conjugate orbit"
+    assert got["clifford: Res Ind theta = |I/H| sum of conjugates"] == (
+        False, detail)
+    assert got["clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping"] == (
+        False, detail)
+    assert got["clifford: Res chi = e * orbit with e-bounds"] == (False, detail)
+
+
+def test_corrupted_restriction_gather_fails_classification_and_e(monkeypatch):
+    real = characters._restriction_classes
+
+    def corrupted(s):
+        cols = real(s).copy()
+        cols[-1] = cols[0]      # read the last class of H at the identity
+        return cols
+
+    _patch(monkeypatch, "_restriction_classes", corrupted)
+    got = _records("clifford", "classification")
+    assert got["clifford: Res chi = e * orbit with e-bounds"] == (
+        False, "multiplicity of row 1 is -z3, not a nonnegative integer")
+    assert got["classification: totality and exclusivity under prime index"] == (
+        False, "classification is not total")

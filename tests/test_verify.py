@@ -17,8 +17,13 @@ def test_report_roundtrip():
     rep = VerificationReport("demo")
     rep.add("identity A", "G=X", True)
     rep.add("identity B", "G=Y", False, "lhs 2 != rhs 3")
-    data = rep.to_json_dict()
-    back = VerificationReport.from_json_dict(json.loads(json.dumps(data)))
+    data = json.loads(json.dumps(rep.to_json_dict()))
+    back = VerificationReport(data["suite"])
+    for c in data["checks"]:
+        back.add(c["identity"], c["inputs"], c["pass"], c.get("detail", ""))
+    assert back == rep
+    assert data["summary"] == {"total": 2, "passed": 1, "failed": 1}
+    assert "detail" not in data["checks"][0]
     assert back.suite == "demo"
     assert [c.passed for c in back.checks] == [True, False]
     assert back.checks[1].detail == "lhs 2 != rhs 3"
@@ -82,15 +87,32 @@ def test_fresh_sweep_at_cap_24_runs_dixon_60_times_and_validate_100_times(
 
 
 def test_fresh_sweep_at_cap_24_computes_each_restriction_once(fresh_sweep):
-    # 7,441 restrictions are asked for; each distinct (function, subgroup)
-    # pair is computed once and then served from the subgroup's cache
-    assert fresh_sweep["restrict"] == {"calls": 7441, "computed": 1540}
+    # the suites restrict whole tables, one gather of columns per normal pair,
+    # so no class function is restricted one at a time
+    assert fresh_sweep["restrict"] == {}
 
 
 def test_fresh_sweep_at_cap_24_computes_each_induction_once(fresh_sweep):
-    # 2,251 inductions are asked for, of 401 distinct (function, subgroup)
-    # pairs; the memo serves the rest from the subgroup's cache
-    assert fresh_sweep["induce"] == {"calls": 2251, "computed": 401}
+    # the suites induce whole tables, one matmul per normal pair; the degree
+    # chains and the conductor suite ask for 7 distinct inductions
+    assert fresh_sweep["induce"] == {"calls": 7, "computed": 7}
+
+
+def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
+        fresh_sweep):
+    # the 117 proper normal pairs of the catalog up to order 24 build their
+    # table arrays once each; the degree suite's chain steps take orbits
+    # without them
+    assert fresh_sweep["builds"] == {"_NormalPair": [1] * 117,
+                                     "_Conjugation": [1] * 117}
+    # per pair, one gram each for the multiplicities and the norms of the
+    # restrictions when the arrays are built, one for the norms of the
+    # inductions, and one per side of Frobenius reciprocity; Gallagher one
+    # for all the products chi * psi_i of a prime-index pair
+    assert fresh_sweep["grams"] == {"__init__": 2 * 117,
+                                    "induced_norms": 117,
+                                    "frobenius": 2 * 117,
+                                    "products": 62}
 
 
 def test_second_sweep_in_one_process_runs_dixon_60_times_again(fresh_sweep):
