@@ -19,20 +19,18 @@ for their minimal conductors.  ``values``, the tuple of `Cyclotomic`, is built
 on demand by the one builder `cyclotomic.values` for rendering, JSON, sort
 keys and the public API.
 
-Restrictions and inductions of single functions are memoized per subgroup
-by `_memo`, in the subgroup's ``_cache`` next to its induction counts,
-restriction gather and conjugation data; whole tables restricted to and
-induced from a normal subgroup are kept there by `clifford._NormalPair`.
-An entry holds arrays and integers only, never a group, so it keeps no group
-alive and dies with the subgroup's cache.
+A subgroup's ``_cache`` keeps its induction counts, restriction gather and
+conjugation data, and `clifford._NormalPair` keeps whole tables restricted to
+and induced from a normal subgroup there.  An entry holds arrays and integers
+only, never a group, so it keeps no group alive and dies with the subgroup's
+cache.
 
 Tables are computed by Dixon's method: the class-sum structure constants are
 simultaneously diagonalized over a prime field F_p with p = 1 (mod exponent)
 and p > 2*sqrt(|G|), and the eigenvalue data is lifted back to Q(zeta_e) by
 matching against roots of unity in F_p.  Every lifted table is then
 re-verified exactly (orthogonality, degree sums), so the flags on the results
-are earned, not assumed.  The table cache holds each table's values and its
-array once.
+are earned, not assumed.  The table cache holds each table's array once.
 
 The F_p stage works on integer arrays.  A common eigenspace is kept as a
 basis with an identity block on a tracked set of columns, so a class matrix
@@ -42,9 +40,10 @@ split finds all its eigenspaces with one batched Gauss-Jordan elimination of
 (A - lam)^T per chunk of lam in F_p, and reads every kernel off those reduced
 forms.  The lift writes the root-of-unity multiplicities of every value, one
 DFT matmul over F_p per element order, into one (k, k, e) coefficient array;
-one power-basis product gives the table's numerators, which one batched
-`values` call renders, one `validate` checks and the table cache keeps as
-they are.  Arrays are int64 while an exact Python-int bound on every sum,
+one power-basis product gives the table's numerators, which one integer key
+array puts in canonical row order, one `validate` checks and the table cache
+keeps as they are; no `Cyclotomic` is built until a table is rendered.
+Arrays are int64 while an exact Python-int bound on every sum,
 max(k, e) * (p - 1)^2, stays below 2^62, and Python ints (dtype object)
 otherwise, the same rule as `cyclotomic.gram`.
 """
@@ -57,9 +56,9 @@ from math import lcm
 import numpy as np
 
 from .arith import divisors, is_prime
-from .cyclotomic import (Cyclotomic, _phi, descend, encode, gram, int_dtype,
-                         lift, minimal_conductors, multiply, power_basis,
-                         reduced, scaled, values)
+from .cyclotomic import (Cyclotomic, _phi, at_minimal_conductors, descend,
+                         encode, gram, int_dtype, lift, minimal_conductors,
+                         multiply, power_basis, reduced, scaled, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
@@ -89,13 +88,6 @@ MAX_TABLE_WORK = 1 << 31
 # many entries, and at least one: a stack holds at most max(_LAMBDA_CHUNK, d^2)
 # entries, d^2 = 46,656 for the first split of C6xC6xC6
 _LAMBDA_CHUNK = 1 << 15
-
-# entries in one subgroup's restriction or induction memo before it starts
-# over; the sweeps restrict and induce whole tables per normal pair instead
-# (a round at order cap 24 induces 7 functions one at a time), while a
-# long-lived process restricting ever new functions would otherwise keep
-# every one
-_MEMO_ENTRIES = 1024
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -149,22 +141,20 @@ class ClassFunction:
         w = coeffs.shape[2]
         e = lcm(w, group.exponent())
         nums, den = reduced(lift(power_basis(coeffs, w), w, e), den)
-        self._set(group, e, nums[0], den, vals)
+        self._set(group, e, nums[0], den)
 
-    def _set(self, group: FiniteGroup, e: int, nums: np.ndarray, den: int,
-             values=None) -> None:
+    def _set(self, group: FiniteGroup, e: int, nums: np.ndarray,
+             den: int) -> None:
         self.group = group
         self.partition = conjugacy_classes(group)
         nums.setflags(write=False)
         self.e, self.nums, self.den = e, nums, den
-        self._values = values
 
     @classmethod
-    def _make(cls, group: FiniteGroup, e: int, nums: np.ndarray, den: int,
-              values=None):
+    def _make(cls, group: FiniteGroup, e: int, nums: np.ndarray, den: int):
         """A function from a stored form that is already canonical."""
         fn = cls.__new__(cls)
-        fn._set(group, e, nums, den, values)
+        fn._set(group, e, nums, den)
         return fn
 
     @classmethod
@@ -175,20 +165,17 @@ class ClassFunction:
 
     @property
     def values(self) -> tuple[Cyclotomic, ...]:
-        if self._values is None:
-            self._values = tuple(values(self.nums, self.e, self.den))
-        return self._values
+        return tuple(values(self.nums, self.e, self.den))
 
     def _value(self, c: int) -> Cyclotomic:
-        if self._values is not None:
-            return self._values[c]
         return values(self.nums[c:c + 1], self.e, self.den)[0]
 
     def __call__(self, g: int) -> Cyclotomic:
         return self._value(int(self.partition.class_of[g]))
 
     def at_identity(self) -> Cyclotomic:
-        return self(self.group.identity)
+        # the identity class is class 0
+        return self._value(0)
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if not isinstance(other, ClassFunction):
@@ -209,14 +196,14 @@ class ClassFunction:
                                          scaled(self.nums, q.numerator),
                                          self.den * q.denominator)
 
-    def _same_values(self, other: "ClassFunction") -> bool:
+    def _same_form(self, other: "ClassFunction") -> bool:
         return (self.e == other.e and self.den == other.den
                 and np.array_equal(self.nums, other.nums))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return _same_group(self.group, other.group) and self._same_values(other)
+        return _same_group(self.group, other.group) and self._same_form(other)
 
     def __hash__(self) -> int:
         nums = self.nums
@@ -248,12 +235,12 @@ class Character(ClassFunction):
     @classmethod
     def of(cls, fn: ClassFunction, irreducible: bool = False) -> "Character":
         """`fn` as a character, with the constructor's checks."""
-        chi = cls._make(fn.group, fn.e, fn.nums, fn.den, fn._values)
+        chi = cls._make(fn.group, fn.e, fn.nums, fn.den)
         chi._certify(irreducible)
         return chi
 
     def _certify(self, irreducible: bool) -> None:
-        deg = self.nums[int(self.partition.class_of[self.group.identity])]
+        deg = self.nums[0]
         if deg[1:].any() or int(deg[0]) % self.den or deg[0] < 1:
             raise NotACharacter(
                 f"degree {self.at_identity()} is not a positive integer")
@@ -263,8 +250,7 @@ class Character(ClassFunction):
 
     @property
     def degree(self) -> int:
-        c0 = int(self.partition.class_of[self.group.identity])
-        return int(self.nums[c0, 0]) // self.den
+        return int(self.nums[0, 0]) // self.den
 
     def __repr__(self) -> str:
         vals = ", ".join(str(v) for v in self.values)
@@ -420,7 +406,7 @@ class CharacterTable:
 
     def index_of(self, fn: ClassFunction) -> int:
         for i, row in enumerate(self.rows):
-            if row._same_values(fn):
+            if row._same_form(fn):
                 return i
         raise ValueError("class function is not a row of this table")
 
@@ -445,6 +431,13 @@ class CharacterTable:
         if bad:
             raise InternalContradiction(f"column orthogonality fails at {bad}")
 
+    def _value_rows(self) -> list[list[Cyclotomic]]:
+        """The values of every row, from one batched `values` call."""
+        e, nums, den = _aligned(self.rows)
+        k = len(self.partition)
+        flat = values(nums.reshape(-1, nums.shape[2]), e, den)
+        return [flat[i:i + k] for i in range(0, len(flat), k)]
+
     def render_text(self) -> str:
         part = self.partition
         k = len(part)
@@ -453,8 +446,8 @@ class CharacterTable:
         all_rows = [["class"] + [str(i) for i in range(k)],
                     ["size"] + [str(s) for s in part.sizes],
                     ["rep"] + [str(r) for r in part.representatives]]
-        for i, row in enumerate(self.rows):
-            all_rows.append([f"X{i + 1}"] + [str(v) for v in row.values])
+        for i, vals in enumerate(self._value_rows()):
+            all_rows.append([f"X{i + 1}"] + [str(v) for v in vals])
         widths = [max(len(r[c]) for r in all_rows) for c in range(k + 1)]
         lines = ["  ".join(v.rjust(w) for v, w in zip(r, widths))
                  for r in all_rows]
@@ -472,10 +465,10 @@ class CharacterTable:
                     "degree": row.degree,
                     "values": [
                         {"conductor": v.order, "coeffs": v.coeff_pairs()}
-                        for v in row.values
+                        for v in vals
                     ],
                 }
-                for row in self.rows
+                for row, vals in zip(self.rows, self._value_rows())
             ],
         }
 
@@ -498,32 +491,57 @@ def _table_nums(g: FiniteGroup,
                        f" steps, over the cap of {MAX_TABLE_WORK} for a table")
     cache = g._cache
     if "table_nums" not in cache:
-        cache["table_rows"], cache["table_nums"] = _dixon_rows(g)
+        cache["table_nums"] = _dixon_rows(g)
     return cache["table_nums"]
 
 
 def character_table(g: FiniteGroup,
                     max_order: int = DEFAULT_MAX_ORDER) -> CharacterTable:
-    """Exact irreducible character table; equal tables share its row values.
+    """Exact irreducible character table; equal tables share its array.
 
-    The shared cache holds values only, never characters bound to a group, so
-    it does not keep any group alive.
+    The shared cache holds the array only, never characters bound to a
+    group, so it does not keep any group alive.
     """
     nums = _table_nums(g, max_order)
-    rows = tuple(Character._make(g, g.exponent(), nums[i], 1, vals)
-                 for i, vals in enumerate(g._cache["table_rows"]))
+    rows = tuple(Character._make(g, g.exponent(), row, 1) for row in nums)
     # the cached rows passed one exact validate(), norms included
     for c in rows:
         c.irreducible = True
     return CharacterTable(g, rows)
 
 
-def _dixon_rows(g: FiniteGroup) -> tuple[tuple[tuple[Cyclotomic, ...], ...],
-                                         np.ndarray]:
+def _row_order(nums: np.ndarray, e: int) -> np.ndarray:
+    """The permutation that puts table rows, numerators at e over 1 of shape
+    (k, k, phi(e)), in canonical order: by degree, then by their values in
+    `Cyclotomic.sort_key` order.
+
+    Each value keys as [1, -q] when it is a rational q, and as [d, its
+    numerators at its minimal conductor d >= 3] otherwise, zero-padded, so
+    that keys compare as `sort_key`s do; one `np.lexsort` sorts the rows.
+    Raises unless every value is an integer of Q(zeta_e).
+    """
+    k = len(nums)
+    flat = nums.reshape(k * k, -1)
+    keys = np.zeros((k * k, 1 + flat.shape[1]), dtype=flat.dtype)
+    for d, at, got, extra in at_minimal_conductors(flat, e):
+        if np.any(got % extra):
+            raise InternalContradiction(
+                "table values are not integers of Q(zeta_exp(G))")
+        got = got // extra
+        if got.dtype == object:
+            keys = keys.astype(object)
+        keys[at, 0] = d
+        keys[at, 1:1 + got.shape[1]] = -got if d == 1 else got
+    # the identity class, class 0, holds the degree
+    keys = np.column_stack([nums[:, 0, 0], keys.reshape(k, -1)])
+    return np.lexsort(keys.T[::-1])
+
+
+def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     """Dixon's method, then one exact `validate` of the whole table.
 
-    Returns the rows of values in canonical order and their numerators at
-    e = exp(G) over den 1, one read-only array of shape (k, k, phi(e)).
+    Returns the table's numerators at e = exp(G) over den 1, rows in
+    canonical order: one read-only array of shape (k, k, phi(e)).
     """
     part = conjugacy_classes(g)
     k = len(part)
@@ -546,14 +564,12 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[tuple[Cyclotomic, ...], ...],
             raise InternalContradiction("structure constants not class-constant")
         mats.append((cnt // sizes % p).astype(dtype))
 
-    c0 = int(classof[g.identity])
     inv = np.array([pow(x, p - 2, p) for x in range(p)], dtype=dtype)
     spaces = [(np.eye(k, dtype=dtype), np.arange(k))]
-    for c, mat in enumerate(mats):
+    # class 0 is the identity, whose matrix splits nothing
+    for mat in mats[1:]:
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-        if c == c0:         # the identity matrix
-            continue
         split = []
         for space in spaces:
             split += _split(mat, space, p, inv) if len(space[0]) > 1 else [space]
@@ -563,9 +579,9 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[tuple[Cyclotomic, ...], ...],
 
     # scale each eigenvector to 1 at the identity class, recover the degrees
     vecs = np.concatenate([basis for basis, _ in spaces])
-    if np.any(vecs[:, c0] == 0):
+    if np.any(vecs[:, 0] == 0):
         raise InternalContradiction("central character vanishes at identity")
-    vecs = vecs * inv[vecs[:, c0].astype(np.int64)][:, None] % p
+    vecs = vecs * inv[vecs[:, 0].astype(np.int64)][:, None] % p
     reps = np.array(part.representatives, dtype=np.int64)
     inv_sizes = inv[sizes % p]
     norms = (vecs * vecs[:, classof[g.inv[reps]]] % p) @ inv_sizes % p
@@ -614,23 +630,14 @@ def _dixon_rows(g: FiniteGroup) -> tuple[tuple[tuple[Cyclotomic, ...], ...],
     if np.any(coeffs.sum(axis=2) != degs[:, None]):
         raise InternalContradiction("root-of-unity multiplicities broken")
 
-    # one power-basis product and one batched build for the whole table,
-    # then the rows in canonical order: by degree, then by values
+    # one power-basis product for the whole table, rows in canonical order
     nums = reduced(power_basis(coeffs, e), 1)[0]
-    flat = values(nums.reshape(k * k, -1), e)
-    if any(v.den != 1 or e % v.order for v in flat):
-        raise InternalContradiction(
-            "table values are not integers of Q(zeta_exp(G))")
-    vals = [tuple(flat[i:i + k]) for i in range(0, k * k, k)]
-    order = sorted(range(k), key=lambda i: (int(degs[i]), tuple(
-        v.sort_key() for v in vals[i])))
-    nums = nums[order]
+    nums = nums[_row_order(nums, e)]
     nums.setflags(write=False)
-    rows = tuple(vals[i] for i in order)
     # each row's degree is degs: the identity class holds degs * zeta_e^0
-    CharacterTable(g, tuple(Character._make(g, e, nums[i], 1, rows[i])
-                            for i in range(k))).validate()
-    return rows, nums
+    CharacterTable(g, tuple(Character._make(g, e, row, 1)
+                            for row in nums)).validate()
+    return nums
 
 
 # ---------------------------------------------------------------------------
@@ -660,28 +667,6 @@ def _induction_counts(s: Subgroup) -> np.ndarray:
     return counts
 
 
-def _memo(cache: dict, name: str, fn: ClassFunction, compute):
-    """compute(), once per stored form of fn, in the dict cache[name].
-
-    Stored forms are canonical, so equal (e, den, nums) mean equal functions.
-    An entry is filed under hash(fn) and a hit is confirmed exactly against a
-    reference to the input's array (a table row is a view of the cached
-    table, so the reference costs nothing); on a collision the newer entry
-    replaces the older, and a full memo is emptied before it grows.
-    """
-    memo = cache.setdefault(name, {})
-    key = hash(fn)
-    hit = memo.get(key)
-    if (hit is not None and hit[0] == fn.e and hit[1] == fn.den
-            and np.array_equal(hit[2], fn.nums)):
-        return hit[3]
-    got = compute()
-    if len(memo) >= _MEMO_ENTRIES:
-        memo.clear()
-    memo[key] = (fn.e, fn.den, fn.nums, got)
-    return got
-
-
 def _restriction_classes(s: Subgroup) -> np.ndarray:
     """The class of G holding each class of H, in H's class order: the
     gather that restricts class functions and tables."""
@@ -693,25 +678,13 @@ def _restriction_classes(s: Subgroup) -> np.ndarray:
     return s._cache["res_classes"]
 
 
-def _restricted(chi: ClassFunction, s: Subgroup) -> tuple[int, np.ndarray, int]:
-    """The stored form of Res chi: one gather of class values, canonicalized
-    on the subgroup."""
-    return _canonical(s.as_group().exponent(), chi.e,
-                      chi.nums[_restriction_classes(s)], chi.den)
-
-
 def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
-    """Restrict a class function on G to the subgroup, re-classed over H.
-
-    The stored form (e, nums, den) of each restriction is memoized in
-    ``s._cache``, which normal subgroups share across calls, keyed by the
-    stored form of chi, and wrapped in a fresh `ClassFunction` per call.  The
-    memo holds arrays only, so it references no group.
-    """
+    """Restrict a class function on G to the subgroup, re-classed over H: one
+    gather of class values, canonicalized on the subgroup."""
     if not _same_group(chi.group, s.parent):
         raise GroupMismatch("class function does not live on the parent group")
-    got = _memo(s._cache, "restrict", chi, lambda: _restricted(chi, s))
-    return ClassFunction._make(s.as_group(), *got)
+    return ClassFunction._from_array(s.as_group(), chi.e,
+                                     chi.nums[_restriction_classes(s)], chi.den)
 
 
 def _induction_sums(s: Subgroup, nums: np.ndarray) -> np.ndarray:
@@ -723,22 +696,14 @@ def _induction_sums(s: Subgroup, nums: np.ndarray) -> np.ndarray:
     return _induction_counts(s).astype(dtype) @ nums.astype(dtype, copy=False)
 
 
-def _induced(theta: ClassFunction, s: Subgroup) -> tuple[int, np.ndarray, int]:
-    """The stored form of Ind theta, canonicalized on the parent."""
-    return _canonical(s.parent.exponent(), theta.e,
-                      _induction_sums(s, theta.nums), theta.den * s.order)
-
-
 def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:
-    """Induce a class function on the subgroup up to the parent group.
-
-    Memoized in ``s._cache`` like `restrict`, keyed by the stored form of
-    theta; the memo holds arrays only.
-    """
+    """Induce a class function on the subgroup up to the parent group: one
+    matmul with the induction counts, canonicalized on the parent."""
     if not _same_group(theta.group, s.as_group()):
         raise GroupMismatch("class function does not live on the subgroup")
-    got = _memo(s._cache, "induce", theta, lambda: _induced(theta, s))
-    return ClassFunction._make(s.parent, *got)
+    return ClassFunction._from_array(s.parent, theta.e,
+                                     _induction_sums(s, theta.nums),
+                                     theta.den * s.order)
 
 
 def _conj_class_perms(s: Subgroup) -> np.ndarray:
@@ -780,10 +745,8 @@ def conjugate_character(theta: ClassFunction, s: Subgroup, g: int) -> ClassFunct
     if not _same_group(theta.group, s.as_group()):
         raise GroupMismatch("class function does not live on the subgroup")
     perm = _conj_class_perms(s)[g]
-    vals = (None if theta._values is None
-            else tuple(theta._values[c] for c in perm))
     cls = Character if isinstance(theta, Character) else ClassFunction
-    out = cls._make(theta.group, theta.e, theta.nums[perm], theta.den, vals)
+    out = cls._make(theta.group, theta.e, theta.nums[perm], theta.den)
     if cls is Character:
         out.irreducible = theta.irreducible
     return out

@@ -32,7 +32,7 @@ from .errors import (BadChain, GroupMismatch, IndexNotPrime,
                      InternalContradiction, NotInvariant,
                      NotIrreducible, NotNormal)
 from .groups import (FiniteGroup, QuotientMap, Subgroup, conjugacy_classes,
-                     is_abelian, is_normal, quotient, subgroup)
+                     is_abelian, is_normal, quotient, row_keys, subgroup)
 
 __all__ = [
     "InertiaKind", "ClassificationKind", "Classification", "NormalChain",
@@ -70,12 +70,6 @@ def _table_row(g: FiniteGroup, chi: Character) -> int:
     return int(hit[0])
 
 
-def _row_keys(rows: np.ndarray) -> list:
-    if rows.dtype == object:
-        return [tuple(r.ravel().tolist()) for r in rows]
-    return [r.tobytes() for r in rows]
-
-
 class _Conjugation:
     """How G permutes the rows of the table of a normal subgroup H.
 
@@ -90,13 +84,13 @@ class _Conjugation:
     def __init__(self, s: Subgroup) -> None:
         table = _table_nums(s.as_group())
         k = len(table)
-        index = {key: j for j, key in enumerate(_row_keys(table))}
+        index = {key: j for j, key in enumerate(row_keys(table))}
         perms = _conj_class_perms(s)
-        keys = _row_keys(perms)
+        keys = row_keys(perms)
         moved = {}
         for p, key in zip(perms, keys):
             if key not in moved:
-                moved[key] = [index.get(x, -1) for x in _row_keys(table[:, p])]
+                moved[key] = [index.get(x, -1) for x in row_keys(table[:, p])]
         self.perm = np.array([moved[key] for key in keys], dtype=np.int64)
         if np.any(self.perm < 0):
             raise InternalContradiction(

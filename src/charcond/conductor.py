@@ -174,10 +174,12 @@ def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:
         return 0
     if not _same_group(filt.groups[0].parent, chi.group):
         raise NotACharacter("character does not live on the filtration's group")
-    deg = chi.at_identity()
-    if not deg.is_rational():
+    # the identity class is class 0; its value is rational exactly when the
+    # power-basis coordinates beyond the first vanish
+    deg = chi.nums[0]
+    if deg[1:].any():
         raise NotACharacter("class function has irrational degree")
-    deg = deg.as_rational()
+    deg = Fraction(int(deg[0]), chi.den)
     total = Fraction(0)
     for sub in filt.groups:
         if sub.order == 1:

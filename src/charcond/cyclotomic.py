@@ -624,13 +624,26 @@ def minimal_conductors(nums: np.ndarray, e: int) -> np.ndarray:
     return cond
 
 
+def at_minimal_conductors(nums: np.ndarray, e: int):
+    """Rows of power-basis numerators at conductor e, grouped by minimal
+    conductor d: yields (d, the rows' indices, their numerators at d, the
+    extra denominator of those numerators), from one `minimal_conductors`
+    search and one `descend` per conductor found."""
+    cond = minimal_conductors(nums, e)
+    for d in unique_sorted(cond).tolist():
+        at = np.flatnonzero(cond == d)
+        down = (nums[at], 1) if d == e else descend(nums[at], e, d)
+        if down is None:
+            raise InternalContradiction("a Galois-fixed value failed to descend")
+        yield d, at, *down
+
+
 def values(nums: np.ndarray, e: int, den: int = 1) -> list[Cyclotomic]:
     """Rows of power-basis numerators at conductor e over den > 0 as
     `Cyclotomic`s, each in lowest terms at its minimal conductor.
 
     Rational rows (zero beyond the first coordinate) are built in Python; the
-    rest take one `minimal_conductors` search and one `descend` per conductor
-    found.
+    rest go through `at_minimal_conductors`.
     """
     rows = nums.tolist()
     out = [None] * len(rows)
@@ -641,17 +654,7 @@ def values(nums: np.ndarray, e: int, den: int = 1) -> list[Cyclotomic]:
         else:
             out[i] = Cyclotomic._lowest(1, row[:1], den)
     if irrational:
-        sub = nums[irrational]
-        cond = minimal_conductors(sub, e)
-        for d in unique_sorted(cond).tolist():
-            at = np.flatnonzero(cond == d)
-            got, extra = sub[at], 1
-            if d != e:
-                down = descend(got, e, d)
-                if down is None:
-                    raise InternalContradiction(
-                        "a Galois-fixed value failed to descend")
-                got, extra = down
+        for d, at, got, extra in at_minimal_conductors(nums[irrational], e):
             for i, row in zip(at.tolist(), got.tolist()):
                 out[irrational[i]] = Cyclotomic._lowest(d, row, den * extra)
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import weakref
 import zlib
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,17 @@ def unique_sorted(a) -> np.ndarray:
     return a[keep]
 
 
+def row_keys(rows: np.ndarray) -> list:
+    """One hashable key per row (entry of the first axis) of an integer array
+    of any shape; equal rows, equal keys.  A void view of each row for fixed
+    width dtypes, a tuple for Python ints (dtype object)."""
+    if rows.dtype == object:
+        return [tuple(r.ravel().tolist()) for r in rows]
+    rows = np.ascontiguousarray(rows).reshape(len(rows), prod(rows.shape[1:]))
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))
+                     )[:, 0].tolist()
+
+
 class _TableCache(dict):
     """Data derived from one multiplication table; weakly referenceable."""
 
@@ -67,10 +78,11 @@ class FiniteGroup:
     Elements are the indices 0..order-1.  ``mul[a, b]`` is the product a*b,
     ``inv[a]`` the inverse of a.  ``labels`` are optional display strings.
     Instances compare and hash by identity.  Groups with byte-identical tables
-    share ``_cache`` (exponent, classes, table rows), so ``a._cache is b._cache``
-    tests equal tables.  Normal subgroups are memoized per object as element
-    sets with their subgroup caches, never as subgroups pointing back at the
-    group, so a group is freed as soon as it is unreachable.
+    share ``_cache`` (exponent, classes, the character table's numerator
+    array), so ``a._cache is b._cache`` tests equal tables.  Normal subgroups
+    are memoized per object as element sets with their subgroup caches, never
+    as subgroups pointing back at the group, so a group is freed as soon as
+    it is unreachable.
     """
 
     def __init__(self, mul: np.ndarray, identity: int, inv: np.ndarray,
@@ -251,13 +263,6 @@ def _cycle_label(p: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-def _row_codes(rows: np.ndarray) -> list[bytes]:
-    """One code per row of a 2-d array; equal rows, equal codes."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))
-                     )[:, 0].tolist()
-
-
 def build_from_permutations(degree: int, generators,
                             max_order: int = DEFAULT_MAX_ORDER,
                             name: str | None = None) -> FiniteGroup:
@@ -279,7 +284,7 @@ def build_from_permutations(degree: int, generators,
     dtype = np.min_scalar_type(degree)
     gen_rows = np.array(gens, dtype=dtype).reshape(len(gens), degree + 1)
     frontier = np.arange(degree + 1, dtype=dtype)[None]
-    index = {_row_codes(frontier)[0]: 0}
+    index = {row_keys(frontier)[0]: 0}
     blocks = [frontier]
     # element i = element born[i] // len(gens) times gens[born[i] % len(gens)]
     born, seen = [0], 0
@@ -287,7 +292,7 @@ def build_from_permutations(degree: int, generators,
         # (p * g)(x) = p(g(x)) for p in the frontier, then g, in order
         cands = frontier[:, gen_rows].reshape(-1, degree + 1)
         fresh = []
-        for pos, code in enumerate(_row_codes(cands)):
+        for pos, code in enumerate(row_keys(cands)):
             if code not in index:
                 if len(index) >= max_order:
                     raise TooLarge(
@@ -302,7 +307,7 @@ def build_from_permutations(degree: int, generators,
     n = len(elems)
     # left[k, j] = gens[k] * j
     left = np.array([index[code] for code in
-                     _row_codes(gen_rows[:, elems].reshape(-1, degree + 1))],
+                     row_keys(gen_rows[:, elems].reshape(-1, degree + 1))],
                     dtype=np.int64).reshape(len(gens), n)
     mul = np.empty((n, n), dtype=np.int64)
     mul[0] = np.arange(n)
@@ -557,11 +562,10 @@ def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
 def _kernel_masks(g: FiniteGroup, linear_only: bool = False) -> list[int]:
     """The kernel of each irreducible character (of each linear one, with
     `linear_only`) as a bit mask of classes: the classes where the row's
-    numerators equal its numerators at the identity."""
+    numerators equal its numerators at the identity, class 0."""
     from .characters import character_table
-    c0 = int(conjugacy_classes(g).class_of[g.identity])
     return [sum(1 << c for c in
-                np.flatnonzero((chi.nums == chi.nums[c0]).all(axis=1)).tolist())
+                np.flatnonzero((chi.nums == chi.nums[0]).all(axis=1)).tolist())
             for chi in character_table(g)
             if not linear_only or chi.degree == 1]
 

@@ -24,7 +24,7 @@ from .catalog import Catalog, default_catalog
 from .characters import ClassFunction, character_table, induce, _table_nums
 from .clifford import (ClassificationKind, NormalChain, construct_large_degree,
                        promote_degree, _Conjugation, _NormalPair, _cached,
-                       _classify_row, _clifford_row, _row_keys)
+                       _classify_row, _clifford_row)
 from .cyclotomic import scaled
 from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
                         conductor_exponent, induced_conductor_norm,
@@ -32,7 +32,7 @@ from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
 from .errors import CharcondError, InvalidData
 from .groups import (FiniteGroup, Subgroup, normal_subgroups,
                      prime_index_normal_subgroups, product_chain, quotient,
-                     subgroup, trivial_subgroup)
+                     row_keys, subgroup, trivial_subgroup)
 
 DEFAULT_MAX_ORDER = 24
 _RANDOM_SEED = 20230923
@@ -234,7 +234,7 @@ def suite_gallagher(cat: Catalog | None = None,
             # every chi * psi_i by one multiply, their norms by one gram
             products, norms = pair.products([rows[0] for rows in exts], qmap)
             for x, j in enumerate(thetas.tolist()):
-                if len(set(_row_keys(products[x]))) != len(products[x]):
+                if len(set(row_keys(products[x]))) != len(products[x]):
                     ok = False
                     detail = "products chi * psi_i are not distinct"
                 if not pair.is_induced(j, products[x].sum(axis=0)):

@@ -43,8 +43,7 @@ from charcond.verify import run_suite
 runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
 builds, grams = Counter(), Counter()
 dixon, validate = characters._dixon_rows, characters.CharacterTable.validate
-restrict, restricted = characters.restrict, characters._restricted
-induce, induced = characters.induce, characters._induced
+restrict, induce = characters.restrict, characters.induce
 
 def counted_dixon(g):
     runs[g.mul.tobytes()] += 1
@@ -58,17 +57,9 @@ def counted_restrict(chi, s):
     restricts["calls"] += 1
     return restrict(chi, s)
 
-def counted_restricted(chi, s):
-    restricts["computed"] += 1
-    return restricted(chi, s)
-
 def counted_induce(theta, s):
     induces["calls"] += 1
     return induce(theta, s)
-
-def counted_induced(theta, s):
-    induces["computed"] += 1
-    return induced(theta, s)
 
 def counted_build(cls):
     init = cls.__init__
@@ -86,8 +77,6 @@ counted_build(clifford._Conjugation)
 clifford.gram = counted_gram
 characters._dixon_rows = counted_dixon
 characters.CharacterTable.validate = counted_validate
-characters._restricted = counted_restricted
-characters._induced = counted_induced
 for name, mod in list(sys.modules.items()):
     if name.startswith("charcond") and getattr(mod, "restrict", None) is restrict:
         mod.restrict = counted_restrict
@@ -134,9 +123,8 @@ def run_fresh(code: str, timeout: float = 120, args=()):
 def fresh_sweep():
     """Counts from `run_suite("all")` at cap 24 in a fresh interpreter: the
     Dixon runs per table, the `validate()` calls, the `restrict` and `induce`
-    calls and the results computed rather than served from a memo, how many
-    normal pairs built their table arrays how many times, and the `gram`
-    calls that `clifford` makes, by calling function; the Dixon
+    calls, how many normal pairs built their table arrays how many times, and
+    the `gram` calls that `clifford` makes, by calling function; the Dixon
     runs of a second round in the same interpreter; and then the conductor
     cache statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as
     well."""

@@ -306,3 +306,61 @@ def test_table_work_cap_admits_every_catalog_and_benchmark_group():
         k = len(conjugacy_classes(g))
         # not near the cap either: a tenth of it is measured at about 1 s
         assert k ** 3 * phi ** 2 <= MAX_TABLE_WORK // 10, name
+
+
+def _relabelled(g):
+    """g read back from a `table` file in which each element x is renamed
+    sig[x], so that the identity is the last element, not element 0."""
+    import numpy as np
+    from charcond.groups import parse_group_text
+    n = g.order
+    sig = (np.arange(n) + n - 1 - g.identity) % n
+    mul = np.empty((n, n), dtype=np.int64)
+    mul[np.ix_(sig, sig)] = sig[g.mul]
+    text = f"table {n}\n" + "\n".join(" ".join(map(str, row))
+                                      for row in mul.tolist())
+    return parse_group_text(text, name=f"{g.name}-relabelled"), sig
+
+
+def _exponent_or_error(chi, filt):
+    from charcond.conductor import conductor_exponent
+    from charcond.errors import NonIntegralExponent
+    try:
+        return conductor_exponent(chi, filt)
+    except NonIntegralExponent as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "D4"])
+def test_identity_is_class_0_when_it_is_not_element_0(name):
+    import numpy as np
+    from charcond.catalog import Catalog
+    from charcond.characters import _table_nums
+    from charcond.conductor import RamificationFiltration
+    from charcond.groups import conjugacy_classes
+    g = Catalog().group(name)
+    h, sig = _relabelled(g)
+    assert h.identity == sig[g.identity] == g.order - 1
+    part_g, part_h = conjugacy_classes(g), conjugacy_classes(h)
+    assert part_h.class_of[h.identity] == 0
+    # cmap[c] is the class of h holding the image of class c of g
+    cmap = part_h.class_of[sig[list(part_g.representatives)]]
+    assert cmap[0] == 0 and sorted(cmap.tolist()) == list(range(len(cmap)))
+    table_g, table_h = character_table(g), character_table(h)
+    assert table_h.degrees() == table_g.degrees()
+    assert ({row.tobytes() for row in _table_nums(h)[:, cmap]}
+            == {row.tobytes() for row in _table_nums(g)})
+    norms_g, norms_h = normal_subgroups(g), normal_subgroups(h)
+    assert [s.order for s in norms_h] == [s.order for s in norms_g]
+    # each row of g against the row of h with the same values on mapped
+    # classes, through filtrations G >= N mapped along sig
+    for s in norms_g[1:]:
+        filt_g = RamificationFiltration(2, 2, (full_subgroup(g), s))
+        filt_h = RamificationFiltration(2, 2, (
+            full_subgroup(h), subgroup(h, sorted(sig[list(s.elements)].tolist()))))
+        for chi in table_g:
+            (psi,) = [psi for psi in table_h
+                      if np.array_equal(psi.nums[cmap], chi.nums)]
+            assert psi.degree == chi.degree
+            assert (_exponent_or_error(psi, filt_h)
+                    == _exponent_or_error(chi, filt_g))

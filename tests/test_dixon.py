@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from charcond import characters
 from charcond.arith import is_prime
 from charcond.catalog import Catalog
-from charcond.characters import character_table
+from charcond.cyclotomic import values
 from charcond.errors import InternalContradiction
-from charcond.groups import ConjugacyPartition
+from charcond.groups import ConjugacyPartition, build_from_permutations
 
 
 def oracle_rref(rows, ncols, p):
@@ -211,8 +211,7 @@ def _counted_splits(monkeypatch, chunk=None):
 def test_one_batched_elimination_per_non_scalar_split(monkeypatch):
     g = Catalog().group("Q8xS3xC4")
     splits, outside = _counted_splits(monkeypatch)
-    rows, _ = characters._dixon_rows(g)
-    assert len(rows) == 60
+    assert len(characters._dixon_rows(g)) == 60
     # no elimination outside a split, none where a class matrix acts on the
     # space as a scalar, and the identity class matrix splits nothing
     assert outside == []
@@ -232,10 +231,9 @@ def test_one_batched_elimination_per_non_scalar_split(monkeypatch):
 def test_elimination_stack_holds_at_most_the_chunk_or_one_square(monkeypatch):
     # a space of d^2 > _LAMBDA_CHUNK entries takes one lambda at a time
     g = Catalog().group("C4xC4xC3")
-    want = tuple(row.values for row in character_table(g))
+    want = characters._table_nums(g)
     splits, _ = _counted_splits(monkeypatch, chunk=200)
-    rows, _ = characters._dixon_rows(g)
-    assert rows == want
+    assert np.array_equal(characters._dixon_rows(g), want)
     sizes = [(s["d"], size) for s in splits for size in s["stacks"]]
     assert all(size <= max(200, d * d) for d, size in sizes)
     assert max(size for _, size in sizes) == 48 * 48
@@ -261,21 +259,19 @@ _SECOND_PRIME_GROUPS = ([name for name, _ in _CAT.groups_up_to(24)]
 @pytest.mark.parametrize("name", _SECOND_PRIME_GROUPS)
 def test_rows_do_not_depend_on_the_prime(name, monkeypatch):
     g = _CAT.group(name)
-    want = tuple(row.values for row in character_table(g))
+    want = characters._table_nums(g)
     monkeypatch.setattr(characters, "_dixon_prime", _next_dixon_prime)
     _USED.clear()
-    rows, nums = characters._dixon_rows(g)
-    assert rows == want
-    assert np.array_equal(nums, g._cache["table_nums"])
+    assert np.array_equal(characters._dixon_rows(g), want)
     assert _USED and _USED[0] != _DIXON_PRIME(g.exponent(), g.order)
 
 
 @pytest.mark.parametrize("name", ["S3", "C12", "Q8xC3", "S4"])
 def test_object_dtype_path_gives_the_same_rows(name, monkeypatch):
     g = _CAT.group(name)
-    want = tuple(row.values for row in character_table(g))
+    want = characters._table_nums(g)
     monkeypatch.setattr(characters, "int_dtype", lambda bound: object)
-    assert characters._dixon_rows(g)[0] == want
+    assert np.array_equal(characters._dixon_rows(g), want)
 
 
 def test_structure_constants_keep_the_class_constancy_check(monkeypatch):
@@ -291,3 +287,37 @@ def test_structure_constants_keep_the_class_constancy_check(monkeypatch):
     monkeypatch.setattr(characters, "conjugacy_classes", lambda grp: fake)
     with pytest.raises(InternalContradiction, match="class-constant"):
         characters._dixon_rows(g)
+
+
+def _oracle_order(nums, e):
+    """The canonical row order by `Cyclotomic.sort_key`: rows by degree,
+    then by the sort keys of their values, one `Cyclotomic` per value."""
+    k = len(nums)
+    vals = values(nums.reshape(k * k, -1), e)
+    rows = [vals[i:i + k] for i in range(0, k * k, k)]
+    return sorted(range(k), key=lambda i: (rows[i][0].as_integer(),
+                                           tuple(v.sort_key() for v in rows[i])))
+
+
+def _symmetric(n):
+    return build_from_permutations(
+        n, [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)],
+        name=f"S{n}")
+
+
+_ORDER_PRODUCTS = ["S3xS3", "C3xS3", "D4xC2", "Q8xC3", "S4xC3", "C6xC6",
+                   "D4xC2xC3", "Q8xS3", "S4xS3", "S3xS3xS3", "C4xC4xC3",
+                   "Q8xS3xC4", "C6xC6xC6"]
+_ORDER_GROUPS = (_CAT.base_names() + _ORDER_PRODUCTS + ["S5", "S6"]
+                 + [pytest.param("S7", marks=pytest.mark.slow)])
+
+
+@pytest.mark.parametrize("name", _ORDER_GROUPS)
+def test_rows_sort_as_their_cyclotomic_sort_keys(name):
+    g = _symmetric(int(name[1:])) if name in ("S5", "S6", "S7") else _CAT.group(name)
+    e = g.exponent()
+    nums = characters._table_nums(g)
+    assert _oracle_order(nums, e) == list(range(len(nums)))
+    # the integer keys alone put shuffled rows back in the same order
+    shuffled = nums[np.random.default_rng(len(nums)).permutation(len(nums))]
+    assert np.array_equal(shuffled[characters._row_order(shuffled, e)], nums)

@@ -145,3 +145,16 @@ def test_validate_does_no_cyclotomic_arithmetic(cyclotomic_calls):
     # the patches do see the builder an inner product still ends in
     inner_product(tables[0][1], tables[0][1])
     assert cyclotomic_calls == ["values"]
+
+
+def test_a_table_builds_no_values_until_it_is_rendered(cyclotomic_calls):
+    g = Catalog().group("C4xC4xC3")
+    # Dixon's method runs here even where another group shares the cache
+    g._cache.pop("table_nums", None)
+    table = character_table(g)
+    assert "table_nums" in g._cache
+    assert cyclotomic_calls == []
+    table.render_text()
+    assert cyclotomic_calls == ["values"]
+    table.to_json_dict()
+    assert cyclotomic_calls == ["values", "values"]
