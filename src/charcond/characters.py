@@ -10,10 +10,11 @@ is equality of e, den and the array (on one table cache), and the hash is
 taken over the same data.  Sums, scalings, pointwise products, conjugation
 (a permutation of rows), inflation and restriction (a gather, then a lift or
 an exactly checked descent of the conductor) and induction (one matmul with
-the induction counts) are array operations; inner products, norms, both
-orthogonality relations and decompositions are one `cyclotomic.gram` call on
-the stored arrays.  `norm` hands callers that compare <f, f> with an integer
-an exact Fraction read off the Gram numerators.  Values outside
+the induction counts) are array operations; inner products and
+decompositions are one `cyclotomic.gram` call on the stored arrays, norms
+one `gram_diagonal`, and both orthogonality relations of a table one
+`table_grams` in `_check_table`.  `norm` hands callers that compare <f, f>
+with an integer an exact Fraction read off the Gram numerators.  Values outside
 Q(zeta_exp(G)), which only user-built functions have, take one batched search
 for their minimal conductors.  ``values``, the tuple of `Cyclotomic`, is built
 on demand by the one builder `cyclotomic.values` for rendering, JSON, sort
@@ -41,8 +42,8 @@ split finds all its eigenspaces with one batched Gauss-Jordan elimination of
 forms.  The lift writes the root-of-unity multiplicities of every value, one
 DFT matmul over F_p per element order, into one (k, k, e) coefficient array;
 one power-basis product gives the table's numerators, which one integer key
-array puts in canonical row order, one `validate` checks and the table cache
-keeps as they are; no `Cyclotomic` is built until a table is rendered.
+array puts in canonical row order, one `_check_table` checks and the table
+cache keeps as they are; no `Cyclotomic` is built until a table is rendered.
 Arrays are int64 while an exact Python-int bound on every sum,
 max(k, e) * (p - 1)^2, stays below 2^62, and Python ints (dtype object)
 otherwise, the same rule as `cyclotomic.gram`.
@@ -57,8 +58,9 @@ import numpy as np
 
 from .arith import divisors, is_prime
 from .cyclotomic import (Cyclotomic, _phi, at_minimal_conductors, descend,
-                         encode, gram, int_dtype, lift, minimal_conductors,
-                         multiply, power_basis, reduced, scaled, values)
+                         encode, gram, gram_diagonal, int_dtype, lift,
+                         minimal_conductors, multiply, power_basis, reduced,
+                         scaled, table_grams, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
@@ -78,10 +80,10 @@ __all__ = [
 # grow as k^3
 MAX_TABLE_CLASSES = 256
 
-# validating k classes at exponent e takes two Gram products of k^3 phi(e)^2
-# steps, which the class cap does not bound; on the same Xeon, cyclic Cn from
-# one-generator files: C100 (1.6e9) 6.2 s, C120 (1.8e9) 10 s, C112 (3.2e9)
-# 12 s, C128 (8.6e9) 90 s; C24xC9 (5.8e9) 24 s; C6xC6xC6 is only 4e7
+# k^3 phi(e)^2 was the cost of validating k classes at exponent e by
+# coefficient products, which the class cap does not bound (measurements in
+# CHANGES.md); validation modulo P costs about k^3 phi(e), so the cap is
+# now conservative: C100 from one generator builds in 1.0 s, not 4.1 s
 MAX_TABLE_WORK = 1 << 31
 
 # a chunk of the eigenvalue search stacks as many d x d matrices as fit in this
@@ -263,15 +265,19 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
 
 
 def inner_product_matrix(phis, psis) -> list[list[Cyclotomic]]:
-    """All <phi, psi> for phi in phis, psi in psis, from one Gram kernel call."""
+    """All <phi, psi> for phi in phis, psi in psis, from one Gram kernel call:
+    one row per phi, each with one entry per psi."""
     phis, psis = list(phis), list(psis)
-    g = phis[0].group
-    if not all(_same_group(g, fn.group) for fn in phis + psis):
+    fns = phis + psis
+    if not fns:
+        return []
+    g = fns[0].group
+    if not all(_same_group(g, fn.group) for fn in fns):
         raise GroupMismatch("inner product needs both functions on one group")
-    e, nums, den = _aligned(phis + psis)
-    got = gram(nums[:len(phis)], nums[len(phis):], phis[0].partition.sizes, e)
+    e, nums, den = _aligned(fns)
+    got = gram(nums[:len(phis)], nums[len(phis):], fns[0].partition.sizes, e)
     flat = values(got.reshape(-1, got.shape[2]), e, den * den * g.order)
-    return [flat[i:i + len(psis)] for i in range(0, len(flat), len(psis))]
+    return [flat[i * len(psis):(i + 1) * len(psis)] for i in range(len(phis))]
 
 
 def _exact(got: np.ndarray, e: int, scale: int) -> Fraction | Cyclotomic:
@@ -284,17 +290,42 @@ def _exact(got: np.ndarray, e: int, scale: int) -> Fraction | Cyclotomic:
 
 
 def norm(fn: ClassFunction) -> Fraction | Cyclotomic:
-    """<fn, fn> from one Gram call on the stored array, by `_exact`."""
-    got = gram(fn.nums[None], fn.nums[None], fn.partition.sizes, fn.e)[0, 0]
+    """<fn, fn> from the diagonal Gram form on the stored array, by `_exact`."""
+    got = gram_diagonal(fn.nums[None], fn.partition.sizes, fn.e)[0]
     return _exact(got, fn.e, fn.den * fn.den * fn.group.order)
 
 
 def _first_off_delta(got: np.ndarray, diag: list[int]):
-    """First (i, j), row-major, where got[i, j] is not diag[i] * delta_ij."""
-    want = np.zeros(got.shape, dtype=object)
-    want[range(len(diag)), range(len(diag)), 0] = diag
-    hits = np.argwhere((got != want).any(axis=2))
+    """First (i, j), row-major, where got[i, j] is not diag[i] * delta_ij,
+    compared in got's dtype: every diag[i] is at most the Gram's bound once
+    the degree squares sum to |G|, so it fits."""
+    want = np.diag(np.array(diag, dtype=got.dtype))
+    hits = np.argwhere(got[..., 1:].any(axis=2) | (got[..., 0] != want))
     return tuple(int(x) for x in hits[0]) if len(hits) else None
+
+
+def _check_table(g: FiniteGroup, e: int, nums: np.ndarray, den: int) -> None:
+    """Re-check a table of G exactly from its numerators nums / den at
+    conductor e, shape (rows, classes, phi(e)): the row count, the degree
+    squares, and row and column orthogonality from one `table_grams`, each
+    failure named at its first position in row-major order."""
+    n = g.order
+    sizes = conjugacy_classes(g).sizes
+    k = len(sizes)
+    if len(nums) != k:
+        raise InternalContradiction("row count differs from class count")
+    # a degree is nums[i, 0, 0] / den, so the squares sum to |G| den^2
+    if sum(int(d) ** 2 for d in nums[:, 0, 0]) != n * den * den:
+        raise InternalContradiction("degree squares do not sum to |G|")
+    rows, cols = table_grams(nums, sizes, e)
+    # sum_c |C| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on numerators
+    bad = _first_off_delta(rows, [n * den * den] * k)
+    if bad:
+        raise InternalContradiction(f"row orthogonality fails at {bad}")
+    # sum_chi chi(c_i) conj(chi(c_j)) = (|G| / |C_i|) delta_ij
+    bad = _first_off_delta(cols, [n // sz * den * den for sz in sizes])
+    if bad:
+        raise InternalContradiction(f"column orthogonality fails at {bad}")
 
 
 def _dixon_prime(exponent: int, order: int) -> int:
@@ -411,25 +442,11 @@ class CharacterTable:
         raise ValueError("class function is not a row of this table")
 
     def validate(self) -> None:
-        """Re-check all table invariants exactly; raises on any failure."""
-        n = self.group.order
-        k = len(self.partition)
-        if len(self.rows) != k:
+        """Re-check all table invariants exactly by `_check_table`; raises on
+        any failure."""
+        if not self.rows:
             raise InternalContradiction("row count differs from class count")
-        if sum(r.degree ** 2 for r in self.rows) != n:
-            raise InternalContradiction("degree squares do not sum to |G|")
-        e, vals, den = _aligned(self.rows)
-        sizes = self.partition.sizes
-        # sum_c |C| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on numerators
-        bad = _first_off_delta(gram(vals, vals, sizes, e), [n * den * den] * k)
-        if bad:
-            raise InternalContradiction(f"row orthogonality fails at {bad}")
-        # sum_chi chi(c_i) conj(chi(c_j)) = (|G| / |C_i|) delta_ij
-        cols = vals.transpose(1, 0, 2)
-        bad = _first_off_delta(gram(cols, cols, [1] * k, e),
-                               [n // sz * den * den for sz in sizes])
-        if bad:
-            raise InternalContradiction(f"column orthogonality fails at {bad}")
+        _check_table(self.group, *_aligned(self.rows))
 
     def _value_rows(self) -> list[list[Cyclotomic]]:
         """The values of every row, from one batched `values` call."""
@@ -538,7 +555,7 @@ def _row_order(nums: np.ndarray, e: int) -> np.ndarray:
 
 
 def _dixon_rows(g: FiniteGroup) -> np.ndarray:
-    """Dixon's method, then one exact `validate` of the whole table.
+    """Dixon's method, then one exact `_check_table` of the whole table.
 
     Returns the table's numerators at e = exp(G) over den 1, rows in
     canonical order: one read-only array of shape (k, k, phi(e)).
@@ -634,9 +651,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     nums = reduced(power_basis(coeffs, e), 1)[0]
     nums = nums[_row_order(nums, e)]
     nums.setflags(write=False)
-    # each row's degree is degs: the identity class holds degs * zeta_e^0
-    CharacterTable(g, tuple(Character._make(g, e, row, 1)
-                            for row in nums)).validate()
+    _check_table(g, e, nums, 1)
     return nums
 
 

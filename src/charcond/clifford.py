@@ -27,7 +27,7 @@ from .characters import (Character, ClassFunction, character_table,
                          pointwise_product, _conj_class_perms, _exact,
                          _induction_sums, _inflated_table, _multiplicities,
                          _restriction_classes, _same_group, _table_nums)
-from .cyclotomic import gram, lift, multiply, scaled, values
+from .cyclotomic import gram, gram_diagonal, lift, multiply, scaled, values
 from .errors import (BadChain, GroupMismatch, IndexNotPrime,
                      InternalContradiction, NotInvariant,
                      NotIrreducible, NotNormal)
@@ -113,7 +113,7 @@ class _NormalPair:
     - ``tg``: the table of G; ``th``: the table of H, lifted to e;
     - ``res``: the table of G restricted to H, one gather of columns;
     - ``mult``: |H| <Res chi_r, theta_j>, one `gram`;
-    - ``res_norm``: |H| <Res chi_r, Res chi_r>, the diagonal of one `gram`;
+    - ``res_norm``: |H| <Res chi_r, Res chi_r>, one `gram_diagonal`;
     - ``ind``: |H| Ind theta_j, one matmul with the induction counts.
 
     Arrays and integers only, like `_Conjugation`.  The methods read exact
@@ -132,7 +132,7 @@ class _NormalPair:
         self.cols = _restriction_classes(s)
         self.res = self.tg[:, self.cols]
         self.mult = gram(self.res, self.th, self.sizes_h, e)
-        self.res_norm = _diagonal(gram(self.res, self.res, self.sizes_h, e))
+        self.res_norm = gram_diagonal(self.res, self.sizes_h, e)
         self.ind = lift(_induction_sums(s, th), h.exponent(), e)
 
     def multiplicities(self, r: int) -> list[int]:
@@ -148,8 +148,9 @@ class _NormalPair:
         return _exact(self.ind[j, 0], self.e, self.order_h)
 
     def induced_norms(self) -> list:
-        """<Ind theta_j, Ind theta_j> for every j, exactly, from one `gram`."""
-        got = _diagonal(gram(self.ind, self.ind, self.sizes_g, self.e))
+        """<Ind theta_j, Ind theta_j> for every j, exactly, from one
+        `gram_diagonal`."""
+        got = gram_diagonal(self.ind, self.sizes_g, self.e)
         return [_exact(x, self.e, self.order_h ** 2 * self.order_g) for x in got]
 
     def is_induced(self, j: int, nums: np.ndarray) -> bool:
@@ -186,20 +187,16 @@ class _NormalPair:
     def products(self, rows: list[int], qmap: QuotientMap):
         """chi_r * psi_i for r in rows and psi_i the table of G/H inflated to
         G, as numerators at e of shape (rows, rows of G/H, classes of G, .),
-        by one `multiply`; and their norms, exactly, from one `gram`."""
+        by one `multiply`; and their norms, exactly, from one
+        `gram_diagonal`."""
         psi = lift(_inflated_table(qmap), qmap.group.exponent(), self.e)
         shape = (len(rows),) + psi.shape
         prods = multiply(np.broadcast_to(self.tg[rows][:, None], shape),
                          np.broadcast_to(psi, shape), self.e)
         flat = prods.reshape((-1,) + shape[2:])
-        got = _diagonal(gram(flat, flat, self.sizes_g, self.e))
+        got = gram_diagonal(flat, self.sizes_g, self.e)
         norms = [_exact(x, self.e, self.order_g) for x in got]
         return prods, [norms[x:x + len(psi)] for x in range(0, len(norms), len(psi))]
-
-
-def _diagonal(got: np.ndarray) -> np.ndarray:
-    k = np.arange(len(got))
-    return got[k, k]
 
 
 def _cached(s: Subgroup, cls):
@@ -214,7 +211,7 @@ def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:
     """Res chi_r as e * (the orbit of theta_j), as rows of H's table.
 
     e and the constituents come from the multiplicity `gram`, the orbit and
-    |I/H| from the row permutations, <Res chi, Res chi> from its own `gram`;
+    |I/H| from the row permutations, <Res chi, Res chi> from `gram_diagonal`;
     checks chi(1) = e t theta(1), <Res chi, Res chi> = e^2 t, e^2 <= |I/H|
     and e^2 t <= |G/H| exactly.
     """
@@ -476,7 +473,10 @@ def construct_large_degree(chain: NormalChain) -> Character:
         if psi.degree < 2 ** (m + 1):
             raise InternalContradiction(
                 f"degree {psi.degree} fell below 2^{m + 1} during the walk")
-    return Character(chain.group, psi.values, irreducible=True)
+    # psi lives on a copy of G with G's classes and exponent, so its stored
+    # form is canonical on G too; Character.of checks its norm again there
+    return Character.of(ClassFunction._make(chain.group, psi.e, psi.nums,
+                                            psi.den), irreducible=True)
 
 
 def _pick_max_row(table) -> Character:

@@ -5,14 +5,25 @@ i holds the coordinates of a value on 1, z, ..., z^(phi(e)-1), z = zeta_e,
 modulo the e-th cyclotomic polynomial, over one positive denominator.  The
 kernels work on such rows: `lift` to a multiple of e, `descend` to a divisor
 of e (with an exact check), `multiply`, `scaled`, `reduced` (lowest terms)
-and `gram`; `encode` writes `Cyclotomic` values as rows in Z[x]/(x^e - 1) and
-`power_basis` reduces such rows with one product with the power table.  The
-map x -> zeta_e from Z[x]/(x^e - 1) onto Z[zeta_e] is a ring map that
-commutes with x -> x^-1, so sums of products and complex conjugation (index
-negation) computed on coefficient rows, power-basis rows included, agree
-exactly with the same operations on the values.  Arrays are int64 while an
-exact Python-int bound on every partial sum is below 2^62, and Python ints
-(dtype object) otherwise (`int_dtype`).
+and the Gram products below; `encode` writes `Cyclotomic` values as rows in
+Z[x]/(x^e - 1) and `power_basis` reduces such rows with one product with the
+power table.  The map x -> zeta_e from Z[x]/(x^e - 1) onto Z[zeta_e] is a
+ring map that commutes with x -> x^-1, so sums of products and complex
+conjugation (index negation) computed on coefficient rows, power-basis rows
+included, agree exactly with the same operations on the values.  Arrays are
+int64 while an exact Python-int bound on every partial sum is below 2^62,
+and Python ints (dtype object) otherwise (`int_dtype`).
+
+Gram products, sum_c w_c a_c conj(b_c) over the classes for every pair of
+rows (`gram`, its diagonal `gram_diagonal`, and both orthogonality sums of a
+table, `table_grams`), are computed by evaluation and interpolation modulo
+primes P = 1 (mod e) below 2^26.  Modulo such a P, Phi_e splits into
+distinct linear factors, so Z[zeta_e]/(P) is F_P^phi(e), one coordinate per
+primitive root omega^u, and complex conjugation takes u to -u: a Gram
+product is one batched int64 matmul over the classes, coordinate by
+coordinate.  An exact bound on every numerator of the result decides how
+many primes to use; once their product exceeds twice the bound, the Chinese
+remainder theorem and the symmetric range return the integers themselves.
 
 There is one builder.  `values` turns rows into `Cyclotomic`s, each in
 lowest terms at its minimal conductor, so that equality and hashing are
@@ -30,23 +41,26 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import islice
 from math import gcd, lcm
 
 import numpy as np
 
-from .arith import divisors, factor_integer
+from .arith import divisors, factor_integer, is_prime
 from .errors import InternalContradiction
 from .groups import unique_sorted
 
 __all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum", "encode", "gram",
-           "int_dtype", "minimal_conductors", "power_basis", "values"]
+           "gram_diagonal", "int_dtype", "minimal_conductors", "power_basis",
+           "table_grams", "values"]
 
 
 # Each conductor cache keeps at most its own count of results and at most
 # this many bytes of arrays, evicting the least recently used first.  A sweep
-# round plus the largest catalog tables touches 24 _power_array, 60
-# _rebase_data, 24 _correlation_data and 22 _search_steps keys, well under a
-# megabyte in all; one conductor near 1000 needs 8 MB of power table.
+# round plus the largest catalog tables touches 24 _power_array, 45
+# _rebase_data, 24 _evaluation_data, 24 _fold_bound and 24 _search_steps
+# keys, well under a megabyte in all; one conductor near 1000 needs 8 MB of
+# power table.
 _CACHE_BYTES = 1 << 25
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
@@ -363,8 +377,6 @@ def cyclo_sum(items) -> Cyclotomic:
 # batched values: rows of power-basis numerators, and rows in Z[x]/(x^e - 1)
 
 _INT64_LIMIT = 1 << 62
-# at most this many coefficient products in one block of `gram`
-_GRAM_BLOCK = 1 << 15
 
 
 def int_dtype(bound: int):
@@ -507,21 +519,115 @@ def encode(rows) -> tuple[np.ndarray, int]:
     return flat.reshape(len(rows), len(rows[0]) if rows else 0, e), den
 
 
-@_conductor_cache(64)
-def _correlation_data(e: int, w: int):
-    """How `gram` folds x^(s - t), 0 <= s, t < w, onto the power basis.
+# ---------------------------------------------------------------------------
+# Gram products by evaluation at the primitive e-th roots of unity mod P
 
-    Returns the order that sorts the w*w pairs (s, t) by m = (s - t) mod e, the
-    start of each run of equal m, and the power-table rows of those m.
+# `gram` works modulo primes P = 1 (mod e) below this bound, so that an int64
+# sum of products of residues may run over 2^11 terms; a conductor whose
+# power table fits in memory has hundreds of them
+_PRIME_LIMIT = 1 << 26
+_Evaluation = namedtuple("_Evaluation", "prime ev conj interp")
+
+
+def _primes_1_mod(e: int):
+    """The primes P = 1 (mod e) below _PRIME_LIMIT, largest first."""
+    for t in range((_PRIME_LIMIT - 2) // e, 0, -1):
+        if is_prime(1 + e * t):
+            yield 1 + e * t
+
+
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p for int64 residues in [0, p), the contraction taken in
+    chunks short enough that no int64 sum of products can overflow."""
+    step = ((1 << 63) - 1) // (p - 1) ** 2
+    out = x[..., :step] @ y[..., :step, :] % p
+    for lo in range(step, x.shape[-1], step):
+        out = (out + x[..., lo:lo + step] @ y[..., lo:lo + step, :] % p) % p
+    return out
+
+
+@_conductor_cache(64)
+def _evaluation_data(e: int, i: int) -> _Evaluation:
+    """Z[zeta_e] modulo the i-th prime P of `_primes_1_mod(e)`, as F_P^phi(e).
+
+    P does not divide e and F_P holds an omega of order e, so Phi_e has the
+    phi(e) distinct roots omega^u mod P, u prime to e, and x -> omega^u maps
+    Z[zeta_e]/(P) onto F_P^phi(e); complex conjugation becomes u -> -u.
+    ev[s, j] = omega^(s u_j) evaluates coefficient rows, conj[j] is the index
+    of -u_j, and interp maps values back to power-basis numerators: the
+    inverse DFT e^-1 omega^(-u m), taken at the units only, is a row of
+    Z[x]/(x^e - 1) with the given values at the primitive roots and 0 at the
+    others, hence the wanted row modulo Phi_e, and `_power_array(e)` folds it
+    onto the power basis.
     """
-    s, t = np.divmod(np.arange(w * w), w)
-    m = (s - t) % e
-    order = np.argsort(m, kind="stable")
-    ms, starts = np.unique(m[order], return_index=True)
-    table = _power_array(e)[ms]
-    for a in (order, starts, table):
+    p = next(islice(_primes_1_mod(e), i, None))
+    omega = pow(_primitive_root(p), (p - 1) // e, p)
+    units = np.array([u for u in range(e) if gcd(u, e) == 1])
+    powers = np.array([pow(omega, m, p) for m in range(e)], dtype=np.int64)
+    ev = powers[np.outer(np.arange(e), units) % e]
+    conj = np.searchsorted(units, -units % e)
+    inverse = powers[np.outer(-units, np.arange(e)) % e] * pow(e, -1, p) % p
+    interp = _matmul_mod(inverse, (_power_array(e) % p).astype(np.int64), p)
+    for a in (ev, conj, interp):
         a.setflags(write=False)
-    return order, starts, table
+    return _Evaluation(p, ev, conj, interp)
+
+
+@_conductor_cache(256)
+def _fold_bound(e: int, w: int) -> int:
+    """The largest |entry| of the power-table rows of x^(s - t), 0 <= s, t < w."""
+    return _absmax(_power_array(e)[np.arange(1 - w, w) % e])
+
+
+def _bound(a: np.ndarray, b: np.ndarray, wts: list[int], e: int) -> int:
+    """A bound on every power-basis numerator of sum_c w_c a_c conj(b_c) for
+    rows a, b of width w: a product sum is at most sum|w| max|a| max|b|, a
+    power x^(s - t) collects at most w of them, and a numerator sums at most
+    e powers times the power table."""
+    w = a.shape[2]
+    return (max(1, sum(abs(x) for x in wts)) * w * _absmax(a) * _absmax(b)
+            * e * _fold_bound(e, w))
+
+
+def _evaluate(a: np.ndarray, data: _Evaluation) -> np.ndarray:
+    """Rows a of shape (n, k, w) at the primitive roots mod P: (phi, n, k)."""
+    p = data.prime
+    x = (a % p).astype(np.int64, copy=False)
+    return _matmul_mod(x, data.ev[:a.shape[2]], p).transpose(2, 0, 1)
+
+
+def _weighted(x: np.ndarray, wts: list[int], p: int) -> np.ndarray:
+    return x * np.array([v % p for v in wts], dtype=np.int64) % p
+
+
+def _gram_mod(x: np.ndarray, y: np.ndarray, wts: list[int],
+              data: _Evaluation) -> np.ndarray:
+    """gram's numerators mod P from the evaluations x, y: one batched matmul
+    over the classes, one product with the interpolation matrix."""
+    p = data.prime
+    got = _matmul_mod(_weighted(x, wts, p), y[data.conj].transpose(0, 2, 1), p)
+    return _matmul_mod(got.transpose(1, 2, 0), data.interp, p)
+
+
+def _crt(e: int, bounds: list[int], residues) -> list[np.ndarray]:
+    """The integer arrays, entries bounded by `bounds`, that residues(data)
+    gives modulo the primes of `_evaluation_data(e, i)`, i = 0, 1, ..., until
+    their product exceeds 2 * max(bounds); Garner's mixed-radix CRT, then the
+    symmetric range, each array of dtype int_dtype(its bound)."""
+    xs, m, i = None, 1, 0
+    while m <= 2 * max(bounds):
+        data = _evaluation_data(e, i)
+        p = data.prime
+        rs = residues(data)
+        if xs is None:
+            xs = rs
+        else:
+            inv = pow(m, -1, p)
+            xs = [x.astype(object) + m * ((r - x) * inv % p)
+                  for x, r in zip(xs, rs)]
+        m, i = m * p, i + 1
+    return [np.where(2 * x > m, x - m, x).astype(int_dtype(bound), copy=False)
+            for x, bound in zip(xs, bounds)]
 
 
 def gram(a: np.ndarray, b: np.ndarray, weights, e: int | None = None) -> np.ndarray:
@@ -530,34 +636,52 @@ def gram(a: np.ndarray, b: np.ndarray, weights, e: int | None = None) -> np.ndar
     `a` (ka, k, w) and `b` (kb, k, w) are rows of coefficients in
     Z[x]/(x^e - 1) of one width w <= e: encodings (w = e, the default) or
     power-basis numerators (w = phi(e)).  The result has shape
-    (ka, kb, phi(e)).  One integer matmul over the classes gives every
-    product of coefficients, the products of each x^(s - t) are summed, and one
-    product with the power table finishes.  It runs in int64 when a bound on
-    every partial sum, exact in Python ints, is below 2^62, and in Python ints
-    otherwise; blocks of rows of `a` keep memory flat.
+    (ka, kb, phi(e)), int64 when `_bound` is below 2^62 and Python ints
+    otherwise.
+
+    It is computed in F_P^phi(e) for primes P = 1 (mod e) (see
+    `_evaluation_data`): one matmul per operand evaluates it at the
+    primitive roots, one batched matmul over the classes multiplies, one
+    matmul interpolates.  Every numerator is an integer of absolute value at
+    most the bound, so once the product of the primes exceeds twice the
+    bound the residues determine it, and the CRT and the symmetric range
+    recover it exactly.
     """
-    ka, k, w = a.shape
-    kb = b.shape[0]
-    e = w if e is None else e
+    e = a.shape[2] if e is None else e
     wts = [int(x) for x in weights]
-    order, starts, table = _correlation_data(e, w)
-    # a product sum is at most sum|w| * max|a| * max|b|; a power of x collects
-    # at most w of them, and an output sums at most e powers times the table
-    bound = (max(1, sum(abs(x) for x in wts)) * w * _absmax(a) * _absmax(b)
-             * e * _absmax(table))
-    dtype = int_dtype(bound)
-    # aw[i, s, c] = w_c a[i, c, s]; one (w x k) @ (k x w) product per pair
-    aw = (a.astype(dtype, copy=False) * np.array(wts, dtype=dtype)[:, None]
-          ).transpose(0, 2, 1)[:, None]
-    bb = b.astype(dtype, copy=False)[None]
-    table = table.astype(dtype, copy=False)
-    out = np.empty((ka, kb, table.shape[1]), dtype=dtype)
-    step = max(1, _GRAM_BLOCK // (kb * w * w))
-    for lo in range(0, ka, step):
-        prods = (aw[lo:lo + step] @ bb).reshape(-1, kb, w * w)
-        out[lo:lo + step] = np.add.reduceat(prods[..., order], starts,
-                                            axis=2) @ table
-    return out
+
+    def residues(data):
+        return [_gram_mod(_evaluate(a, data), _evaluate(b, data), wts, data)]
+    return _crt(e, [_bound(a, b, wts, e)], residues)[0]
+
+
+def gram_diagonal(a: np.ndarray, weights, e: int | None = None) -> np.ndarray:
+    """The diagonal of gram(a, a, weights, e), shape (ka, phi(e)): the
+    weighted sum of a[i, c] * conj(a[i, c]) at each primitive root."""
+    e = a.shape[2] if e is None else e
+    wts = [int(x) for x in weights]
+
+    def residues(data):
+        p = data.prime
+        x = _evaluate(a, data)
+        got = (_weighted(x, wts, p) * x[data.conj] % p).sum(axis=2) % p
+        return [_matmul_mod(got.T, data.interp, p)]
+    return _crt(e, [_bound(a, a, wts, e)], residues)[0]
+
+
+def table_grams(nums: np.ndarray, sizes, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """gram(nums, nums, sizes, e) and the Gram of the columns with weight 1,
+    gram(cols, cols, [1] * k, e) for cols = nums.transpose(1, 0, 2), of a
+    square (k, k, w) table: both orthogonality sums from one evaluation."""
+    sizes, ones = [int(x) for x in sizes], [1] * len(nums)
+
+    def residues(data):
+        x = _evaluate(nums, data)
+        xt = x.transpose(0, 2, 1)
+        return [_gram_mod(x, x, sizes, data), _gram_mod(xt, xt, ones, data)]
+    # the columns have the rows' entries and width
+    return tuple(_crt(e, [_bound(nums, nums, sizes, e),
+                          _bound(nums, nums, ones, e)], residues))
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,8 @@ def _random_character(table, rng: random.Random) -> ClassFunction:
         part = row.scale(m)
         total = part if total is None else total + part
     if total is None:
-        total = ClassFunction(table.group, table[0].values)
+        row = table[0]
+        total = ClassFunction._make(table.group, row.e, row.nums, row.den)
     return total
 
 

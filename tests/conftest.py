@@ -36,22 +36,27 @@ def cyclotomic_calls(monkeypatch):
 _FRESH_SWEEP = """
 import json, sys
 from collections import Counter
+import numpy as np
 from charcond import characters, clifford, cyclotomic
 from charcond.catalog import Catalog
 from charcond.verify import run_suite
 
+sys.path.insert(0, sys.argv[1])
+from gram_oracle import oracle_diagonal, oracle_gram, oracle_table_grams
+
 runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
-builds, grams = Counter(), Counter()
-dixon, validate = characters._dixon_rows, characters.CharacterTable.validate
+builds, kernels, built = Counter(), Counter(), Counter()
+self_grams, mismatches = [], []
+dixon, check_table = characters._dixon_rows, characters._check_table
 restrict, induce = characters.restrict, characters.induce
 
 def counted_dixon(g):
     runs[g.mul.tobytes()] += 1
     return dixon(g)
 
-def counted_validate(table):
-    checks.append(table.group.order)
-    return validate(table)
+def counted_check_table(g, *args):
+    checks.append(g.order)
+    return check_table(g, *args)
 
 def counted_restrict(chi, s):
     restricts["calls"] += 1
@@ -68,27 +73,54 @@ def counted_build(cls):
         init(self, s)
     cls.__init__ = build
 
-def counted_gram(*args, **kwargs):
-    grams[sys._getframe(1).f_code.co_name] += 1
-    return cyclotomic.gram(*args, **kwargs)
+def compared(fn, oracle):
+    # counts the calls by calling function, and checks values and dtype
+    # against the oracle kernel
+    def wrapped(*args):
+        caller = sys._getframe(1).f_code.co_name
+        kernels[fn.__name__ + ":" + caller] += 1
+        if fn.__name__ == "gram" and args[1] is args[0]:
+            self_grams.append(caller)
+        got, want = fn(*args), oracle(*args)
+        pairs = zip(got, want) if isinstance(got, tuple) else [(got, want)]
+        if not all(x.dtype == y.dtype and np.array_equal(x, y)
+                   for x, y in pairs):
+            mismatches.append(fn.__name__ + ":" + caller)
+        return got
+    return wrapped
 
+def counted_values(fn):
+    def wrapped(*args):
+        out = fn(*args)
+        built["values"] += len(out)
+        return out
+    return wrapped
+
+patches = {"restrict": counted_restrict, "induce": counted_induce,
+           "values": counted_values(cyclotomic.values),
+           "gram": compared(cyclotomic.gram, oracle_gram),
+           "gram_diagonal": compared(cyclotomic.gram_diagonal, oracle_diagonal),
+           "table_grams": compared(cyclotomic.table_grams, oracle_table_grams)}
+originals = {"restrict": restrict, "induce": induce,
+             "values": cyclotomic.values, "gram": cyclotomic.gram,
+             "gram_diagonal": cyclotomic.gram_diagonal,
+             "table_grams": cyclotomic.table_grams}
 counted_build(clifford._NormalPair)
 counted_build(clifford._Conjugation)
-clifford.gram = counted_gram
 characters._dixon_rows = counted_dixon
-characters.CharacterTable.validate = counted_validate
+characters._check_table = counted_check_table
 for name, mod in list(sys.modules.items()):
-    if name.startswith("charcond") and getattr(mod, "restrict", None) is restrict:
-        mod.restrict = counted_restrict
-    if name.startswith("charcond") and getattr(mod, "induce", None) is induce:
-        mod.induce = counted_induce
+    for attr, fn in originals.items():
+        if name.startswith("charcond") and getattr(mod, attr, None) is fn:
+            setattr(mod, attr, patches[attr])
 rep = run_suite("all", cat=Catalog(), max_order=24)
 out = {"passed": rep.passed, "dixon": sorted(runs.values()),
        "validate": len(checks), "restrict": dict(restricts),
        "induce": dict(induces),
        "builds": {cls: sorted(n for (c, _, _), n in builds.items() if c == cls)
                   for cls in ("_NormalPair", "_Conjugation")},
-       "grams": dict(grams)}
+       "kernels": dict(kernels), "self_grams": self_grams,
+       "mismatches": mismatches, "values": built["values"]}
 # no memo may carry a group of one round into the next
 runs.clear()
 rep = run_suite("all", cat=Catalog(), max_order=24)
@@ -98,8 +130,8 @@ for name in ("Q8xS3xC4", "C4xC4xC3", "S3xS3xS3"):
     characters.character_table(cat.group(name))
 out["caches"] = {
     fn: getattr(cyclotomic, fn).cache_info()._asdict()
-    for fn in ("_power_array", "_rebase_data", "_correlation_data",
-               "_search_steps")}
+    for fn in ("_power_array", "_rebase_data", "_evaluation_data",
+               "_fold_bound", "_search_steps")}
 print(json.dumps(out))
 """
 
@@ -122,13 +154,17 @@ def run_fresh(code: str, timeout: float = 120, args=()):
 @pytest.fixture(scope="session")
 def fresh_sweep():
     """Counts from `run_suite("all")` at cap 24 in a fresh interpreter: the
-    Dixon runs per table, the `validate()` calls, the `restrict` and `induce`
-    calls, how many normal pairs built their table arrays how many times, and
-    the `gram` calls that `clifford` makes, by calling function; the Dixon
-    runs of a second round in the same interpreter; and then the conductor
-    cache statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as
-    well."""
+    Dixon runs per table, the exact table checks (`_check_table`, which
+    Dixon's method and `validate()` both run), the `restrict` and `induce`
+    calls, how many normal pairs built their table arrays how many times,
+    the Gram kernel calls by kernel and calling function (each compared with
+    the oracle kernel of `gram_oracle`, with the callers of any mismatch and
+    of any `gram` of an array with itself), and the number of `Cyclotomic`
+    values built; the Dixon runs of a second round in the same interpreter;
+    and then the conductor cache statistics after the Q8xS3xC4, C4xC4xC3 and
+    S3xS3xS3 tables as well."""
     import json
-    run = run_fresh(_FRESH_SWEEP)
+    from pathlib import Path
+    run = run_fresh(_FRESH_SWEEP, args=(str(Path(__file__).resolve().parent),))
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout)

@@ -1,0 +1,146 @@
+"""The evaluation Gram kernels against the coefficient-correlation oracle.
+
+`cyclotomic.gram`, `gram_diagonal` and `table_grams` work modulo primes
+P = 1 (mod e) at the primitive e-th roots of unity; `gram_oracle` forms every
+coefficient product over the integers.  They must agree in values and dtype
+on every input: both widths, conductors 1 to 120, negative and zero weights,
+and entries large enough to take several primes and Python ints.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from charcond import cyclotomic
+from charcond.catalog import Catalog
+from charcond.characters import (ClassFunction, _table_nums, character_table,
+                                 inner_product_matrix)
+from charcond.cyclotomic import (_bound, _evaluation_data, _matmul_mod, _phi,
+                                 gram, gram_diagonal, table_grams)
+from gram_oracle import oracle_diagonal, oracle_gram, oracle_table_grams
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _rows(rng, n, k, w, bits, zeros):
+    """n x k x w integers of up to `bits` bits with a share of zeros, as
+    int64 when they fit and Python ints otherwise."""
+    top = 1 << min(bits, 62)
+    a = rng.integers(-top + 1, top, (n, k, w)).astype(object)
+    if bits > 62:
+        a = a * (1 << (bits - 62)) + rng.integers(0, 8, (n, k, w))
+    a[rng.random((n, k, w)) < zeros] = 0
+    return a.astype(cyclotomic.int_dtype(cyclotomic._absmax(a)))
+
+
+@st.composite
+def gram_inputs(draw):
+    e = draw(st.integers(1, 120))
+    w = draw(st.sampled_from([_phi(e), e]))
+    ka, kb = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    k = draw(st.integers(1, 5))
+    bits = draw(st.sampled_from([1, 3, 12, 24, 40, 100]))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    weights = draw(st.lists(st.integers(-10, 10), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (_rows(rng, ka, k, w, bits, zeros), _rows(rng, kb, k, w, bits, zeros),
+            weights, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram_inputs())
+def test_gram_matches_the_oracle(case):
+    a, b, weights, e = case
+    got = gram(a, b, weights, e)
+    assert got.shape == (len(a), len(b), _phi(e))
+    assert _same(got, oracle_gram(a, b, weights, e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram_inputs())
+def test_diagonal_form_is_the_diagonal_of_the_full_gram(case):
+    a, _, weights, e = case
+    got = gram_diagonal(a, weights, e)
+    i = np.arange(len(a))
+    assert _same(got, gram(a, a, weights, e)[i, i])
+    assert _same(got, oracle_diagonal(a, weights, e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 5), st.sampled_from([3, 24, 80]),
+       st.integers(0, 2 ** 32 - 1))
+def test_table_grams_match_the_oracle(e, k, bits, seed):
+    rng = np.random.default_rng(seed)
+    nums = _rows(rng, k, k, _phi(e), bits, 0.3)
+    sizes = rng.integers(1, 50, k).tolist()
+    for got, want in zip(table_grams(nums, sizes, e),
+                         oracle_table_grams(nums, sizes, e)):
+        assert _same(got, want)
+
+
+@pytest.mark.parametrize("name", ["C1", "S3", "Q8xC3", "C12", "C23", "C24",
+                                  "S4xC2"])
+def test_table_grams_of_catalog_tables_match_the_oracle(name):
+    g = Catalog().group(name)
+    nums = _table_nums(g)
+    sizes = character_table(g).partition.sizes
+    for got, want in zip(table_grams(nums, sizes, g.exponent()),
+                         oracle_table_grams(nums, sizes, g.exponent())):
+        assert _same(got, want)
+
+
+@pytest.mark.parametrize("bits, dtype, primes", [
+    (12, np.int64, 2),     # a bound past one prime and below 2^62
+    (40, object, 4),       # entries in int64, a bound past 2^62
+    (100, object, 9),      # entries and bound as Python ints
+])
+def test_large_entries_take_several_primes(bits, dtype, primes):
+    rng = np.random.default_rng(bits)
+    a = _rows(rng, 3, 4, 120, bits, 0.0)
+    weights = [5, -3, 0, 7]
+    bound = _bound(a, a, weights, 120)
+    # the primes whose product first exceeds twice the bound
+    used, m = 0, 1
+    while m <= 2 * bound:
+        m *= _evaluation_data(120, used).prime
+        used += 1
+    assert used == primes
+    got = gram(a, a[::-1], weights, 120)
+    assert got.dtype == dtype
+    assert _same(got, oracle_gram(a, a[::-1], weights, 120))
+    assert _same(gram_diagonal(a, weights, 120),
+                 oracle_diagonal(a, weights, 120))
+
+
+def test_evaluation_primes_are_1_mod_e_and_below_2_to_26():
+    for e in (1, 2, 23, 24, 120):
+        ps = [_evaluation_data(e, i).prime for i in range(3)]
+        assert all((p - 1) % e == 0 and p < 1 << 26 for p in ps)
+        assert ps == sorted(ps, reverse=True) and len(set(ps)) == 3
+
+
+def test_long_contractions_are_chunked_exactly():
+    # 5000 products of (P - 1)^2 would overflow one int64 sum
+    p = _evaluation_data(1, 0).prime
+    x, y = np.full((1, 5000), p - 1), np.full((5000, 1), p - 1)
+    assert _matmul_mod(x, y, p)[0, 0] == 5000 * (p - 1) ** 2 % p
+    rng = np.random.default_rng(5)
+    a = _rows(rng, 2, 5000, 2, 24, 0.0)
+    weights = rng.integers(-9, 10, 5000).tolist()
+    assert _same(gram(a, a[::-1], weights, 4), oracle_gram(a, a[::-1], weights, 4))
+
+
+def test_empty_inputs_give_empty_results():
+    a = np.arange(2 * 3 * 4).reshape(2, 3, 4)
+    assert gram(a, a[:0], [1, 2, 3], 5).shape == (2, 0, 4)
+    assert gram(a[:0], a, [1, 2, 3], 5).shape == (0, 2, 4)
+    assert gram_diagonal(a[:0], [1, 2, 3], 5).shape == (0, 4)
+    g = Catalog().group("S3")
+    rows = list(character_table(g))
+    assert inner_product_matrix(rows, []) == [[], [], []]
+    assert inner_product_matrix([], rows) == []
+    assert inner_product_matrix([], []) == []
+    reg = ClassFunction(g, [6, 0, 0])
+    assert inner_product_matrix([reg], rows) == [[1, 1, 2]]

@@ -80,7 +80,9 @@ def test_sweep_runs_dixon_once_per_table(monkeypatch):
 def test_fresh_sweep_at_cap_24_runs_dixon_60_times_and_validate_100_times(
         fresh_sweep):
     # normal subgroups come from character kernels, so the tables they read
-    # must be ones the sweep computes anyway
+    # must be ones the sweep computes anyway; each of the 60 tables is
+    # checked exactly once when it is computed, and the tables suite
+    # validates 40 again
     assert fresh_sweep["passed"]
     assert fresh_sweep["dixon"] == [1] * 60
     assert fresh_sweep["validate"] == 100
@@ -105,14 +107,36 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
     # without them
     assert fresh_sweep["builds"] == {"_NormalPair": [1] * 117,
                                      "_Conjugation": [1] * 117}
-    # per pair, one gram each for the multiplicities and the norms of the
-    # restrictions when the arrays are built, one for the norms of the
-    # inductions, and one per side of Frobenius reciprocity; Gallagher one
-    # for all the products chi * psi_i of a prime-index pair
-    assert fresh_sweep["grams"] == {"__init__": 2 * 117,
-                                    "induced_norms": 117,
-                                    "frobenius": 2 * 117,
-                                    "products": 62}
+    # per pair, one gram for the multiplicities and one diagonal form for
+    # the norms of the restrictions when the arrays are built, one diagonal
+    # form for the norms of the inductions, and one gram per side of
+    # Frobenius reciprocity; Gallagher one diagonal form for the norms of all
+    # the products chi * psi_i of a prime-index pair; every table computed
+    # or validated one `table_grams` for both orthogonality relations; the
+    # degree chains decompose 4 inductions and certify 3 characters moved
+    # onto the chain's group
+    assert fresh_sweep["kernels"] == {
+        "gram:__init__": 117, "gram_diagonal:__init__": 117,
+        "gram_diagonal:induced_norms": 117, "gram:frobenius": 2 * 117,
+        "gram_diagonal:products": 62, "table_grams:_check_table": 100,
+        "gram:decompose": 4, "gram_diagonal:norm": 3}
+    # no round computes a full Gram of an array with itself, which only a
+    # norm would need: norms read the diagonal form
+    assert fresh_sweep["self_grams"] == []
+
+
+def test_fresh_sweep_at_cap_24_kernels_match_the_oracle_on_every_call(
+        fresh_sweep):
+    # every gram, gram_diagonal and table_grams result of the round, values
+    # and dtype, equals the coefficient-correlation kernel of gram_oracle
+    assert sum(fresh_sweep["kernels"].values()) == 754
+    assert fresh_sweep["mismatches"] == []
+
+
+def test_fresh_sweep_at_cap_24_builds_no_values(fresh_sweep):
+    # every check reads integer arrays; random characters and the degree
+    # chains' moved characters carry their stored forms across
+    assert fresh_sweep["values"] == 0
 
 
 def test_second_sweep_in_one_process_runs_dixon_60_times_again(fresh_sweep):
