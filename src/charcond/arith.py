@@ -1,4 +1,4 @@
-"""Integer helpers: factorization, primality and divisors.
+"""Integer helpers: factorization, primality, divisors and primitive roots.
 
 Primality is a deterministic Miller-Rabin test, because primes in
 ramification data come from user input and may be large.  Factorization
@@ -139,3 +139,9 @@ def divisors(n: int) -> tuple[int, ...]:
                 large.append(n // d)
         d += 1
     return tuple(small + large[::-1])
+
+
+def primitive_root(q: int) -> int:
+    """The smallest generator of the units modulo the prime q."""
+    halves = [(q - 1) // r for r in factor_integer(q - 1)]
+    return next(g for g in range(1, q) if all(pow(g, h, q) != 1 for h in halves))

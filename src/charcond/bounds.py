@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, log10
+from math import floor, gcd, lcm, log10
 
 from .arith import PRIME_TEST_BOUND, factor_integer, is_prime
 from .errors import InvalidData
@@ -96,13 +96,9 @@ class RadicalValue:
         """(base, num, den) with value = base^(num/den), base not a proper power."""
         if not self.factors:
             return 1, 1, 1
-        den = 1
-        for _, e in self.factors:
-            den = den * e.denominator // gcd(den, e.denominator)
+        den = lcm(*(e.denominator for _, e in self.factors))
         nums = [int(e * den) for _, e in self.factors]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
+        g = gcd(*nums)
         if g == 0:
             return 1, 1, 1
         base = 1
@@ -126,9 +122,7 @@ class RadicalValue:
 
     def _fraction_power(self) -> tuple[Fraction, int]:
         """value = M^(1/D) for an exact positive Fraction M."""
-        d = 1
-        for _, e in self.factors:
-            d = d * e.denominator // gcd(d, e.denominator)
+        d = lcm(*(e.denominator for _, e in self.factors))
         m = Fraction(1)
         for p, e in self.factors:
             m *= Fraction(p) ** int(e * d)

@@ -102,8 +102,8 @@ class Catalog:
         return names
 
     def _build_base(self, name: str) -> FiniteGroup | None:
-        kind, rest = name[0], name[1:]
-        if not rest.isdigit():
+        kind, rest = name[:1], name[1:]
+        if not (rest.isascii() and rest.isdigit()):
             return None
         n = int(rest)
         if kind == "C" and 1 <= n <= 24:

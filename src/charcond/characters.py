@@ -33,20 +33,21 @@ matching against roots of unity in F_p.  Every lifted table is then
 re-verified exactly (orthogonality, degree sums), so the flags on the results
 are earned, not assumed.  The table cache holds each table's array once.
 
-The F_p stage works on integer arrays.  A common eigenspace is kept as a
-basis with an identity block on a tracked set of columns, so a class matrix
-acts on it by the d x d matrix of its images at those columns; the identity
-class, and any class matrix acting on a space as a scalar, are skipped.  A
-split finds all its eigenspaces with one batched Gauss-Jordan elimination of
-(A - lam)^T per chunk of lam in F_p, and reads every kernel off those reduced
-forms.  The lift writes the root-of-unity multiplicities of every value, one
-DFT matmul over F_p per element order, into one (k, k, e) coefficient array;
-one power-basis product gives the table's numerators, which one integer key
-array puts in canonical row order, one `_check_table` checks and the table
-cache keeps as they are; no `Cyclotomic` is built until a table is rendered.
-Arrays are int64 while an exact Python-int bound on every sum,
-max(k, e) * (p - 1)^2, stays below 2^62, and Python ints (dtype object)
-otherwise, the same rule as `cyclotomic.gram`.
+The F_p stage works on int64 residues, behind one guard that raises TooLarge
+unless every sum, at most max(k, e) products below p^2, stays below 2^62.
+Class matrices are built one at a time, in one pass over the classes: each is
+checked for class-constancy, used for splitting while some common eigenspace
+is not a line, and dropped.  A common eigenspace is kept as a basis with an
+identity block on a tracked set of columns, so a class matrix acts on it by
+the d x d matrix of its images at those columns; the identity class, and any
+class matrix acting on a space as a scalar, are skipped.  A split finds all
+its eigenspaces with one batched Gauss-Jordan elimination of (A - lam)^T per
+chunk of lam in F_p, and reads every kernel off those reduced forms.  The
+lift writes the root-of-unity multiplicities of every value, one DFT matmul
+over F_p per element order, into one (k, k, e) coefficient array; one
+power-basis product gives the table's numerators, which one integer key array
+puts in canonical row order, one `_check_table` checks and the table cache
+keeps as they are; no `Cyclotomic` is built until a table is rendered.
 """
 
 from __future__ import annotations
@@ -56,15 +57,15 @@ from math import lcm
 
 import numpy as np
 
-from .arith import divisors, is_prime
-from .cyclotomic import (Cyclotomic, _phi, at_minimal_conductors, descend,
-                         encode, gram, gram_diagonal, int_dtype, lift,
+from .arith import is_prime, primitive_root
+from .cyclotomic import (Cyclotomic, _matmul, _phi, at_minimal_conductors,
+                         descend, encode, gram, gram_diagonal, lift,
                          minimal_conductors, multiply, power_basis, reduced,
                          scaled, table_grams, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
 from .groups import (FiniteGroup, QuotientMap, Subgroup,
-                     conjugacy_classes, is_normal, unique_sorted)
+                     conjugacy_classes, is_normal, row_keys, unique_sorted)
 from .groups import DEFAULT_MAX_ORDER
 
 __all__ = [
@@ -74,10 +75,10 @@ __all__ = [
 ]
 
 
-# Dixon's method keeps k structure-constant matrices of k x k: with k = 256
-# (C4^4) a table takes 5.9 s and 184 MB VmHWM on one CPU of a 2-vCPU Xeon,
-# and k = 216 (C6xC6xC6, the largest catalog product) 2.8 s and 128 MB; both
-# grow as k^3
+# Dixon's method keeps one k x k class matrix at a time, and its splits cost
+# up to k^3: with k = 256 (C4^4) a table takes 3.8 s and 44 MB VmHWM on one
+# CPU of a 2-vCPU Xeon, and k = 216 (C6xC6xC6, the largest catalog product)
+# 3.1 s and 41 MB, by tools/table_cost.py
 MAX_TABLE_CLASSES = 256
 
 # k^3 phi(e)^2 was the cost of validating k classes at exponent e by
@@ -208,10 +209,7 @@ class ClassFunction:
         return _same_group(self.group, other.group) and self._same_form(other)
 
     def __hash__(self) -> int:
-        nums = self.nums
-        key = (tuple(nums.ravel().tolist()) if nums.dtype == object
-               else nums.tobytes())
-        return hash((self.e, self.den, key))
+        return hash((self.e, self.den, *row_keys(self.nums[None])))
 
     def sort_key(self):
         return tuple(v.sort_key() for v in self.values)
@@ -360,7 +358,7 @@ def _row_reduce(stack: np.ndarray, p: int,
         r, piv = rank[has], cand[has].argmax(axis=1)
         top = a[has, piv, c:]
         a[has, piv, c:] = a[has, r, c:]
-        top = top * inv[top[:, 0].astype(np.int64)][:, None] % p
+        top = top * inv[top[:, 0]][:, None] % p
         f = a[has, :, c]
         f[np.arange(len(has)), r] = 0
         a[has, :, c:] = (a[has, :, c:] - f[:, :, None] * top[:, None]) % p
@@ -397,7 +395,7 @@ def _split(mat: np.ndarray, space: tuple[np.ndarray, np.ndarray], p: int,
     for lo in range(0, p, step):
         lams = np.arange(lo, min(lo + step, p))
         stack = np.repeat(act.T[None], len(lams), axis=0)
-        stack[:, diag, diag] -= lams[:, None].astype(act.dtype)
+        stack[:, diag, diag] -= lams[:, None]
         red, pivots = _row_reduce(stack, p, inv)
         for i in np.flatnonzero(~pivots.all(axis=1)):
             free = np.flatnonzero(~pivots[i])
@@ -565,62 +563,53 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     n = g.order
     e = g.exponent()
     p = _dixon_prime(e, n)
+    # every product below sums at most max(k, e) terms below p^2
+    if max(k, e) * (p - 1) ** 2 >= 1 << 62:
+        raise TooLarge(f"Dixon's prime {p} for {k} classes at exponent {e} "
+                       "is too large for int64 residues")
     sizes = np.array(part.sizes, dtype=np.int64)
     classof = part.class_of
-    # every product below sums at most max(k, e) terms below p^2
-    dtype = int_dtype(max(k, e) * (p - 1) ** 2)
+    inv = np.array([pow(x, p - 2, p) for x in range(p)], dtype=np.int64)
 
-    # mats[i][j, l] = #{(x, y) in C_i x C_j : x y = z} for any z in C_l,
-    # from one count of (class of y, class of x y) over x in C_i, y in G
-    mats = []
-    for cls in part.classes:
+    # one class matrix at a time: mat[j, l] = #{(x, y) in C_i x C_j : x y = z}
+    # for any z in C_l, from one count of (class of y, class of x y) over x in
+    # C_i, y in G; every count is checked, and while some common eigenspace
+    # is not a line the matrix splits them (class 0, the identity, splits
+    # nothing)
+    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
+    for i, cls in enumerate(part.classes):
         prods = classof[g.mul[np.array(cls, dtype=np.int64)]]
         cnt = np.bincount((classof * k + prods).ravel(),
                           minlength=k * k).reshape(k, k)
         if np.any(cnt % sizes):
             raise InternalContradiction("structure constants not class-constant")
-        mats.append((cnt // sizes % p).astype(dtype))
-
-    inv = np.array([pow(x, p - 2, p) for x in range(p)], dtype=dtype)
-    spaces = [(np.eye(k, dtype=dtype), np.arange(k))]
-    # class 0 is the identity, whose matrix splits nothing
-    for mat in mats[1:]:
-        if all(len(basis) == 1 for basis, _ in spaces):
-            break
-        split = []
-        for space in spaces:
-            split += _split(mat, space, p, inv) if len(space[0]) > 1 else [space]
-        spaces = split
-    if not all(len(basis) == 1 for basis, _ in spaces):
+        if i and len(spaces) < k:
+            mat = cnt // sizes % p
+            spaces = [piece for space in spaces for piece in
+                      (_split(mat, space, p, inv) if len(space[0]) > 1
+                       else [space])]
+    if len(spaces) < k:
         raise InternalContradiction("simultaneous diagonalization incomplete")
 
     # scale each eigenvector to 1 at the identity class, recover the degrees
     vecs = np.concatenate([basis for basis, _ in spaces])
     if np.any(vecs[:, 0] == 0):
         raise InternalContradiction("central character vanishes at identity")
-    vecs = vecs * inv[vecs[:, 0].astype(np.int64)][:, None] % p
+    vecs = vecs * inv[vecs[:, 0]][:, None] % p
     reps = np.array(part.representatives, dtype=np.int64)
     inv_sizes = inv[sizes % p]
     norms = (vecs * vecs[:, classof[g.inv[reps]]] % p) @ inv_sizes % p
     square_root = np.zeros(p, dtype=np.int64)
     roots = np.arange(1, (p + 1) // 2)
     square_root[roots * roots % p] = roots
-    degs = square_root[(n % p * inv[norms.astype(np.int64)] % p)
-                       .astype(np.int64)]
+    degs = square_root[n % p * inv[norms] % p]
     if np.any(degs == 0):
         raise InternalContradiction("degree recovery failed")
-    chivals = degs.astype(dtype)[:, None] * vecs % p * inv_sizes % p
+    chivals = degs[:, None] * vecs % p * inv_sizes % p
 
-    # primitive e-th root of unity in F_p, smallest for determinism
-    def _has_order_e(w: int) -> bool:
-        return (pow(w, e, p) == 1
-                and all(pow(w, e // q, p) != 1
-                        for q in divisors(e) if is_prime(q)))
-
-    w = 1
-    if e > 1:
-        w = next(c for c in range(2, p) if _has_order_e(c))
-    w_powers = np.array([pow(w, t, p) for t in range(e)], dtype=dtype)
+    # a primitive e-th root of unity in F_p
+    w = pow(primitive_root(p), (p - 1) // e, p)
+    w_powers = np.array([pow(w, t, p) for t in range(e)], dtype=np.int64)
 
     # powers[t, j] = class of reps[j]^t
     orders = np.array([g.element_order(int(r)) for r in reps])
@@ -634,7 +623,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     # coeffs[i, j, t] = multiplicity of zeta_e^t in chi_i(g_j): with o the
     # order of g_j, zeta_o^m = zeta_e^(m e/o) occurs (1/o) sum_s chi(g_j^s)
     # zeta_o^(-m s) times, one DFT matmul over F_p for each order o
-    coeffs = np.zeros((k, k, e), dtype=dtype)
+    coeffs = np.zeros((k, k, e), dtype=np.int64)
     for o in unique_sorted(orders).tolist():
         js = np.flatnonzero(orders == o)
         t = np.arange(o)
@@ -706,9 +695,7 @@ def _induction_sums(s: Subgroup, nums: np.ndarray) -> np.ndarray:
     """|H| Ind of the class functions on H with numerators nums, of shape
     (..., classes of H, w): one matmul with the induction counts, giving
     shape (..., classes of G, w)."""
-    # a count row sums to at most |G|
-    dtype = int_dtype(s.parent.order * int(np.abs(nums).max()))
-    return _induction_counts(s).astype(dtype) @ nums.astype(dtype, copy=False)
+    return _matmul(_induction_counts(s), nums)
 
 
 def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:

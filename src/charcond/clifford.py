@@ -449,9 +449,7 @@ def construct_large_degree(chain: NormalChain) -> Character:
     irreducible of the quotient restores growth while staying irreducible.
     """
     subs = chain.subgroups
-    step_group = subs[1].as_group()
-    table = character_table(step_group)
-    psi = _pick_max_row(table)
+    psi = max(character_table(subs[1].as_group()), key=lambda row: row.degree)
     if psi.degree < 2:
         raise InternalContradiction("non-abelian bottom group has no degree >= 2")
     for m in range(1, chain.length):
@@ -477,11 +475,3 @@ def construct_large_degree(chain: NormalChain) -> Character:
     # form is canonical on G too; Character.of checks its norm again there
     return Character.of(ClassFunction._make(chain.group, psi.e, psi.nums,
                                             psi.den), irreducible=True)
-
-
-def _pick_max_row(table) -> Character:
-    best = table[0]
-    for row in table:
-        if row.degree > best.degree:
-            best = row
-    return best

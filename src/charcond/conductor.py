@@ -25,7 +25,7 @@ from .bounds import (BoundInputs, RadicalValue, RestrictedBounds,
                      bound_induced_case, bound_restricted_case, global_constant)
 from .characters import (ClassFunction, CharacterTable, conjugacy_classes,
                          _same_group)
-from .cyclotomic import int_dtype, values
+from .cyclotomic import _matmul, values
 from .errors import InvalidData, NonIntegralExponent, NotACharacter
 from .groups import (FiniteGroup, Subgroup, build_from_table, load_group_file,
                      subgroup)
@@ -153,8 +153,7 @@ def _character_subgroup_sum(chi: ClassFunction, sub: Subgroup) -> Fraction:
     part = conjugacy_classes(chi.group)
     counts = np.bincount(part.class_of[np.array(sub.elements, dtype=np.int64)],
                          minlength=len(part))
-    dtype = int_dtype(sub.order * int(np.abs(chi.nums).max()))
-    total = counts.astype(dtype) @ chi.nums.astype(dtype, copy=False)
+    total = _matmul(counts, chi.nums)
     # rational exactly when every power-basis coordinate beyond the first is 0
     if total[1:].any():
         value = values(total[None], chi.e, chi.den)[0]

@@ -46,7 +46,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import divisors, factor_integer, is_prime
+from .arith import divisors, factor_integer, is_prime, primitive_root
 from .errors import InternalContradiction
 from .groups import unique_sorted
 
@@ -561,7 +561,7 @@ def _evaluation_data(e: int, i: int) -> _Evaluation:
     onto the power basis.
     """
     p = next(islice(_primes_1_mod(e), i, None))
-    omega = pow(_primitive_root(p), (p - 1) // e, p)
+    omega = pow(primitive_root(p), (p - 1) // e, p)
     units = np.array([u for u in range(e) if gcd(u, e) == 1])
     powers = np.array([pow(omega, m, p) for m in range(e)], dtype=np.int64)
     ev = powers[np.outer(np.arange(e), units) % e]
@@ -694,12 +694,6 @@ def _galois_matrix(e: int, k: int) -> np.ndarray:
     return _power_array(e)[np.arange(_phi(e)) * k % e]
 
 
-def _primitive_root(q: int) -> int:
-    """The smallest generator of the units modulo the prime q."""
-    halves = [(q - 1) // r for r in factor_integer(q - 1)]
-    return next(g for g in range(2, q) if all(pow(g, h, q) != 1 for h in halves))
-
-
 @_conductor_cache(64)
 def _search_steps(e: int) -> tuple[tuple[int, tuple], ...]:
     """For each prime q | e, the steps c -> c/q for c = e, e/q, ... while q | c.
@@ -717,7 +711,7 @@ def _search_steps(e: int) -> tuple[tuple[int, tuple], ...]:
             if d % q == 0:          # {1 + t d : t mod q} is cyclic of order q
                 k = 1 + d
             elif q > 2:             # k = g (mod q), k = 1 (mod d): order q - 1
-                k = 1 + d * ((_primitive_root(q) - 1) * pow(d, -1, q) % q)
+                k = 1 + d * ((primitive_root(q) - 1) * pow(d, -1, q) % q)
             else:
                 k = None
             steps.append(k)

@@ -109,9 +109,6 @@ class FiniteGroup:
     def mul_elem(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
-    def inv_elem(self, a: int) -> int:
-        return int(self.inv[a])
-
     def conj_elem(self, g: int, h: int) -> int:
         """g h g^-1."""
         return int(self.mul[self.mul[g, h], self.inv[g]])
@@ -562,12 +559,15 @@ def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
 def _kernel_masks(g: FiniteGroup, linear_only: bool = False) -> list[int]:
     """The kernel of each irreducible character (of each linear one, with
     `linear_only`) as a bit mask of classes: the classes where the row's
-    numerators equal its numerators at the identity, class 0."""
-    from .characters import character_table
-    return [sum(1 << c for c in
-                np.flatnonzero((chi.nums == chi.nums[0]).all(axis=1)).tolist())
-            for chi in character_table(g)
-            if not linear_only or chi.degree == 1]
+    numerators equal its numerators at the identity, class 0, read off the
+    table's array."""
+    from .characters import _table_nums
+    nums = _table_nums(g)
+    kernels = (nums == nums[:, :1]).all(axis=2)
+    if linear_only:
+        kernels = kernels[nums[:, 0, 0] == 1]
+    return [sum(1 << c for c in np.flatnonzero(ker).tolist())
+            for ker in kernels]
 
 
 def _union_of_classes(g: FiniteGroup, mask: int) -> tuple[int, ...]:

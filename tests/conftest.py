@@ -49,6 +49,7 @@ builds, kernels, built = Counter(), Counter(), Counter()
 self_grams, mismatches = [], []
 dixon, check_table = characters._dixon_rows, characters._check_table
 restrict, induce = characters.restrict, characters.induce
+table = characters.character_table
 
 def counted_dixon(g):
     runs[g.mul.tobytes()] += 1
@@ -65,6 +66,10 @@ def counted_restrict(chi, s):
 def counted_induce(theta, s):
     induces["calls"] += 1
     return induce(theta, s)
+
+def counted_table(g, *args):
+    built["character_table"] += 1
+    return table(g, *args)
 
 def counted_build(cls):
     init = cls.__init__
@@ -97,11 +102,12 @@ def counted_values(fn):
     return wrapped
 
 patches = {"restrict": counted_restrict, "induce": counted_induce,
+           "character_table": counted_table,
            "values": counted_values(cyclotomic.values),
            "gram": compared(cyclotomic.gram, oracle_gram),
            "gram_diagonal": compared(cyclotomic.gram_diagonal, oracle_diagonal),
            "table_grams": compared(cyclotomic.table_grams, oracle_table_grams)}
-originals = {"restrict": restrict, "induce": induce,
+originals = {"restrict": restrict, "induce": induce, "character_table": table,
              "values": cyclotomic.values, "gram": cyclotomic.gram,
              "gram_diagonal": cyclotomic.gram_diagonal,
              "table_grams": cyclotomic.table_grams}
@@ -120,7 +126,8 @@ out = {"passed": rep.passed, "dixon": sorted(runs.values()),
        "builds": {cls: sorted(n for (c, _, _), n in builds.items() if c == cls)
                   for cls in ("_NormalPair", "_Conjugation")},
        "kernels": dict(kernels), "self_grams": self_grams,
-       "mismatches": mismatches, "values": built["values"]}
+       "mismatches": mismatches, "values": built["values"],
+       "tables": built["character_table"]}
 # no memo may carry a group of one round into the next
 runs.clear()
 rep = run_suite("all", cat=Catalog(), max_order=24)
@@ -155,14 +162,14 @@ def run_fresh(code: str, timeout: float = 120, args=()):
 def fresh_sweep():
     """Counts from `run_suite("all")` at cap 24 in a fresh interpreter: the
     Dixon runs per table, the exact table checks (`_check_table`, which
-    Dixon's method and `validate()` both run), the `restrict` and `induce`
-    calls, how many normal pairs built their table arrays how many times,
-    the Gram kernel calls by kernel and calling function (each compared with
-    the oracle kernel of `gram_oracle`, with the callers of any mismatch and
-    of any `gram` of an array with itself), and the number of `Cyclotomic`
-    values built; the Dixon runs of a second round in the same interpreter;
-    and then the conductor cache statistics after the Q8xS3xC4, C4xC4xC3 and
-    S3xS3xS3 tables as well."""
+    Dixon's method and `validate()` both run), the `restrict`, `induce` and
+    `character_table` calls, how many normal pairs built their table arrays
+    how many times, the Gram kernel calls by kernel and calling function
+    (each compared with the oracle kernel of `gram_oracle`, with the callers
+    of any mismatch and of any `gram` of an array with itself), and the
+    number of `Cyclotomic` values built; the Dixon runs of a second round in
+    the same interpreter; and then the conductor cache statistics after the
+    Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""
     import json
     from pathlib import Path
     run = run_fresh(_FRESH_SWEEP, args=(str(Path(__file__).resolve().parent),))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charcond.catalog import Catalog, default_catalog
 from charcond.characters import character_table
@@ -57,10 +58,20 @@ def test_products_on_demand(cat):
     assert cat.group("C2xC3").order == 6
     with pytest.raises(TooLarge):
         cat.group("S4xS4")
-    with pytest.raises(InvalidData):
-        cat.group("E8")
-    with pytest.raises(InvalidData):
-        cat.group("C25")
+    # names with an empty factor included
+    for name in ("E8", "C25", "x", "C2x", "xC3", "C2xx", "", " "):
+        with pytest.raises(InvalidData, match="unknown catalog group"):
+            cat.group(name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="CDSQxX0123456789 ", max_size=12))
+def test_any_name_resolves_or_fails_as_bad_input(name):
+    try:
+        g = Catalog().group(name)
+    except (InvalidData, TooLarge):
+        return
+    assert g.order >= 1
 
 
 def test_groups_up_to(cat):

@@ -61,6 +61,13 @@ def test_table_bad_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["x", "C2x", "xC3", "C2xx", "", " "])
+def test_table_name_with_an_empty_factor_exits_2(capsys, name):
+    code, out, err = run(capsys, "table", "--group", name)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_conduct_huge_prime_exits_2(capsys, tmp_path):
     ctx = tmp_path / "huge.json"
     ctx.write_text(json.dumps({"group": [[0, 1], [1, 0]], "primes": [

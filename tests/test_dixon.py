@@ -7,6 +7,12 @@ are also recomputed over a second prime; the exact rows must not depend on
 the prime.
 """
 
+import re
+import subprocess
+import sys
+from math import isqrt
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +21,7 @@ from charcond import characters
 from charcond.arith import is_prime
 from charcond.catalog import Catalog
 from charcond.cyclotomic import values
-from charcond.errors import InternalContradiction
+from charcond.errors import InternalContradiction, TooLarge
 from charcond.groups import ConjugacyPartition, build_from_permutations
 
 
@@ -266,18 +272,10 @@ def test_rows_do_not_depend_on_the_prime(name, monkeypatch):
     assert _USED and _USED[0] != _DIXON_PRIME(g.exponent(), g.order)
 
 
-@pytest.mark.parametrize("name", ["S3", "C12", "Q8xC3", "S4"])
-def test_object_dtype_path_gives_the_same_rows(name, monkeypatch):
-    g = _CAT.group(name)
-    want = characters._table_nums(g)
-    monkeypatch.setattr(characters, "int_dtype", lambda bound: object)
-    assert np.array_equal(characters._dixon_rows(g), want)
-
-
-def test_structure_constants_keep_the_class_constancy_check(monkeypatch):
-    g = _CAT.group("S3")
+def _split_three_cycles(g, monkeypatch):
+    """Give S3 a partition that is not class-constant: the 3-cycles apart."""
     real = characters.conjugacy_classes(g)
-    # split the 3-cycles: x y for x, y in {c} is c^2, outside its class
+    # x y for x, y in {c} is c^2, outside its class
     c, c2 = real.classes[1]
     classes = (real.classes[0], (c,), (c2,) + real.classes[2])
     class_of = np.empty(g.order, dtype=np.int64)
@@ -285,6 +283,45 @@ def test_structure_constants_keep_the_class_constancy_check(monkeypatch):
         class_of[list(cls)] = i
     fake = ConjugacyPartition(classes, class_of)
     monkeypatch.setattr(characters, "conjugacy_classes", lambda grp: fake)
+
+
+def test_a_prime_too_large_for_int64_residues_raises_first(monkeypatch):
+    # the fake partition fails the class-constancy check at its second
+    # class, so TooLarge shows that the guard runs before the structure
+    # constants are counted (and before the table of p inverses)
+    g = _CAT.group("S3")
+    k, e = 3, g.exponent()
+    p = 1 + e * (isqrt((1 << 62) // max(k, e)) // e + 1)
+    while not is_prime(p):
+        p += e
+    assert max(k, e) * (p - 1) ** 2 >= 1 << 62
+    _split_three_cycles(g, monkeypatch)
+    monkeypatch.setattr(characters, "_dixon_prime", lambda exponent, order: p)
+    with pytest.raises(TooLarge, match="int64"):
+        characters._dixon_rows(g)
+
+
+def test_structure_constants_keep_the_class_constancy_check(monkeypatch):
+    g = _CAT.group("S3")
+    _split_three_cycles(g, monkeypatch)
+    with pytest.raises(InternalContradiction, match="class-constant"):
+        characters._dixon_rows(g)
+
+
+def test_classes_after_the_last_split_keep_the_class_constancy_check(
+        monkeypatch):
+    # the classes of r^2, r and s of D4 split every eigenspace into lines, so
+    # the last class, the reflections {x, x r^2}, only has its counts
+    # checked; swapping x * 1 and x * r in x's row leaves 1 pair of that
+    # class at the identity class, not a multiple of its size 2, and keeps
+    # x * x, so element orders stay finite
+    g = _CAT.group("D4")
+    part = characters.conjugacy_classes(g)
+    g.exponent()
+    x, r = part.classes[-1][0], part.classes[2][0]
+    mul = g.mul.copy()
+    mul[x, [g.identity, r]] = mul[x, [r, g.identity]]
+    monkeypatch.setattr(g, "mul", mul)
     with pytest.raises(InternalContradiction, match="class-constant"):
         characters._dixon_rows(g)
 
@@ -321,3 +358,16 @@ def test_rows_sort_as_their_cyclotomic_sort_keys(name):
     # the integer keys alone put shuffled rows back in the same order
     shuffled = nums[np.random.default_rng(len(nums)).permutation(len(nums))]
     assert np.array_equal(shuffled[characters._row_order(shuffled, e)], nums)
+
+
+@pytest.mark.slow
+def test_one_class_matrix_at_a_time_keeps_c6xc6xc6_under_80_mb():
+    # 41 MB measured on a 2-vCPU Xeon; keeping all 216 class matrices of
+    # 216 x 216 took 117 MB
+    tool = Path(__file__).resolve().parents[1] / "tools" / "table_cost.py"
+    run = subprocess.run([sys.executable, str(tool), "C6xC6xC6"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = re.fullmatch(r"C6xC6xC6: 216 classes, [\d.]+ s, VmHWM (\d+) MB\n",
+                       run.stdout)
+    assert got and int(got[1]) <= 80, run.stdout

@@ -4,6 +4,7 @@ The oracle is the classwise formula `induce` replaced, evaluated value by
 value with `Cyclotomic` arithmetic: (1/|H|) sum_hj counts[gi, hj] theta(hj).
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -66,13 +67,17 @@ def test_induce_matches_oracle(case):
 
 
 def test_huge_values_take_the_exact_object_path(monkeypatch):
+    # the dtype that `cyclotomic._matmul` picks for the induction product
     chosen = []
+    int_dtype = cyclotomic.int_dtype
 
     def spy(bound):
-        chosen.append(cyclotomic.int_dtype(bound))
-        return chosen[-1]
+        dtype = int_dtype(bound)
+        if sys._getframe(2).f_code.co_name == "_induction_sums":
+            chosen.append(dtype)
+        return dtype
 
-    monkeypatch.setattr(characters, "int_dtype", spy)
+    monkeypatch.setattr(cyclotomic, "int_dtype", spy)
     s = generated_subgroup(_CAT.group("S3"), [2])
     h = s.as_group()
     big = 10 ** 30

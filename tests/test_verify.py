@@ -88,6 +88,12 @@ def test_fresh_sweep_at_cap_24_runs_dixon_60_times_and_validate_100_times(
     assert fresh_sweep["validate"] == 100
 
 
+def test_fresh_sweep_at_cap_24_makes_58_character_table_calls(fresh_sweep):
+    # kernels for normal and derived subgroups are read off the table array,
+    # with no `CharacterTable` built for them
+    assert fresh_sweep["tables"] == 58
+
+
 def test_fresh_sweep_at_cap_24_computes_each_restriction_once(fresh_sweep):
     # the suites restrict whole tables, one gather of columns per normal pair,
     # so no class function is restricted one at a time
