@@ -42,9 +42,10 @@ _EXPORTS = {
     "bounds": "BoundInputs RadicalValue RestrictedBounds bound_induced_case "
               "bound_restricted_case global_constant",
     "conductor": "FactoredConductor GaloisContext RamificationFiltration "
-                 "artin_conductor conductor_exponent factor_integer "
-                 "induced_conductor_norm load_context parse_context_dict "
-                 "root_conductor unramified_triviality "
+                 "artin_conductor conductor_exponent conductor_exponents "
+                 "conductors factor_integer induced_conductor_norm "
+                 "load_context parse_context_dict root_conductor "
+                 "unramified_triviality "
                  "verify_conductor_discriminant",
     "catalog": "Catalog default_catalog",
     "verify": "CheckRecord VerificationReport run_suite",

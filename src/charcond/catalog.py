@@ -152,7 +152,7 @@ class Catalog:
             return self.group(ref)
         except InvalidData:
             pass
-        if Path(ref).exists():
+        if Path(ref).is_file():
             return load_group_file(ref)
         raise InvalidData(f"{ref!r} is neither a catalog group nor a readable file")
 
@@ -207,7 +207,7 @@ class Catalog:
             return self.context(ref)
         except InvalidData:
             pass
-        if Path(ref).exists():
+        if Path(ref).is_file():
             from .conductor import load_context
             return load_context(ref)
         raise InvalidData(

@@ -92,6 +92,13 @@ MAX_TABLE_WORK = 1 << 31
 # entries, d^2 = 46,656 for the first split of C6xC6xC6
 _LAMBDA_CHUNK = 1 << 15
 
+# the class-constancy count gathers the products of as many elements of a
+# class as fit in this many entries, and at least one: a block holds at most
+# max(_COUNT_CHUNK, |G|) products, 52 of S7's 5040-entry rows where its
+# largest class has 840 elements, so the count stays below the group's own
+# peak memory
+_COUNT_CHUNK = 1 << 18
+
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a._cache is b._cache
@@ -572,15 +579,16 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     inv = np.array([pow(x, p - 2, p) for x in range(p)], dtype=np.int64)
 
     # one class matrix at a time: mat[j, l] = #{(x, y) in C_i x C_j : x y = z}
-    # for any z in C_l, from one count of (class of y, class of x y) over x in
-    # C_i, y in G; every count is checked, and while some common eigenspace
-    # is not a line the matrix splits them (class 0, the identity, splits
-    # nothing)
+    # for any z in C_l, from counts of (class of y, class of x y) over x in
+    # C_i, y in G, in blocks of rows x; every count is checked, and while some
+    # common eigenspace is not a line the matrix splits them (class 0, the
+    # identity, splits nothing)
     spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
+    step = max(1, _COUNT_CHUNK // n)
     for i, cls in enumerate(part.classes):
-        prods = classof[g.mul[np.array(cls, dtype=np.int64)]]
-        cnt = np.bincount((classof * k + prods).ravel(),
-                          minlength=k * k).reshape(k, k)
+        cls = np.array(cls, dtype=np.int64)
+        cnt = sum(_product_counts(g.mul[cls[at:at + step]], classof, k)
+                  for at in range(0, len(cls), step))
         if np.any(cnt % sizes):
             raise InternalContradiction("structure constants not class-constant")
         if i and len(spaces) < k:
@@ -646,6 +654,13 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # induction / restriction machinery
+
+
+def _product_counts(rows: np.ndarray, classof: np.ndarray, k: int) -> np.ndarray:
+    """cnt[j, l] = #{(x, y) : y in class j, x y in class l} over the x whose
+    rows of the multiplication table are given."""
+    return np.bincount((classof * k + classof[rows]).ravel(),
+                       minlength=k * k).reshape(k, k)
 
 
 def _induction_counts(s: Subgroup) -> np.ndarray:

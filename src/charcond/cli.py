@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -189,8 +190,7 @@ def _cmd_classify(args) -> int:
 def _cmd_conduct(args) -> int:
     from .catalog import default_catalog
     from .characters import character_table
-    from .conductor import (artin_conductor, root_conductor,
-                            verify_conductor_discriminant)
+    from .conductor import artin_conductor, conductors, root_conductor
     cat = default_catalog()
     ctx = cat.resolve_context(args.context)
     table = character_table(ctx.group)
@@ -198,13 +198,12 @@ def _cmd_conduct(args) -> int:
         if not 0 <= args.char < len(table):
             raise InvalidData(
                 f"character index {args.char} out of range 0..{len(table) - 1}")
-        rows = [args.char]
+        rows = {args.char: artin_conductor(table[args.char], ctx)}
     else:
-        rows = list(range(len(table)))
+        rows = dict(enumerate(conductors(ctx, table)))
     entries = []
-    for i in rows:
+    for i, fc in rows.items():
         chi = table[i]
-        fc = artin_conductor(chi, ctx)
         rc = root_conductor(fc, chi.degree)
         entries.append({
             "chi": i,
@@ -216,9 +215,11 @@ def _cmd_conduct(args) -> int:
         })
     payload = {"context": ctx.name, "group_order": ctx.group.order,
                "characters": entries}
+    # the conductor-discriminant oracle, from the whole table's conductors
+    prod = math.prod(e["norm"] ** e["degree"] for e in entries)
     oracle = None
     if ctx.disc is not None and args.char is None:
-        oracle = verify_conductor_discriminant(ctx, table, ctx.disc)
+        oracle = prod == ctx.disc
         payload["disc"] = ctx.disc
         payload["conductor_discriminant_ok"] = oracle
     if args.format == "json":
@@ -232,9 +233,6 @@ def _cmd_conduct(args) -> int:
                   f"norm {e['norm']}, root conductor {e['root_conductor']} "
                   f"= {e['root_conductor_decimal']}")
         if oracle is not None:
-            prod = 1
-            for e in entries:
-                prod *= e["norm"] ** e["degree"]
             print(f"conductor-discriminant product: {prod} "
                   f"(disc {ctx.disc}) -> {'ok' if oracle else 'MISMATCH'}")
     return EXIT_OK

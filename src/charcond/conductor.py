@@ -7,15 +7,25 @@ attached to a prime; the conductor exponent of a character is
 
 with chi(G_j) the sum of chi over G_j.  Exponents are exact integers (anything
 else signals inconsistent data) and conductor norms are exact big integers.
-The bound arithmetic on exact prime-power products with fractional exponents
-lives in `bounds`, which needs no numpy; its names are re-exported here.
+The exponent is linear in chi: each filtration keeps one count matrix,
+#(G_j in class c) for every G_j before the first trivial one, and
+`conductor_exponents` turns a batch of class functions into their exponents
+with one contraction against it.  `conductors` (a whole table at once),
+`artin_conductor` and the conductor-discriminant oracle take that route;
+`conductor_exponent` keeps a second one, its own class count of each G_j, for
+one character at a time.  The bound arithmetic on exact prime-power products
+with fractional exponents lives in `bounds`, which needs no numpy; its names
+are re-exported here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +34,8 @@ from .arith import PRIME_TEST_BOUND, factor_integer, is_prime
 from .bounds import (BoundInputs, RadicalValue, RestrictedBounds,
                      bound_induced_case, bound_restricted_case, global_constant)
 from .characters import (ClassFunction, CharacterTable, conjugacy_classes,
-                         _same_group)
-from .cyclotomic import _matmul, values
+                         _aligned, _same_group)
+from .cyclotomic import _matmul, scaled, values
 from .errors import InvalidData, NonIntegralExponent, NotACharacter
 from .groups import (FiniteGroup, Subgroup, build_from_table, load_group_file,
                      subgroup)
@@ -33,7 +43,8 @@ from .groups import (FiniteGroup, Subgroup, build_from_table, load_group_file,
 __all__ = [
     "RamificationFiltration", "GaloisContext", "FactoredConductor",
     "BoundInputs", "RadicalValue", "RestrictedBounds",
-    "conductor_exponent", "artin_conductor", "unramified_triviality",
+    "conductor_exponent", "conductor_exponents", "conductors",
+    "artin_conductor", "unramified_triviality",
     "induced_conductor_norm", "root_conductor", "bound_restricted_case",
     "bound_induced_case", "global_constant", "verify_conductor_discriminant",
     "load_context", "parse_context_dict", "factor_integer",
@@ -67,9 +78,8 @@ class RamificationFiltration:
     def __post_init__(self):
         _require_prime(self.prime)
         n = self.residue_norm
-        p = self.prime
-        while n > 1 and n % p == 0:
-            n //= p
+        while n > 1 and n % self.prime == 0:
+            n //= self.prime
         if n != 1:
             raise InvalidData(
                 f"residue norm {self.residue_norm} is not a power of {self.prime}")
@@ -77,13 +87,16 @@ class RamificationFiltration:
             parent = self.groups[0].parent
             if self.groups[0].order == 1:
                 raise InvalidData("G_0 must be nontrivial; use an empty filtration")
-            prev = None
-            for sub in self.groups:
+            for prev, sub in zip(self.groups, self.groups[1:]):
                 if sub.parent is not parent:
                     raise InvalidData("filtration subgroups live in different groups")
-                if prev is not None and not set(sub.elements) <= set(prev.elements):
+                if not set(sub.elements) <= set(prev.elements):
                     raise InvalidData("filtration is not descending")
-                prev = sub
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """counts[j, c] = #(G_j in class c), built once per filtration."""
+        return _count_matrix(self)
 
 
 @dataclass(frozen=True)
@@ -102,10 +115,10 @@ class GaloisContext:
             if f.prime in seen:
                 raise InvalidData(f"duplicate filtration at prime {f.prime}")
             seen.add(f.prime)
-            for sub in f.groups:
-                if sub.parent is not self.group:
-                    raise InvalidData(
-                        "filtration subgroup lives outside the context group")
+            # a filtration's groups share one parent
+            if f.groups and f.groups[0].parent is not self.group:
+                raise InvalidData(
+                    "filtration subgroup lives outside the context group")
 
 
 class FactoredConductor:
@@ -113,22 +126,16 @@ class FactoredConductor:
 
     def __init__(self, entries) -> None:
         # entries: iterable of (prime, exponent, residue_norm)
-        items = sorted((p, e, rn) for p, e, rn in entries if e)
-        self.entries = tuple(items)
-        norm = 1
-        for _, e, rn in items:
-            norm *= rn ** e
-        self.norm = norm
+        self.entries = tuple(sorted((p, e, rn) for p, e, rn in entries if e))
+        self.norm = math.prod(rn ** e for _, e, rn in self.entries)
 
     @property
     def exponents(self) -> dict[int, int]:
         return {p: e for p, e, _ in self.entries}
 
     def radical(self) -> RadicalValue:
-        out = RadicalValue.one()
-        for _, e, rn in self.entries:
-            out = out * RadicalValue({rn: Fraction(e)})
-        return out
+        return math.prod((RadicalValue({rn: Fraction(e)})
+                          for _, e, rn in self.entries), start=RadicalValue.one())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredConductor):
@@ -146,6 +153,56 @@ class FactoredConductor:
 
     def __repr__(self) -> str:
         return f"FactoredConductor({self})"
+
+
+def _count_matrix(filt: RamificationFiltration, image=None) -> np.ndarray:
+    """counts[..., j, c] = #{h in G_j : image(h) lies in class c} for each
+    G_j before the first trivial one, shape (..., m, k).  `image` maps the
+    array of G_0's elements to an array (..., |G_0|) of elements, and is the
+    identity by default.  A trivial G_j, and every one after it, adds
+    |G_j| chi(1) - chi(G_j) = 0 to an exponent.  |G_j| is the sum of row j."""
+    part = conjugacy_classes(filt.groups[0].parent)
+    elems = np.array(filt.groups[0].elements, dtype=np.int64)
+    hits = part.class_of[elems if image is None else image(elems)][..., None] \
+        == np.arange(len(part))
+    return np.stack([hits[..., np.isin(elems, sub.elements), :].sum(axis=-2)
+                     for sub in takewhile(lambda s: s.order > 1, filt.groups)],
+                    axis=-2)
+
+
+def conductor_exponents(filt: RamificationFiltration, nums: np.ndarray,
+                        den: int = 1, e: int | None = None,
+                        counts: np.ndarray | None = None) -> np.ndarray:
+    """The exact conductor exponents at filt's prime of a batch of class
+    functions: numerators nums of shape (n, k, phi(e)) over den, on the
+    filtration's group; e defaults to the group's exponent, where table rows
+    and their sums sit, and den to 1.
+
+    One contraction of the count matrices counts (..., m, k), the
+    filtration's own by default, with nums gives every chi(G_j); the result
+    has shape (..., n), with the checks and messages of `conductor_exponent`.
+    """
+    if not filt.groups:
+        return np.zeros(len(nums), dtype=np.int64)
+    if nums[:, 0, 1:].any():
+        raise NotACharacter("class function has irrational degree")
+    counts = filt.counts if counts is None else counts
+    sums = _matmul(counts[..., None, :, :], nums)
+    irrational = sums[sums[..., 1:].any(axis=-1)]
+    if len(irrational):
+        value = values(irrational[:1], e or filt.groups[0].parent.exponent(), den)
+        raise NonIntegralExponent(
+            f"character sum over a filtration group is irrational: {value[0]}")
+    # sum_j |G_j| chi(1) - chi(G_j) = sum_c (sum_j #(G_j in c)) (chi(1) - chi(c))
+    total = _matmul(counts.sum(axis=-2), (nums[:, :1, 0] - nums[:, :, 0]).T)
+    size = scaled(np.array(filt.groups[0].order), den)
+    f, rem = np.divmod(total, size)
+    bad = total[(rem != 0) | (f < 0)]
+    if len(bad):
+        raise NonIntegralExponent(f"conductor exponent at {filt.prime} is "
+                                  f"{Fraction(int(bad[0]), int(size))}, "
+                                  "not a nonnegative integer")
+    return f
 
 
 def _character_subgroup_sum(chi: ClassFunction, sub: Subgroup) -> Fraction:
@@ -179,11 +236,9 @@ def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:
     if deg[1:].any():
         raise NotACharacter("class function has irrational degree")
     deg = Fraction(int(deg[0]), chi.den)
-    total = Fraction(0)
-    for sub in filt.groups:
-        if sub.order == 1:
-            break
-        total += sub.order * deg - _character_subgroup_sum(chi, sub)
+    total = sum((sub.order * deg - _character_subgroup_sum(chi, sub)
+                 for sub in takewhile(lambda s: s.order > 1, filt.groups)),
+                Fraction(0))
     f = total / filt.groups[0].order
     if f.denominator != 1 or f < 0:
         raise NonIntegralExponent(
@@ -191,14 +246,24 @@ def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:
     return int(f)
 
 
+def conductors(ctx: GaloisContext, fns) -> list[FactoredConductor]:
+    """The conductor ideals of a sequence of class functions on the
+    context's group (a table, say), in order: one `conductor_exponents` call
+    per prime for all of them."""
+    if (any(filt.groups for filt in ctx.filtrations)
+            and not all(_same_group(ctx.group, fn.group) for fn in fns)):
+        raise NotACharacter("character does not live on the filtration's group")
+    e, nums, den = _aligned(fns)
+    exps = [conductor_exponents(filt, nums, den, e).tolist()
+            for filt in ctx.filtrations]
+    return [FactoredConductor((filt.prime, x[i], filt.residue_norm)
+                              for filt, x in zip(ctx.filtrations, exps))
+            for i in range(len(fns))]
+
+
 def artin_conductor(chi: ClassFunction, ctx: GaloisContext) -> FactoredConductor:
     """The conductor ideal of a character over all primes of the context."""
-    entries = []
-    for filt in ctx.filtrations:
-        e = conductor_exponent(chi, filt)
-        if e:
-            entries.append((filt.prime, e, filt.residue_norm))
-    return FactoredConductor(entries)
+    return conductors(ctx, [chi])[0]
 
 
 def unramified_triviality(ctx: GaloisContext) -> bool:
@@ -226,10 +291,8 @@ def verify_conductor_discriminant(ctx: GaloisContext, table: CharacterTable,
     """Conductor-discriminant oracle: prod over Irr of norm(f_chi)^chi(1) == disc."""
     if not _same_group(table.group, ctx.group):
         raise NotACharacter("table does not belong to the context's group")
-    prod = 1
-    for chi in table:
-        prod *= artin_conductor(chi, ctx).norm ** chi.degree
-    return prod == disc
+    return math.prod(fc.norm ** chi.degree
+                     for fc, chi in zip(conductors(ctx, table), table)) == disc
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,16 @@ identity come by different routes: Res Ind theta by the gather of the induced
 table, the orbit sums by the row permutations; <Ind theta, Ind theta> by a
 Gram product, |I/H| by the stabilizer; e and the constituents by the
 multiplicity Gram product, the orbit by the permutations.
+
+The conductor checks work on arrays as well.  The random characters phi, psi
+of the additivity trials are one multiplicity matrix times the table.  The
+conductor-discriminant product, the induced conductor and f(phi + psi) for
+all trials at once come from a filtration's count matrix
+(`conductor.conductor_exponents`); f(phi) + f(psi), and the exponents on the
+filtration padded with trivial groups, from `conductor_exponent`, which counts
+each G_j itself; conjugation invariance compares the count-matrix route on
+the filtration with the count matrices of all its conjugates, gathered at
+once.
 """
 
 from __future__ import annotations
@@ -25,14 +35,16 @@ from .characters import ClassFunction, character_table, induce, _table_nums
 from .clifford import (ClassificationKind, NormalChain, construct_large_degree,
                        promote_degree, _Conjugation, _NormalPair, _cached,
                        _classify_row, _clifford_row)
-from .cyclotomic import scaled
+from .cyclotomic import _matmul, scaled
 from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
-                        conductor_exponent, induced_conductor_norm,
-                        unramified_triviality, verify_conductor_discriminant)
+                        conductor_exponent, conductor_exponents,
+                        conductors, induced_conductor_norm,
+                        unramified_triviality, verify_conductor_discriminant,
+                        _count_matrix)
 from .errors import CharcondError, InvalidData
 from .groups import (FiniteGroup, Subgroup, normal_subgroups,
                      prime_index_normal_subgroups, product_chain, quotient,
-                     row_keys, subgroup, trivial_subgroup)
+                     row_keys, trivial_subgroup)
 
 DEFAULT_MAX_ORDER = 24
 _RANDOM_SEED = 20230923
@@ -61,7 +73,9 @@ class VerificationReport:
 
     def add(self, identity: str, inputs: str, passed: bool,
             detail: str = "") -> None:
-        self.checks.append(CheckRecord(identity, inputs, passed, detail))
+        """Record one check; the detail is kept for a failed check only."""
+        self.checks.append(CheckRecord(identity, inputs, passed,
+                                       "" if passed else detail))
 
     @property
     def passed(self) -> bool:
@@ -94,6 +108,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _attempt(check, *args) -> tuple[bool, str]:
+    """(passed, detail) of a check that returns its failure detail, "" or
+    None when it holds; an exact error fails it with its message."""
+    try:
+        detail = check(*args) or ""
+    except CharcondError as exc:
+        return False, str(exc)
+    return not detail, detail
+
+
 def _pair_name(g: FiniteGroup, s: Subgroup) -> str:
     return f"G={g.name or g.order}, |H|={s.order}"
 
@@ -107,14 +131,19 @@ def _proper_normal_pairs(cat: Catalog, max_order: int, prime_only: bool):
                 yield g, s
 
 
+_CLIFFORD_IDENTITIES = (
+    "clifford: Res Ind theta = |I/H| sum of conjugates",
+    "clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping",
+    "clifford: Res chi = e * orbit with e-bounds")
+
+
 def suite_clifford(cat: Catalog | None = None,
                    max_order: int = DEFAULT_MAX_ORDER) -> VerificationReport:
     """Restriction/induction identities over every normal pair in the catalog."""
     cat = cat or default_catalog()
     rep = VerificationReport("clifford")
     for g, s in _proper_normal_pairs(cat, max_order, prime_only=False):
-        ok_a = ok_b = ok_c = True
-        detail = ""
+        fails = []  # (record, detail); a failed record shows the last detail
         try:
             pair, conj = _cached(s, _NormalPair), _cached(s, _Conjugation)
             # Res Ind theta by the gather; the orbit sums by the row action
@@ -124,28 +153,20 @@ def suite_clifford(cat: Catalog | None = None,
                 deg = int(pair.th[i, 0, 0])
                 ratio = int(conj.stab[i]) // s.order
                 if not pair.is_res_ind(i, scaled(orbit_sums[i], ratio)):
-                    ok_a = False
-                    detail = f"Res Ind theta mismatch for theta degree {deg}"
+                    fails.append((0, f"Res Ind theta mismatch for theta degree {deg}"))
                 if ind_norm != ratio:
-                    ok_b = False
-                    detail = f"<Ind,Ind> = {ind_norm}, expected {ratio}"
+                    fails.append((1, f"<Ind,Ind> = {ind_norm}, expected {ratio}"))
                 if (ind_norm == 1) != conj.is_h[i]:
-                    ok_b = False
-                    detail = "irreducibility of Ind theta disagrees with I=H"
+                    fails.append((1, "irreducibility of Ind theta disagrees with I=H"))
                 if pair.induced_degree(i) != s.index * deg:
-                    ok_b = False
-                    detail = "degree of Ind theta is not [G:H]*theta(1)"
+                    fails.append((1, "degree of Ind theta is not [G:H]*theta(1)"))
             for r in range(len(pair.tg)):
                 _clifford_row(s, r)
         except CharcondError as exc:
-            ok_c = False
-            detail = str(exc)
-        rep.add("clifford: Res Ind theta = |I/H| sum of conjugates",
-                _pair_name(g, s), ok_a, detail if not ok_a else "")
-        rep.add("clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping",
-                _pair_name(g, s), ok_b, detail if not ok_b else "")
-        rep.add("clifford: Res chi = e * orbit with e-bounds",
-                _pair_name(g, s), ok_c, detail if not ok_c else "")
+            fails.append((2, str(exc)))
+        for record, identity in enumerate(_CLIFFORD_IDENTITIES):
+            rep.add(identity, _pair_name(g, s), all(r != record for r, _ in fails),
+                    fails[-1][1] if fails else "")
     return rep
 
 
@@ -161,8 +182,7 @@ def suite_dichotomy(cat: Catalog | None = None,
                in zip(degrees, conj.stab.tolist(), conj.is_h)
                if order != g.order and not is_h]
         rep.add("dichotomy: I(theta) is G or H under prime index",
-                _pair_name(g, s), not bad,
-                f"violations {bad}" if bad else "")
+                _pair_name(g, s), not bad, f"violations {bad}")
     return rep
 
 
@@ -173,8 +193,7 @@ def suite_classification(cat: Catalog | None = None,
     rep = VerificationReport("classification")
     for g, s in _proper_normal_pairs(cat, max_order, prime_only=True):
         k = len(_table_nums(g))
-        ok = True
-        detail = ""
+        fails = []
         counts = {ClassificationKind.RESTRICTED: 0, ClassificationKind.INDUCED: 0}
         try:
             pair = _cached(s, _NormalPair)
@@ -182,9 +201,8 @@ def suite_classification(cat: Catalog | None = None,
                 kind, j, _, _, checks = _classify_row(s, r)
                 counts[kind] += 1
                 if not all(checks.values()):
-                    ok = False
-                    detail = ("unverified classification for degree "
-                              f"{int(pair.tg[r, 0, 0])}")
+                    fails.append("unverified classification for degree "
+                                 f"{int(pair.tg[r, 0, 0])}")
                 # the kind came from <Res chi, Res chi>; irreducibility and
                 # Ind theta = chi are read here off the multiplicities and
                 # the induced degree: by Frobenius, <Ind theta, chi> = 1
@@ -193,23 +211,17 @@ def suite_classification(cat: Catalog | None = None,
                 ind_match = (mults[j] == 1
                              and pair.induced_degree(j) == pair.tg[r, 0, 0])
                 if kind == ClassificationKind.RESTRICTED and not res_irr:
-                    ok = False
-                    detail = "restricted case without irreducible restriction"
+                    fails.append("restricted case without irreducible restriction")
                 if kind == ClassificationKind.INDUCED and res_irr:
-                    ok = False
-                    detail = "induced case with irreducible restriction"
+                    fails.append("induced case with irreducible restriction")
                 if kind == ClassificationKind.INDUCED and not ind_match:
-                    ok = False
-                    detail = "induced case where Ind theta != chi"
+                    fails.append("induced case where Ind theta != chi")
         except CharcondError as exc:
-            ok = False
-            detail = str(exc)
-        total = counts[ClassificationKind.RESTRICTED] + counts[ClassificationKind.INDUCED]
-        if total != k:
-            ok = False
-            detail = "classification is not total"
+            fails.append(str(exc))
+        if sum(counts.values()) != k:
+            fails.append("classification is not total")
         rep.add("classification: totality and exclusivity under prime index",
-                _pair_name(g, s), ok, detail)
+                _pair_name(g, s), not fails, fails[-1] if fails else "")
     return rep
 
 
@@ -220,37 +232,31 @@ def suite_gallagher(cat: Catalog | None = None,
     rep = VerificationReport("gallagher")
     for g, s in _proper_normal_pairs(cat, max_order, prime_only=True):
         _, qmap = quotient(g, s)
-        ok = True
-        detail = ""
+        fails = []
         invariant = 0
         try:
             pair = _cached(s, _NormalPair)
             thetas = np.flatnonzero(_cached(s, _Conjugation).stab == g.order)
-            exts = []
-            for j in thetas.tolist():
-                invariant += 1
-                exts.append(pair.extensions(j))
+            invariant = len(thetas)
+            exts = [pair.extensions(j) for j in thetas.tolist()]
             # the trivial theta is invariant, so there is an extension chi;
             # every chi * psi_i by one multiply, their norms by one gram
             products, norms = pair.products([rows[0] for rows in exts], qmap)
             for x, j in enumerate(thetas.tolist()):
                 if len(set(row_keys(products[x]))) != len(products[x]):
-                    ok = False
-                    detail = "products chi * psi_i are not distinct"
+                    fails.append("products chi * psi_i are not distinct")
                 if not pair.is_induced(j, products[x].sum(axis=0)):
-                    ok = False
-                    detail = "sum of chi * psi_i differs from Ind theta"
+                    fails.append("sum of chi * psi_i differs from Ind theta")
                 if any(got != 1 for got in norms[x]):
-                    ok = False
-                    detail = "a product chi * psi_i is not irreducible"
+                    fails.append("a product chi * psi_i is not irreducible")
                 if len(exts[x]) != len(products[x]):
-                    ok = False
-                    detail = f"{len(exts[x])} extensions, expected {len(products[x])}"
+                    fails.append(
+                        f"{len(exts[x])} extensions, expected {len(products[x])}")
         except CharcondError as exc:
-            ok = False
-            detail = str(exc)
+            fails.append(str(exc))
         rep.add("gallagher: extensions exist and exhaust Ind theta",
-                f"{_pair_name(g, s)}, invariant thetas={invariant}", ok, detail)
+                f"{_pair_name(g, s)}, invariant thetas={invariant}", not fails,
+                fails[-1] if fails else "")
     return rep
 
 
@@ -270,42 +276,94 @@ def suite_degrees(cat: Catalog | None = None,
         phi = construct_large_degree(chain)
         want = 2 ** copies
         table_max = max(character_table(chain.group).degrees())
-        ok = phi.degree >= want and phi.degree <= table_max
         rep.add(f"degrees: chain of length {copies} gives degree >= {want}",
-                f"G order {chain.group.order}", ok,
-                "" if ok else f"degree {phi.degree}, table max {table_max}")
+                f"G order {chain.group.order}", want <= phi.degree <= table_max,
+                f"degree {phi.degree}, table max {table_max}")
         rep.add(f"degrees: chain degree consistent with table maximum {table_max}",
                 f"G order {chain.group.order}", phi.degree <= table_max,
-                "" if phi.degree <= table_max else f"degree {phi.degree}")
+                f"degree {phi.degree}")
         # composite property: chain of length L inside G certifies a character
         # of degree exceeding 2^((n-1)/2) for n = 2L
         n = 2 * copies
-        strict = phi.degree ** 2 > 2 ** (n - 1)
         rep.add(f"degrees: length-{copies} chain exceeds 2^(({n}-1)/2)",
-                f"G order {chain.group.order}", strict,
-                "" if strict else f"degree {phi.degree}")
+                f"G order {chain.group.order}", phi.degree ** 2 > 2 ** (n - 1),
+                f"degree {phi.degree}")
     two = _s3_chain(cat, 2)
     left = two.subgroups[1]
     theta = next(r for r in character_table(left.as_group()) if r.degree == 2)
     promoted = promote_degree(theta, left)
     rep.add("degrees: promotion keeps degree at least theta(1)",
             "theta degree 2 in order-36 group", promoted.degree >= 2,
-            "" if promoted.degree >= 2 else f"degree {promoted.degree}")
+            f"degree {promoted.degree}")
     return rep
 
 
-def _random_character(table, rng: random.Random) -> ClassFunction:
-    total = None
-    for row in table:
-        m = rng.randint(0, 3)
-        if not m:
-            continue
-        part = row.scale(m)
-        total = part if total is None else total + part
-    if total is None:
-        row = table[0]
-        total = ClassFunction._make(table.group, row.e, row.nums, row.den)
-    return total
+def _random_characters(nums: np.ndarray, rng: random.Random) -> np.ndarray:
+    """Numerators of the random characters phi, psi of the additivity trials,
+    rows (phi_0, psi_0, phi_1, ...), from a table's numerators: one
+    `rng.randint(0, 3)` per irreducible in table order gives its multiplicity,
+    and a character where every draw is 0 is the trivial one."""
+    k = len(nums)
+    mults = np.array([[rng.randint(0, 3) for _ in range(k)]
+                      for _ in range(2 * _ADDITIVITY_TRIALS)], dtype=np.int64)
+    mults[~mults.any(axis=1), 0] = 1
+    return _matmul(mults, nums.reshape(k, -1)).reshape(-1, *nums.shape[1:])
+
+
+def _discriminant(ctx: GaloisContext, table) -> str:
+    ok = verify_conductor_discriminant(ctx, table, ctx.disc)
+    return "" if ok else "product mismatch"
+
+
+def _additivity(ctx: GaloisContext, chars: np.ndarray) -> str:
+    """f(phi + psi) by the matrix route for all pairs at once, against
+    f(phi) + f(psi) by `conductor_exponent` one character at a time."""
+    g, e = ctx.group, ctx.group.exponent()
+    detail = ""
+    for filt in ctx.filtrations:
+        lhs = conductor_exponents(filt, chars[0::2] + chars[1::2])
+        for got, phi, psi in zip(lhs.tolist(), chars[0::2], chars[1::2]):
+            want = sum(conductor_exponent(ClassFunction._make(g, e, a, 1), filt)
+                       for a in (phi, psi))
+            if got != want:
+                detail = f"f(phi+psi)={got} vs {want} at prime {filt.prime}"
+    return detail
+
+
+def _truncation(ctx: GaloisContext, table) -> str:
+    """The table's exponents by the matrix route, against `conductor_exponent`
+    once two trivial groups are appended to the filtration."""
+    triv = trivial_subgroup(ctx.group)
+    for filt in ctx.filtrations:
+        padded = RamificationFiltration(filt.prime, filt.residue_norm,
+                                        filt.groups + (triv, triv))
+        want = conductor_exponents(filt, _table_nums(ctx.group)).tolist()
+        got = [conductor_exponent(chi, padded) for chi in table]
+        if got != want:
+            return f"padded exponents {got} vs {want} at prime {filt.prime}"
+    return ""
+
+
+def _conjugation(ctx: GaloisContext) -> str:
+    """The table's exponents by the matrix route, on the filtration and on
+    the count matrices of all its conjugates x G_j x^-1 from one gather."""
+    g, nums = ctx.group, _table_nums(ctx.group)
+    for filt in filter(lambda filt: filt.groups, ctx.filtrations):
+        counts = _count_matrix(filt, lambda h: g.mul[g.mul[:, h], g.inv[:, None]])
+        got = conductor_exponents(filt, nums, counts=counts)
+        want = conductor_exponents(filt, nums)
+        moved = np.flatnonzero((got != want).any(axis=1))
+        if len(moved):
+            return (f"conjugating by {moved[0]} gives exponents "
+                    f"{got[moved[0]].tolist()}, not {want.tolist()}")
+    return ""
+
+
+def _induced_norm(ctx: GaloisContext) -> str:
+    triv = trivial_subgroup(ctx.group)
+    ind = induce(character_table(triv.as_group())[0], triv)
+    got, want = artin_conductor(ind, ctx).norm, induced_conductor_norm(1, 1, ctx.disc)
+    return "" if got == want else f"{got} != {want}"
 
 
 def suite_conductor(cat: Catalog | None = None,
@@ -317,65 +375,26 @@ def suite_conductor(cat: Catalog | None = None,
     for name in cat.context_names():
         ctx = cat.context(name)
         table = character_table(ctx.group)
+        chars = _random_characters(_table_nums(ctx.group), rng)
+        here = f"context {name}"
         if ctx.disc is not None:
-            ok = verify_conductor_discriminant(ctx, table, ctx.disc)
             rep.add("conductor: conductor-discriminant product equals disc",
-                    f"context {name}, disc {ctx.disc}", ok,
-                    "" if ok else "product mismatch")
-        ok_add = True
-        detail = ""
-        for _ in range(_ADDITIVITY_TRIALS):
-            phi = _random_character(table, rng)
-            psi = _random_character(table, rng)
-            for filt in ctx.filtrations:
-                lhs = conductor_exponent(phi + psi, filt)
-                rhs = conductor_exponent(phi, filt) + conductor_exponent(psi, filt)
-                if lhs != rhs:
-                    ok_add = False
-                    detail = f"f(phi+psi)={lhs} vs {rhs} at prime {filt.prime}"
+                    f"{here}, disc {ctx.disc}", *_attempt(_discriminant, ctx, table))
         rep.add("conductor: exponents are additive in the character",
-                f"context {name}, {_ADDITIVITY_TRIALS} random sums", ok_add, detail)
-        ok_trunc = True
-        for filt in ctx.filtrations:
-            padded = RamificationFiltration(
-                filt.prime, filt.residue_norm,
-                filt.groups + (trivial_subgroup(ctx.group),
-                               trivial_subgroup(ctx.group)))
-            for chi in table:
-                if conductor_exponent(chi, filt) != conductor_exponent(chi, padded):
-                    ok_trunc = False
+                f"{here}, {_ADDITIVITY_TRIALS} random sums",
+                *_attempt(_additivity, ctx, chars))
         rep.add("conductor: appending trivial groups never changes exponents",
-                f"context {name}", ok_trunc, "")
-        ok_conj = True
-        for gval in range(ctx.group.order):
-            for filt in ctx.filtrations:
-                conj_groups = tuple(
-                    subgroup(ctx.group,
-                             [ctx.group.conj_elem(gval, h) for h in sub.elements])
-                    for sub in filt.groups)
-                conj_filt = RamificationFiltration(filt.prime, filt.residue_norm,
-                                                   conj_groups)
-                for chi in table:
-                    if conductor_exponent(chi, filt) != conductor_exponent(chi, conj_filt):
-                        ok_conj = False
+                here, *_attempt(_truncation, ctx, table))
         rep.add("conductor: exponents invariant under conjugating the filtration",
-                f"context {name}", ok_conj, "")
-        triv = trivial_subgroup(ctx.group)
-        theta = character_table(triv.as_group())[0]
-        ind = induce(theta, triv)
+                here, *_attempt(_conjugation, ctx))
         if ctx.disc is not None:
-            got = artin_conductor(ind, ctx).norm
-            want = induced_conductor_norm(1, 1, ctx.disc)
             rep.add("conductor: induced conductor norm matches disc^theta(1) * N",
-                    f"context {name}", got == want,
-                    "" if got == want else f"{got} != {want}")
+                    here, *_attempt(_induced_norm, ctx))
     empty = GaloisContext(cat.group("C2"), (), name="unramified")
-    ok_unram = unramified_triviality(empty)
-    for chi in character_table(empty.group):
-        if artin_conductor(chi, empty).norm != 1:
-            ok_unram = False
+    trivial = conductors(empty, character_table(empty.group))
     rep.add("conductor: unramified context forces trivial conductors",
-            "context with no filtrations", ok_unram, "")
+            "context with no filtrations", unramified_triviality(empty)
+            and all(fc.norm == 1 for fc in trivial))
     for name in cat.context_names():
         if unramified_triviality(cat.context(name)):
             rep.add("conductor: ramified context not reported unramified",
@@ -389,26 +408,14 @@ def suite_tables(cat: Catalog | None = None,
     cat = cat or default_catalog()
     rep = VerificationReport("tables")
     for name, g in cat.groups_up_to(max_order):
-        table = character_table(g)
-        ok = True
-        detail = ""
-        try:
-            table.validate()
-        except CharcondError as exc:
-            ok = False
-            detail = str(exc)
         rep.add("tables: exact row and column orthogonality, sum of squares",
-                f"G={name}", ok, detail)
+                f"G={name}", *_attempt(character_table(g).validate))
         for s in normal_subgroups(g):
             if s.order == g.order:
                 continue
             bad = _cached(s, _NormalPair).frobenius()
-            detail = ""
-            if bad:
-                i, j, lhs, rhs = bad[-1]
-                detail = f"<Ind t{i}, x{j}> = {lhs} != {rhs}"
-            rep.add("tables: Frobenius reciprocity",
-                    _pair_name(g, s), not bad, detail)
+            rep.add("tables: Frobenius reciprocity", _pair_name(g, s), not bad,
+                    "<Ind t{}, x{}> = {} != {}".format(*bad[-1]) if bad else "")
     return rep
 
 

@@ -68,6 +68,22 @@ def test_table_name_with_an_empty_factor_exits_2(capsys, name):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("table", "--group", ""), "catalog group"),
+    (("table", "--group", _SRC), "catalog group"),
+    (("conduct", "--context", ""), "catalog context"),
+])
+def test_an_empty_or_directory_ref_is_an_unknown_name(capsys, argv, what):
+    # a directory, and the empty path (the current one), is not a file
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"is neither a {what} nor a readable file" in err
+    assert "Is a directory" not in err
+
+
 def test_conduct_huge_prime_exits_2(capsys, tmp_path):
     ctx = tmp_path / "huge.json"
     ctx.write_text(json.dumps({"group": [[0, 1], [1, 0]], "primes": [

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from charcond.arith import PRIME_TEST_BOUND
+from charcond import characters
 from charcond.catalog import Catalog
 from charcond.characters import ClassFunction, character_table, induce
 from charcond.conductor import (BoundInputs, FactoredConductor, GaloisContext,
                                 RadicalValue, RamificationFiltration,
                                 artin_conductor, bound_induced_case,
                                 bound_restricted_case, conductor_exponent,
+                                conductor_exponents,
                                 factor_integer, global_constant,
                                 induced_conductor_norm, load_context,
                                 parse_context_dict, root_conductor,
@@ -25,10 +27,10 @@ from charcond.conductor import (BoundInputs, FactoredConductor, GaloisContext,
                                 verify_conductor_discriminant,
                                 _character_subgroup_sum)
 from charcond.cyclotomic import Cyclotomic, cyclo_sum
-from charcond.errors import InvalidData, NonIntegralExponent
+from charcond.errors import CharcondError, InvalidData, NonIntegralExponent
 from charcond.groups import (build_from_permutations, conjugacy_classes,
                              full_subgroup, generated_subgroup,
-                             trivial_subgroup)
+                             normal_subgroups, trivial_subgroup)
 
 
 def c_n(n, name=None):
@@ -384,3 +386,89 @@ def test_subgroup_sum_matches_the_classwise_oracle():
         _character_subgroup_sum(fn, sub)
     assert str(exc.value) == (
         f"character sum over a filtration group is irrational: {want}")
+
+
+def _exponent_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except CharcondError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_routes_agree(g, filt, nums, den=1):
+    """The matrix route on the batch and on each row alone, against
+    `conductor_exponent` on each row: equal exponents, or the same error.
+    Rows are numerators at e = exp(G) over den."""
+    e = g.exponent()
+    want = [_exponent_or_error(conductor_exponent,
+                               ClassFunction._make(g, e, row, den), filt)
+            for row in nums]
+    got = [_exponent_or_error(
+        lambda row: int(conductor_exponents(filt, row[None], den, e)[0]), row)
+        for row in nums]
+    assert got == want
+    if all(isinstance(x, int) for x in want):
+        assert conductor_exponents(filt, nums, den, e).tolist() == want
+    return want
+
+
+def _filtrations(g):
+    """Every chain G_0 > G_1 (> 1) of normal subgroups of g, G_0 nontrivial."""
+    subs = normal_subgroups(g)
+    for top in subs:
+        if top.order == 1:
+            continue
+        yield RamificationFiltration(7, 7, (top,))
+        for low in subs:
+            if set(low.elements) < set(top.elements):
+                yield RamificationFiltration(7, 49, (top, low))
+                yield RamificationFiltration(7, 7, (top, top, low,
+                                                    trivial_subgroup(g)))
+
+
+def test_matrix_route_equals_conductor_exponent_on_context_tables():
+    cat = Catalog()
+    rng = np.random.default_rng(5)
+    for name in cat.context_names():
+        ctx = cat.context(name)
+        nums = characters._table_nums(ctx.group)
+        for filt in ctx.filtrations:
+            assert all(isinstance(x, int)
+                       for x in _assert_routes_agree(ctx.group, filt, nums))
+            # random nonnegative and signed integer combinations of the rows
+            for low in (0, -3):
+                mults = rng.integers(low, 4, size=(40, len(nums)))
+                _assert_routes_agree(ctx.group, filt, np.tensordot(mults, nums, 1))
+
+
+@pytest.mark.parametrize("name", ["S3", "C6", "D4", "Q8", "D6", "S4", "S3xC4"])
+def test_matrix_route_equals_conductor_exponent_on_normal_chains(name):
+    # chains of normal subgroups, with G_j repeated and a trivial tail; signed
+    # combinations give negative exponents, which both routes refuse alike
+    g = Catalog().group(name)
+    nums = characters._table_nums(g)
+    rng = np.random.default_rng(len(name))
+    outcomes = set()
+    for filt in _filtrations(g):
+        mults = np.vstack([np.eye(len(nums), dtype=np.int64),
+                           rng.integers(-2, 3, size=(20, len(nums)))])
+        outcomes |= {type(x) for x in
+                     _assert_routes_agree(g, filt, np.tensordot(mults, nums, 1))}
+    assert int in outcomes and tuple in outcomes
+
+
+def test_matrix_route_refuses_irrational_values_as_conductor_exponent_does():
+    g, ctx = quintic_context()
+    filt = ctx.filtrations[0]
+    z = Cyclotomic.zeta(5)
+    # an irrational sum over G_0, and an irrational degree
+    for values in ([1, z, 0, Fraction(1, 2), 0], [z, 1, 1, 1, 1]):
+        fn = ClassFunction(g, values)
+        assert isinstance(_assert_routes_agree(g, filt, fn.nums[None], fn.den)[0],
+                          tuple)
+    s3 = build_from_permutations(3, [(1, 0, 2), (1, 2, 0)], name="S3")
+    bad = RamificationFiltration(7, 7, (full_subgroup(s3),
+                                        generated_subgroup(s3, [1])))
+    got = _assert_routes_agree(s3, bad, characters._table_nums(s3))
+    assert got[1] == (NonIntegralExponent,
+                      "conductor exponent at 7 is 4/3, not a nonnegative integer")

@@ -245,6 +245,28 @@ def test_elimination_stack_holds_at_most_the_chunk_or_one_square(monkeypatch):
     assert max(size for _, size in sizes) == 48 * 48
 
 
+@pytest.mark.parametrize("chunk", [10, 50, 1 << 18])
+def test_class_constancy_counts_hold_at_most_the_chunk_or_one_row(
+        monkeypatch, chunk):
+    # S4's classes of 6 and 8 elements are counted a block of rows at a time,
+    # every product exactly once, with the exact class-constancy check
+    g = Catalog().group("S4")
+    want = characters._table_nums(g)
+    blocks = []
+    count = characters._product_counts
+
+    def counted(rows, classof, k):
+        blocks.append(rows.size)
+        return count(rows, classof, k)
+
+    monkeypatch.setattr(characters, "_product_counts", counted)
+    monkeypatch.setattr(characters, "_COUNT_CHUNK", chunk)
+    assert np.array_equal(characters._dixon_rows(g), want)
+    assert all(size <= max(chunk, g.order) for size in blocks)
+    assert sum(blocks) == g.order ** 2
+    assert max(blocks) == min(8, max(1, chunk // 24)) * 24
+
+
 def _next_dixon_prime(exponent, order):
     p = _DIXON_PRIME(exponent, order)
     step = exponent if exponent > 1 else 1

@@ -9,14 +9,19 @@ suites report for that failure.  The routes:
 - the restriction gather gives Res chi, so the multiplicities and the
   classification.
 Records are read on S3 over A3, where the two non-trivial characters of A3
-are conjugate.
+are conjugate.  The conductor suite's routes, read on every catalog context:
+- a filtration's count matrix gives the exponents of the table and of sums
+  of characters, so the conductor-discriminant product and f(phi + psi);
+  `conductor_exponent` counts each G_j itself and gives f(phi) + f(psi);
+- one gather of x h x^-1 gives the count matrices of all conjugate
+  filtrations.
 """
 
 import sys
 
 import numpy as np
 
-from charcond import characters
+from charcond import characters, conductor
 from charcond.catalog import Catalog
 from charcond.verify import run_suite
 
@@ -97,3 +102,63 @@ def test_corrupted_restriction_gather_fails_classification_and_e(monkeypatch):
         False, "multiplicity of row 1 is -z3, not a nonnegative integer")
     assert got["classification: totality and exclusivity under prime index"] == (
         False, "classification is not total")
+
+
+def _conductor_records():
+    return {(c.identity, c.inputs): (c.passed, c.detail)
+            for c in run_suite("conductor", Catalog()).checks}
+
+
+def test_perturbed_count_matrix_fails_discriminant_and_additivity(monkeypatch):
+    real = conductor._count_matrix
+
+    def perturbed(filt, image=None):
+        counts = real(filt, image)
+        if image is None:
+            # one more element of G_0 in the last class
+            counts = counts.copy()
+            counts[0, -1] += 1
+        return counts
+
+    _patch(monkeypatch, "_count_matrix", perturbed)
+    got = _conductor_records()
+    irrational = "character sum over a filtration group is irrational: "
+    assert got[("conductor: conductor-discriminant product equals disc",
+                "context gauss, disc 4")] == (False, "product mismatch")
+    assert got[("conductor: conductor-discriminant product equals disc",
+                "context quad-m23, disc 23")] == (False, "product mismatch")
+    assert got[("conductor: conductor-discriminant product equals disc",
+                "context quintic11, disc 14641")] == (False, irrational + "z5")
+    # on C2 the sign character's exponent reads 3 at 2 and 2 at 23, where
+    # `conductor_exponent` gives 2 and 1; on C5 a sum over G_0 is irrational
+    assert got[("conductor: exponents are additive in the character",
+                "context gauss, 100 random sums")] == (
+        False, "f(phi+psi)=6 vs 4 at prime 2")
+    assert got[("conductor: exponents are additive in the character",
+                "context quad-m23, 100 random sums")] == (
+        False, "f(phi+psi)=10 vs 5 at prime 23")
+    assert got[("conductor: exponents are additive in the character",
+                "context quintic11, 100 random sums")] == (
+        False, irrational + "-z5^3 - z5^2 - 2*z5 + 14")
+
+
+def test_wrong_conjugation_gather_fails_conjugation_invariance(monkeypatch):
+    real = conductor._count_matrix
+
+    def wrong(filt, image=None):
+        if image is None:
+            return real(filt)
+        # the class of x h x^-1 read at the first element h of G_0, for all h
+        return real(filt, lambda h: np.repeat(image(h)[:, :1], len(h), axis=1))
+
+    _patch(monkeypatch, "_count_matrix", wrong)
+    got = _conductor_records()
+    conj = "conductor: exponents invariant under conjugating the filtration"
+    assert got[(conj, "context gauss")] == (
+        False, "conjugating by 0 gives exponents [0, 0], not [0, 2]")
+    assert got[(conj, "context quad-m23")] == (
+        False, "conjugating by 0 gives exponents [0, 0], not [0, 1]")
+    assert got[(conj, "context quintic11")] == (
+        False, "conjugating by 0 gives exponents [0, 0, 0, 0, 0], "
+        "not [0, 1, 1, 1, 1]")
+    assert all(ok for (identity, _), (ok, _) in got.items() if identity != conj)

@@ -2,11 +2,13 @@
 
 import gc
 import json
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from charcond import characters
+from charcond import characters, conductor, verify
 from charcond.catalog import Catalog
 from charcond.errors import InvalidData
 from charcond.groups import FiniteGroup, Subgroup
@@ -75,6 +77,66 @@ def test_sweep_runs_dixon_once_per_table(monkeypatch):
     rep = run_suite("all", cat=Catalog(), max_order=12)
     assert rep.passed
     assert [n for n in runs.values() if n > 1] == []
+
+
+def _oracle_random_character(table, rng):
+    # one seeded multiplicity per irreducible, summed by scaling and adding
+    total = None
+    for row in table:
+        m = rng.randint(0, 3)
+        if m:
+            total = row.scale(m) if total is None else total + row.scale(m)
+    return table[0] if total is None else total
+
+
+def test_random_characters_are_the_seeded_multiplicity_draws():
+    cat = Catalog()
+    rng = random.Random(verify._RANDOM_SEED)
+    oracle = random.Random(verify._RANDOM_SEED)
+    trivial = 0
+    for name in cat.context_names():
+        table = characters.character_table(cat.context(name).group)
+        got = verify._random_characters(characters._table_nums(table.group), rng)
+        assert len(got) == 2 * verify._ADDITIVITY_TRIALS
+        for row in got:
+            want = _oracle_random_character(table, oracle)
+            assert (want.e, want.den) == (table.group.exponent(), 1)
+            assert np.array_equal(row, want.nums)
+            trivial += np.array_equal(row, table[0].nums)
+    assert trivial > 0
+
+
+def test_conductor_suite_works_on_arrays(monkeypatch):
+    # the random characters are one multiplicity matrix times the table, so
+    # no class function is scaled or added; a count matrix is built once per
+    # (context, filtration) and once per conjugation batch; the per-character
+    # route runs on the 2 x 100 random characters and on the 9 table rows
+    # against the padded filtrations of the three contexts
+    calls = Counter()
+
+    def refused(name):
+        def fn(*args, **kwargs):
+            raise AssertionError(f"ClassFunction.{name} called")
+        return fn
+
+    build, exponent = conductor._count_matrix, verify.conductor_exponent
+
+    def counted_build(filt, image=None):
+        calls["filtration" if image is None else "conjugation batch"] += 1
+        return build(filt, image)
+
+    def counted_exponent(chi, filt):
+        calls["conductor_exponent"] += 1
+        return exponent(chi, filt)
+
+    for name in ("scale", "__add__"):
+        monkeypatch.setattr(characters.ClassFunction, name, refused(name))
+    for mod in (conductor, verify):
+        monkeypatch.setattr(mod, "_count_matrix", counted_build)
+    monkeypatch.setattr(verify, "conductor_exponent", counted_exponent)
+    assert run_suite("conductor", Catalog()).passed
+    assert calls == {"filtration": 3, "conjugation batch": 3,
+                     "conductor_exponent": 3 * 200 + 9}
 
 
 def test_fresh_sweep_at_cap_24_runs_dixon_60_times_and_validate_100_times(
