@@ -15,9 +15,11 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# here so that the CLI parser needs neither `verify` nor numpy
+# here so that the CLI parser needs neither `verify` nor numpy: the suites
+# and the order cap of their catalog sweeps
 SUITE_NAMES = ("clifford", "gallagher", "dichotomy", "classification",
                "degrees", "conductor", "tables", "all")
+DEFAULT_MAX_ORDER = 24
 
 _EXPORTS = {
     "cyclotomic": "Cyclotomic cyclotomic_polynomial cyclo_sum",

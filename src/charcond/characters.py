@@ -799,20 +799,21 @@ def pointwise_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     return ClassFunction._from_array(phi.group, e, prod, phi.den * psi.den)
 
 
-def _multiplicities(got: np.ndarray, e: int, scale: int) -> list[int]:
-    """Gram numerators got (rows of power-basis numerators at e) over scale
-    as nonnegative integers; NotACharacter names the first that is not one.
-    A value is rational exactly when its coordinates beyond the first
-    vanish."""
-    out = []
-    for i, v in enumerate(got):
-        m, rest = divmod(int(v[0]), scale)
-        if v[1:].any() or rest or m < 0:
-            value = values(v[None], e, scale)[0]
-            raise NotACharacter(
-                f"multiplicity of row {i} is {value}, not a nonnegative integer")
-        out.append(m)
-    return out
+def _multiplicities(got: np.ndarray, e: int, scale: int) -> np.ndarray:
+    """Gram numerators got (power-basis numerators at e in the last axis)
+    over scale as nonnegative integers, an int64 array of got's leading
+    shape; NotACharacter names the first, row-major, that is not one, by
+    its last index.  A value is rational exactly when its coordinates beyond
+    the first vanish."""
+    m = got[..., 0] // scale
+    bad = np.argwhere((got[..., 1:] != 0).any(axis=-1) | (m * scale != got[..., 0])
+                      | (m < 0))
+    if len(bad):
+        at = tuple(bad[0])
+        value = values(got[at][None], e, scale)[0]
+        raise NotACharacter(
+            f"multiplicity of row {at[-1]} is {value}, not a nonnegative integer")
+    return m.astype(np.int64)
 
 
 def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]]:
@@ -826,4 +827,4 @@ def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]
     e, nums, den = _aligned([phi, *table.rows])
     got = gram(nums[:1], nums[1:], phi.partition.sizes, e)[0]
     mults = _multiplicities(got, e, den * den * phi.group.order)
-    return [(i, m) for i, m in enumerate(mults) if m]
+    return [(int(i), int(mults[i])) for i in np.flatnonzero(mults)]

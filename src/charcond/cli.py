@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import SUITE_NAMES
+from . import DEFAULT_MAX_ORDER, SUITE_NAMES
 from .errors import CharcondError, InternalContradiction, InvalidData
 
 EXIT_OK = 0
@@ -36,6 +36,14 @@ def _precision(text: str) -> int:
     if not text.strip().isdigit() or not 1 <= int(text) <= MAX_PRECISION:
         raise argparse.ArgumentTypeError(
             f"precision must be an integer from 1 to {MAX_PRECISION}, got {text!r}")
+    return int(text)
+
+
+def _max_order(text: str) -> int:
+    """A --max-order value: a positive integer."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"max order must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -88,8 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a catalog verification sweep")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--max-order", type=int, default=24,
-                   help="order cap for exhaustive sweeps (default 24)")
+    p.add_argument("--max-order", type=_max_order, default=DEFAULT_MAX_ORDER,
+                   help="order cap for exhaustive sweeps "
+                        f"(default {DEFAULT_MAX_ORDER})")
     _common_flags(p)
 
     p = sub.add_parser("catalog", help="catalog inspection")

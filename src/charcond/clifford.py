@@ -7,17 +7,22 @@ least 2^n from chains of normal subgroups with non-abelian quotients.  Every
 classification carries verification data that was checked exactly.
 
 For a table row, Clifford decompositions, classifications and extensions
-are views over whole-table arrays built once per normal subgroup:
-`_Conjugation` (how G permutes the rows of H's table) and `_NormalPair` (the
-restricted table, its multiplicities and norms, the induced table).  The
-verification sweeps read the same arrays.  Inertia groups and conjugate
-orbits compare class values directly, so they read no character table.
+are views over whole-table arrays that one `_NormalPair` per normal subgroup
+holds: the restricted table with its norms and multiplicities, the induced
+table, and how G permutes the rows of H's table.  The multiplicities are
+read as integers on first use, so a check that reads none of them cannot
+fail on them.  The verification sweeps read the same arrays, and record a
+pass only for a check that ran to the end and held: an error raised while
+the pair is built fails every record that needs it.  Inertia groups and
+conjugate orbits compare class values directly, so they read no character
+table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,54 +75,24 @@ def _table_row(g: FiniteGroup, chi: Character) -> int:
     return int(hit[0])
 
 
-class _Conjugation:
-    """How G permutes the rows of the table of a normal subgroup H.
-
-    ``perm[g, j]`` is the row equal to theta_j^g, theta_j^g(h) =
-    theta_j(g h g^-1): the rows are matched once per distinct permutation of
-    the H-classes, by array equality.  ``stab[j]`` is the order of the
-    inertia group of theta_j, ``is_h[j]`` says it is H itself, and
-    ``orbit[i, j]`` says theta_j is conjugate to theta_i.  Arrays only, so
-    the subgroup cache that keeps it keeps no group alive.
-    """
-
-    def __init__(self, s: Subgroup) -> None:
-        table = _table_nums(s.as_group())
-        k = len(table)
-        index = {key: j for j, key in enumerate(row_keys(table))}
-        perms = _conj_class_perms(s)
-        keys = row_keys(perms)
-        moved = {}
-        for p, key in zip(perms, keys):
-            if key not in moved:
-                moved[key] = [index.get(x, -1) for x in row_keys(table[:, p])]
-        self.perm = np.array([moved[key] for key in keys], dtype=np.int64)
-        if np.any(self.perm < 0):
-            raise InternalContradiction(
-                "conjugation does not permute the rows of the subgroup's table")
-        self.orbit = np.zeros((k, k), dtype=bool)
-        self.orbit[np.arange(k), self.perm] = True
-        fixed = self.perm == np.arange(k)
-        self.stab = fixed.sum(axis=0)
-        self.is_h = (fixed == (s.member_index() >= 0)[:, None]).all(axis=0)
-
-    def orbit_of(self, j: int) -> list[int]:
-        """The rows conjugate to theta_j: j first, then the rest in table
-        order, which is `sort_key` order among rows of one degree."""
-        return [j] + [i for i in np.flatnonzero(self.orbit[j]).tolist() if i != j]
-
-
 class _NormalPair:
     """Whole-table arrays of a normal pair (G, H), all at e = exp(G):
 
     - ``tg``: the table of G; ``th``: the table of H, lifted to e;
     - ``res``: the table of G restricted to H, one gather of columns;
-    - ``mult``: |H| <Res chi_r, theta_j>, one `gram`;
     - ``res_norm``: |H| <Res chi_r, Res chi_r>, one `gram_diagonal`;
-    - ``ind``: |H| Ind theta_j, one matmul with the induction counts.
+    - ``ind``: |H| Ind theta_j, one matmul with the induction counts;
+    - ``perm[g, j]``: the row equal to theta_j^g, theta_j^g(h) =
+      theta_j(g h g^-1), matched once per distinct permutation of the
+      H-classes by array equality; ``stab[j]``: the order of the inertia
+      group of theta_j; ``is_h[j]``: it is H itself; ``orbit[i, j]``:
+      theta_j is conjugate to theta_i;
+    - ``mult``: <Res chi_r, theta_j> as integers, from one `gram` on first
+      use, so that a check that reads no multiplicity never fails on one.
 
-    Arrays and integers only, like `_Conjugation`.  The methods read exact
-    values and verdicts off these scaled arrays for the views and the sweeps.
+    Arrays and integers only, so the subgroup cache that keeps it keeps no
+    group alive.  The methods read exact values and verdicts off these
+    scaled arrays for the views and the sweeps.
     """
 
     def __init__(self, s: Subgroup) -> None:
@@ -131,13 +106,30 @@ class _NormalPair:
         self.th = lift(th, h.exponent(), e)
         self.cols = _restriction_classes(s)
         self.res = self.tg[:, self.cols]
-        self.mult = gram(self.res, self.th, self.sizes_h, e)
         self.res_norm = gram_diagonal(self.res, self.sizes_h, e)
         self.ind = lift(_induction_sums(s, th), h.exponent(), e)
+        k = len(th)
+        index = {key: j for j, key in enumerate(row_keys(th))}
+        perms = _conj_class_perms(s)
+        keys = row_keys(perms)
+        moved = {key: [index.get(x, -1) for x in row_keys(th[:, p])]
+                 for key, p in dict(zip(keys, perms)).items()}
+        self.perm = np.array([moved[key] for key in keys], dtype=np.int64)
+        if np.any(self.perm < 0):
+            raise InternalContradiction(
+                "conjugation does not permute the rows of the subgroup's table")
+        self.orbit = np.zeros((k, k), dtype=bool)
+        self.orbit[np.arange(k), self.perm] = True
+        fixed = self.perm == np.arange(k)
+        self.stab = fixed.sum(axis=0)
+        self.is_h = (fixed == (s.member_index() >= 0)[:, None]).all(axis=0)
 
-    def multiplicities(self, r: int) -> list[int]:
-        """<Res chi_r, theta_j> for every j, as nonnegative integers."""
-        return _multiplicities(self.mult[r], self.e, self.order_h)
+    @cached_property
+    def mult(self) -> np.ndarray:
+        """<Res chi_r, theta_j> for every r and j; NotACharacter when one is
+        not a nonnegative integer."""
+        got = gram(self.res, self.th, self.sizes_h, self.e)
+        return _multiplicities(got, self.e, self.order_h)
 
     def restricted_norm(self, r: int):
         """<Res chi_r, Res chi_r>, exactly."""
@@ -158,22 +150,20 @@ class _NormalPair:
         on the classes of G."""
         return np.array_equal(self.ind[j], scaled(nums, self.order_h))
 
-    def is_res_ind(self, j: int, nums: np.ndarray) -> bool:
-        """Whether Res Ind theta_j, by the gather of the induced table, has
-        the values nums (numerators at e over 1) on the classes of H."""
-        return np.array_equal(self.ind[j, self.cols], scaled(nums, self.order_h))
-
-    def frobenius(self) -> list[tuple]:
-        """(i, r, <Ind theta_i, chi_r>, <theta_i, Res chi_r>) wherever the
-        two differ: the left side from the induced table, the right from the
-        gather, one `gram` each."""
+    def frobenius(self) -> str:
+        """The detail of Frobenius reciprocity, <Ind theta_i, chi_r> =
+        <theta_i, Res chi_r> for every i and r, the left side from the
+        induced table, the right from the gather, one `gram` each: "" when
+        it holds, else both values at the last (i, r) where they differ."""
         lhs = gram(self.ind, self.tg, self.sizes_g, self.e)
         rhs = gram(self.th, self.res, self.sizes_h, self.e)
-        bad = np.argwhere((lhs != scaled(rhs, self.order_g)).any(axis=2))
-        return [(i, r,
-                 values(lhs[i, r][None], self.e, self.order_h * self.order_g)[0],
-                 values(rhs[i, r][None], self.e, self.order_h)[0])
-                for i, r in bad.tolist()]
+        bad = np.argwhere((lhs != scaled(rhs, self.order_g)).any(axis=2)).tolist()
+        if not bad:
+            return ""
+        i, r = bad[-1]
+        return (f"<Ind t{i}, x{r}> = "
+                f"{values(lhs[i, r][None], self.e, self.order_h * self.order_g)[0]}"
+                f" != {values(rhs[i, r][None], self.e, self.order_h)[0]}")
 
     def extensions(self, j: int) -> list[int]:
         """The rows chi_r with Res chi_r = theta_j, in table order, for a
@@ -199,12 +189,11 @@ class _NormalPair:
         return prods, [norms[x:x + len(psi)] for x in range(0, len(norms), len(psi))]
 
 
-def _cached(s: Subgroup, cls):
-    """The arrays `cls` builds for s, once per subgroup cache."""
-    key = cls.__name__
-    if key not in s._cache:
-        s._cache[key] = cls(s)
-    return s._cache[key]
+def _pair(s: Subgroup) -> _NormalPair:
+    """The arrays of the normal pair (G, s), built once per subgroup cache."""
+    if "pair" not in s._cache:
+        s._cache["pair"] = _NormalPair(s)
+    return s._cache["pair"]
 
 
 def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:
@@ -215,20 +204,21 @@ def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:
     checks chi(1) = e t theta(1), <Res chi, Res chi> = e^2 t, e^2 <= |I/H|
     and e^2 t <= |G/H| exactly.
     """
-    pair, conj = _cached(s, _NormalPair), _cached(s, _Conjugation)
-    mults = pair.multiplicities(r)
-    parts = [j for j, m in enumerate(mults) if m]
-    distinct = {mults[j] for j in parts}
+    pair = _pair(s)
+    parts = np.flatnonzero(pair.mult[r]).tolist()
+    distinct = set(pair.mult[r, parts].tolist())
     if len(distinct) != 1:
         raise InternalContradiction(
             f"restriction constituents have unequal multiplicities {sorted(distinct)}")
     e = distinct.pop()
     j = parts[0]
-    orbit = conj.orbit_of(j)
+    # the rows conjugate to theta_j: j first, then the rest in table order,
+    # which is `sort_key` order among rows of one degree
+    orbit = [j] + [i for i in np.flatnonzero(pair.orbit[j]).tolist() if i != j]
     if set(parts) != set(orbit):
         raise InternalContradiction("constituents are not a single conjugate orbit")
     t = len(orbit)
-    over = int(conj.stab[j]) // s.order
+    over = int(pair.stab[j]) // s.order
     if pair.tg[r, 0, 0] != e * t * pair.th[j, 0, 0]:
         raise InternalContradiction("degree bookkeeping chi(1) = e t theta(1) fails")
     if pair.restricted_norm(r) != e * e * t:
@@ -244,17 +234,16 @@ def _classify_row(s: Subgroup, r: int):
     Restricted when <Res chi, Res chi> = 1: then Res chi must be the row of
     H's table that the multiplicity `gram` names, on the gather's values.
     """
-    pair, conj = _cached(s, _NormalPair), _cached(s, _Conjugation)
+    pair = _pair(s)
     q = s.index
     if pair.restricted_norm(r) == 1:
-        mults = pair.multiplicities(r)
-        parts = [j for j, m in enumerate(mults) if m]
+        parts = np.flatnonzero(pair.mult[r]).tolist()
         j = parts[0] if parts else 0
         checks = {
             "restriction_irreducible": True,
-            "restriction_matches": (parts == [j] and mults[j] == 1
+            "restriction_matches": (parts == [j] and int(pair.mult[r, j]) == 1
                                     and np.array_equal(pair.res[r], pair.th[j])),
-            "inertia_whole_group": bool(conj.stab[j] == s.parent.order),
+            "inertia_whole_group": bool(pair.stab[j] == s.parent.order),
             "induced_differs": not pair.is_induced(j, pair.tg[r]),
         }
         return ClassificationKind.RESTRICTED, j, 1, [j], checks
@@ -264,7 +253,7 @@ def _classify_row(s: Subgroup, r: int):
         "orbit_size_q": len(orbit) == q,
         "multiplicity_one": e == 1,
         "induced_matches": pair.is_induced(j, pair.tg[r]),
-        "inertia_is_subgroup": bool(conj.is_h[j]),
+        "inertia_is_subgroup": bool(pair.is_h[j]),
         "restriction_reducible": pair.restricted_norm(r) == q,
     }
     if not all(checks.values()):
@@ -363,9 +352,10 @@ def find_extensions(theta: Character, s: Subgroup) -> tuple[Character, ...]:
     if not is_normal(s.parent, s):
         raise NotNormal("extensions need a normal subgroup")
     j = _table_row(s.as_group(), theta)
-    if _cached(s, _Conjugation).stab[j] != s.parent.order:
+    pair = _pair(s)
+    if pair.stab[j] != s.parent.order:
         raise NotInvariant("character is not invariant in the parent group")
-    rows = _cached(s, _NormalPair).extensions(j)
+    rows = pair.extensions(j)
     table = character_table(s.parent)
     return tuple(table[r] for r in rows)
 

@@ -249,7 +249,9 @@ def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:
 def conductors(ctx: GaloisContext, fns) -> list[FactoredConductor]:
     """The conductor ideals of a sequence of class functions on the
     context's group (a table, say), in order: one `conductor_exponents` call
-    per prime for all of them."""
+    per prime for all of them, and none for no class functions."""
+    if not len(fns):
+        return []
     if (any(filt.groups for filt in ctx.filtrations)
             and not all(_same_group(ctx.group, fn.group) for fn in fns)):
         raise NotACharacter("character does not live on the filtration's group")

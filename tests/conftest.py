@@ -112,7 +112,6 @@ originals = {"restrict": restrict, "induce": induce, "character_table": table,
              "gram_diagonal": cyclotomic.gram_diagonal,
              "table_grams": cyclotomic.table_grams}
 counted_build(clifford._NormalPair)
-counted_build(clifford._Conjugation)
 characters._dixon_rows = counted_dixon
 characters._check_table = counted_check_table
 for name, mod in list(sys.modules.items()):
@@ -124,7 +123,7 @@ out = {"passed": rep.passed, "dixon": sorted(runs.values()),
        "validate": len(checks), "restrict": dict(restricts),
        "induce": dict(induces),
        "builds": {cls: sorted(n for (c, _, _), n in builds.items() if c == cls)
-                  for cls in ("_NormalPair", "_Conjugation")},
+                  for cls in ("_NormalPair",)},
        "kernels": dict(kernels), "self_grams": self_grams,
        "mismatches": mismatches, "values": built["values"],
        "tables": built["character_table"]}

@@ -30,3 +30,12 @@ def test_every_span_target_resolves():
             if not callable(obj):
                 missing.append(f"{span}: {target}")
     assert missing == []
+
+
+def test_every_suite_is_a_module_function_and_its_dispatch_entry():
+    # the tracer patches both `verify.suite_<name>` and `verify._SUITES`, so
+    # each entry must be that module attribute, under that name
+    from charcond import SUITE_NAMES, verify
+    assert list(verify._SUITES) == list(SUITE_NAMES[:-1])
+    for name in SUITE_NAMES[:-1]:
+        assert verify._SUITES[name] is getattr(verify, f"suite_{name}")

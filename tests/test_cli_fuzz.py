@@ -158,6 +158,13 @@ def test_precision_is_not_accepted_where_it_is_not_read(command):
     assert exit_code(command) == 0
 
 
+@pytest.mark.parametrize("cap, code", [
+    ("2", 0), ("4", 0), ("0", 2), ("-3", 2), ("x", 2), ("", 2)])
+def test_max_order_is_a_positive_integer(cap, code):
+    # a cap below 1 would sweep nothing and pass with "summary: 0/0 passed"
+    assert exit_code(["verify", "--suite", "dichotomy", "--max-order", cap]) == code
+
+
 @pytest.mark.parametrize("digits, code", [
     ("1", 0), ("1000", 0), ("1001", 2), ("100000", 2), ("0", 2), ("-3", 2),
     ("x", 2)])

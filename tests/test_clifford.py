@@ -316,7 +316,7 @@ def test_row_permutations_match_the_conjugated_rows():
         for s in normal_subgroups(g):
             table = characters._table_nums(s.as_group())
             perms = characters._conj_class_perms(s)
-            conj = clifford._cached(s, clifford._Conjugation)
+            conj = clifford._pair(s)
             for x in range(g.order):
                 assert np.array_equal(table[conj.perm[x]], table[:, perms[x]])
             for j, row in enumerate(table):

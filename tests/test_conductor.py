@@ -19,7 +19,7 @@ from charcond.conductor import (BoundInputs, FactoredConductor, GaloisContext,
                                 RadicalValue, RamificationFiltration,
                                 artin_conductor, bound_induced_case,
                                 bound_restricted_case, conductor_exponent,
-                                conductor_exponents,
+                                conductor_exponents, conductors,
                                 factor_integer, global_constant,
                                 induced_conductor_norm, load_context,
                                 parse_context_dict, root_conductor,
@@ -472,3 +472,11 @@ def test_matrix_route_refuses_irrational_values_as_conductor_exponent_does():
     got = _assert_routes_agree(s3, bad, characters._table_nums(s3))
     assert got[1] == (NonIntegralExponent,
                       "conductor exponent at 7 is 4/3, not a nonnegative integer")
+
+
+def test_conductors_of_no_characters_is_empty():
+    # like `inner_product_matrix([], ...)`: nothing to align, nothing to count
+    cat = Catalog()
+    for ctx in (cat.context("gauss"), GaloisContext(cat.group("C2"), ())):
+        assert conductors(ctx, []) == []
+        assert conductors(ctx, character_table(ctx.group)[:0]) == []

@@ -93,8 +93,9 @@ def test_memo_is_served_from_the_subgroup_cache_and_holds_no_group():
     # normal_subgroups hands out fresh subgroups over the same cache, which
     # keeps the pair's table arrays that the Clifford views read
     again = next(t for t in normal_subgroups(g) if t.elements == s.elements)
-    for cls in (clifford._NormalPair, clifford._Conjugation):
-        assert again._cache[cls.__name__] is s._cache[cls.__name__]
-        # arrays and integers only, so the cache keeps no group alive
-        fields = vars(s._cache[cls.__name__]).values()
-        assert fields and all(isinstance(x, (np.ndarray, int)) for x in fields)
+    assert clifford._pair(again) is clifford._pair(s)
+    # arrays and integers only, the multiplicities read on first use too, so
+    # the cache keeps no group alive
+    fields = vars(clifford._pair(s))
+    assert "mult" in fields
+    assert all(isinstance(x, (np.ndarray, int)) for x in fields.values())

@@ -57,12 +57,11 @@ def test_perturbed_induction_counts_fail_res_ind_and_frobenius(monkeypatch):
 
     _patch(monkeypatch, "_induction_counts", perturbed)
     got = _records("clifford", "tables")
-    # the pair's records share the detail of the last check that failed
-    detail = "irreducibility of Ind theta disagrees with I=H"
+    # each record shows the last failure of its own check
     assert got["clifford: Res Ind theta = |I/H| sum of conjugates"] == (
-        False, detail)
+        False, "Res Ind theta mismatch for theta degree 1")
     assert got["clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping"] == (
-        False, detail)
+        False, "irreducibility of Ind theta disagrees with I=H")
     assert got["tables: Frobenius reciprocity"] == (
         False, "<Ind t2, x2> = 8/9 != 1")
 
@@ -77,15 +76,15 @@ def test_identity_class_permutations_fail_orbit_and_inertia(monkeypatch):
 
     _patch(monkeypatch, "_conj_class_perms", identity)
     got = _records("clifford", "dichotomy")
-    # every theta looks invariant, so |I/H| = 2 for the two conjugates; the
-    # Clifford check of Res chi then stops the pair, and its detail is the one
-    # the pair's records carry
-    detail = "constituents are not a single conjugate orbit"
+    # every theta looks invariant, so |I/H| = 2 for the two conjugates: the
+    # orbit sums and <Ind theta, Ind theta> = 1 disagree with it, and the
+    # Clifford check of Res chi stops at the first row
     assert got["clifford: Res Ind theta = |I/H| sum of conjugates"] == (
-        False, detail)
+        False, "Res Ind theta mismatch for theta degree 1")
     assert got["clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping"] == (
-        False, detail)
-    assert got["clifford: Res chi = e * orbit with e-bounds"] == (False, detail)
+        False, "irreducibility of Ind theta disagrees with I=H")
+    assert got["clifford: Res chi = e * orbit with e-bounds"] == (
+        False, "constituents are not a single conjugate orbit")
 
 
 def test_corrupted_restriction_gather_fails_classification_and_e(monkeypatch):
@@ -98,10 +97,13 @@ def test_corrupted_restriction_gather_fails_classification_and_e(monkeypatch):
 
     _patch(monkeypatch, "_restriction_classes", corrupted)
     got = _records("clifford", "classification")
-    assert got["clifford: Res chi = e * orbit with e-bounds"] == (
-        False, "multiplicity of row 1 is -z3, not a nonnegative integer")
+    detail = "multiplicity of row 1 is -z3, not a nonnegative integer"
+    assert got["clifford: Res chi = e * orbit with e-bounds"] == (False, detail)
     assert got["classification: totality and exclusivity under prime index"] == (
-        False, "classification is not total")
+        False, detail)
+    # <Ind theta, Ind theta> and the degree bookkeeping read no gather
+    assert got["clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping"] == (
+        True, "")
 
 
 def _conductor_records():

@@ -8,10 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from charcond import characters, conductor, verify
+from charcond import characters, clifford, conductor, verify
 from charcond.catalog import Catalog
-from charcond.errors import InvalidData
-from charcond.groups import FiniteGroup, Subgroup
+from charcond.errors import InternalContradiction, InvalidData
+from charcond.groups import FiniteGroup, Subgroup, normal_subgroups
 from charcond.verify import SUITE_NAMES, VerificationReport, run_suite
 
 
@@ -53,6 +53,69 @@ def test_each_suite_passes_at_small_cap(name):
     rep = run_suite(name, cat=Catalog(), max_order=8)
     assert rep.passed, rep.render_text()
     assert rep.counts[0] > 0
+
+
+_S3_PAIR = "G=S3, |H|=3"
+
+
+def _refuse_s3_pair(monkeypatch):
+    """Make building the arrays of the pair (S3, A3), and of no other pair,
+    raise InternalContradiction."""
+    real = clifford._NormalPair.__init__
+
+    def refused(self, s):
+        if (s.parent.name, s.order) == ("S3", 3):
+            raise InternalContradiction("pair arrays refused")
+        real(self, s)
+
+    monkeypatch.setattr(clifford._NormalPair, "__init__", refused)
+
+
+@pytest.mark.parametrize("suite", ["clifford", "dichotomy", "classification",
+                                   "gallagher"])
+def test_a_pair_that_cannot_be_built_fails_every_record_of_it(monkeypatch, suite):
+    # no record of the pair may pass unchecked, and the error may not stop
+    # the suite: the other pairs are still checked, and pass
+    _refuse_s3_pair(monkeypatch)
+    rep = run_suite(suite, cat=Catalog(), max_order=6)
+    mine = [c for c in rep.checks if c.inputs.startswith(_S3_PAIR)]
+    assert len(mine) == (3 if suite == "clifford" else 1)
+    assert all(not c.passed and c.detail == "pair arrays refused" for c in mine)
+    others = [c for c in rep.checks if not c.inputs.startswith(_S3_PAIR)]
+    assert others and all(c.passed for c in others)
+
+
+def test_a_failing_frobenius_check_fails_only_its_record(monkeypatch):
+    cat = Catalog()
+    s3 = cat.group("S3")
+    # the suite's subgroups share this one's cache, so they read its arrays
+    target = clifford._pair(next(s for s in normal_subgroups(s3) if s.order == 3))
+    real = clifford._NormalPair.frobenius
+
+    def refused(self):
+        if self is target:
+            raise InternalContradiction("Frobenius refused")
+        return real(self)
+
+    monkeypatch.setattr(clifford._NormalPair, "frobenius", refused)
+    rep = run_suite("tables", cat=cat, max_order=6)
+    failed = [(c.identity, c.inputs, c.detail) for c in rep.checks
+              if not c.passed]
+    assert failed == [("tables: Frobenius reciprocity", _S3_PAIR,
+                       "Frobenius refused")]
+
+
+def test_cli_reports_a_pair_that_cannot_be_built_and_exits_3(monkeypatch,
+                                                            capsys):
+    from charcond.cli import main
+    _refuse_s3_pair(monkeypatch)
+    # a fresh catalog, so that no earlier run has built the pair already
+    monkeypatch.setattr(verify, "default_catalog", Catalog)
+    assert main(["verify", "--suite", "dichotomy"]) == 3
+    out = capsys.readouterr().out
+    assert (f"[FAIL] dichotomy: I(theta) is G or H under prime index  "
+            f"({_S3_PAIR})  pair arrays refused") in out
+    assert out.rstrip().endswith("1 failed")
 
 
 def test_all_suite_merges_everything():
@@ -173,18 +236,17 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
     # the 117 proper normal pairs of the catalog up to order 24 build their
     # table arrays once each; the degree suite's chain steps take orbits
     # without them
-    assert fresh_sweep["builds"] == {"_NormalPair": [1] * 117,
-                                     "_Conjugation": [1] * 117}
-    # per pair, one gram for the multiplicities and one diagonal form for
-    # the norms of the restrictions when the arrays are built, one diagonal
-    # form for the norms of the inductions, and one gram per side of
+    assert fresh_sweep["builds"] == {"_NormalPair": [1] * 117}
+    # per pair, one diagonal form for the norms of the restrictions when the
+    # arrays are built, one gram for the multiplicities when they are first
+    # read, one diagonal form for the norms of the inductions, and one gram per side of
     # Frobenius reciprocity; Gallagher one diagonal form for the norms of all
     # the products chi * psi_i of a prime-index pair; every table computed
     # or validated one `table_grams` for both orthogonality relations; the
     # degree chains decompose 4 inductions and certify 3 characters moved
     # onto the chain's group
     assert fresh_sweep["kernels"] == {
-        "gram:__init__": 117, "gram_diagonal:__init__": 117,
+        "gram:mult": 117, "gram_diagonal:__init__": 117,
         "gram_diagonal:induced_norms": 117, "gram:frobenius": 2 * 117,
         "gram_diagonal:products": 62, "table_grams:_check_table": 100,
         "gram:decompose": 4, "gram_diagonal:norm": 3}
