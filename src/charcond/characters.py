@@ -20,18 +20,20 @@ for their minimal conductors.  ``values``, the tuple of `Cyclotomic`, is built
 on demand by the one builder `cyclotomic.values` for rendering, JSON, sort
 keys and the public API.
 
-A subgroup's ``_cache`` keeps its induction counts, restriction gather and
-conjugation data, and `clifford._NormalPair` keeps whole tables restricted to
-and induced from a normal subgroup there.  An entry holds arrays and integers
-only, never a group, so it keeps no group alive and dies with the subgroup's
-cache.
+The induction counts, the restriction gather and the conjugation data of a
+subgroup are memoized by `groups.cached` in its ``_cache``, as are the
+table's numerators in the table cache, and `clifford._NormalPair` keeps
+whole tables restricted to and induced from a normal subgroup there.  An
+entry holds arrays and integers only, never a group, so it keeps no group
+alive and dies with the subgroup's cache.
 
 Tables are computed by Dixon's method: the class-sum structure constants are
 simultaneously diagonalized over a prime field F_p with p = 1 (mod exponent)
 and p > 2*sqrt(|G|), and the eigenvalue data is lifted back to Q(zeta_e) by
 matching against roots of unity in F_p.  Every lifted table is then
 re-verified exactly (orthogonality, degree sums), so the flags on the results
-are earned, not assumed.  The table cache holds each table's array once.
+are earned, not assumed.  The table cache holds each table's array once, and
+the caps are checked on every call, cached or not.
 
 The F_p stage works on int64 residues, behind one guard that raises TooLarge
 unless every sum, at most max(k, e) products below p^2, stays below 2^62.
@@ -64,9 +66,8 @@ from .cyclotomic import (Cyclotomic, _matmul, _phi, at_minimal_conductors,
                          scaled, table_grams, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotNormal, TooLarge)
-from .groups import (FiniteGroup, QuotientMap, Subgroup,
+from .groups import (MAX_ORDER, FiniteGroup, QuotientMap, Subgroup, cached,
                      conjugacy_classes, is_normal, row_keys, unique_sorted)
-from .groups import DEFAULT_MAX_ORDER
 
 __all__ = [
     "ClassFunction", "Character", "CharacterTable", "character_table",
@@ -495,13 +496,12 @@ class CharacterTable:
         }
 
 
-def _table_nums(g: FiniteGroup,
-                max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
+def _table_nums(g: FiniteGroup) -> np.ndarray:
     """The table's numerators at e = exp(G) over den 1, rows in canonical
     order: one read-only (k, k, phi(e)) array from the table cache, computed
     once per multiplication table under the caps below."""
-    if g.order > max_order:
-        raise TooLarge(f"group order {g.order} exceeds the cap of {max_order}")
+    if g.order > MAX_ORDER:
+        raise TooLarge(f"group order {g.order} exceeds the cap of {MAX_ORDER}")
     k = len(conjugacy_classes(g))
     if k > MAX_TABLE_CLASSES:
         raise TooLarge(f"{k} classes exceed the cap of {MAX_TABLE_CLASSES} "
@@ -511,20 +511,23 @@ def _table_nums(g: FiniteGroup,
     if work > MAX_TABLE_WORK:
         raise TooLarge(f"{k} classes at exponent {e} need k^3 phi(e)^2 = {work}"
                        f" steps, over the cap of {MAX_TABLE_WORK} for a table")
-    cache = g._cache
-    if "table_nums" not in cache:
-        cache["table_nums"] = _dixon_rows(g)
-    return cache["table_nums"]
+    return _table(g)
 
 
-def character_table(g: FiniteGroup,
-                    max_order: int = DEFAULT_MAX_ORDER) -> CharacterTable:
+@cached
+def _table(g: FiniteGroup) -> np.ndarray:
+    """`_dixon_rows` once per table cache; the memo looks `_dixon_rows` up by
+    name on each miss, so that a patched one sees every Dixon run."""
+    return _dixon_rows(g)
+
+
+def character_table(g: FiniteGroup) -> CharacterTable:
     """Exact irreducible character table; equal tables share its array.
 
     The shared cache holds the array only, never characters bound to a
     group, so it does not keep any group alive.
     """
-    nums = _table_nums(g, max_order)
+    nums = _table_nums(g)
     rows = tuple(Character._make(g, g.exponent(), row, 1) for row in nums)
     # the cached rows passed one exact validate(), norms included
     for c in rows:
@@ -563,7 +566,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     """Dixon's method, then one exact `_check_table` of the whole table.
 
     Returns the table's numerators at e = exp(G) over den 1, rows in
-    canonical order: one read-only array of shape (k, k, phi(e)).
+    canonical order: one array of shape (k, k, phi(e)).
     """
     part = conjugacy_classes(g)
     k = len(part)
@@ -647,7 +650,6 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     # one power-basis product for the whole table, rows in canonical order
     nums = reduced(power_basis(coeffs, e), 1)[0]
     nums = nums[_row_order(nums, e)]
-    nums.setflags(write=False)
     _check_table(g, e, nums, 1)
     return nums
 
@@ -663,10 +665,9 @@ def _product_counts(rows: np.ndarray, classof: np.ndarray, k: int) -> np.ndarray
                        minlength=k * k).reshape(k, k)
 
 
+@cached
 def _induction_counts(s: Subgroup) -> np.ndarray:
     """counts[gi, hj] = #{x in G : x^-1 g x lies in H-class hj}, g a class rep."""
-    if "ind_counts" in s._cache:
-        return s._cache["ind_counts"]
     g = s.parent
     k_sub = s.as_group()
     part_g = conjugacy_classes(g)
@@ -681,20 +682,15 @@ def _induction_counts(s: Subgroup) -> np.ndarray:
         if len(inside):
             counts[ci] = np.bincount(part_h.class_of[inside],
                                      minlength=len(part_h))
-    counts.setflags(write=False)
-    s._cache["ind_counts"] = counts
     return counts
 
 
+@cached
 def _restriction_classes(s: Subgroup) -> np.ndarray:
     """The class of G holding each class of H, in H's class order: the
     gather that restricts class functions and tables."""
-    if "res_classes" not in s._cache:
-        reps = s.embedding()[list(conjugacy_classes(s.as_group()).representatives)]
-        cols = conjugacy_classes(s.parent).class_of[reps]
-        cols.setflags(write=False)
-        s._cache["res_classes"] = cols
-    return s._cache["res_classes"]
+    reps = s.embedding()[list(conjugacy_classes(s.as_group()).representatives)]
+    return conjugacy_classes(s.parent).class_of[reps]
 
 
 def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
@@ -723,14 +719,13 @@ def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:
                                      theta.den * s.order)
 
 
+@cached
 def _conj_class_perms(s: Subgroup) -> np.ndarray:
     """For each g in G, the permutation of H-classes induced by h -> g h g^-1.
 
     Every row is checked to permute the H-classes, fix the identity class and
     preserve class sizes, so conjugation preserves degrees and norms.
     """
-    if "conj_perms" in s._cache:
-        return s._cache["conj_perms"]
     g = s.parent
     if not is_normal(g, s):
         raise NotNormal("conjugation action needs a normal subgroup")
@@ -747,8 +742,6 @@ def _conj_class_perms(s: Subgroup) -> np.ndarray:
             and np.all(perms[:, 0] == 0) and np.all(sizes[perms] == sizes)):
         raise InternalContradiction(
             "conjugation does not permute the H-classes preserving sizes")
-    perms.setflags(write=False)
-    s._cache["conj_perms"] = perms
     return perms
 
 

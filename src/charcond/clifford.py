@@ -36,8 +36,9 @@ from .cyclotomic import gram, gram_diagonal, lift, multiply, scaled, values
 from .errors import (BadChain, GroupMismatch, IndexNotPrime,
                      InternalContradiction, NotInvariant,
                      NotIrreducible, NotNormal)
-from .groups import (FiniteGroup, QuotientMap, Subgroup, conjugacy_classes,
-                     is_abelian, is_normal, quotient, row_keys, subgroup)
+from .groups import (FiniteGroup, QuotientMap, Subgroup, cached,
+                     conjugacy_classes, is_abelian, is_normal, quotient,
+                     row_keys, subgroup)
 
 __all__ = [
     "InertiaKind", "ClassificationKind", "Classification", "NormalChain",
@@ -189,11 +190,11 @@ class _NormalPair:
         return prods, [norms[x:x + len(psi)] for x in range(0, len(norms), len(psi))]
 
 
+@cached
 def _pair(s: Subgroup) -> _NormalPair:
-    """The arrays of the normal pair (G, s), built once per subgroup cache."""
-    if "pair" not in s._cache:
-        s._cache["pair"] = _NormalPair(s)
-    return s._cache["pair"]
+    """The arrays of the normal pair (G, s), built once per subgroup cache
+    and kept there by `groups.cached`."""
+    return _NormalPair(s)
 
 
 def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:

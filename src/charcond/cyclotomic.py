@@ -67,7 +67,8 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 def _conductor_cache(maxsize: int):
     """Memoize a function of conductors within `maxsize` results and
-    _CACHE_BYTES of arrays; `cache_info()` reads like `lru_cache`'s."""
+    _CACHE_BYTES of arrays, each made read-only; `cache_info()` reads like
+    `lru_cache`'s."""
     def wrap(fn):
         memo: OrderedDict = OrderedDict()   # args -> (result, bytes)
         stats = {"hits": 0, "misses": 0, "bytes": 0}
@@ -80,8 +81,11 @@ def _conductor_cache(maxsize: int):
                 return memo[args][0]
             stats["misses"] += 1
             out = fn(*args)
-            size = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,))
-                       if isinstance(a, np.ndarray))
+            arrays = [a for a in (out if isinstance(out, tuple) else (out,))
+                      if isinstance(a, np.ndarray)]
+            for a in arrays:
+                a.setflags(write=False)
+            size = sum(a.nbytes for a in arrays)
             memo[args] = (out, size)
             stats["bytes"] += size
             while len(memo) > maxsize or (stats["bytes"] > _CACHE_BYTES
@@ -145,7 +149,6 @@ def _rebase_data(e: int, d: int):
     """
     # a copy, so that the cache does not keep the whole power table alive
     cols = _power_array(e)[::e // d][:_phi(d)].copy()
-    cols.setflags(write=False)
     n = len(cols)
     a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(cols.tolist())]
@@ -418,7 +421,6 @@ def _power_array(e: int) -> np.ndarray:
             out = out.astype(object)
         out[m, 1:] = out[m - 1, :-1]
         out[m] -= out[m - 1, -1] * low
-    out.setflags(write=False)
     return out
 
 
@@ -568,8 +570,6 @@ def _evaluation_data(e: int, i: int) -> _Evaluation:
     conj = np.searchsorted(units, -units % e)
     inverse = powers[np.outer(-units, np.arange(e)) % e] * pow(e, -1, p) % p
     interp = _matmul_mod(inverse, (_power_array(e) % p).astype(np.int64), p)
-    for a in (ev, conj, interp):
-        a.setflags(write=False)
     return _Evaluation(p, ev, conj, interp)
 
 

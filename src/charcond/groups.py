@@ -9,7 +9,8 @@ intersections of kernels of irreducible characters, read off the character
 table and each checked as a normal subgroup; the derived subgroup is the
 intersection of the kernels of the linear characters.  Tables, conjugacy data
 and subgroup machinery use numpy for the integer combinatorics; all objects
-are immutable after construction.
+are immutable after construction.  Everything derived from a table or a
+subgroup is memoized by `cached`, in the table's or the subgroup's cache.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import io
 import weakref
 import zlib
+from functools import wraps
 from math import lcm, prod
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from .errors import (InternalContradiction, InvalidData, NotAGroup,
 # interpreter, most of it to build and certify the group.  The int64 table is
 # 8 n^2 bytes, so the next symmetric-group size, 10080, would need 813 MB
 # before any other work.
-DEFAULT_MAX_ORDER = 5040
+MAX_ORDER = 5040
 
 # at most this many products in one block of the table checks, closures and
 # the subgroup and normality checks, so that memory stays flat
@@ -72,17 +74,36 @@ class _TableCache(dict):
 _TABLE_CACHES = weakref.WeakValueDictionary()
 
 
+def cached(f):
+    """f(x) computed once per ``x._cache``, the cache of a group's table or
+    of a subgroup, and kept there under f's name; an ndarray result is made
+    read-only.  Every memo of data derived from a table or a subgroup goes
+    through here, so no other module names a cache key."""
+    key = f.__name__
+
+    @wraps(f)
+    def memo(x):
+        cache = x._cache
+        if key not in cache:
+            out = f(x)
+            if isinstance(out, np.ndarray):
+                out.setflags(write=False)
+            cache[key] = out
+        return cache[key]
+    return memo
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
     Elements are the indices 0..order-1.  ``mul[a, b]`` is the product a*b,
     ``inv[a]`` the inverse of a.  ``labels`` are optional display strings.
     Instances compare and hash by identity.  Groups with byte-identical tables
-    share ``_cache`` (exponent, classes, the character table's numerator
-    array), so ``a._cache is b._cache`` tests equal tables.  Normal subgroups
-    are memoized per object as element sets with their subgroup caches, never
-    as subgroups pointing back at the group, so a group is freed as soon as
-    it is unreachable.
+    share ``_cache``, where `cached` keeps the exponent, the classes and the
+    character table's numerator array, so ``a._cache is b._cache`` tests
+    equal tables.  Normal subgroups are memoized per object as element sets
+    with their subgroup caches, never as subgroups pointing back at the
+    group, so a group is freed as soon as it is unreachable.
     """
 
     def __init__(self, mul: np.ndarray, identity: int, inv: np.ndarray,
@@ -109,10 +130,6 @@ class FiniteGroup:
     def mul_elem(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
-    def conj_elem(self, g: int, h: int) -> int:
-        """g h g^-1."""
-        return int(self.mul[self.mul[g, h], self.inv[g]])
-
     def label(self, g: int) -> str:
         return self.labels[g] if self.labels else str(g)
 
@@ -123,11 +140,9 @@ class FiniteGroup:
             n += 1
         return n
 
+    @cached
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._cache["exponent"] = lcm(*(self.element_order(g)
-                                            for g in range(self.order)))
-        return self._cache["exponent"]
+        return lcm(*(self.element_order(g) for g in range(self.order)))
 
     def __repr__(self) -> str:
         tag = self.name or "FiniteGroup"
@@ -217,12 +232,11 @@ def build_from_table(table, labels=None, name: str | None = None) -> FiniteGroup
     Raises NotAGroup with a reason when any axiom fails, or when the table
     is not n lists of n integers in 0..n-1 (no floats, no bools); an integer
     numpy array is checked as a whole.  Raises TooLarge when n exceeds
-    DEFAULT_MAX_ORDER.
+    MAX_ORDER.
     """
     n = len(table)
-    if n > DEFAULT_MAX_ORDER:
-        raise TooLarge(
-            f"table order {n} exceeds the cap of {DEFAULT_MAX_ORDER}")
+    if n > MAX_ORDER:
+        raise TooLarge(f"table order {n} exceeds the cap of {MAX_ORDER}")
     if isinstance(table, np.ndarray):
         if table.dtype.kind not in "iu" or table.shape != (n, n) or not n:
             raise NotAGroup("table must be two-dimensional, n x n integers")
@@ -261,9 +275,9 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 
 
 def build_from_permutations(degree: int, generators,
-                            max_order: int = DEFAULT_MAX_ORDER,
                             name: str | None = None) -> FiniteGroup:
-    """Close a generating set of permutations on `degree` points.
+    """Close a generating set of permutations on `degree` points, of at
+    most MAX_ORDER elements.
 
     Elements are discovered breadth-first (shortest word, then lexicographic
     word), so element 0 is always the identity and the numbering is canonical.
@@ -291,9 +305,9 @@ def build_from_permutations(degree: int, generators,
         fresh = []
         for pos, code in enumerate(row_keys(cands)):
             if code not in index:
-                if len(index) >= max_order:
+                if len(index) >= MAX_ORDER:
                     raise TooLarge(
-                        f"closure exceeded the cap of {max_order} elements")
+                        f"closure exceeded the cap of {MAX_ORDER} elements")
                 index[code] = len(index)
                 fresh.append(pos)
                 born.append(seen + pos)
@@ -317,12 +331,11 @@ def build_from_permutations(degree: int, generators,
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup,
-                   max_order: int = DEFAULT_MAX_ORDER,
                    name: str | None = None) -> FiniteGroup:
     """Direct product with elements encoded as i*|B| + j."""
     n = a.order * b.order
-    if n > max_order:
-        raise TooLarge(f"product order {n} exceeds the cap of {max_order}")
+    if n > MAX_ORDER:
+        raise TooLarge(f"product order {n} exceeds the cap of {MAX_ORDER}")
     nb = b.order
     mul = (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
     e, inv = _validate_table(mul)
@@ -335,13 +348,14 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
     return FiniteGroup(mul, e, inv, labels, name)
 
 
-def product_chain(groups, max_order: int = DEFAULT_MAX_ORDER,
-                  name: str | None = None):
+def product_chain(groups, name: str | None = None):
     """Left-associated direct product plus the chain of prefix subgroups.
 
     Returns (product, [S_0, ..., S_k]) where S_i is the subgroup of elements
     whose coordinates beyond the first i factors are the identity; S_0 is
-    trivial and S_k is the whole product.
+    trivial and S_k is the whole product.  The product's element codes are
+    the row-major indices of the coordinates, so each S_i is one
+    `np.ravel_multi_index` grid.
     """
     groups = list(groups)
     if not groups:
@@ -349,25 +363,13 @@ def product_chain(groups, max_order: int = DEFAULT_MAX_ORDER,
     prod = groups[0]
     for i, g in enumerate(groups[1:]):
         last = i == len(groups) - 2
-        prod = direct_product(prod, g, max_order=max_order,
-                              name=name if (name and last) else None)
+        prod = direct_product(prod, g, name=name if last else None)
     orders = [g.order for g in groups]
-    idents = [g.identity for g in groups]
-
-    def encode(coords):
-        out = 0
-        for c, g in zip(coords, groups):
-            out = out * g.order + c
-        return out
-
     chain = []
     for k in range(len(groups) + 1):
-        ranges = [range(orders[i]) if i < k else [idents[i]]
-                  for i in range(len(groups))]
-        stack = [[]]
-        for r in ranges:
-            stack = [s + [v] for s in stack for v in r]
-        members = sorted(encode(s) for s in stack)
+        coords = [np.arange(g.order) if i < k else [g.identity]
+                  for i, g in enumerate(groups)]
+        members = np.ravel_multi_index(np.ix_(*coords), orders).ravel()
         chain.append(subgroup(prod, members))
     return prod, chain
 
@@ -397,9 +399,8 @@ class ConjugacyPartition:
         return len(self.classes)
 
 
+@cached
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
-    if "classes" in g._cache:
-        return g._cache["classes"]
     n = g.order
     assigned = np.full(n, -1, dtype=np.int64)
     raw: list[tuple[int, ...]] = []
@@ -418,9 +419,7 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
     for ci, cls in enumerate(classes):
         for v in cls:
             class_of[v] = ci
-    part = ConjugacyPartition(classes, class_of)
-    g._cache["classes"] = part
-    return part
+    return ConjugacyPartition(classes, class_of)
 
 
 def is_abelian(g: FiniteGroup) -> bool:
@@ -428,7 +427,14 @@ def is_abelian(g: FiniteGroup) -> bool:
 
 
 class Subgroup:
-    """A subgroup held as an explicit sorted element set of its parent."""
+    """A subgroup held as an explicit sorted element set of its parent.
+
+    ``_cache`` is the subgroup's own, for `cached`: the embedding, the
+    membership index, the standalone group, normality, and the induction,
+    restriction, conjugation and normal-pair data of `characters` and
+    `clifford`.  It is keyed per subgroup, not by content: groups with equal
+    tables can carry different names and labels, which ``as_group()`` copies.
+    """
 
     def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]) -> None:
         self.parent = parent
@@ -446,36 +452,29 @@ class Subgroup:
     def contains(self, g: int) -> bool:
         return bool(self.member_index()[g] >= 0)
 
+    @cached
     def embedding(self) -> np.ndarray:
-        if "embed" not in self._cache:
-            emb = np.array(self.elements, dtype=np.int64)
-            emb.setflags(write=False)
-            self._cache["embed"] = emb
-        return self._cache["embed"]
+        return np.array(self.elements, dtype=np.int64)
 
+    @cached
     def member_index(self) -> np.ndarray:
-        if "member" not in self._cache:
-            m = np.full(self.parent.order, -1, dtype=np.int64)
-            m[self.embedding()] = np.arange(len(self.elements))
-            m.setflags(write=False)
-            self._cache["member"] = m
-        return self._cache["member"]
+        m = np.full(self.parent.order, -1, dtype=np.int64)
+        m[self.embedding()] = np.arange(len(self.elements))
+        return m
 
+    @cached
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group; index i is self.elements[i]."""
-        if "group" not in self._cache:
-            emb = self.embedding()
-            member = self.member_index()
-            mul = member[self.parent.mul[np.ix_(emb, emb)]].astype(np.int64)
-            if mul.min() < 0:
-                raise NotAGroup("element set is not closed under multiplication")
-            e, inv = _validate_table(mul)
-            labels = (tuple(self.parent.label(g) for g in self.elements)
-                      if self.parent.labels else None)
-            suffix = f"<{len(self.elements)}>"
-            name = f"{self.parent.name}{suffix}" if self.parent.name else None
-            self._cache["group"] = FiniteGroup(mul, e, inv, labels, name)
-        return self._cache["group"]
+        emb = self.embedding()
+        mul = self.member_index()[self.parent.mul[np.ix_(emb, emb)]]
+        if mul.min() < 0:
+            raise NotAGroup("element set is not closed under multiplication")
+        e, inv = _validate_table(mul)
+        labels = (tuple(self.parent.label(g) for g in self.elements)
+                  if self.parent.labels else None)
+        name = (f"{self.parent.name}<{len(self.elements)}>"
+                if self.parent.name else None)
+        return FiniteGroup(mul, e, inv, labels, name)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -545,15 +544,17 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
 def is_normal(g: FiniteGroup, s: Subgroup) -> bool:
     if s.parent is not g:
         raise NotNormal("subgroup belongs to a different group")
-    if "normal" not in s._cache:
-        emb, member = s.embedding(), s.member_index()
-        step = max(1, _CLOSURE_BLOCK // len(emb))
-        # x h x^-1 for every h in H and x in one block of G, in one gather
-        s._cache["normal"] = all(
-            np.all(member[g.mul[g.mul[lo:lo + step][:, emb],
-                                g.inv[lo:lo + step, None]]] >= 0)
-            for lo in range(0, g.order, step))
-    return s._cache["normal"]
+    return _closed_under_conjugation(s)
+
+
+@cached
+def _closed_under_conjugation(s: Subgroup) -> bool:
+    g, emb, member = s.parent, s.embedding(), s.member_index()
+    step = max(1, _CLOSURE_BLOCK // len(emb))
+    # x h x^-1 for every h in H and x in one block of G, in one gather
+    return all(np.all(member[g.mul[g.mul[lo:lo + step][:, emb],
+                                   g.inv[lo:lo + step, None]]] >= 0)
+               for lo in range(0, g.order, step))
 
 
 def _kernel_masks(g: FiniteGroup, linear_only: bool = False) -> list[int]:
@@ -708,9 +709,8 @@ def _parse_group_lines(raw_lines, name: str | None) -> FiniteGroup:
         if len(head) != 2 or not head[1].isdigit():
             raise InvalidData(f"bad header {first!r}; expected 'table <n>'")
         n = int(head[1])
-        if n > DEFAULT_MAX_ORDER:
-            raise TooLarge(
-                f"table order {n} exceeds the cap of {DEFAULT_MAX_ORDER}")
+        if n > MAX_ORDER:
+            raise TooLarge(f"table order {n} exceeds the cap of {MAX_ORDER}")
         vals = np.zeros(n * n, dtype=np.int64)
         count = 0
         for ln in lines:

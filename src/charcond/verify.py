@@ -6,7 +6,11 @@ inner case counts and carries the offending exact values on failure.  Every
 record goes through `_attempt`: a check runs once and returns the detail of
 each record it decides, "" when it holds, and an exact error fails every
 record of the check with its message, so a record passes only when its own
-check ran to the end and held.  The clifford, dichotomy, classification and
+check ran to the end and held.  Tables are read inside the checks, except
+where a record's text names a value: the degrees suite's chains and largest
+degrees and the Gallagher label come from `_outcome`, which returns an exact
+error in place of a value, so that a check given one fails its records with
+it and their text shows "?".  The clifford, dichotomy, classification and
 gallagher suites share one loop over the normal pairs (G, H), and they and
 the Frobenius check read whole tables: the arrays of the pair's
 `clifford._NormalPair`, built once per subgroup.  The two sides of each
@@ -111,17 +115,33 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the exact error that it raised: a value that could not
+    be computed stands as its error.  The first argument that is an error is
+    the outcome, and fn is not called."""
+    try:
+        return next((a for a in args if isinstance(a, CharcondError)),
+                    None) or fn(*args)
+    except CharcondError as exc:
+        return exc
+
+
+def _shown(value) -> str:
+    """A value for a record's text, "?" when it could not be computed."""
+    return "?" if isinstance(value, CharcondError) else str(value)
+
+
 def _attempt(rep: VerificationReport, identities: tuple[str, ...], inputs: str,
              check, *args) -> None:
     """Run check(*args) once and record each of its identities at inputs.
     The check returns the detail of each record it decides, "" when the
-    record holds, or None when all of them hold; an exact error fails every
-    record with its message.  So a record passes only when its own check ran
-    to the end and held."""
-    try:
-        details = check(*args) or ("",) * len(identities)
-    except CharcondError as exc:
-        details = (str(exc),) * len(identities)
+    record holds, or None when all of them hold; an exact error, raised by
+    the check or standing for one of its arguments (see `_outcome`), fails
+    every record with its message.  So a record passes only when its own
+    check ran to the end and held."""
+    details = _outcome(check, *args) or ("",) * len(identities)
+    if isinstance(details, CharcondError):
+        details = (str(details),) * len(identities)
     for identity, detail in zip(identities, details, strict=True):
         rep.add(identity, inputs, not detail, detail)
 
@@ -131,17 +151,22 @@ def _pair_name(g: FiniteGroup, s: Subgroup) -> str:
 
 
 def _pair_suite(suite: str, cat: Catalog | None, max_order: int,
-                prime_only: bool, checks, inputs=_pair_name) -> VerificationReport:
+                prime_only: bool, checks, label=None) -> VerificationReport:
     """The records of `checks`, (identities, check of a subgroup) pairs, on
-    every proper normal pair (G, H) of the catalog, of prime index if asked."""
+    every proper normal pair (G, H) of the catalog, of prime index if asked.
+    A `label`, (name, function of a subgroup), adds its value to the inputs
+    of the pair's records and is its checks' second argument."""
     rep = VerificationReport(suite)
     for _, g in (cat or default_catalog()).groups_up_to(max_order):
         for s in (prime_index_normal_subgroups(g) if prime_only
                   else normal_subgroups(g)):
             if s.order < g.order:
-                where = inputs(g, s)
+                where, args = _pair_name(g, s), (s,)
+                if label:
+                    value = _outcome(label[1], s)
+                    where, args = f"{where}, {label[0]}={_shown(value)}", (s, value)
                 for identities, check in checks:
-                    _attempt(rep, identities, where, check, s)
+                    _attempt(rep, identities, where, check, *args)
     return rep
 
 
@@ -230,11 +255,12 @@ def suite_classification(cat: Catalog | None = None,
          _classification)])
 
 
-def _gallagher(s: Subgroup) -> tuple[str]:
+def _gallagher(s: Subgroup, invariant: int) -> tuple[str]:
     """Each invariant theta has extensions chi; the products chi * psi_i with
     the irreducibles psi_i of G/H are distinct and irreducible, sum to Ind
-    theta and are as many as the extensions; the record shows the last
-    failure."""
+    theta and are as many as the extensions; the invariant thetas, read off
+    the stabilizers, are as many as the label counted; the record shows the
+    last failure."""
     pair, (_, qmap) = _pair(s), quotient(s.parent, s)
     thetas = np.flatnonzero(pair.stab == s.parent.order).tolist()
     exts = [pair.extensions(j) for j in thetas]
@@ -251,16 +277,18 @@ def _gallagher(s: Subgroup) -> tuple[str]:
             detail = "a product chi * psi_i is not irreducible"
         if len(exts[x]) != len(products[x]):
             detail = f"{len(exts[x])} extensions, expected {len(products[x])}"
+    if len(thetas) != invariant:
+        detail = f"{len(thetas)} invariant thetas, the label counts {invariant}"
     return (detail,)
 
 
-def _invariant_thetas(g: FiniteGroup, s: Subgroup) -> str:
-    """The pair's name and how many rows of H's table G fixes, read off the
-    class permutations, so that the record names them when the pair's own
-    arrays cannot be built."""
+def _invariant_thetas(s: Subgroup) -> int:
+    """How many rows of H's table G fixes, read off the class permutations,
+    so that the record names them when the pair's own arrays cannot be
+    built."""
     th = _table_nums(s.as_group())
     fixed = (th[:, _conj_class_perms(s)] == th[:, None]).all(axis=(1, 2, 3))
-    return f"{_pair_name(g, s)}, invariant thetas={int(fixed.sum())}"
+    return int(fixed.sum())
 
 
 def suite_gallagher(cat: Catalog | None = None,
@@ -268,7 +296,7 @@ def suite_gallagher(cat: Catalog | None = None,
     """Invariant characters extend, and Ind theta = sum of chi * psi_i exactly."""
     return _pair_suite("gallagher", cat, max_order, prime_only=True, checks=[
         (("gallagher: extensions exist and exhaust Ind theta",), _gallagher)],
-        inputs=_invariant_thetas)
+        label=("invariant thetas", _invariant_thetas))
 
 
 def _s3_chain(cat: Catalog, copies: int) -> NormalChain:
@@ -301,13 +329,13 @@ def suite_degrees(cat: Catalog | None = None,
     cat = cat or default_catalog()
     rep = VerificationReport("degrees")
     for copies in (1, 2, 3):
-        chain = _s3_chain(cat, copies)
-        table_max = max(character_table(chain.group).degrees())
+        chain = _outcome(_s3_chain, cat, copies)
+        table_max = _outcome(lambda c: max(character_table(c.group).degrees()), chain)
         _attempt(rep, (
             f"degrees: chain of length {copies} gives degree >= {2 ** copies}",
-            f"degrees: chain degree consistent with table maximum {table_max}",
+            f"degrees: chain degree consistent with table maximum {_shown(table_max)}",
             f"degrees: length-{copies} chain exceeds 2^(({2 * copies}-1)/2)"),
-            f"G order {chain.group.order}", _chain_degree, chain, table_max)
+            f"G order {6 ** copies}", _chain_degree, chain, table_max)
     _attempt(rep, ("degrees: promotion keeps degree at least theta(1)",),
              "theta degree 2 in order-36 group", _promotion, cat)
     return rep
@@ -325,15 +353,16 @@ def _random_characters(nums: np.ndarray, rng: random.Random) -> np.ndarray:
     return _matmul(mults, nums.reshape(k, -1)).reshape(-1, *nums.shape[1:])
 
 
-def _discriminant(ctx: GaloisContext, table) -> tuple[str]:
-    ok = verify_conductor_discriminant(ctx, table, ctx.disc)
+def _discriminant(ctx: GaloisContext) -> tuple[str]:
+    ok = verify_conductor_discriminant(ctx, character_table(ctx.group), ctx.disc)
     return ("" if ok else "product mismatch",)
 
 
-def _additivity(ctx: GaloisContext, chars: np.ndarray) -> tuple[str]:
+def _additivity(ctx: GaloisContext, rng: random.Random) -> tuple[str]:
     """f(phi + psi) by the matrix route for all pairs at once, against
     f(phi) + f(psi) by `conductor_exponent` one character at a time."""
     g, e = ctx.group, ctx.group.exponent()
+    chars = _random_characters(_table_nums(g), rng)
     detail = ""
     for filt in ctx.filtrations:
         lhs = conductor_exponents(filt, chars[0::2] + chars[1::2])
@@ -345,15 +374,17 @@ def _additivity(ctx: GaloisContext, chars: np.ndarray) -> tuple[str]:
     return (detail,)
 
 
-def _truncation(ctx: GaloisContext, table) -> tuple[str] | None:
+def _truncation(ctx: GaloisContext) -> tuple[str] | None:
     """The table's exponents by the matrix route, against `conductor_exponent`
     once two trivial groups are appended to the filtration."""
-    triv = trivial_subgroup(ctx.group)
+    g, e, nums = ctx.group, ctx.group.exponent(), _table_nums(ctx.group)
+    triv = trivial_subgroup(g)
     for filt in ctx.filtrations:
         padded = RamificationFiltration(filt.prime, filt.residue_norm,
                                         filt.groups + (triv, triv))
-        want = conductor_exponents(filt, _table_nums(ctx.group)).tolist()
-        got = [conductor_exponent(chi, padded) for chi in table]
+        want = conductor_exponents(filt, nums).tolist()
+        got = [conductor_exponent(ClassFunction._make(g, e, row, 1), padded)
+               for row in nums]
         if got != want:
             return (f"padded exponents {got} vs {want} at prime {filt.prime}",)
 
@@ -397,17 +428,15 @@ def suite_conductor(cat: Catalog | None = None,
     rng = random.Random(_RANDOM_SEED)
     for name in cat.context_names():
         ctx = cat.context(name)
-        table = character_table(ctx.group)
-        chars = _random_characters(_table_nums(ctx.group), rng)
         here = f"context {name}"
         if ctx.disc is not None:
             _attempt(rep, ("conductor: conductor-discriminant product equals disc",),
-                     f"{here}, disc {ctx.disc}", _discriminant, ctx, table)
+                     f"{here}, disc {ctx.disc}", _discriminant, ctx)
         _attempt(rep, ("conductor: exponents are additive in the character",),
                  f"{here}, {_ADDITIVITY_TRIALS} random sums",
-                 _additivity, ctx, chars)
+                 _additivity, ctx, rng)
         _attempt(rep, ("conductor: appending trivial groups never changes exponents",),
-                 here, _truncation, ctx, table)
+                 here, _truncation, ctx)
         _attempt(rep,
                  ("conductor: exponents invariant under conjugating the filtration",),
                  here, _conjugation, ctx)

@@ -259,14 +259,19 @@ def test_render_text_is_deterministic():
     assert a == b
 
 
-def test_character_table_cap():
+def test_character_table_cap(monkeypatch):
+    from charcond import characters
     from charcond.errors import TooLarge
-    with pytest.raises(TooLarge):
-        character_table(s3(), max_order=5)
     g = s3()
+    monkeypatch.setattr(characters, "MAX_ORDER", 5)
+    with pytest.raises(TooLarge, match="group order 6 exceeds the cap of 5"):
+        character_table(g)
+    monkeypatch.undo()
     character_table(g)
+    monkeypatch.setattr(characters, "MAX_ORDER", 5)
     with pytest.raises(TooLarge):      # a cached table does not skip the cap
-        character_table(g, max_order=5)
+        character_table(g)
+    monkeypatch.undo()
     # Dixon's method needs k matrices of k x k: 257 classes are refused
     # before any of them is built
     c257 = build_from_permutations(257, [tuple((i + 1) % 257 for i in range(257))])

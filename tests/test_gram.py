@@ -150,9 +150,9 @@ def test_validate_does_no_cyclotomic_arithmetic(cyclotomic_calls):
 def test_a_table_builds_no_values_until_it_is_rendered(cyclotomic_calls):
     g = Catalog().group("C4xC4xC3")
     # Dixon's method runs here even where another group shares the cache
-    g._cache.pop("table_nums", None)
+    g._cache.pop("_table", None)
     table = character_table(g)
-    assert "table_nums" in g._cache
+    assert "_table" in g._cache
     assert cyclotomic_calls == []
     table.render_text()
     assert cyclotomic_calls == ["values"]

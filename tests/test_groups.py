@@ -100,10 +100,10 @@ def test_permutation_identity_is_element_zero():
     assert g.labels[0] == "e"
 
 
-def test_closure_cap():
-    with pytest.raises(TooLarge):
-        build_from_permutations(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
-                                max_order=30)
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_ORDER", 30)
+    with pytest.raises(TooLarge, match="closure exceeded the cap of 30"):
+        build_from_permutations(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
 
 
 def test_bad_generator_rejected():
@@ -200,7 +200,7 @@ def test_product_quotient_is_nonabelian():
     assert not is_abelian(q)
 
 
-def test_direct_products():
+def test_direct_products(monkeypatch):
     g = s3()
     one = build_from_table([[0]])
     p = direct_product(one, g)
@@ -212,8 +212,9 @@ def test_direct_products():
     assert [c.order for c in chain] == [1, 6, 36, 216]
     for c in chain:
         assert is_normal(p3, c)
-    with pytest.raises(TooLarge):
-        direct_product(p2, p2, max_order=1000)
+    monkeypatch.setattr(groups, "MAX_ORDER", 1000)
+    with pytest.raises(TooLarge, match="product order 1296 exceeds the cap of 1000"):
+        direct_product(p2, p2)
 
 
 def test_derived_subgroup_of_s3_is_a3():
@@ -295,7 +296,7 @@ def test_table_header_over_the_cap_is_refused_before_any_entry_is_read(
     # the entries are not even integers: only the header was read
     with pytest.raises(TooLarge, match="table order 5041 exceeds the cap"):
         parse_group_text("table 5041\nnot a number\n")
-    monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 2)
+    monkeypatch.setattr(groups, "MAX_ORDER", 2)
     with pytest.raises(TooLarge, match="table order 3 exceeds the cap of 2"):
         build_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     monkeypatch.undo()

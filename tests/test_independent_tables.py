@@ -14,9 +14,10 @@ polynomial, and compared with `character_table` as exact arrays: the
 classes are the group's own `class_of`, and the rows are compared as a set.
 The Frobenius-Schur count checks the Dixon tables against the group's
 square map alone, and the power maps chi(g^m) = sigma_m(chi(g)) against its
-m-th power maps and the Galois action.  Nothing here calls the cyclotomic
-kernels or the group layer beyond the multiplication table, the class
-partition and, for sigma_m, `_galois_matrix`.
+m-th power maps and the Galois action; both also run on S5, S6 and S7 built
+from permutations, which have no closed form here.  Nothing here calls the
+cyclotomic kernels or the group layer beyond the multiplication table, the
+class partition and, for sigma_m, `_galois_matrix`.
 """
 
 from functools import lru_cache
@@ -28,7 +29,7 @@ import pytest
 from charcond.catalog import Catalog
 from charcond.characters import character_table
 from charcond.cyclotomic import _galois_matrix
-from charcond.groups import conjugacy_classes
+from charcond.groups import build_from_permutations, conjugacy_classes
 
 
 @lru_cache(maxsize=None)
@@ -237,6 +238,18 @@ def _products():
 
 _PRODUCTS = _products()
 
+# S7 takes about 3 s and a few hundred MB, most of it to build the group
+_SYMMETRIC = ["S5", "S6", pytest.param("S7", marks=pytest.mark.slow)]
+
+
+def _group(name: str):
+    """A catalog group, or S5 to S7 from a transposition and an n-cycle."""
+    if name not in ("S5", "S6", "S7"):
+        return _CAT.group(name)
+    n = int(name[1:])
+    return build_from_permutations(
+        n, [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)], name=name)
+
 
 @pytest.mark.parametrize("name", _BASE)
 def test_catalog_groups_match_their_closed_forms(name):
@@ -248,11 +261,11 @@ def test_catalog_products_match_their_tensor_products(name):
     _assert_tables_match(name)
 
 
-@pytest.mark.parametrize("name", _BASE + _PRODUCTS)
+@pytest.mark.parametrize("name", _BASE + _PRODUCTS + _SYMMETRIC)
 def test_frobenius_schur_count_matches_the_involutions(name):
     # nu(chi) = (1/|G|) sum_g chi(g^2) is 1, 0 or -1, and
     # sum_chi nu(chi) chi(1) = #{g : g^2 = 1}
-    g = _CAT.group(name)
+    g = _group(name)
     part = conjugacy_classes(g)
     reps = np.array(part.representatives)
     squares = part.class_of[g.mul[reps, reps]]
@@ -269,12 +282,12 @@ def test_frobenius_schur_count_matches_the_involutions(name):
     assert sum(v * d for v, d in zip(nu, table.degrees())) == involutions
 
 
-@pytest.mark.parametrize("name", _BASE + _PRODUCTS)
+@pytest.mark.parametrize("name", _BASE + _PRODUCTS + _SYMMETRIC)
 def test_power_maps_are_the_galois_action(name):
     # g^m for m prime to |G| generates <g>, and chi(g^m) is chi(g) with
     # zeta_e -> zeta_e^m; g^m and sigma_m depend on m mod e = exp(G) only, and
     # m is prime to |G| exactly when it is prime to e
-    g = _CAT.group(name)
+    g = _group(name)
     part = conjugacy_classes(g)
     reps = np.array(part.representatives)
     table = character_table(g)

@@ -118,6 +118,53 @@ def test_cli_reports_a_pair_that_cannot_be_built_and_exits_3(monkeypatch,
     assert out.rstrip().endswith("1 failed")
 
 
+def _break_suite_inputs(monkeypatch):
+    """Make the chains and tables of the degrees and conductor suites and
+    the label of the Gallagher records raise an exact error."""
+    def broken(*args, **kwargs):
+        raise InternalContradiction("input refused")
+
+    for name in ("product_chain", "character_table", "_conj_class_perms"):
+        monkeypatch.setattr(verify, name, broken)
+
+
+def test_an_input_that_cannot_be_built_fails_its_records(monkeypatch):
+    # each suite returns its report: an error in a chain, a table or a
+    # label fails the records that need it, and a value that a record's
+    # text names shows as "?"
+    _break_suite_inputs(monkeypatch)
+    cat = Catalog()
+    degrees = run_suite("degrees", cat=cat)
+    assert [c.detail for c in degrees.checks] == ["input refused"] * 10
+    assert sum("table maximum ?" in c.identity for c in degrees.checks) == 3
+    assert [c.inputs for c in degrees.checks[:9:3]] == [
+        "G order 6", "G order 36", "G order 216"]
+    cond = run_suite("conductor", cat=cat)
+    failed = {c.identity.split(":")[1].split()[0] for c in cond.checks
+              if not c.passed}
+    assert failed == {"conductor-discriminant", "induced", "unramified"}
+    assert all(c.detail == "input refused" for c in cond.checks if not c.passed)
+    gallagher = run_suite("gallagher", cat=cat, max_order=8)
+    assert gallagher.checks and all(
+        not c.passed and c.detail == "input refused"
+        and c.inputs.endswith(", invariant thetas=?") for c in gallagher.checks)
+
+
+def test_cli_prints_the_report_of_inputs_that_cannot_be_built_and_exits_3(
+        monkeypatch, capsys):
+    from charcond.cli import main
+    _break_suite_inputs(monkeypatch)
+    monkeypatch.setattr(verify, "default_catalog", Catalog)
+    assert main(["verify", "--suite", "all", "--max-order", "6"]) == 3
+    out = capsys.readouterr().out
+    assert ("[FAIL] degrees: chain degree consistent with table maximum ?  "
+            "(G order 36)  input refused") in out
+    assert ("[FAIL] gallagher: extensions exist and exhaust Ind theta  "
+            "(G=S3, |H|=3, invariant thetas=?)  input refused") in out
+    assert "[FAIL] conductor: conductor-discriminant product equals disc" in out
+    assert "[PASS] dichotomy" in out
+
+
 def test_all_suite_merges_everything():
     rep = run_suite("all", cat=Catalog(), max_order=6)
     assert rep.passed
