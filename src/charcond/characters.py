@@ -33,7 +33,10 @@ and p > 2*sqrt(|G|), and the eigenvalue data is lifted back to Q(zeta_e) by
 matching against roots of unity in F_p.  Every lifted table is then
 re-verified exactly (orthogonality, degree sums), so the flags on the results
 are earned, not assumed.  The table cache holds each table's array once, and
-the caps are checked on every call, cached or not.
+the caps are checked on every call, cached or not.  A `CharacterTable` is
+that array: its degrees, validation, rendering, row lookup and
+decompositions read it, and its `Character` rows are built once per table
+object, on first use.
 
 The F_p stage works on int64 residues, behind one guard that raises TooLarge
 unless every sum, at most max(k, e) products below p^2, stays below 2^62.
@@ -47,25 +50,27 @@ its eigenspaces with one batched Gauss-Jordan elimination of (A - lam)^T per
 chunk of lam in F_p, and reads every kernel off those reduced forms.  The
 lift writes the root-of-unity multiplicities of every value, one DFT matmul
 over F_p per element order, into one (k, k, e) coefficient array; one
-power-basis product gives the table's numerators, which one integer key array
-puts in canonical row order, one `_check_table` checks and the table cache
-keeps as they are; no `Cyclotomic` is built until a table is rendered.
+product with the power table gives the table's numerators, which one integer
+key array puts in canonical row order, one `_check_table` checks and the
+table cache keeps as they are; no `Cyclotomic` is built until a table is
+rendered.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import (Cyclotomic, _matmul, _phi, at_minimal_conductors,
-                         descend, encode, gram, gram_diagonal, lift,
-                         minimal_conductors, multiply, power_basis, reduced,
-                         scaled, table_grams, values)
+from .cyclotomic import (Cyclotomic, _int_array, _matmul, _phi, _power_array,
+                         align, at_minimal_conductors, descend, gram,
+                         gram_diagonal, lift, minimal_conductors, multiply,
+                         reduced, scaled, table_grams, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
-                     NotNormal, TooLarge)
+                     NotIrreducible, NotNormal, TooLarge)
 from .groups import (MAX_ORDER, FiniteGroup, QuotientMap, Subgroup, cached,
                      conjugacy_classes, is_normal, row_keys, unique_sorted)
 
@@ -126,12 +131,10 @@ def _canonical(base: int, e: int, nums: np.ndarray,
 
 
 def _aligned(fns) -> tuple[int, np.ndarray, int]:
-    """Numerators of class functions over one conductor e and one denominator:
-    (e, array of shape (functions, classes, phi(e)), den)."""
-    e = lcm(*(fn.e for fn in fns))
-    den = lcm(*(fn.den for fn in fns))
-    return e, np.stack([scaled(lift(fn.nums, fn.e, e), den // fn.den)
-                        for fn in fns]), den
+    """Numerators of class functions over one conductor e and one denominator
+    by `align`: (e, array of shape (functions, classes, phi(e)), den)."""
+    e, nums, den = align((fn.e, fn.nums, fn.den) for fn in fns)
+    return e, np.stack(nums), den
 
 
 class ClassFunction:
@@ -148,11 +151,9 @@ class ClassFunction:
         k = len(conjugacy_classes(group))
         if len(vals) != k:
             raise ValueError(f"need {k} class values, got {len(vals)}")
-        coeffs, den = encode([vals])
-        w = coeffs.shape[2]
-        e = lcm(w, group.exponent())
-        nums, den = reduced(lift(power_basis(coeffs, w), w, e), den)
-        self._set(group, e, nums[0], den)
+        e, nums, den = align(((v.order, _int_array(v.nums), v.den) for v in vals),
+                             group.exponent())
+        self._set(group, e, *reduced(np.stack(nums), den))
 
     def _set(self, group: FiniteGroup, e: int, nums: np.ndarray,
              den: int) -> None:
@@ -421,16 +422,27 @@ class CharacterTable:
     """The full set of irreducible characters in canonical order.
 
     Rows sort by degree then lexicographically on values; columns follow the
-    canonical class order of the group.
+    canonical class order of the group.  The table is its array ``nums``,
+    the numerators at e = exp(G) over den 1 of shape (k, k, phi(e)), which
+    every method reads; ``rows``, the `Character`s, are built on first use.
     """
 
-    def __init__(self, group: FiniteGroup, rows: tuple[Character, ...]) -> None:
+    def __init__(self, group: FiniteGroup, nums: np.ndarray) -> None:
         self.group = group
         self.partition = conjugacy_classes(group)
-        self.rows = rows
+        self.nums = nums
+
+    @cached_property
+    def rows(self) -> tuple[Character, ...]:
+        e = self.group.exponent()
+        rows = tuple(Character._make(self.group, e, row, 1) for row in self.nums)
+        # the table's array passed one exact `_check_table`, norms included
+        for c in rows:
+            c.irreducible = True
+        return rows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.rows)
@@ -439,26 +451,28 @@ class CharacterTable:
         return self.rows[i]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(r.degree for r in self.rows)
+        return tuple(self.nums[:, 0, 0].tolist())
 
     def index_of(self, fn: ClassFunction) -> int:
-        for i, row in enumerate(self.rows):
-            if row._same_form(fn):
-                return i
-        raise ValueError("class function is not a row of this table")
+        """The row equal to fn; stored forms are canonical, so equal values
+        have equal numerator rows."""
+        if not _same_group(fn.group, self.group):
+            raise GroupMismatch("character does not live on the table's group")
+        hit = (np.flatnonzero((self.nums == fn.nums).all(axis=(1, 2)))
+               if fn.e == self.group.exponent() and fn.den == 1 else [])
+        if not len(hit):
+            raise NotIrreducible("character is not a row of the character table")
+        return int(hit[0])
 
     def validate(self) -> None:
         """Re-check all table invariants exactly by `_check_table`; raises on
         any failure."""
-        if not self.rows:
-            raise InternalContradiction("row count differs from class count")
-        _check_table(self.group, *_aligned(self.rows))
+        _check_table(self.group, self.group.exponent(), self.nums, 1)
 
     def _value_rows(self) -> list[list[Cyclotomic]]:
         """The values of every row, from one batched `values` call."""
-        e, nums, den = _aligned(self.rows)
         k = len(self.partition)
-        flat = values(nums.reshape(-1, nums.shape[2]), e, den)
+        flat = values(self.nums.reshape(k * k, -1), self.group.exponent())
         return [flat[i:i + k] for i in range(0, len(flat), k)]
 
     def render_text(self) -> str:
@@ -485,13 +499,13 @@ class CharacterTable:
             "class_representatives": list(part.representatives),
             "rows": [
                 {
-                    "degree": row.degree,
+                    "degree": degree,
                     "values": [
                         {"conductor": v.order, "coeffs": v.coeff_pairs()}
                         for v in vals
                     ],
                 }
-                for row, vals in zip(self.rows, self._value_rows())
+                for degree, vals in zip(self.degrees(), self._value_rows())
             ],
         }
 
@@ -527,12 +541,7 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     The shared cache holds the array only, never characters bound to a
     group, so it does not keep any group alive.
     """
-    nums = _table_nums(g)
-    rows = tuple(Character._make(g, g.exponent(), row, 1) for row in nums)
-    # the cached rows passed one exact validate(), norms included
-    for c in rows:
-        c.irreducible = True
-    return CharacterTable(g, rows)
+    return CharacterTable(g, _table_nums(g))
 
 
 def _row_order(nums: np.ndarray, e: int) -> np.ndarray:
@@ -648,7 +657,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
         raise InternalContradiction("root-of-unity multiplicities broken")
 
     # one power-basis product for the whole table, rows in canonical order
-    nums = reduced(power_basis(coeffs, e), 1)[0]
+    nums = reduced(_matmul(coeffs, _power_array(e)), 1)[0]
     nums = nums[_row_order(nums, e)]
     _check_table(g, e, nums, 1)
     return nums
@@ -817,7 +826,8 @@ def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]
     """
     if not _same_group(phi.group, table.group):
         raise GroupMismatch("class function does not live on the table's group")
-    e, nums, den = _aligned([phi, *table.rows])
-    got = gram(nums[:1], nums[1:], phi.partition.sizes, e)[0]
+    e, (a, rows), den = align([(phi.e, phi.nums[None], phi.den),
+                               (table.group.exponent(), table.nums, 1)])
+    got = gram(a, rows, phi.partition.sizes, e)[0]
     mults = _multiplicities(got, e, den * den * phi.group.order)
     return [(int(i), int(mults[i])) for i in np.flatnonzero(mults)]

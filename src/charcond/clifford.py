@@ -33,9 +33,8 @@ from .characters import (Character, ClassFunction, character_table,
                          _induction_sums, _inflated_table, _multiplicities,
                          _restriction_classes, _same_group, _table_nums)
 from .cyclotomic import gram, gram_diagonal, lift, multiply, scaled, values
-from .errors import (BadChain, GroupMismatch, IndexNotPrime,
-                     InternalContradiction, NotInvariant,
-                     NotIrreducible, NotNormal)
+from .errors import (BadChain, IndexNotPrime, InternalContradiction,
+                     NotInvariant, NotIrreducible, NotNormal)
 from .groups import (FiniteGroup, QuotientMap, Subgroup, cached,
                      conjugacy_classes, is_abelian, is_normal, quotient,
                      row_keys, subgroup)
@@ -61,19 +60,6 @@ class ClassificationKind(enum.Enum):
 def _require_irreducible(chi: Character) -> None:
     if not isinstance(chi, Character) or not chi.irreducible:
         raise NotIrreducible("operation needs a verified irreducible character")
-
-
-def _table_row(g: FiniteGroup, chi: Character) -> int:
-    """The index of chi in G's table; stored forms are canonical, so equal
-    values have equal numerator rows."""
-    if not _same_group(chi.group, g):
-        raise GroupMismatch("character does not live on the table's group")
-    table = _table_nums(g)
-    hit = (np.flatnonzero((table == chi.nums).all(axis=(1, 2)))
-           if chi.e == g.exponent() and chi.den == 1 else [])
-    if not len(hit):
-        raise NotIrreducible("character is not a row of the character table")
-    return int(hit[0])
 
 
 class _NormalPair:
@@ -307,7 +293,7 @@ def clifford_decomposition(chi: Character, s: Subgroup) -> tuple[int, tuple[Char
     _require_irreducible(chi)
     if not is_normal(s.parent, s):
         raise NotNormal("Clifford decomposition needs a normal subgroup")
-    e, orbit = _clifford_row(s, _table_row(s.parent, chi))
+    e, orbit = _clifford_row(s, character_table(s.parent).index_of(chi))
     table_h = character_table(s.as_group())
     return e, tuple(table_h[i] for i in orbit)
 
@@ -339,7 +325,8 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
         raise IndexNotPrime(f"index {s.index} is not prime")
     if not is_normal(s.parent, s):
         raise NotNormal("classification needs a normal subgroup")
-    kind, j, e, orbit, checks = _classify_row(s, _table_row(s.parent, chi))
+    kind, j, e, orbit, checks = _classify_row(
+        s, character_table(s.parent).index_of(chi))
     table_h = character_table(s.as_group())
     return Classification(kind, chi, table_h[j], e, len(orbit),
                           tuple(table_h[i] for i in orbit), checks)
@@ -352,7 +339,7 @@ def find_extensions(theta: Character, s: Subgroup) -> tuple[Character, ...]:
         raise IndexNotPrime(f"index {s.index} is not prime")
     if not is_normal(s.parent, s):
         raise NotNormal("extensions need a normal subgroup")
-    j = _table_row(s.as_group(), theta)
+    j = character_table(s.as_group()).index_of(theta)
     pair = _pair(s)
     if pair.stab[j] != s.parent.order:
         raise NotInvariant("character is not invariant in the parent group")

@@ -4,15 +4,15 @@ There is one implementation.  Values are rows of power-basis numerators: row
 i holds the coordinates of a value on 1, z, ..., z^(phi(e)-1), z = zeta_e,
 modulo the e-th cyclotomic polynomial, over one positive denominator.  The
 kernels work on such rows: `lift` to a multiple of e, `descend` to a divisor
-of e (with an exact check), `multiply`, `scaled`, `reduced` (lowest terms)
-and the Gram products below; `encode` writes `Cyclotomic` values as rows in
-Z[x]/(x^e - 1) and `power_basis` reduces such rows with one product with the
-power table.  The map x -> zeta_e from Z[x]/(x^e - 1) onto Z[zeta_e] is a
-ring map that commutes with x -> x^-1, so sums of products and complex
-conjugation (index negation) computed on coefficient rows, power-basis rows
-included, agree exactly with the same operations on the values.  Arrays are
-int64 while an exact Python-int bound on every partial sum is below 2^62,
-and Python ints (dtype object) otherwise (`int_dtype`).
+of e (with an exact check), `multiply`, `scaled`, `reduced` (lowest terms),
+`align`, which puts several (conductor, numerators, den) parts over one
+conductor and one denominator, and the Gram products below.  The map
+x -> zeta_e from Z[x]/(x^e - 1) onto Z[zeta_e] is a ring map that commutes
+with x -> x^-1, so sums of products and complex conjugation (index negation)
+computed on coefficient rows, power-basis rows included, agree exactly with
+the same operations on the values.  Arrays are int64 while an exact
+Python-int bound on every partial sum is below 2^62, and Python ints (dtype
+object) otherwise (`int_dtype`).
 
 Gram products, sum_c w_c a_c conj(b_c) over the classes for every pair of
 rows (`gram`, its diagonal `gram_diagonal`, and both orthogonality sums of a
@@ -50,9 +50,9 @@ from .arith import divisors, factor_integer, is_prime, primitive_root
 from .errors import InternalContradiction
 from .groups import unique_sorted
 
-__all__ = ["Cyclotomic", "cyclotomic_polynomial", "cyclo_sum", "encode", "gram",
-           "gram_diagonal", "int_dtype", "minimal_conductors", "power_basis",
-           "table_grams", "values"]
+__all__ = ["Cyclotomic", "align", "cyclotomic_polynomial", "cyclo_sum", "gram",
+           "gram_diagonal", "int_dtype", "minimal_conductors", "table_grams",
+           "values"]
 
 
 # Each conductor cache keeps at most its own count of results and at most
@@ -270,9 +270,9 @@ class Cyclotomic:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        e = lcm(self.order, o.order)
-        a, b = (lift(_int_array([x.nums]), x.order, e) for x in (self, o))
-        return values(multiply(a, b, e), e, self.den * o.den)[0]
+        e, (a, b), den = align((x.order, _int_array([x.nums]), x.den)
+                               for x in (self, o))
+        return values(multiply(a, b, e), e, den * den)[0]
 
     __rmul__ = __mul__
 
@@ -367,17 +367,17 @@ class Cyclotomic:
 
 
 def cyclo_sum(items) -> Cyclotomic:
-    """Exact sum of many cyclotomic values: one encoding, one sum, one
-    reduction to the power basis."""
-    vals = [_coerce(v) for v in items]
-    coeffs, den = encode([vals])
-    e = coeffs.shape[2]
-    total = _matmul(np.ones((1, len(vals)), dtype=np.int64), coeffs[0])
-    return values(power_basis(total, e), e, den)[0]
+    """Exact sum of many cyclotomic values: one `align`, then one sum over a
+    zero row and the aligned rows, so that no values sum to 0."""
+    e, nums, den = align((v.order, _int_array([v.nums]), v.den)
+                         for v in map(_coerce, items))
+    rows = np.concatenate([np.zeros((1, _phi(e)), dtype=np.int64), *nums])
+    total = _matmul(np.ones((1, len(rows)), dtype=np.int64), rows)
+    return values(total, e, den)[0]
 
 
 # ---------------------------------------------------------------------------
-# batched values: rows of power-basis numerators, and rows in Z[x]/(x^e - 1)
+# batched values: rows of power-basis numerators
 
 _INT64_LIMIT = 1 << 62
 
@@ -449,14 +449,6 @@ def reduced(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return nums.astype(int_dtype(_absmax(nums)), copy=False), den
 
 
-def power_basis(coeffs: np.ndarray, e: int) -> np.ndarray:
-    """Power-basis numerators of rows of coefficients in Z[x]/(x^e - 1).
-
-    One product with `_power_array(e)`: shape (..., e) -> (..., phi(e)).
-    """
-    return _matmul(coeffs, _power_array(e))
-
-
 def lift(nums: np.ndarray, e: int, big: int) -> np.ndarray:
     """Power-basis numerators at conductor e rewritten at conductor big, e | big."""
     if big % e:
@@ -480,6 +472,17 @@ def descend(nums: np.ndarray, e: int, d: int) -> tuple[np.ndarray, int] | None:
     return got, den
 
 
+def align(parts, e: int = 1) -> tuple[int, list[np.ndarray], int]:
+    """(conductor, numerators, den) triples over one conductor, the lcm of
+    theirs and e, and one denominator, the lcm of theirs: that conductor, each
+    part's numerators there by `lift`, scaled to that denominator by `scaled`,
+    and the denominator."""
+    parts = list(parts)
+    e = lcm(e, *(c for c, _, _ in parts))
+    den = lcm(1, *(d for _, _, d in parts))
+    return e, [scaled(lift(nums, c, e), den // d) for c, nums, d in parts], den
+
+
 def multiply(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
     """Power-basis numerators of the products of corresponding rows of a and
     b, values in Q(zeta_e).
@@ -494,31 +497,6 @@ def multiply(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
     for i in range(phi):
         conv[..., i:i + phi] += a[..., i:i + 1] * b
     return _matmul(conv, _power_array(e)[np.arange(2 * phi - 1) % e])
-
-
-def encode(rows) -> tuple[np.ndarray, int]:
-    """Rows of values as one integer array of shape (rows, values, e), and den.
-
-    e is the lcm of the value conductors.  A value of conductor d puts its
-    power-basis numerator i, scaled to the common denominator den, at index
-    i * e / d.  Entries are int64 when they are small enough, Python ints
-    (dtype object) otherwise.
-    """
-    rows = [tuple(r) for r in rows]
-    vals = [v for r in rows for v in r]
-    e = lcm(1, *(v.order for v in vals))
-    den = lcm(1, *(v.den for v in vals))
-    where, coeffs = [], []
-    for pos, v in zip(range(0, len(vals) * e, e), vals):
-        step, f = e // v.order, den // v.den
-        for i, c in enumerate(v.nums):
-            if c:
-                where.append(pos + i * step)
-                coeffs.append(c * f)
-    dtype = int_dtype(max(map(abs, coeffs), default=0))
-    flat = np.zeros(len(vals) * e, dtype=dtype)
-    flat[where] = coeffs
-    return flat.reshape(len(rows), len(rows[0]) if rows else 0, e), den
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +608,13 @@ def _crt(e: int, bounds: list[int], residues) -> list[np.ndarray]:
             for x, bound in zip(xs, bounds)]
 
 
-def gram(a: np.ndarray, b: np.ndarray, weights, e: int | None = None) -> np.ndarray:
+def gram(a: np.ndarray, b: np.ndarray, weights, e: int) -> np.ndarray:
     """Power-basis numerators of sum_c w_c * a[i, c] * conj(b[j, c]).
 
     `a` (ka, k, w) and `b` (kb, k, w) are rows of coefficients in
-    Z[x]/(x^e - 1) of one width w <= e: encodings (w = e, the default) or
-    power-basis numerators (w = phi(e)).  The result has shape
-    (ka, kb, phi(e)), int64 when `_bound` is below 2^62 and Python ints
-    otherwise.
+    Z[x]/(x^e - 1) of one width w <= e, such as power-basis numerators
+    (w = phi(e)).  The result has shape (ka, kb, phi(e)), int64 when
+    `_bound` is below 2^62 and Python ints otherwise.
 
     It is computed in F_P^phi(e) for primes P = 1 (mod e) (see
     `_evaluation_data`): one matmul per operand evaluates it at the
@@ -647,7 +624,6 @@ def gram(a: np.ndarray, b: np.ndarray, weights, e: int | None = None) -> np.ndar
     bound the residues determine it, and the CRT and the symmetric range
     recover it exactly.
     """
-    e = a.shape[2] if e is None else e
     wts = [int(x) for x in weights]
 
     def residues(data):
@@ -655,10 +631,9 @@ def gram(a: np.ndarray, b: np.ndarray, weights, e: int | None = None) -> np.ndar
     return _crt(e, [_bound(a, b, wts, e)], residues)[0]
 
 
-def gram_diagonal(a: np.ndarray, weights, e: int | None = None) -> np.ndarray:
+def gram_diagonal(a: np.ndarray, weights, e: int) -> np.ndarray:
     """The diagonal of gram(a, a, weights, e), shape (ka, phi(e)): the
     weighted sum of a[i, c] * conj(a[i, c]) at each primitive root."""
-    e = a.shape[2] if e is None else e
     wts = [int(x) for x in weights]
 
     def residues(data):

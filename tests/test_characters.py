@@ -12,12 +12,13 @@ from math import gcd
 
 import pytest
 
+from charcond.catalog import Catalog
 from charcond.cyclotomic import Cyclotomic
 from charcond.characters import (Character, ClassFunction, character_table,
                                  conjugate_character, decompose, induce,
                                  inflate, inner_product, pointwise_product,
                                  restrict)
-from charcond.errors import GroupMismatch, NotACharacter
+from charcond.errors import GroupMismatch, NotACharacter, NotIrreducible
 from charcond.groups import (build_from_permutations, direct_product,
                              full_subgroup, generated_subgroup,
                              normal_subgroups, quotient, subgroup)
@@ -210,6 +211,45 @@ def test_decompose():
         decompose(ClassFunction(g, [1, 0, 0]), t)
     with pytest.raises(NotACharacter):
         decompose(t[0] + t[0].scale(Fraction(1, 2)), t)
+
+
+def test_index_of_finds_rows_of_its_own_group_only():
+    cat = Catalog()
+    q, d = character_table(cat.group("Q8")), character_table(cat.group("D4"))
+    # Q8 and D4 have equal tables, but a row of one is not a row of the other
+    assert q.to_json_dict()["rows"] == d.to_json_dict()["rows"]
+    assert [q.index_of(row) for row in q] == list(range(len(q)))
+    with pytest.raises(GroupMismatch):
+        q.index_of(d[1])
+    with pytest.raises(NotIrreducible):
+        q.index_of(q[1] + q[2])
+    with pytest.raises(NotIrreducible):
+        q.index_of(q[1].scale(Fraction(1, 2)))
+
+
+def test_a_table_builds_no_character_until_its_rows_are_read(monkeypatch):
+    g = Catalog().group("Q8xC3")
+    row = character_table(g)[7]
+    reg = ClassFunction(g, [g.order] + [0] * (len(row.nums) - 1))
+    built = []
+    set_form = ClassFunction._set
+
+    def counted(self, *args):
+        built.append(type(self).__name__)
+        return set_form(self, *args)
+    monkeypatch.setattr(ClassFunction, "_set", counted)
+    table = character_table(g)
+    degrees = table.degrees()
+    table.validate()
+    table.render_text()
+    table.to_json_dict()
+    assert table.index_of(row) == 7
+    assert decompose(reg, table) == list(enumerate(degrees))
+    assert built == []
+    rows = list(table)
+    assert list(table) == rows and table[2:4] == tuple(rows[2:4])
+    assert [r.degree for r in rows] == list(degrees)
+    assert built == ["Character"] * len(table)
 
 
 def test_character_degree_validation():

@@ -4,10 +4,12 @@ import copy
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charcond.cyclotomic import Cyclotomic, cyclo_sum, cyclotomic_polynomial
+from charcond.cyclotomic import (Cyclotomic, align, cyclo_sum,
+                                 cyclotomic_polynomial, values)
 from conftest import run_fresh
 
 
@@ -131,6 +133,41 @@ def test_normal_form_is_stable(a):
     # rebuilding from the exposed coefficients reproduces the same element
     assert Cyclotomic(a.order, a.coeffs) == a
     assert hash(Cyclotomic(a.order, a.coeffs)) == hash(a)
+
+
+def test_an_empty_sum_is_zero():
+    total = cyclo_sum([])
+    assert total == 0
+    assert (total.order, total.nums, total.den) == (1, (0,), 1)
+
+
+@pytest.mark.parametrize("den", [1, 2, 3])
+def test_align_puts_coprime_conductors_over_their_lcm(den):
+    xs = [Cyclotomic(3, [1, Fraction(2, den)]),
+          Cyclotomic(4, [Fraction(-1, den), 3]),
+          Cyclotomic(5, [0, Fraction(1, den), 1, -2])]
+    parts = [(x.order, np.array([x.nums]), x.den) for x in xs]
+    e, nums, d = align(parts)
+    assert (e, d) == (60, den)
+    # each aligned row descends to the value it came from
+    assert [values(n, e, d)[0] for n in nums] == xs
+    assert all(n.shape == (1, 16) for n in nums)
+    assert align(parts, 7)[0] == 420
+    assert cyclo_sum(xs) == values(sum(nums), e, d)[0]
+    assert cyclo_sum(xs) - xs[0] - xs[1] == xs[2]
+
+
+def test_align_keeps_small_entries_int64_and_huge_ones_exact():
+    big = 10 ** 30
+    small = (3, np.array([[1, -2]]), 1)
+    huge = (4, np.array([[big, 1]], dtype=object), 2)
+    e, (a, b), den = align([small, huge])
+    assert (e, den) == (12, 2)
+    assert a.dtype == np.int64 and b.dtype == object
+    assert values(a, e, den)[0] == Cyclotomic(3, [1, -2])
+    assert values(b, e, den)[0] == Cyclotomic(4, [Fraction(big, 2), Fraction(1, 2)])
+    total = cyclo_sum([Cyclotomic(4, [big, 1]), Cyclotomic.zeta(3)])
+    assert total.order == 12 and total - Cyclotomic.zeta(3) == Cyclotomic(4, [big, 1])
 
 
 @pytest.mark.parametrize("copier", [

@@ -15,7 +15,7 @@ from charcond.catalog import Catalog
 from charcond.characters import (Character, CharacterTable, ClassFunction,
                                  character_table, decompose, inner_product,
                                  inner_product_matrix)
-from charcond.cyclotomic import Cyclotomic, cyclo_sum, encode, gram
+from charcond.cyclotomic import Cyclotomic, align, cyclo_sum, gram
 from charcond.errors import InternalContradiction
 
 
@@ -80,9 +80,9 @@ def test_huge_entries_take_the_exact_object_path():
     phi = ClassFunction(g, [Cyclotomic(4, [big, 3]), Fraction(1, 2),
                             Cyclotomic(3, [-big, big + 1]), 7])
     psi = ClassFunction(g, [Cyclotomic.zeta(4), big, 0, Cyclotomic.zeta(3)])
-    vals, den = encode([phi.values, psi.values])
-    assert vals.dtype == object and den == 2
-    assert gram(vals[:1], vals[1:], phi.partition.sizes).dtype == object
+    e, (a, b), den = align((fn.e, fn.nums[None], fn.den) for fn in (phi, psi))
+    assert a.dtype == object and den == 2
+    assert gram(a, b, phi.partition.sizes, e).dtype == object
     assert inner_product(phi, psi) == oracle_inner_product(phi, psi)
     assert inner_product(phi, phi) == oracle_inner_product(phi, phi)
 
@@ -91,9 +91,9 @@ def test_int64_entries_with_a_large_bound_switch_to_object():
     # every entry fits in int64, but the sums might not
     g = _CAT.group("C3")
     phi = ClassFunction(g, [2 ** 40, Cyclotomic.zeta(3, 2) * 2 ** 40, 5])
-    vals, _ = encode([phi.values])
-    assert vals.dtype == np.int64
-    assert gram(vals, vals, phi.partition.sizes).dtype == object
+    assert phi.nums.dtype == np.int64
+    assert gram(phi.nums[None], phi.nums[None], phi.partition.sizes,
+                phi.e).dtype == object
     assert inner_product(phi, phi) == oracle_inner_product(phi, phi)
 
 
@@ -108,9 +108,9 @@ def test_gram_matches_oracle_on_a_table():
 
 def _altered(name, i, values):
     g = _CAT.group(name)
-    rows = list(character_table(g).rows)
-    rows[i] = Character(g, values)
-    return CharacterTable(g, tuple(rows))
+    nums = character_table(g).nums.copy()
+    nums[i] = Character(g, values).nums
+    return CharacterTable(g, nums)
 
 
 @pytest.mark.parametrize("name, i, c, value, where", [

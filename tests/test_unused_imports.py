@@ -1,12 +1,16 @@
-"""Every module-level import in src/charcond is read by its module.
+"""Every module-level import in src/charcond is read by its module, and
+every name in a module's `__all__` exists.
 
 No linter ships with the project, so each module's syntax tree is walked
 with `ast`: a name that a top-level `import` or `from ... import` binds must
 be loaded somewhere in the module, or be listed in its `__all__`, which
-re-exports it.
+re-exports it.  Since `__all__` exempts a name from that check, a stale
+entry could hide an unused import, so each listed name must also be an
+attribute of the imported module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,13 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_name_in_all_is_an_attribute_of_its_module(path):
+    name = "charcond" if path.stem == "__init__" else f"charcond.{path.stem}"
+    module = importlib.import_module(name)
+    assert [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)] == []
 
 
 def test_the_check_sees_unused_and_re_exported_names():
