@@ -31,24 +31,23 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="output format (default text)")
 
 
-def _precision(text: str) -> int:
-    """A --precision value: an integer from 1 to MAX_PRECISION."""
-    if not text.strip().isdigit() or not 1 <= int(text) <= MAX_PRECISION:
-        raise argparse.ArgumentTypeError(
-            f"precision must be an integer from 1 to {MAX_PRECISION}, got {text!r}")
-    return int(text)
+def _int_flag(what: str, hi: int | None = None):
+    """An argparse type for a flag that takes an integer from 1 to hi, or any
+    positive integer when hi is None."""
+    want = f"an integer from 1 to {hi}" if hi else "a positive integer"
 
-
-def _max_order(text: str) -> int:
-    """A --max-order value: a positive integer."""
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"max order must be a positive integer, got {text!r}")
-    return int(text)
+    def parse(text: str) -> int:
+        if (not text.isascii() or not text.strip().isdigit()
+                or not 1 <= int(text) <= (hi or int(text))):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be {want}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _precision_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", type=_precision, default=12,
+    p.add_argument("--precision", type=_int_flag("precision", MAX_PRECISION),
+                   default=12,
                    help="significant digits for decimal renderings "
                         f"(default 12, at most {MAX_PRECISION})")
 
@@ -96,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a catalog verification sweep")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--max-order", type=_max_order, default=DEFAULT_MAX_ORDER,
+    p.add_argument("--max-order", type=_int_flag("max order"),
+                   default=DEFAULT_MAX_ORDER,
                    help="order cap for exhaustive sweeps "
                         f"(default {DEFAULT_MAX_ORDER})")
     _common_flags(p)

@@ -11,11 +11,11 @@ The exponent is linear in chi: each filtration keeps one count matrix,
 #(G_j in class c) for every G_j before the first trivial one, and
 `conductor_exponents` turns a batch of class functions into their exponents
 with one contraction against it.  `conductors` (a whole table at once),
-`artin_conductor` and the conductor-discriminant oracle take that route;
-`conductor_exponent` keeps a second one, its own class count of each G_j, for
-one character at a time.  The bound arithmetic on exact prime-power products
-with fractional exponents lives in `bounds`, which needs no numpy; its names
-are re-exported here.
+`artin_conductor` and the conductor-discriminant oracle take that route.
+`conductor_exponent` takes a second one for one character: a second count
+matrix from one bincount per G_j, through the same kernel.  The bound
+arithmetic on exact prime-power products with fractional exponents lives in
+`bounds`, which needs no numpy; its names are re-exported here.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ class RamificationFiltration:
         n = self.residue_norm
         while n > 1 and n % self.prime == 0:
             n //= self.prime
-        if n != 1:
+        # a residue field has p^f elements with f >= 1
+        if n != 1 or self.residue_norm < self.prime:
             raise InvalidData(
                 f"residue norm {self.residue_norm} is not a power of {self.prime}")
         if self.groups:
@@ -170,6 +171,15 @@ def _count_matrix(filt: RamificationFiltration, image=None) -> np.ndarray:
                     axis=-2)
 
 
+def _class_counts(filt: RamificationFiltration) -> np.ndarray:
+    """counts[j, c] = #(G_j in class c) for every G_j, trivial ones included,
+    from one bincount of each G_j's own elements: a count matrix built apart
+    from `_count_matrix`."""
+    part = conjugacy_classes(filt.groups[0].parent)
+    return np.stack([np.bincount(part.class_of[list(sub.elements)],
+                                 minlength=len(part)) for sub in filt.groups])
+
+
 def conductor_exponents(filt: RamificationFiltration, nums: np.ndarray,
                         den: int = 1, e: int | None = None,
                         counts: np.ndarray | None = None) -> np.ndarray:
@@ -180,7 +190,10 @@ def conductor_exponents(filt: RamificationFiltration, nums: np.ndarray,
 
     One contraction of the count matrices counts (..., m, k), the
     filtration's own by default, with nums gives every chi(G_j); the result
-    has shape (..., n), with the checks and messages of `conductor_exponent`.
+    has shape (..., n).  Empty filtrations give 0.  An irrational degree
+    raises NotACharacter; an irrational chi(G_j), or an exponent that is not
+    a nonnegative integer, raises NonIntegralExponent, which genuine Galois
+    data never does.
     """
     if not filt.groups:
         return np.zeros(len(nums), dtype=np.int64)
@@ -205,20 +218,6 @@ def conductor_exponents(filt: RamificationFiltration, nums: np.ndarray,
     return f
 
 
-def _character_subgroup_sum(chi: ClassFunction, sub: Subgroup) -> Fraction:
-    """chi(S) = sum of chi over the subgroup; must come out rational."""
-    part = conjugacy_classes(chi.group)
-    counts = np.bincount(part.class_of[np.array(sub.elements, dtype=np.int64)],
-                         minlength=len(part))
-    total = _matmul(counts, chi.nums)
-    # rational exactly when every power-basis coordinate beyond the first is 0
-    if total[1:].any():
-        value = values(total[None], chi.e, chi.den)[0]
-        raise NonIntegralExponent(
-            f"character sum over a filtration group is irrational: {value}")
-    return Fraction(int(total[0]), chi.den)
-
-
 def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:
     """The exact conductor exponent of a character at one prime.
 
@@ -230,20 +229,8 @@ def conductor_exponent(chi: ClassFunction, filt: RamificationFiltration) -> int:
         return 0
     if not _same_group(filt.groups[0].parent, chi.group):
         raise NotACharacter("character does not live on the filtration's group")
-    # the identity class is class 0; its value is rational exactly when the
-    # power-basis coordinates beyond the first vanish
-    deg = chi.nums[0]
-    if deg[1:].any():
-        raise NotACharacter("class function has irrational degree")
-    deg = Fraction(int(deg[0]), chi.den)
-    total = sum((sub.order * deg - _character_subgroup_sum(chi, sub)
-                 for sub in takewhile(lambda s: s.order > 1, filt.groups)),
-                Fraction(0))
-    f = total / filt.groups[0].order
-    if f.denominator != 1 or f < 0:
-        raise NonIntegralExponent(
-            f"conductor exponent at {filt.prime} is {f}, not a nonnegative integer")
-    return int(f)
+    return int(conductor_exponents(filt, chi.nums[None], chi.den, chi.e,
+                                   _class_counts(filt))[0])
 
 
 def conductors(ctx: GaloisContext, fns) -> list[FactoredConductor]:

@@ -24,10 +24,10 @@ of the additivity trials are one multiplicity matrix times the table.  The
 conductor-discriminant product, the induced conductor and f(phi + psi) for
 all trials at once come from a filtration's count matrix
 (`conductor.conductor_exponents`); f(phi) + f(psi), and the exponents on the
-filtration padded with trivial groups, from `conductor_exponent`, which counts
-each G_j itself; conjugation invariance compares the count-matrix route on
-the filtration with the count matrices of all its conjugates, gathered at
-once.
+filtration padded with trivial groups, from a second count matrix from one
+bincount per G_j, through the same kernel; conjugation invariance compares
+the count-matrix route on the filtration with the count matrices of all its
+conjugates, gathered at once.
 """
 
 from __future__ import annotations
@@ -39,15 +39,15 @@ import numpy as np
 
 from . import DEFAULT_MAX_ORDER, SUITE_NAMES
 from .catalog import Catalog, default_catalog
-from .characters import (ClassFunction, character_table, induce,
-                         _conj_class_perms, _table_nums)
+from .characters import (character_table, induce, _conj_class_perms,
+                         _table_nums)
 from .clifford import (ClassificationKind, NormalChain, construct_large_degree,
                        promote_degree, _classify_row, _clifford_row, _pair)
 from .cyclotomic import _matmul, scaled
 from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
-                        conductor_exponent, conductor_exponents,
-                        conductors, induced_conductor_norm,
-                        unramified_triviality, verify_conductor_discriminant,
+                        conductor_exponents, conductors,
+                        induced_conductor_norm, unramified_triviality,
+                        verify_conductor_discriminant, _class_counts,
                         _count_matrix)
 from .errors import CharcondError, InvalidData
 from .groups import (FiniteGroup, Subgroup, normal_subgroups,
@@ -359,32 +359,30 @@ def _discriminant(ctx: GaloisContext) -> tuple[str]:
 
 
 def _additivity(ctx: GaloisContext, rng: random.Random) -> tuple[str]:
-    """f(phi + psi) by the matrix route for all pairs at once, against
-    f(phi) + f(psi) by `conductor_exponent` one character at a time."""
-    g, e = ctx.group, ctx.group.exponent()
-    chars = _random_characters(_table_nums(g), rng)
+    """f(phi + psi) by the filtration's count matrix for all pairs at once,
+    against f(phi) + f(psi) by the second count matrix of `_class_counts`."""
+    chars = _random_characters(_table_nums(ctx.group), rng)
     detail = ""
-    for filt in ctx.filtrations:
+    for filt in filter(lambda filt: filt.groups, ctx.filtrations):
         lhs = conductor_exponents(filt, chars[0::2] + chars[1::2])
-        for got, phi, psi in zip(lhs.tolist(), chars[0::2], chars[1::2]):
-            want = sum(conductor_exponent(ClassFunction._make(g, e, a, 1), filt)
-                       for a in (phi, psi))
+        each = conductor_exponents(filt, chars, counts=_class_counts(filt))
+        for got, want in zip(lhs.tolist(), (each[0::2] + each[1::2]).tolist()):
             if got != want:
                 detail = f"f(phi+psi)={got} vs {want} at prime {filt.prime}"
     return (detail,)
 
 
 def _truncation(ctx: GaloisContext) -> tuple[str] | None:
-    """The table's exponents by the matrix route, against `conductor_exponent`
-    once two trivial groups are appended to the filtration."""
-    g, e, nums = ctx.group, ctx.group.exponent(), _table_nums(ctx.group)
-    triv = trivial_subgroup(g)
-    for filt in ctx.filtrations:
+    """The table's exponents by the filtration's count matrix, against the
+    second count matrix of `_class_counts` once two trivial groups are
+    appended to the filtration."""
+    nums, triv = _table_nums(ctx.group), trivial_subgroup(ctx.group)
+    for filt in filter(lambda filt: filt.groups, ctx.filtrations):
         padded = RamificationFiltration(filt.prime, filt.residue_norm,
                                         filt.groups + (triv, triv))
         want = conductor_exponents(filt, nums).tolist()
-        got = [conductor_exponent(ClassFunction._make(g, e, row, 1), padded)
-               for row in nums]
+        got = conductor_exponents(padded, nums,
+                                  counts=_class_counts(padded)).tolist()
         if got != want:
             return (f"padded exponents {got} vs {want} at prime {filt.prime}",)
 

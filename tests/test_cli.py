@@ -93,6 +93,16 @@ def test_conduct_huge_prime_exits_2(capsys, tmp_path):
     assert "exact-test bound" in err
 
 
+def test_conduct_residue_norm_1_exits_2(capsys, tmp_path):
+    # a residue field has p^f elements with f >= 1, so 1 = 2^0 is refused
+    ctx = tmp_path / "norm1.json"
+    ctx.write_text(json.dumps({"group": [[0, 1], [1, 0]], "primes": [
+        {"p": 2, "residue_norm": 1, "filtration": [[0, 1], [0, 1]]}]}))
+    code, out, err = run(capsys, "conduct", "--context", str(ctx), "--all")
+    assert code == 2 and out == ""
+    assert "residue norm 1 is not a power of 2" in err
+
+
 def test_classify_s3(capsys):
     code, out, _ = run(capsys, "classify", "--group", "S3",
                        "--subgroup", "derived")

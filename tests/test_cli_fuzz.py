@@ -95,6 +95,8 @@ _C2 = [[0, 1], [1, 0]]
 @example({"group": _C2, "primes": [{"p": 2, "residue_norm": None,
                                      "filtration": [[0, 1]]}]})
 @example({"group": _C2, "primes": [{"p": 2, "filtration": [5]}]})
+@example({"group": _C2, "primes": [{"p": 2, "residue_norm": 1,
+                                     "filtration": [[0, 1], [0, 1]]}]})
 @example({"group": _C2, "primes": [], "labels": 5})
 @example({"group": _C2, "primes": [], "disc": [1]})
 @example({"group": _C2, "primes": [{"p": 2, "filtration": [[0, 1]]}],
@@ -163,6 +165,25 @@ def test_precision_is_not_accepted_where_it_is_not_read(command):
 def test_max_order_is_a_positive_integer(cap, code):
     # a cap below 1 would sweep nothing and pass with "summary: 0/0 passed"
     assert exit_code(["verify", "--suite", "dichotomy", "--max-order", cap]) == code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "dichotomy", "--max-order", " -3"],
+     "argument --max-order: max order must be a positive integer, got ' -3'"),
+    (["bound", "--dataset", "martinet-constants", "--precision", "1001"],
+     "argument --precision: precision must be an integer from 1 to 1000, "
+     "got '1001'"),
+    # a digit that int() does not read
+    (["conduct", "--context", "gauss", "--precision", "\u00b2"],
+     "argument --precision: precision must be an integer from 1 to 1000, "
+     "got '\u00b2'"),
+])
+def test_integer_flags_name_their_range(argv, message):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().endswith(f" error: {message}\n")
 
 
 @pytest.mark.parametrize("digits, code", [

@@ -24,9 +24,8 @@ from charcond.conductor import (BoundInputs, FactoredConductor, GaloisContext,
                                 induced_conductor_norm, load_context,
                                 parse_context_dict, root_conductor,
                                 unramified_triviality,
-                                verify_conductor_discriminant,
-                                _character_subgroup_sum)
-from charcond.cyclotomic import Cyclotomic, cyclo_sum
+                                verify_conductor_discriminant, _class_counts)
+from charcond.cyclotomic import Cyclotomic, cyclo_sum, values
 from charcond.errors import CharcondError, InvalidData, NonIntegralExponent
 from charcond.groups import (build_from_permutations, conjugacy_classes,
                              full_subgroup, generated_subgroup,
@@ -151,6 +150,8 @@ def test_filtration_validation():
         RamificationFiltration(2, 6, (full,))       # 6 is not a power of 2
     with pytest.raises(InvalidData):
         RamificationFiltration(2, 0, (full,))       # 0 is not a power of 2
+    with pytest.raises(InvalidData, match="residue norm 1 is not a power of 2"):
+        RamificationFiltration(2, 1, (full,))       # 2^0: no residue field
     with pytest.raises(InvalidData):
         RamificationFiltration(2, 2, (trivial_subgroup(g),))  # trivial G_0
     with pytest.raises(InvalidData):
@@ -364,17 +365,19 @@ def oracle_subgroup_sum(chi, sub):
 
 
 def test_subgroup_sum_matches_the_classwise_oracle():
+    # the second count matrix, times a row, gives chi(G_j) for every G_j,
+    # trivial ones included
     cat = Catalog()
     checked = 0
     for name in cat.context_names():
         ctx = cat.context(name)
         table = character_table(ctx.group)
         for filt in ctx.filtrations:
-            for sub in filt.groups:
-                for chi in table:
-                    want = oracle_subgroup_sum(chi, sub)
-                    assert _character_subgroup_sum(chi, sub) == want.as_rational()
-                    checked += 1
+            for chi in table:
+                got = values(_class_counts(filt) @ chi.nums, chi.e, chi.den)
+                assert got == [oracle_subgroup_sum(chi, sub)
+                               for sub in filt.groups]
+                checked += len(got)
     assert checked > 0
     # an irrational sum is refused with the oracle's value in the message
     g, ctx = quintic_context()
@@ -383,7 +386,7 @@ def test_subgroup_sum_matches_the_classwise_oracle():
     want = oracle_subgroup_sum(fn, sub)
     assert not want.is_rational()
     with pytest.raises(NonIntegralExponent) as exc:
-        _character_subgroup_sum(fn, sub)
+        conductor_exponent(fn, ctx.filtrations[0])
     assert str(exc.value) == (
         f"character sum over a filtration group is irrational: {want}")
 

@@ -15,9 +15,12 @@ classes are the group's own `class_of`, and the rows are compared as a set.
 The Frobenius-Schur count checks the Dixon tables against the group's
 square map alone, and the power maps chi(g^m) = sigma_m(chi(g)) against its
 m-th power maps and the Galois action; both also run on S5, S6 and S7 built
-from permutations, which have no closed form here.  Nothing here calls the
-cyclotomic kernels or the group layer beyond the multiplication table, the
-class partition and, for sigma_m, `_galois_matrix`.
+from permutations.  Their tables come from the Murnaghan-Nakayama rule on
+partitions and cycle types (Sagan, The Symmetric Group, section 4.10), with
+each class's cycle type read off its elements' cycle labels.  Nothing here
+calls the cyclotomic kernels or the group layer beyond the multiplication
+table, the class partition, the element labels and, for sigma_m,
+`_galois_matrix`.
 """
 
 from functools import lru_cache
@@ -249,6 +252,54 @@ def _group(name: str):
     n = int(name[1:])
     return build_from_permutations(
         n, [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)], name=name)
+
+
+def _partitions(n: int, top: int | None = None):
+    """The partitions of n into parts of at most top, largest part first."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+@lru_cache(maxsize=None)
+def _murnaghan_nakayama(beta: frozenset, cycles: tuple[int, ...]) -> int:
+    """chi^lambda at the cycle type `cycles`, for lambda of l parts given by
+    its beta set {lambda_i + l - i}: removing a border strip of length r
+    moves one bead from b to the free position b - r, with sign
+    (-1)^(beads between)."""
+    if not cycles:
+        return 1
+    r, rest = cycles[0], cycles[1:]
+    return sum((-1) ** sum(b - r < c < b for c in beta)
+               * _murnaghan_nakayama(beta - {b} | {b - r}, rest)
+               for b in beta if b >= r and b - r not in beta)
+
+
+def _cycle_type(label: str, n: int) -> tuple[int, ...]:
+    """The cycle type of a permutation from its cycle label, such as
+    "(0 1 2)(3 4)" or "e", padded with fixed points to n."""
+    cycles = [len(c.split()) for c in label.replace("e", "").split(")") if c]
+    return tuple(sorted(cycles + [1] * (n - sum(cycles)), reverse=True))
+
+
+@pytest.mark.parametrize("name", _SYMMETRIC)
+def test_symmetric_tables_match_murnaghan_nakayama(name):
+    g, n = _group(name), int(name[1:])
+    part = conjugacy_classes(g)
+    types = [{_cycle_type(g.label(x), n) for x in cls} for cls in part.classes]
+    # the classes of S_n are its cycle types
+    assert all(len(t) == 1 for t in types)
+    types = [t.pop() for t in types]
+    assert sorted(types) == sorted(_partitions(n))
+    betas = [frozenset(p + len(lam) - i for i, p in enumerate(lam, 1))
+             for lam in _partitions(n)]
+    want = sorted(tuple(_murnaghan_nakayama(beta, t) for t in types)
+                  for beta in betas)
+    table = character_table(g)
+    assert all(row.den == 1 and not row.nums[:, 1:].any() for row in table)
+    assert sorted(tuple(row.nums[:, 0].tolist()) for row in table) == want
 
 
 @pytest.mark.parametrize("name", _BASE)

@@ -12,7 +12,8 @@ Records are read on S3 over A3, where the two non-trivial characters of A3
 are conjugate.  The conductor suite's routes, read on every catalog context:
 - a filtration's count matrix gives the exponents of the table and of sums
   of characters, so the conductor-discriminant product and f(phi + psi);
-  `conductor_exponent` counts each G_j itself and gives f(phi) + f(psi);
+  a second count matrix, one bincount per G_j, gives f(phi) + f(psi) and
+  the exponents on the filtration padded with trivial groups;
 - one gather of x h x^-1 gives the count matrices of all conjugate
   filtrations.
 """
@@ -132,7 +133,8 @@ def test_perturbed_count_matrix_fails_discriminant_and_additivity(monkeypatch):
     assert got[("conductor: conductor-discriminant product equals disc",
                 "context quintic11, disc 14641")] == (False, irrational + "z5")
     # on C2 the sign character's exponent reads 3 at 2 and 2 at 23, where
-    # `conductor_exponent` gives 2 and 1; on C5 a sum over G_0 is irrational
+    # the second count matrix gives 2 and 1; on C5 a sum over G_0 is
+    # irrational
     assert got[("conductor: exponents are additive in the character",
                 "context gauss, 100 random sums")] == (
         False, "f(phi+psi)=6 vs 4 at prime 2")
@@ -142,6 +144,28 @@ def test_perturbed_count_matrix_fails_discriminant_and_additivity(monkeypatch):
     assert got[("conductor: exponents are additive in the character",
                 "context quintic11, 100 random sums")] == (
         False, irrational + "-z5^3 - z5^2 - 2*z5 + 14")
+
+
+def test_perturbed_class_counts_fail_additivity_and_truncation(monkeypatch):
+    real = conductor._class_counts
+
+    def perturbed(filt):
+        # one more element of G_0 in the last class
+        counts = real(filt).copy()
+        counts[0, -1] += 1
+        return counts
+
+    _patch(monkeypatch, "_class_counts", perturbed)
+    got = _conductor_records()
+    broken = {"conductor: exponents are additive in the character",
+              "conductor: appending trivial groups never changes exponents"}
+    assert {inputs for (identity, inputs), (ok, _) in got.items()
+            if identity in broken and not ok} == {
+        f"context {name}{where}" for name in ("gauss", "quad-m23", "quintic11")
+        for where in ("", ", 100 random sums")}
+    # the discriminant and conjugation records read no second count matrix
+    assert all(ok for (identity, _), (ok, _) in got.items()
+               if identity not in broken)
 
 
 def test_wrong_conjugation_gather_fails_conjugation_invariance(monkeypatch):

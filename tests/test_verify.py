@@ -219,9 +219,10 @@ def test_random_characters_are_the_seeded_multiplicity_draws():
 def test_conductor_suite_works_on_arrays(monkeypatch):
     # the random characters are one multiplicity matrix times the table, so
     # no class function is scaled or added; a count matrix is built once per
-    # (context, filtration) and once per conjugation batch; the per-character
-    # route runs on the 2 x 100 random characters and on the 9 table rows
-    # against the padded filtrations of the three contexts
+    # (context, filtration) and once per conjugation batch, and the second
+    # count matrix once per filtration for additivity and once per padded
+    # filtration for truncation; `conductor_exponent`, which would build one
+    # more, is not called
     calls = Counter()
 
     def refused(name):
@@ -229,24 +230,36 @@ def test_conductor_suite_works_on_arrays(monkeypatch):
             raise AssertionError(f"ClassFunction.{name} called")
         return fn
 
-    build, exponent = conductor._count_matrix, verify.conductor_exponent
+    build, second = conductor._count_matrix, conductor._class_counts
 
     def counted_build(filt, image=None):
         calls["filtration" if image is None else "conjugation batch"] += 1
         return build(filt, image)
 
-    def counted_exponent(chi, filt):
-        calls["conductor_exponent"] += 1
-        return exponent(chi, filt)
+    def counted_second(filt):
+        calls["class counts"] += 1
+        return second(filt)
 
     for name in ("scale", "__add__"):
         monkeypatch.setattr(characters.ClassFunction, name, refused(name))
     for mod in (conductor, verify):
         monkeypatch.setattr(mod, "_count_matrix", counted_build)
-    monkeypatch.setattr(verify, "conductor_exponent", counted_exponent)
+        monkeypatch.setattr(mod, "_class_counts", counted_second)
+    assert not hasattr(verify, "conductor_exponent")
     assert run_suite("conductor", Catalog()).passed
     assert calls == {"filtration": 3, "conjugation batch": 3,
-                     "conductor_exponent": 3 * 200 + 9}
+                     "class counts": 6}
+
+
+def test_conductor_checks_hold_at_an_unramified_prime():
+    # an empty filtration padded with trivial groups is no filtration (G_0
+    # would be trivial); every route gives it exponent 0, so each check
+    # skips it
+    ctx = conductor.GaloisContext(
+        Catalog().group("C2"), (conductor.RamificationFiltration(5, 5, ()),))
+    assert verify._truncation(ctx) is None
+    assert verify._additivity(ctx, random.Random(1)) == ("",)
+    assert verify._conjugation(ctx) is None
 
 
 def test_fresh_sweep_at_cap_24_runs_dixon_60_times_and_validate_100_times(
