@@ -45,9 +45,15 @@ checked for class-constancy, used for splitting while some common eigenspace
 is not a line, and dropped.  A common eigenspace is kept as a basis with an
 identity block on a tracked set of columns, so a class matrix acts on it by
 the d x d matrix of its images at those columns; the identity class, and any
-class matrix acting on a space as a scalar, are skipped.  A split finds all
-its eigenspaces with one batched Gauss-Jordan elimination of (A - lam)^T per
-chunk of lam in F_p, and reads every kernel off those reduced forms.  The
+class matrix acting on a space as a scalar, are skipped.  A split reduces
+the Krylov rows e_0, e_0 A, e_0 A^2, ... once; the first dependency is the
+minimal polynomial mu of A on e_0 (Wiedemann 1986), and its roots, found by
+Horner's rule at all of F_p at once, are eigenvalues.  When mu has degree d
+and d roots, the eigenspaces are the lines e_0 (mu / (x - lam))(A), read off
+mu by one synthetic division and checked exactly.  Otherwise one batched
+Gauss-Jordan elimination of (A - lam)^T per chunk of lam, at the roots first
+and then at the rest of F_p only while the kernels do not fill the space,
+finds the eigenspaces, and every kernel is read off those reduced forms.  The
 lift writes the root-of-unity multiplicities of every value, one DFT matmul
 over F_p per element order, into one (k, k, e) coefficient array; one
 product with the power table gives the table's numerators, which one integer
@@ -82,20 +88,22 @@ __all__ = [
 
 
 # Dixon's method keeps one k x k class matrix at a time, and its splits cost
-# up to k^3: with k = 256 (C4^4) a table takes 3.8 s and 44 MB VmHWM on one
-# CPU of a 2-vCPU Xeon, and k = 216 (C6xC6xC6, the largest catalog product)
-# 3.1 s and 41 MB, by tools/table_cost.py
+# up to k^3: with k = 256 (C4^4) a table takes 0.6-0.7 s and 45 MB VmHWM on
+# one CPU of a 2-vCPU Xeon, and k = 216 (C6xC6xC6, the largest catalog
+# product) 0.7-0.8 s and 42 MB, by tools/table_cost.py
 MAX_TABLE_CLASSES = 256
 
 # k^3 phi(e)^2 was the cost of validating k classes at exponent e by
 # coefficient products, which the class cap does not bound (measurements in
 # CHANGES.md); validation modulo P costs about k^3 phi(e), so the cap is
-# now conservative: C100 from one generator builds in 1.0 s, not 4.1 s
+# now conservative: C100 from one generator builds in 0.3 s, and C128,
+# which this cap refuses, in 1.8-2.1 s and 106 MB with the cap lifted
 MAX_TABLE_WORK = 1 << 31
 
 # a chunk of the eigenvalue search stacks as many d x d matrices as fit in this
-# many entries, and at least one: a stack holds at most max(_LAMBDA_CHUNK, d^2)
-# entries, d^2 = 46,656 for the first split of C6xC6xC6
+# many entries, and at least one, and a split's Krylov block is d + 1 rows of d
+# when they fit, else d: a stack holds at most max(_LAMBDA_CHUNK, d^2) entries,
+# d^2 = 46,656 for the first split of C6xC6xC6
 _LAMBDA_CHUNK = 1 << 15
 
 # the class-constancy count gathers the products of as many elements of a
@@ -351,26 +359,30 @@ def _row_reduce(stack: np.ndarray, p: int,
 
     Column by column, each member with a nonzero entry at or below its rank
     swaps the first such row up to its rank, scales it to 1 by `inv`, the
-    table of inverses mod p, and clears the column in every other row.  Rows
-    from the rank down are zero left of the column, so only the columns from
-    it on change.
+    table of inverses mod p, and clears the column in every other row; the
+    row at its rank is then overwritten by the scaled row.  Rows from the
+    rank down are zero left of the column, so only the columns from it on
+    change, and once they are zero from the column on too, as past the first
+    dependent column of a Krylov block, no pivot is left and the loop stops.
     """
     a = stack % p
     n, rows, cols = a.shape
     rank = np.zeros(n, dtype=np.int64)
     pivots = np.zeros((n, cols), dtype=bool)
+    below = np.arange(rows)
     for c in range(cols):
-        cand = (a[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
-        has = np.flatnonzero(cand.any(axis=1))
+        low = below >= rank[:, None]
+        cand = (a[:, :, c] != 0) & low
+        has = cand.any(axis=1).nonzero()[0]
         if not len(has):
+            if not a[:, :, c:][low].any():
+                break
             continue
         r, piv = rank[has], cand[has].argmax(axis=1)
         top = a[has, piv, c:]
         a[has, piv, c:] = a[has, r, c:]
         top = top * inv[top[:, 0]][:, None] % p
-        f = a[has, :, c]
-        f[np.arange(len(has)), r] = 0
-        a[has, :, c:] = (a[has, :, c:] - f[:, :, None] * top[:, None]) % p
+        a[has, :, c:] = (a[has, :, c:] - a[has, :, c, None] * top[:, None]) % p
         a[has, r, c:] = top
         pivots[has, c] = True
         rank[has] += 1
@@ -379,15 +391,22 @@ def _row_reduce(stack: np.ndarray, p: int,
 
 def _split(mat: np.ndarray, space: tuple[np.ndarray, np.ndarray], p: int,
            inv: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split an invariant space into the eigenspaces of `mat` over F_p.
+    """Split an invariant space into the eigenspaces of `mat` over F_p, in
+    order of eigenvalue.
 
     A space is (basis, cols), rows with basis[:, cols] the identity, so a
     vector of the space has its coordinates at cols and `mat` acts on the
     space by the d x d matrix A of those coordinates of its images; that it
     maps the space into itself is checked exactly.  A scalar A leaves the
-    space whole.  Otherwise one batched `_row_reduce` of (A - lam)^T per
-    chunk of lam values finds the eigenvalues, and every kernel is read off
-    those reduced forms with an identity block on its free columns.
+    space whole.  Otherwise one `_row_reduce` of the Krylov rows v, vA, vA^2,
+    ... of v = e_0 gives mu, the minimal polynomial of A on v, and Horner's
+    rule at every x in F_p gives its roots, which are eigenvalues.  If mu has
+    degree d and d roots, each eigenspace is the line spanned by
+    v (mu / (x - lam))(A), and the lines are checked exactly.  Otherwise one
+    batched `_row_reduce` of (A - lam)^T per chunk of lam, the roots first,
+    then the rest of F_p while the kernels do not fill the space, finds the
+    eigenspaces, each kernel read off the reduced forms with an identity
+    block on its free columns.
     """
     basis, cols = space
     d = len(basis)
@@ -397,12 +416,44 @@ def _split(mat: np.ndarray, space: tuple[np.ndarray, np.ndarray], p: int,
         raise InternalContradiction("a class matrix leaves an eigenspace")
     if np.array_equal(act, np.eye(d, dtype=act.dtype) * act[0, 0]):
         return [space]
+    kry = np.zeros((d + 1 if d * (d + 1) <= _LAMBDA_CHUNK else d, d),
+                   dtype=act.dtype)
+    kry[0, 0] = 1
+    for j in range(1, len(kry)):
+        kry[j] = kry[j - 1] @ act % p
+    red, pivots = _row_reduce(kry.T[None], p, inv)
+    deg = int(pivots.sum())
+    roots = np.zeros(0, dtype=np.int64)
+    if deg < len(kry):
+        # mu = x^deg + sum_i mu[i] x^i, from the first dependent Krylov row
+        mu = -red[0, :deg, deg] % p
+        val, xs = np.ones(p, dtype=np.int64), np.arange(p)
+        for c in mu[::-1]:
+            val = (val * xs + c) % p
+        roots = np.flatnonzero(val == 0)
+    if deg == len(roots) == d:
+        # row r of quo holds mu / (x - roots[r]), one synthetic division
+        quo = np.ones((d, d), dtype=np.int64)
+        for i in range(d - 1, 0, -1):
+            quo[:, i - 1] = (mu[i] + roots * quo[:, i]) % p
+        vecs = quo @ kry[:d] % p
+        if (not vecs.any(axis=1).all()
+                or np.any(vecs @ act % p != roots[:, None] * vecs % p)):
+            raise InternalContradiction("a Krylov line is not an eigenspace")
+        # scaled to 1 at its last nonzero coordinate, as a kernel is
+        free = d - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
+        vecs = vecs * inv[vecs[np.arange(d), free]][:, None] % p
+        lines = vecs @ basis % p
+        return [(lines[[r]], cols[[f]]) for r, f in enumerate(free)]
     out = []
     found = 0
     diag = np.arange(d)
     step = max(1, _LAMBDA_CHUNK // (d * d))
-    for lo in range(0, p, step):
-        lams = np.arange(lo, min(lo + step, p))
+    rest = np.ones(p, dtype=bool)
+    rest[roots] = False
+    chunks = [part[lo:lo + step] for part in (roots, np.flatnonzero(rest))
+              for lo in range(0, len(part), step)]
+    for lams in chunks:
         stack = np.repeat(act.T[None], len(lams), axis=0)
         stack[:, diag, diag] -= lams[:, None]
         red, pivots = _row_reduce(stack, p, inv)
@@ -411,10 +462,10 @@ def _split(mat: np.ndarray, space: tuple[np.ndarray, np.ndarray], p: int,
             ker = np.zeros((len(free), d), dtype=act.dtype)
             ker[range(len(free)), free] = 1
             ker[:, pivots[i]] = (-red[i, :d - len(free)][:, free]).T % p
-            out.append((ker @ basis % p, cols[free]))
+            out.append((lams[i], (ker @ basis % p, cols[free])))
             found += len(free)
         if found == d:
-            return out
+            return [piece for _, piece in sorted(out, key=lambda t: t[0])]
     raise InternalContradiction("class algebra failed to split over F_p")
 
 

@@ -191,17 +191,25 @@ def test_eigenspace_split_matches_the_oracle(problem):
 
 def _counted_splits(monkeypatch, chunk=None):
     """Patch `_split` and `_row_reduce` to record, per split, the dimension
-    d, whether the class matrix is the identity, the sizes of the stacks
-    reduced and the eigenspaces found."""
+    d, the prime, the action A on the space, whether the class matrix is the
+    identity, the sizes of the stacks reduced, each stack with its reduced
+    forms and pivots, and the eigenspaces found."""
     splits, outside = [], []
     reduce, split = characters._row_reduce, characters._split
 
     def counted_reduce(stack, p, inv):
-        (splits[-1]["stacks"] if splits else outside).append(stack.size)
-        return reduce(stack, p, inv)
+        red, pivots = reduce(stack, p, inv)
+        if splits:
+            splits[-1]["stacks"].append(stack.size)
+            splits[-1]["reduced"].append((stack.copy(), red, pivots))
+        else:
+            outside.append(stack.size)
+        return red, pivots
 
     def counted_split(mat, space, p, inv):
-        splits.append({"d": len(space[0]), "p": p, "stacks": [],
+        basis, cols = space
+        splits.append({"d": len(basis), "p": p, "stacks": [], "reduced": [],
+                       "act": (basis @ mat.T % p)[:, cols],
                        "identity": np.array_equal(mat, np.eye(len(mat)))})
         out = split(mat, space, p, inv)
         splits[-1]["pieces"] = len(out)
@@ -214,7 +222,58 @@ def _counted_splits(monkeypatch, chunk=None):
     return splits, outside
 
 
+def _route(split):
+    """The route one non-scalar split took, checked against its reductions.
+
+    The first reduction is of the Krylov rows v A^j of v = e_0: d + 1 of them
+    when that many fit the chunk, else d.  Its first dependency gives mu,
+    whose roots are found here one lambda at a time in pure Python.  If mu
+    has degree d and d roots the split reduces nothing more ("lines").
+    Otherwise each later stack holds (A - lam)^T for a chunk of lambda: the
+    roots first, then the other lambda in increasing order, and it stops as
+    soon as the kernels fill the space ("roots" or "scan"), or after the
+    last lambda ("fails").
+    """
+    d, p, act = split["d"], split["p"], split["act"]
+    chunk = characters._LAMBDA_CHUNK
+    (kry, red, pivots), *elims = split["reduced"]
+    rows = d + 1 if d * (d + 1) <= chunk else d
+    want = np.zeros((rows, d), dtype=np.int64)
+    want[0, 0] = 1
+    for j in range(1, rows):
+        want[j] = want[j - 1] @ act % p
+    assert kry.shape == (1, d, rows) and np.array_equal(kry[0].T, want)
+    deg = int(pivots.sum())
+    roots = []
+    if deg < rows:
+        mu = red[0, :deg, deg].tolist()
+        roots = [x for x in range(p) if (pow(x, deg, p) - sum(
+            c * pow(x, i, p) for i, c in enumerate(mu))) % p == 0]
+    if deg == len(roots) == d:
+        assert elims == []
+        return "lines"
+    step = max(1, chunk // (d * d))
+    others = [x for x in range(p) if x not in roots]
+    chunks = [lams[at:at + step] for lams in (roots, others)
+              for at in range(0, len(lams), step)]
+    got = [[(act[0, 0] - m[0, 0]) % p for m in stack] for stack, _, _ in elims]
+    assert all(np.array_equal((act.T - m) % p, lam * np.eye(d, dtype=int))
+               for (stack, _, _), lams in zip(elims, got)
+               for m, lam in zip(stack, lams))
+    assert got == chunks[:len(got)]
+    found = np.cumsum([(~piv).sum() for _, _, piv in elims])
+    # no reduction once the kernels fill the space
+    assert all(f < d for f in found[:-1])
+    if found[-1] < d:
+        assert got == chunks
+        return "fails"
+    return "roots" if len(got) <= -(-len(roots) // step) else "scan"
+
+
 def test_one_batched_elimination_per_non_scalar_split(monkeypatch):
+    # every non-scalar split makes one Krylov reduction, then no other when
+    # its minimal polynomial on e_0 has d roots, else one batched elimination
+    # per chunk of lambda, roots before the scan; `_route` checks the order
     g = Catalog().group("Q8xS3xC4")
     splits, outside = _counted_splits(monkeypatch)
     assert len(characters._dixon_rows(g)) == 60
@@ -224,14 +283,85 @@ def test_one_batched_elimination_per_non_scalar_split(monkeypatch):
     assert all((s["pieces"] == 1) == (s["stacks"] == []) for s in splits)
     assert not any(s["identity"] for s in splits)
     real = [s for s in splits if s["stacks"]]
-    for s in real:
-        d, p = s["d"], s["p"]
-        step = max(1, characters._LAMBDA_CHUNK // (d * d))
-        # one reduction per chunk of lambda, however many eigenvalues it holds
-        assert len(s["stacks"]) <= -(-p // step)
-        if step >= p:
-            assert s["stacks"] == [p * d * d]
+    routes = [_route(s) for s in real]
+    assert "lines" in routes and "roots" in routes and "fails" not in routes
+    assert all(s["pieces"] == s["d"] and len(s["stacks"]) == 1
+               for s, route in zip(real, routes) if route == "lines")
     assert sum(len(s["stacks"]) for s in real) < sum(s["pieces"] for s in real)
+    # 209,864 entries when every split scanned F_p
+    assert sum(sum(s["stacks"]) for s in real) < 209_864
+
+
+def _fixed_split(act, p, k=None, cols=None):
+    """(mat, basis, p) for a split on which a class matrix acts by `act`:
+    on all of F_p^d, or on the coordinates `cols` of F_p^k."""
+    act = np.array(act, dtype=np.int64)
+    d = len(act)
+    k = k or d
+    cols = list(range(d)) if cols is None else cols
+    basis = np.eye(k, dtype=np.int64)[cols]
+    mat = np.eye(k, dtype=np.int64)
+    mat[np.ix_(cols, cols)] = act.T
+    return mat, basis, p
+
+
+_FIXED_SPLITS = {
+    # a 3-cycle on a 3-dimensional invariant subspace of F_7^4: mu = x^3 - 1
+    # has the three roots 1, 2 and 4 in F_7
+    "lines": _fixed_split([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7, k=4,
+                          cols=[1, 2, 3]),
+    # eigenvalue 1 twice and 2 once, and e_0 has a component on both
+    # eigenspaces: mu = (x - 1)(x - 2) has degree 2 < 3
+    "roots": _fixed_split([[1, 0, 1], [0, 1, 0], [0, 0, 2]], 7),
+    # e_0 = (1, -1, 0) + (0, 1, 0) lies in the eigenspaces of 1 and 2 and has
+    # no component on the eigenspace of 3, which only the scan finds
+    "scan": _fixed_split([[1, 1, 0], [0, 2, 0], [0, 0, 3]], 7),
+    # a Jordan block: (x - 1)^2 has one root, whose kernel is a line
+    "fails": _fixed_split([[1, 1], [0, 1]], 7),
+}
+
+
+@pytest.mark.parametrize("route", list(_FIXED_SPLITS))
+def test_fixed_splits_take_their_route_and_match_the_oracle(route,
+                                                            monkeypatch):
+    mat, basis, p = _FIXED_SPLITS[route]
+    k = len(mat)
+    space = _space(basis, p)
+    splits, _ = _counted_splits(monkeypatch)
+    if route == "fails":
+        with pytest.raises(InternalContradiction, match="failed to split"):
+            oracle_split_space(mat.tolist(), basis.tolist(), p)
+        with pytest.raises(InternalContradiction, match="failed to split"):
+            characters._split(mat, space, p, _inverses(p))
+        assert _route(splits[0]) == "fails"
+        return
+    want = oracle_split_space(mat.tolist(), basis.tolist(), p)
+    got = characters._split(mat, space, p, _inverses(p))
+    assert _route(splits[0]) == route
+    assert len(got) == len(want)
+    for (piece, cols), ref in zip(got, want):
+        assert len(piece) == len(ref)
+        assert piece[:, cols].tolist() == np.eye(len(cols), dtype=int).tolist()
+        both = piece.tolist() + ref
+        assert rank(piece.tolist(), k, p) == rank(ref, k, p) == rank(both, k, p)
+
+
+@pytest.mark.parametrize("name, bound", [("C19", 19 * 20),
+                                         ("Q8xS3xC4", 24_308)])
+def test_row_reduce_work_stays_within_its_bound(name, bound, monkeypatch):
+    # the entries of every stack that one table passes to `_row_reduce`;
+    # scanning F_p in every split, C19 reduced 68,951 and Q8xS3xC4 209,864.
+    # C19's one split is a single Krylov reduction of 20 rows of 19
+    sizes = []
+    reduce = characters._row_reduce
+
+    def counted(stack, p, inv):
+        sizes.append(stack.size)
+        return reduce(stack, p, inv)
+
+    monkeypatch.setattr(characters, "_row_reduce", counted)
+    characters._dixon_rows(_CAT.group(name))
+    assert sum(sizes) <= bound
 
 
 def test_elimination_stack_holds_at_most_the_chunk_or_one_square(monkeypatch):
@@ -393,3 +523,15 @@ def test_one_class_matrix_at_a_time_keeps_c6xc6xc6_under_80_mb():
     got = re.fullmatch(r"C6xC6xC6: 216 classes, [\d.]+ s, VmHWM (\d+) MB\n",
                        run.stdout)
     assert got and int(got[1]) <= 80, run.stdout
+
+
+def test_table_cost_reports_each_name_on_its_own_line():
+    # one child interpreter per name, in order; a name that cannot be
+    # resolved fails its own line and the exit code, not the others
+    tool = Path(__file__).resolve().parents[1] / "tools" / "table_cost.py"
+    run = subprocess.run([sys.executable, str(tool), "C2", "no-such-group",
+                          "S3"], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert re.fullmatch(r"C2: 2 classes, [\d.]+ s, VmHWM \d+ MB\n"
+                        r"S3: 3 classes, [\d.]+ s, VmHWM \d+ MB\n", run.stdout)
+    assert "no-such-group" in run.stderr

@@ -1,18 +1,20 @@
-"""Seconds and peak memory of one character table, in a fresh interpreter.
+"""Seconds and peak memory of character tables, each in a fresh interpreter.
 
-Resolves NAME|FILE as the CLI does (a catalog name first, then a group
+Resolves each NAME|FILE as the CLI does (a catalog name first, then a group
 file), builds the group, then times one `character_table` call and reports
-the process's VmHWM (peak resident set size) after it.  The peak includes
-the interpreter, numpy and the group itself.  Run it once per measurement,
-so that no earlier table is cached:
+the process's VmHWM (peak resident set size) after it, one line per name.
+The peak includes the interpreter, numpy and the group itself.  With several
+names, each is measured in a child interpreter of its own, so that no table
+is cached across names:
 
     python tools/table_cost.py C6xC6xC6
-    python tools/table_cost.py path/to/group.txt
+    python tools/table_cost.py C19 C24 Q8xS3xC4 path/to/group.txt
 """
 
 from __future__ import annotations
 
 import re
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -30,9 +32,13 @@ def peak_mb() -> float:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tools/table_cost.py NAME|FILE", file=sys.stderr)
+    if len(argv) < 2:
+        print("usage: python tools/table_cost.py NAME|FILE ...", file=sys.stderr)
         return 2
+    if len(argv) > 2:
+        # stdout and stderr pass through, one line per name
+        return max(subprocess.run([sys.executable, argv[0], ref]).returncode
+                   for ref in argv[1:])
     g = Catalog().resolve_group(argv[1])
     start = perf_counter()
     table = character_table(g)
