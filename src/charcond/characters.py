@@ -71,7 +71,7 @@ from math import lcm
 import numpy as np
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import (Cyclotomic, _int_array, _matmul, _phi, _power_array,
+from .cyclotomic import (Cyclotomic, _matmul, _phi, _power_array, _value_parts,
                          align, at_minimal_conductors, descend, gram,
                          gram_diagonal, lift, minimal_conductors, multiply,
                          reduced, scaled, table_grams, values)
@@ -93,12 +93,13 @@ __all__ = [
 # product) 0.7-0.8 s and 42 MB, by tools/table_cost.py
 MAX_TABLE_CLASSES = 256
 
-# k^3 phi(e)^2 was the cost of validating k classes at exponent e by
-# coefficient products, which the class cap does not bound (measurements in
-# CHANGES.md); validation modulo P costs about k^3 phi(e), so the cap is
-# now conservative: C100 from one generator builds in 0.3 s, and C128,
-# which this cap refuses, in 1.8-2.1 s and 106 MB with the cap lifted
-MAX_TABLE_WORK = 1 << 31
+# validating k classes at exponent e modulo P costs about k^3 phi(e), which
+# the class cap does not bound; this cap on it admits C128 from one generator
+# (k^3 phi(e) = 2^27), whose table takes 2.0-2.7 s and 106 MB VmHWM, and the
+# costliest cyclic tables it admits are C160, 3.5-3.6 s and 156 MB, and
+# C127, 2.6-2.8 s and 174 MB, on one CPU of a 2-vCPU Xeon by
+# tools/table_cost.py; C131 (2.9e8) is the smallest cyclic group it refuses
+MAX_TABLE_WORK = 1 << 28
 
 # a chunk of the eigenvalue search stacks as many d x d matrices as fit in this
 # many entries, and at least one, and a split's Krylov block is d + 1 rows of d
@@ -159,9 +160,10 @@ class ClassFunction:
         k = len(conjugacy_classes(group))
         if len(vals) != k:
             raise ValueError(f"need {k} class values, got {len(vals)}")
-        e, nums, den = align(((v.order, _int_array(v.nums), v.den) for v in vals),
-                             group.exponent())
-        self._set(group, e, *reduced(np.stack(nums), den))
+        at, parts = _value_parts(vals)
+        e, nums, den = align(parts, group.exponent())
+        nums = np.concatenate(nums)[np.argsort(np.concatenate(at))]
+        self._set(group, e, *reduced(nums, den))
 
     def _set(self, group: FiniteGroup, e: int, nums: np.ndarray,
              den: int) -> None:
@@ -572,9 +574,9 @@ def _table_nums(g: FiniteGroup) -> np.ndarray:
         raise TooLarge(f"{k} classes exceed the cap of {MAX_TABLE_CLASSES} "
                        "for a character table")
     e = g.exponent()
-    work = k ** 3 * _phi(e) ** 2
+    work = k ** 3 * _phi(e)
     if work > MAX_TABLE_WORK:
-        raise TooLarge(f"{k} classes at exponent {e} need k^3 phi(e)^2 = {work}"
+        raise TooLarge(f"{k} classes at exponent {e} need k^3 phi(e) = {work}"
                        f" steps, over the cap of {MAX_TABLE_WORK} for a table")
     return _table(g)
 

@@ -9,13 +9,16 @@ classification carries verification data that was checked exactly.
 For a table row, Clifford decompositions, classifications and extensions
 are views over whole-table arrays that one `_NormalPair` per normal subgroup
 holds: the restricted table with its norms and multiplicities, the induced
-table, and how G permutes the rows of H's table.  The multiplicities are
-read as integers on first use, so a check that reads none of them cannot
-fail on them.  The verification sweeps read the same arrays, and record a
-pass only for a check that ran to the end and held: an error raised while
-the pair is built fails every record that needs it.  Inertia groups and
-conjugate orbits compare class values directly, so they read no character
-table.
+table, and how G permutes the rows of H's table.  Every Clifford and
+classification check runs once per pair, over all rows at once, into cached
+verdict arrays that a view reads one row of, so that a row fails only on its
+own checks.  The multiplicities are read as integers on first use, from a
+Gram product computed on first use, so a check that reads none of them
+cannot fail on them.  The verification sweeps read the same arrays, and
+record a pass only for a check that ran to the end and held: an error raised
+while the pair is built fails every record that needs it.  Inertia groups
+and conjugate orbits compare class values directly, so they read no
+character table.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce, inflate,
-                         pointwise_product, _conj_class_perms, _exact,
+                         pointwise_product, _conj_class_perms,
                          _induction_sums, _inflated_table, _multiplicities,
                          _restriction_classes, _same_group, _table_nums)
 from .cyclotomic import gram, gram_diagonal, lift, multiply, scaled, values
@@ -62,6 +65,30 @@ def _require_irreducible(chi: Character) -> None:
         raise NotIrreducible("operation needs a verified irreducible character")
 
 
+# the Clifford checks of a row, in the order they are checked; a row's
+# verdict is the index of the first that fails
+_CLIFFORD_FAILURES = (
+    "restriction constituents have unequal multiplicities {}",
+    "constituents are not a single conjugate orbit",
+    "degree bookkeeping chi(1) = e t theta(1) fails",
+    "<Res chi, Res chi> != e^2 t",
+    "Clifford e-bounds violated")
+
+# the classification checks of a row by name: the first four in the
+# restricted case, where "restriction_irreducible" holds, the rest in the
+# induced case
+_CHECKS = ("restriction_irreducible", "restriction_matches",
+           "inertia_whole_group", "induced_differs", "orbit_size_q",
+           "multiplicity_one", "induced_matches", "inertia_is_subgroup",
+           "restriction_reducible")
+
+
+def _equals(nums: np.ndarray, want) -> np.ndarray:
+    """Whether each value, numerators at e in the last axis, is the rational
+    integer `want` (broadcast over the leading axes)."""
+    return (nums[..., 0] == want) & ~(nums[..., 1:] != 0).any(axis=-1)
+
+
 class _NormalPair:
     """Whole-table arrays of a normal pair (G, H), all at e = exp(G):
 
@@ -74,12 +101,16 @@ class _NormalPair:
       H-classes by array equality; ``stab[j]``: the order of the inertia
       group of theta_j; ``is_h[j]``: it is H itself; ``orbit[i, j]``:
       theta_j is conjugate to theta_i;
-    - ``mult``: <Res chi_r, theta_j> as integers, from one `gram` on first
-      use, so that a check that reads no multiplicity never fails on one.
+    - ``res_gram``: |H| <Res chi_r, theta_j>, one `gram` on first use;
+      ``mult``: the same as integers, read off it on first use, so that a
+      check that reads no multiplicity never fails on one;
+    - ``clifford``: the first constituent, e, t and the Clifford verdict of
+      every row, and ``checks``: the classification checks of every row,
+      each one array pass over the rows on first use.
 
     Arrays and integers only, so the subgroup cache that keeps it keeps no
-    group alive.  The methods read exact values and verdicts off these
-    scaled arrays for the views and the sweeps.
+    group alive.  The views read one row of the verdict arrays, and the
+    sweeps read them whole.
     """
 
     def __init__(self, s: Subgroup) -> None:
@@ -112,45 +143,78 @@ class _NormalPair:
         self.is_h = (fixed == (s.member_index() >= 0)[:, None]).all(axis=0)
 
     @cached_property
+    def res_gram(self) -> np.ndarray:
+        """|H| <Res chi_r, theta_j> for every r and j, numerators at e, from
+        one `gram`: the multiplicities and Frobenius reciprocity read it."""
+        return gram(self.res, self.th, self.sizes_h, self.e)
+
+    @cached_property
     def mult(self) -> np.ndarray:
         """<Res chi_r, theta_j> for every r and j; NotACharacter when one is
         not a nonnegative integer."""
-        got = gram(self.res, self.th, self.sizes_h, self.e)
-        return _multiplicities(got, self.e, self.order_h)
+        return _multiplicities(self.res_gram, self.e, self.order_h)
 
-    def restricted_norm(self, r: int):
-        """<Res chi_r, Res chi_r>, exactly."""
-        return _exact(self.res_norm[r], self.e, self.order_h)
+    @cached_property
+    def clifford(self) -> np.ndarray:
+        """Rows (j, e, t, fail) over the rows r of G's table: j_r the first
+        constituent of Res chi_r (0 when it has none), e_r = <Res chi_r,
+        theta_j>, t_r the size of the orbit of theta_j, and fail_r the index
+        in `_CLIFFORD_FAILURES` of the first check that row r fails, -1 when
+        Res chi_r = e_r (the orbit of theta_j) holds with chi(1) = e t
+        theta(1), <Res chi, Res chi> = e^2 t, e^2 <= |I/H| and e^2 t <= |G/H|.
+        """
+        m, parts = self.mult, self.mult != 0
+        rows, j = np.arange(len(m)), parts.argmax(axis=1)
+        e, orbit = m[rows, j], self.orbit[j]
+        orbit[rows, j] = True
+        t = orbit.sum(axis=1)
+        fails = np.stack([
+            ~parts.any(axis=1) | (parts & (m != e[:, None])).any(axis=1),
+            (parts != orbit).any(axis=1),
+            self.tg[:, 0, 0] != e * t * self.th[j, 0, 0],
+            ~_equals(self.res_norm, e * e * t * self.order_h),
+            (e * e > self.stab[j] // self.order_h)
+            | (e * e * t > self.order_g // self.order_h)])
+        return np.stack([j, e, t, np.where(fails.any(axis=0),
+                                           fails.argmax(axis=0), -1)])
 
-    def induced_degree(self, j: int):
-        """Ind theta_j (1), exactly."""
-        return _exact(self.ind[j, 0], self.e, self.order_h)
+    @cached_property
+    def checks(self) -> np.ndarray:
+        """The classification checks of every row under a prime index, one
+        row per name of `_CHECKS`: the restricted case's, where <Res chi,
+        Res chi> = 1 and Res chi must be theta_j on the gather's values, then
+        the induced case's; Ind theta_j = chi_r is read once per row r, at
+        j = j_r."""
+        j, e, t, _ = self.clifford
+        q, m = self.order_g // self.order_h, self.mult
+        induced = (self.ind[j] == scaled(self.tg, self.order_h)).all(axis=(1, 2))
+        return np.stack([
+            _equals(self.res_norm, self.order_h),
+            ((m != 0).sum(axis=1) == 1) & (m[np.arange(len(m)), j] == 1)
+            & (self.res == self.th[j]).all(axis=(1, 2)),
+            self.stab[j] == self.order_g, ~induced, t == q, e == 1, induced,
+            self.is_h[j], _equals(self.res_norm, q * self.order_h)])
 
-    def induced_norms(self) -> list:
-        """<Ind theta_j, Ind theta_j> for every j, exactly, from one
-        `gram_diagonal`."""
-        got = gram_diagonal(self.ind, self.sizes_g, self.e)
-        return [_exact(x, self.e, self.order_h ** 2 * self.order_g) for x in got]
-
-    def is_induced(self, j: int, nums: np.ndarray) -> bool:
-        """Whether Ind theta_j has the values nums (numerators at e over 1)
-        on the classes of G."""
-        return np.array_equal(self.ind[j], scaled(nums, self.order_h))
+    def induced_norms(self) -> np.ndarray:
+        """|H|^2 |G| <Ind theta_j, Ind theta_j> for every j, numerators at e,
+        from one `gram_diagonal`."""
+        return gram_diagonal(self.ind, self.sizes_g, self.e)
 
     def frobenius(self) -> str:
-        """The detail of Frobenius reciprocity, <Ind theta_i, chi_r> =
-        <theta_i, Res chi_r> for every i and r, the left side from the
-        induced table, the right from the gather, one `gram` each: "" when
-        it holds, else both values at the last (i, r) where they differ."""
-        lhs = gram(self.ind, self.tg, self.sizes_g, self.e)
-        rhs = gram(self.th, self.res, self.sizes_h, self.e)
-        bad = np.argwhere((lhs != scaled(rhs, self.order_g)).any(axis=2)).tolist()
+        """The detail of Frobenius reciprocity, <chi_r, Ind theta_i> =
+        <Res chi_r, theta_i> for every r and i, the left side from the
+        induced table by one `gram`, the right the multiplicity Gram of the
+        gather: "" when it holds, else <Ind theta_i, chi_r> and <theta_i,
+        Res chi_r>, the conjugates, at the last (i, r) where they differ."""
+        lhs = gram(self.tg, self.ind, self.sizes_g, self.e)
+        rhs = self.res_gram
+        bad = np.argwhere((lhs != scaled(rhs, self.order_g)).any(axis=2).T).tolist()
         if not bad:
             return ""
         i, r = bad[-1]
         return (f"<Ind t{i}, x{r}> = "
-                f"{values(lhs[i, r][None], self.e, self.order_h * self.order_g)[0]}"
-                f" != {values(rhs[i, r][None], self.e, self.order_h)[0]}")
+                f"{values(lhs[r, i][None], self.e, self.order_h * self.order_g)[0].conjugate()}"
+                f" != {values(rhs[r, i][None], self.e, self.order_h)[0].conjugate()}")
 
     def extensions(self, j: int) -> list[int]:
         """The rows chi_r with Res chi_r = theta_j, in table order, for a
@@ -164,16 +228,14 @@ class _NormalPair:
     def products(self, rows: list[int], qmap: QuotientMap):
         """chi_r * psi_i for r in rows and psi_i the table of G/H inflated to
         G, as numerators at e of shape (rows, rows of G/H, classes of G, .),
-        by one `multiply`; and their norms, exactly, from one
-        `gram_diagonal`."""
+        by one `multiply`; and |G| times their norms, numerators at e of
+        shape (rows, rows of G/H, .), from one `gram_diagonal`."""
         psi = lift(_inflated_table(qmap), qmap.group.exponent(), self.e)
         shape = (len(rows),) + psi.shape
         prods = multiply(np.broadcast_to(self.tg[rows][:, None], shape),
                          np.broadcast_to(psi, shape), self.e)
-        flat = prods.reshape((-1,) + shape[2:])
-        got = gram_diagonal(flat, self.sizes_g, self.e)
-        norms = [_exact(x, self.e, self.order_g) for x in got]
-        return prods, [norms[x:x + len(psi)] for x in range(0, len(norms), len(psi))]
+        got = gram_diagonal(prods.reshape((-1,) + shape[2:]), self.sizes_g, self.e)
+        return prods, got.reshape(shape[:2] + got.shape[1:])
 
 
 @cached
@@ -184,65 +246,31 @@ def _pair(s: Subgroup) -> _NormalPair:
 
 
 def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:
-    """Res chi_r as e * (the orbit of theta_j), as rows of H's table.
-
-    e and the constituents come from the multiplicity `gram`, the orbit and
-    |I/H| from the row permutations, <Res chi, Res chi> from `gram_diagonal`;
-    checks chi(1) = e t theta(1), <Res chi, Res chi> = e^2 t, e^2 <= |I/H|
-    and e^2 t <= |G/H| exactly.
-    """
+    """Res chi_r as e * (the orbit of theta_j), as rows of H's table, read
+    off the pair's Clifford verdicts: the first check that row r fails
+    raises, and no other row's."""
     pair = _pair(s)
-    parts = np.flatnonzero(pair.mult[r]).tolist()
-    distinct = set(pair.mult[r, parts].tolist())
-    if len(distinct) != 1:
+    j, e, _, fail = pair.clifford[:, r].tolist()
+    if fail >= 0:
+        parts = pair.mult[r][pair.mult[r] != 0]
         raise InternalContradiction(
-            f"restriction constituents have unequal multiplicities {sorted(distinct)}")
-    e = distinct.pop()
-    j = parts[0]
+            _CLIFFORD_FAILURES[fail].format(sorted(set(parts.tolist()))))
     # the rows conjugate to theta_j: j first, then the rest in table order,
     # which is `sort_key` order among rows of one degree
-    orbit = [j] + [i for i in np.flatnonzero(pair.orbit[j]).tolist() if i != j]
-    if set(parts) != set(orbit):
-        raise InternalContradiction("constituents are not a single conjugate orbit")
-    t = len(orbit)
-    over = int(pair.stab[j]) // s.order
-    if pair.tg[r, 0, 0] != e * t * pair.th[j, 0, 0]:
-        raise InternalContradiction("degree bookkeeping chi(1) = e t theta(1) fails")
-    if pair.restricted_norm(r) != e * e * t:
-        raise InternalContradiction("<Res chi, Res chi> != e^2 t")
-    if e * e > over or e * e * t > s.index:
-        raise InternalContradiction("Clifford e-bounds violated")
-    return e, orbit
+    return e, [j] + [i for i in np.flatnonzero(pair.orbit[j]).tolist() if i != j]
 
 
 def _classify_row(s: Subgroup, r: int):
-    """(kind, theta row, e, orbit rows, checks) of chi_r over a prime index.
-
-    Restricted when <Res chi, Res chi> = 1: then Res chi must be the row of
-    H's table that the multiplicity `gram` names, on the gather's values.
-    """
+    """(kind, theta row, e, orbit rows, checks) of chi_r over a prime index,
+    read off the pair's classification checks: restricted when <Res chi,
+    Res chi> = 1, else induced, which raises unless its checks all hold."""
     pair = _pair(s)
-    q = s.index
-    if pair.restricted_norm(r) == 1:
-        parts = np.flatnonzero(pair.mult[r]).tolist()
-        j = parts[0] if parts else 0
-        checks = {
-            "restriction_irreducible": True,
-            "restriction_matches": (parts == [j] and int(pair.mult[r, j]) == 1
-                                    and np.array_equal(pair.res[r], pair.th[j])),
-            "inertia_whole_group": bool(pair.stab[j] == s.parent.order),
-            "induced_differs": not pair.is_induced(j, pair.tg[r]),
-        }
-        return ClassificationKind.RESTRICTED, j, 1, [j], checks
+    j, checks = int(pair.clifford[0, r]), pair.checks[:, r].tolist()
+    if checks[0]:
+        return (ClassificationKind.RESTRICTED, j, 1, [j],
+                dict(zip(_CHECKS[:4], checks[:4])))
     e, orbit = _clifford_row(s, r)
-    j = orbit[0]
-    checks = {
-        "orbit_size_q": len(orbit) == q,
-        "multiplicity_one": e == 1,
-        "induced_matches": pair.is_induced(j, pair.tg[r]),
-        "inertia_is_subgroup": bool(pair.is_h[j]),
-        "restriction_reducible": pair.restricted_norm(r) == q,
-    }
+    checks = dict(zip(_CHECKS[4:], checks[4:]))
     if not all(checks.values()):
         raise InternalContradiction(f"induced-case verification failed: {checks}")
     return ClassificationKind.INDUCED, j, e, orbit, checks

@@ -367,10 +367,10 @@ class Cyclotomic:
 
 
 def cyclo_sum(items) -> Cyclotomic:
-    """Exact sum of many cyclotomic values: one `align`, then one sum over a
-    zero row and the aligned rows, so that no values sum to 0."""
-    e, nums, den = align((v.order, _int_array([v.nums]), v.den)
-                         for v in map(_coerce, items))
+    """Exact sum of many cyclotomic values: one `align` of their parts by
+    `_value_parts`, then one sum over a zero row and the aligned rows, so that
+    no values sum to 0."""
+    e, nums, den = align(_value_parts(list(map(_coerce, items)))[1])
     rows = np.concatenate([np.zeros((1, _phi(e)), dtype=np.int64), *nums])
     total = _matmul(np.ones((1, len(rows)), dtype=np.int64), rows)
     return values(total, e, den)[0]
@@ -481,6 +481,19 @@ def align(parts, e: int = 1) -> tuple[int, list[np.ndarray], int]:
     e = lcm(e, *(c for c, _, _ in parts))
     den = lcm(1, *(d for _, _, d in parts))
     return e, [scaled(lift(nums, c, e), den // d) for c, nums, d in parts], den
+
+
+def _value_parts(vals) -> tuple[list[list[int]], list[tuple]]:
+    """`Cyclotomic` values as `align` parts, one per distinct conductor over
+    the values' common denominator, so that `align` lifts each conductor
+    once, and the indices of the values in each part."""
+    den = lcm(1, *(v.den for v in vals))
+    groups = {}
+    for i, v in enumerate(vals):
+        groups.setdefault(v.order, []).append(i)
+    return list(groups.values()), [
+        (c, _int_array([[x * (den // vals[i].den) for x in vals[i].nums]
+                        for i in at]), den) for c, at in groups.items()]
 
 
 def multiply(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:

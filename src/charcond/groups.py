@@ -584,7 +584,7 @@ def derived_subgroup(g: FiniteGroup) -> Subgroup:
 
     Needs the character table, so it raises TooLarge where the table's caps
     do: more than `characters.MAX_TABLE_CLASSES` (256) conjugacy classes, or
-    k^3 phi(exp G)^2 over `characters.MAX_TABLE_WORK`.
+    k^3 phi(exp G) over `characters.MAX_TABLE_WORK`.
     """
     mask = (1 << len(conjugacy_classes(g))) - 1
     for ker in _kernel_masks(g, linear_only=True):

@@ -13,11 +13,15 @@ error in place of a value, so that a check given one fails its records with
 it and their text shows "?".  The clifford, dichotomy, classification and
 gallagher suites share one loop over the normal pairs (G, H), and they and
 the Frobenius check read whole tables: the arrays of the pair's
-`clifford._NormalPair`, built once per subgroup.  The two sides of each
-identity come by different routes: Res Ind theta by the gather of the induced
-table, the orbit sums by the row permutations; <Ind theta, Ind theta> by a
-Gram product, |I/H| by the stabilizer; e and the constituents by the
-multiplicity Gram product, the orbit by the permutations.
+`clifford._NormalPair`, built once per subgroup.  Each check is one pass
+over those arrays, for all rows or all theta at once, and builds exact
+values only for the text of a failure.  The two sides of each identity come
+by different routes: Res Ind theta by the gather of the induced table, the
+orbit sums by the row permutations; <Ind theta, Ind theta> by a Gram
+product, |I/H| by the stabilizer; e and the constituents by the
+multiplicity Gram product, the orbit by the permutations; <chi, Ind theta>
+by a Gram product of the induced table, <Res chi, theta> by the
+multiplicity Gram product of the gather.
 
 The conductor checks work on arrays as well.  The random characters phi, psi
 of the additivity trials are one multiplicity matrix times the table.  The
@@ -39,10 +43,10 @@ import numpy as np
 
 from . import DEFAULT_MAX_ORDER, SUITE_NAMES
 from .catalog import Catalog, default_catalog
-from .characters import (character_table, induce, _conj_class_perms,
+from .characters import (character_table, induce, _conj_class_perms, _exact,
                          _table_nums)
-from .clifford import (ClassificationKind, NormalChain, construct_large_degree,
-                       promote_degree, _classify_row, _clifford_row, _pair)
+from .clifford import (NormalChain, construct_large_degree, promote_degree,
+                       _classify_row, _clifford_row, _equals, _pair)
 from .cyclotomic import _matmul, scaled
 from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
                         conductor_exponents, conductors,
@@ -170,32 +174,45 @@ def _pair_suite(suite: str, cat: Catalog | None, max_order: int,
     return rep
 
 
+def _last_failure(fails: list[np.ndarray], texts: list) -> str:
+    """The text of the last failure in the order of a loop over the items
+    with the checks inside it: fails holds one boolean array over the items
+    per check, texts one function of the item per check; "" when none
+    fails."""
+    at = np.argwhere(np.stack(fails).T)
+    if not len(at):
+        return ""
+    item, check = at[-1].tolist()
+    return texts[check](item)
+
+
 def _induction(s: Subgroup) -> tuple[str, str]:
     """Res Ind theta = |I/H| times the orbit sum, and <Ind theta, Ind theta>
-    = |I/H| with the degree bookkeeping, for every theta of H; each record
-    shows its last failure."""
+    = |I/H| with the degree bookkeeping, as arrays over every theta of H;
+    each record shows its last failure."""
     pair = _pair(s)
-    # Res Ind theta by the gather; the orbit sums by the row action
-    orbit_sums = (pair.orbit.astype(np.int64)
-                  @ pair.th.reshape(len(pair.th), -1)).reshape(pair.th.shape)
-    res_ind = ind_norm = ""
-    for i, norm in enumerate(pair.induced_norms()):
-        deg = int(pair.th[i, 0, 0])
-        ratio = int(pair.stab[i]) // s.order
-        if not np.array_equal(pair.ind[i, pair.cols],
-                              scaled(orbit_sums[i], ratio * s.order)):
-            res_ind = f"Res Ind theta mismatch for theta degree {deg}"
-        if norm != ratio:
-            ind_norm = f"<Ind,Ind> = {norm}, expected {ratio}"
-        if (norm == 1) != pair.is_h[i]:
-            ind_norm = "irreducibility of Ind theta disagrees with I=H"
-        if pair.induced_degree(i) != s.index * deg:
-            ind_norm = "degree of Ind theta is not [G:H]*theta(1)"
-    return res_ind, ind_norm
+    th, deg, scale = pair.th, pair.th[:, 0, 0], s.order ** 2 * s.parent.order
+    ratio = pair.stab // s.order
+    # Res Ind theta by the gather; |I/H| times the orbit sums by the row action
+    sums = _matmul(pair.orbit * (ratio * s.order)[:, None],
+                   th.reshape(len(th), -1)).reshape(th.shape)
+    norms = pair.induced_norms()
+    return (_last_failure(
+        [(pair.ind[:, pair.cols] != sums).any(axis=(1, 2))],
+        [lambda i: f"Res Ind theta mismatch for theta degree {int(deg[i])}"]),
+        _last_failure(
+        [~_equals(norms, ratio * scale), _equals(norms, scale) != pair.is_h,
+         ~_equals(pair.ind[:, 0], s.index * deg * s.order)],
+        [lambda i: (f"<Ind,Ind> = {_exact(norms[i], pair.e, scale)}, "
+                    f"expected {int(ratio[i])}"),
+         lambda i: "irreducibility of Ind theta disagrees with I=H",
+         lambda i: "degree of Ind theta is not [G:H]*theta(1)"]))
 
 
 def _clifford_rows(s: Subgroup) -> None:
-    for r in range(len(_pair(s).tg)):
+    """Res chi = e * orbit with the e-bounds for every row, read off the
+    pair's Clifford verdicts: the first failing row raises its message."""
+    for r in np.flatnonzero(_pair(s).clifford[3] >= 0)[:1].tolist():
         _clifford_row(s, r)
 
 
@@ -224,27 +241,29 @@ def suite_dichotomy(cat: Catalog | None = None,
 
 
 def _classification(s: Subgroup) -> tuple[str]:
-    """Every row classified, by `_classify_row`, and its kind read again off
-    the multiplicities; the record shows the last failure."""
+    """Every row classified, from the pair's classification checks, and its
+    kind read again off the multiplicities: the first induced row whose
+    checks fail raises, as `_classify_row` does, else the record shows the
+    last failure."""
     pair = _pair(s)
-    detail = ""
-    for r in range(len(pair.tg)):
-        kind, j, _, _, checks = _classify_row(s, r)
-        if not all(checks.values()):
-            detail = ("unverified classification for degree "
-                      f"{int(pair.tg[r, 0, 0])}")
-        # the kind came from <Res chi, Res chi>; irreducibility and
-        # Ind theta = chi are read here off the multiplicities and the
-        # induced degree: by Frobenius, <Ind theta, chi> = 1
-        res_irr = pair.mult[r].sum() == 1
-        ind_match = (pair.mult[r, j] == 1
-                     and pair.induced_degree(j) == pair.tg[r, 0, 0])
-        if (kind == ClassificationKind.RESTRICTED) != res_irr:
-            detail = (f"{kind.value} case with{'' if res_irr else 'out'} "
-                      "irreducible restriction")
-        if kind == ClassificationKind.INDUCED and not ind_match:
-            detail = "induced case where Ind theta != chi"
-    return (detail,)
+    (j, _, _, fail), checks, mult = pair.clifford, pair.checks, pair.mult
+    restricted, deg = checks[0], pair.tg[:, 0, 0]
+    for r in np.flatnonzero(~restricted & ((fail >= 0) | ~checks[4:].all(axis=0))
+                            )[:1].tolist():
+        _classify_row(s, r)
+    # the kind came from <Res chi, Res chi>; irreducibility and
+    # Ind theta = chi are read here off the multiplicities and the
+    # induced degree: by Frobenius, <Ind theta, chi> = 1
+    res_irr = mult.sum(axis=1) == 1
+    ind_match = ((mult[np.arange(len(mult)), j] == 1)
+                 & _equals(pair.ind[j, 0], deg * s.order))
+    return (_last_failure(
+        [restricted & ~checks[:4].all(axis=0), restricted != res_irr,
+         ~restricted & ~ind_match],
+        [lambda r: f"unverified classification for degree {int(deg[r])}",
+         lambda r: (f"{'restricted' if restricted[r] else 'induced'} case "
+                    f"with{'' if res_irr[r] else 'out'} irreducible restriction"),
+         lambda r: "induced case where Ind theta != chi"]),)
 
 
 def suite_classification(cat: Catalog | None = None,
@@ -258,25 +277,27 @@ def suite_classification(cat: Catalog | None = None,
 def _gallagher(s: Subgroup, invariant: int) -> tuple[str]:
     """Each invariant theta has extensions chi; the products chi * psi_i with
     the irreducibles psi_i of G/H are distinct and irreducible, sum to Ind
-    theta and are as many as the extensions; the invariant thetas, read off
-    the stabilizers, are as many as the label counted; the record shows the
-    last failure."""
+    theta and are as many as the extensions, as arrays over the invariant
+    thetas; the invariant thetas, read off the stabilizers, are as many as
+    the label counted; the record shows the last failure."""
     pair, (_, qmap) = _pair(s), quotient(s.parent, s)
-    thetas = np.flatnonzero(pair.stab == s.parent.order).tolist()
-    exts = [pair.extensions(j) for j in thetas]
+    thetas = np.flatnonzero(pair.stab == s.parent.order)
+    exts = [pair.extensions(j) for j in thetas.tolist()]
     # the trivial theta is invariant, so there is an extension chi; every
     # chi * psi_i by one multiply, their norms by one gram
     products, norms = pair.products([rows[0] for rows in exts], qmap)
-    detail = ""
-    for x, j in enumerate(thetas):
-        if len(set(row_keys(products[x]))) != len(products[x]):
-            detail = "products chi * psi_i are not distinct"
-        if not pair.is_induced(j, products[x].sum(axis=0)):
-            detail = "sum of chi * psi_i differs from Ind theta"
-        if any(got != 1 for got in norms[x]):
-            detail = "a product chi * psi_i is not irreducible"
-        if len(exts[x]) != len(products[x]):
-            detail = f"{len(exts[x])} extensions, expected {len(products[x])}"
+    n, m = products.shape[:2]
+    keys = row_keys(products.reshape(n * m, *products.shape[2:]))
+    detail = _last_failure(
+        [np.array([len(set(keys[x * m:(x + 1) * m])) != m for x in range(n)],
+                  dtype=bool),
+         (pair.ind[thetas] != scaled(products.sum(axis=1), s.order)).any(axis=(1, 2)),
+         ~_equals(norms, s.parent.order).all(axis=1),
+         np.array([len(rows) for rows in exts], dtype=np.int64) != m],
+        [lambda x: "products chi * psi_i are not distinct",
+         lambda x: "sum of chi * psi_i differs from Ind theta",
+         lambda x: "a product chi * psi_i is not irreducible",
+         lambda x: f"{len(exts[x])} extensions, expected {m}"])
     if len(thetas) != invariant:
         detail = f"{len(thetas)} invariant thetas, the label counts {invariant}"
     return (detail,)

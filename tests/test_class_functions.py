@@ -236,3 +236,20 @@ def test_a_zero_function_beside_a_huge_one_stays_exact():
     assert inner_product(big, zero) == 0 and inner_product(zero, big) == 0
     assert big.scale(0) == zero and zero.scale(10 ** 30) == zero
     assert pointwise_product(big, zero) == zero
+
+
+def test_a_class_function_lifts_once_per_distinct_conductor(monkeypatch):
+    # the 12 powers of zeta_12 have conductors 1, 3, 4 and 12
+    lifts = []
+    real = cyclotomic.lift
+
+    def counted(nums, e, big):
+        lifts.append(e)
+        return real(nums, e, big)
+
+    monkeypatch.setattr(cyclotomic, "lift", counted)
+    roots = [Cyclotomic.zeta(12, c) for c in range(12)]
+    lifts.clear()
+    fn = ClassFunction(Catalog().group("C12"), roots)
+    assert sorted(lifts) == [1, 3, 4, 12]
+    assert fn.values == tuple(roots)

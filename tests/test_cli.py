@@ -373,14 +373,14 @@ def test_over_cap_requests_exit_2_fast_and_small(tmp_path):
 
 
 def test_large_exponent_table_exits_2_fast(tmp_path):
-    # one generator of order 128: 128 classes pass the class cap, but the
-    # table took 90 s before the work cap weighed phi(exp G)
-    c128 = tmp_path / "c128.grp"
-    c128.write_text("perm 128\ngen " + " ".join(
-        str((i + 1) % 128) for i in range(128)) + "\n")
-    run, got = _timed_table(c128)
+    # one generator of order 131: 131 classes pass the class cap, but
+    # k^3 phi(exp G) is over the work cap
+    c131 = tmp_path / "c131.grp"
+    c131.write_text("perm 131\ngen " + " ".join(
+        str((i + 1) % 131) for i in range(131)) + "\n")
+    run, got = _timed_table(c131)
     assert got["code"] == 2, run.stderr
-    assert "128 classes at exponent 128 need" in run.stderr
+    assert "131 classes at exponent 131 need" in run.stderr
     assert got["s"] < 1.0, got
 
 

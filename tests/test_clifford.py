@@ -1,9 +1,12 @@
 """Inertia, classification, extendibility, and degree-growth constructions."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from charcond import characters, clifford
+from charcond.arith import is_prime
 from charcond.catalog import Catalog
 from charcond.characters import character_table, induce, inner_product, restrict
 from charcond.clifford import (ClassificationKind, InertiaKind, NormalChain,
@@ -18,6 +21,7 @@ from charcond.groups import (ConjugacyPartition, build_from_permutations,
                              full_subgroup, generated_subgroup,
                              normal_subgroups, product_chain, subgroup,
                              trivial_subgroup)
+from charcond.verify import run_suite
 
 
 def s3():
@@ -351,3 +355,105 @@ def test_conjugation_that_moves_class_sizes_is_refused(monkeypatch):
                         lambda grp: fake if grp is h else real(grp))
     with pytest.raises(InternalContradiction, match="preserving sizes"):
         characters._conj_class_perms(fresh)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the InternalContradiction it raised."""
+    try:
+        return fn(*args)
+    except InternalContradiction as exc:
+        return f"raised: {exc}"
+
+
+def _perturbed(pair, rng):
+    """A copy of the pair with one entry of its multiplicities, stabilizers,
+    restriction norms, I = H flags or orbits changed at random."""
+    fresh = copy.copy(pair)
+    for name in ("clifford", "checks"):
+        fresh.__dict__.pop(name, None)
+    name = ("mult", "stab", "res_norm", "is_h", "orbit")[rng.integers(5)]
+    a = getattr(pair, name).copy()
+    at = tuple(int(rng.integers(n)) for n in a.shape)
+    a[at] = ~a[at] if a.dtype == bool else a[at] + int(rng.choice([-2, -1, 1, 2]))
+    setattr(fresh, name, a)
+    return fresh
+
+
+def test_verdict_arrays_match_the_per_row_oracle_on_every_pair_to_order_24(
+        monkeypatch):
+    # every row of every proper normal pair up to order 24, as built and
+    # with one entry of the pair's arrays changed: the same (e, orbit), the
+    # same (kind, j, e, orbit, checks) under prime index, or the same error
+    from clifford_oracle import oracle_classify_row, oracle_clifford_row
+    rng = np.random.default_rng(20261019)
+    pairs, rows, raised = 0, 0, set()
+    for _, g in Catalog().groups_up_to(24):
+        for s in normal_subgroups(g):
+            if s.order == g.order:
+                continue
+            built = clifford._pair(s)
+            pairs += 1
+            for pair in (built, _perturbed(built, rng), _perturbed(built, rng)):
+                monkeypatch.setattr(clifford, "_pair", lambda _s, p=pair: p)
+                for r in range(len(pair.tg)):
+                    rows += 1
+                    where = (g.name, s.order, r)
+                    got = _outcome(clifford._clifford_row, s, r)
+                    assert got == _outcome(oracle_clifford_row, pair, r), where
+                    if is_prime(s.index):
+                        got = _outcome(clifford._classify_row, s, r)
+                        # the induced-case message shows the checks' reprs
+                        assert repr(got) == repr(
+                            _outcome(oracle_classify_row, pair, r)), where
+                    if isinstance(got, str):
+                        raised.add(got.split(" [")[0].split(" {")[0])
+            monkeypatch.undo()
+    assert pairs == 117 and rows > 1000
+    # the changed entries reach every Clifford failure and the induced case
+    assert len(raised) == 6, raised
+
+
+def test_a_failing_row_fails_only_its_own_views_and_the_sweep_records(
+        monkeypatch):
+    # rows 1 and 2 of S3 over A3 get multiplicities that fail the Clifford
+    # checks; row 0 still decomposes and classifies, and the records show
+    # the details the per-row checks gave, row by row
+    cat = Catalog()
+    g = cat.group("S3")
+    a3 = next(s for s in normal_subgroups(g) if s.order == 3)
+    target = clifford._pair(a3)
+    real = clifford._NormalPair.mult.func
+
+    def patched(self):
+        m = real(self)
+        if self is target:
+            m = m.copy()
+            m[1] = [1, 1, 0]
+            m[2] = [0, 2, 1]
+        return m
+
+    monkeypatch.setattr(clifford._NormalPair, "mult", property(patched))
+    table = character_table(g)
+    e, orbit = clifford_decomposition(table[0], a3)
+    assert e == 1 and orbit == (character_table(a3.as_group())[0],)
+    assert classify_irreducible(table[0], a3).verified()
+    with pytest.raises(InternalContradiction, match="not a single conjugate orbit"):
+        clifford_decomposition(table[1], a3)
+    with pytest.raises(InternalContradiction, match=r"unequal multiplicities \[1, 2\]"):
+        clifford_decomposition(table[2], a3)
+    got = [(c.identity, c.passed, c.detail)
+           for suite in ("clifford", "gallagher", "dichotomy", "classification",
+                         "tables")
+           for c in run_suite(suite, cat, 6).checks
+           if c.inputs.startswith("G=S3, |H|=3")]
+    assert got == [
+        ("clifford: Res Ind theta = |I/H| sum of conjugates", True, ""),
+        ("clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping",
+         True, ""),
+        ("clifford: Res chi = e * orbit with e-bounds", False,
+         "constituents are not a single conjugate orbit"),
+        ("gallagher: extensions exist and exhaust Ind theta", True, ""),
+        ("dichotomy: I(theta) is G or H under prime index", True, ""),
+        ("classification: totality and exclusivity under prime index", False,
+         "restriction constituents have unequal multiplicities [1, 2]"),
+        ("tables: Frobenius reciprocity", True, "")]

@@ -157,6 +157,26 @@ def test_align_puts_coprime_conductors_over_their_lcm(den):
     assert cyclo_sum(xs) - xs[0] - xs[1] == xs[2]
 
 
+def test_a_sum_lifts_once_per_distinct_conductor(monkeypatch):
+    from charcond import cyclotomic
+    lifts = []
+    real = cyclotomic.lift
+
+    def counted(nums, e, big):
+        lifts.append(e)
+        return real(nums, e, big)
+
+    monkeypatch.setattr(cyclotomic, "lift", counted)
+    # two conductors, each with two denominators
+    xs = [Cyclotomic(3, [1, Fraction(2, 3)]), Cyclotomic(4, [1, -1]),
+          Cyclotomic(3, [Fraction(-1, 2), 5]), Cyclotomic(4, [Fraction(1, 6), 1])]
+    lifts.clear()
+    total = cyclo_sum(xs)
+    assert sorted(lifts) == [3, 4]
+    assert total == Cyclotomic(3, [Fraction(1, 2), Fraction(17, 3)]) + Cyclotomic(
+        4, [Fraction(7, 6), 0])
+
+
 def test_align_keeps_small_entries_int64_and_huge_ones_exact():
     big = 10 ** 30
     small = (3, np.array([[1, -2]]), 1)

@@ -299,15 +299,16 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
     assert fresh_sweep["builds"] == {"_NormalPair": [1] * 117}
     # per pair, one diagonal form for the norms of the restrictions when the
     # arrays are built, one gram for the multiplicities when they are first
-    # read, one diagonal form for the norms of the inductions, and one gram per side of
-    # Frobenius reciprocity; Gallagher one diagonal form for the norms of all
+    # read, one diagonal form for the norms of the inductions, and one gram
+    # for the induced side of Frobenius reciprocity, whose other side is the
+    # multiplicity gram; Gallagher one diagonal form for the norms of all
     # the products chi * psi_i of a prime-index pair; every table computed
     # or validated one `table_grams` for both orthogonality relations; the
     # degree chains decompose 4 inductions and certify 3 characters moved
     # onto the chain's group
     assert fresh_sweep["kernels"] == {
-        "gram:mult": 117, "gram_diagonal:__init__": 117,
-        "gram_diagonal:induced_norms": 117, "gram:frobenius": 2 * 117,
+        "gram:res_gram": 117, "gram_diagonal:__init__": 117,
+        "gram_diagonal:induced_norms": 117, "gram:frobenius": 117,
         "gram_diagonal:products": 62, "table_grams:_check_table": 100,
         "gram:decompose": 4, "gram_diagonal:norm": 3}
     # no round computes a full Gram of an array with itself, which only a
@@ -319,7 +320,7 @@ def test_fresh_sweep_at_cap_24_kernels_match_the_oracle_on_every_call(
         fresh_sweep):
     # every gram, gram_diagonal and table_grams result of the round, values
     # and dtype, equals the coefficient-correlation kernel of gram_oracle
-    assert sum(fresh_sweep["kernels"].values()) == 754
+    assert sum(fresh_sweep["kernels"].values()) == 637
     assert fresh_sweep["mismatches"] == []
 
 

@@ -2,7 +2,8 @@
 
 Runs the suites in the order of `verify --suite all`, at the default order
 cap, on one fresh `Catalog` per round: one warm round first, then 11 timed
-rounds.  Prints each suite's median, and its range, in milliseconds.  A
+rounds.  Prints each suite's median, and its range, in milliseconds, then a
+`round` line: the median and range of the named suites' sum per round.  A
 sibling of `table_cost.py`; run it once per measurement:
 
     python tools/suite_cost.py              # every suite
@@ -48,8 +49,8 @@ def main(argv: list[str]) -> int:
         return 2
     one_round(names)
     rounds = [one_round(names) for _ in range(ROUNDS)]
-    for name in names:
-        ms = [r[name] for r in rounds]
+    for name in names + ["round"]:
+        ms = [sum(r.values()) if name == "round" else r[name] for r in rounds]
         print(f"{name}: median {statistics.median(ms):.1f} ms "
               f"({min(ms):.1f}-{max(ms):.1f}) over {ROUNDS} rounds")
     return 0
