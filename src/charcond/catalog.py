@@ -13,10 +13,15 @@ Contexts: `quintic11` (C5 tame at 11, disc 11^4), `gauss` (C2 wild at 2,
 disc 4), `quad-m23` (C2 tame at 23, disc 23), and the bound dataset
 `martinet-constants` (disc 11^4, per-degree norm cap T = 2^15 * 23, ramified
 primes 2, 11, 23).
+
+`Catalog.resolve_group` and `resolve_context` share one resolver: the catalog
+name first, then a readable file, else one "neither a catalog group/context
+nor a readable file" error.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,8 +37,6 @@ PRODUCT_ORDER_CAP = 216
 
 
 def _cyclic(n: int) -> FiniteGroup:
-    if n == 1:
-        return build_from_table([[0]], labels=("e",), name="C1")
     return build_from_permutations(
         n, [tuple((i + 1) % n for i in range(n))], name=f"C{n}")
 
@@ -85,6 +88,23 @@ def _quaternion() -> FiniteGroup:
     return build_from_table(table, labels=labels, name="Q8")
 
 
+def _resolve(ref: str, lookup, load, what: str):
+    """`lookup(ref)` in the catalog, else `load(ref)` when ref is a file."""
+    try:
+        return lookup(ref)
+    except InvalidData:
+        pass
+    if Path(ref).is_file():
+        return load(ref)
+    raise InvalidData(f"{ref!r} is neither a catalog {what} nor a readable file")
+
+
+def _load_context(path: str) -> GaloisContext:
+    # here and in Catalog._build_context only: a `table` request needs no conductor
+    from .conductor import load_context
+    return load_context(path)
+
+
 class Catalog:
     """Name resolution for builtin groups, products, contexts, and datasets."""
 
@@ -120,10 +140,7 @@ class Catalog:
 
     def group(self, name: str) -> FiniteGroup:
         """Resolve a builtin name or an x-separated product of builtin names."""
-        key = name.strip()
-        if key in self._groups:
-            return self._groups[key]
-        norm = key.upper().replace("X", "x")
+        norm = name.strip().upper().replace("X", "x")
         if norm in self._groups:
             return self._groups[norm]
         parts = norm.split("x")
@@ -148,13 +165,7 @@ class Catalog:
 
     def resolve_group(self, ref: str) -> FiniteGroup:
         """Catalog name first, then a path to a group file."""
-        try:
-            return self.group(ref)
-        except InvalidData:
-            pass
-        if Path(ref).is_file():
-            return load_group_file(ref)
-        raise InvalidData(f"{ref!r} is neither a catalog group nor a readable file")
+        return _resolve(ref, self.group, load_group_file, "group")
 
     def groups_up_to(self, max_order: int):
         """All base catalog groups with order at most max_order, by (order, name)."""
@@ -182,7 +193,7 @@ class Catalog:
         return ctx
 
     def _build_context(self, key: str) -> GaloisContext | None:
-        # here and in resolve_context only: a `table` request needs no conductor
+        # here and in _load_context only: a `table` request needs no conductor
         from .conductor import GaloisContext, RamificationFiltration
         if key == "quintic11":
             g = self.group("C5")
@@ -203,15 +214,8 @@ class Catalog:
         return None
 
     def resolve_context(self, ref: str) -> GaloisContext:
-        try:
-            return self.context(ref)
-        except InvalidData:
-            pass
-        if Path(ref).is_file():
-            from .conductor import load_context
-            return load_context(ref)
-        raise InvalidData(
-            f"{ref!r} is neither a catalog context nor a readable file")
+        """Catalog name first, then a path to a context JSON file."""
+        return _resolve(ref, self.context, _load_context, "context")
 
     def bound_dataset_names(self) -> list[str]:
         return ["martinet-constants"]
@@ -223,9 +227,7 @@ class Catalog:
     def bound_inputs(self, name: str) -> BoundInputs:
         from .bounds import BoundInputs
         d = self.bound_dataset(name)
-        return BoundInputs(disc=d["disc"], q=d["q"],
-                           theta_degree=d["theta_degree"],
-                           norm_f_theta=d["norm_f_theta"], T=d["T"])
+        return BoundInputs(**{f.name: d[f.name] for f in fields(BoundInputs)})
 
 
 _default = None

@@ -29,12 +29,18 @@ from .errors import (InternalContradiction, InvalidData, NotAGroup,
                      NotNormal, TooLarge)
 
 # The order cap of builds and tables, from measured cost on a 2-vCPU Xeon
-# (Python 3.11, numpy 2.4): the table of S7 (order 5040, from a 3-line
-# permutation file) takes 2.3 to 2.9 s and 380 MB VmHWM in a fresh
-# interpreter, most of it to build and certify the group.  The int64 table is
-# 8 n^2 bytes, so the next symmetric-group size, 10080, would need 813 MB
-# before any other work.
+# (Python 3.11, numpy 2.4): the `table` command of S7 (order 5040, from a
+# 3-line permutation file) takes 1.5 s and 302 MB VmHWM after import, 1.2 to
+# 1.3 s of it to build and certify the group and 0.16 to 0.18 s for the
+# table.  The int64 table is 8 n^2 bytes, so the next symmetric-group size,
+# 10080, would need 813 MB before any other work.  A permutation closure
+# also stores (degree + 1) entries per element: before each layer, the
+# elements found and the layer's candidates together may hold at most
+# _CLOSURE_ENTRIES = 2^22 entries.  S7 acting on 105 copies of 7 points (735
+# points) builds in 2.6 s at 360 MB; a 60000-point cycle is refused after
+# 0.15 s at 55 MB, where the order cap alone let it take 2.5 s and 1.2 GB.
 MAX_ORDER = 5040
+_CLOSURE_ENTRIES = 1 << 22
 
 # at most this many products in one block of the table checks, closures and
 # the subgroup and normality checks, so that memory stays flat
@@ -277,7 +283,7 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 def build_from_permutations(degree: int, generators,
                             name: str | None = None) -> FiniteGroup:
     """Close a generating set of permutations on `degree` points, of at
-    most MAX_ORDER elements.
+    most MAX_ORDER elements and _CLOSURE_ENTRIES stored entries.
 
     Elements are discovered breadth-first (shortest word, then lexicographic
     word), so element 0 is always the identity and the numbering is canonical.
@@ -301,6 +307,10 @@ def build_from_permutations(degree: int, generators,
     born, seen = [0], 0
     while len(frontier):
         # (p * g)(x) = p(g(x)) for p in the frontier, then g, in order
+        rows = len(index) + len(frontier) * len(gens)
+        if rows * (degree + 1) > _CLOSURE_ENTRIES:
+            raise TooLarge(f"closure on {degree} points exceeded the cap of "
+                           f"{_CLOSURE_ENTRIES} stored entries")
         cands = frontier[:, gen_rows].reshape(-1, degree + 1)
         fresh = []
         for pos, code in enumerate(row_keys(cands)):

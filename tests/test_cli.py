@@ -134,6 +134,17 @@ def test_classify_bad_spec_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("gens:x", "bad generator list in 'gens:x'"),
+    ("elements:0,y", "bad element list in 'elements:0,y'"),
+    ("cosets:1",
+     "bad subgroup spec 'cosets:1'; use 'derived', 'gens:...', or 'elements:...'"),
+])
+def test_classify_bad_spec_message(capsys, spec, message):
+    assert run(capsys, "classify", "--group", "C4", "--subgroup", spec) == (
+        2, "", f"error: {message}\n")
+
+
 def test_conduct_quintic(capsys):
     code, out, _ = run(capsys, "conduct", "--context", "quintic11", "--all")
     assert code == 0
@@ -148,6 +159,32 @@ def test_conduct_single_character(capsys):
     assert "{2: 2}" in out and "norm 4" in out
     code, _, err = run(capsys, "conduct", "--context", "gauss", "--char", "9")
     assert code == 2
+
+
+def test_conduct_char_is_its_row_of_all(capsys):
+    from charcond.catalog import default_catalog
+    for ctx in default_catalog().context_names():
+        _, out, _ = run(capsys, "conduct", "--context", ctx, "--all",
+                        "--format", "json")
+        every = json.loads(out)["characters"]
+        for i, entry in enumerate(every):
+            code, out, _ = run(capsys, "conduct", "--context", ctx,
+                               "--char", str(i), "--format", "json")
+            assert code == 0
+            assert json.loads(out)["characters"] == [entry]
+
+
+def test_conduct_char_reads_only_its_own_row(capsys, tmp_path):
+    # wild at 2 over C4 with G_1 = C2: rows 2 and 3 have exponent 3/2
+    ctx = tmp_path / "c4.json"
+    ctx.write_text(json.dumps({
+        "group": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+        "primes": [{"p": 2, "filtration": [[0, 1, 2, 3], [0, 2]]}]}))
+    code, out, _ = run(capsys, "conduct", "--context", str(ctx), "--char", "1")
+    assert code == 0 and "exponents {2: 1}, norm 2," in out
+    code, out, err = run(capsys, "conduct", "--context", str(ctx), "--char", "2")
+    assert (code, out) == (2, "")
+    assert "conductor exponent at 2 is 3/2" in err
 
 
 def test_conduct_quad23(capsys):
@@ -216,6 +253,41 @@ def test_bound_json(capsys):
     assert data["C"] == 11034394624
     assert data["C_factorization"] == {"2": 15, "11": 4, "23": 1}
     assert data["ramified_primes"] == [2, 11, 23]
+
+
+@pytest.mark.parametrize("precision", ["1", "12", "200"])
+def test_bound_text_lines_carry_the_json_values(capsys, precision):
+    # the text report renders the JSON payload: each radical line ends with
+    # its exact string and its decimal string, and the C line shows C
+    for request in sorted({key.replace(" --format json", "") for key in _DIGESTS
+                           if key.startswith("bound ")}):
+        argv = [*request.split(), "--precision", precision]
+        _, text, _ = run(capsys, *argv)
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        data = json.loads(out)
+        lines = text.splitlines()
+        for line, key in zip(lines[1:4], ("restricted_certified",
+                                          "restricted_stated", "induced")):
+            assert line.endswith(f": {data[key]} = {data[key + '_decimal']}")
+        if "C" in data:
+            assert f"global constant C = disc * T = {data['C']}" in lines[4]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_bound_request_renders_each_radical_once(capsys, monkeypatch, fmt):
+    from charcond.bounds import RadicalValue
+    calls = []
+    decimal = RadicalValue.decimal
+
+    def counted(self, digits=12):
+        calls.append(digits)
+        return decimal(self, digits)
+
+    monkeypatch.setattr(RadicalValue, "decimal", counted)
+    code, _, _ = run(capsys, "bound", "--dataset", "martinet-constants",
+                     "--precision", "30", "--format", fmt)
+    assert code == 0
+    assert calls == [30, 30, 30]
 
 
 def test_verify_small_suite(capsys):
@@ -360,13 +432,28 @@ def _timed_table(path):
     return run, json.loads(run.stderr.strip().splitlines()[-1])
 
 
+def _perm_file(path, degree, gens):
+    path.write_text(f"perm {degree}\n" + "".join(
+        "gen " + " ".join(map(str, g)) + "\n" for g in gens))
+    return path
+
+
 def test_over_cap_requests_exit_2_fast_and_small(tmp_path):
-    s8 = tmp_path / "s8.grp"
-    s8.write_text("perm 8\ngen 1 0 2 3 4 5 6 7\ngen 1 2 3 4 5 6 7 0\n")
+    s8 = _perm_file(tmp_path / "s8.grp", 8, [(1, 0, 2, 3, 4, 5, 6, 7),
+                                             (1, 2, 3, 4, 5, 6, 7, 0)])
     huge = tmp_path / "huge.grp"
     huge.write_text("table 100000\n" + "0 1 2 3 4 5 6 7 8 9\n" * 20000)
+    # wide inputs: one 60000-cycle, and S8 acting on 7500 disjoint copies
+    # of 8 points, whose generators have orders 2 and 8
+    cycle = _perm_file(tmp_path / "cycle.grp", 60000,
+                       [[(i + 1) % 60000 for i in range(60000)]])
+    wide_s8 = _perm_file(tmp_path / "wide_s8.grp", 60000, [
+        [i ^ 1 if i % 8 < 2 else i for i in range(60000)],
+        [i - i % 8 + (i + 1) % 8 for i in range(60000)]])
+    wide = "closure on 60000 points exceeded the cap of 4194304 stored entries"
     for path, reason in ((s8, "closure exceeded the cap of 5040"),
-                         (huge, "table order 100000 exceeds the cap of 5040")):
+                         (huge, "table order 100000 exceeds the cap of 5040"),
+                         (cycle, wide), (wide_s8, wide)):
         run, got = _timed_table(path)
         assert got["code"] == 2 and reason in run.stderr
         assert got["s"] < 1.0 and got["peak_mb"] < 100, got
@@ -386,7 +473,8 @@ def test_large_exponent_table_exits_2_fast(tmp_path):
 
 @pytest.mark.slow
 def test_s7_from_three_lines_answers_within_the_measured_budget(tmp_path):
-    # measured 2.3 to 2.9 s and 380 MB VmHWM on a 2-vCPU Xeon
+    # measured 1.5 s and 302 MB VmHWM after import on a 2-vCPU Xeon: a
+    # 1.2 to 1.3 s build and a 0.16 to 0.18 s table
     s7 = tmp_path / "s7.grp"
     s7.write_text("perm 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n")
     run, got = _timed_table(s7)

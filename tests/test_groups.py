@@ -106,6 +106,21 @@ def test_closure_cap(monkeypatch):
         build_from_permutations(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
 
 
+def test_closure_entry_cap(monkeypatch):
+    # elements x (degree + 1) entries are capped before each layer is stored
+    monkeypatch.setattr(groups, "_CLOSURE_ENTRIES", 100)
+    with pytest.raises(TooLarge, match="closure on 20 points exceeded the cap "
+                                       "of 100 stored entries"):
+        build_from_permutations(20, [tuple((i + 1) % 20 for i in range(20))])
+
+
+def test_a_wide_group_of_small_order_builds():
+    # C2 as 30000 transpositions on 60000 points: 2 elements of 60001 entries
+    g = build_from_permutations(60000, [tuple(i ^ 1 for i in range(60000))])
+    assert g.order == 2 and g.mul.tolist() == [[0, 1], [1, 0]]
+    assert g.labels[1].startswith("(0 1)(2 3)")
+
+
 def test_bad_generator_rejected():
     with pytest.raises(NotAGroup):
         build_from_permutations(3, [(0, 0, 1)])
