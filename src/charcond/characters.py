@@ -41,25 +41,22 @@ object, on first use.
 The F_p stage works on int64 residues, behind one guard that raises TooLarge
 unless every sum, at most max(k, e) products below p^2, stays below 2^62.
 Class matrices are built one at a time, in one pass over the classes: each is
-checked for class-constancy, used for splitting while some common eigenspace
-is not a line, and dropped.  A common eigenspace is kept as a basis with an
-identity block on a tracked set of columns, so a class matrix acts on it by
-the d x d matrix of its images at those columns; the identity class, and any
-class matrix acting on a space as a scalar, are skipped.  A split reduces
-the Krylov rows e_0, e_0 A, e_0 A^2, ... once; the first dependency is the
-minimal polynomial mu of A on e_0 (Wiedemann 1986), and its roots, found by
-Horner's rule at all of F_p at once, are eigenvalues.  When mu has degree d
-and d roots, the eigenspaces are the lines e_0 (mu / (x - lam))(A), read off
-mu by one synthetic division and checked exactly.  Otherwise one batched
-Gauss-Jordan elimination of (A - lam)^T per chunk of lam, at the roots first
-and then at the rest of F_p only while the kernels do not fill the space,
-finds the eigenspaces, and every kernel is read off those reduced forms.  The
-lift writes the root-of-unity multiplicities of every value, one DFT matmul
-over F_p per element order, into one (k, k, e) coefficient array; one
-product with the power table gives the table's numerators, which one integer
-key array puts in canonical row order, one `_check_table` checks and the
-table cache keeps as they are; no `Cyclotomic` is built until a table is
-rendered.
+checked for class-constancy, used for splitting while there are fewer than k
+rows, and dropped.  A row stands for one common eigenspace of the class
+matrices used so far: it is the projection of e_0 onto that space, up to a
+nonzero scalar, so the splitting starts from the lone row e_0.  A class matrix
+A keeps the rows it maps to multiples of themselves, found by one product
+with all rows.  Any other row v reduces its Krylov rows v, vA, vA^2, ... up
+to the first dependency, which is the minimal polynomial mu of A on v
+(Wiedemann 1986); its roots, found by Horner's rule at all of F_p at once,
+must number deg mu, and v splits into the pieces v (mu / (x - lam))(A), read
+off mu by one synthetic division and checked exactly.  With k rows, each is
+a multiple of one central character.  The lift writes the root-of-unity
+multiplicities of every value, one DFT matmul over F_p per element order,
+into one (k, k, e) coefficient array; one product with the power table gives
+the table's numerators, which one integer key array puts in canonical row
+order, one `_check_table` checks and the table cache keeps as they are; no
+`Cyclotomic` is built until a table is rendered.
 """
 
 from __future__ import annotations
@@ -88,24 +85,18 @@ __all__ = [
 
 
 # Dixon's method keeps one k x k class matrix at a time, and its splits cost
-# up to k^3: with k = 256 (C4^4) a table takes 0.6-0.7 s and 45 MB VmHWM on
+# up to k^3: with k = 256 (C4^4) a table takes 0.26-0.28 s and 44 MB VmHWM on
 # one CPU of a 2-vCPU Xeon, and k = 216 (C6xC6xC6, the largest catalog
-# product) 0.7-0.8 s and 42 MB, by tools/table_cost.py
+# product) 0.19 s and 41 MB, by tools/table_cost.py
 MAX_TABLE_CLASSES = 256
 
 # validating k classes at exponent e modulo P costs about k^3 phi(e), which
 # the class cap does not bound; this cap on it admits C128 from one generator
-# (k^3 phi(e) = 2^27), whose table takes 2.0-2.7 s and 106 MB VmHWM, and the
-# costliest cyclic tables it admits are C160, 3.5-3.6 s and 156 MB, and
-# C127, 2.6-2.8 s and 174 MB, on one CPU of a 2-vCPU Xeon by
+# (k^3 phi(e) = 2^27), whose table takes 1.75-1.85 s and 106 MB VmHWM, and the
+# costliest cyclic tables it admits are C160, 2.3-3.1 s and 156 MB, and
+# C127, 1.65-1.87 s and 174 MB, on one CPU of a 2-vCPU Xeon by
 # tools/table_cost.py; C131 (2.9e8) is the smallest cyclic group it refuses
 MAX_TABLE_WORK = 1 << 28
-
-# a chunk of the eigenvalue search stacks as many d x d matrices as fit in this
-# many entries, and at least one, and a split's Krylov block is d + 1 rows of d
-# when they fit, else d: a stack holds at most max(_LAMBDA_CHUNK, d^2) entries,
-# d^2 = 46,656 for the first split of C6xC6xC6
-_LAMBDA_CHUNK = 1 << 15
 
 # the class-constancy count gathers the products of as many elements of a
 # class as fit in this many entries, and at least one: a block holds at most
@@ -354,121 +345,98 @@ def _dixon_prime(exponent: int, order: int) -> int:
         p += exponent if exponent > 1 else 1
 
 
-def _row_reduce(stack: np.ndarray, p: int,
+def _row_reduce(a: np.ndarray, p: int,
                 inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon forms over F_p of every matrix in an (L, r, c)
-    stack at once, and the (L, c) mask of their pivot columns.
+    """The reduced row echelon form over F_p of the matrix a, and the mask of
+    its pivot columns.
 
-    Column by column, each member with a nonzero entry at or below its rank
-    swaps the first such row up to its rank, scales it to 1 by `inv`, the
-    table of inverses mod p, and clears the column in every other row; the
-    row at its rank is then overwritten by the scaled row.  Rows from the
-    rank down are zero left of the column, so only the columns from it on
-    change, and once they are zero from the column on too, as past the first
-    dependent column of a Krylov block, no pivot is left and the loop stops.
+    Column by column, the first row at or below the rank with a nonzero entry
+    is scaled to 1 by `inv`, the table of inverses mod p, clears the column
+    in every other row and takes the row at the rank, whose old entries move
+    to where it was.  Rows from the rank down are zero left of the column, so
+    only the columns from it on change, and once they are zero from the
+    column on too, as past the first dependent column of a Krylov block, no
+    pivot is left and the loop stops.
     """
-    a = stack % p
-    n, rows, cols = a.shape
-    rank = np.zeros(n, dtype=np.int64)
-    pivots = np.zeros((n, cols), dtype=bool)
-    below = np.arange(rows)
-    for c in range(cols):
-        low = below >= rank[:, None]
-        cand = (a[:, :, c] != 0) & low
-        has = cand.any(axis=1).nonzero()[0]
-        if not len(has):
-            if not a[:, :, c:][low].any():
+    a = a % p
+    pivots = np.zeros(a.shape[1], dtype=bool)
+    rank = 0
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, c])
+        if not len(nonzero):
+            if not a[rank:, c:].any():
                 break
             continue
-        r, piv = rank[has], cand[has].argmax(axis=1)
-        top = a[has, piv, c:]
-        a[has, piv, c:] = a[has, r, c:]
-        top = top * inv[top[:, 0]][:, None] % p
-        a[has, :, c:] = (a[has, :, c:] - a[has, :, c, None] * top[:, None]) % p
-        a[has, r, c:] = top
-        pivots[has, c] = True
-        rank[has] += 1
+        piv = rank + nonzero[0]
+        top = a[piv, c:] * inv[a[piv, c]] % p
+        a[piv, c:] = a[rank, c:]
+        a[:, c:] = (a[:, c:] - a[:, c, None] * top) % p
+        a[rank, c:] = top
+        pivots[c] = True
+        rank += 1
     return a, pivots
 
 
-def _split(mat: np.ndarray, space: tuple[np.ndarray, np.ndarray], p: int,
-           inv: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split an invariant space into the eigenspaces of `mat` over F_p, in
-    order of eigenvalue.
+def _split(mat: np.ndarray, vecs: np.ndarray, p: int,
+           inv: np.ndarray) -> np.ndarray:
+    """Split each row of vecs into its pieces in the eigenspaces of A, the
+    action v -> v mat^T of a class matrix over F_p: the rows of the result,
+    each row's pieces in order of eigenvalue.
 
-    A space is (basis, cols), rows with basis[:, cols] the identity, so a
-    vector of the space has its coordinates at cols and `mat` acts on the
-    space by the d x d matrix A of those coordinates of its images; that it
-    maps the space into itself is checked exactly.  A scalar A leaves the
-    space whole.  Otherwise one `_row_reduce` of the Krylov rows v, vA, vA^2,
-    ... of v = e_0 gives mu, the minimal polynomial of A on v, and Horner's
-    rule at every x in F_p gives its roots, which are eigenvalues.  If mu has
-    degree d and d roots, each eigenspace is the line spanned by
-    v (mu / (x - lam))(A), and the lines are checked exactly.  Otherwise one
-    batched `_row_reduce` of (A - lam)^T per chunk of lam, the roots first,
-    then the rest of F_p while the kernels do not fill the space, finds the
-    eigenspaces, each kernel read off the reduced forms with an identity
-    block on its free columns.
+    Each row stands for one common eigenspace of the class matrices used so
+    far: it is the projection of e_0 onto that space, up to a nonzero
+    scalar.  Over F_p, e_0 = sum_chi (chi(1)^2 / |G|) omega_chi with no
+    coefficient 0 mod p, so the minimal polynomial mu of A on a row v has
+    every eigenvalue of A on v's space as a root (Wiedemann 1986), and each
+    piece v (mu / (x - lam))(A) is again such a projection.  One product of
+    all rows with mat^T keeps as they are the rows that A maps to a multiple
+    of themselves.  Every other row reduces its Krylov block v, vA, vA^2, ...
+    by `_row_reduce` until a dependency appears: k + 1 rows for e_0 alone,
+    whose space is all of F_p^k, else 2 rows, doubled up to k + 1.  The
+    first dependency gives mu, Horner's rule at all of F_p at once its roots,
+    which must number deg mu, and one synthetic division the pieces, each
+    checked to be nonzero with u A = lam u.
     """
-    basis, cols = space
-    d = len(basis)
-    img = basis @ mat.T % p
-    act = img[:, cols]
-    if not np.array_equal(act @ basis % p, img):
-        raise InternalContradiction("a class matrix leaves an eigenspace")
-    if np.array_equal(act, np.eye(d, dtype=act.dtype) * act[0, 0]):
-        return [space]
-    kry = np.zeros((d + 1 if d * (d + 1) <= _LAMBDA_CHUNK else d, d),
-                   dtype=act.dtype)
-    kry[0, 0] = 1
-    for j in range(1, len(kry)):
-        kry[j] = kry[j - 1] @ act % p
-    red, pivots = _row_reduce(kry.T[None], p, inv)
-    deg = int(pivots.sum())
-    roots = np.zeros(0, dtype=np.int64)
-    if deg < len(kry):
+    k = len(mat)
+    img = vecs @ mat.T % p
+    at = np.arange(len(vecs)), (vecs != 0).argmax(axis=1)
+    lam = img[at] * inv[vecs[at]] % p
+    fixed = (img == lam[:, None] * vecs % p).all(axis=1)
+    out = []
+    for v, w, keep in zip(vecs, img, fixed):
+        if keep:
+            out.append(v[None])
+            continue
+        kry = [v, w]
+        size = k + 1 if len(vecs) == 1 else 2
+        while True:
+            while len(kry) < size:
+                kry.append(kry[-1] @ mat.T % p)
+            red, pivots = _row_reduce(np.array(kry).T, p, inv)
+            deg = int(pivots.sum())
+            if deg < size:
+                break
+            size = min(2 * size, k + 1)
         # mu = x^deg + sum_i mu[i] x^i, from the first dependent Krylov row
-        mu = -red[0, :deg, deg] % p
+        mu = -red[:deg, deg] % p
         val, xs = np.ones(p, dtype=np.int64), np.arange(p)
         for c in mu[::-1]:
             val = (val * xs + c) % p
         roots = np.flatnonzero(val == 0)
-    if deg == len(roots) == d:
+        if len(roots) != deg:
+            raise InternalContradiction("class algebra failed to split over F_p")
         # row r of quo holds mu / (x - roots[r]), one synthetic division
-        quo = np.ones((d, d), dtype=np.int64)
-        for i in range(d - 1, 0, -1):
+        quo = np.ones((deg, deg), dtype=np.int64)
+        for i in range(deg - 1, 0, -1):
             quo[:, i - 1] = (mu[i] + roots * quo[:, i]) % p
-        vecs = quo @ kry[:d] % p
-        if (not vecs.any(axis=1).all()
-                or np.any(vecs @ act % p != roots[:, None] * vecs % p)):
-            raise InternalContradiction("a Krylov line is not an eigenspace")
-        # scaled to 1 at its last nonzero coordinate, as a kernel is
-        free = d - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
-        vecs = vecs * inv[vecs[np.arange(d), free]][:, None] % p
-        lines = vecs @ basis % p
-        return [(lines[[r]], cols[[f]]) for r, f in enumerate(free)]
-    out = []
-    found = 0
-    diag = np.arange(d)
-    step = max(1, _LAMBDA_CHUNK // (d * d))
-    rest = np.ones(p, dtype=bool)
-    rest[roots] = False
-    chunks = [part[lo:lo + step] for part in (roots, np.flatnonzero(rest))
-              for lo in range(0, len(part), step)]
-    for lams in chunks:
-        stack = np.repeat(act.T[None], len(lams), axis=0)
-        stack[:, diag, diag] -= lams[:, None]
-        red, pivots = _row_reduce(stack, p, inv)
-        for i in np.flatnonzero(~pivots.all(axis=1)):
-            free = np.flatnonzero(~pivots[i])
-            ker = np.zeros((len(free), d), dtype=act.dtype)
-            ker[range(len(free)), free] = 1
-            ker[:, pivots[i]] = (-red[i, :d - len(free)][:, free]).T % p
-            out.append((lams[i], (ker @ basis % p, cols[free])))
-            found += len(free)
-        if found == d:
-            return [piece for _, piece in sorted(out, key=lambda t: t[0])]
-    raise InternalContradiction("class algebra failed to split over F_p")
+        kry = np.array(kry[:deg + 1])
+        # row j + 1 of kry is row j times mat^T, so quo @ kry[1:] is pieces A
+        pieces = quo @ kry[:deg] % p
+        if (not pieces.any(axis=1).all()
+                or np.any(quo @ kry[1:] % p != roots[:, None] * pieces % p)):
+            raise InternalContradiction("a Krylov piece is not an eigenvector")
+        out.append(pieces)
+    return np.concatenate(out)
 
 
 class CharacterTable:
@@ -645,10 +613,10 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
 
     # one class matrix at a time: mat[j, l] = #{(x, y) in C_i x C_j : x y = z}
     # for any z in C_l, from counts of (class of y, class of x y) over x in
-    # C_i, y in G, in blocks of rows x; every count is checked, and while some
-    # common eigenspace is not a line the matrix splits them (class 0, the
-    # identity, splits nothing)
-    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
+    # C_i, y in G, in blocks of rows x; every count is checked, and while
+    # there are fewer than k rows, one per common eigenspace from the lone row
+    # e_0 on, the matrix splits them (class 0, the identity, splits nothing)
+    vecs = np.eye(1, k, dtype=np.int64)
     step = max(1, _COUNT_CHUNK // n)
     for i, cls in enumerate(part.classes):
         cls = np.array(cls, dtype=np.int64)
@@ -656,16 +624,12 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
                   for at in range(0, len(cls), step))
         if np.any(cnt % sizes):
             raise InternalContradiction("structure constants not class-constant")
-        if i and len(spaces) < k:
-            mat = cnt // sizes % p
-            spaces = [piece for space in spaces for piece in
-                      (_split(mat, space, p, inv) if len(space[0]) > 1
-                       else [space])]
-    if len(spaces) < k:
+        if i and len(vecs) < k:
+            vecs = _split(cnt // sizes % p, vecs, p, inv)
+    if len(vecs) != k:
         raise InternalContradiction("simultaneous diagonalization incomplete")
 
     # scale each eigenvector to 1 at the identity class, recover the degrees
-    vecs = np.concatenate([basis for basis, _ in spaces])
     if np.any(vecs[:, 0] == 0):
         raise InternalContradiction("central character vanishes at identity")
     vecs = vecs * inv[vecs[:, 0]][:, None] % p

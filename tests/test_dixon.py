@@ -1,10 +1,10 @@
-"""Dixon's method over F_p: batched row reduction, eigenspace splits and lift.
+"""Dixon's method over F_p: row reduction, eigenspace splits and lift.
 
 The oracles are pure-Python routines: an RREF null-space solver and an
-eigenspace split that tries every lambda in F_p with one kernel solve each,
-on the full space rather than on the restricted action.  Character tables
-are also recomputed over a second prime; the exact rows must not depend on
-the prime.
+eigenspace split that tries every lambda in F_p with one kernel solve each
+on the full space, then writes a row in the eigenvectors found.  Character
+tables are also recomputed over a second prime; the exact rows must not
+depend on the prime.
 """
 
 import re
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charcond import characters
 from charcond.arith import is_prime
@@ -62,49 +62,49 @@ def oracle_mod_kernel(rows, ncols, p):
     return basis
 
 
-def oracle_split_space(mat, basis, p):
-    """Eigenspaces of `mat` in the span of `basis`, one kernel per lambda."""
+def oracle_split_space(mat, row, p):
+    """The projections of `row` onto the eigenspaces of v -> v mat^T that it
+    meets, in order of eigenvalue: one kernel of mat - lam per lambda, then
+    one solve for the row's coordinates in the eigenvectors found."""
     k = len(mat)
-    d = len(basis)
-    img = [[sum(mat[r][c] * vec[c] for c in range(k)) % p for r in range(k)]
-           for vec in basis]
-    out = []
-    found = 0
-    for lam in range(p):
-        rows = [[(img[j][r] - lam * basis[j][r]) % p for j in range(d)]
-                for r in range(k)]
-        ker = oracle_mod_kernel(rows, d, p)
-        if ker:
-            out.append([[sum(coeffs[j] * basis[j][r] for j in range(d)) % p
-                         for r in range(k)] for coeffs in ker])
-            found += len(ker)
-            if found == d:
-                break
-    if found != d:
+    found = [(lam, vec) for lam in range(p) for vec in oracle_mod_kernel(
+        [[(mat[r][c] - lam * (r == c)) % p for c in range(k)] for r in range(k)],
+        k, p)]
+    if len(found) != k:
         raise InternalContradiction("class algebra failed to split over F_p")
+    # row = sum_i coords[i] found[i]: the kernel of [found^T | -row^T]
+    coords = oracle_mod_kernel(
+        [[vec[r] for _, vec in found] + [-row[r] % p] for r in range(k)],
+        k + 1, p)[0]
+    out = []
+    for lam in sorted({lam for lam, _ in found}):
+        proj = [sum(c * vec[r] for c, (mu, vec) in zip(coords, found) if mu == lam)
+                % p for r in range(k)]
+        if any(proj):
+            out.append(proj)
     return out
 
 
 def rank(vectors, ncols, p):
-    return ncols - len(oracle_mod_kernel([list(v) for v in vectors], ncols, p))
+    return ncols - len(oracle_mod_kernel(np.asarray(vectors).tolist(), ncols, p))
 
 
 _primes = st.sampled_from([2, 3, 5, 7, 13])
 
 
 @st.composite
-def stacks(draw):
+def matrices(draw):
     p = draw(_primes)
-    n, k, d = (draw(st.integers(1, 6)) for _ in range(3))
-    entries = draw(st.lists(st.integers(0, p - 1), min_size=n * k * d,
-                            max_size=n * k * d))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                            max_size=rows * cols))
     # low rank is the interesting case: repeat rows and zero columns
-    stack = np.array(entries, dtype=np.int64).reshape(n, k, d)
+    a = np.array(entries, dtype=np.int64).reshape(rows, cols)
     if draw(st.booleans()):
-        stack[:, -1] = stack[:, 0] * draw(st.integers(0, p - 1)) % p
+        a[-1] = a[0] * draw(st.integers(0, p - 1)) % p
     if draw(st.booleans()):
-        stack[:, :, draw(st.integers(0, d - 1))] = 0
-    return stack, p
+        a[:, draw(st.integers(0, cols - 1))] = 0
+    return a, p
 
 
 def _inverses(p):
@@ -112,18 +112,17 @@ def _inverses(p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(stacks())
+@given(matrices())
 def test_nullities_and_null_spaces_match_the_oracle(case):
-    # the null space of each member is read off its reduced form, so equal
-    # reduced forms and pivots give the oracle's nullity and kernel basis
-    stack, p = case
-    d = stack.shape[2]
-    red, pivots = characters._row_reduce(stack, p, _inverses(p))
-    for member, got, mask in zip(stack, red, pivots):
-        want, cols = oracle_rref(member.tolist(), d, p)
-        assert np.flatnonzero(mask).tolist() == cols
-        assert d - mask.sum() == len(oracle_mod_kernel(member.tolist(), d, p))
-        assert got.tolist() == want
+    # a null space is read off the reduced form, so an equal reduced form
+    # and pivots give the oracle's nullity and kernel basis
+    a, p = case
+    cols = a.shape[1]
+    got, mask = characters._row_reduce(a, p, _inverses(p))
+    want, pivots = oracle_rref(a.tolist(), cols, p)
+    assert np.flatnonzero(mask).tolist() == pivots
+    assert cols - mask.sum() == len(oracle_mod_kernel(a.tolist(), cols, p))
+    assert got.tolist() == want
 
 
 def _inverse(m, p):
@@ -137,242 +136,196 @@ def _inverse(m, p):
 
 @st.composite
 def eigen_problems(draw):
-    """A diagonalizable matrix mod p and an invariant subspace, or noise."""
+    """A diagonalizable matrix P D P^-1 mod p and nonzero rows to split, each
+    a combination of a few of the eigenvectors, the columns of P."""
     p = draw(_primes)
     k = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     pm = rng.integers(0, p, (k, k))
     while rank(pm.T.tolist(), k, p) < k:
         pm = rng.integers(0, p, (k, k))
-    lams = rng.integers(0, p, k)
-    if draw(st.booleans()):
-        mat = pm @ np.diag(lams) @ _inverse(pm, p) % p
-    else:
-        mat = rng.integers(0, p, (k, k))
-    chosen = rng.permutation(k)[:draw(st.integers(1, k))]
-    basis = pm[:, chosen].T
-    mix = rng.integers(0, p, (len(chosen), len(chosen)))
-    if rank((mix @ basis % p).tolist(), k, p) == len(chosen):
-        basis = mix @ basis % p
-    return mat.astype(np.int64), basis.astype(np.int64), p
-
-
-def _space(basis, p):
-    """A basis in the form `_split` takes: reduced rows, identity on cols."""
-    m, cols = oracle_rref(basis.tolist(), basis.shape[1], p)
-    return np.array(m[:len(cols)], dtype=np.int64), np.array(cols)
-
-
-@settings(max_examples=200, deadline=None)
-@given(eigen_problems())
-def test_eigenspace_split_matches_the_oracle(problem):
-    mat, basis, p = problem
-    k = mat.shape[0]
-    space = _space(basis, p)
-    image = (basis @ mat.T % p).tolist()
-    if rank(basis.tolist() + image, k, p) > len(basis):
-        with pytest.raises(InternalContradiction, match="leaves"):
-            characters._split(mat, space, p, _inverses(p))
-        return
-    try:
-        want = oracle_split_space(mat.tolist(), basis.tolist(), p)
-    except InternalContradiction:
-        with pytest.raises(InternalContradiction, match="failed to split"):
-            characters._split(mat, space, p, _inverses(p))
-        return
-    got = characters._split(mat, space, p, _inverses(p))
-    assert len(got) == len(want)
-    for (piece, cols), ref in zip(got, want):
-        assert len(piece) == len(ref)
-        assert piece[:, cols].tolist() == np.eye(len(cols), dtype=int).tolist()
-        both = piece.tolist() + ref
-        assert rank(piece.tolist(), k, p) == rank(ref, k, p) == rank(both, k, p)
-
-
-def _counted_splits(monkeypatch, chunk=None):
-    """Patch `_split` and `_row_reduce` to record, per split, the dimension
-    d, the prime, the action A on the space, whether the class matrix is the
-    identity, the sizes of the stacks reduced, each stack with its reduced
-    forms and pivots, and the eigenspaces found."""
-    splits, outside = [], []
-    reduce, split = characters._row_reduce, characters._split
-
-    def counted_reduce(stack, p, inv):
-        red, pivots = reduce(stack, p, inv)
-        if splits:
-            splits[-1]["stacks"].append(stack.size)
-            splits[-1]["reduced"].append((stack.copy(), red, pivots))
-        else:
-            outside.append(stack.size)
-        return red, pivots
-
-    def counted_split(mat, space, p, inv):
-        basis, cols = space
-        splits.append({"d": len(basis), "p": p, "stacks": [], "reduced": [],
-                       "act": (basis @ mat.T % p)[:, cols],
-                       "identity": np.array_equal(mat, np.eye(len(mat)))})
-        out = split(mat, space, p, inv)
-        splits[-1]["pieces"] = len(out)
-        return out
-
-    monkeypatch.setattr(characters, "_row_reduce", counted_reduce)
-    monkeypatch.setattr(characters, "_split", counted_split)
-    if chunk is not None:
-        monkeypatch.setattr(characters, "_LAMBDA_CHUNK", chunk)
-    return splits, outside
-
-
-def _route(split):
-    """The route one non-scalar split took, checked against its reductions.
-
-    The first reduction is of the Krylov rows v A^j of v = e_0: d + 1 of them
-    when that many fit the chunk, else d.  Its first dependency gives mu,
-    whose roots are found here one lambda at a time in pure Python.  If mu
-    has degree d and d roots the split reduces nothing more ("lines").
-    Otherwise each later stack holds (A - lam)^T for a chunk of lambda: the
-    roots first, then the other lambda in increasing order, and it stops as
-    soon as the kernels fill the space ("roots" or "scan"), or after the
-    last lambda ("fails").
-    """
-    d, p, act = split["d"], split["p"], split["act"]
-    chunk = characters._LAMBDA_CHUNK
-    (kry, red, pivots), *elims = split["reduced"]
-    rows = d + 1 if d * (d + 1) <= chunk else d
-    want = np.zeros((rows, d), dtype=np.int64)
-    want[0, 0] = 1
-    for j in range(1, rows):
-        want[j] = want[j - 1] @ act % p
-    assert kry.shape == (1, d, rows) and np.array_equal(kry[0].T, want)
-    deg = int(pivots.sum())
-    roots = []
-    if deg < rows:
-        mu = red[0, :deg, deg].tolist()
-        roots = [x for x in range(p) if (pow(x, deg, p) - sum(
-            c * pow(x, i, p) for i, c in enumerate(mu))) % p == 0]
-    if deg == len(roots) == d:
-        assert elims == []
-        return "lines"
-    step = max(1, chunk // (d * d))
-    others = [x for x in range(p) if x not in roots]
-    chunks = [lams[at:at + step] for lams in (roots, others)
-              for at in range(0, len(lams), step)]
-    got = [[(act[0, 0] - m[0, 0]) % p for m in stack] for stack, _, _ in elims]
-    assert all(np.array_equal((act.T - m) % p, lam * np.eye(d, dtype=int))
-               for (stack, _, _), lams in zip(elims, got)
-               for m, lam in zip(stack, lams))
-    assert got == chunks[:len(got)]
-    found = np.cumsum([(~piv).sum() for _, _, piv in elims])
-    # no reduction once the kernels fill the space
-    assert all(f < d for f in found[:-1])
-    if found[-1] < d:
-        assert got == chunks
-        return "fails"
-    return "roots" if len(got) <= -(-len(roots) // step) else "scan"
-
-
-def test_one_batched_elimination_per_non_scalar_split(monkeypatch):
-    # every non-scalar split makes one Krylov reduction, then no other when
-    # its minimal polynomial on e_0 has d roots, else one batched elimination
-    # per chunk of lambda, roots before the scan; `_route` checks the order
-    g = Catalog().group("Q8xS3xC4")
-    splits, outside = _counted_splits(monkeypatch)
-    assert len(characters._dixon_rows(g)) == 60
-    # no elimination outside a split, none where a class matrix acts on the
-    # space as a scalar, and the identity class matrix splits nothing
-    assert outside == []
-    assert all((s["pieces"] == 1) == (s["stacks"] == []) for s in splits)
-    assert not any(s["identity"] for s in splits)
-    real = [s for s in splits if s["stacks"]]
-    routes = [_route(s) for s in real]
-    assert "lines" in routes and "roots" in routes and "fails" not in routes
-    assert all(s["pieces"] == s["d"] and len(s["stacks"]) == 1
-               for s, route in zip(real, routes) if route == "lines")
-    assert sum(len(s["stacks"]) for s in real) < sum(s["pieces"] for s in real)
-    # 209,864 entries when every split scanned F_p
-    assert sum(sum(s["stacks"]) for s in real) < 209_864
+    mat = pm @ np.diag(rng.integers(0, p, k)) @ _inverse(pm, p) % p
+    coords = rng.integers(0, p, (draw(st.integers(1, 3)), k))
+    coords[rng.random(coords.shape) < draw(st.floats(0, 0.8))] = 0
+    coords[~coords.any(axis=1), 0] = 1
+    return mat.astype(np.int64), coords @ pm.T % p, p
 
 
 def _fixed_split(act, p, k=None, cols=None):
-    """(mat, basis, p) for a split on which a class matrix acts by `act`:
-    on all of F_p^d, or on the coordinates `cols` of F_p^k."""
+    """(mat, row, p) for a split of the row e_cols[0] by a class matrix
+    acting by `act` on the rows of F_p^d, or on coordinates `cols` of F_p^k."""
     act = np.array(act, dtype=np.int64)
     d = len(act)
     k = k or d
     cols = list(range(d)) if cols is None else cols
-    basis = np.eye(k, dtype=np.int64)[cols]
     mat = np.eye(k, dtype=np.int64)
     mat[np.ix_(cols, cols)] = act.T
-    return mat, basis, p
+    return mat, np.eye(k, dtype=np.int64)[cols[:1]], p
 
 
-_FIXED_SPLITS = {
+_FIXED_SPLITS = [
     # a 3-cycle on a 3-dimensional invariant subspace of F_7^4: mu = x^3 - 1
     # has the three roots 1, 2 and 4 in F_7
-    "lines": _fixed_split([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7, k=4,
-                          cols=[1, 2, 3]),
+    _fixed_split([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7, k=4, cols=[1, 2, 3]),
     # eigenvalue 1 twice and 2 once, and e_0 has a component on both
     # eigenspaces: mu = (x - 1)(x - 2) has degree 2 < 3
-    "roots": _fixed_split([[1, 0, 1], [0, 1, 0], [0, 0, 2]], 7),
+    _fixed_split([[1, 0, 1], [0, 1, 0], [0, 0, 2]], 7),
     # e_0 = (1, -1, 0) + (0, 1, 0) lies in the eigenspaces of 1 and 2 and has
-    # no component on the eigenspace of 3, which only the scan finds
-    "scan": _fixed_split([[1, 1, 0], [0, 2, 0], [0, 0, 3]], 7),
-    # a Jordan block: (x - 1)^2 has one root, whose kernel is a line
-    "fails": _fixed_split([[1, 1], [0, 1]], 7),
-}
+    # no component on the eigenspace of 3
+    _fixed_split([[1, 1, 0], [0, 2, 0], [0, 0, 3]], 7),
+    # a Jordan block: (x - 1)^2 has one root, and the matrix no eigenbasis
+    _fixed_split([[1, 1], [0, 1]], 7),
+]
 
 
-@pytest.mark.parametrize("route", list(_FIXED_SPLITS))
-def test_fixed_splits_take_their_route_and_match_the_oracle(route,
-                                                            monkeypatch):
-    mat, basis, p = _FIXED_SPLITS[route]
-    k = len(mat)
-    space = _space(basis, p)
-    splits, _ = _counted_splits(monkeypatch)
-    if route == "fails":
+@settings(max_examples=200, deadline=None)
+@given(eigen_problems())
+@example(_FIXED_SPLITS[0])
+@example(_FIXED_SPLITS[1])
+@example(_FIXED_SPLITS[2])
+@example(_FIXED_SPLITS[3])
+def test_eigenspace_split_matches_the_oracle(problem):
+    # each row's pieces are its projections onto the eigenspaces it meets,
+    # up to nonzero scalars, in order of eigenvalue, rows in order
+    mat, rows, p = problem
+    try:
+        want = [proj for row in rows.tolist()
+                for proj in oracle_split_space(mat.tolist(), row, p)]
+    except InternalContradiction:
         with pytest.raises(InternalContradiction, match="failed to split"):
-            oracle_split_space(mat.tolist(), basis.tolist(), p)
-        with pytest.raises(InternalContradiction, match="failed to split"):
-            characters._split(mat, space, p, _inverses(p))
-        assert _route(splits[0]) == "fails"
+            characters._split(mat, rows, p, _inverses(p))
         return
-    want = oracle_split_space(mat.tolist(), basis.tolist(), p)
-    got = characters._split(mat, space, p, _inverses(p))
-    assert _route(splits[0]) == route
+    got = characters._split(mat, rows, p, _inverses(p))
     assert len(got) == len(want)
-    for (piece, cols), ref in zip(got, want):
-        assert len(piece) == len(ref)
-        assert piece[:, cols].tolist() == np.eye(len(cols), dtype=int).tolist()
-        both = piece.tolist() + ref
-        assert rank(piece.tolist(), k, p) == rank(ref, k, p) == rank(both, k, p)
+    for piece, proj in zip(got.tolist(), want):
+        at = next(c for c, x in enumerate(proj) if x)
+        scale = piece[at] * pow(proj[at], p - 2, p) % p
+        assert scale and piece == [scale * x % p for x in proj]
+
+
+def _counted_splits(monkeypatch):
+    """Patch `_split` and `_row_reduce` to record, per split, the class
+    matrix, the rows it was given and a copy of every matrix reduced, and
+    the matrices reduced outside a split."""
+    splits, outside = [], []
+    reduce, split = characters._row_reduce, characters._split
+
+    def counted_reduce(a, p, inv):
+        (splits[-1]["reduced"] if splits else outside).append(a.copy())
+        return reduce(a, p, inv)
+
+    def counted_split(mat, vecs, p, inv):
+        splits.append({"mat": mat.copy(), "vecs": vecs.copy(), "p": p,
+                       "reduced": []})
+        return split(mat, vecs, p, inv)
+
+    monkeypatch.setattr(characters, "_row_reduce", counted_reduce)
+    monkeypatch.setattr(characters, "_split", counted_split)
+    return splits, outside
+
+
+def test_fixed_rows_reduce_nothing_and_the_first_split_reduces_k_plus_1(
+        monkeypatch):
+    # every row its class matrix moves reduces its Krylov blocks v A^j, of
+    # k + 1 columns for e_0 alone and of 2, 4, ... up to k + 1 otherwise,
+    # until the first that is not of full rank; a fixed row reduces nothing
+    g = Catalog().group("Q8xS3xC4")
+    k = 60
+    splits, outside = _counted_splits(monkeypatch)
+    assert len(characters._dixon_rows(g)) == k
+    assert outside == []
+    first = splits[0]
+    assert first["vecs"].tolist() == [[1] + [0] * (k - 1)]
+    assert [a.shape for a in first["reduced"]] == [(k, k + 1)]
+    fixed = 0
+    for s in splits:
+        mat, vecs, p = s["mat"], s["vecs"], s["p"]
+        # the identity class matrix splits nothing
+        assert not np.array_equal(mat, np.eye(k))
+        moved = [v for v, w in zip(vecs, vecs @ mat.T % p)
+                 if rank([v, w], k, p) > 1]
+        fixed += len(vecs) - len(moved)
+        blocks = iter(s["reduced"])
+        for v in moved:
+            width = k + 1 if len(vecs) == 1 else 2
+            while True:
+                a = next(blocks)
+                kry = [v]
+                for _ in range(width - 1):
+                    kry.append(kry[-1] @ mat.T % p)
+                assert np.array_equal(a, np.array(kry).T)
+                if rank(kry, k, p) < width:
+                    break
+                width = min(2 * width, k + 1)
+        assert next(blocks, None) is None
+    assert fixed
+
+
+def test_largest_matrix_reduced_is_k_by_k_plus_1(monkeypatch):
+    # the first split's k + 1 Krylov rows of e_0; every later block is
+    # narrower, each row's space having dimension below k
+    g = Catalog().group("C4xC4xC3")
+    want = characters._table_nums(g)
+    splits, _ = _counted_splits(monkeypatch)
+    assert np.array_equal(characters._dixon_rows(g), want)
+    sizes = [a.size for s in splits for a in s["reduced"]]
+    assert max(sizes) == sizes[0] == 48 * 49 == 2_352
 
 
 @pytest.mark.parametrize("name, bound", [("C19", 19 * 20),
-                                         ("Q8xS3xC4", 24_308)])
+                                         ("Q8xS3xC4", 24_308),
+                                         ("C4xC4xC3", 12_432),
+                                         ("C6xC6xC6", 173_880)])
 def test_row_reduce_work_stays_within_its_bound(name, bound, monkeypatch):
-    # the entries of every stack that one table passes to `_row_reduce`;
-    # scanning F_p in every split, C19 reduced 68,951 and Q8xS3xC4 209,864.
-    # C19's one split is a single Krylov reduction of 20 rows of 19
+    # the entries of every matrix that one table passes to `_row_reduce`;
+    # scanning F_p in every split, C19 reduced 68,951 and Q8xS3xC4 209,864,
+    # and keeping a basis per eigenspace C4xC4xC3 13,392 and C6xC6xC6
+    # 382,752.  C19's one split is a single Krylov reduction of 20 rows of 19
     sizes = []
     reduce = characters._row_reduce
 
-    def counted(stack, p, inv):
-        sizes.append(stack.size)
-        return reduce(stack, p, inv)
+    def counted(a, p, inv):
+        sizes.append(a.size)
+        return reduce(a, p, inv)
 
     monkeypatch.setattr(characters, "_row_reduce", counted)
     characters._dixon_rows(_CAT.group(name))
     assert sum(sizes) <= bound
 
 
-def test_elimination_stack_holds_at_most_the_chunk_or_one_square(monkeypatch):
-    # a space of d^2 > _LAMBDA_CHUNK entries takes one lambda at a time
-    g = Catalog().group("C4xC4xC3")
-    want = characters._table_nums(g)
-    splits, _ = _counted_splits(monkeypatch, chunk=200)
-    assert np.array_equal(characters._dixon_rows(g), want)
-    sizes = [(s["d"], size) for s in splits for size in s["stacks"]]
-    assert all(size <= max(200, d * d) for d, size in sizes)
-    assert max(size for _, size in sizes) == 48 * 48
+def _patched_split(monkeypatch, at, change):
+    """Patch `_split` to pass its result through `change` on call `at`."""
+    split = characters._split
+    calls = []
+
+    def patched(mat, vecs, p, inv):
+        out = split(mat, vecs, p, inv)
+        calls.append(len(out))
+        return change(out) if len(calls) == at + 1 else out
+
+    monkeypatch.setattr(characters, "_split", patched)
+    return calls
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_duplicated_piece_raises_internal_contradiction(monkeypatch, at):
+    # on S3 the 3-cycles split e_0 in two and the transpositions make the
+    # third row; a duplicate at the first split leaves k rows, one of them a
+    # sum of two central characters, and at the last it makes k + 1 rows,
+    # which must fail as a count, not as a shape in the lift
+    calls = _patched_split(monkeypatch, at,
+                           lambda out: np.concatenate([out, out[-1:]]))
+    with pytest.raises(InternalContradiction):
+        characters._dixon_rows(_CAT.group("S3"))
+    assert calls[at] == at + 2
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_dropped_piece_leaves_the_diagonalization_incomplete(monkeypatch,
+                                                               at):
+    _patched_split(monkeypatch, at, lambda out: out[:-1])
+    with pytest.raises(InternalContradiction, match="incomplete"):
+        characters._dixon_rows(_CAT.group("S3"))
 
 
 @pytest.mark.parametrize("chunk", [10, 50, 1 << 18])
@@ -522,6 +475,26 @@ def test_one_class_matrix_at_a_time_keeps_c6xc6xc6_under_80_mb():
     assert run.returncode == 0, run.stderr
     got = re.fullmatch(r"C6xC6xC6: 216 classes, [\d.]+ s, VmHWM (\d+) MB\n",
                        run.stdout)
+    assert got and int(got[1]) <= 80, run.stdout
+
+
+@pytest.mark.slow
+def test_the_largest_table_the_class_cap_admits_stays_under_80_mb(tmp_path):
+    # C4^4, 256 classes, from 4 disjoint 4-cycles on 16 points: 45 MB
+    # measured on a 2-vCPU Xeon
+    gens = []
+    for block in range(0, 16, 4):
+        img = list(range(16))
+        img[block:block + 4] = img[block + 1:block + 4] + [block]
+        gens.append("gen " + " ".join(map(str, img)))
+    path = tmp_path / "c4x4x4x4.txt"
+    path.write_text("\n".join(["perm 16"] + gens) + "\n")
+    tool = Path(__file__).resolve().parents[1] / "tools" / "table_cost.py"
+    run = subprocess.run([sys.executable, str(tool), str(path)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = re.fullmatch(re.escape(str(path)) +
+                       r": 256 classes, [\d.]+ s, VmHWM (\d+) MB\n", run.stdout)
     assert got and int(got[1]) <= 80, run.stdout
 
 
