@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from charcond import characters
 from charcond.arith import is_prime
@@ -163,44 +163,57 @@ def _fixed_split(act, p, k=None, cols=None):
     return mat, np.eye(k, dtype=np.int64)[cols[:1]], p
 
 
-_FIXED_SPLITS = [
+_FIXED_SPLITS = {
     # a 3-cycle on a 3-dimensional invariant subspace of F_7^4: mu = x^3 - 1
-    # has the three roots 1, 2 and 4 in F_7
-    _fixed_split([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7, k=4, cols=[1, 2, 3]),
+    # has the three roots 1, 2 and 4 in F_7, each a line
+    "lines": _fixed_split([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7, k=4,
+                          cols=[1, 2, 3]),
     # eigenvalue 1 twice and 2 once, and e_0 has a component on both
     # eigenspaces: mu = (x - 1)(x - 2) has degree 2 < 3
-    _fixed_split([[1, 0, 1], [0, 1, 0], [0, 0, 2]], 7),
+    "roots": _fixed_split([[1, 0, 1], [0, 1, 0], [0, 0, 2]], 7),
     # e_0 = (1, -1, 0) + (0, 1, 0) lies in the eigenspaces of 1 and 2 and has
     # no component on the eigenspace of 3
-    _fixed_split([[1, 1, 0], [0, 2, 0], [0, 0, 3]], 7),
+    "scan": _fixed_split([[1, 1, 0], [0, 2, 0], [0, 0, 3]], 7),
     # a Jordan block: (x - 1)^2 has one root, and the matrix no eigenbasis
-    _fixed_split([[1, 1], [0, 1]], 7),
-]
+    "fails": _fixed_split([[1, 1], [0, 1]], 7),
+}
 
 
-@settings(max_examples=200, deadline=None)
-@given(eigen_problems())
-@example(_FIXED_SPLITS[0])
-@example(_FIXED_SPLITS[1])
-@example(_FIXED_SPLITS[2])
-@example(_FIXED_SPLITS[3])
-def test_eigenspace_split_matches_the_oracle(problem):
-    # each row's pieces are its projections onto the eigenspaces it meets,
-    # up to nonzero scalars, in order of eigenvalue, rows in order
-    mat, rows, p = problem
+def _assert_split_matches_the_oracle(mat, rows, p):
+    """Each row's pieces are its projections onto the eigenspaces it meets,
+    up to nonzero scalars, in order of eigenvalue, rows in order; a row with
+    no such decomposition raises 'failed to split'.  Returns the pieces."""
     try:
         want = [proj for row in rows.tolist()
                 for proj in oracle_split_space(mat.tolist(), row, p)]
     except InternalContradiction:
         with pytest.raises(InternalContradiction, match="failed to split"):
             characters._split(mat, rows, p, _inverses(p))
-        return
+        return None
     got = characters._split(mat, rows, p, _inverses(p))
     assert len(got) == len(want)
     for piece, proj in zip(got.tolist(), want):
         at = next(c for c, x in enumerate(proj) if x)
         scale = piece[at] * pow(proj[at], p - 2, p) % p
         assert scale and piece == [scale * x % p for x in proj]
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(eigen_problems())
+def test_eigenspace_split_matches_the_oracle(problem):
+    _assert_split_matches_the_oracle(*problem)
+
+
+@pytest.mark.parametrize("route", list(_FIXED_SPLITS))
+def test_fixed_splits_take_their_route_and_match_the_oracle(route):
+    # the cases once served by separate routes of the split now share the
+    # Krylov one: "lines" splits into three lines, "roots" and "scan" into
+    # the two eigenspaces e_0 meets, and the Jordan block fails
+    mat, rows, p = _FIXED_SPLITS[route]
+    got = _assert_split_matches_the_oracle(mat, rows, p)
+    pieces = {"lines": 3, "roots": 2, "scan": 2, "fails": None}[route]
+    assert (got is None) if pieces is None else len(got) == pieces
 
 
 def _counted_splits(monkeypatch):
