@@ -27,12 +27,16 @@ whole tables restricted to and induced from a normal subgroup there.  An
 entry holds arrays and integers only, never a group, so it keeps no group
 alive and dies with the subgroup's cache.
 
-Tables are computed by Dixon's method: the class-sum structure constants are
-simultaneously diagonalized over a prime field F_p with p = 1 (mod exponent)
-and p > 2*sqrt(|G|), and the eigenvalue data is lifted back to Q(zeta_e) by
-matching against roots of unity in F_p.  Every lifted table is then
-re-verified exactly (orthogonality, degree sums), so the flags on the results
-are earned, not assumed.  The table cache holds each table's array once, and
+Tables of abelian groups, where every class is one element, come from the
+dual group: `_abelian_rows` extends the characters over the generating set S
+that the group's axiom check keeps, as exponents of zeta_e, and checks every
+row additive on every generator.  Every other table is computed by Dixon's
+method: the class-sum structure constants are simultaneously diagonalized
+over a prime field F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), and the
+eigenvalue data is lifted back to Q(zeta_e) by matching against roots of
+unity in F_p.  Either way the table is then re-verified exactly
+(orthogonality, degree sums), so the flags on the results are earned, not
+assumed.  The table cache holds each table's array once, and
 the caps are checked on every call, cached or not.  A `CharacterTable` is
 that array: its degrees, validation, rendering, row lookup and
 decompositions read it, and its `Character` rows are built once per table
@@ -85,17 +89,20 @@ __all__ = [
 
 
 # Dixon's method keeps one k x k class matrix at a time, and its splits cost
-# up to k^3: with k = 256 (C4^4) a table takes 0.26-0.28 s and 44 MB VmHWM on
-# one CPU of a 2-vCPU Xeon, and k = 216 (C6xC6xC6, the largest catalog
-# product) 0.19 s and 41 MB, by tools/table_cost.py
+# up to k^3: D4xC4xC4xC3 (k = 240, from a 5-line permutation file) takes
+# 0.7-0.9 s and 54 MB VmHWM.  Abelian tables come from the dual group in k n
+# steps per generator: C4^4 (k = 256) takes 0.10-0.11 s and 40 MB, and
+# C6xC6xC6 (k = 216, the largest catalog product) 0.05 s and 38 MB.  All on
+# one CPU of a 2-vCPU Xeon by tools/table_cost.py
 MAX_TABLE_CLASSES = 256
 
 # validating k classes at exponent e modulo P costs about k^3 phi(e), which
 # the class cap does not bound; this cap on it admits C128 from one generator
-# (k^3 phi(e) = 2^27), whose table takes 1.75-1.85 s and 106 MB VmHWM, and the
-# costliest cyclic tables it admits are C160, 2.3-3.1 s and 156 MB, and
-# C127, 1.65-1.87 s and 174 MB, on one CPU of a 2-vCPU Xeon by
-# tools/table_cost.py; C131 (2.9e8) is the smallest cyclic group it refuses
+# (k^3 phi(e) = 2^27), whose table from the dual group takes 2.1-2.2 s and
+# 89 MB VmHWM, nearly all of it the validation, and the costliest cyclic
+# tables it admits are C160, 1.7-2.6 s and 136 MB, and C127, 1.3-1.5 s and
+# 143 MB, on one CPU of a 2-vCPU Xeon by tools/table_cost.py; C131 (2.9e8)
+# is the smallest cyclic group it refuses
 MAX_TABLE_WORK = 1 << 28
 
 # the class-constancy count gathers the products of as many elements of a
@@ -551,8 +558,12 @@ def _table_nums(g: FiniteGroup) -> np.ndarray:
 
 @cached
 def _table(g: FiniteGroup) -> np.ndarray:
-    """`_dixon_rows` once per table cache; the memo looks `_dixon_rows` up by
-    name on each miss, so that a patched one sees every Dixon run."""
+    """The table's numerators once per table cache: `_abelian_rows` when
+    every class is a single element, `_dixon_rows` otherwise.  The memo looks
+    the builder up by name on each miss, so that a patched one sees every
+    build."""
+    if len(conjugacy_classes(g)) == g.order:
+        return _abelian_rows(g)
     return _dixon_rows(g)
 
 
@@ -673,8 +684,58 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     if np.any(coeffs.sum(axis=2) != degs[:, None]):
         raise InternalContradiction("root-of-unity multiplicities broken")
 
-    # one power-basis product for the whole table, rows in canonical order
-    nums = reduced(_matmul(coeffs, _power_array(e)), 1)[0]
+    # one power-basis product for the whole table
+    return _finished(g, e, _matmul(coeffs, _power_array(e)))
+
+
+def _abelian_rows(g: FiniteGroup) -> np.ndarray:
+    """The table of an abelian group from its dual group, then one exact
+    `_check_table`; the same array as `_dixon_rows`.
+
+    a[chi, x] = t with chi(x) = zeta_e^t, e = exp(G), is extended over the
+    generating set S of the group, from the trivial character on {1}.  For s
+    in S, let m be the least t > 0 with s^t in the closure H so far: each chi
+    on H, with c = a[chi, s^m], extends m ways, chi(s) = c/m + j e/m, and
+    chi(h s^t) = chi(h) + t chi(s) for t < m.  m must divide every c, the
+    closure must reach |G|, and every row must be additive on every
+    generator, a[chi, x s] = a[chi, x] + a[chi, s] mod e for all x, which
+    makes it a homomorphism: k n entries per generator, never all pairs.
+    """
+    n, e = g.order, g.exponent()
+    at = np.full(n, -1, dtype=np.int64)
+    at[g.identity] = 0
+    elems = np.array([g.identity])
+    a = np.zeros((1, 1), dtype=np.int64)
+    for s in g.generators:
+        powers, x = [g.identity], s
+        while at[x] < 0:
+            powers.append(x)
+            x = int(g.mul[x, s])
+        m = len(powers)
+        c = a[:, at[x]]
+        if np.any(c % m):
+            raise InternalContradiction("a character does not extend to S")
+        # row (chi, j) takes chi(s) = c/m + j e/m; column (t, h) is h s^t
+        t = np.arange(m)
+        chi_s = (c // m)[:, None] + t * (e // m)
+        a = (a[:, None, None] + chi_s[:, :, None, None] * t[:, None]) % e
+        a = a.reshape(len(a) * m, -1)
+        elems = g.mul[elems, np.array(powers)[:, None]].ravel()
+        at[elems] = np.arange(len(elems))
+    if len(elems) != n:
+        raise InternalContradiction("the generating set does not reach |G|")
+    a = a[:, at]
+    for s in g.generators:
+        if np.any(a[:, g.mul[:, s]] != (a + a[:, s, None]) % e):
+            raise InternalContradiction("a character is not a homomorphism")
+    reps = list(conjugacy_classes(g).representatives)
+    return _finished(g, e, _power_array(e)[a[:, reps]])
+
+
+def _finished(g: FiniteGroup, e: int, nums: np.ndarray) -> np.ndarray:
+    """A table's numerators at e over 1, in their narrowest dtype and rows in
+    canonical order, after one exact `_check_table`."""
+    nums = reduced(nums, 1)[0]
     nums = nums[_row_order(nums, e)]
     _check_table(g, e, nums, 1)
     return nums

@@ -1,9 +1,11 @@
 """Finite groups as explicit multiplication tables on elements 0..order-1.
 
-Every table is validated at construction, so everything downstream can trust
-the axioms: rows and columns are permutations, the identity and inverses are
-two-sided, and associativity is certified by Light's test over a greedy
-generating set, in O(n^2 log n) rather than O(n^3).  Permutation groups are
+Every table is validated once per content, so everything downstream can
+trust the axioms: rows and columns are permutations, the identity and
+inverses are two-sided, and associativity is certified by Light's test over a
+greedy generating set S, in O(n^2 log n) rather than O(n^3).  A group whose
+table is byte-equal to one already validated and still alive takes the
+identity, the inverses and S from that table's cache.  Permutation groups are
 closed breadth first on integer arrays.  Normal subgroups are the
 intersections of kernels of irreducible characters, read off the character
 table and each checked as a normal subgroup; the derived subgroup is the
@@ -68,15 +70,20 @@ def row_keys(rows: np.ndarray) -> list:
 
 
 class _TableCache(dict):
-    """Data derived from one multiplication table; weakly referenceable."""
+    """Data derived from one multiplication table, which `_validate_table`
+    checks when the cache is made: its identity, inverses and generating set
+    S, and the memos of `cached`; weakly referenceable."""
 
     def __init__(self, mul: np.ndarray) -> None:
         super().__init__()
         self.mul = mul
+        self.identity, self.inv, self.generators = _validate_table(mul)
+        self.inv.setflags(write=False)
 
 
 # (order, CRC-32, Adler-32 of the table) -> cache; a cache is shared only
-# with an equal table, so a checksum collision costs sharing, not correctness
+# with an equal table, so a checksum collision costs sharing and one more
+# validation, not correctness
 _TABLE_CACHES = weakref.WeakValueDictionary()
 
 
@@ -100,25 +107,26 @@ def cached(f):
 
 
 class FiniteGroup:
-    """A finite group given by its multiplication table.
+    """A finite group given by its multiplication table, validated once per
+    content.
 
     Elements are the indices 0..order-1.  ``mul[a, b]`` is the product a*b,
-    ``inv[a]`` the inverse of a.  ``labels`` are optional display strings.
-    Instances compare and hash by identity.  Groups with byte-identical tables
-    share ``_cache``, where `cached` keeps the exponent, the classes and the
-    character table's numerator array, so ``a._cache is b._cache`` tests
-    equal tables.  Normal subgroups are memoized per object as element sets
-    with their subgroup caches, never as subgroups pointing back at the
-    group, so a group is freed as soon as it is unreachable.
+    ``inv[a]`` the inverse of a, and ``generators`` is Light's greedy
+    generating set S of `_validate_table`.  ``labels`` are optional display
+    strings.  Instances compare and hash by identity.  Groups with
+    byte-identical tables share ``_cache``, which holds the identity, the
+    inverses and S of the one validation of that content, and where `cached`
+    keeps the exponent, the classes and the character table's numerator
+    array, so ``a._cache is b._cache`` tests equal tables.  Raises NotAGroup
+    as `_validate_table` does.  Normal subgroups are memoized per object as
+    element sets with their subgroup caches, never as subgroups pointing back
+    at the group, so a group is freed as soon as it is unreachable.
     """
 
-    def __init__(self, mul: np.ndarray, identity: int, inv: np.ndarray,
-                 labels: tuple[str, ...] | None = None,
+    def __init__(self, mul: np.ndarray, labels: tuple[str, ...] | None = None,
                  name: str | None = None) -> None:
         self.mul = mul
         self.order = int(len(mul))
-        self.identity = int(identity)
-        self.inv = inv
         self.labels = labels
         self.name = name
         narrow = mul.astype(np.min_scalar_type(self.order), order="C")
@@ -128,10 +136,11 @@ class FiniteGroup:
             cache = _TableCache(mul)
             _TABLE_CACHES.setdefault(key, cache)
         self._cache = cache
+        self.identity, self.inv, self.generators = (
+            cache.identity, cache.inv, cache.generators)
         # (elements, subgroup cache) per normal subgroup, once computed
         self._normal_subgroups: tuple | None = None
         mul.setflags(write=False)
-        inv.setflags(write=False)
 
     def mul_elem(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -178,8 +187,9 @@ def _grow_closure(mul: np.ndarray, inside: np.ndarray, new) -> None:
         frontier = np.flatnonzero(reached & ~inside)
 
 
-def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray]:
-    """Check the group axioms on a table; return the identity and inverses.
+def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray, tuple]:
+    """Check the group axioms on a table; return the identity, the inverses
+    and Light's generating set S.
 
     Rows and columns must be permutations, the identity and the inverses
     two-sided.  Associativity is certified by Light's test: the elements s
@@ -188,7 +198,8 @@ def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray]:
     whole table.  S is built greedily, each s the least element outside the
     closure of the ones before it (which contains the identity); every
     closure is a subquasigroup, at most half of the next, so |S| <= log2 n + 1
-    and the test costs O(n^2 log n).
+    and the test costs O(n^2 log n).  `FiniteGroup` runs this once per
+    table content.
     """
     n = len(mul)
     if mul.shape != (n, n):
@@ -217,8 +228,10 @@ def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray]:
         raise NotAGroup("inverses are not two-sided")
     inside = np.zeros(n, dtype=bool)
     inside[e] = True
+    gens = []
     while not inside.all():
         s = int(inside.argmin())
+        gens.append(s)
         for lo in range(0, n, step):
             # (x s) y against x (s y) for x in one block of rows
             left = mul[mul[lo:lo + step, s]]
@@ -229,7 +242,7 @@ def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray]:
                 raise NotAGroup(
                     f"associativity fails at ({lo + x}, {s}, {y})")
         _grow_closure(mul, inside, [s])
-    return e, inv
+    return e, inv, tuple(gens)
 
 
 def build_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
@@ -258,8 +271,7 @@ def build_from_table(table, labels=None, name: str | None = None) -> FiniteGroup
     mul = np.array(table, dtype=np.int64)
     if mul.ndim != 2:
         raise NotAGroup("table must be two-dimensional")
-    e, inv = _validate_table(mul)
-    return FiniteGroup(mul, e, inv, tuple(labels) if labels else None, name)
+    return FiniteGroup(mul, tuple(labels) if labels else None, name)
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
@@ -335,9 +347,8 @@ def build_from_permutations(degree: int, generators,
     for i in range(1, n):
         p, k = divmod(born[i], len(gens))
         mul[i] = mul[p, left[k]]
-    e, inv = _validate_table(mul)
     labels = tuple(_cycle_label(p) for p in elems[:, :degree].tolist())
-    return FiniteGroup(mul, e, inv, labels, name)
+    return FiniteGroup(mul, labels, name)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup,
@@ -348,14 +359,13 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
         raise TooLarge(f"product order {n} exceeds the cap of {MAX_ORDER}")
     nb = b.order
     mul = (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
-    e, inv = _validate_table(mul)
     labels = None
     if a.labels and b.labels:
         labels = tuple(f"({a.labels[i]},{b.labels[j]})"
                        for i in range(a.order) for j in range(b.order))
     if name is None and a.name and b.name:
         name = f"{a.name}x{b.name}"
-    return FiniteGroup(mul, e, inv, labels, name)
+    return FiniteGroup(mul, labels, name)
 
 
 def product_chain(groups, name: str | None = None):
@@ -479,12 +489,11 @@ class Subgroup:
         mul = self.member_index()[self.parent.mul[np.ix_(emb, emb)]]
         if mul.min() < 0:
             raise NotAGroup("element set is not closed under multiplication")
-        e, inv = _validate_table(mul)
         labels = (tuple(self.parent.label(g) for g in self.elements)
                   if self.parent.labels else None)
         name = (f"{self.parent.name}<{len(self.elements)}>"
                 if self.parent.name else None)
-        return FiniteGroup(mul, e, inv, labels, name)
+        return FiniteGroup(mul, labels, name)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -668,10 +677,9 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, QuotientMap]:
         reps.append(int(coset.min()))
     rep_arr = np.array(reps, dtype=np.int64)
     qmul = proj[g.mul[np.ix_(rep_arr, rep_arr)]].astype(np.int64)
-    e, inv = _validate_table(qmul)
     labels = (tuple(f"[{g.label(r)}]" for r in reps) if g.labels else None)
     name = f"{g.name}/N{n.order}" if g.name else None
-    q = FiniteGroup(qmul, e, inv, labels, name)
+    q = FiniteGroup(qmul, labels, name)
     if not np.array_equal(proj[g.mul], qmul[proj][:, proj]):
         raise NotAGroup("projection failed the homomorphism check")
     return q, QuotientMap(g, q, proj)

@@ -37,7 +37,7 @@ _FRESH_SWEEP = """
 import json, sys
 from collections import Counter
 import numpy as np
-from charcond import characters, clifford, cyclotomic
+from charcond import characters, clifford, cyclotomic, groups
 from charcond.catalog import Catalog
 from charcond.verify import run_suite
 
@@ -46,14 +46,27 @@ from gram_oracle import oracle_diagonal, oracle_gram, oracle_table_grams
 
 runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
 builds, kernels, built = Counter(), Counter(), Counter()
-self_grams, mismatches = [], []
-dixon, check_table = characters._dixon_rows, characters._check_table
+self_grams, mismatches, validated = [], [], []
+check_table = characters._check_table
+validate_table = groups._validate_table
 restrict, induce = characters.restrict, characters.induce
 table = characters.character_table
 
-def counted_dixon(g):
-    runs[g.mul.tobytes()] += 1
-    return dixon(g)
+def counted_builder(name):
+    # counts the builds per table and builder
+    build = getattr(characters, name)
+    def counted(g):
+        runs[(name, g.mul.tobytes())] += 1
+        return build(g)
+    setattr(characters, name, counted)
+
+def counted_validate_table(mul):
+    validated.append(len(mul))
+    return validate_table(mul)
+
+def builds_per_table():
+    return {name: sorted(n for (b, _), n in runs.items() if b == name)
+            for name in ("_dixon_rows", "_abelian_rows")}
 
 def counted_check_table(g, *args):
     checks.append(g.order)
@@ -112,15 +125,19 @@ originals = {"restrict": restrict, "induce": induce, "character_table": table,
              "gram_diagonal": cyclotomic.gram_diagonal,
              "table_grams": cyclotomic.table_grams}
 counted_build(clifford._NormalPair)
-characters._dixon_rows = counted_dixon
+counted_builder("_dixon_rows")
+counted_builder("_abelian_rows")
 characters._check_table = counted_check_table
+groups._validate_table = counted_validate_table
 for name, mod in list(sys.modules.items()):
     for attr, fn in originals.items():
         if name.startswith("charcond") and getattr(mod, attr, None) is fn:
             setattr(mod, attr, patches[attr])
 rep = run_suite("all", cat=Catalog(), max_order=24)
-out = {"passed": rep.passed, "dixon": sorted(runs.values()),
-       "validate": len(checks), "restrict": dict(restricts),
+out = {"passed": rep.passed, "builders": builds_per_table(),
+       "distinct": len({table for _, table in runs}),
+       "validate": len(checks), "validate_table": len(validated),
+       "restrict": dict(restricts),
        "induce": dict(induces),
        "builds": {cls: sorted(n for (c, _, _), n in builds.items() if c == cls)
                   for cls in ("_NormalPair",)},
@@ -129,8 +146,11 @@ out = {"passed": rep.passed, "dixon": sorted(runs.values()),
        "tables": built["character_table"]}
 # no memo may carry a group of one round into the next
 runs.clear()
+validated.clear()
 rep = run_suite("all", cat=Catalog(), max_order=24)
-out["second"] = {"passed": rep.passed, "dixon": sorted(runs.values())}
+out["second"] = {"passed": rep.passed, "builders": builds_per_table(),
+                 "distinct": len({table for _, table in runs}),
+                 "validate_table": len(validated)}
 cat = Catalog()
 for name in ("Q8xS3xC4", "C4xC4xC3", "S3xS3xS3"):
     characters.character_table(cat.group(name))
@@ -160,15 +180,17 @@ def run_fresh(code: str, timeout: float = 120, args=()):
 @pytest.fixture(scope="session")
 def fresh_sweep():
     """Counts from `run_suite("all")` at cap 24 in a fresh interpreter: the
-    Dixon runs per table, the exact table checks (`_check_table`, which
-    Dixon's method and `validate()` both run), the `restrict`, `induce` and
+    builds per table by each table builder (`_dixon_rows` and
+    `_abelian_rows`) and the distinct tables built, the group-axiom checks
+    (`_validate_table`), the exact table checks (`_check_table`, which both
+    builders and `validate()` run), the `restrict`, `induce` and
     `character_table` calls, how many normal pairs built their table arrays
     how many times, the Gram kernel calls by kernel and calling function
     (each compared with the oracle kernel of `gram_oracle`, with the callers
     of any mismatch and of any `gram` of an array with itself), and the
-    number of `Cyclotomic` values built; the Dixon runs of a second round in
-    the same interpreter; and then the conductor cache statistics after the
-    Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""
+    number of `Cyclotomic` values built; the builds and axiom checks of a
+    second round in the same interpreter; and then the conductor cache
+    statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""
     import json
     from pathlib import Path
     run = run_fresh(_FRESH_SWEEP, args=(str(Path(__file__).resolve().parent),))

@@ -324,9 +324,11 @@ def test_table_work_cap_refuses_a_large_exponent_before_dixon(monkeypatch):
     from charcond.errors import TooLarge
 
     def never(g):
-        raise AssertionError("Dixon's method ran on an over-cap group")
+        raise AssertionError("a table builder ran on an over-cap group")
 
-    monkeypatch.setattr(characters, "_dixon_rows", never)
+    # C131 is abelian, so the dual-group build is the one that would run
+    for name in ("_dixon_rows", "_abelian_rows"):
+        monkeypatch.setattr(characters, name, never)
     # C131 has 131 classes, under the class cap, but 131^3 * phi(131) =
     # 131^3 * 130 steps of validation
     with pytest.raises(TooLarge, match="131 classes at exponent 131 need"):

@@ -34,15 +34,19 @@ def test_table_json(capsys):
 
 
 def test_table_equal_tables_computed_once_named_apart(capsys, monkeypatch):
-    # S2 has the table of C2, and C2xC2 that of D2
+    # S2 has the table of C2, and C2xC2 that of D2; all four are abelian,
+    # so the dual-group build is the one that would run
     computed = []
-    dixon = characters._dixon_rows
 
-    def counted(g):
-        computed.append(g.name)
-        return dixon(g)
+    def counted(build):
+        def wrapped(g):
+            computed.append(g.name)
+            return build(g)
+        return wrapped
 
-    monkeypatch.setattr(characters, "_dixon_rows", counted)
+    for name in ("_dixon_rows", "_abelian_rows"):
+        monkeypatch.setattr(characters, name,
+                            counted(getattr(characters, name)))
     for first, second in (("C2", "S2"), ("D2", "C2xC2")):
         run(capsys, "table", "--group", first)
         code, out, _ = run(capsys, "table", "--group", second)

@@ -480,8 +480,9 @@ def test_rows_sort_as_their_cyclotomic_sort_keys(name):
 
 @pytest.mark.slow
 def test_one_class_matrix_at_a_time_keeps_c6xc6xc6_under_80_mb():
-    # 41 MB measured on a 2-vCPU Xeon; keeping all 216 class matrices of
-    # 216 x 216 took 117 MB
+    # abelian, so the table comes from the dual group: 38 MB measured on a
+    # 2-vCPU Xeon; keeping all 216 class matrices of 216 x 216 in Dixon's
+    # method took 117 MB
     tool = Path(__file__).resolve().parents[1] / "tools" / "table_cost.py"
     run = subprocess.run([sys.executable, str(tool), "C6xC6xC6"],
                          capture_output=True, text=True, timeout=300)
@@ -492,9 +493,32 @@ def test_one_class_matrix_at_a_time_keeps_c6xc6xc6_under_80_mb():
 
 
 @pytest.mark.slow
+def test_dixons_method_on_240_classes_stays_under_80_mb(tmp_path):
+    # D4xC4xC4xC3 is not abelian, so Dixon's method builds its table: 240
+    # classes, 0.7-0.9 s and 54 MB measured on a 2-vCPU Xeon.  D4 acts on
+    # points 0-3, C4 on 4-7, and C4xC3 on 8-14 as one 4-cycle times one
+    # 3-cycle, so the file has 5 lines
+    lines = ["perm 15",
+             "gen 1 2 3 0 4 5 6 7 8 9 10 11 12 13 14",
+             "gen 0 3 2 1 4 5 6 7 8 9 10 11 12 13 14",
+             "gen 0 1 2 3 5 6 7 4 8 9 10 11 12 13 14",
+             "gen 0 1 2 3 4 5 6 7 9 10 11 8 13 14 12"]
+    path = tmp_path / "d4xc4xc4xc3.txt"
+    path.write_text("\n".join(lines) + "\n")
+    tool = Path(__file__).resolve().parents[1] / "tools" / "table_cost.py"
+    run = subprocess.run([sys.executable, str(tool), str(path)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = re.fullmatch(re.escape(str(path)) +
+                       r": 240 classes, [\d.]+ s, VmHWM (\d+) MB\n", run.stdout)
+    assert got and int(got[1]) <= 80, run.stdout
+
+
+@pytest.mark.slow
 def test_the_largest_table_the_class_cap_admits_stays_under_80_mb(tmp_path):
-    # C4^4, 256 classes, from 4 disjoint 4-cycles on 16 points: 45 MB
-    # measured on a 2-vCPU Xeon
+    # C4^4, 256 classes, from 4 disjoint 4-cycles on 16 points, abelian, so
+    # its table comes from the dual group: 0.11 s and 40 MB measured on a
+    # 2-vCPU Xeon
     gens = []
     for block in range(0, 16, 4):
         img = list(range(16))

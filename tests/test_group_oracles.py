@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from charcond import characters, groups
 from charcond.catalog import Catalog
 from charcond.errors import NotAGroup
-from charcond.groups import (build_from_permutations, conjugacy_classes,
-                             derived_subgroup, normal_subgroups)
+from charcond.groups import (build_from_permutations, build_from_table,
+                             conjugacy_classes, derived_subgroup,
+                             normal_subgroups)
 
 
 def oracle_generated(g, gens):
@@ -204,9 +205,12 @@ def loops(draw, max_order=7):
 def test_light_test_agrees_with_the_triple_loop(mul):
     want = oracle_associativity_failure(mul)
     if want is None:
-        e, inv = groups._validate_table(mul)
+        e, inv, gens = groups._validate_table(mul)
         assert e == 0
         assert np.all(mul[np.arange(len(mul)), inv] == 0)
+        # Light's set S is greedy and generates the whole table
+        assert list(gens) == sorted(gens)
+        assert len(oracle_generated(build_from_table(mul), gens)) == len(mul)
         return
     with pytest.raises(NotAGroup, match="associativity fails") as exc:
         groups._validate_table(mul)

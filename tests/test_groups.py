@@ -4,6 +4,9 @@ The expected values below come from brute-force permutation composition done
 right here in the tests, independent of the package's own closure code.
 """
 
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +79,38 @@ def test_build_from_table_rejects_bad_input():
          [4, 3, 1, 2, 0]]
     with pytest.raises(NotAGroup, match="associativity|identity"):
         build_from_table(t)
+
+
+def test_the_content_cache_validates_every_table_it_cannot_match(monkeypatch):
+    # with constant checksums every table of one order has the same key, so
+    # only the byte comparison tells tables apart: a table that is not equal
+    # to the cached one is validated, and only an equal one is not
+    monkeypatch.setattr(groups, "zlib", SimpleNamespace(crc32=lambda b: 0,
+                                                        adler32=lambda b: 0))
+    monkeypatch.setattr(groups, "_TABLE_CACHES", weakref.WeakValueDictionary())
+    checked = []
+    validate = groups._validate_table
+
+    def counted(mul):
+        checked.append(len(mul))
+        return validate(mul)
+
+    monkeypatch.setattr(groups, "_validate_table", counted)
+    c4 = build_from_permutations(4, [(1, 2, 3, 0)])
+    klein = build_from_permutations(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    assert checked == [4, 4]
+    assert klein._cache is not c4._cache
+    # a non-group of that order keeps its own message while C4 is alive
+    bad = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 1]]
+    with pytest.raises(NotAGroup) as got:
+        build_from_table(bad)
+    assert str(got.value) == "row 3 is not a permutation"
+    assert checked == [4, 4, 4]
+    # an equal table, built another way, takes the axioms of the cached one
+    again = build_from_table(c4.mul.copy())
+    assert checked == [4, 4, 4]
+    assert again._cache is c4._cache and again.inv is c4.inv
+    assert (again.identity, again.generators) == (c4.identity, c4.generators)
 
 
 def test_permutation_closure_counts():

@@ -175,15 +175,19 @@ def test_all_suite_merges_everything():
 
 def test_sweep_runs_dixon_once_per_table(monkeypatch):
     # groups with byte-identical tables share one cache, so however warm it
-    # already is, no multiplication table goes through Dixon's method twice
+    # already is, no multiplication table goes through Dixon's method or the
+    # dual-group build twice
     runs = Counter()
-    dixon = characters._dixon_rows
 
-    def counted(g):
-        runs[g.mul.tobytes()] += 1
-        return dixon(g)
+    def counted(build):
+        def wrapped(g):
+            runs[g.mul.tobytes()] += 1
+            return build(g)
+        return wrapped
 
-    monkeypatch.setattr(characters, "_dixon_rows", counted)
+    for name in ("_dixon_rows", "_abelian_rows"):
+        monkeypatch.setattr(characters, name,
+                            counted(getattr(characters, name)))
     rep = run_suite("all", cat=Catalog(), max_order=12)
     assert rep.passed
     assert [n for n in runs.values() if n > 1] == []
@@ -262,15 +266,30 @@ def test_conductor_checks_hold_at_an_unramified_prime():
     assert verify._conjugation(ctx) is None
 
 
-def test_fresh_sweep_at_cap_24_runs_dixon_60_times_and_validate_100_times(
+_SWEEP_BUILDS = {"_dixon_rows": [1] * 24, "_abelian_rows": [1] * 36}
+
+
+def test_fresh_sweep_at_cap_24_builds_60_tables_once_each_and_checks_100_times(
         fresh_sweep):
     # normal subgroups come from character kernels, so the tables they read
-    # must be ones the sweep computes anyway; each of the 60 tables is
-    # checked exactly once when it is computed, and the tables suite
-    # validates 40 again
+    # must be ones the sweep computes anyway; each of the 60 distinct tables
+    # is built once, the 36 abelian ones from the dual group and the rest by
+    # Dixon's method, and checked exactly once when it is built, and the
+    # tables suite validates 40 again
     assert fresh_sweep["passed"]
-    assert fresh_sweep["dixon"] == [1] * 60
+    assert fresh_sweep["builders"] == _SWEEP_BUILDS
+    assert fresh_sweep["distinct"] == 60
     assert fresh_sweep["validate"] == 100
+
+
+def test_fresh_sweep_at_cap_24_checks_the_axioms_once_per_table_content(
+        fresh_sweep):
+    # the catalog, the products, every subgroup's `as_group` and every
+    # quotient build groups with equal tables again and again; each of the
+    # 60 distinct multiplication tables goes through `_validate_table` once
+    # while it is alive
+    assert fresh_sweep["validate_table"] == 60
+    assert fresh_sweep["second"]["validate_table"] == 60
 
 
 def test_fresh_sweep_at_cap_24_makes_58_character_table_calls(fresh_sweep):
@@ -330,10 +349,11 @@ def test_fresh_sweep_at_cap_24_builds_no_values(fresh_sweep):
     assert fresh_sweep["values"] == 0
 
 
-def test_second_sweep_in_one_process_runs_dixon_60_times_again(fresh_sweep):
+def test_second_sweep_in_one_process_builds_60_tables_again(fresh_sweep):
     # the first round's catalog is unreachable once it ends, so no memo may
     # keep one of its groups, and with it a table, alive into the next round
-    assert fresh_sweep["second"] == {"passed": True, "dixon": [1] * 60}
+    assert fresh_sweep["second"] == {"passed": True, "builders": _SWEEP_BUILDS,
+                                     "distinct": 60, "validate_table": 60}
 
 
 def test_sweep_leaves_no_groups_in_reference_cycles():
