@@ -11,10 +11,11 @@ taken over the same data.  Sums, scalings, pointwise products, conjugation
 (a permutation of rows), inflation and restriction (a gather, then a lift or
 an exactly checked descent of the conductor) and induction (one matmul with
 the induction counts) are array operations; inner products and
-decompositions are one `cyclotomic.gram` call on the stored arrays, norms
-one `gram_diagonal`, and both orthogonality relations of a table one
-`table_grams` in `_check_table`.  `norm` hands callers that compare <f, f>
-with an integer an exact Fraction read off the Gram numerators.  Values outside
+decompositions are one `cyclotomic.gram` call on the stored arrays, and
+norms one `gram_diagonal`; `_check_table` checks both orthogonality relations
+of a table at one embedding per prime, from the Galois action on its rows.
+`norm` hands callers that compare <f, f> with an integer an exact Fraction
+read off the Gram numerators.  Values outside
 Q(zeta_exp(G)), which only user-built functions have, take one batched search
 for their minimal conductors.  ``values``, the tuple of `Cyclotomic`, is built
 on demand by the one builder `cyclotomic.values` for rendering, JSON, sort
@@ -34,13 +35,13 @@ row additive on every generator.  Every other table is computed by Dixon's
 method: the class-sum structure constants are simultaneously diagonalized
 over a prime field F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), and the
 eigenvalue data is lifted back to Q(zeta_e) by matching against roots of
-unity in F_p.  Either way the table is then re-verified exactly
-(orthogonality, degree sums), so the flags on the results are earned, not
-assumed.  The table cache holds each table's array once, and
-the caps are checked on every call, cached or not.  A `CharacterTable` is
-that array: its degrees, validation, rendering, row lookup and
-decompositions read it, and its `Character` rows are built once per table
-object, on first use.
+unity in F_p.  Either way the table is then re-verified exactly (positive
+integer degrees whose squares sum to |G|, both orthogonality relations and
+Galois stability), so the flags on the results are earned, not assumed.
+The table cache holds each table's array once, and the caps are checked on
+every call, cached or not.  A `CharacterTable` is that array: its degrees,
+validation, rendering, row lookup and decompositions read it, and its
+`Character` rows are built once per table object, on first use.
 
 The F_p stage works on int64 residues, behind one guard that raises TooLarge
 unless every sum, at most max(k, e) products below p^2, stays below 2^62.
@@ -72,10 +73,11 @@ from math import lcm
 import numpy as np
 
 from .arith import is_prime, primitive_root
-from .cyclotomic import (Cyclotomic, _matmul, _phi, _power_array, _value_parts,
-                         align, at_minimal_conductors, descend, gram,
-                         gram_diagonal, lift, minimal_conductors, multiply,
-                         reduced, scaled, table_grams, values)
+from .cyclotomic import (Cyclotomic, _bound, _evaluate, _evaluation_data,
+                         _matmul, _matmul_mod, _phi, _power_array,
+                         _value_parts, align, at_minimal_conductors, descend,
+                         gram, gram_diagonal, lift, minimal_conductors,
+                         multiply, reduced, scaled, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotIrreducible, NotNormal, TooLarge)
 from .groups import (MAX_ORDER, FiniteGroup, QuotientMap, Subgroup, cached,
@@ -96,13 +98,15 @@ __all__ = [
 # one CPU of a 2-vCPU Xeon by tools/table_cost.py
 MAX_TABLE_CLASSES = 256
 
-# validating k classes at exponent e modulo P costs about k^3 phi(e), which
-# the class cap does not bound; this cap on it admits C128 from one generator
-# (k^3 phi(e) = 2^27), whose table from the dual group takes 2.1-2.2 s and
-# 89 MB VmHWM, nearly all of it the validation, and the costliest cyclic
-# tables it admits are C160, 1.7-2.6 s and 136 MB, and C127, 1.3-1.5 s and
-# 143 MB, on one CPU of a 2-vCPU Xeon by tools/table_cost.py; C131 (2.9e8)
-# is the smallest cyclic group it refuses
+# validating k classes at exponent e costs about k^2 phi(e)^2 to evaluate the
+# table modulo a prime, plus k^3 per prime for the two Grams, which the class
+# cap does not bound.  This cap on k^3 phi(e), the cost when both Grams were
+# formed at every embedding, admits C128 from one generator (k^3 phi(e) =
+# 2^27), whose table from the dual group takes 0.37-0.45 s and 73 MB VmHWM,
+# 0.15 s of it the validation, and the costliest cyclic tables it admits are
+# C160, 0.59-0.82 s and 98 MB, and C127, 0.51-0.66 s and 120 MB; C6xC6xC6
+# takes 0.04-0.05 s and 37 MB.  All on one CPU of a 2-vCPU Xeon by
+# tools/table_cost.py; C131 (2.9e8) is the smallest cyclic group it refuses
 MAX_TABLE_WORK = 1 << 28
 
 # the class-constancy count gathers the products of as many elements of a
@@ -310,37 +314,64 @@ def norm(fn: ClassFunction) -> Fraction | Cyclotomic:
     return _exact(got, fn.e, fn.den * fn.den * fn.group.order)
 
 
-def _first_off_delta(got: np.ndarray, diag: list[int]):
-    """First (i, j), row-major, where got[i, j] is not diag[i] * delta_ij,
-    compared in got's dtype: every diag[i] is at most the Gram's bound once
-    the degree squares sum to |G|, so it fits."""
-    want = np.diag(np.array(diag, dtype=got.dtype))
-    hits = np.argwhere(got[..., 1:].any(axis=2) | (got[..., 0] != want))
-    return tuple(int(x) for x in hits[0]) if len(hits) else None
+def _check_table(g: FiniteGroup, e: int, nums: np.ndarray) -> None:
+    """Re-check a table of G exactly from its numerators at conductor e,
+    shape (rows, classes, phi(e)): the row count, the degrees (positive
+    integers whose squares sum to |G|), and both orthogonality relations, in
+    evaluation space modulo primes P = 1 (mod e), with no interpolation.
 
+    At each P the table is evaluated once, x[u, i, c] = iota_u(chi_i(c)) at
+    the embeddings iota_u: zeta_e -> omega^u (`cyclotomic._evaluation_data`).
+    The row and column Grams are formed at u = 1 only and compared with
+    |G| delta_ij and (|G| / |C_i|) delta_ij, each failure named at its first
+    position in row-major order.  Then each generator a of (Z/e)^x must
+    permute the rows: x at the embeddings a u is x at u with its rows
+    permuted, sigma_a(chi_i) = chi_pi(i) (Dixon 1967).  That gives
+    iota_(a u)(Gamma_ij) = iota_u(Gamma_pi(i)pi(j)) for the row Gram Gamma,
+    and the column Gram is fixed, so both congruences hold at every
+    embedding and P divides every numerator of a Gram minus its target.
+    Once the primes' product exceeds twice a bound on those numerators,
+    they are 0.  A table that is not Galois-stable fails.
 
-def _check_table(g: FiniteGroup, e: int, nums: np.ndarray, den: int) -> None:
-    """Re-check a table of G exactly from its numerators nums / den at
-    conductor e, shape (rows, classes, phi(e)): the row count, the degree
-    squares, and row and column orthogonality from one `table_grams`, each
-    failure named at its first position in row-major order."""
+    The check does not prove that the rows are characters: with A and B
+    Q8xC3's rational rows 0 and 1, the rows (A + B +- i (A - B)) / 2 are
+    integral, orthogonal and Galois-stable, and pass in their place.
+    """
     n = g.order
     sizes = conjugacy_classes(g).sizes
     k = len(sizes)
     if len(nums) != k:
         raise InternalContradiction("row count differs from class count")
-    # a degree is nums[i, 0, 0] / den, so the squares sum to |G| den^2
-    if sum(int(d) ** 2 for d in nums[:, 0, 0]) != n * den * den:
-        raise InternalContradiction("degree squares do not sum to |G|")
-    rows, cols = table_grams(nums, sizes, e)
-    # sum_c |C| chi_i(c) conj(chi_j(c)) = |G| delta_ij, on numerators
-    bad = _first_off_delta(rows, [n * den * den] * k)
-    if bad:
-        raise InternalContradiction(f"row orthogonality fails at {bad}")
-    # sum_chi chi(c_i) conj(chi(c_j)) = (|G| / |C_i|) delta_ij
-    bad = _first_off_delta(cols, [n // sz * den * den for sz in sizes])
-    if bad:
-        raise InternalContradiction(f"column orthogonality fails at {bad}")
+    degs = nums[:, 0, 0].tolist()
+    if min(degs) < 1 or nums[:, 0, 1:].any() or sum(d * d for d in degs) != n:
+        raise InternalContradiction(
+            "degrees are not positive integers whose squares sum to |G|")
+    # the column Gram has k <= |G| weights of 1, so this bounds both, and
+    # both targets are at most |G|
+    bound = _bound(nums, nums, sizes, e) + n
+    m, i = 1, 0
+    while m <= 2 * bound:
+        data = _evaluation_data(e, i)
+        p = data.prime
+        x = _evaluate(nums, data)
+        at, bar = x[0], x[data.conj[0]]
+        # sum_c |C| chi_i(c) conj(chi_j(c)) = |G| delta_ij, and
+        # sum_chi chi(c_i) conj(chi(c_j)) = (|G| / |C_i|) delta_ij, at u = 1
+        for what, got, want in (
+                ("row", _matmul_mod(at * sizes % p, bar.T, p), [n] * k),
+                ("column", _matmul_mod(at.T, bar, p), [n // c for c in sizes])):
+            bad = np.argwhere(got != np.diag(want) % p)
+            if len(bad):
+                raise InternalContradiction(
+                    f"{what} orthogonality fails at {tuple(bad[0].tolist())}")
+        # each row's values at every embedding, u last as `_evaluate` made
+        # them, so a Galois step is a gather of contiguous runs
+        vals = x.transpose(1, 2, 0)
+        keys = sorted(row_keys(vals))
+        if any(sorted(row_keys(np.take(vals, s, axis=2))) != keys
+               for s in data.galois):
+            raise InternalContradiction("the table is not Galois-stable")
+        m, i = m * p, i + 1
 
 
 def _dixon_prime(exponent: int, order: int) -> int:
@@ -495,7 +526,7 @@ class CharacterTable:
     def validate(self) -> None:
         """Re-check all table invariants exactly by `_check_table`; raises on
         any failure."""
-        _check_table(self.group, self.group.exponent(), self.nums, 1)
+        _check_table(self.group, self.group.exponent(), self.nums)
 
     def _value_rows(self) -> list[list[Cyclotomic]]:
         """The values of every row, from one batched `values` call."""
@@ -737,7 +768,7 @@ def _finished(g: FiniteGroup, e: int, nums: np.ndarray) -> np.ndarray:
     canonical order, after one exact `_check_table`."""
     nums = reduced(nums, 1)[0]
     nums = nums[_row_order(nums, e)]
-    _check_table(g, e, nums, 1)
+    _check_table(g, e, nums)
     return nums
 
 

@@ -15,15 +15,16 @@ Python-int bound on every partial sum is below 2^62, and Python ints (dtype
 object) otherwise (`int_dtype`).
 
 Gram products, sum_c w_c a_c conj(b_c) over the classes for every pair of
-rows (`gram`, its diagonal `gram_diagonal`, and both orthogonality sums of a
-table, `table_grams`), are computed by evaluation and interpolation modulo
-primes P = 1 (mod e) below 2^26.  Modulo such a P, Phi_e splits into
-distinct linear factors, so Z[zeta_e]/(P) is F_P^phi(e), one coordinate per
-primitive root omega^u, and complex conjugation takes u to -u: a Gram
-product is one batched int64 matmul over the classes, coordinate by
-coordinate.  An exact bound on every numerator of the result decides how
-many primes to use; once their product exceeds twice the bound, the Chinese
-remainder theorem and the symmetric range return the integers themselves.
+rows (`gram` and its diagonal `gram_diagonal`), are computed by evaluation
+and interpolation modulo primes P = 1 (mod e) below 2^26.  Modulo such a P,
+Phi_e splits into distinct linear factors, so Z[zeta_e]/(P) is F_P^phi(e),
+one coordinate per primitive root omega^u, and complex conjugation takes u
+to -u: a Gram product is one batched int64 matmul over the classes,
+coordinate by coordinate.  An exact bound on every numerator of the result
+decides how many primes to use; once their product exceeds twice the bound,
+the Chinese remainder theorem and the symmetric range return the integers
+themselves.  `characters._check_table` reads a table's evaluations
+(`_evaluation_data`, `_evaluate`) directly and never interpolates.
 
 There is one builder.  `values` turns rows into `Cyclotomic`s, each in
 lowest terms at its minimal conductor, so that equality and hashing are
@@ -51,8 +52,7 @@ from .errors import InternalContradiction
 from .groups import unique_sorted
 
 __all__ = ["Cyclotomic", "align", "cyclotomic_polynomial", "cyclo_sum", "gram",
-           "gram_diagonal", "int_dtype", "minimal_conductors", "table_grams",
-           "values"]
+           "gram_diagonal", "int_dtype", "minimal_conductors", "values"]
 
 
 # Each conductor cache keeps at most its own count of results and at most
@@ -519,7 +519,7 @@ def multiply(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
 # sum of products of residues may run over 2^11 terms; a conductor whose
 # power table fits in memory has hundreds of them
 _PRIME_LIMIT = 1 << 26
-_Evaluation = namedtuple("_Evaluation", "prime ev conj interp")
+_Evaluation = namedtuple("_Evaluation", "prime ev conj galois interp")
 
 
 def _primes_1_mod(e: int):
@@ -547,11 +547,12 @@ def _evaluation_data(e: int, i: int) -> _Evaluation:
     phi(e) distinct roots omega^u mod P, u prime to e, and x -> omega^u maps
     Z[zeta_e]/(P) onto F_P^phi(e); complex conjugation becomes u -> -u.
     ev[s, j] = omega^(s u_j) evaluates coefficient rows, conj[j] is the index
-    of -u_j, and interp maps values back to power-basis numerators: the
-    inverse DFT e^-1 omega^(-u m), taken at the units only, is a row of
-    Z[x]/(x^e - 1) with the given values at the primitive roots and 0 at the
-    others, hence the wanted row modulo Phi_e, and `_power_array(e)` folds it
-    onto the power basis.
+    of -u_j, galois[s, j] that of a_s u_j for the generators a_s of (Z/e)^x
+    in `_search_steps(e)`, and interp maps values back to power-basis
+    numerators: the inverse DFT e^-1 omega^(-u m), taken at the units only,
+    is a row of Z[x]/(x^e - 1) with the given values at the primitive roots
+    and 0 at the others, hence the wanted row modulo Phi_e, and
+    `_power_array(e)` folds it onto the power basis.
     """
     p = next(islice(_primes_1_mod(e), i, None))
     omega = pow(primitive_root(p), (p - 1) // e, p)
@@ -559,9 +560,11 @@ def _evaluation_data(e: int, i: int) -> _Evaluation:
     powers = np.array([pow(omega, m, p) for m in range(e)], dtype=np.int64)
     ev = powers[np.outer(np.arange(e), units) % e]
     conj = np.searchsorted(units, -units % e)
+    gens = [a for _, steps in _search_steps(e) for a in steps if a is not None]
+    galois = np.searchsorted(units, np.outer(gens, units) % e)
     inverse = powers[np.outer(-units, np.arange(e)) % e] * pow(e, -1, p) % p
     interp = _matmul_mod(inverse, (_power_array(e) % p).astype(np.int64), p)
-    return _Evaluation(p, ev, conj, interp)
+    return _Evaluation(p, ev, conj, galois, interp)
 
 
 @_conductor_cache(256)
@@ -591,34 +594,22 @@ def _weighted(x: np.ndarray, wts: list[int], p: int) -> np.ndarray:
     return x * np.array([v % p for v in wts], dtype=np.int64) % p
 
 
-def _gram_mod(x: np.ndarray, y: np.ndarray, wts: list[int],
-              data: _Evaluation) -> np.ndarray:
-    """gram's numerators mod P from the evaluations x, y: one batched matmul
-    over the classes, one product with the interpolation matrix."""
-    p = data.prime
-    got = _matmul_mod(_weighted(x, wts, p), y[data.conj].transpose(0, 2, 1), p)
-    return _matmul_mod(got.transpose(1, 2, 0), data.interp, p)
-
-
-def _crt(e: int, bounds: list[int], residues) -> list[np.ndarray]:
-    """The integer arrays, entries bounded by `bounds`, that residues(data)
+def _crt(e: int, bound: int, residues) -> np.ndarray:
+    """The integer array, entries bounded by `bound`, that residues(data)
     gives modulo the primes of `_evaluation_data(e, i)`, i = 0, 1, ..., until
-    their product exceeds 2 * max(bounds); Garner's mixed-radix CRT, then the
-    symmetric range, each array of dtype int_dtype(its bound)."""
-    xs, m, i = None, 1, 0
-    while m <= 2 * max(bounds):
+    their product exceeds 2 * bound; Garner's mixed-radix CRT, then the
+    symmetric range, of dtype int_dtype(bound)."""
+    x, m, i = None, 1, 0
+    while m <= 2 * bound:
         data = _evaluation_data(e, i)
         p = data.prime
-        rs = residues(data)
-        if xs is None:
-            xs = rs
+        r = residues(data)
+        if x is None:
+            x = r
         else:
-            inv = pow(m, -1, p)
-            xs = [x.astype(object) + m * ((r - x) * inv % p)
-                  for x, r in zip(xs, rs)]
+            x = x.astype(object) + m * ((r - x) * pow(m, -1, p) % p)
         m, i = m * p, i + 1
-    return [np.where(2 * x > m, x - m, x).astype(int_dtype(bound), copy=False)
-            for x, bound in zip(xs, bounds)]
+    return np.where(2 * x > m, x - m, x).astype(int_dtype(bound), copy=False)
 
 
 def gram(a: np.ndarray, b: np.ndarray, weights, e: int) -> np.ndarray:
@@ -640,8 +631,11 @@ def gram(a: np.ndarray, b: np.ndarray, weights, e: int) -> np.ndarray:
     wts = [int(x) for x in weights]
 
     def residues(data):
-        return [_gram_mod(_evaluate(a, data), _evaluate(b, data), wts, data)]
-    return _crt(e, [_bound(a, b, wts, e)], residues)[0]
+        p = data.prime
+        x, y = _evaluate(a, data), _evaluate(b, data)[data.conj]
+        got = _matmul_mod(_weighted(x, wts, p), y.transpose(0, 2, 1), p)
+        return _matmul_mod(got.transpose(1, 2, 0), data.interp, p)
+    return _crt(e, _bound(a, b, wts, e), residues)
 
 
 def gram_diagonal(a: np.ndarray, weights, e: int) -> np.ndarray:
@@ -653,23 +647,8 @@ def gram_diagonal(a: np.ndarray, weights, e: int) -> np.ndarray:
         p = data.prime
         x = _evaluate(a, data)
         got = (_weighted(x, wts, p) * x[data.conj] % p).sum(axis=2) % p
-        return [_matmul_mod(got.T, data.interp, p)]
-    return _crt(e, [_bound(a, a, wts, e)], residues)[0]
-
-
-def table_grams(nums: np.ndarray, sizes, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """gram(nums, nums, sizes, e) and the Gram of the columns with weight 1,
-    gram(cols, cols, [1] * k, e) for cols = nums.transpose(1, 0, 2), of a
-    square (k, k, w) table: both orthogonality sums from one evaluation."""
-    sizes, ones = [int(x) for x in sizes], [1] * len(nums)
-
-    def residues(data):
-        x = _evaluate(nums, data)
-        xt = x.transpose(0, 2, 1)
-        return [_gram_mod(x, x, sizes, data), _gram_mod(xt, xt, ones, data)]
-    # the columns have the rows' entries and width
-    return tuple(_crt(e, [_bound(nums, nums, sizes, e),
-                          _bound(nums, nums, ones, e)], residues))
+        return _matmul_mod(got.T, data.interp, p)
+    return _crt(e, _bound(a, a, wts, e), residues)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from charcond.catalog import Catalog
 from charcond.verify import run_suite
 
 sys.path.insert(0, sys.argv[1])
-from gram_oracle import oracle_diagonal, oracle_gram, oracle_table_grams
+from gram_oracle import oracle_diagonal, oracle_gram
 
 runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
 builds, kernels, built = Counter(), Counter(), Counter()
@@ -100,9 +100,7 @@ def compared(fn, oracle):
         if fn.__name__ == "gram" and args[1] is args[0]:
             self_grams.append(caller)
         got, want = fn(*args), oracle(*args)
-        pairs = zip(got, want) if isinstance(got, tuple) else [(got, want)]
-        if not all(x.dtype == y.dtype and np.array_equal(x, y)
-                   for x, y in pairs):
+        if not (got.dtype == want.dtype and np.array_equal(got, want)):
             mismatches.append(fn.__name__ + ":" + caller)
         return got
     return wrapped
@@ -118,12 +116,10 @@ patches = {"restrict": counted_restrict, "induce": counted_induce,
            "character_table": counted_table,
            "values": counted_values(cyclotomic.values),
            "gram": compared(cyclotomic.gram, oracle_gram),
-           "gram_diagonal": compared(cyclotomic.gram_diagonal, oracle_diagonal),
-           "table_grams": compared(cyclotomic.table_grams, oracle_table_grams)}
+           "gram_diagonal": compared(cyclotomic.gram_diagonal, oracle_diagonal)}
 originals = {"restrict": restrict, "induce": induce, "character_table": table,
              "values": cyclotomic.values, "gram": cyclotomic.gram,
-             "gram_diagonal": cyclotomic.gram_diagonal,
-             "table_grams": cyclotomic.table_grams}
+             "gram_diagonal": cyclotomic.gram_diagonal}
 counted_build(clifford._NormalPair)
 counted_builder("_dixon_rows")
 counted_builder("_abelian_rows")

@@ -1,5 +1,5 @@
 """The coefficient-correlation Gram kernel, kept as an oracle for
-`cyclotomic.gram`, `gram_diagonal` and `table_grams`.
+`cyclotomic.gram` and `gram_diagonal`.
 
 It forms every product of coefficients a[i, c, s] * b[j, c, t] with one
 integer matmul over the classes, sums the products of each x^(s - t), and
@@ -60,9 +60,3 @@ def oracle_diagonal(a, weights, e=None):
     i = np.arange(len(a))
     return got[i, i]
 
-
-def oracle_table_grams(nums, sizes, e):
-    """The row Gram with the class sizes and the column Gram with weight 1."""
-    cols = nums.transpose(1, 0, 2)
-    return (oracle_gram(nums, nums, sizes, e),
-            oracle_gram(cols, cols, [1] * len(nums), e))

@@ -3,12 +3,13 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charcond.cyclotomic import (Cyclotomic, align, cyclo_sum,
+from charcond.cyclotomic import (Cyclotomic, _search_steps, align, cyclo_sum,
                                  cyclotomic_polynomial, values)
 from conftest import run_fresh
 
@@ -79,6 +80,19 @@ def test_as_rational_raises_on_irrational():
 def test_galois_needs_coprime_exponent():
     with pytest.raises(ValueError):
         Cyclotomic.zeta(6).galois(3)
+
+
+def test_search_steps_generate_the_units_mod_e():
+    # the table check takes its Galois steps from here, and they must
+    # generate all of (Z/e)^x
+    for e in range(1, 301):
+        gens = [a for _, steps in _search_steps(e) for a in steps
+                if a is not None]
+        reached, frontier = {1 % e}, [1 % e]
+        while frontier:
+            frontier = {u * a % e for u in frontier for a in gens} - reached
+            reached.update(frontier)
+        assert reached == {u for u in range(e) if gcd(u, e) == 1}, e
 
 
 def test_string_rendering():

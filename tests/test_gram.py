@@ -1,7 +1,9 @@
-"""The batched Gram kernel for class-function inner products.
+"""The batched Gram kernel for class-function inner products, and the exact
+table check that `CharacterTable.validate` runs.
 
 The oracle is the classwise formula the kernel replaced, evaluated value by
-value with `Cyclotomic` arithmetic: (1/|G|) sum_c |C| a_c conj(b_c).
+value with `Cyclotomic` arithmetic: (1/|G|) sum_c |C| a_c conj(b_c).  The
+table check is fed tables altered in ways it must refuse.
 """
 
 from fractions import Fraction
@@ -15,8 +17,10 @@ from charcond.catalog import Catalog
 from charcond.characters import (Character, CharacterTable, ClassFunction,
                                  character_table, decompose, inner_product,
                                  inner_product_matrix)
-from charcond.cyclotomic import Cyclotomic, align, cyclo_sum, gram
+from charcond.cyclotomic import (Cyclotomic, _evaluation_data, _galois_matrix,
+                                 _matmul, align, cyclo_sum, gram)
 from charcond.errors import InternalContradiction
+from charcond.groups import parse_group_text
 
 
 def oracle_inner_product(phi, psi):
@@ -135,6 +139,113 @@ def test_validate_reports_first_failure_in_row_major_order(name, i, src, where):
     with pytest.raises(InternalContradiction) as exc:
         table.validate()
     assert str(exc.value) == f"row orthogonality fails at {where}"
+
+
+def _refused(g, nums) -> str:
+    with pytest.raises(InternalContradiction) as exc:
+        CharacterTable(g, nums).validate()
+    return str(exc.value)
+
+
+_DEGREES = "degrees are not positive integers whose squares sum to |G|"
+_GALOIS = "the table is not Galois-stable"
+
+
+@pytest.mark.parametrize("name, i", [("S3", 1), ("C3", 1), ("C5", 1),
+                                     ("C12", 2)])
+def test_validate_refuses_a_negated_row(name, i):
+    # S3's sign row, or a cyclic group's first non-real row: negating it
+    # keeps the degree squares and both orthogonality relations
+    g = _CAT.group(name)
+    nums = character_table(g).nums.copy()
+    nums[i] = -nums[i]
+    assert _refused(g, nums) == _DEGREES
+
+
+def test_validate_refuses_a_degree_outside_the_rationals():
+    g = _CAT.group("C3")
+    nums = character_table(g).nums.copy()
+    nums[1, 0, 1] = 1
+    assert _refused(g, nums) == _DEGREES
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "C12", "Q8xC3"])
+def test_validate_refuses_every_single_changed_numerator(name):
+    g = _CAT.group(name)
+    nums = character_table(g).nums
+    for at in np.ndindex(nums.shape):
+        changed = nums.copy()
+        changed[at] += 1
+        _refused(g, changed)
+
+
+def _galois_image(nums, e, a):
+    return _matmul(nums, _galois_matrix(e, a))
+
+
+@pytest.mark.parametrize("name", ["C5", "C12", "Q8xC3", "S3xC3"])
+def test_validate_refuses_a_repeated_row_from_a_galois_conjugate(name):
+    # the complex conjugate of the first non-rational row is row m; it
+    # replaces the first other row j of its degree, so the degrees still hold
+    g = _CAT.group(name)
+    e, nums = g.exponent(), character_table(g).nums.copy()
+    l = int(np.flatnonzero(nums[:, :, 1:].any(axis=(1, 2)))[0])
+    image = _galois_image(nums[l], e, e - 1)
+    m = int(np.flatnonzero((nums == image).all(axis=(1, 2)))[0])
+    j = next(r for r in range(len(nums))
+             if r != m and nums[r, 0, 0] == nums[m, 0, 0])
+    nums[j] = image
+    assert _refused(g, nums) == (
+        f"row orthogonality fails at {(min(j, m), max(j, m))}")
+
+
+@pytest.mark.parametrize("name", ["C5", "C12", "Q8xC3", "S3xC3"])
+def test_validate_refuses_a_value_replaced_by_its_galois_conjugate(name):
+    g = _CAT.group(name)
+    e, nums = g.exponent(), character_table(g).nums.copy()
+    i, c = (int(x) for x in np.argwhere(nums[:, :, 1:].any(axis=2))[0])
+    image = _galois_image(nums[i, c], e, e - 1)
+    assert not np.array_equal(image, nums[i, c])
+    nums[i, c] = image
+    _refused(g, nums)
+
+
+def test_validate_refuses_an_orthogonal_table_that_is_not_galois_stable():
+    # rows 4 and 5 of Q8xC3, A and B, agree on classes 0-8 and differ by sign
+    # on 9-14, so (A + B +- i (A - B)) / 2 are integral of degree 1, and
+    # exactly orthogonal to each other and to every other row; but
+    # zeta_3 -> zeta_3^2 fixing i takes them to no row
+    g = _CAT.group("Q8xC3")
+    table = character_table(g)
+    a, b = table[4].values, table[5].values
+    i = Cyclotomic.zeta(4)
+    twist = [Character(g, [(x + y + sign * i * (x - y)) * Fraction(1, 2)
+                           for x, y in zip(a, b)]) for sign in (1, -1)]
+    nums = table.nums.copy()
+    nums[4], nums[5] = twist[0].nums, twist[1].nums
+    got = CharacterTable(g, nums)
+    assert got.degrees() == table.degrees()
+    assert inner_product_matrix(got, got) == [
+        [int(x == y) for y in range(15)] for x in range(15)]
+    assert _refused(g, nums) == _GALOIS
+
+
+def test_validate_takes_two_primes_where_the_bound_needs_them(monkeypatch):
+    # S7 from permutations: exponent 420, degrees up to 35, and a bound on
+    # its Gram numerators past the first prime below 2^26
+    g = parse_group_text("perm 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n")
+    table = character_table(g)
+    used = []
+
+    def counted(e, i):
+        used.append(i)
+        return _evaluation_data(e, i)
+    monkeypatch.setattr(characters, "_evaluation_data", counted)
+    table.validate()
+    assert used == [0, 1]
+    nums = table.nums.copy()
+    nums[7, 4, 3] += 1
+    _refused(g, nums)
 
 
 def test_validate_does_no_cyclotomic_arithmetic(cyclotomic_calls):

@@ -1,8 +1,8 @@
 """The evaluation Gram kernels against the coefficient-correlation oracle.
 
-`cyclotomic.gram`, `gram_diagonal` and `table_grams` work modulo primes
-P = 1 (mod e) at the primitive e-th roots of unity; `gram_oracle` forms every
-coefficient product over the integers.  They must agree in values and dtype
+`cyclotomic.gram` and `gram_diagonal` work modulo primes P = 1 (mod e) at
+the primitive e-th roots of unity; `gram_oracle` forms every coefficient
+product over the integers.  They must agree in values and dtype
 on every input: both widths, conductors 1 to 120, negative and zero weights,
 and entries large enough to take several primes and Python ints.
 """
@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from charcond import cyclotomic
 from charcond.catalog import Catalog
-from charcond.characters import (ClassFunction, _table_nums, character_table,
+from charcond.characters import (ClassFunction, character_table,
                                  inner_product_matrix)
 from charcond.cyclotomic import (_bound, _evaluation_data, _matmul_mod, _phi,
-                                 gram, gram_diagonal, table_grams)
-from gram_oracle import oracle_diagonal, oracle_gram, oracle_table_grams
+                                 gram, gram_diagonal)
+from gram_oracle import oracle_diagonal, oracle_gram
 
 
 def _same(got, want):
@@ -66,29 +66,6 @@ def test_diagonal_form_is_the_diagonal_of_the_full_gram(case):
     i = np.arange(len(a))
     assert _same(got, gram(a, a, weights, e)[i, i])
     assert _same(got, oracle_diagonal(a, weights, e))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 120), st.integers(1, 5), st.sampled_from([3, 24, 80]),
-       st.integers(0, 2 ** 32 - 1))
-def test_table_grams_match_the_oracle(e, k, bits, seed):
-    rng = np.random.default_rng(seed)
-    nums = _rows(rng, k, k, _phi(e), bits, 0.3)
-    sizes = rng.integers(1, 50, k).tolist()
-    for got, want in zip(table_grams(nums, sizes, e),
-                         oracle_table_grams(nums, sizes, e)):
-        assert _same(got, want)
-
-
-@pytest.mark.parametrize("name", ["C1", "S3", "Q8xC3", "C12", "C23", "C24",
-                                  "S4xC2"])
-def test_table_grams_of_catalog_tables_match_the_oracle(name):
-    g = Catalog().group(name)
-    nums = _table_nums(g)
-    sizes = character_table(g).partition.sizes
-    for got, want in zip(table_grams(nums, sizes, g.exponent()),
-                         oracle_table_grams(nums, sizes, g.exponent())):
-        assert _same(got, want)
 
 
 @pytest.mark.parametrize("bits, dtype, primes", [

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcond import groups
+from charcond.catalog import Catalog
 from charcond.errors import InvalidData, NotAGroup, NotNormal, TooLarge
 from charcond.groups import (build_from_permutations, build_from_table,
                              conjugacy_classes, derived_subgroup,
@@ -238,6 +239,32 @@ def test_quotients():
             assert proj2(g.mul_elem(a, b)) == q2.mul_elem(proj2(a), proj2(b))
     with pytest.raises(NotNormal):
         quotient(g, generated_subgroup(g, [1]))
+
+
+def _normalized_but_by_the_last_generator():
+    """S3xC2xC2 and its subgroup <4>: Light's set S is (1, 2, 4, 8), and only
+    its last member, 8, does not normalize <4>."""
+    g = Catalog().group("S3xC2xC2")
+    h = generated_subgroup(g, [4])
+    assert g.generators == (1, 2, 4, 8) and h.elements == (0, 4)
+    conj = [sorted(g.mul_elem(g.mul_elem(s, x), int(g.inv[s]))
+                   for x in h.elements) for s in g.generators]
+    assert conj == [[0, 4]] * 3 + [[0, 12]]
+    return g, h
+
+
+def test_normality_checks_every_generator():
+    g, h = _normalized_but_by_the_last_generator()
+    assert not is_normal(g, h)
+
+
+def test_quotient_checks_the_projection_on_every_generator(monkeypatch):
+    # with normality forced, the left cosets of <4> give a projection that
+    # respects products with the first three members of S but not with 8
+    g, h = _normalized_but_by_the_last_generator()
+    monkeypatch.setattr(groups, "is_normal", lambda g, s: True)
+    with pytest.raises(NotAGroup, match="homomorphism check"):
+        quotient(g, h)
 
 
 def test_product_quotient_is_nonabelian():

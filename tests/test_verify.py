@@ -321,15 +321,14 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
     # read, one diagonal form for the norms of the inductions, and one gram
     # for the induced side of Frobenius reciprocity, whose other side is the
     # multiplicity gram; Gallagher one diagonal form for the norms of all
-    # the products chi * psi_i of a prime-index pair; every table computed
-    # or validated one `table_grams` for both orthogonality relations; the
-    # degree chains decompose 4 inductions and certify 3 characters moved
-    # onto the chain's group
+    # the products chi * psi_i of a prime-index pair; the degree chains
+    # decompose 4 inductions and certify 3 characters moved onto the chain's
+    # group.  Table checks call no Gram kernel
     assert fresh_sweep["kernels"] == {
         "gram:res_gram": 117, "gram_diagonal:__init__": 117,
         "gram_diagonal:induced_norms": 117, "gram:frobenius": 117,
-        "gram_diagonal:products": 62, "table_grams:_check_table": 100,
-        "gram:decompose": 4, "gram_diagonal:norm": 3}
+        "gram_diagonal:products": 62, "gram:decompose": 4,
+        "gram_diagonal:norm": 3}
     # no round computes a full Gram of an array with itself, which only a
     # norm would need: norms read the diagonal form
     assert fresh_sweep["self_grams"] == []
@@ -337,9 +336,9 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
 
 def test_fresh_sweep_at_cap_24_kernels_match_the_oracle_on_every_call(
         fresh_sweep):
-    # every gram, gram_diagonal and table_grams result of the round, values
-    # and dtype, equals the coefficient-correlation kernel of gram_oracle
-    assert sum(fresh_sweep["kernels"].values()) == 637
+    # every gram and gram_diagonal result of the round, values and dtype,
+    # equals the coefficient-correlation kernel of gram_oracle
+    assert sum(fresh_sweep["kernels"].values()) == 537
     assert fresh_sweep["mismatches"] == []
 
 
