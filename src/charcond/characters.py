@@ -59,9 +59,11 @@ off mu by one synthetic division and checked exactly.  With k rows, each is
 a multiple of one central character.  The lift writes the root-of-unity
 multiplicities of every value, one DFT matmul over F_p per element order,
 into one (k, k, e) coefficient array; one product with the power table gives
-the table's numerators, which one integer key array puts in canonical row
-order, one `_check_table` checks and the table cache keeps as they are; no
-`Cyclotomic` is built until a table is rendered.
+the table's numerators.  Their distinct values (`_distinct`) key the
+canonical row order, one integer key per distinct value; one `_check_table`
+checks the rows and the table cache keeps them as they are.  No `Cyclotomic`
+is built until a table is rendered, and then one per distinct value, which
+each entry's text or JSON reads.
 """
 
 from __future__ import annotations
@@ -102,11 +104,12 @@ MAX_TABLE_CLASSES = 256
 # table modulo a prime, plus k^3 per prime for the two Grams, which the class
 # cap does not bound.  This cap on k^3 phi(e), the cost when both Grams were
 # formed at every embedding, admits C128 from one generator (k^3 phi(e) =
-# 2^27), whose table from the dual group takes 0.37-0.45 s and 73 MB VmHWM,
-# 0.15 s of it the validation, and the costliest cyclic tables it admits are
-# C160, 0.59-0.82 s and 98 MB, and C127, 0.51-0.66 s and 120 MB; C6xC6xC6
-# takes 0.04-0.05 s and 37 MB.  All on one CPU of a 2-vCPU Xeon by
-# tools/table_cost.py; C131 (2.9e8) is the smallest cyclic group it refuses
+# 2^27), whose table from the dual group takes 0.18-0.26 s and 72 MB VmHWM,
+# 0.11 s of it the validation and 0.02 s the row order, and the costliest
+# cyclic tables it admits are C160, 0.25-0.30 s and 96 MB, and C127,
+# 0.27-0.37 s and 111 MB; C6xC6xC6 takes 0.04-0.06 s and 38 MB.  All on one
+# CPU of a 2-vCPU Xeon by tools/table_cost.py; C131 (2.9e8) is the smallest
+# cyclic group it refuses
 MAX_TABLE_WORK = 1 << 28
 
 # the class-constancy count gathers the products of as many elements of a
@@ -528,11 +531,13 @@ class CharacterTable:
         any failure."""
         _check_table(self.group, self.group.exponent(), self.nums)
 
-    def _value_rows(self) -> list[list[Cyclotomic]]:
-        """The values of every row, from one batched `values` call."""
-        k = len(self.partition)
-        flat = values(self.nums.reshape(k * k, -1), self.group.exponent())
-        return [flat[i:i + k] for i in range(0, len(flat), k)]
+    def _distinct_values(self) -> tuple[list[Cyclotomic], list[list[int]]]:
+        """The table's distinct values, from one `values` call, and for each
+        row the index of each entry's value among them, by `_distinct`."""
+        flat = self.nums.reshape(len(self) ** 2, -1)
+        first, at = _distinct(flat)
+        return (values(flat[first], self.group.exponent()),
+                at.reshape(len(self), -1).tolist())
 
     def render_text(self) -> str:
         part = self.partition
@@ -542,8 +547,10 @@ class CharacterTable:
         all_rows = [["class"] + [str(i) for i in range(k)],
                     ["size"] + [str(s) for s in part.sizes],
                     ["rep"] + [str(r) for r in part.representatives]]
-        for i, vals in enumerate(self._value_rows()):
-            all_rows.append([f"X{i + 1}"] + [str(v) for v in vals])
+        vals, at = self._distinct_values()
+        shown = [str(v) for v in vals]
+        for i, row in enumerate(at):
+            all_rows.append([f"X{i + 1}"] + [shown[j] for j in row])
         widths = [max(len(r[c]) for r in all_rows) for c in range(k + 1)]
         lines = ["  ".join(v.rjust(w) for v, w in zip(r, widths))
                  for r in all_rows]
@@ -551,6 +558,10 @@ class CharacterTable:
 
     def to_json_dict(self) -> dict:
         part = self.partition
+        vals, at = self._distinct_values()
+        pairs = [v.coeff_pairs() for v in vals]
+        # fresh lists per entry, so that a caller who edits one entry
+        # leaves the entries of the same value alone
         return {
             "group": self.group.name,
             "order": self.group.order,
@@ -560,11 +571,12 @@ class CharacterTable:
                 {
                     "degree": degree,
                     "values": [
-                        {"conductor": v.order, "coeffs": v.coeff_pairs()}
-                        for v in vals
+                        {"conductor": vals[j].order,
+                         "coeffs": [pair.copy() for pair in pairs[j]]}
+                        for j in row
                     ],
                 }
-                for degree, vals in zip(self.degrees(), self._value_rows())
+                for degree, row in zip(self.degrees(), at)
             ],
         }
 
@@ -607,30 +619,44 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     return CharacterTable(g, _table_nums(g))
 
 
+def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a 2-d integer array that occur first among equal rows, in
+    order, and for each row the index of its equal among them: one
+    `groups.row_keys` and a dict."""
+    first = {}
+    at = np.array([first.setdefault(key, i)
+                   for i, key in enumerate(row_keys(flat))], dtype=np.intp)
+    firsts = np.array(list(first.values()), dtype=np.intp)
+    return firsts, np.searchsorted(firsts, at)
+
+
 def _row_order(nums: np.ndarray, e: int) -> np.ndarray:
     """The permutation that puts table rows, numerators at e over 1 of shape
     (k, k, phi(e)), in canonical order: by degree, then by their values in
     `Cyclotomic.sort_key` order.
 
-    Each value keys as [1, -q] when it is a rational q, and as [d, its
-    numerators at its minimal conductor d >= 3] otherwise, zero-padded, so
-    that keys compare as `sort_key`s do; one `np.lexsort` sorts the rows.
-    Raises unless every value is an integer of Q(zeta_e).
+    Each distinct value (`_distinct`) keys as [1, -q] when it is a rational
+    q, and as [d, its numerators at its minimal conductor d >= 3] otherwise,
+    zero-padded, so that keys compare as `sort_key`s do; the entries gather
+    their values' keys, and one `np.lexsort` sorts the rows.  Raises unless
+    every value is an integer of Q(zeta_e).
     """
     k = len(nums)
     flat = nums.reshape(k * k, -1)
-    keys = np.zeros((k * k, 1 + flat.shape[1]), dtype=flat.dtype)
-    for d, at, got, extra in at_minimal_conductors(flat, e):
+    first, at = _distinct(flat)
+    flat = flat[first]
+    keys = np.zeros((len(flat), 1 + flat.shape[1]), dtype=flat.dtype)
+    for d, rows, got, extra in at_minimal_conductors(flat, e):
         if np.any(got % extra):
             raise InternalContradiction(
                 "table values are not integers of Q(zeta_exp(G))")
         got = got // extra
         if got.dtype == object:
             keys = keys.astype(object)
-        keys[at, 0] = d
-        keys[at, 1:1 + got.shape[1]] = -got if d == 1 else got
+        keys[rows, 0] = d
+        keys[rows, 1:1 + got.shape[1]] = -got if d == 1 else got
     # the identity class, class 0, holds the degree
-    keys = np.column_stack([nums[:, 0, 0], keys.reshape(k, -1)])
+    keys = np.column_stack([nums[:, 0, 0], keys[at].reshape(k, -1)])
     return np.lexsort(keys.T[::-1])
 
 

@@ -3,11 +3,14 @@
 Commands: table, classify, conduct, bound, verify, catalog.  Group and context
 references resolve against the builtin catalog first, then as file paths
 (`Catalog.resolve_group` and `resolve_context`).  Each command computes every
-reported value once, into one payload: `--format json` prints the payload and
-the text format renders its lines from it.  Output is deterministic
-byte-for-byte for fixed inputs and flags.  Exit codes: 0 success, 2 input or
-validation error, 3 broken internal invariant.  Each command imports the
-modules it runs when it runs (`bound` loads no numpy).
+reported value once and returns one result with ``to_json_dict`` and
+``render_text``: the `CharacterTable`, the `VerificationReport`, or a payload
+with the text lines rendered from it.  `main` alone turns a result into
+output: JSON or text, to stdout or the `--output` file, and exit code 3 after
+a failed verification's report.  Output is deterministic byte-for-byte for
+fixed inputs and flags.  Exit codes: 0 success, 2 input or validation error,
+3 broken internal invariant.  Each command imports the modules it runs when
+it runs (`bound` loads no numpy).
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import DEFAULT_MAX_ORDER, SUITE_NAMES
-from .errors import CharcondError, InternalContradiction, InvalidData
+from .errors import (CharcondError, IndexNotPrime, InternalContradiction,
+                     InvalidData)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,75 +136,55 @@ def _resolve_subgroup(group, spec: str):
         f"bad subgroup spec {spec!r}; use 'derived', 'gens:...', or 'elements:...'")
 
 
-def _cmd_table(args) -> int:
-    from .catalog import default_catalog
-    from .characters import character_table
-    cat = default_catalog()
-    g = cat.resolve_group(args.group)
-    table = character_table(g)
-    if args.format == "json":
-        body = json.dumps(table.to_json_dict(), indent=2, sort_keys=True)
-    else:
-        body = table.render_text()
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(body + "\n")
-        except OSError as exc:
-            raise InvalidData(f"cannot write {args.output}: {exc}") from exc
-    else:
-        print(body)
-    return EXIT_OK
+def _report(payload: dict, lines: list[str]) -> SimpleNamespace:
+    """A command's result: its JSON payload and the lines of its text."""
+    return SimpleNamespace(to_json_dict=lambda: payload,
+                           render_text=lambda: "\n".join(lines))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_table(args):
     from .catalog import default_catalog
     from .characters import character_table
-    from .clifford import classify_irreducible
+    return character_table(default_catalog().resolve_group(args.group))
+
+
+def _cmd_classify(args):
+    from .arith import is_prime
+    from .catalog import default_catalog
+    from .characters import character_table
+    from .clifford import _classify_row
     from .groups import is_normal
     cat = default_catalog()
     g = cat.resolve_group(args.group)
     s = _resolve_subgroup(g, args.subgroup)
     if not is_normal(g, s):
         raise InvalidData("subgroup is not normal")
-    table = character_table(g)
-    table_h = character_table(s.as_group())
-    results = [classify_irreducible(chi, s) for chi in table]
-    payload = {
-        "group": g.name,
-        "order": g.order,
-        "subgroup": list(s.elements),
-        "index": s.index,
-        "results": [
-            {
-                "chi": i,
-                "degree": c.chi.degree,
-                "kind": c.kind.value,
-                "theta": table_h.index_of(c.theta),
-                "e": c.e,
-                "t": c.t,
-                "verified": dict(sorted(c.checks.items())),
-            }
-            for i, c in enumerate(results)
-        ],
-    }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"classification over a normal subgroup of index {s.index} "
-              f"in {g.name or 'group'} (order {g.order})")
-        for row in payload["results"]:
-            flag = "ok" if all(row["verified"].values()) else "FAILED"
-            print(f"  X{row['chi'] + 1} (degree {row['degree']}): "
-                  f"{row['kind']} from theta {row['theta']} "
-                  f"(e={row['e']}, t={row['t']}) [{flag}]")
-        rest = sum(1 for r in payload["results"] if r["kind"] == "restricted")
-        ind = len(payload["results"]) - rest
-        print(f"summary: {rest} restricted, {ind} induced")
-    return EXIT_OK
+    degrees = character_table(g).degrees()
+    # H's table, with its caps, is built before the index is checked
+    character_table(s.as_group())
+    if not is_prime(s.index):
+        raise IndexNotPrime(f"index {s.index} is not prime")
+    results = []
+    for r, degree in enumerate(degrees):
+        kind, j, e, orbit, checks = _classify_row(s, r)
+        results.append({"chi": r, "degree": degree, "kind": kind.value,
+                        "theta": j, "e": e, "t": len(orbit),
+                        "verified": dict(sorted(checks.items()))})
+    lines = [f"classification over a normal subgroup of index {s.index} "
+             f"in {g.name or 'group'} (order {g.order})"]
+    for row in results:
+        flag = "ok" if all(row["verified"].values()) else "FAILED"
+        lines.append(f"  X{row['chi'] + 1} (degree {row['degree']}): "
+                     f"{row['kind']} from theta {row['theta']} "
+                     f"(e={row['e']}, t={row['t']}) [{flag}]")
+    rest = sum(1 for r in results if r["kind"] == "restricted")
+    lines.append(f"summary: {rest} restricted, {len(results) - rest} induced")
+    return _report({"group": g.name, "order": g.order,
+                    "subgroup": list(s.elements), "index": s.index,
+                    "results": results}, lines)
 
 
-def _cmd_conduct(args) -> int:
+def _cmd_conduct(args):
     from .catalog import default_catalog
     from .characters import character_table
     from .conductor import conductors, root_conductor
@@ -232,20 +217,17 @@ def _cmd_conduct(args) -> int:
         oracle = prod == ctx.disc
         payload["disc"] = ctx.disc
         payload["conductor_discriminant_ok"] = oracle
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"conductor report for context {ctx.name} "
-              f"(group order {ctx.group.order})")
-        for e in entries:
-            expo = ", ".join(f"{p}: {v}" for p, v in e["exponents"].items()) or "-"
-            print(f"  X{e['chi'] + 1} (degree {e['degree']}): exponents {{{expo}}}, "
-                  f"norm {e['norm']}, root conductor {e['root_conductor']} "
-                  f"= {e['root_conductor_decimal']}")
-        if oracle is not None:
-            print(f"conductor-discriminant product: {prod} "
-                  f"(disc {ctx.disc}) -> {'ok' if oracle else 'MISMATCH'}")
-    return EXIT_OK
+    lines = [f"conductor report for context {ctx.name} "
+             f"(group order {ctx.group.order})"]
+    for e in entries:
+        expo = ", ".join(f"{p}: {v}" for p, v in e["exponents"].items()) or "-"
+        lines.append(f"  X{e['chi'] + 1} (degree {e['degree']}): exponents "
+                     f"{{{expo}}}, norm {e['norm']}, root conductor "
+                     f"{e['root_conductor']} = {e['root_conductor_decimal']}")
+    if oracle is not None:
+        lines.append(f"conductor-discriminant product: {prod} "
+                     f"(disc {ctx.disc}) -> {'ok' if oracle else 'MISMATCH'}")
+    return _report(payload, lines)
 
 
 # the three radicals of a bound report: payload key and text label
@@ -256,7 +238,7 @@ _RADICALS = (
 )
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     from .arith import factor_integer
     from .bounds import (BoundInputs, bound_dataset, bound_induced_case,
                          bound_restricted_case, global_constant)
@@ -289,37 +271,26 @@ def _cmd_bound(args) -> int:
         if c.denominator == 1:
             payload["C_factorization"] = {
                 str(p): e for p, e in sorted(factor_integer(int(c)).items())}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("bound report (disc {disc}, q {q}, theta degree {theta_degree}, "
-              "N(f_theta) {norm_f_theta})".format_map(payload))
-        for key, label in _RADICALS:
-            print(f"  {label}: {payload[key]} = {payload[key + '_decimal']}")
-        if "C" in payload:
-            fac = payload.get("C_factorization")
-            line = f"  global constant C = disc * T = {payload['C']}"
-            if fac is not None:
-                line += " = " + " * ".join(f"{p}^{e}" if e > 1 else p
-                                           for p, e in fac.items())
-            print(line)
-    return EXIT_OK
+    lines = ["bound report (disc {disc}, q {q}, theta degree {theta_degree}, "
+             "N(f_theta) {norm_f_theta})".format_map(payload)]
+    lines += [f"  {label}: {payload[key]} = {payload[key + '_decimal']}"
+              for key, label in _RADICALS]
+    if "C" in payload:
+        fac = payload.get("C_factorization")
+        line = f"  global constant C = disc * T = {payload['C']}"
+        if fac:
+            line += " = " + " * ".join(f"{p}^{e}" if e > 1 else p
+                                       for p, e in fac.items())
+        lines.append(line)
+    return _report(payload, lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .verify import run_suite
-    rep = run_suite(args.suite, max_order=args.max_order)
-    if args.format == "json":
-        print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(rep.render_text())
-    if not rep.passed:
-        raise InternalContradiction(
-            f"{rep.counts[2]} verification identities failed")
-    return EXIT_OK
+    return run_suite(args.suite, max_order=args.max_order)
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     from .catalog import default_catalog
     cat = default_catalog()
     groups = [(name, cat.group(name).order) for name in cat.base_names()]
@@ -330,16 +301,11 @@ def _cmd_catalog(args) -> int:
         "products": "direct products of the names above, e.g. S3xS3xS3, "
                     "up to order 216",
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("builtin groups:")
-        for n, o in groups:
-            print(f"  {n:<4} order {o}")
-        print("contexts: " + ", ".join(payload["contexts"]))
-        print("bound datasets: " + ", ".join(payload["bound_datasets"]))
-        print("products: " + payload["products"])
-    return EXIT_OK
+    return _report(payload, [
+        "builtin groups:", *(f"  {n:<4} order {o}" for n, o in groups),
+        "contexts: " + ", ".join(payload["contexts"]),
+        "bound datasets: " + ", ".join(payload["bound_datasets"]),
+        "products: " + payload["products"]])
 
 
 _COMMANDS = {
@@ -359,7 +325,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
+        body = (json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
+                if args.format == "json" else result.render_text())
+        if getattr(args, "output", None):
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(body + "\n")
+            except OSError as exc:
+                raise InvalidData(f"cannot write {args.output}: {exc}") from exc
+        else:
+            print(body)
+        # a failed verification prints its report, then exits 3
+        if not getattr(result, "passed", True):
+            raise InternalContradiction(
+                f"{result.counts[2]} verification identities failed")
+        return EXIT_OK
     except InternalContradiction as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -708,7 +708,7 @@ def _parse_group_lines(raw_lines, name: str | None) -> FiniteGroup:
         raise InvalidData("empty group file")
     head = first.split()
     if head[0] == "perm":
-        if len(head) != 2 or not head[1].isdigit():
+        if len(head) != 2 or not (head[1].isascii() and head[1].isdigit()):
             raise InvalidData(f"bad header {first!r}; expected 'perm <degree>'")
         degree = int(head[1])
         gens = []
@@ -728,7 +728,7 @@ def _parse_group_lines(raw_lines, name: str | None) -> FiniteGroup:
             raise InvalidData("no generators given")
         return build_from_permutations(degree, gens, name=name)
     if head[0] == "table":
-        if len(head) != 2 or not head[1].isdigit():
+        if len(head) != 2 or not (head[1].isascii() and head[1].isdigit()):
             raise InvalidData(f"bad header {first!r}; expected 'table <n>'")
         n = int(head[1])
         if n > MAX_ORDER:

@@ -299,6 +299,36 @@ def test_render_text_is_deterministic():
     assert a == b
 
 
+def test_rendering_builds_each_distinct_value_once(monkeypatch):
+    # C6xC6xC6 has 46,656 entries and 6 distinct values, the sixth roots of
+    # unity: each format passes those 6 rows to one `values` call
+    from charcond import characters
+    rows = []
+    build = characters.values
+
+    def counted(nums, e, den=1):
+        rows.append(len(nums))
+        return build(nums, e, den)
+    monkeypatch.setattr(characters, "values", counted)
+    table = character_table(Catalog().group("C6xC6xC6"))
+    table.render_text()
+    assert rows == [6]
+    table.to_json_dict()
+    assert rows == [6, 6]
+
+
+def test_json_entries_share_no_mutable_object():
+    rows = character_table(Catalog().group("C6")).to_json_dict()["rows"]
+    cells = [v for row in rows for v in row["values"]]
+    objects = [id(x) for v in cells for x in (v, v["coeffs"], *v["coeffs"])]
+    assert len(objects) == len(set(objects))
+    # the trivial row is 1 on every class: one entry's mutation stays its own
+    one, other = rows[0]["values"][:2]
+    one["coeffs"][0][0] = 7
+    one["coeffs"].append([0, 1])
+    assert other == {"conductor": 1, "coeffs": [[1, 1]]}
+
+
 def test_character_table_cap(monkeypatch):
     from charcond import characters
     from charcond.errors import TooLarge

@@ -249,6 +249,17 @@ def test_bound_uncertifiable_disc_exits_2(capsys):
     assert "exact-test bound" in err
 
 
+def test_bound_with_c_1_ends_without_a_factorization(capsys):
+    argv = ("bound", "--disc", "1", "--q", "2", "--theta-degree", "1",
+            "--norm-ftheta", "1", "--T", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "  global constant C = disc * T = 1"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    data = json.loads(out)
+    assert (data["C"], data["C_factorization"]) == (1, {})
+
+
 def test_bound_json(capsys):
     code, out, _ = run(capsys, "bound", "--dataset", "martinet-constants",
                        "--format", "json")
@@ -389,6 +400,31 @@ def _check_recorded_digest(capsys, request_key):
     key for key in _DIGESTS if key.startswith("table ")))
 def test_table_output_matches_recorded_digest(capsys, request_key):
     _check_recorded_digest(capsys, request_key)
+
+
+# sha256 of stdout for tables that repeat their values heavily, recorded
+# before each distinct value was rendered once: C6xC6xC6 has 46,656 entries
+# and 6 distinct values, C128 from one generator 16,384 and 128
+_REPEATED_VALUE_DIGESTS = {
+    "C6xC6xC6 text":
+        "3fac929406db8e1ba7ba8519410e10f886022ff39faa58b61f9ed6609363d1d7",
+    "C6xC6xC6 json":
+        "cc9989fe42ebd1d688692c131a77c451a53d28f42ca75702d19244de75edef3b",
+    "c128 text":
+        "303b0e4f8063600c74c6fe1022b2f09cb194530a00028c02b1a202aeda4573e6",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REPEATED_VALUE_DIGESTS))
+def test_repeated_value_table_matches_recorded_digest(capsys, tmp_path, key):
+    group, fmt = key.split()
+    if group == "c128":
+        group = str(_perm_file(tmp_path / "c128.grp", 128,
+                               [[(i + 1) % 128 for i in range(128)]]))
+    code, out, _ = run(capsys, "table", "--group", group, "--format", fmt)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == _REPEATED_VALUE_DIGESTS[key])
 
 
 # the other recorded requests: bound, classify and conduct

@@ -478,6 +478,18 @@ def test_rows_sort_as_their_cyclotomic_sort_keys(name):
     assert np.array_equal(shuffled[characters._row_order(shuffled, e)], nums)
 
 
+@pytest.mark.parametrize("name", ["S3xS3", "Q8xC3", "C4xC4xC3", "C6xC6"])
+def test_row_order_keys_python_ints_as_fixed_width_ones(name):
+    # an object-dtype table keys its distinct values by tuples, not void views
+    g = _CAT.group(name)
+    nums = characters._table_nums(g)
+    shuffled = nums[np.random.default_rng(0).permutation(len(nums))]
+    order = characters._row_order(shuffled, g.exponent())
+    assert np.array_equal(
+        characters._row_order(shuffled.astype(object), g.exponent()), order)
+    assert np.array_equal(shuffled[order], nums)
+
+
 @pytest.mark.slow
 def test_one_class_matrix_at_a_time_keeps_c6xc6xc6_under_80_mb():
     # abelian, so the table comes from the dual group: 38 MB measured on a

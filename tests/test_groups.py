@@ -4,6 +4,7 @@ The expected values below come from brute-force permutation composition done
 right here in the tests, independent of the package's own closure code.
 """
 
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -366,6 +367,21 @@ def test_group_file_parsing(tmp_path):
         parse_group_text("table 2\n0 1\n")
     with pytest.raises(InvalidData):
         parse_group_text("lattice 3\n")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("perm \u00b2\ngen 0\n", "'perm <degree>'"),
+    ("perm \u0663\ngen 1 2 0\n", "'perm <degree>'"),
+    ("table \u00b2\n0 1\n1 0\n", "'table <n>'"),
+    ("table \u0662\n0 1\n1 0\n", "'table <n>'"),
+])
+def test_a_header_size_must_be_ascii_digits(text, expected):
+    # '\u00b2' (superscript two) passes str.isdigit but not int(), and
+    # '\u0663' (Arabic-Indic three) passes both
+    head = text.split("\n")[0]
+    with pytest.raises(InvalidData, match=re.escape(
+            f"bad header {head!r}; expected {expected}")):
+        parse_group_text(text)
 
 
 def test_table_header_over_the_cap_is_refused_before_any_entry_is_read(
