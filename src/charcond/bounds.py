@@ -8,24 +8,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm, log10
+from math import floor, gcd, lcm, log2, log10, prod
 
 from .arith import PRIME_TEST_BOUND, factor_integer, is_prime
 from .errors import InvalidData
 
 
-def _nth_root_floor(a: int, b: int, n: int) -> int:
-    """floor((a/b)^(1/n)) for positive integers, by exact binary search."""
-    lo, hi = 0, 1
-    while hi ** n * b <= a:
-        hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid ** n * b <= a:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+# a decimal of a root of degree d builds integers of about
+# d * (digits + |log10 value|) decimal digits, and its cost grows faster than
+# that size.  The slowest `bound` reports found under this cap, with all
+# three roots near it (`--disc 2^13287 --q 2 --theta-degree 41 --norm-ftheta
+# 7 --precision 1000`, or `--theta-degree 49 --precision 500`), take
+# 0.57-0.63 s in a fresh interpreter on one CPU of a 2-vCPU Xeon.  `conduct`
+# stays far below it: chi(1) <= 71 under the table caps.
+MAX_DECIMAL_DIGITS = 250_000
+
+
+def _iroot(n: int, d: int) -> int:
+    """floor(n^(1/d)) for an integer n >= 0, by Newton's method from above.
+
+    A root of over about 64 + 2 log2(d) bits starts from the root of n's top
+    half, so each level of the recursion takes one or two full steps.
+    """
+    s = n.bit_length() // (2 * d) - d.bit_length()
+    if s > 32:
+        # (floor((n >> ds)^(1/d)) + 1) * 2^s is above the root, and close
+        # enough that the first step lands within one of it
+        x = _iroot(n >> d * s, d) + 1 << s
+    else:
+        # 2^(log2(n)/d) with a relative margin far above the float's error;
+        # the exact check doubles a start that is not above the root
+        x = int(2 ** (log2(n + 1) / d + 2 ** -30)) + 1
+        while x ** d <= n:
+            x *= 2
+    # each step stays at or above the root, and stops on it
+    while (p := x ** (d - 1)) * x > n:
+        x = ((d - 1) * x + n // p) // d
+    return x
 
 
 class RadicalValue:
@@ -33,7 +52,12 @@ class RadicalValue:
 
     Equality is exact equality of the normalized factorizations.  Decimal
     rendering uses round-half-even at a configurable number of significant
-    digits and never touches floating point for the decision digits.
+    digits.  For a value whose exponents have common denominator d, it takes
+    one integer d-th root of value^d * 10^(t d); floats only seed that root
+    and the decimal exponent, and the root's start, the number of digits and
+    the half-even tie are each decided by an exact integer comparison.  The
+    integers it builds have about d * (digits + |log10 value|) decimal
+    digits, and a request over `MAX_DECIMAL_DIGITS` raises `InvalidData`.
     """
 
     def __init__(self, factors) -> None:
@@ -120,45 +144,42 @@ class RadicalValue:
                 parts.append(f"{p}^({e})")
         return " * ".join(parts)
 
-    def _fraction_power(self) -> tuple[Fraction, int]:
-        """value = M^(1/D) for an exact positive Fraction M."""
-        d = lcm(*(e.denominator for _, e in self.factors))
-        m = Fraction(1)
-        for p, e in self.factors:
-            m *= Fraction(p) ** int(e * d)
-        return m, d
-
     def decimal(self, digits: int = 12) -> str:
         """Significant-digit decimal string, round-half-even, exact decisions."""
         if digits < 1:
             raise ValueError("need at least one significant digit")
         if not self.factors:
             return "1." + "0" * (digits - 1)
-        m, d = self._fraction_power()
-        # exponent k with 10^k <= value < 10^(k+1)
-        approx = sum(float(e) * log10(p) for p, e in self.factors)
-        k = int(floor(approx))
-        while m < Fraction(10) ** (k * d):
-            k -= 1
-        while m >= Fraction(10) ** ((k + 1) * d):
+        d = lcm(*(e.denominator for _, e in self.factors))
+        logs = [float(e) * log10(p) for p, e in self.factors]
+        size = d * (digits + sum(map(abs, logs)))
+        if size > MAX_DECIMAL_DIGITS:
+            raise InvalidData(
+                f"{digits} digits of a root of degree {d} need integers of "
+                f"{size:.0f} digits, over the cap of {MAX_DECIMAL_DIGITS}")
+        # value^d = num / den
+        num = prod(p ** int(e * d) for p, e in self.factors if e > 0)
+        den = prod(p ** int(-e * d) for p, e in self.factors if e < 0)
+        # x = floor(value * 10^t) = floor((a/b)^(1/d)) has `digits` digits
+        # exactly when 10^k <= value < 10^(k+1), for k = digits - 1 - t; the
+        # float estimate of t is corrected until it does
+        t = digits - 1 - floor(sum(logs))
+        while True:
+            a, b = num * 10 ** max(t * d, 0), den * 10 ** max(-t * d, 0)
+            x = _iroot(a // b, d)
+            if 10 ** (digits - 1) <= x < 10 ** digits:
+                break
+            t += 1 if x < 10 ** (digits - 1) else -1
+        # round up past x + 1/2, and to even at it, by the sign of
+        # value * 10^t - (x + 1/2), which is the sign of 2^d a - (2x + 1)^d b
+        above = 2 ** d * a - (2 * x + 1) ** d * b
+        if above > 0 or (above == 0 and x % 2 == 1):
+            x += 1
+        k = digits - 1 - t
+        if x >= 10 ** digits:
+            x //= 10
             k += 1
-        t = digits - 1 - k
-        # x = value * 10^t; mantissa = round_half_even(x)
-        scaled = m * Fraction(10) ** (t * d)
-        n0 = _nth_root_floor(scaled.numerator, scaled.denominator, d)
-        # compare x with n0 + 1/2:  x >= n0+1/2  <=>  2^d * num >= (2 n0 + 1)^d * den
-        lhs = 2 ** d * scaled.numerator
-        rhs = (2 * n0 + 1) ** d * scaled.denominator
-        if lhs > rhs:
-            mant = n0 + 1
-        elif lhs < rhs:
-            mant = n0
-        else:
-            mant = n0 if n0 % 2 == 0 else n0 + 1
-        if mant >= 10 ** digits:
-            mant //= 10
-            k += 1
-        s = str(mant)
+        s = str(x)
         if 0 <= k < digits:
             head, tail = s[:k + 1], s[k + 1:]
             return f"{head}.{tail}" if tail else head + ".0"

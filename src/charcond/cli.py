@@ -7,10 +7,11 @@ reported value once and returns one result with ``to_json_dict`` and
 ``render_text``: the `CharacterTable`, the `VerificationReport`, or a payload
 with the text lines rendered from it.  `main` alone turns a result into
 output: JSON or text, to stdout or the `--output` file, and exit code 3 after
-a failed verification's report.  Output is deterministic byte-for-byte for
-fixed inputs and flags.  Exit codes: 0 success, 2 input or validation error,
-3 broken internal invariant.  Each command imports the modules it runs when
-it runs (`bound` loads no numpy).
+a failed verification's report.  Output that a closed pipe cannot take is
+dropped silently; any other error writing stdout exits 2.  Output is
+deterministic byte-for-byte for fixed inputs and flags.  Exit codes: 0
+success, 2 input or validation error, 3 broken internal invariant.  Each
+command imports the modules it runs when it runs (`bound` loads no numpy).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -31,9 +33,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-# the three radicals of a `bound` report at 1000 digits take about 0.4 s in
-# either format (0.5 s for the whole command); the cost grows faster than
-# quadratically
+# a decimal's cost grows with the digits and with the degree d of its root
+# (q * theta(1) for the induced bound): `bounds.MAX_DECIMAL_DIGITS` caps
+# d * (digits + |log10 value|).  At 1000 digits, `bound --disc 5 --q 2
+# --theta-degree 100 --norm-ftheta 7` takes 0.25-0.30 s in a fresh
+# interpreter, and the martinet-constants dataset 0.15-0.19 s
 MAX_PRECISION = 1000
 
 
@@ -335,7 +339,14 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise InvalidData(f"cannot write {args.output}: {exc}") from exc
         else:
-            print(body)
+            try:
+                print(body, flush=True)
+            except OSError as exc:
+                # what stdout did not take goes nowhere, so the flush at exit
+                # cannot fail again; a closed pipe is a reader that is done
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                if not isinstance(exc, BrokenPipeError):
+                    raise InvalidData(f"cannot write stdout: {exc}") from exc
         # a failed verification prints its report, then exits 3
         if not getattr(result, "passed", True):
             raise InternalContradiction(

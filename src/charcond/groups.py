@@ -398,7 +398,9 @@ class ConjugacyPartition:
     """Conjugacy classes in canonical order.
 
     The identity class comes first; the rest sort by size ascending, then by
-    least element.  ``class_of`` maps an element to its class index.
+    least element.  ``class_of`` maps an element to its class index, and
+    ``sizes`` and ``representatives`` hold each class's size and least
+    element.
     """
 
     def __init__(self, classes: tuple[tuple[int, ...], ...],
@@ -406,14 +408,8 @@ class ConjugacyPartition:
         self.classes = classes
         self.class_of = class_of
         class_of.setflags(write=False)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.classes)
+        self.sizes = tuple(len(c) for c in classes)
+        self.representatives = tuple(c[0] for c in classes)
 
     def __len__(self) -> int:
         return len(self.classes)

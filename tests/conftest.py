@@ -158,9 +158,10 @@ print(json.dumps(out))
 """
 
 
-def run_fresh(code: str, timeout: float = 120, args=()):
+def run_fresh(code: str, timeout: float = 120, args=(), stdout=None):
     """Run Python `code` in a fresh interpreter that imports charcond from
-    this checkout; returns the completed process."""
+    this checkout; returns the completed process.  Its stdout is captured
+    unless `stdout` names a file or descriptor to write to instead."""
     import os
     import subprocess
     from pathlib import Path
@@ -169,7 +170,8 @@ def run_fresh(code: str, timeout: float = 120, args=()):
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, timeout=timeout,
+                          stdout=subprocess.PIPE if stdout is None else stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout,
                           env=env)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -369,6 +370,55 @@ def test_table_output_file(capsys, tmp_path):
     assert data["order"] == 6
 
 
+_MAIN = """
+import sys
+from charcond.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+# `verify` with a report that fails one identity
+_FAILING_VERIFY = """
+import sys
+from charcond import verify
+from charcond.cli import main
+from charcond.verify import VerificationReport
+
+def run_suite(name, max_order=24):
+    rep = VerificationReport(name)
+    rep.add("demo identity", "G=X", False, "lhs != rhs")
+    return rep
+
+verify.run_suite = run_suite
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("code, argv, err", [
+    (_MAIN, ["table", "--group", "C24"], (0, "")),
+    (_FAILING_VERIFY, ["verify", "--suite", "dichotomy"],
+     (3, "internal error: 1 verification identities failed\n")),
+], ids=["table", "failed verify"])
+def test_a_closed_stdout_pipe_keeps_the_exit_code_and_stderr(code, argv, err):
+    # the read end is closed before the command starts, so its first write
+    # to stdout meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = run_fresh(code, args=argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_2():
+    with open("/dev/full", "w") as full:
+        run = run_fresh(_MAIN, args=["table", "--group", "S3"], stdout=full)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: cannot write stdout: [Errno 28] ")
+    assert "Traceback" not in run.stderr
+
+
 def test_failed_identity_exits_3(capsys, monkeypatch):
     from charcond import verify
     from charcond.verify import VerificationReport
@@ -449,6 +499,28 @@ def test_verify_all_output_matches_recorded_digest(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_ALL_DIGESTS[fmt]
 
 
+_DEGREE_200_BOUND = ["bound", "--disc", "5", "--q", "2", "--theta-degree",
+                     "100", "--norm-ftheta", "7", "--precision"]
+# sha256 of the stdout of `charcond bound` above, whose induced case is a root
+# of degree 200, recorded while each mantissa was found by bisection: 4 s at
+# 300 digits and 73 s at 1000
+_DEGREE_200_DIGESTS = {
+    "300": "396b1b9781978708f771f57f3f1ea969d4396d2228ae0adc8addae0662b965f1",
+    "1000": "ff0952caebb5047993c348cf7ddd06d560a0c0ac05eb210c0ac0279488e11b56",
+}
+
+
+@pytest.mark.parametrize("precision", sorted(_DEGREE_200_DIGESTS))
+def test_a_degree_200_bound_matches_its_digest_within_2_s(precision):
+    start = time.perf_counter()
+    run = run_fresh(_MAIN, args=_DEGREE_200_BOUND + [precision])
+    elapsed = time.perf_counter() - start
+    assert run.returncode == 0, run.stderr
+    assert (hashlib.sha256(run.stdout.encode()).hexdigest()
+            == _DEGREE_200_DIGESTS[precision])
+    assert elapsed < 2.0
+
+
 # ---------------------------------------------------------------------------
 # size caps, each request in a fresh interpreter
 
@@ -497,6 +569,20 @@ def test_over_cap_requests_exit_2_fast_and_small(tmp_path):
         run, got = _timed_table(path)
         assert got["code"] == 2 and reason in run.stderr
         assert got["s"] < 1.0 and got["peak_mb"] < 100, got
+
+
+def test_an_over_cap_decimal_exits_2_fast():
+    # 1000 digits of roots of degree 1000 and 2000
+    argv = ["bound", "--disc", "5", "--q", "2", "--theta-degree", "1000",
+            "--norm-ftheta", "7", "--precision", "1000"]
+    start = time.perf_counter()
+    run = run_fresh(_MAIN, args=argv)
+    elapsed = time.perf_counter() - start
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith(
+        "error: 1000 digits of a root of degree 1000 need integers of ")
+    assert "over the cap of" in run.stderr
+    assert elapsed < 1.0
 
 
 def test_large_exponent_table_exits_2_fast(tmp_path):

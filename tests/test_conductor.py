@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charcond.arith import PRIME_TEST_BOUND
+from charcond.arith import PRIME_TEST_BOUND, is_prime
 from charcond import characters
 from charcond.catalog import Catalog
 from charcond.characters import ClassFunction, character_table, induce
@@ -30,6 +31,7 @@ from charcond.errors import CharcondError, InvalidData, NonIntegralExponent
 from charcond.groups import (build_from_permutations, conjugacy_classes,
                              full_subgroup, generated_subgroup,
                              normal_subgroups, trivial_subgroup)
+from decimal_oracle import reference_decimal
 
 
 def c_n(n, name=None):
@@ -239,6 +241,43 @@ def test_decimal_rendering_policy():
     assert RadicalValue({2: Fraction(1, 2)}).decimal(12) == "1.41421356237"
     assert RadicalValue({10: 30}).decimal(3) == "1.00e+30"
     assert RadicalValue({2: Fraction(-1, 2)}).decimal(5) == "0.70711"
+    # ties go to the even mantissa, and a carry moves the exponent
+    assert RadicalValue.from_rational(Fraction(5, 2)).decimal(1) == "2.0"
+    assert RadicalValue.from_rational(Fraction(5, 4)).decimal(2) == "1.2"
+    assert (RadicalValue.from_rational(Fraction(99999995, 10 ** 7)).decimal(7)
+            == "10.00000")
+
+
+_PRIMES = [p for p in range(2, 10008) if is_prime(p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_PRIMES),
+                       st.fractions(min_value=-30, max_value=30,
+                                    max_denominator=12),
+                       min_size=1, max_size=3),
+       st.integers(1, 30))
+def test_decimal_matches_the_bisection_oracle(factors, digits):
+    value = RadicalValue(factors)
+    assert value.decimal(digits) == reference_decimal(value, digits)
+
+
+@pytest.mark.parametrize("value, digits", [
+    (RadicalValue.from_rational(Fraction(5, 2)), 1),        # tie, to even
+    (RadicalValue.from_rational(Fraction(5, 4)), 2),        # tie, to even
+    (RadicalValue.from_rational(Fraction(99999995, 10 ** 7)), 7),  # carry
+    *((RadicalValue({10: Fraction(k, den)}), digits)
+      for k in range(-12, 13) for den in (1, 7) for digits in (1, 2, 12)),
+    # the float estimate of the decimal exponent is one too low for the
+    # first two, and one too high for the last
+    *((value, digits) for digits in (1, 3, 20) for value in (
+        RadicalValue({10: -23}),
+        RadicalValue.from_rational(Fraction(10 ** 20 + 6, 10 ** 20)),
+        RadicalValue.from_rational(Fraction(10 ** 17 - 1, 10 ** 17)))),
+])
+def test_decimal_matches_the_oracle_at_ties_carries_and_powers_of_ten(
+        value, digits):
+    assert value.decimal(digits) == reference_decimal(value, digits)
 
 
 def test_radical_value_algebra():
