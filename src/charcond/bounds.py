@@ -144,12 +144,13 @@ class RadicalValue:
                 parts.append(f"{p}^({e})")
         return " * ".join(parts)
 
-    def decimal(self, digits: int = 12) -> str:
-        """Significant-digit decimal string, round-half-even, exact decisions."""
+    def check_decimal(self, digits: int) -> tuple[int, list[float]]:
+        """Check a request for `decimal(digits)`: raise ValueError when
+        digits < 1, and InvalidData when it would build integers of over
+        `MAX_DECIMAL_DIGITS` decimal digits; else return the degree d of its
+        root and log10 of each prime power of the value."""
         if digits < 1:
             raise ValueError("need at least one significant digit")
-        if not self.factors:
-            return "1." + "0" * (digits - 1)
         d = lcm(*(e.denominator for _, e in self.factors))
         logs = [float(e) * log10(p) for p, e in self.factors]
         size = d * (digits + sum(map(abs, logs)))
@@ -157,6 +158,11 @@ class RadicalValue:
             raise InvalidData(
                 f"{digits} digits of a root of degree {d} need integers of "
                 f"{size:.0f} digits, over the cap of {MAX_DECIMAL_DIGITS}")
+        return d, logs
+
+    def decimal(self, digits: int = 12) -> str:
+        """Significant-digit decimal string, round-half-even, exact decisions."""
+        d, logs = self.check_decimal(digits)
         # value^d = num / den
         num = prod(p ** int(e * d) for p, e in self.factors if e > 0)
         den = prod(p ** int(-e * d) for p, e in self.factors if e < 0)

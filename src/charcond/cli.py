@@ -261,8 +261,11 @@ def _cmd_bound(args):
     inputs = BoundInputs(T=t_value, **given)
     restricted = bound_restricted_case(inputs)
     payload = dict(given)
-    for (key, _), value in zip(_RADICALS, (restricted.certified, restricted.stated,
-                                           bound_induced_case(inputs))):
+    values = (restricted.certified, restricted.stated, bound_induced_case(inputs))
+    # refuse a decimal over the cap before rendering any
+    for value in values:
+        value.check_decimal(args.precision)
+    for (key, _), value in zip(_RADICALS, values):
         payload[key] = value.exact_str()
         payload[f"{key}_decimal"] = value.decimal(args.precision)
     if dataset is not None:

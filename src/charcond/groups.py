@@ -6,7 +6,11 @@ inverses are two-sided, and associativity is certified by Light's test over a
 greedy generating set S, in O(n^2 log n) rather than O(n^3).  A group whose
 table is byte-equal to one already validated and still alive takes the
 identity, the inverses and S from that table's cache.  Permutation groups are
-closed breadth first on integer arrays.  Normal subgroups are the
+closed breadth first on integer arrays.  Subgroups are closed from
+generators one right coset at a time (Dimino's algorithm), for Light's set,
+`generated_subgroup` and `subgroup`, and a set is checked as a subgroup by
+right multiplication with a greedy generating set taken from it: O(|H| |T|)
+products where all pairs take |H|^2.  Normal subgroups are the
 intersections of kernels of irreducible characters, read off the character
 table and each checked as a normal subgroup; the derived subgroup is the
 intersection of the kernels of the linear characters.  Tables, conjugacy data
@@ -44,8 +48,8 @@ from .errors import (InternalContradiction, InvalidData, NotAGroup,
 MAX_ORDER = 5040
 _CLOSURE_ENTRIES = 1 << 22
 
-# at most this many products in one block of the table checks, closures and
-# the subgroup checks, so that memory stays flat
+# at most this many products in one block of the table checks (rows,
+# columns and Light's test), so that memory stays flat
 _CLOSURE_BLOCK = 1 << 20
 
 
@@ -164,27 +168,48 @@ class FiniteGroup:
         return f"<{tag} of order {self.order}>"
 
 
-def _grow_closure(mul: np.ndarray, inside: np.ndarray, new) -> None:
-    """Grow `inside`, a mask closed under products, to the closure of it and
-    `new` under products, in place.
+def _greedy_closure(mul: np.ndarray, e: int, cands: np.ndarray,
+                    check=None) -> tuple[np.ndarray, list]:
+    """The mask of the subgroup generated by `cands`, a sorted integer array,
+    and the greedy set T taken from it: each element of T is the least of
+    `cands` outside the closure of the ones before it.  `check(s)` runs on
+    each s of T before the closure is extended by it.
 
-    Breadth first: each round multiplies the newest elements by all members
-    on both sides, in blocks of rows, so every product of two members is
-    formed at most twice.  In a finite group this closure is the generated
-    subgroup.
+    The closure K = <T so far> grows to <T so far, s> one right coset K r
+    at a time (Dimino's algorithm; Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559).  The powers of s outside K are the first
+    representatives.  After that, each product r t of a new representative
+    r and a generator t (s included) that lies outside the union so far adds
+    its coset.  The work goes one breadth-first layer of representatives at
+    a time, with one gather of |K| x |layer| products per layer, and a new
+    coset is represented by its least element.  The union is then closed
+    under right multiplication by every generator, so it is <T so far, s>;
+    no gather holds more than |<T so far, s>| (|T so far| + 1) entries.  The
+    cosets need only that the elements of the closure are middle-associative,
+    which holds while `_validate_table` is still checking a table.
     """
-    frontier = np.asarray(new, dtype=np.int64)
-    frontier = unique_sorted(frontier[~inside[frontier]])
-    while len(frontier):
-        inside[frontier] = True
+    inside = np.zeros(len(mul), dtype=bool)
+    inside[e] = True
+    gens = []
+    while len(outside := cands[~inside[cands]]):
+        s = int(outside[0])
+        if check:
+            check(s)
         members = np.flatnonzero(inside)
-        reached = np.zeros(len(inside), dtype=bool)
-        step = max(1, _CLOSURE_BLOCK // len(members))
-        for lo in range(0, len(frontier), step):
-            rows = frontier[lo:lo + step]
-            reached[mul[rows[:, None], members]] = True
-            reached[mul[members[:, None], rows]] = True
-        frontier = np.flatnonzero(reached & ~inside)
+        reps, x = [], s
+        while not inside[x]:
+            reps.append(x)
+            x = int(mul[x, s])
+        gens.append(s)
+        products = np.array(reps)
+        while len(products := products[~inside[products]]):
+            cosets = mul[members[:, None], products]
+            inside[cosets] = True
+            # the next layer: one representative per coset, its least element
+            layer = np.zeros(len(mul), dtype=bool)
+            layer[cosets.min(axis=0)] = True
+            products = mul[np.flatnonzero(layer)[:, None], gens].ravel()
+    return inside, gens
 
 
 def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray, tuple]:
@@ -195,11 +220,13 @@ def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray, tuple]:
     two-sided.  Associativity is certified by Light's test: the elements s
     with (x s) y = x (s y) for all x and y are closed under products, so it
     suffices to check s over a set S whose closure under products is the
-    whole table.  S is built greedily, each s the least element outside the
-    closure of the ones before it (which contains the identity); every
-    closure is a subquasigroup, at most half of the next, so |S| <= log2 n + 1
-    and the test costs O(n^2 log n).  `FiniteGroup` runs this once per
-    table content.
+    whole table.  S is built greedily by `_greedy_closure`, each s the least
+    element outside the closure of the ones before it (which contains the
+    identity), and s passes the test before the closure is extended by it,
+    so every element of every closure is middle-associative.  Every closure
+    is a subquasigroup, at most half of the next, so |S| <= log2 n + 1 and
+    the test costs O(n^2 log n).  `FiniteGroup` runs this once per table
+    content.
     """
     n = len(mul)
     if mul.shape != (n, n):
@@ -226,12 +253,8 @@ def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray, tuple]:
     if not (np.array_equal(mul[want, inv], np.full(n, e))
             and np.array_equal(mul[inv, want], np.full(n, e))):
         raise NotAGroup("inverses are not two-sided")
-    inside = np.zeros(n, dtype=bool)
-    inside[e] = True
-    gens = []
-    while not inside.all():
-        s = int(inside.argmin())
-        gens.append(s)
+
+    def light(s):
         for lo in range(0, n, step):
             # (x s) y against x (s y) for x in one block of rows
             left = mul[mul[lo:lo + step, s]]
@@ -241,8 +264,7 @@ def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray, tuple]:
                 x, y = (int(v) for v in bad[0])
                 raise NotAGroup(
                     f"associativity fails at ({lo + x}, {s}, {y})")
-        _grow_closure(mul, inside, [s])
-    return e, inv, tuple(gens)
+    return e, inv, tuple(_greedy_closure(mul, e, want, light)[1])
 
 
 def build_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
@@ -503,7 +525,16 @@ class Subgroup:
 
 
 def subgroup(g: FiniteGroup, elements) -> Subgroup:
-    """Validate an element set as a subgroup (closure, identity, inverses)."""
+    """Validate an element set as a subgroup.
+
+    After the range and identity checks, let T be the greedy set taken from
+    the elements in sorted order, as `_greedy_closure` takes it.  T lies in
+    the set and <T> contains it, so the set is a subgroup exactly when it is
+    closed under right multiplication by T: one |H| x |T| gather.  A finite
+    set closed under products is a subgroup, so inverses need no check.  A
+    failure names the first member a in sorted order, and the first t of T,
+    with a t outside the set.
+    """
     try:
         arr = np.asarray(elements if isinstance(elements, np.ndarray)
                          else list(elements), dtype=np.int64)
@@ -520,31 +551,21 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
     inside[arr] = True
     if not inside[g.identity]:
         raise NotAGroup("subgroup does not contain the identity")
-    # closure in blocks of rows: the first failing a in sorted order, its
-    # inverse checked before its products, then the first failing b
-    step = max(1, _CLOSURE_BLOCK // len(arr))
-    for lo in range(0, len(arr), step):
-        rows = arr[lo:lo + step]
-        inv_ok = inside[g.inv[rows]]
-        mul_ok = inside[g.mul[np.ix_(rows, arr)]]
-        bad = ~inv_ok | ~mul_ok.all(axis=1)
-        if bad.any():
-            i = int(bad.argmax())
-            a = int(rows[i])
-            if not inv_ok[i]:
-                raise NotAGroup(f"subgroup not closed under inversion at {a}")
-            b = int(arr[mul_ok[i].argmin()])
-            raise NotAGroup(f"subgroup not closed under product at ({a}, {b})")
+    gens = _greedy_closure(g.mul, g.identity, arr)[1]
+    closed = inside[g.mul[arr[:, None], gens]]
+    if not closed.all():
+        i = int(closed.all(axis=1).argmin())
+        raise NotAGroup(f"subgroup not closed under product at "
+                        f"({arr[i]}, {gens[closed[i].argmin()]})")
     return Subgroup(g, tuple(arr.tolist()))
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
-    gens = {int(v) for v in gens}
-    if any(v < 0 or v >= g.order for v in gens):
+    """The subgroup generated by `gens`, closed by `_greedy_closure`."""
+    gens = sorted({int(v) for v in gens})
+    if gens and (gens[0] < 0 or gens[-1] >= g.order):
         raise NotAGroup("subgroup generator out of range")
-    inside = np.zeros(g.order, dtype=bool)
-    inside[g.identity] = True
-    _grow_closure(g.mul, inside, sorted(gens))
+    inside = _greedy_closure(g.mul, g.identity, np.array(gens, dtype=np.int64))[0]
     return Subgroup(g, tuple(np.flatnonzero(inside).tolist()))
 
 

@@ -41,8 +41,6 @@ def reference_decimal(value, digits: int = 12) -> str:
     exact decisions."""
     if digits < 1:
         raise ValueError("need at least one significant digit")
-    if not value.factors:
-        return "1." + "0" * (digits - 1)
     m, d = _fraction_power(value)
     # exponent k with 10^k <= value < 10^(k+1)
     approx = sum(float(e) * log10(p) for p, e in value.factors)

@@ -133,6 +133,14 @@ def test_classify_non_normal_exits_2(capsys):
     assert "not normal" in err
 
 
+def test_classify_refuses_a_set_without_inverses_by_a_product(capsys):
+    # in C4, 1 has order 4: its inverse 3 is missing, and 1 * 1 = 2 is the
+    # first product outside the set
+    assert run(capsys, "classify", "--group", "C4",
+               "--subgroup", "elements:0,1") == (
+        2, "", "error: subgroup not closed under product at (1, 1)\n")
+
+
 def test_classify_bad_spec_exits_2(capsys):
     code, _, err = run(capsys, "classify", "--group", "S3",
                        "--subgroup", "everything")
@@ -519,6 +527,37 @@ def test_a_degree_200_bound_matches_its_digest_within_2_s(precision):
     assert (hashlib.sha256(run.stdout.encode()).hexdigest()
             == _DEGREE_200_DIGESTS[precision])
     assert elapsed < 2.0
+
+
+def test_the_bound_of_value_1_at_one_digit_reads_1_0(capsys):
+    argv = ["bound", "--disc", "1", "--q", "2", "--theta-degree", "1",
+            "--norm-ftheta", "1", "--precision", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [line.rsplit(": ", 1)[1] for line in out.splitlines()[1:]] == \
+        ["1 = 1.0"] * 3
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert [data[f"{key}_decimal"] for key in
+            ("restricted_certified", "restricted_stated", "induced")] == \
+        ["1.0"] * 3
+
+
+def test_an_over_cap_decimal_is_refused_before_any_decimal(capsys,
+                                                          monkeypatch):
+    # the certified root (degree 125) is under the cap and the stated one
+    # (degree 250) over it: no root is taken before the refusal
+    from charcond import bounds
+    calls = []
+    real = bounds._iroot
+    monkeypatch.setattr(bounds, "_iroot",
+                        lambda n, d: calls.append(d) or real(n, d))
+    code, out, err = run(capsys, "bound", "--disc", "5", "--q", "2",
+                         "--theta-degree", "125", "--norm-ftheta", "7",
+                         "--precision", "1000")
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: 1000 digits of a root of degree 250 need")
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,7 @@ def test_root_conductor_decimal_against_mpmath():
 
 def test_decimal_rendering_policy():
     assert RadicalValue.one().decimal(12) == "1.00000000000"
+    assert RadicalValue.one().decimal(1) == "1.0"
     assert RadicalValue.from_integer(4).decimal(12) == "4.00000000000"
     assert RadicalValue.from_integer(23).decimal(4) == "23.00"
     assert RadicalValue({2: Fraction(1, 2)}).decimal(12) == "1.41421356237"

@@ -10,8 +10,6 @@ every unit k = 1 (mod d).
 """
 
 import json
-import subprocess
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -22,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from charcond.cyclotomic import (Cyclotomic, _int_array, _power_array, _phi,
                                  cyclo_sum, descend, values)
+from conftest import run_fresh
 
 X = sympy.Symbol("x")
 CONDUCTORS = list(range(1, 17)) + [24, 105, 997]
@@ -239,8 +238,8 @@ print(json.dumps(out))
 
 
 def test_large_conductors_need_little_time_and_memory():
-    run = subprocess.run([sys.executable, "-c", _LARGE], capture_output=True,
-                         text=True, timeout=60, check=True)
+    run = run_fresh(_LARGE, timeout=60)
+    assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     assert got.pop("peak_mb") < 100
     assert all(t < 1.0 for t in got.values()), got

@@ -17,7 +17,7 @@ from charcond.catalog import Catalog
 from charcond.errors import NotAGroup
 from charcond.groups import (build_from_permutations, build_from_table,
                              conjugacy_classes, derived_subgroup,
-                             normal_subgroups)
+                             generated_subgroup, normal_subgroups)
 
 
 def oracle_generated(g, gens):
@@ -160,6 +160,21 @@ def test_catalog_permutation_groups_match_tuple_composition():
         assert g.labels == labels, name
 
 
+_GENERATED = [build_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+              build_from_permutations(*_PERMUTATION_GROUPS["S5"]),
+              build_from_permutations(*_PERMUTATION_GROUPS["A5"])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generated_subgroup_matches_the_worklist_closure(data):
+    # S4, S5 and A5 (order 60), with generator lists that repeat, hold the
+    # identity, or are empty
+    g = data.draw(st.sampled_from(_GENERATED))
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    assert generated_subgroup(g, gens).elements == oracle_generated(g, gens)
+
+
 @st.composite
 def loops(draw, max_order=7):
     """Latin squares on 0..n-1 with identity 0 and two-sided inverses: an
@@ -208,9 +223,14 @@ def test_light_test_agrees_with_the_triple_loop(mul):
         e, inv, gens = groups._validate_table(mul)
         assert e == 0
         assert np.all(mul[np.arange(len(mul)), inv] == 0)
-        # Light's set S is greedy and generates the whole table
+        # Light's set S is greedy and generates the whole table: each s is
+        # the least element outside the closure of the ones before it
         assert list(gens) == sorted(gens)
-        assert len(oracle_generated(build_from_table(mul), gens)) == len(mul)
+        g = build_from_table(mul)
+        for i, s in enumerate(gens):
+            closure = set(oracle_generated(g, gens[:i]))
+            assert s == min(set(range(len(mul))) - closure)
+        assert len(oracle_generated(g, gens)) == len(mul)
         return
     with pytest.raises(NotAGroup, match="associativity fails") as exc:
         groups._validate_table(mul)

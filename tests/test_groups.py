@@ -428,8 +428,8 @@ def test_exponent_and_element_orders():
 
 
 def oracle_closure_failure(g, elems):
-    """The pure-Python loop `subgroup` ran before its numpy check: the first
-    failure message, or None when the set is closed."""
+    """The pure-Python all-pairs loop `subgroup` once ran: the first failure
+    message, or None when the set is closed."""
     eset = set(elems)
     for a in elems:
         if int(g.inv[a]) not in eset:
@@ -437,6 +437,32 @@ def oracle_closure_failure(g, elems):
         for b in elems:
             if int(g.mul[a, b]) not in eset:
                 return f"subgroup not closed under product at ({a}, {b})"
+    return None
+
+
+def oracle_generator_failure(g, elems):
+    """The refusal `subgroup` gives, by pure-Python worklist closures: T is
+    greedy from the sorted elements, each the least one outside the closure
+    of the ones before it, and the first a in sorted order, with the first t
+    of T, such that a t is outside the set is named; None when there is
+    none."""
+    eset, gens, closure = set(elems), [], {g.identity}
+    for s in elems:
+        if s in closure:
+            continue
+        gens.append(s)
+        closure, work = {g.identity}, [g.identity]
+        while work:
+            a = work.pop()
+            for t in gens:
+                c = int(g.mul[a, t])
+                if c not in closure:
+                    closure.add(c)
+                    work.append(c)
+    for a in elems:
+        for t in gens:
+            if int(g.mul[a, t]) not in eset:
+                return f"subgroup not closed under product at ({a}, {t})"
     return None
 
 
@@ -457,18 +483,15 @@ def test_subgroup_closure_matches_the_loop_oracle(data):
     base |= data.draw(st.sets(elem, max_size=3))
     base -= data.draw(st.sets(elem, max_size=2)) - {g.identity}
     elems = sorted(base)
-    want = oracle_closure_failure(g, elems)
-    block = data.draw(st.sampled_from([1, 7, groups._CLOSURE_BLOCK]))
-    saved, groups._CLOSURE_BLOCK = groups._CLOSURE_BLOCK, block
-    try:
-        if want is None:
-            assert subgroup(g, elems).elements == tuple(elems)
-        else:
-            with pytest.raises(NotAGroup) as exc:
-                subgroup(g, elems)
-            assert str(exc.value) == want
-    finally:
-        groups._CLOSURE_BLOCK = saved
+    # the all-pairs loop decides the verdict, the generator oracle the text
+    want = oracle_generator_failure(g, elems)
+    assert (want is None) == (oracle_closure_failure(g, elems) is None)
+    if want is None:
+        assert subgroup(g, elems).elements == tuple(elems)
+    else:
+        with pytest.raises(NotAGroup) as exc:
+            subgroup(g, elems)
+        assert str(exc.value) == want
 
 
 @settings(max_examples=200, deadline=None)
