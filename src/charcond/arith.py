@@ -1,15 +1,18 @@
-"""Integer helpers: factorization, primality, divisors and primitive roots.
+"""Integer helpers: factorization, primality, divisors, primitive roots and
+the one search for primes p = 1 (mod e).
 
 Primality is a deterministic Miller-Rabin test, because primes in
 ramification data come from user input and may be large.  Factorization
 trial-divides by small numbers only; what is left is certified prime by that
 test or split by Pollard-Brent rho, and every factor rho finds is checked by
 division, so the result is exact.  Divisors use trial division: the integers
-that reach them are group orders and exponents.  The module imports nothing
-from the package but its exception types, so every other module can use it.
+that reach them are group orders and exponents, and their one caller,
+`cyclotomic.cyclotomic_polynomial`, is memoized.  `primes_1_mod` serves both
+prime searches, Dixon's upward and the Gram products' downward from 2^26.
+Nothing here is memoized.  The module imports nothing from the package but
+its exception types, so every other module can use it.
 """
 
-from functools import lru_cache
 from math import gcd
 
 from .errors import InvalidData
@@ -127,7 +130,6 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """The positive divisors of n in increasing order."""
     small, large = [], []
@@ -139,6 +141,11 @@ def divisors(n: int) -> tuple[int, ...]:
                 large.append(n // d)
         d += 1
     return tuple(small + large[::-1])
+
+
+def primes_1_mod(e: int, ts):
+    """The primes 1 + e*t for t in the iterable ts, in the order of ts."""
+    return (1 + e * t for t in ts if is_prime(1 + e * t))
 
 
 def primitive_root(q: int) -> int:

@@ -116,20 +116,19 @@ class RadicalValue:
             out *= Fraction(p) ** int(e)
         return out
 
-    def as_power_triple(self) -> tuple[int, int, int]:
-        """(base, num, den) with value = base^(num/den), base not a proper power."""
+    def as_power_triple(self) -> tuple[int | Fraction, int, int]:
+        """(base, num, den) with value = base^(num/den), num, den > 0 and the
+        base not a proper power: an exact Fraction when an exponent is
+        negative, else an int."""
         if not self.factors:
             return 1, 1, 1
         den = lcm(*(e.denominator for _, e in self.factors))
         nums = [int(e * den) for _, e in self.factors]
         g = gcd(*nums)
-        if g == 0:
-            return 1, 1, 1
-        base = 1
-        for (p, _), v in zip(self.factors, nums):
-            base *= p ** (v // g)
+        base = prod(Fraction(p) ** (v // g)
+                    for (p, _), v in zip(self.factors, nums))
         k = gcd(g, den)
-        return base, g // k, den // k
+        return (int(base) if base.denominator == 1 else base), g // k, den // k
 
     def exact_str(self) -> str:
         if not self.factors:

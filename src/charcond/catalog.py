@@ -1,16 +1,19 @@
 """Builtin catalog of small groups and bundled ramification datasets.
 
 Groups: cyclic C1..C24, dihedral D3..D12 plus the Klein group D2 (orders 4 to
-24), symmetric S1..S4, and the quaternion group Q8.  Direct products of these
-factors are resolved on demand from names like "S3xS3xS3" up to order 216.
-Every builtin group passes full axiom validation when it is built: Latin
-square, two-sided identity and inverses, and associativity by Light's test,
-which checks (x s) y = x (s y) for all x, y and every s in a generating set
-and so certifies associativity of the whole table.  Normal subgroups come
-from the kernels of the irreducible characters, closed under intersection.
+24), symmetric S1..S4, and the quaternion group Q8, each listed once in
+`_BASE` with its builder.  A factor's digits are read as an integer, so "C024"
+names C24.  Direct products of these factors are resolved on demand from
+names like "S3xS3xS3" up to order PRODUCT_ORDER_CAP = 216.  Every builtin
+group passes full axiom validation when it is built: Latin square, two-sided
+identity and inverses, and associativity by Light's test, which checks
+(x s) y = x (s y) for all x, y and every s in a generating set and so
+certifies associativity of the whole table.  Normal subgroups come from the
+kernels of the irreducible characters, closed under intersection.
 
-Contexts: `quintic11` (C5 tame at 11, disc 11^4), `gauss` (C2 wild at 2,
-disc 4), `quad-m23` (C2 tame at 23, disc 23), and the bound dataset
+Contexts, each one row of `_CONTEXTS`: `quintic11` (C5 tame at 11, disc
+11^4), `gauss` (C2 wild at 2, disc 4), `quad-m23` (C2 tame at 23, disc 23),
+each with one totally ramified prime of residue norm p; and the bound dataset
 `martinet-constants` (disc 11^4, per-degree norm cap T = 2^15 * 23, ramified
 primes 2, 11, 23).
 
@@ -22,6 +25,8 @@ nor a readable file" error.
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import partial
+from math import prod
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -88,6 +93,24 @@ def _quaternion() -> FiniteGroup:
     return build_from_table(table, labels=labels, name="Q8")
 
 
+# name -> builder of every base group, in listing order
+_BASE = {
+    **{f"C{n}": partial(_cyclic, n) for n in range(1, 25)},
+    "D2": _klein,
+    **{f"D{n}": partial(_dihedral, n) for n in range(3, 13)},
+    **{f"S{n}": partial(_symmetric, n) for n in range(1, 5)},
+    "Q8": _quaternion,
+}
+
+# name -> (group, prime p, times G_0 repeats, disc, field): one prime, of
+# residue norm p, whose ramification groups are G_0 = G that many times
+_CONTEXTS = {
+    "gauss": ("C2", 2, 2, 4, "Q(i)"),
+    "quad-m23": ("C2", 23, 1, 23, "Q(sqrt(-23))"),
+    "quintic11": ("C5", 11, 1, 14641, "real quintic of conductor 11"),
+}
+
+
 def _resolve(ref: str, lookup, load, what: str):
     """`lookup(ref)` in the catalog, else `load(ref)` when ref is a file."""
     try:
@@ -115,44 +138,23 @@ class Catalog:
     # -- groups -------------------------------------------------------------
 
     def base_names(self) -> list[str]:
-        names = [f"C{n}" for n in range(1, 25)]
-        names += ["D2"] + [f"D{n}" for n in range(3, 13)]
-        names += [f"S{n}" for n in range(1, 5)]
-        names += ["Q8"]
-        return names
-
-    def _build_base(self, name: str) -> FiniteGroup | None:
-        kind, rest = name[:1], name[1:]
-        if not (rest.isascii() and rest.isdigit()):
-            return None
-        n = int(rest)
-        if kind == "C" and 1 <= n <= 24:
-            return _cyclic(n)
-        if kind == "D" and n == 2:
-            return _klein()
-        if kind == "D" and 3 <= n <= 12:
-            return _dihedral(n)
-        if kind == "S" and 1 <= n <= 4:
-            return _symmetric(n)
-        if kind == "Q" and n == 8:
-            return _quaternion()
-        return None
+        return list(_BASE)
 
     def group(self, name: str) -> FiniteGroup:
         """Resolve a builtin name or an x-separated product of builtin names."""
         norm = name.strip().upper().replace("X", "x")
         if norm in self._groups:
             return self._groups[norm]
-        parts = norm.split("x")
         built = []
-        for part in parts:
-            g = self._build_base(part)
-            if g is None:
+        for part in norm.split("x"):
+            # the digits are read as an integer, so "C024" names C24
+            kind, digits = part[:1], part[1:]
+            build = (_BASE.get(f"{kind}{int(digits)}")
+                     if digits.isascii() and digits.isdigit() else None)
+            if build is None:
                 raise InvalidData(f"unknown catalog group {name!r}")
-            built.append(g)
-        order = 1
-        for g in built:
-            order *= g.order
+            built.append(build())
+        order = prod(g.order for g in built)
         if len(built) > 1 and order > PRODUCT_ORDER_CAP:
             raise TooLarge(
                 f"product order {order} exceeds the catalog cap of "
@@ -180,38 +182,24 @@ class Catalog:
     # -- contexts and datasets ----------------------------------------------
 
     def context_names(self) -> list[str]:
-        return ["gauss", "quad-m23", "quintic11"]
+        return list(_CONTEXTS)
 
     def context(self, name: str) -> GaloisContext:
         key = name.strip().lower()
-        if key in self._contexts:
-            return self._contexts[key]
-        ctx = self._build_context(key)
-        if ctx is None:
+        if key not in _CONTEXTS:
             raise InvalidData(f"unknown catalog context {name!r}")
-        self._contexts[key] = ctx
-        return ctx
+        if key not in self._contexts:
+            self._contexts[key] = self._build_context(key)
+        return self._contexts[key]
 
-    def _build_context(self, key: str) -> GaloisContext | None:
+    def _build_context(self, key: str) -> GaloisContext:
         # here and in _load_context only: a `table` request needs no conductor
         from .conductor import GaloisContext, RamificationFiltration
-        if key == "quintic11":
-            g = self.group("C5")
-            filt = RamificationFiltration(11, 11, (full_subgroup(g),))
-            return GaloisContext(g, (filt,), name="quintic11", disc=14641,
-                                 labels={"field": "real quintic of conductor 11"})
-        if key == "gauss":
-            g = self.group("C2")
-            full = full_subgroup(g)
-            filt = RamificationFiltration(2, 2, (full, full))
-            return GaloisContext(g, (filt,), name="gauss", disc=4,
-                                 labels={"field": "Q(i)"})
-        if key == "quad-m23":
-            g = self.group("C2")
-            filt = RamificationFiltration(23, 23, (full_subgroup(g),))
-            return GaloisContext(g, (filt,), name="quad-m23", disc=23,
-                                 labels={"field": "Q(sqrt(-23))"})
-        return None
+        group, p, repeats, disc, field = _CONTEXTS[key]
+        g = self.group(group)
+        filt = RamificationFiltration(p, p, (full_subgroup(g),) * repeats)
+        return GaloisContext(g, (filt,), name=key, disc=disc,
+                             labels={"field": field})
 
     def resolve_context(self, ref: str) -> GaloisContext:
         """Catalog name first, then a path to a context JSON file."""

@@ -70,11 +70,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import lcm
 
 import numpy as np
 
-from .arith import is_prime, primitive_root
+from .arith import primes_1_mod, primitive_root
 from .cyclotomic import (Cyclotomic, _bound, _evaluate, _evaluation_data,
                          _matmul, _matmul_mod, _phi, _power_array,
                          _value_parts, align, at_minimal_conductors, descend,
@@ -379,11 +380,8 @@ def _check_table(g: FiniteGroup, e: int, nums: np.ndarray) -> None:
 
 def _dixon_prime(exponent: int, order: int) -> int:
     """Smallest prime p with p = 1 (mod exponent) and p > 2*sqrt(order)."""
-    p = exponent + 1 if exponent > 1 else 2
-    while True:
-        if p * p > 4 * order and is_prime(p):
-            return p
-        p += exponent if exponent > 1 else 1
+    return next(p for p in primes_1_mod(exponent, count(1))
+                if p * p > 4 * order)
 
 
 def _row_reduce(a: np.ndarray, p: int,

@@ -298,7 +298,7 @@ def _cmd_verify(args):
 
 
 def _cmd_catalog(args):
-    from .catalog import default_catalog
+    from .catalog import PRODUCT_ORDER_CAP, default_catalog
     cat = default_catalog()
     groups = [(name, cat.group(name).order) for name in cat.base_names()]
     payload = {
@@ -306,7 +306,7 @@ def _cmd_catalog(args):
         "contexts": cat.context_names(),
         "bound_datasets": cat.bound_dataset_names(),
         "products": "direct products of the names above, e.g. S3xS3xS3, "
-                    "up to order 216",
+                    f"up to order {PRODUCT_ORDER_CAP}",
     }
     return _report(payload, [
         "builtin groups:", *(f"  {n:<4} order {o}" for n, o in groups),

@@ -16,15 +16,16 @@ object) otherwise (`int_dtype`).
 
 Gram products, sum_c w_c a_c conj(b_c) over the classes for every pair of
 rows (`gram` and its diagonal `gram_diagonal`), are computed by evaluation
-and interpolation modulo primes P = 1 (mod e) below 2^26.  Modulo such a P,
-Phi_e splits into distinct linear factors, so Z[zeta_e]/(P) is F_P^phi(e),
-one coordinate per primitive root omega^u, and complex conjugation takes u
-to -u: a Gram product is one batched int64 matmul over the classes,
-coordinate by coordinate.  An exact bound on every numerator of the result
-decides how many primes to use; once their product exceeds twice the bound,
-the Chinese remainder theorem and the symmetric range return the integers
-themselves.  `characters._check_table` reads a table's evaluations
-(`_evaluation_data`, `_evaluate`) directly and never interpolates.
+and interpolation modulo primes P = 1 (mod e) below 2^26, largest first
+(`arith.primes_1_mod`).  Modulo such a P, Phi_e splits into distinct linear
+factors, so Z[zeta_e]/(P) is F_P^phi(e), one coordinate per primitive root
+omega^u, and complex conjugation takes u to -u: a Gram product is one
+batched int64 matmul over the classes, coordinate by coordinate.  An exact
+bound on every numerator of the result decides how many primes to use; once
+their product exceeds twice the bound, the Chinese remainder theorem and the
+symmetric range return the integers themselves.  `characters._check_table`
+reads a table's evaluations (`_evaluation_data`, `_evaluate`) directly and
+never interpolates.
 
 There is one builder.  `values` turns rows into `Cyclotomic`s, each in
 lowest terms at its minimal conductor, so that equality and hashing are
@@ -34,6 +35,9 @@ Galois generator per prime step, and each conductor found costs one
 `descend`.  A `Cyclotomic` is a scalar view of one row: its sums, products
 and Galois images are the kernels above on one row, then `values`.
 
+Every memo of conductor data, the cyclotomic polynomials included, is a
+`_conductor_cache`, bounded in entries and in bytes of arrays.
+
 Everything is integer/Fraction exact with no floating point anywhere.
 """
 
@@ -41,13 +45,13 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import islice
 from math import gcd, lcm
 
 import numpy as np
 
-from .arith import divisors, factor_integer, is_prime, primitive_root
+from .arith import divisors, factor_integer, primes_1_mod, primitive_root
 from .errors import InternalContradiction
 from .groups import unique_sorted
 
@@ -57,10 +61,11 @@ __all__ = ["Cyclotomic", "align", "cyclotomic_polynomial", "cyclo_sum", "gram",
 
 # Each conductor cache keeps at most its own count of results and at most
 # this many bytes of arrays, evicting the least recently used first.  A sweep
-# round plus the largest catalog tables touches 24 _power_array, 45
-# _rebase_data, 24 _evaluation_data, 24 _fold_bound and 24 _search_steps
-# keys, well under a megabyte in all; one conductor near 1000 needs 8 MB of
-# power table.
+# round plus the largest catalog tables touches 24 cyclotomic_polynomial, 24
+# _power_array, 45 _rebase_data, 24 _evaluation_data, 24 _fold_bound and 24
+# _search_steps keys, well under a megabyte in all; one conductor near 1000
+# needs 8 MB of power table.  They are the package's only memos of conductor
+# data.
 _CACHE_BYTES = 1 << 25
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
@@ -115,7 +120,7 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@_conductor_cache(256)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Integer coefficients of the e-th cyclotomic polynomial, ascending degree.
 
@@ -132,7 +137,6 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
 def _phi(e: int) -> int:
     return len(cyclotomic_polynomial(e)) - 1
 
@@ -522,13 +526,6 @@ _PRIME_LIMIT = 1 << 26
 _Evaluation = namedtuple("_Evaluation", "prime ev conj galois interp")
 
 
-def _primes_1_mod(e: int):
-    """The primes P = 1 (mod e) below _PRIME_LIMIT, largest first."""
-    for t in range((_PRIME_LIMIT - 2) // e, 0, -1):
-        if is_prime(1 + e * t):
-            yield 1 + e * t
-
-
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """x @ y mod p for int64 residues in [0, p), the contraction taken in
     chunks short enough that no int64 sum of products can overflow."""
@@ -541,7 +538,8 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 @_conductor_cache(64)
 def _evaluation_data(e: int, i: int) -> _Evaluation:
-    """Z[zeta_e] modulo the i-th prime P of `_primes_1_mod(e)`, as F_P^phi(e).
+    """Z[zeta_e] modulo the i-th largest prime P = 1 (mod e) below
+    _PRIME_LIMIT, as F_P^phi(e).
 
     P does not divide e and F_P holds an omega of order e, so Phi_e has the
     phi(e) distinct roots omega^u mod P, u prime to e, and x -> omega^u maps
@@ -554,7 +552,8 @@ def _evaluation_data(e: int, i: int) -> _Evaluation:
     and 0 at the others, hence the wanted row modulo Phi_e, and
     `_power_array(e)` folds it onto the power basis.
     """
-    p = next(islice(_primes_1_mod(e), i, None))
+    ts = range((_PRIME_LIMIT - 2) // e, 0, -1)
+    p = next(islice(primes_1_mod(e, ts), i, None))
     omega = pow(primitive_root(p), (p - 1) // e, p)
     units = np.array([u for u in range(e) if gcd(u, e) == 1])
     powers = np.array([pow(omega, m, p) for m in range(e)], dtype=np.int64)

@@ -453,11 +453,8 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
     order = sorted(range(len(raw)),
                    key=lambda i: (g.identity not in raw[i], len(raw[i]), raw[i][0]))
     classes = tuple(raw[i] for i in order)
-    class_of = np.empty(n, dtype=np.int64)
-    for ci, cls in enumerate(classes):
-        for v in cls:
-            class_of[v] = ci
-    return ConjugacyPartition(classes, class_of)
+    # raw class i is class argsort(order)[i] in the canonical order
+    return ConjugacyPartition(classes, np.argsort(order)[assigned])
 
 
 def is_abelian(g: FiniteGroup) -> bool:
@@ -690,11 +687,10 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, QuotientMap]:
     proj = np.full(g.order, -1, dtype=np.int64)
     reps = []
     for x in range(g.order):
-        if proj[x] >= 0:
-            continue
-        coset = unique_sorted(g.mul[x, emb])
-        proj[coset] = len(reps)
-        reps.append(int(coset.min()))
+        # every element below x lies in an earlier coset, so x is least in x N
+        if proj[x] < 0:
+            proj[g.mul[x, emb]] = len(reps)
+            reps.append(x)
     rep_arr = np.array(reps, dtype=np.int64)
     qmul = proj[g.mul[np.ix_(rep_arr, rep_arr)]].astype(np.int64)
     s = np.array(g.generators, dtype=np.int64)

@@ -152,8 +152,8 @@ for name in ("Q8xS3xC4", "C4xC4xC3", "S3xS3xS3"):
     characters.character_table(cat.group(name))
 out["caches"] = {
     fn: getattr(cyclotomic, fn).cache_info()._asdict()
-    for fn in ("_power_array", "_rebase_data", "_evaluation_data",
-               "_fold_bound", "_search_steps")}
+    for fn in ("cyclotomic_polynomial", "_power_array", "_rebase_data",
+               "_evaluation_data", "_fold_bound", "_search_steps")}
 print(json.dumps(out))
 """
 

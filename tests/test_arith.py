@@ -1,11 +1,15 @@
 """Primality and factorization against sympy."""
 
 import time
+from itertools import count, islice
 
 import pytest
 import sympy
 
-from charcond.arith import PRIME_TEST_BOUND, factor_integer, is_prime
+from charcond.arith import (PRIME_TEST_BOUND, factor_integer, is_prime,
+                            primes_1_mod)
+from charcond.characters import _dixon_prime
+from charcond.cyclotomic import _PRIME_LIMIT, _evaluation_data
 from charcond.errors import InvalidData
 
 # Carmichael numbers, strong pseudoprimes to the first few prime bases, and
@@ -62,3 +66,36 @@ def test_factor_refuses_what_it_cannot_certify():
         factor_integer(6 * (2 ** 89 - 1))
     with pytest.raises(ValueError):
         factor_integer(0)
+
+
+def brute_upward(e, order):
+    """The least prime p = 1 (mod e) with p^2 > 4 order, counting up by one."""
+    return next(p for p in count(2) if (p - 1) % e == 0
+                and p * p > 4 * order and sympy.isprime(p))
+
+
+def brute_downward(e, i):
+    """The i-th largest prime p = 1 (mod e) below _PRIME_LIMIT, counting
+    down by one."""
+    found = (p for p in range(_PRIME_LIMIT - 1, 1, -1)
+             if (p - 1) % e == 0 and sympy.isprime(p))
+    return next(islice(found, i, None))
+
+
+def test_primes_1_mod_follow_the_order_of_ts():
+    assert list(primes_1_mod(4, range(1, 10))) == [5, 13, 17, 29, 37]
+    assert list(primes_1_mod(4, range(9, 0, -1))) == [37, 29, 17, 13, 5]
+    assert list(primes_1_mod(1, range(1, 12))) == [2, 3, 5, 7, 11]
+    assert list(primes_1_mod(6, [])) == []
+
+
+def test_dixon_primes_match_the_upward_search():
+    for e in range(1, 301):
+        for order in (1, e, 24 * e, 20000):
+            assert _dixon_prime(e, order) == brute_upward(e, order), (e, order)
+
+
+def test_evaluation_primes_match_the_downward_search():
+    for e in range(1, 301):
+        for i in range(3):
+            assert _evaluation_data(e, i).prime == brute_downward(e, i), (e, i)

@@ -6,7 +6,9 @@ ndarray result read-only.  Outside `groups.py` a module may compare two
 caches with `is` (`characters._same_group`) but reads no key of one, which
 the first test checks on the syntax tree of every other module.  The second
 checks, after a sweep, that every cached array is read-only, and so is every
-array the conductor caches of `cyclotomic` hand out.
+array the conductor caches of `cyclotomic` hand out.  The third checks that
+no module memoizes with `functools`: conductor data go through the bounded
+`cyclotomic._conductor_cache` and everything else through `groups.cached`.
 """
 
 import ast
@@ -50,6 +52,40 @@ def test_the_check_sees_key_reads_and_allows_identity_tests():
               "        s._cache['k'] = 1\n    return s._cache['k']\n"
               "cache = g._cache\n")
     assert cache_reads(source) == [4, 5, 6, 7]
+
+
+_FUNCTOOLS_MEMOS = {"lru_cache", "cache"}
+
+
+def functools_memos(source: str) -> list[int]:
+    """The lines, sorted, where source imports `lru_cache` or `cache` from
+    functools or reads either as an attribute of `functools`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names
+                      if alias.name in _FUNCTOOLS_MEMOS]
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in _FUNCTOOLS_MEMOS
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_memoizes_with_functools(path):
+    assert functools_memos(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_functools_memos_only():
+    source = ("from functools import lru_cache, wraps\n"
+              "import functools\n"
+              "@functools.cache\n"
+              "def f(x):\n    return x\n"
+              "from functools import cache as memo\n"
+              "cache = {}\ng.cache\n")
+    assert functools_memos(source) == [1, 3, 6]
 
 
 def _arrays(value):

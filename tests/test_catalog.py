@@ -1,7 +1,10 @@
 """Builtin catalog: group builders, product resolution, contexts, datasets."""
 
+import hashlib
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,45 @@ def test_every_builtin_validates(cat):
         g = cat.group(name)
         assert g.order >= 1
         assert g.name == name
+
+
+# sha256 of every base group (name, order, labels and table) and of the
+# three contexts, recorded while each name and range was listed twice
+_BASE_DIGEST = (
+    "96687633d62f25c47f1d1f6ca07fb4bb86a38568c96e19c03513411a602c6413")
+_CONTEXT_DIGEST = (
+    "7459b4c8359353a65e04a59e934f6b24c30d513d91748aee3044f07c8cb86ac4")
+
+
+def test_base_groups_match_their_recorded_digest():
+    cat = Catalog()
+    h = hashlib.sha256()
+    for name in cat.base_names():
+        g = cat.group(name)
+        h.update(json.dumps([name, g.name, g.order, g.labels]).encode())
+        h.update(g.mul.astype(np.int64).tobytes())
+    assert h.hexdigest() == _BASE_DIGEST
+
+
+def test_contexts_match_their_recorded_digest():
+    cat = Catalog()
+    records = []
+    for name in cat.context_names():
+        ctx = cat.context(name)
+        records.append([
+            name, ctx.name, ctx.group.name, ctx.disc, ctx.labels,
+            [[f.prime, f.residue_norm, [s.order for s in f.groups]]
+             for f in ctx.filtrations]])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == _CONTEXT_DIGEST
+
+
+@pytest.mark.parametrize("alias, name", [("C024", "C24"), ("d08", "D8"),
+                                         ("q08xs3", "Q8xS3"), ("S01", "S1")])
+def test_leading_zero_digits_resolve_to_the_named_group(alias, name):
+    got, want = Catalog().group(alias), Catalog().group(name)
+    assert (got.name, got.labels) == (want.name, want.labels)
+    assert np.array_equal(got.mul, want.mul)
 
 
 def test_expected_orders(cat):
@@ -58,8 +100,9 @@ def test_products_on_demand(cat):
     assert cat.group("C2xC3").order == 6
     with pytest.raises(TooLarge):
         cat.group("S4xS4")
-    # names with an empty factor included
-    for name in ("E8", "C25", "x", "C2x", "xC3", "C2xx", "", " "):
+    # names outside the registry, and names with an empty factor
+    for name in ("E8", "C25", "S0", "S5", "C0", "D1", "D13", "Q4", "Q16",
+                 "C\u00b2", "C+5", "C-5", "x", "C2x", "xC3", "C2xx", "", " "):
         with pytest.raises(InvalidData, match="unknown catalog group"):
             cat.group(name)
 

@@ -352,6 +352,22 @@ def test_catalog_list(capsys):
     assert "martinet-constants" in out
 
 
+# sha256 of `charcond catalog list` stdout, recorded while the names, the
+# contexts and the product cap were each written out twice
+_CATALOG_LIST_DIGESTS = {
+    "text": "217a1a938759d899bee6f422555dc888125bac041072d4e63665814589c1945f",
+    "json": "f0cfdf12095053cc2645f72f022132a44f3b1fabe25d9a89b571c688c5a0b8cf",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_CATALOG_LIST_DIGESTS))
+def test_catalog_list_matches_recorded_digest(capsys, fmt):
+    code, out, _ = run(capsys, "catalog", "list", "--format", fmt)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == _CATALOG_LIST_DIGESTS[fmt])
+
+
 def test_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "table", "--group", "S3xS3", "--format", "json")
     _, out2, _ = run(capsys, "table", "--group", "S3xS3", "--format", "json")

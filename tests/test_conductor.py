@@ -221,6 +221,29 @@ def test_root_conductor_radicals():
         .as_fraction() == 23
 
 
+def test_power_triples_of_negative_exponents_are_exact():
+    cube = RadicalValue({2: Fraction(1, 3), 3: Fraction(-2, 3)})
+    for r, want in ((RadicalValue({2: -1}), (Fraction(1, 2), 1, 1)),
+                    (RadicalValue({2: 1, 3: -1}), (Fraction(2, 3), 1, 1)),
+                    (cube, (Fraction(2, 9), 1, 3))):
+        got = r.as_power_triple()
+        assert got == want and type(got[0]) is Fraction
+
+
+# primes below the trial-division limit and denominators up to 6 keep the
+# base's factorization in `from_rational` to a few thousand digits
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 23, 101, 1021]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6), max_size=4))
+def test_power_triples_rebuild_the_value_exactly(factors):
+    r = RadicalValue(factors)
+    base, num, den = r.as_power_triple()
+    assert type(base) in (int, Fraction)
+    assert type(base) is int or base.denominator > 1
+    assert RadicalValue.from_rational(base) ** Fraction(num, den) == r
+
+
 MPMATH_11_45 = "6.80948312752"  # 11^(4/5) to 12 significant digits
 
 
