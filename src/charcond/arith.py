@@ -4,8 +4,10 @@ the one search for primes p = 1 (mod e).
 Primality is a deterministic Miller-Rabin test, because primes in
 ramification data come from user input and may be large.  Factorization
 trial-divides by small numbers only; what is left is certified prime by that
-test or split by Pollard-Brent rho, and every factor rho finds is checked by
-division, so the result is exact.  Divisors use trial division: the integers
+test, or taken to the root of a perfect power by `_iroot`, the one exact
+integer root, or split by Pollard-Brent rho, and every factor rho finds is
+checked by division, so the result is exact.  Each prime found is divided
+out of the cofactor at once.  Divisors use trial division: the integers
 that reach them are group orders and exponents, and their one caller,
 `cyclotomic.cyclotomic_polynomial`, is memoized.  `primes_1_mod` serves both
 prime searches, Dixon's upward and the Gram products' downward from 2^26.
@@ -13,7 +15,7 @@ Nothing here is memoized.  The module imports nothing from the package but
 its exception types, so every other module can use it.
 """
 
-from math import gcd
+from math import gcd, log2
 
 from .errors import InvalidData
 
@@ -40,19 +42,51 @@ def factor_integer(n: int) -> dict[int, int]:
         while rest % d == 0:
             out[d] = out.get(d, 0) + 1
             rest //= d
-    pending = [rest] if rest > 1 else []
-    while pending:
-        m = pending.pop()
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _is_probable_prime(m):
-            if m >= PRIME_TEST_BOUND:
-                raise InvalidData(
-                    f"cannot certify the factor {m} of {n} as prime: it is not "
-                    f"below {PRIME_TEST_BOUND}, the exact-test bound")
+    while rest > 1:
+        # a prime factor of rest: the root of a perfect power, or else the
+        # smaller side of a split by rho, until the test certifies a prime
+        m = rest
+        while m >= _TRIAL_LIMIT * _TRIAL_LIMIT and (
+                (root := _power_root(m)) or not _is_probable_prime(m)):
+            m = root or min(d := _split(m), m // d)
+        if m >= PRIME_TEST_BOUND:
+            raise InvalidData(
+                f"cannot certify the factor {m} of {n} as prime: it is not "
+                f"below {PRIME_TEST_BOUND}, the exact-test bound")
+        while rest % m == 0:
             out[m] = out.get(m, 0) + 1
-            continue
-        d = _split(m)
-        pending += [d, m // d]
+            rest //= m
     return dict(sorted(out.items()))
+
+
+def _power_root(m: int) -> int | None:
+    """r with m = r^k for the least prime k that has one, or None; m has no
+    factor below _TRIAL_LIMIT = 2^10, so k < log2(m) / 10."""
+    return next((r for k in filter(is_prime, range(2, m.bit_length() // 10 + 1))
+                 if (r := _iroot(m, k)) ** k == m), None)
+
+
+def _iroot(n: int, d: int) -> int:
+    """floor(n^(1/d)) for an integer n >= 0, by Newton's method from above.
+
+    A root of over about 64 + 2 log2(d) bits starts from the root of n's top
+    half, so each level of the recursion takes one or two full steps.
+    """
+    s = n.bit_length() // (2 * d) - d.bit_length()
+    if s > 32:
+        # (floor((n >> ds)^(1/d)) + 1) * 2^s is above the root, and close
+        # enough that the first step lands within one of it
+        x = _iroot(n >> d * s, d) + 1 << s
+    else:
+        # 2^(log2(n)/d) with a relative margin far above the float's error;
+        # the exact check doubles a start that is not above the root
+        x = int(2 ** (log2(n + 1) / d + 2 ** -30)) + 1
+        while x ** d <= n:
+            x *= 2
+    # each step stays at or above the root, and stops on it
+    while (p := x ** (d - 1)) * x > n:
+        x = ((d - 1) * x + n // p) // d
+    return x
 
 
 def _split(n: int) -> int:

@@ -6,11 +6,12 @@ Imports only `arith` and `errors`, so `charcond bound` never loads numpy;
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm, log2, log10, prod
+from math import floor, gcd, lcm, log10, prod
 
-from .arith import PRIME_TEST_BOUND, factor_integer, is_prime
+from .arith import PRIME_TEST_BOUND, _iroot, factor_integer, is_prime
 from .errors import InvalidData
 
 
@@ -22,29 +23,6 @@ from .errors import InvalidData
 # 0.57-0.63 s in a fresh interpreter on one CPU of a 2-vCPU Xeon.  `conduct`
 # stays far below it: chi(1) <= 71 under the table caps.
 MAX_DECIMAL_DIGITS = 250_000
-
-
-def _iroot(n: int, d: int) -> int:
-    """floor(n^(1/d)) for an integer n >= 0, by Newton's method from above.
-
-    A root of over about 64 + 2 log2(d) bits starts from the root of n's top
-    half, so each level of the recursion takes one or two full steps.
-    """
-    s = n.bit_length() // (2 * d) - d.bit_length()
-    if s > 32:
-        # (floor((n >> ds)^(1/d)) + 1) * 2^s is above the root, and close
-        # enough that the first step lands within one of it
-        x = _iroot(n >> d * s, d) + 1 << s
-    else:
-        # 2^(log2(n)/d) with a relative margin far above the float's error;
-        # the exact check doubles a start that is not above the root
-        x = int(2 ** (log2(n + 1) / d + 2 ** -30)) + 1
-        while x ** d <= n:
-            x *= 2
-    # each step stays at or above the root, and stops on it
-    while (p := x ** (d - 1)) * x > n:
-        x = ((d - 1) * x + n // p) // d
-    return x
 
 
 class RadicalValue:
@@ -260,16 +238,22 @@ def global_constant(disc: int, t) -> Fraction:
     return disc * t
 
 
-def bound_dataset(name: str) -> dict:
-    """A named bound dataset, as a new dict on every call."""
-    if name.strip().lower() != "martinet-constants":
-        raise InvalidData(f"unknown bound dataset {name!r}")
-    return {
-        "name": "martinet-constants",
+# the bound datasets by name: Martinet's constants for the real quintic field
+# of conductor 11, disc 11^4 and per-degree norm cap T = 2^15 * 23
+BOUND_DATASETS = {
+    "martinet-constants": {
         "disc": 14641,
         "T": Fraction(2 ** 15 * 23),
         "q": 5,
         "theta_degree": 1,
         "norm_f_theta": 1,
         "ramified_primes": [2, 11, 23],
-    }
+    },
+}
+
+
+def bound_dataset(name: str) -> dict:
+    """A named bound dataset, as a new dict on every call."""
+    if (key := name.strip().lower()) not in BOUND_DATASETS:
+        raise InvalidData(f"unknown bound dataset {name!r}")
+    return deepcopy({"name": key, **BOUND_DATASETS[key]})

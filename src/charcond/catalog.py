@@ -13,9 +13,9 @@ kernels of the irreducible characters, closed under intersection.
 
 Contexts, each one row of `_CONTEXTS`: `quintic11` (C5 tame at 11, disc
 11^4), `gauss` (C2 wild at 2, disc 4), `quad-m23` (C2 tame at 23, disc 23),
-each with one totally ramified prime of residue norm p; and the bound dataset
-`martinet-constants` (disc 11^4, per-degree norm cap T = 2^15 * 23, ramified
-primes 2, 11, 23).
+each with one totally ramified prime of residue norm p.  Bound datasets come
+from the one registry `bounds.BOUND_DATASETS`: `martinet-constants` (disc
+11^4, per-degree norm cap T = 2^15 * 23, ramified primes 2, 11, 23).
 
 `Catalog.resolve_group` and `resolve_context` share one resolver: the catalog
 name first, then a readable file, else one "neither a catalog group/context
@@ -206,7 +206,8 @@ class Catalog:
         return _resolve(ref, self.context, _load_context, "context")
 
     def bound_dataset_names(self) -> list[str]:
-        return ["martinet-constants"]
+        from .bounds import BOUND_DATASETS
+        return list(BOUND_DATASETS)
 
     def bound_dataset(self, name: str) -> dict:
         from .bounds import bound_dataset

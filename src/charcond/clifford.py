@@ -8,15 +8,17 @@ classification carries verification data that was checked exactly.
 
 For a table row, Clifford decompositions, classifications and extensions
 are views over whole-table arrays that one `_NormalPair` per normal subgroup
-holds: the restricted table with its norms and multiplicities, the induced
-table, and how G permutes the rows of H's table.  Every Clifford and
+holds: the columns that restrict G's table to H, with the restrictions'
+norms and multiplicities, the induced table with its norms and <chi, Ind
+theta>, and how G permutes the rows of H's table.  Every Clifford and
 classification check runs once per pair, over all rows at once, into cached
 verdict arrays that a view reads one row of, so that a row fails only on its
 own checks.  The multiplicities are read as integers on first use, from a
-Gram product computed on first use, so a check that reads none of them
-cannot fail on them.  The verification sweeps read the same arrays, and
-record a pass only for a check that ran to the end and held: an error raised
-while the pair is built fails every record that needs it.  Inertia groups
+Gram product the pair computes with its three others in one pass modulo the
+Gram primes, so a check that reads none of them cannot fail on them.  The
+verification sweeps read the same arrays, and record a pass only for a
+check that ran to the end and held: an error raised while the pair is built
+fails every record that needs it.  Inertia groups
 and conjugate orbits compare class values directly, so they read no
 character table.
 """
@@ -34,8 +36,9 @@ from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce, inflate,
                          pointwise_product, _conj_class_perms,
                          _induction_sums, _inflated_table, _multiplicities,
-                         _restriction_classes, _same_group, _table_nums)
-from .cyclotomic import gram, gram_diagonal, lift, multiply, scaled, values
+                         _restriction_classes, _same_group, _table_at, _table_nums)
+from .cyclotomic import (_absmax, _bound, _crt, _diagonal_values, _evaluate,
+                         _gram_values, _power_array, lift, scaled, values)
 from .errors import (BadChain, IndexNotPrime, InternalContradiction,
                      NotInvariant, NotIrreducible, NotNormal)
 from .groups import (FiniteGroup, QuotientMap, Subgroup, cached,
@@ -93,16 +96,23 @@ class _NormalPair:
     """Whole-table arrays of a normal pair (G, H), all at e = exp(G):
 
     - ``tg``: the table of G; ``th``: the table of H, lifted to e;
-    - ``res``: the table of G restricted to H, one gather of columns;
-    - ``res_norm``: |H| <Res chi_r, Res chi_r>, one `gram_diagonal`;
+    - ``cols``: the classes of G that hold H's, so that tg[:, cols], one
+      gather, is the table of G restricted to H;
     - ``ind``: |H| Ind theta_j, one matmul with the induction counts;
+    - four Gram products from one pass modulo the Gram primes:
+      ``res_norm``, |H| <Res chi_r, Res chi_r>; ``res_gram``, |H| <Res
+      chi_r, theta_j>; ``ind_norm``, |H|^2 |G| <Ind theta_j, Ind theta_j>;
+      and ``ind_gram``, |H| |G| <chi_r, Ind theta_j>.  G's table is
+      evaluated once per table (`characters._table_at`), the gather's
+      evaluation is a gather of G's, and th and ind are each evaluated from
+      their own arrays; one interpolation and one CRT serve all four, and
+      each keeps the dtype of its own `_bound`;
     - ``perm[g, j]``: the row equal to theta_j^g, theta_j^g(h) =
       theta_j(g h g^-1), matched once per distinct permutation of the
       H-classes by array equality; ``stab[j]``: the order of the inertia
       group of theta_j; ``is_h[j]``: it is H itself; ``orbit[i, j]``:
       theta_j is conjugate to theta_i;
-    - ``res_gram``: |H| <Res chi_r, theta_j>, one `gram` on first use;
-      ``mult``: the same as integers, read off it on first use, so that a
+    - ``mult``: res_gram as integers, read off it on first use, so that a
       check that reads no multiplicity never fails on one;
     - ``clifford``: the first constituent, e, t and the Clifford verdict of
       every row, and ``checks``: the classification checks of every row,
@@ -117,15 +127,25 @@ class _NormalPair:
         g, h = s.parent, s.as_group()
         e = self.e = g.exponent()
         self.order_g, self.order_h = g.order, s.order
-        self.sizes_g = np.array(conjugacy_classes(g).sizes)
-        self.sizes_h = np.array(conjugacy_classes(h).sizes)
+        wg, wh = conjugacy_classes(g).sizes, conjugacy_classes(h).sizes
+        self.sizes_g, self.sizes_h = np.array(wg), np.array(wh)
         self.tg = _table_nums(g)
         th = _table_nums(h)
         self.th = lift(th, h.exponent(), e)
         self.cols = _restriction_classes(s)
-        self.res = self.tg[:, self.cols]
-        self.res_norm = gram_diagonal(self.res, self.sizes_h, e)
-        self.ind = lift(_induction_sums(s, th), h.exponent(), e)
+        res = self.tg[:, self.cols]
+        self.ind = _induction_sums(s, self.th)
+
+        def residues(data):
+            x, xi = _table_at(g, data), _evaluate(self.ind, data)
+            xr = x[..., self.cols]
+            return [_diagonal_values(xr, wh, data),
+                    _gram_values(xr, _evaluate(self.th, data), wh, data),
+                    _diagonal_values(xi, wg, data), _gram_values(x, xi, wg, data)]
+        self.res_norm, self.res_gram, self.ind_norm, self.ind_gram = _crt(
+            e, [_bound(res, res, wh, e), _bound(res, self.th, wh, e),
+                _bound(self.ind, self.ind, wg, e), _bound(self.tg, self.ind, wg, e)],
+            residues)
         k = len(th)
         index = {key: j for j, key in enumerate(row_keys(th))}
         perms = _conj_class_perms(s)
@@ -141,12 +161,6 @@ class _NormalPair:
         fixed = self.perm == np.arange(k)
         self.stab = fixed.sum(axis=0)
         self.is_h = (fixed == (s.member_index() >= 0)[:, None]).all(axis=0)
-
-    @cached_property
-    def res_gram(self) -> np.ndarray:
-        """|H| <Res chi_r, theta_j> for every r and j, numerators at e, from
-        one `gram`: the multiplicities and Frobenius reciprocity read it."""
-        return gram(self.res, self.th, self.sizes_h, self.e)
 
     @cached_property
     def mult(self) -> np.ndarray:
@@ -191,23 +205,18 @@ class _NormalPair:
         return np.stack([
             _equals(self.res_norm, self.order_h),
             ((m != 0).sum(axis=1) == 1) & (m[np.arange(len(m)), j] == 1)
-            & (self.res == self.th[j]).all(axis=(1, 2)),
+            & (self.tg[:, self.cols] == self.th[j]).all(axis=(1, 2)),
             self.stab[j] == self.order_g, ~induced, t == q, e == 1, induced,
             self.is_h[j], _equals(self.res_norm, q * self.order_h)])
 
-    def induced_norms(self) -> np.ndarray:
-        """|H|^2 |G| <Ind theta_j, Ind theta_j> for every j, numerators at e,
-        from one `gram_diagonal`."""
-        return gram_diagonal(self.ind, self.sizes_g, self.e)
-
     def frobenius(self) -> str:
         """The detail of Frobenius reciprocity, <chi_r, Ind theta_i> =
-        <Res chi_r, theta_i> for every r and i, the left side from the
-        induced table by one `gram`, the right the multiplicity Gram of the
-        gather: "" when it holds, else <Ind theta_i, chi_r> and <theta_i,
-        Res chi_r>, the conjugates, at the last (i, r) where they differ."""
-        lhs = gram(self.tg, self.ind, self.sizes_g, self.e)
-        rhs = self.res_gram
+        <Res chi_r, theta_i> for every r and i, the left side ind_gram, from
+        the induced table's own evaluation, the right the multiplicity Gram
+        of the gather: "" when it holds, else <Ind theta_i, chi_r> and
+        <theta_i, Res chi_r>, the conjugates, at the last (i, r) where they
+        differ."""
+        lhs, rhs = self.ind_gram, self.res_gram
         bad = np.argwhere((lhs != scaled(rhs, self.order_g)).any(axis=2).T).tolist()
         if not bad:
             return ""
@@ -219,23 +228,44 @@ class _NormalPair:
     def extensions(self, j: int) -> list[int]:
         """The rows chi_r with Res chi_r = theta_j, in table order, for a
         theta_j invariant under a prime index, which must have one."""
-        rows = np.flatnonzero((self.res == self.th[j]).all(axis=(1, 2))).tolist()
-        if not rows:
+        rows = np.flatnonzero((self.tg[:, self.cols] == self.th[j]).all(axis=(1, 2)))
+        if not len(rows):
             raise InternalContradiction(
                 "no extension found for an invariant character of prime index")
-        return rows
+        return rows.tolist()
 
-    def products(self, rows: list[int], qmap: QuotientMap):
-        """chi_r * psi_i for r in rows and psi_i the table of G/H inflated to
-        G, as numerators at e of shape (rows, rows of G/H, classes of G, .),
-        by one `multiply`; and |G| times their norms, numerators at e of
-        shape (rows, rows of G/H, .), from one `gram_diagonal`."""
-        psi = lift(_inflated_table(qmap), qmap.group.exponent(), self.e)
-        shape = (len(rows),) + psi.shape
-        prods = multiply(np.broadcast_to(self.tg[rows][:, None], shape),
-                         np.broadcast_to(psi, shape), self.e)
-        got = gram_diagonal(prods.reshape((-1,) + shape[2:]), self.sizes_g, self.e)
-        return prods, got.reshape(shape[:2] + got.shape[1:])
+    def products(self, thetas: np.ndarray, rows: list[int], qmap: QuotientMap):
+        """Gallagher's products chi_r * psi_i for r in rows, an extension of
+        theta_j for each j in thetas, and psi_i the table of G/H inflated to
+        G: whether the products of each r repeat, whether |H| times their
+        sum differs from |H| Ind theta_j, and |G| times their norms,
+        numerators at e of shape (rows, rows of G/H, .).
+
+        One pass modulo the Gram primes: a product is G's evaluated row
+        times the evaluated psi_i, its norm is interpolated exactly, and the
+        products and sums are compared at every embedding, with primes whose
+        product exceeds twice a bound on every numerator compared.  A
+        product's numerators sum 2 phi - 1 folded convolution sums of at
+        most phi terms, and a norm's sum, per class, phi^3 terms at each of
+        e powers of the power table."""
+        g, e, wg = qmap.source, self.e, self.sizes_g.tolist()
+        psi = lift(_inflated_table(qmap), qmap.group.exponent(), e)
+        n, m, phi = len(rows), len(psi), psi.shape[2]
+        top, fold = _absmax(self.tg[rows]) * _absmax(psi), _absmax(_power_array(e))
+        bound = max(self.order_g * phi ** 3 * top ** 2 * e * fold, _absmax(self.ind)
+                    + self.order_h * m * (2 * phi - 1) * phi * top * fold)
+        seen = []
+
+        def residues(data):
+            p, x = data.prime, _table_at(g, data)[:, rows, None]
+            prods = x * _evaluate(psi, data)[:, None] % p
+            diff = self.order_h * prods.sum(axis=2) - _evaluate(self.ind[thetas], data)
+            seen.append((prods.transpose(1, 2, 0, 3), (diff % p).any(axis=(0, 2))))
+            return [_diagonal_values(prods, wg, data)]
+        (norms,) = _crt(e, [bound], residues)
+        keys = row_keys(np.concatenate([x for x, _ in seen], axis=2).reshape(n * m, -1))
+        repeated = [len(set(keys[x * m:(x + 1) * m])) < m for x in range(n)]
+        return np.array(repeated), np.any([d for _, d in seen], axis=0), norms
 
 
 @cached

@@ -23,9 +23,14 @@ omega^u, and complex conjugation takes u to -u: a Gram product is one
 batched int64 matmul over the classes, coordinate by coordinate.  An exact
 bound on every numerator of the result decides how many primes to use; once
 their product exceeds twice the bound, the Chinese remainder theorem and the
-symmetric range return the integers themselves.  `characters._check_table`
-reads a table's evaluations (`_evaluation_data`, `_evaluate`) directly and
-never interpolates.
+symmetric range return the integers themselves.  The steps are shared:
+`_evaluate`, the products at the roots (`_gram_values`, `_diagonal_values`)
+and `_crt`, which interpolates several products with one matmul per prime
+and recovers them all, with primes for the largest bound, each of the dtype
+of its own bound.  A normal pair of `clifford`
+takes its four Gram products, and Gallagher's products, from one such pass
+over evaluations it keeps or gathers.  `characters._check_table` reads a
+table's evaluations directly and never interpolates.
 
 There is one builder.  `values` turns rows into `Cyclotomic`s, each in
 lowest terms at its minimal conductor, so that equality and hashing are
@@ -46,8 +51,8 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import wraps
-from itertools import islice
-from math import gcd, lcm
+from itertools import accumulate, islice
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -578,7 +583,7 @@ def _bound(a: np.ndarray, b: np.ndarray, wts: list[int], e: int) -> int:
     power x^(s - t) collects at most w of them, and a numerator sums at most
     e powers times the power table."""
     w = a.shape[2]
-    return (max(1, sum(abs(x) for x in wts)) * w * _absmax(a) * _absmax(b)
+    return (max(1, sum(map(abs, wts))) * w * _absmax(a) * _absmax(b)
             * e * _fold_bound(e, w))
 
 
@@ -593,22 +598,42 @@ def _weighted(x: np.ndarray, wts: list[int], p: int) -> np.ndarray:
     return x * np.array([v % p for v in wts], dtype=np.int64) % p
 
 
-def _crt(e: int, bound: int, residues) -> np.ndarray:
-    """The integer array, entries bounded by `bound`, that residues(data)
-    gives modulo the primes of `_evaluation_data(e, i)`, i = 0, 1, ..., until
-    their product exceeds 2 * bound; Garner's mixed-radix CRT, then the
-    symmetric range, of dtype int_dtype(bound)."""
+def _gram_values(x: np.ndarray, y: np.ndarray, wts: list[int],
+                 data: _Evaluation) -> np.ndarray:
+    """sum_c w_c x[u, i, c] conj(y[u, j, c]) at each primitive root u, from
+    evaluations x (phi, ka, k) and y (phi, kb, k): one batched matmul over
+    the classes, shape (phi, ka, kb)."""
+    p = data.prime
+    return _matmul_mod(_weighted(x, wts, p), y[data.conj].transpose(0, 2, 1), p)
+
+
+def _diagonal_values(x: np.ndarray, wts: list[int], data: _Evaluation) -> np.ndarray:
+    """sum_c w_c x[u, ..., c] conj(x[u, ..., c]), the diagonal of
+    _gram_values(x, x, ...) over any leading axes: shape x.shape[:-1]."""
+    p = data.prime
+    return (_weighted(x, wts, p) * x[data.conj] % p).sum(axis=-1) % p
+
+
+def _crt(e: int, bounds: list[int], residues) -> list[np.ndarray]:
+    """Integer arrays from their values at the primitive roots: residues(data)
+    gives them modulo data.prime, the k-th of shape (phi(e),) + S_k, with
+    power-basis numerators bounded by bounds[k].  At each prime of
+    `_evaluation_data(e, i)`, i = 0, 1, ..., one matmul interpolates all of
+    them, until the primes' product exceeds twice the largest bound; then
+    Garner's mixed-radix CRT and the symmetric range give the k-th, of shape
+    S_k + (phi(e),) and dtype int_dtype(bounds[k])."""
     x, m, i = None, 1, 0
-    while m <= 2 * bound:
+    while m <= 2 * max(bounds):
         data = _evaluation_data(e, i)
-        p = data.prime
-        r = residues(data)
-        if x is None:
-            x = r
-        else:
-            x = x.astype(object) + m * ((r - x) * pow(m, -1, p) % p)
+        p, got = data.prime, residues(data)
+        r = _matmul_mod(np.concatenate([y.reshape(len(y), -1) for y in got],
+                                       axis=1).T, data.interp, p)
+        x = r if x is None else x.astype(object) + m * ((r - x) * pow(m, -1, p) % p)
         m, i = m * p, i + 1
-    return np.where(2 * x > m, x - m, x).astype(int_dtype(bound), copy=False)
+    x, shapes = np.where(2 * x > m, x - m, x), [y.shape[1:] for y in got]
+    ends = list(accumulate(map(prod, shapes)))
+    return [x[lo:hi].reshape(s + x.shape[1:]).astype(int_dtype(b), copy=False)
+            for lo, hi, s, b in zip([0] + ends, ends, shapes, bounds)]
 
 
 def gram(a: np.ndarray, b: np.ndarray, weights, e: int) -> np.ndarray:
@@ -621,33 +646,24 @@ def gram(a: np.ndarray, b: np.ndarray, weights, e: int) -> np.ndarray:
 
     It is computed in F_P^phi(e) for primes P = 1 (mod e) (see
     `_evaluation_data`): one matmul per operand evaluates it at the
-    primitive roots, one batched matmul over the classes multiplies, one
-    matmul interpolates.  Every numerator is an integer of absolute value at
-    most the bound, so once the product of the primes exceeds twice the
-    bound the residues determine it, and the CRT and the symmetric range
-    recover it exactly.
+    primitive roots, one batched matmul over the classes multiplies
+    (`_gram_values`), one matmul interpolates (`_crt`).  Every
+    numerator is an integer of absolute value at most the bound, so once the
+    product of the primes exceeds twice the bound the residues determine it,
+    and the CRT and the symmetric range recover it exactly.
     """
     wts = [int(x) for x in weights]
-
-    def residues(data):
-        p = data.prime
-        x, y = _evaluate(a, data), _evaluate(b, data)[data.conj]
-        got = _matmul_mod(_weighted(x, wts, p), y.transpose(0, 2, 1), p)
-        return _matmul_mod(got.transpose(1, 2, 0), data.interp, p)
-    return _crt(e, _bound(a, b, wts, e), residues)
+    return _crt(e, [_bound(a, b, wts, e)], lambda data: [_gram_values(
+        _evaluate(a, data), _evaluate(b, data), wts, data)])[0]
 
 
 def gram_diagonal(a: np.ndarray, weights, e: int) -> np.ndarray:
     """The diagonal of gram(a, a, weights, e), shape (ka, phi(e)): the
-    weighted sum of a[i, c] * conj(a[i, c]) at each primitive root."""
+    weighted sum of a[i, c] * conj(a[i, c]) at each primitive root
+    (`_diagonal_values`)."""
     wts = [int(x) for x in weights]
-
-    def residues(data):
-        p = data.prime
-        x = _evaluate(a, data)
-        got = (_weighted(x, wts, p) * x[data.conj] % p).sum(axis=2) % p
-        return _matmul_mod(got.T, data.interp, p)
-    return _crt(e, _bound(a, a, wts, e), residues)
+    return _crt(e, [_bound(a, a, wts, e)], lambda data: [
+        _diagonal_values(_evaluate(a, data), wts, data)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .characters import (character_table, induce, _conj_class_perms, _exact,
                          _table_nums)
 from .clifford import (NormalChain, construct_large_degree, promote_degree,
                        _classify_row, _clifford_row, _equals, _pair)
-from .cyclotomic import _matmul, scaled
+from .cyclotomic import _matmul
 from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
                         conductor_exponents, conductors,
                         induced_conductor_norm, unramified_triviality,
@@ -56,7 +56,7 @@ from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
 from .errors import CharcondError, InvalidData
 from .groups import (FiniteGroup, Subgroup, normal_subgroups,
                      prime_index_normal_subgroups, product_chain, quotient,
-                     row_keys, trivial_subgroup)
+                     trivial_subgroup)
 
 _RANDOM_SEED = 20230923
 _ADDITIVITY_TRIALS = 100
@@ -196,7 +196,7 @@ def _induction(s: Subgroup) -> tuple[str, str]:
     # Res Ind theta by the gather; |I/H| times the orbit sums by the row action
     sums = _matmul(pair.orbit * (ratio * s.order)[:, None],
                    th.reshape(len(th), -1)).reshape(th.shape)
-    norms = pair.induced_norms()
+    norms = pair.ind_norm
     return (_last_failure(
         [(pair.ind[:, pair.cols] != sums).any(axis=(1, 2))],
         [lambda i: f"Res Ind theta mismatch for theta degree {int(deg[i])}"]),
@@ -278,21 +278,18 @@ def _gallagher(s: Subgroup, invariant: int) -> tuple[str]:
     """Each invariant theta has extensions chi; the products chi * psi_i with
     the irreducibles psi_i of G/H are distinct and irreducible, sum to Ind
     theta and are as many as the extensions, as arrays over the invariant
-    thetas; the invariant thetas, read off the stabilizers, are as many as
-    the label counted; the record shows the last failure."""
+    thetas, from the pair's one pass modulo the Gram primes: distinctness
+    and the sum compared at every embedding, the norms interpolated; the
+    invariant thetas, read off the stabilizers, are as many as the label
+    counted; the record shows the last failure."""
     pair, (_, qmap) = _pair(s), quotient(s.parent, s)
     thetas = np.flatnonzero(pair.stab == s.parent.order)
     exts = [pair.extensions(j) for j in thetas.tolist()]
-    # the trivial theta is invariant, so there is an extension chi; every
-    # chi * psi_i by one multiply, their norms by one gram
-    products, norms = pair.products([rows[0] for rows in exts], qmap)
-    n, m = products.shape[:2]
-    keys = row_keys(products.reshape(n * m, *products.shape[2:]))
+    # the trivial theta is invariant, so there is an extension chi
+    repeated, differs, norms = pair.products(thetas, [r[0] for r in exts], qmap)
+    m = norms.shape[1]
     detail = _last_failure(
-        [np.array([len(set(keys[x * m:(x + 1) * m])) != m for x in range(n)],
-                  dtype=bool),
-         (pair.ind[thetas] != scaled(products.sum(axis=1), s.order)).any(axis=(1, 2)),
-         ~_equals(norms, s.parent.order).all(axis=1),
+        [repeated, differs, ~_equals(norms, s.parent.order).all(axis=1),
          np.array([len(rows) for rows in exts], dtype=np.int64) != m],
         [lambda x: "products chi * psi_i are not distinct",
          lambda x: "sum of chi * psi_i differs from Ind theta",

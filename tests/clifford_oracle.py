@@ -57,7 +57,7 @@ def oracle_classify_row(pair, r):
         checks = {
             "restriction_irreducible": True,
             "restriction_matches": (parts == [j] and int(pair.mult[r, j]) == 1
-                                    and np.array_equal(pair.res[r], pair.th[j])),
+                                    and np.array_equal(pair.tg[r, pair.cols], pair.th[j])),
             "inertia_whole_group": bool(pair.stab[j] == pair.order_g),
             "induced_differs": not _is_induced(pair, j, pair.tg[r]),
         }

@@ -45,7 +45,7 @@ sys.path.insert(0, sys.argv[1])
 from gram_oracle import oracle_diagonal, oracle_gram
 
 runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
-builds, kernels, built = Counter(), Counter(), Counter()
+builds, kernels, built, passes = Counter(), Counter(), Counter(), Counter()
 self_grams, mismatches, validated = [], [], []
 check_table = characters._check_table
 validate_table = groups._validate_table
@@ -105,6 +105,12 @@ def compared(fn, oracle):
         return got
     return wrapped
 
+def counted_pass(e, bounds, residues):
+    # counts the passes modulo the Gram primes by calling function and
+    # number of products
+    passes[sys._getframe(1).f_code.co_name + ":" + str(len(bounds))] += 1
+    return crt(e, bounds, residues)
+
 def counted_values(fn):
     def wrapped(*args):
         out = fn(*args)
@@ -116,10 +122,13 @@ patches = {"restrict": counted_restrict, "induce": counted_induce,
            "character_table": counted_table,
            "values": counted_values(cyclotomic.values),
            "gram": compared(cyclotomic.gram, oracle_gram),
-           "gram_diagonal": compared(cyclotomic.gram_diagonal, oracle_diagonal)}
+           "gram_diagonal": compared(cyclotomic.gram_diagonal, oracle_diagonal),
+           "_crt": counted_pass}
+crt = cyclotomic._crt
 originals = {"restrict": restrict, "induce": induce, "character_table": table,
              "values": cyclotomic.values, "gram": cyclotomic.gram,
-             "gram_diagonal": cyclotomic.gram_diagonal}
+             "gram_diagonal": cyclotomic.gram_diagonal,
+             "_crt": crt}
 counted_build(clifford._NormalPair)
 counted_builder("_dixon_rows")
 counted_builder("_abelian_rows")
@@ -137,7 +146,8 @@ out = {"passed": rep.passed, "builders": builds_per_table(),
        "induce": dict(induces),
        "builds": {cls: sorted(n for (c, _, _), n in builds.items() if c == cls)
                   for cls in ("_NormalPair",)},
-       "kernels": dict(kernels), "self_grams": self_grams,
+       "kernels": dict(kernels), "passes": dict(passes),
+       "self_grams": self_grams,
        "mismatches": mismatches, "values": built["values"],
        "tables": built["character_table"]}
 # no memo may carry a group of one round into the next
@@ -185,7 +195,9 @@ def fresh_sweep():
     `character_table` calls, how many normal pairs built their table arrays
     how many times, the Gram kernel calls by kernel and calling function
     (each compared with the oracle kernel of `gram_oracle`, with the callers
-    of any mismatch and of any `gram` of an array with itself), and the
+    of any mismatch and of any `gram` of an array with itself), the passes
+    modulo the Gram primes (`cyclotomic._crt`) by calling function
+    and number of products, and the
     number of `Cyclotomic` values built; the builds and axiom checks of a
     second round in the same interpreter; and then the conductor cache
     statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""

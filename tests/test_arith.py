@@ -5,9 +5,10 @@ from itertools import count, islice
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
-from charcond.arith import (PRIME_TEST_BOUND, factor_integer, is_prime,
-                            primes_1_mod)
+from charcond.arith import (PRIME_TEST_BOUND, _iroot, factor_integer,
+                            is_prime, primes_1_mod)
 from charcond.characters import _dixon_prime
 from charcond.cyclotomic import _PRIME_LIMIT, _evaluation_data
 from charcond.errors import InvalidData
@@ -57,6 +58,32 @@ def test_factor_two_primes_near_a_billion_fast():
                                                       1000000007: 1}
     assert factor_integer(1000000000000000003) == {1000000000000000003: 1}
     assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1025, 2 ** 32).map(sympy.nextprime), st.integers(1, 40),
+       st.integers(1, 10 ** 12))
+@example(65537, 100, 1)
+@example(1031, 6, 1031 ** 2 * 1033 ** 4)
+@example(2 ** 31 - 1, 30, (2 ** 31 - 1) * 1000003 ** 3)
+def test_factor_prime_powers_matches_sympy(p, k, m):
+    # a prime above the trial-division limit to a power, times a cofactor
+    # that may share it or hold powers of its own
+    assert factor_integer(p ** k * m) == sympy.factorint(p ** k * m)
+
+
+def test_factor_a_large_prime_power_fast():
+    start = time.perf_counter()
+    assert factor_integer(65537 ** 400) == {65537: 400}
+    assert factor_integer(1031 ** 2 * 65537 ** 400) == {1031: 2, 65537: 400}
+    assert time.perf_counter() - start < 1
+
+
+def test_iroot_is_the_floor_of_the_root():
+    for n in [0, 1, 2, 7, 8, 9, 10 ** 40, 3 ** 333, 3 ** 333 - 1, 2 ** 6400]:
+        for d in (1, 2, 3, 5, 64, 641):
+            r = _iroot(n, d)
+            assert r ** d <= n < (r + 1) ** d, (n, d)
 
 
 def test_factor_refuses_what_it_cannot_certify():

@@ -251,6 +251,24 @@ def test_bound_huge_prime_disc_answers_fast(capsys):
     assert "1000000000000000003^(1/5) = 3981.07170553" in out
 
 
+_TIMED_BOUND = """
+import sys, time
+from charcond.cli import main
+t = time.perf_counter()
+code = main(["bound", "--disc", str(65537 ** 400), "--q", "2",
+             "--theta-degree", "1", "--norm-ftheta", "7"])
+print(code, time.perf_counter() - t, file=sys.stderr)
+"""
+
+
+def test_bound_on_a_large_prime_power_disc_answers_fast():
+    # 65537^400 has 1,927 digits; the request factors it twice
+    run = run_fresh(_TIMED_BOUND)
+    code, seconds = run.stderr.split()
+    assert code == "0" and float(seconds) < 1
+    assert "disc^(1/q) * N^(1/t1): 7 * 65537^200 = 1.38806408137e+964" in run.stdout
+
+
 def test_bound_uncertifiable_disc_exits_2(capsys):
     code, out, err = run(capsys, "bound", "--disc", str(2 ** 89 - 1),
                          "--q", "5", "--theta-degree", "1", "--norm-ftheta", "1")

@@ -123,40 +123,35 @@ def test_classification_s3():
 
 
 def test_restricted_case_computes_the_norm_once(monkeypatch):
-    # the norms of all restrictions come from one diagonal Gram form when the
-    # pair builds its arrays; classifying again reads them, and no
-    # character's own norm is computed
+    # the norms of all restrictions come from one pass modulo the Gram
+    # primes when the pair builds its arrays, with its three other Gram
+    # products; classifying again reads them, and no character's own norm
+    # is computed
     g = s3()
     a3 = a3_of(g)
     t = character_table(g)
-    norms, grams, diagonals = [], [], []
-    real_norm, real_gram = characters.norm, clifford.gram
-    real_diagonal = clifford.gram_diagonal
+    norms, passes = [], []
+    real_norm, real_pass = characters.norm, clifford._crt
 
     def counted_norm(fn):
         norms.append(fn.group.order)
         return real_norm(fn)
 
-    def counted_gram(a, b, *args):
-        grams.append((len(a), len(b)))
-        return real_gram(a, b, *args)
-
-    def counted_diagonal(a, *args):
-        diagonals.append(len(a))
-        return real_diagonal(a, *args)
+    def counted_pass(e, bounds, residues):
+        passes.append(len(bounds))
+        return real_pass(e, bounds, residues)
 
     monkeypatch.setattr(characters, "norm", counted_norm)
-    monkeypatch.setattr(clifford, "gram", counted_gram)
-    monkeypatch.setattr(clifford, "gram_diagonal", counted_diagonal)
+    monkeypatch.setattr(clifford, "_crt", counted_pass)
     for _ in range(2):
         for chi in t[:2]:
             c = classify_irreducible(chi, a3)
             assert c.kind == ClassificationKind.RESTRICTED
             assert c.theta.irreducible and c.verified()
         assert norms == []
-        # the multiplicities, and the norms of the restrictions
-        assert grams == [(3, 3)]
-        assert diagonals == [3]
+        # the norms of the restrictions, the multiplicities, the norms of
+        # the inductions and the induced side of Frobenius reciprocity
+        assert passes == [4]
 
 
 def test_classification_requires_prime_index():

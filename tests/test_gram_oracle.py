@@ -4,19 +4,24 @@
 the primitive e-th roots of unity; `gram_oracle` forms every coefficient
 product over the integers.  They must agree in values and dtype
 on every input: both widths, conductors 1 to 120, negative and zero weights,
-and entries large enough to take several primes and Python ints.
+and entries large enough to take several primes and Python ints.  So must
+the four Gram products that a normal pair takes from one pass, and
+Gallagher's norms must equal the oracle's norms of `multiply`'s products.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charcond import cyclotomic
+from charcond import characters, clifford, cyclotomic
+from charcond.arith import is_prime
 from charcond.catalog import Catalog
 from charcond.characters import (ClassFunction, character_table,
                                  inner_product_matrix)
 from charcond.cyclotomic import (_bound, _evaluation_data, _matmul_mod, _phi,
-                                 gram, gram_diagonal)
+                                 gram, gram_diagonal, lift, multiply, scaled)
+from charcond.groups import (normal_subgroups, parse_group_text, quotient,
+                             row_keys)
 from gram_oracle import oracle_diagonal, oracle_gram
 
 
@@ -121,3 +126,105 @@ def test_empty_inputs_give_empty_results():
     assert inner_product_matrix([], []) == []
     reg = ClassFunction(g, [6, 0, 0])
     assert inner_product_matrix([reg], rows) == [[1, 1, 2]]
+
+
+def _pair_products(pair):
+    """The pair's four Gram products and the oracle's, in that order."""
+    e, wg, wh = pair.e, pair.sizes_g.tolist(), pair.sizes_h.tolist()
+    res = pair.tg[:, pair.cols]
+    return [(pair.res_norm, oracle_diagonal(res, wh, e)),
+            (pair.res_gram, oracle_gram(res, pair.th, wh, e)),
+            (pair.ind_norm, oracle_diagonal(pair.ind, wg, e)),
+            (pair.ind_gram, oracle_gram(pair.tg, pair.ind, wg, e))]
+
+
+def _gallagher_oracle(pair, thetas, rows, psi):
+    """Gallagher's checks by `multiply` and the oracle: whether the products
+    chi_r * psi_i of each row repeat, whether |H| times their sum differs
+    from ind, and their norms."""
+    shape = (len(rows),) + psi.shape
+    prods = multiply(np.broadcast_to(pair.tg[rows][:, None], shape),
+                     np.broadcast_to(psi, shape), pair.e)
+    norms = oracle_diagonal(prods.reshape((-1,) + shape[2:]),
+                            pair.sizes_g.tolist(), pair.e)
+    return ([len(set(row_keys(x))) < len(psi) for x in prods],
+            (pair.ind[thetas] != scaled(prods.sum(axis=1), pair.order_h)
+             ).any(axis=(1, 2)).tolist(), norms.reshape(shape[:2] + (-1,)))
+
+
+def test_normal_pairs_match_the_oracle(monkeypatch):
+    # every proper normal pair of the catalog to order 24 and of four larger
+    # products: the four Gram products in values and dtype, and Gallagher's
+    # checks under prime index, as the table of G/H stands and with its last
+    # row read as its first, so that products repeat and sums differ
+    cat = Catalog()
+    groups = [g for _, g in cat.groups_up_to(24)] + [
+        cat.group(name) for name in ("Q8xS3xC4", "S3xS3xS3", "C4xC4xC3", "S4xS3")]
+    real = characters._inflated_table
+
+    def repeated(qmap):
+        psi = real(qmap).copy()
+        psi[-1] = psi[0]
+        return psi
+
+    pairs, gallagher, flagged = 0, 0, set()
+    for g in groups:
+        for s in normal_subgroups(g):
+            if s.order == g.order:
+                continue
+            pair, where = clifford._pair(s), (g.name, s.order)
+            pairs += 1
+            for got, want in _pair_products(pair):
+                assert _same(got, want), where
+            if not is_prime(s.index):
+                continue
+            _, qmap = quotient(g, s)
+            thetas = np.flatnonzero(pair.stab == g.order)
+            rows = [pair.extensions(j)[0] for j in thetas.tolist()]
+            for inflated in (real, repeated):
+                monkeypatch.setattr(clifford, "_inflated_table", inflated)
+                psi = lift(inflated(qmap), qmap.group.exponent(), pair.e)
+                got = pair.products(thetas, rows, qmap)
+                want = _gallagher_oracle(pair, thetas, rows, psi)
+                assert got[0].tolist() == want[0], where
+                assert got[1].tolist() == want[1], where
+                assert np.array_equal(got[2], want[2]), where
+                flagged.add((inflated is real, any(want[0]), any(want[1])))
+            gallagher += 1
+    assert (pairs, gallagher) == (363, 91)
+    # the real tables pass, and every repeated row repeats and differs
+    assert flagged == {(True, False, False), (False, True, True)}
+
+
+_S7 = "perm 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n"
+
+
+def test_a_pair_takes_three_primes_where_its_bounds_need_them(monkeypatch):
+    # A7 in S7: exponent 420 and degrees up to 35, so bounds of 38 to 64
+    # bits on the pair's Gram numerators, and Python ints for the norms of
+    # the inductions; one pass takes the three primes below 2^26 that the
+    # largest bound needs, and so does Gallagher's
+    g = parse_group_text(_S7)
+    s = next(s for s in normal_subgroups(g) if s.index == 2)
+    real, used = cyclotomic._evaluation_data, []
+
+    def counted(e, i):
+        used.append(i)
+        return real(e, i)
+    monkeypatch.setattr(cyclotomic, "_evaluation_data", counted)
+    pair = clifford._pair(s)
+    assert used == [0, 1, 2]
+    for got, want in _pair_products(pair):
+        assert _same(got, want)
+    assert [got.dtype for got, _ in _pair_products(pair)] == [
+        np.int64, np.int64, object, np.int64]
+    _, qmap = quotient(g, s)
+    thetas = np.flatnonzero(pair.stab == g.order)
+    rows = [pair.extensions(j)[0] for j in thetas.tolist()]
+    psi = lift(characters._inflated_table(qmap), 2, pair.e)
+    used.clear()
+    got = pair.products(thetas, rows, qmap)
+    assert used == [0, 1, 2]
+    want = _gallagher_oracle(pair, thetas, rows, psi)
+    assert (got[0].tolist(), got[1].tolist()) == (want[0], want[1])
+    assert np.array_equal(got[2], want[2])

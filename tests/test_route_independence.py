@@ -7,7 +7,10 @@ suites report for that failure.  The routes:
   reciprocity;
 - the class permutations give the orbits and inertia groups;
 - the restriction gather gives Res chi, so the multiplicities and the
-  classification.
+  classification;
+- the inflated table of G/H gives the products chi * psi_i, their
+  distinctness and norms, and with the induction counts Gallagher's sum
+  Ind theta = sum_i chi * psi_i.
 Records are read on S3 over A3, where the two non-trivial characters of A3
 are conjugate.  The conductor suite's routes, read on every catalog context:
 - a filtration's count matrix gives the exponents of the table and of sums
@@ -22,7 +25,7 @@ import sys
 
 import numpy as np
 
-from charcond import characters, conductor
+from charcond import characters, conductor, verify
 from charcond.catalog import Catalog
 from charcond.verify import run_suite
 
@@ -105,6 +108,60 @@ def test_corrupted_restriction_gather_fails_classification_and_e(monkeypatch):
     # <Ind theta, Ind theta> and the degree bookkeeping read no gather
     assert got["clifford: <Ind theta, Ind theta> = |I/H| and degree bookkeeping"] == (
         True, "")
+
+
+def _gallagher_failures(monkeypatch):
+    """The gallagher record of S3 over A3, and the text of every check of
+    it that fails, where the record shows only the last."""
+    real, failed = verify._last_failure, set()
+
+    def every(fails, texts):
+        for item, check in np.argwhere(np.stack(fails).T).tolist():
+            failed.add(texts[check](item))
+        return real(fails, texts)
+
+    monkeypatch.setattr(verify, "_last_failure", every)
+    (record,) = _records("gallagher").values()
+    return record, failed
+
+
+_NOT_DISTINCT = "products chi * psi_i are not distinct"
+_SUM = "sum of chi * psi_i differs from Ind theta"
+_REDUCIBLE = "a product chi * psi_i is not irreducible"
+
+
+def test_repeated_quotient_row_fails_distinct_products(monkeypatch):
+    real = characters._inflated_table
+
+    def repeated(qmap):
+        psi = real(qmap).copy()
+        psi[-1] = psi[0]        # the sign of S3/A3 read as the trivial row
+        return psi
+
+    _patch(monkeypatch, "_inflated_table", repeated)
+    # chi * psi_0 twice: equal products, and their sum 2 chi is not Ind theta
+    assert _gallagher_failures(monkeypatch) == (
+        (False, _SUM), {_NOT_DISTINCT, _SUM})
+
+
+def test_perturbed_induction_row_fails_gallagher_sum(monkeypatch):
+    real = characters._induction_sums
+
+    def perturbed(s, nums):
+        ind = real(s, nums).copy()
+        ind[0, -1] += 1         # Ind of the trivial theta, on the last class
+        return ind
+
+    _patch(monkeypatch, "_induction_sums", perturbed)
+    assert _gallagher_failures(monkeypatch) == ((False, _SUM), {_SUM})
+
+
+def test_scaled_quotient_table_fails_irreducible_products(monkeypatch):
+    real = characters._inflated_table
+    _patch(monkeypatch, "_inflated_table", lambda qmap: 2 * real(qmap))
+    # norms 4 where 1 is due, and a sum twice Ind theta
+    assert _gallagher_failures(monkeypatch) == (
+        (False, _REDUCIBLE), {_REDUCIBLE, _SUM})
 
 
 def _conductor_records():

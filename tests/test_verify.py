@@ -316,19 +316,17 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
     # table arrays once each; the degree suite's chain steps take orbits
     # without them
     assert fresh_sweep["builds"] == {"_NormalPair": [1] * 117}
-    # per pair, one diagonal form for the norms of the restrictions when the
-    # arrays are built, one gram for the multiplicities when they are first
-    # read, one diagonal form for the norms of the inductions, and one gram
-    # for the induced side of Frobenius reciprocity, whose other side is the
-    # multiplicity gram; Gallagher one diagonal form for the norms of all
-    # the products chi * psi_i of a prime-index pair; the degree chains
-    # decompose 4 inductions and certify 3 characters moved onto the chain's
-    # group.  Table checks call no Gram kernel
-    assert fresh_sweep["kernels"] == {
-        "gram:res_gram": 117, "gram_diagonal:__init__": 117,
-        "gram_diagonal:induced_norms": 117, "gram:frobenius": 117,
-        "gram_diagonal:products": 62, "gram:decompose": 4,
-        "gram_diagonal:norm": 3}
+    # per pair, one pass modulo the Gram primes when the arrays are built,
+    # for the norms of the restrictions, the multiplicities, the norms of
+    # the inductions and the induced side of Frobenius reciprocity, whose
+    # other side is the multiplicity Gram; Gallagher one pass for the norms
+    # of all the products chi * psi_i of a prime-index pair; the degree
+    # chains decompose 4 inductions and certify 3 characters moved onto the
+    # chain's group, each by one Gram kernel of one pass.  Table checks call
+    # no Gram kernel
+    assert fresh_sweep["kernels"] == {"gram:decompose": 4, "gram_diagonal:norm": 3}
+    assert fresh_sweep["passes"] == {"__init__:4": 117, "products:1": 62,
+                                     "gram:1": 4, "gram_diagonal:1": 3}
     # no round computes a full Gram of an array with itself, which only a
     # norm would need: norms read the diagonal form
     assert fresh_sweep["self_grams"] == []
@@ -337,8 +335,9 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
 def test_fresh_sweep_at_cap_24_kernels_match_the_oracle_on_every_call(
         fresh_sweep):
     # every gram and gram_diagonal result of the round, values and dtype,
-    # equals the coefficient-correlation kernel of gram_oracle
-    assert sum(fresh_sweep["kernels"].values()) == 537
+    # equals the coefficient-correlation kernel of gram_oracle; the pairs'
+    # and Gallagher's products are checked against it in test_gram_oracle
+    assert sum(fresh_sweep["kernels"].values()) == 7
     assert fresh_sweep["mismatches"] == []
 
 
