@@ -214,20 +214,24 @@ class RestrictedBounds:
     stated: RadicalValue
 
 
-def bound_restricted_case(b: BoundInputs) -> RestrictedBounds:
-    """Root-conductor bound when the character restricts irreducibly."""
+def _cases(b: BoundInputs) -> tuple[RestrictedBounds, RadicalValue]:
+    """Both cases from one factorization of each input: the restricted
+    bounds and the induced root conductor."""
     disc = RadicalValue.from_integer(b.disc)
     nf = RadicalValue.from_integer(b.norm_f_theta) ** Fraction(1, b.theta_degree)
-    return RestrictedBounds(certified=disc * nf,
-                            stated=(disc ** Fraction(1, b.q)) * nf)
+    root = disc ** Fraction(1, b.q)
+    return (RestrictedBounds(certified=disc * nf, stated=root * nf),
+            root * nf ** Fraction(1, b.q))
+
+
+def bound_restricted_case(b: BoundInputs) -> RestrictedBounds:
+    """Root-conductor bound when the character restricts irreducibly."""
+    return _cases(b)[0]
 
 
 def bound_induced_case(b: BoundInputs) -> RadicalValue:
     """Exact root conductor for the induced case: disc^(1/q) * N^(1/(q theta(1)))."""
-    disc = RadicalValue.from_integer(b.disc) ** Fraction(1, b.q)
-    nf = (RadicalValue.from_integer(b.norm_f_theta)
-          ** Fraction(1, b.q * b.theta_degree))
-    return disc * nf
+    return _cases(b)[1]
 
 
 def global_constant(disc: int, t) -> Fraction:

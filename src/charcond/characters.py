@@ -31,17 +31,20 @@ alive and dies with the subgroup's cache.
 Tables of abelian groups, where every class is one element, come from the
 dual group: `_abelian_rows` extends the characters over the generating set S
 that the group's axiom check keeps, as exponents of zeta_e, and checks every
-row additive on every generator.  Every other table is computed by Dixon's
-method: the class-sum structure constants are simultaneously diagonalized
-over a prime field F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), and the
-eigenvalue data is lifted back to Q(zeta_e) by matching against roots of
-unity in F_p.  Either way the table is then re-verified exactly (positive
-integer degrees whose squares sum to |G|, both orthogonality relations and
-Galois stability), so the flags on the results are earned, not assumed.
-The table cache holds each table's array once, and the caps are checked on
-every call, cached or not.  A `CharacterTable` is that array: its degrees,
-validation, rendering, row lookup and decompositions read it, and its
-`Character` rows are built once per table object, on first use.
+row additive on every generator.  Its rows are put in canonical order as
+exponents, by the memoized key of each zeta_e^t (`cyclotomic._root_keys`),
+and only then gathered into numerators.  Every other table is computed by
+Dixon's method: the class-sum structure constants are simultaneously
+diagonalized over a prime field F_p with p = 1 (mod exponent) and
+p > 2*sqrt(|G|), and the eigenvalue data is lifted back to Q(zeta_e) by
+matching against roots of unity in F_p.  Either way the table is then re-verified
+exactly (positive integer degrees whose squares sum to |G|, both
+orthogonality relations and Galois stability), so the flags on the results
+are earned, not assumed.  The table cache holds each table's array once, and
+the caps are checked on every call, cached or not; `CharacterTable.validate`
+checks any array but that one again.  A `CharacterTable` is that array: its
+degrees, validation, rendering, row lookup and decompositions read it, and
+its `Character` rows are built once per table object, on first use.
 
 The F_p stage works on int64 residues, behind one guard that raises TooLarge
 unless every sum, at most max(k, e) products below p^2, stays below 2^62.
@@ -60,7 +63,8 @@ a multiple of one central character.  The lift writes the root-of-unity
 multiplicities of every value, one DFT matmul over F_p per element order,
 into one (k, k, e) coefficient array; one product with the power table gives
 the table's numerators.  Their distinct values (`_distinct`) key the
-canonical row order, one integer key per distinct value; one `_check_table`
+canonical row order, one `cyclotomic._value_keys` key per distinct value,
+the same key `_root_keys` holds for a root of unity; one `_check_table`
 checks the rows and the table cache keeps them as they are.  No `Cyclotomic`
 is built until a table is rendered, and then one per distinct value, which
 each entry's text or JSON reads.
@@ -77,10 +81,10 @@ import numpy as np
 
 from .arith import primes_1_mod, primitive_root
 from .cyclotomic import (Cyclotomic, _bound, _evaluate, _evaluation_data,
-                         _matmul, _matmul_mod, _phi, _power_array,
-                         _value_parts, align, at_minimal_conductors, descend,
-                         gram, gram_diagonal, lift, minimal_conductors,
-                         multiply, reduced, scaled, values)
+                         _matmul, _matmul_mod, _phi, _power_array, _root_keys,
+                         _value_keys, _value_parts, align, descend, gram,
+                         gram_diagonal, lift, minimal_conductors, multiply,
+                         reduced, scaled, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotIrreducible, NotNormal, TooLarge)
 from .groups import (MAX_ORDER, FiniteGroup, QuotientMap, Subgroup, cached,
@@ -526,8 +530,11 @@ class CharacterTable:
 
     def validate(self) -> None:
         """Re-check all table invariants exactly by `_check_table`; raises on
-        any failure."""
-        _check_table(self.group, self.group.exponent(), self.nums)
+        any failure.  The array the group's table cache holds passed that
+        check when it was built, so it is not checked again; any other array,
+        a copy included, is."""
+        if self.nums is not _table.peek(self.group):
+            _check_table(self.group, self.group.exponent(), self.nums)
 
     def _distinct_values(self) -> tuple[list[Cyclotomic], list[list[int]]]:
         """The table's distinct values, from one `values` call, and for each
@@ -647,31 +654,21 @@ def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _row_order(nums: np.ndarray, e: int) -> np.ndarray:
     """The permutation that puts table rows, numerators at e over 1 of shape
     (k, k, phi(e)), in canonical order: by degree, then by their values in
-    `Cyclotomic.sort_key` order.
-
-    Each distinct value (`_distinct`) keys as [1, -q] when it is a rational
-    q, and as [d, its numerators at its minimal conductor d >= 3] otherwise,
-    zero-padded, so that keys compare as `sort_key`s do; the entries gather
-    their values' keys, and one `np.lexsort` sorts the rows.  Raises unless
-    every value is an integer of Q(zeta_e).
-    """
+    `Cyclotomic.sort_key` order, from one `_value_keys` key per distinct
+    value (`_distinct`).  Raises unless every value is an integer of
+    Q(zeta_e)."""
     k = len(nums)
     flat = nums.reshape(k * k, -1)
     first, at = _distinct(flat)
-    flat = flat[first]
-    keys = np.zeros((len(flat), 1 + flat.shape[1]), dtype=flat.dtype)
-    for d, rows, got, extra in at_minimal_conductors(flat, e):
-        if np.any(got % extra):
-            raise InternalContradiction(
-                "table values are not integers of Q(zeta_exp(G))")
-        got = got // extra
-        if got.dtype == object:
-            keys = keys.astype(object)
-        keys[rows, 0] = d
-        keys[rows, 1:1 + got.shape[1]] = -got if d == 1 else got
     # the identity class, class 0, holds the degree
-    keys = np.column_stack([nums[:, 0, 0], keys[at].reshape(k, -1)])
-    return np.lexsort(keys.T[::-1])
+    return _sorted_by(np.column_stack(
+        [nums[:, 0, 0], _value_keys(flat[first], e)[at].reshape(k, -1)]))
+
+
+def _sorted_by(keys: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the rows of keys, of shape (k, ...), with
+    one `np.lexsort`, the first column most significant."""
+    return np.lexsort(keys.reshape(len(keys), -1).T[::-1])
 
 
 def _dixon_rows(g: FiniteGroup) -> np.ndarray:
@@ -756,7 +753,8 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
         raise InternalContradiction("root-of-unity multiplicities broken")
 
     # one power-basis product for the whole table
-    return _finished(g, e, _matmul(coeffs, _power_array(e)))
+    nums = _matmul(coeffs, _power_array(e))
+    return _finished(g, e, nums[_row_order(nums, e)])
 
 
 def _abelian_rows(g: FiniteGroup) -> np.ndarray:
@@ -799,15 +797,16 @@ def _abelian_rows(g: FiniteGroup) -> np.ndarray:
     for s in g.generators:
         if np.any(a[:, g.mul[:, s]] != (a + a[:, s, None]) % e):
             raise InternalContradiction("a character is not a homomorphism")
-    reps = list(conjugacy_classes(g).representatives)
-    return _finished(g, e, _power_array(e)[a[:, reps]])
+    t = a[:, list(conjugacy_classes(g).representatives)]
+    # every degree is 1, and a value's key is its exponent's `_root_keys`
+    t = t[_sorted_by(_root_keys(e)[t])]
+    return _finished(g, e, _power_array(e)[t])
 
 
 def _finished(g: FiniteGroup, e: int, nums: np.ndarray) -> np.ndarray:
-    """A table's numerators at e over 1, in their narrowest dtype and rows in
-    canonical order, after one exact `_check_table`."""
+    """A table's numerators at e over 1, rows in canonical order, in their
+    narrowest dtype after one exact `_check_table`."""
     nums = reduced(nums, 1)[0]
-    nums = nums[_row_order(nums, e)]
     _check_table(g, e, nums)
     return nums
 

@@ -244,8 +244,7 @@ _RADICALS = (
 
 def _cmd_bound(args):
     from .arith import factor_integer
-    from .bounds import (BoundInputs, bound_dataset, bound_induced_case,
-                         bound_restricted_case, global_constant)
+    from .bounds import BoundInputs, _cases, bound_dataset, global_constant
     dataset = bound_dataset(args.dataset) if args.dataset else None
     given = {f.name: getattr(args, f.name) for f in fields(BoundInputs)}
     if dataset is not None:
@@ -259,9 +258,9 @@ def _cmd_bound(args):
     except ZeroDivisionError as exc:
         raise InvalidData(f"T = {cap} has a zero denominator") from exc
     inputs = BoundInputs(T=t_value, **given)
-    restricted = bound_restricted_case(inputs)
+    restricted, induced = _cases(inputs)
     payload = dict(given)
-    values = (restricted.certified, restricted.stated, bound_induced_case(inputs))
+    values = (restricted.certified, restricted.stated, induced)
     # refuse a decimal over the cap before rendering any
     for value in values:
         value.check_decimal(args.precision)

@@ -38,7 +38,9 @@ component comparisons and a rational value always reports conductor 1.
 `minimal_conductors` finds the conductors of a whole batch at once, with one
 Galois generator per prime step, and each conductor found costs one
 `descend`.  A `Cyclotomic` is a scalar view of one row: its sums, products
-and Galois images are the kernels above on one row, then `values`.
+and Galois images are the kernels above on one row, then `values`.  The same
+search gives `_value_keys`, integer keys that sort rows as `sort_key` sorts
+their values, and `_root_keys(e)` keeps those of the e-th roots of unity.
 
 Every memo of conductor data, the cyclotomic polynomials included, is a
 `_conductor_cache`, bounded in entries and in bytes of arrays.
@@ -67,10 +69,10 @@ __all__ = ["Cyclotomic", "align", "cyclotomic_polynomial", "cyclo_sum", "gram",
 # Each conductor cache keeps at most its own count of results and at most
 # this many bytes of arrays, evicting the least recently used first.  A sweep
 # round plus the largest catalog tables touches 24 cyclotomic_polynomial, 24
-# _power_array, 45 _rebase_data, 24 _evaluation_data, 24 _fold_bound and 24
-# _search_steps keys, well under a megabyte in all; one conductor near 1000
-# needs 8 MB of power table.  They are the package's only memos of conductor
-# data.
+# _power_array, 45 _rebase_data, 24 _evaluation_data, 24 _fold_bound, 24
+# _search_steps and 24 _root_keys keys, well under a megabyte in all; one
+# conductor near 1000 needs 8 MB of power table and as much of root keys.
+# They are the package's only memos of conductor data.
 _CACHE_BYTES = 1 << 25
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
@@ -736,6 +738,30 @@ def at_minimal_conductors(nums: np.ndarray, e: int):
         if down is None:
             raise InternalContradiction("a Galois-fixed value failed to descend")
         yield d, at, *down
+
+
+def _value_keys(nums: np.ndarray, e: int) -> np.ndarray:
+    """One integer sort key per row of power-basis numerators at conductor e
+    that compares as `Cyclotomic.sort_key` does: [1, -q] for a rational q,
+    else [d, the numerators at the minimal conductor d], zero-padded.  Raises
+    unless every value is an integer of Q(zeta_e)."""
+    keys = np.zeros((len(nums), 1 + nums.shape[1]), dtype=nums.dtype)
+    for d, rows, got, extra in at_minimal_conductors(nums, e):
+        if np.any(got % extra):
+            raise InternalContradiction(
+                "table values are not integers of Q(zeta_exp(G))")
+        got = got // extra
+        if got.dtype == object:
+            keys = keys.astype(object)
+        keys[rows, 0] = d
+        keys[rows, 1:1 + got.shape[1]] = -got if d == 1 else got
+    return keys
+
+
+@_conductor_cache(64)
+def _root_keys(e: int) -> np.ndarray:
+    """Row t is the `_value_keys` key of zeta_e^t, t in 0..e-1."""
+    return _value_keys(_power_array(e), e)
 
 
 def values(nums: np.ndarray, e: int, den: int = 1) -> list[Cyclotomic]:

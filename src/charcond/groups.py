@@ -94,8 +94,9 @@ _TABLE_CACHES = weakref.WeakValueDictionary()
 def cached(f):
     """f(x) computed once per ``x._cache``, the cache of a group's table or
     of a subgroup, and kept there under f's name; an ndarray result is made
-    read-only.  Every memo of data derived from a table or a subgroup goes
-    through here, so no other module names a cache key."""
+    read-only.  ``f.peek(x)`` is the kept result, or None, computing nothing.
+    Every memo of data derived from a table or a subgroup goes through here,
+    so no other module names a cache key."""
     key = f.__name__
 
     @wraps(f)
@@ -107,6 +108,7 @@ def cached(f):
                 out.setflags(write=False)
             cache[key] = out
         return cache[key]
+    memo.peek = lambda x: x._cache.get(key)
     return memo
 
 

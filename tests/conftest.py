@@ -163,7 +163,8 @@ for name in ("Q8xS3xC4", "C4xC4xC3", "S3xS3xS3"):
 out["caches"] = {
     fn: getattr(cyclotomic, fn).cache_info()._asdict()
     for fn in ("cyclotomic_polynomial", "_power_array", "_rebase_data",
-               "_evaluation_data", "_fold_bound", "_search_steps")}
+               "_evaluation_data", "_fold_bound", "_search_steps",
+               "_root_keys")}
 print(json.dumps(out))
 """
 
@@ -191,7 +192,8 @@ def fresh_sweep():
     builds per table by each table builder (`_dixon_rows` and
     `_abelian_rows`) and the distinct tables built, the group-axiom checks
     (`_validate_table`), the exact table checks (`_check_table`, which both
-    builders and `validate()` run), the `restrict`, `induce` and
+    builders run, and `validate()` on an array that is not the cached one),
+    the `restrict`, `induce` and
     `character_table` calls, how many normal pairs built their table arrays
     how many times, the Gram kernel calls by kernel and calling function
     (each compared with the oracle kernel of `gram_oracle`, with the callers

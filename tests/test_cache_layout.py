@@ -19,7 +19,8 @@ import pytest
 
 from charcond.arith import divisors
 from charcond.catalog import Catalog
-from charcond.cyclotomic import _evaluation_data, _power_array, _rebase_data
+from charcond.cyclotomic import (_evaluation_data, _power_array, _rebase_data,
+                                 _root_keys)
 from charcond.groups import normal_subgroups
 from charcond.verify import run_suite
 
@@ -108,7 +109,8 @@ def test_every_cached_array_is_read_only():
     # the embeddings, membership indices, tables, gathers and counts
     assert len(arrays) > 100
     for e in exponents:
-        arrays += _arrays(_power_array(e)) + _arrays(_evaluation_data(e, 0))
+        arrays += (_arrays(_power_array(e)) + _arrays(_root_keys(e))
+                   + _arrays(_evaluation_data(e, 0)))
         for d in divisors(e):
             arrays += _arrays(_rebase_data(e, d))
     assert not [a for a in arrays if a.flags.writeable]

@@ -262,7 +262,7 @@ print(code, time.perf_counter() - t, file=sys.stderr)
 
 
 def test_bound_on_a_large_prime_power_disc_answers_fast():
-    # 65537^400 has 1,927 digits; the request factors it twice
+    # 65537^400 has 1,927 digits; the request factors it once
     run = run_fresh(_TIMED_BOUND)
     code, seconds = run.stderr.split()
     assert code == "0" and float(seconds) < 1
@@ -330,6 +330,26 @@ def test_a_bound_request_renders_each_radical_once(capsys, monkeypatch, fmt):
                      "--precision", "30", "--format", fmt)
     assert code == 0
     assert calls == [30, 30, 30]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_bound_request_factors_each_input_once(capsys, monkeypatch, fmt):
+    # both cases come from one pair of radical values; the primes those
+    # values factor again are not inputs, and C = disc * T is neither
+    from charcond import bounds
+    calls = []
+    factor = bounds.factor_integer
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(bounds, "factor_integer", counted)
+    code, _, _ = run(capsys, "bound", "--disc", "14641", "--q", "5",
+                     "--theta-degree", "2", "--norm-ftheta", "12", "--T", "3",
+                     "--format", fmt)
+    assert code == 0
+    assert [n for n in calls if n in (14641, 12)] == [14641, 12]
 
 
 def test_verify_small_suite(capsys):

@@ -499,7 +499,7 @@ def test_one_class_matrix_at_a_time_keeps_c6xc6xc6_under_80_mb():
     run = subprocess.run([sys.executable, str(tool), "C6xC6xC6"],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    got = re.fullmatch(r"C6xC6xC6: 216 classes, [\d.]+ s, VmHWM (\d+) MB\n",
+    got = re.fullmatch(r"C6xC6xC6: 216 classes, [\d.]+ ms, VmHWM (\d+) MB\n",
                        run.stdout)
     assert got and int(got[1]) <= 80, run.stdout
 
@@ -522,7 +522,7 @@ def test_dixons_method_on_240_classes_stays_under_80_mb(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     got = re.fullmatch(re.escape(str(path)) +
-                       r": 240 classes, [\d.]+ s, VmHWM (\d+) MB\n", run.stdout)
+                       r": 240 classes, [\d.]+ ms, VmHWM (\d+) MB\n", run.stdout)
     assert got and int(got[1]) <= 80, run.stdout
 
 
@@ -543,7 +543,7 @@ def test_the_largest_table_the_class_cap_admits_stays_under_80_mb(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     got = re.fullmatch(re.escape(str(path)) +
-                       r": 256 classes, [\d.]+ s, VmHWM (\d+) MB\n", run.stdout)
+                       r": 256 classes, [\d.]+ ms, VmHWM (\d+) MB\n", run.stdout)
     assert got and int(got[1]) <= 80, run.stdout
 
 
@@ -554,6 +554,6 @@ def test_table_cost_reports_each_name_on_its_own_line():
     run = subprocess.run([sys.executable, str(tool), "C2", "no-such-group",
                           "S3"], capture_output=True, text=True, timeout=120)
     assert run.returncode == 1
-    assert re.fullmatch(r"C2: 2 classes, [\d.]+ s, VmHWM \d+ MB\n"
-                        r"S3: 3 classes, [\d.]+ s, VmHWM \d+ MB\n", run.stdout)
+    assert re.fullmatch(r"C2: 2 classes, [\d.]+ ms, VmHWM \d+ MB\n"
+                        r"S3: 3 classes, [\d.]+ ms, VmHWM \d+ MB\n", run.stdout)
     assert "no-such-group" in run.stderr

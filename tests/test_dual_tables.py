@@ -2,9 +2,11 @@
 
 `characters._abelian_rows` extends characters over the generating set S kept
 from the group's axiom check.  It shares no step with Dixon's method before
-the final sort and `_check_table`, so `_dixon_rows` is its oracle: the two
-arrays must be equal in values and dtype.  A generating set that does not
-generate must raise, never return a table.
+`_check_table`, so `_dixon_rows` is its oracle: the two arrays must be equal
+in values and dtype.  Its rows are sorted as exponents of zeta_e by
+`cyclotomic._root_keys`; the oracle of that order is `_row_order` on the
+numerators, which keys each distinct value on its own.  A generating set
+that does not generate must raise, never return a table.
 """
 
 import weakref
@@ -12,8 +14,9 @@ import weakref
 import numpy as np
 import pytest
 
-from charcond import characters, groups
+from charcond import characters, cyclotomic, groups
 from charcond.catalog import Catalog
+from charcond.cyclotomic import Cyclotomic, _power_array, _root_keys, reduced
 from charcond.errors import InternalContradiction
 from charcond.groups import build_from_permutations, is_abelian
 from charcond.verify import run_suite
@@ -88,3 +91,44 @@ def test_the_trivial_group_needs_no_generator():
     g = disjoint_cycles(1)
     assert g.generators == ()
     assert characters._abelian_rows(g).tolist() == [[[1]]]
+
+
+@pytest.mark.parametrize("name", [n for n in _CAT.base_names()
+                                  if is_abelian(_CAT.group(n))]
+                         + ["C2xC2xC2", "C6xC6", "C4xC4xC3"])
+def test_dual_group_order_is_the_row_order_of_the_unordered_gather(
+        name, monkeypatch):
+    # the exponents a[:, reps] as the extension leaves them, unordered, are
+    # seen where the builder gathers their keys; the oracle gathers their
+    # numerators, narrows them and sorts them by `_row_order`
+    seen = []
+
+    class Seen:
+        def __init__(self, keys):
+            self.keys = keys
+
+        def __getitem__(self, t):
+            seen.append(t)
+            return self.keys[t]
+
+    monkeypatch.setattr(characters, "_root_keys", lambda e: Seen(_root_keys(e)))
+    g = _CAT.group(name)
+    e = g.exponent()
+    got = characters._abelian_rows(g)
+    nums = reduced(_power_array(e)[seen[0]], 1)[0]
+    want = nums[characters._row_order(nums, e)]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("e", range(1, 61))
+def test_root_keys_are_the_value_keys_of_distinct_values(e):
+    # a key depends on the value alone: gathered by exponent, the keys equal
+    # those of the distinct values of a gather with repeats, and they sort
+    # the roots of unity as `Cyclotomic.sort_key` does
+    t = np.random.default_rng(e).integers(0, e, size=3 * e)
+    flat = _power_array(e)[t]
+    first, at = characters._distinct(flat)
+    keys = _root_keys(e)
+    assert np.array_equal(keys[t], cyclotomic._value_keys(flat[first], e)[at])
+    assert np.lexsort(keys.T[::-1]).tolist() == sorted(
+        range(e), key=lambda m: Cyclotomic.zeta(e, m).sort_key())

@@ -234,7 +234,8 @@ def test_validate_takes_two_primes_where_the_bound_needs_them(monkeypatch):
     # S7 from permutations: exponent 420, degrees up to 35, and a bound on
     # its Gram numerators past the first prime below 2^26
     g = parse_group_text("perm 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n")
-    table = character_table(g)
+    # a copy, which is checked where the cached array is not
+    table = CharacterTable(g, character_table(g).nums.copy())
     used = []
 
     def counted(e, i):
@@ -248,10 +249,41 @@ def test_validate_takes_two_primes_where_the_bound_needs_them(monkeypatch):
     _refused(g, nums)
 
 
+@pytest.fixture
+def table_checks(monkeypatch):
+    """The orders of the groups whose tables `_check_table` checks."""
+    checks = []
+    check = characters._check_table
+
+    def counted(g, *args):
+        checks.append(g.order)
+        return check(g, *args)
+    monkeypatch.setattr(characters, "_check_table", counted)
+    return checks
+
+
+@pytest.mark.parametrize("name", ["C12", "Q8xC3", "S4"])
+def test_validate_checks_every_array_but_the_cached_one(name, table_checks):
+    # the cached array passed the check when it was built; a copy is checked
+    # once, and a tampered copy is still refused
+    table = character_table(_CAT.group(name))
+    table_checks.clear()
+    table.validate()
+    CharacterTable(table.group, table.nums).validate()
+    assert table_checks == []
+    nums = table.nums.copy()
+    CharacterTable(table.group, nums).validate()
+    assert table_checks == [table.group.order]
+    nums[1, -1, 0] += 1
+    assert _refused(table.group, nums)
+    assert table_checks == [table.group.order] * 2
+
+
 def test_validate_does_no_cyclotomic_arithmetic(cyclotomic_calls):
     tables = [character_table(_CAT.group(n)) for n in ("C12", "Q8xC3", "D4")]
     for table in tables:
-        table.validate()
+        # copies, so that the check runs
+        CharacterTable(table.group, table.nums.copy()).validate()
     assert cyclotomic_calls == []
     # the patches do see the builder an inner product still ends in
     inner_product(tables[0][1], tables[0][1])
