@@ -30,9 +30,12 @@ from math import prod
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import InvalidData, TooLarge
-from .groups import (FiniteGroup, build_from_table, build_from_permutations,
-                     direct_product, full_subgroup, load_group_file)
+from .groups import (FiniteGroup, _cycle_labels, build_from_table,
+                     build_from_permutations, direct_product, full_subgroup,
+                     load_group_file)
 
 if TYPE_CHECKING:
     from .bounds import BoundInputs
@@ -42,8 +45,10 @@ PRODUCT_ORDER_CAP = 216
 
 
 def _cyclic(n: int) -> FiniteGroup:
-    return build_from_permutations(
-        n, [tuple((i + 1) % n for i in range(n))], name=f"C{n}")
+    # element k is the rotation i -> i + k mod n, numbered as the closure of
+    # i -> i + 1 numbers it, so row k of the table is that rotation's images
+    mul = np.add.outer(np.arange(n), np.arange(n)) % n
+    return FiniteGroup(mul, _cycle_labels(mul), name=f"C{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:

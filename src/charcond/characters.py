@@ -32,8 +32,9 @@ Tables of abelian groups, where every class is one element, come from the
 dual group: `_abelian_rows` extends the characters over the generating set S
 that the group's axiom check keeps, as exponents of zeta_e, and checks every
 row additive on every generator.  Its rows are put in canonical order as
-exponents, by the memoized key of each zeta_e^t (`cyclotomic._root_keys`),
-and only then gathered into numerators.  Every other table is computed by
+exponents, by the rank of each zeta_e^t in the order of the roots'
+memoized keys (`cyclotomic._root_keys`), and only then gathered into
+numerators.  Every other table is computed by
 Dixon's method: the class-sum structure constants are simultaneously
 diagonalized over a prime field F_p with p = 1 (mod exponent) and
 p > 2*sqrt(|G|), and the eigenvalue data is lifted back to Q(zeta_e) by
@@ -798,8 +799,10 @@ def _abelian_rows(g: FiniteGroup) -> np.ndarray:
         if np.any(a[:, g.mul[:, s]] != (a + a[:, s, None]) % e):
             raise InternalContradiction("a character is not a homomorphism")
     t = a[:, list(conjugacy_classes(g).representatives)]
-    # every degree is 1, and a value's key is its exponent's `_root_keys`
-    t = t[_sorted_by(_root_keys(e)[t])]
+    # every degree is 1, and zeta_e^t sorts as the rank of t among the e-th
+    # roots of unity in the order of their `_root_keys`: k sort columns
+    rank = np.argsort(_sorted_by(_root_keys(e)))
+    t = t[_sorted_by(rank[t])]
     return _finished(g, e, _power_array(e)[t])
 
 
@@ -824,22 +827,20 @@ def _product_counts(rows: np.ndarray, classof: np.ndarray, k: int) -> np.ndarray
 
 @cached
 def _induction_counts(s: Subgroup) -> np.ndarray:
-    """counts[gi, hj] = #{x in G : x^-1 g x lies in H-class hj}, g a class rep."""
+    """counts[gi, hj] = #{x in G : x^-1 g x lies in H-class hj}, g a class rep.
+
+    One gather of x^-1 g x for every class representative g and every x, a
+    (classes of G) x |G| array, then one `bincount` of (gi, hj) over the
+    conjugates that lie in H."""
     g = s.parent
-    k_sub = s.as_group()
-    part_g = conjugacy_classes(g)
-    part_h = conjugacy_classes(k_sub)
-    member = s.member_index()
-    xs = np.arange(g.order)
-    counts = np.zeros((len(part_g), len(part_h)), dtype=np.int64)
-    for ci, rep in enumerate(part_g.representatives):
-        y = g.mul[g.mul[g.inv[xs], rep], xs]
-        sub = member[y]
-        inside = sub[sub >= 0]
-        if len(inside):
-            counts[ci] = np.bincount(part_h.class_of[inside],
-                                     minlength=len(part_h))
-    return counts
+    reps = np.array(conjugacy_classes(g).representatives, dtype=np.int64)
+    part_h = conjugacy_classes(s.as_group())
+    k, kh = len(reps), len(part_h)
+    conj = g.mul[g.mul[g.inv, reps[:, None]], np.arange(g.order)]
+    sub = s.member_index()[conj]
+    gi, x = np.nonzero(sub >= 0)
+    return np.bincount(gi * kh + part_h.class_of[sub[gi, x]],
+                       minlength=k * kh).reshape(k, kh)
 
 
 @cached

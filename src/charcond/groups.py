@@ -10,7 +10,10 @@ closed breadth first on integer arrays.  Subgroups are closed from
 generators one right coset at a time (Dimino's algorithm), for Light's set,
 `generated_subgroup` and `subgroup`, and a set is checked as a subgroup by
 right multiplication with a greedy generating set taken from it: O(|H| |T|)
-products where all pairs take |H|^2.  Normal subgroups are the
+products where all pairs take |H|^2.  Conjugacy classes and the cosets of a
+quotient are the orbits of one generating set, each element labelled by
+its orbit's least element in array passes (`_orbit_least`), and element
+labels are formatted only when first read.  Normal subgroups are the
 intersections of kernels of irreducible characters, read off the character
 table and each checked as a normal subgroup; the derived subgroup is the
 intersection of the kernels of the linear characters.  Tables, conjugacy data
@@ -119,7 +122,9 @@ class FiniteGroup:
     Elements are the indices 0..order-1.  ``mul[a, b]`` is the product a*b,
     ``inv[a]`` the inverse of a, and ``generators`` is Light's greedy
     generating set S of `_validate_table`.  ``labels`` are optional display
-    strings.  Instances compare and hash by identity.  Groups with
+    strings, one per element, given as a tuple or as a function that formats
+    them when they are first read; such a function holds arrays and strings,
+    never a group.  Instances compare and hash by identity.  Groups with
     byte-identical tables share ``_cache``, which holds the identity, the
     inverses and S of the one validation of that content, and where `cached`
     keeps the exponent, the classes and the character table's numerator
@@ -133,7 +138,7 @@ class FiniteGroup:
                  name: str | None = None) -> None:
         self.mul = mul
         self.order = int(len(mul))
-        self.labels = labels
+        self._labels = labels
         self.name = name
         narrow = mul.astype(np.min_scalar_type(self.order), order="C")
         key = (self.order, zlib.crc32(narrow), zlib.adler32(narrow))
@@ -147,6 +152,12 @@ class FiniteGroup:
         # (elements, subgroup cache) per normal subgroup, once computed
         self._normal_subgroups: tuple | None = None
         mul.setflags(write=False)
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
 
     def mul_elem(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -316,6 +327,21 @@ def _cycle_label(p: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
+def _cycle_labels(perms: np.ndarray):
+    """The cycle strings of the rows of `perms`, each a permutation of the
+    columns, formatted on first read."""
+    return lambda: tuple(_cycle_label(p) for p in perms.tolist())
+
+
+def _derived_labels(fmt, *sources):
+    """Labels formatted on first read by fmt from the labels of the groups
+    whose ``_labels`` are `sources`, holding the sources and never a group;
+    None when a source is None."""
+    if any(src is None for src in sources):
+        return None
+    return lambda: fmt(*(src() if callable(src) else src for src in sources))
+
+
 def build_from_permutations(degree: int, generators,
                             name: str | None = None) -> FiniteGroup:
     """Close a generating set of permutations on `degree` points, of at
@@ -371,8 +397,7 @@ def build_from_permutations(degree: int, generators,
     for i in range(1, n):
         p, k = divmod(born[i], len(gens))
         mul[i] = mul[p, left[k]]
-    labels = tuple(_cycle_label(p) for p in elems[:, :degree].tolist())
-    return FiniteGroup(mul, labels, name)
+    return FiniteGroup(mul, _cycle_labels(elems[:, :degree]), name)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup,
@@ -383,10 +408,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
         raise TooLarge(f"product order {n} exceeds the cap of {MAX_ORDER}")
     nb = b.order
     mul = (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
-    labels = None
-    if a.labels and b.labels:
-        labels = tuple(f"({a.labels[i]},{b.labels[j]})"
-                       for i in range(a.order) for j in range(b.order))
+    labels = _derived_labels(lambda la, lb: tuple(
+        f"({x},{y})" for x in la for y in lb), a._labels, b._labels)
     if name is None and a.name and b.name:
         name = f"{a.name}x{b.name}"
     return FiniteGroup(mul, labels, name)
@@ -439,24 +462,53 @@ class ConjugacyPartition:
         return len(self.classes)
 
 
+def _orbit_least(perms: np.ndarray) -> np.ndarray:
+    """For each point, the least point of its orbit under the group that the
+    rows of `perms`, permutations of the points, generate.
+
+    Min-label propagation with pointer jumping: each point starts labelled
+    by itself; each round it takes the least of its label and its images'
+    labels, and then that label's own label, until a round changes nothing.
+    Each label stays in its point's orbit and only decreases, so the rounds
+    end.  At the fixpoint no label exceeds the labels of its point's images,
+    so labels are constant along each generator's cycles, hence on each
+    orbit; the orbit's least point keeps its own label, so the constant is
+    the orbit's minimum.  Each round is a few array passes over |perms|
+    entries.
+    """
+    least = np.arange(perms.shape[1])
+    while True:
+        step = np.minimum(least, least[perms].min(axis=0, initial=len(least)))
+        step = step[step]
+        if (step == least).all():
+            return least
+        least = step
+
+
 @cached
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
-    n = g.order
-    assigned = np.full(n, -1, dtype=np.int64)
-    raw: list[tuple[int, ...]] = []
-    all_idx = np.arange(n)
-    for x in range(n):
-        if assigned[x] >= 0:
-            continue
-        col = g.mul[:, x]
-        orbit = unique_sorted(g.mul[col, g.inv[all_idx]])
-        assigned[orbit] = len(raw)
-        raw.append(tuple(int(v) for v in orbit))
-    order = sorted(range(len(raw)),
-                   key=lambda i: (g.identity not in raw[i], len(raw[i]), raw[i][0]))
-    classes = tuple(raw[i] for i in order)
-    # raw class i is class argsort(order)[i] in the canonical order
-    return ConjugacyPartition(classes, np.argsort(order)[assigned])
+    """The conjugacy classes of g in canonical order (`ConjugacyPartition`).
+
+    The classes are the orbits of x -> s x s^-1 for s in Light's set S.  S
+    generates G as a monoid, so these maps generate G's action by
+    conjugation, and `_orbit_least` labels every element by the least
+    element of its class in a few array passes over |S| x |G| entries, with
+    no loop over the classes or the elements.
+    """
+    s = np.array(g.generators, dtype=np.int64)
+    least = _orbit_least(g.mul[g.mul[s], g.inv[s, None]])
+    reps = np.flatnonzero(least == np.arange(g.order))
+    sizes = np.bincount(least)[reps]
+    # the identity's class first, then by size, then (the sort is stable)
+    # by least element
+    order = np.lexsort((sizes, reps != g.identity))
+    rank = np.empty(g.order, dtype=np.int64)
+    rank[reps[order]] = np.arange(len(reps))
+    class_of = rank[least]
+    members = np.argsort(class_of, kind="stable").tolist()
+    ends = np.cumsum(sizes[order]).tolist()
+    return ConjugacyPartition(
+        tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)), class_of)
 
 
 def is_abelian(g: FiniteGroup) -> bool:
@@ -467,10 +519,11 @@ class Subgroup:
     """A subgroup held as an explicit sorted element set of its parent.
 
     ``_cache`` is the subgroup's own, for `cached`: the embedding, the
-    membership index, the standalone group, normality, and the induction,
-    restriction, conjugation and normal-pair data of `characters` and
-    `clifford`.  It is keyed per subgroup, not by content: groups with equal
-    tables can carry different names and labels, which ``as_group()`` copies.
+    membership index, a generating set, the standalone group, normality,
+    and the induction, restriction, conjugation and normal-pair data of
+    `characters` and `clifford`.  It is keyed per subgroup, not by content:
+    groups with equal tables can carry different names and labels, which
+    ``as_group()`` copies.
     """
 
     def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]) -> None:
@@ -506,8 +559,10 @@ class Subgroup:
         mul = self.member_index()[self.parent.mul[np.ix_(emb, emb)]]
         if mul.min() < 0:
             raise NotAGroup("element set is not closed under multiplication")
-        labels = (tuple(self.parent.label(g) for g in self.elements)
-                  if self.parent.labels else None)
+        # a local, so that the labels' function holds no subgroup
+        elements = self.elements
+        labels = _derived_labels(lambda parent: tuple(
+            parent[g] for g in elements), self.parent._labels)
         name = (f"{self.parent.name}<{len(self.elements)}>"
                 if self.parent.name else None)
         return FiniteGroup(mul, labels, name)
@@ -550,13 +605,24 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
     inside[arr] = True
     if not inside[g.identity]:
         raise NotAGroup("subgroup does not contain the identity")
-    gens = _greedy_closure(g.mul, g.identity, arr)[1]
+    sub = Subgroup(g, tuple(arr.tolist()))
+    gens = _subgroup_generators(sub)
     closed = inside[g.mul[arr[:, None], gens]]
     if not closed.all():
         i = int(closed.all(axis=1).argmin())
         raise NotAGroup(f"subgroup not closed under product at "
                         f"({arr[i]}, {gens[closed[i].argmin()]})")
-    return Subgroup(g, tuple(arr.tolist()))
+    return sub
+
+
+@cached
+def _subgroup_generators(s: Subgroup) -> np.ndarray:
+    """A generating set T of the subgroup: the greedy set `_greedy_closure`
+    takes from its elements in sorted order, which `subgroup` checks a set
+    with, so a checked subgroup carries it."""
+    g = s.parent
+    return np.array(_greedy_closure(g.mul, g.identity, s.embedding())[1],
+                    dtype=np.int64)
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
@@ -678,27 +744,27 @@ class QuotientMap:
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, QuotientMap]:
     """Quotient by a normal subgroup, with cosets named by least representative.
 
-    The projection is verified on Light's set S, proj(x s) = proj(x) proj(s)
-    for every x and each s in S, and the quotient table passes the group
-    axioms; S generates G as a monoid, so together they make the projection
-    a homomorphism on all pairs.
+    The cosets x N are the orbits of x -> x t for t in the generating set T
+    of N that `subgroup` checks it with (`_subgroup_generators`), so
+    `_orbit_least` names every element's coset by its least element in a few
+    array passes over |T| x |G| entries; cosets are numbered in the order of
+    their least elements.  The projection is verified on Light's set S,
+    proj(x s) = proj(x) proj(s) for every x and each s in S, and the
+    quotient table passes the group axioms; S generates G as a monoid, so
+    together they make the projection a homomorphism on all pairs.
     """
     if not is_normal(g, n):
         raise NotNormal("cannot form a quotient by a non-normal subgroup")
-    emb = n.embedding()
-    proj = np.full(g.order, -1, dtype=np.int64)
-    reps = []
-    for x in range(g.order):
-        # every element below x lies in an earlier coset, so x is least in x N
-        if proj[x] < 0:
-            proj[g.mul[x, emb]] = len(reps)
-            reps.append(x)
-    rep_arr = np.array(reps, dtype=np.int64)
-    qmul = proj[g.mul[np.ix_(rep_arr, rep_arr)]].astype(np.int64)
+    least = _orbit_least(g.mul[:, _subgroup_generators(n)].T)
+    reps = np.flatnonzero(least == np.arange(g.order))
+    proj = np.searchsorted(reps, least)
+    qmul = proj[g.mul[np.ix_(reps, reps)]]
     s = np.array(g.generators, dtype=np.int64)
     if not np.array_equal(proj[g.mul[:, s]], qmul[proj[:, None], proj[s]]):
         raise NotAGroup("projection failed the homomorphism check")
-    labels = (tuple(f"[{g.label(r)}]" for r in reps) if g.labels else None)
+    reps = reps.tolist()
+    labels = _derived_labels(
+        lambda parent: tuple(f"[{parent[r]}]" for r in reps), g._labels)
     name = f"{g.name}/N{n.order}" if g.name else None
     q = FiniteGroup(qmul, labels, name)
     return q, QuotientMap(g, q, proj)

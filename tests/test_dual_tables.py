@@ -3,9 +3,10 @@
 `characters._abelian_rows` extends characters over the generating set S kept
 from the group's axiom check.  It shares no step with Dixon's method before
 `_check_table`, so `_dixon_rows` is its oracle: the two arrays must be equal
-in values and dtype.  Its rows are sorted as exponents of zeta_e by
-`cyclotomic._root_keys`; the oracle of that order is `_row_order` on the
-numerators, which keys each distinct value on its own.  A generating set
+in values and dtype.  Its rows are sorted as exponents of zeta_e, by each
+root's rank in the order of `cyclotomic._root_keys`; the oracle of that
+order is `_row_order` on the numerators, which keys each distinct value on
+its own.  A generating set
 that does not generate must raise, never return a table.
 """
 
@@ -98,24 +99,25 @@ def test_the_trivial_group_needs_no_generator():
                          + ["C2xC2xC2", "C6xC6", "C4xC4xC3"])
 def test_dual_group_order_is_the_row_order_of_the_unordered_gather(
         name, monkeypatch):
-    # the exponents a[:, reps] as the extension leaves them, unordered, are
-    # seen where the builder gathers their keys; the oracle gathers their
-    # numerators, narrows them and sorts them by `_row_order`
+    # the builder sorts the exponents a[:, reps] as the extension leaves
+    # them, unordered, by their ranks among the roots of unity in
+    # `_root_keys` order: its second `_sorted_by` call sees those ranks, and
+    # the roots in that order turn them back into exponents.  The oracle
+    # gathers their numerators, narrows them and sorts them by `_row_order`
     seen = []
+    sorted_by = characters._sorted_by
 
-    class Seen:
-        def __init__(self, keys):
-            self.keys = keys
+    def hook(keys):
+        seen.append(keys)
+        return sorted_by(keys)
 
-        def __getitem__(self, t):
-            seen.append(t)
-            return self.keys[t]
-
-    monkeypatch.setattr(characters, "_root_keys", lambda e: Seen(_root_keys(e)))
+    monkeypatch.setattr(characters, "_sorted_by", hook)
     g = _CAT.group(name)
     e = g.exponent()
     got = characters._abelian_rows(g)
-    nums = reduced(_power_array(e)[seen[0]], 1)[0]
+    assert len(seen) == 2
+    roots = np.lexsort(_root_keys(e).T[::-1])
+    nums = reduced(_power_array(e)[roots[seen[1]]], 1)[0]
     want = nums[characters._row_order(nums, e)]
     assert got.dtype == want.dtype and np.array_equal(got, want)
 

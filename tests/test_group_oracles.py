@@ -4,8 +4,9 @@
 normal subgroups came from character kernels, permutation groups were closed
 on integer arrays and associativity was certified by Light's test: the
 class-union closure of normal subgroups, the commutator loop of the derived
-subgroup, tuple composition for permutation tables, and the exhaustive triple
-loop for associativity.
+subgroup, tuple composition for permutation tables, the exhaustive triple
+loop for associativity, and the loops over Python tuples for conjugacy
+classes and cosets.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from charcond.catalog import Catalog
 from charcond.errors import NotAGroup
 from charcond.groups import (build_from_permutations, build_from_table,
                              conjugacy_classes, derived_subgroup,
-                             generated_subgroup, normal_subgroups)
+                             generated_subgroup, normal_subgroups, quotient)
 
 
 def oracle_generated(g, gens):
@@ -92,6 +93,59 @@ def oracle_permutation_group(degree, gens):
     return table, tuple(groups._cycle_label(p) for p in elems)
 
 
+def oracle_classes(table):
+    """The conjugacy classes of the group whose multiplication table is
+    `table`, a list of tuples, each class sorted: the identity's class
+    first, then by size, then by least element."""
+    n = len(table)
+    e = table[0].index(0)
+    inv = [row.index(e) for row in table]
+    classes, seen = [], set()
+    for x in range(n):
+        if x not in seen:
+            cls = tuple(sorted({table[table[y][x]][inv[y]] for y in range(n)}))
+            seen.update(cls)
+            classes.append(cls)
+    return sorted(classes, key=lambda c: (e not in c, len(c), c[0]))
+
+
+def oracle_cosets(table, members):
+    """The projection onto G/N, N given by its members: each coset x N,
+    found from its least element x, numbered in the order of those."""
+    proj = [None] * len(table)
+    count = 0
+    for x in range(len(table)):
+        if proj[x] is None:
+            for m in members:
+                proj[table[x][m]] = count
+            count += 1
+    return proj
+
+
+def assert_classes_and_cosets(g, table):
+    """`conjugacy_classes` and `quotient` by every normal subgroup of g
+    against the oracles on `table`, g's multiplication table as tuples."""
+    part = conjugacy_classes(g)
+    classes = oracle_classes(table)
+    assert part.classes == tuple(classes)
+    assert part.representatives == tuple(c[0] for c in classes)
+    class_of = {x: i for i, c in enumerate(classes) for x in c}
+    assert part.class_of.tolist() == [class_of[x] for x in range(len(table))]
+    for s in normal_subgroups(g):
+        # a normal subgroup is a union of classes
+        assert sorted(v for c in classes if c[0] in s.elements
+                      for v in c) == list(s.elements)
+        q, proj = quotient(g, s)
+        want = oracle_cosets(table, s.elements)
+        assert proj.mapping.tolist() == want
+        first = {}
+        for x, i in enumerate(want):
+            first.setdefault(i, x)
+        reps = [first[i] for i in range(q.order)]
+        assert q.mul.tolist() == [[want[table[a][b]] for b in reps]
+                                  for a in reps]
+
+
 def oracle_associativity_failure(mul):
     """The first (x, y, z) with (x y) z != x (y z), or None."""
     n = len(mul)
@@ -158,6 +212,36 @@ def test_catalog_permutation_groups_match_tuple_composition():
         g = _CAT.group(name)
         assert g.mul.tobytes() == table.tobytes(), name
         assert g.labels == labels, name
+
+
+@pytest.mark.parametrize("name", _CAT.base_names() + ["S3xS3", "Q8xS3"])
+def test_catalog_classes_and_cosets_match_the_tuple_loops(name):
+    g = _CAT.group(name)
+    assert_classes_and_cosets(g, [tuple(row) for row in g.mul.tolist()])
+
+
+def test_a5_orders_its_two_classes_of_five_cycles_by_least_element():
+    g = build_from_permutations(*_PERMUTATION_GROUPS["A5"])
+    table = [tuple(row) for row in
+             oracle_permutation_group(*_PERMUTATION_GROUPS["A5"])[0].tolist()]
+    assert_classes_and_cosets(g, table)
+    part = conjugacy_classes(g)
+    assert part.sizes == (1, 12, 12, 15, 20)
+    assert part.representatives[1] < part.representatives[2]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3))))
+def test_permutation_classes_and_cosets_match_the_tuple_loops(group):
+    # groups on at most 6 points, up to S6; the table comes from tuple
+    # composition, so no kernel of the package builds the oracle's input
+    table = [tuple(row)
+             for row in oracle_permutation_group(*group)[0].tolist()]
+    g = build_from_permutations(*group)
+    assert g.mul.tolist() == [list(row) for row in table]
+    assert_classes_and_cosets(g, table)
 
 
 _GENERATED = [build_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),

@@ -4,6 +4,9 @@ The expected values below come from brute-force permutation composition done
 right here in the tests, independent of the package's own closure code.
 """
 
+import gc
+import hashlib
+import json
 import re
 import weakref
 from types import SimpleNamespace
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charcond import groups
+from charcond import characters, groups
 from charcond.catalog import Catalog
 from charcond.errors import InvalidData, NotAGroup, NotNormal, TooLarge
 from charcond.groups import (build_from_permutations, build_from_table,
@@ -22,6 +25,8 @@ from charcond.groups import (build_from_permutations, build_from_table,
                              parse_group_text, prime_index_normal_subgroups,
                              product_chain, quotient, subgroup,
                              trivial_subgroup, full_subgroup)
+from charcond.verify import run_suite
+from conftest import run_fresh
 
 
 def compose(p, q):
@@ -508,3 +513,93 @@ def test_unique_sorted_matches_np_unique(values, shape):
     want = np.unique(arr)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+# sha256 of the labels of every base group and S3xS3xS3, of every proper
+# normal subgroup's `as_group()` and of every prime-index quotient of the
+# catalog up to order 24, recorded while every label was formatted when its
+# group was built
+_LABEL_DIGEST = (
+    "774363287ae5cbcbe9a611288e8cf6ef65810367d0949b1ae78d795bb81dbf0b")
+
+
+def test_labels_formatted_on_first_read_match_their_recorded_digest():
+    cat = Catalog()
+    lines = [f"{name} {cat.group(name).labels}"
+             for name in cat.base_names() + ["S3xS3xS3"]]
+    for name, g in cat.groups_up_to(24):
+        for s in normal_subgroups(g):
+            if s.order < g.order:
+                lines.append(f"{name} {s.elements} {s.as_group().labels}")
+        for s in prime_index_normal_subgroups(g):
+            lines.append(f"{name}/{s.elements} {quotient(g, s)[0].labels}")
+    assert len(lines) == 220
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _LABEL_DIGEST
+
+
+def test_a_sweep_formats_no_label(monkeypatch):
+    # no check reads a label, so none is formatted: not for the catalog's
+    # permutation groups, their products, subgroups or quotients
+    calls = []
+    label = groups._cycle_label
+    monkeypatch.setattr(groups, "_cycle_label",
+                        lambda p: calls.append(p) or label(p))
+    assert run_suite("all", cat=Catalog(), max_order=24).passed
+    assert calls == []
+    # a product's labels format each factor's once, when they are read
+    assert len(Catalog().group("S3xC2").labels) == 12
+    assert len(calls) == 6 + 2
+
+
+def test_unread_labels_keep_no_group_alive():
+    # the functions that format labels on first read hold their sources'
+    # arrays and label functions, never a group or a subgroup
+    g = direct_product(Catalog().group("S3"), Catalog().group("C4"))
+    s = normal_subgroups(g)[2]
+    formats = [g._labels, s.as_group()._labels, quotient(g, s)[0]._labels]
+    assert all(callable(f) for f in formats)
+    order, dead = s.order, weakref.ref(g)
+    del g, s
+    gc.collect()
+    assert dead() is None
+    assert [len(f()) for f in formats] == [24, order, 24 // order]
+
+
+_LARGE_END = """
+import json, sys, tracemalloc
+from time import perf_counter
+import numpy as np
+from charcond.characters import _induction_counts
+from charcond.groups import (conjugacy_classes, generated_subgroup,
+                             load_group_file, quotient, subgroup)
+g = load_group_file(sys.argv[1])
+# the squares generate A7; checked as a subgroup, it carries its generators
+a7 = subgroup(g, generated_subgroup(g, np.diag(g.mul)).elements)
+a7.as_group()
+calls = {"classes": lambda: len(conjugacy_classes(g)),
+         "quotient": lambda: quotient(g, a7)[0].order,
+         "induction": lambda: _induction_counts(a7).shape}
+out = {}
+tracemalloc.start()
+for name, call in calls.items():
+    tracemalloc.reset_peak()
+    t = perf_counter()
+    got = call()
+    out[name] = [got, perf_counter() - t, tracemalloc.get_traced_memory()[1]]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.slow
+def test_s7_classes_cosets_and_induction_counts_stay_small(tmp_path):
+    # measured 0.4, 0.6 and 3.2 MB traced peaks; the gather of every x t
+    # for t in A7, which the cosets avoid, alone needs 100 MB
+    s7 = tmp_path / "s7.grp"
+    s7.write_text("perm 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n")
+    run = run_fresh(_LARGE_END, args=[str(s7)])
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert [out[k][0] for k in out] == [15, 2, [15, 9]]
+    for name, (_, seconds, peak) in out.items():
+        assert peak < 16 << 20 and seconds < 1.0, (name, seconds, peak)
