@@ -246,7 +246,7 @@ class ClassFunction:
 
     def __repr__(self) -> str:
         vals = ", ".join(str(v) for v in self.values)
-        return f"ClassFunction[{vals}]"
+        return f"{type(self).__name__}[{vals}]"
 
 
 class Character(ClassFunction):
@@ -281,10 +281,6 @@ class Character(ClassFunction):
     @property
     def degree(self) -> int:
         return int(self.nums[0, 0]) // self.den
-
-    def __repr__(self) -> str:
-        vals = ", ".join(str(v) for v in self.values)
-        return f"Character[{vals}]"
 
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> Cyclotomic:

@@ -6,6 +6,11 @@ produces extension witnesses, and builds irreducible characters of degree at
 least 2^n from chains of normal subgroups with non-abelian quotients.  Every
 classification carries verification data that was checked exactly.
 
+The chain walk rests on one lemma: for N normal in M with M/N non-abelian
+and psi in Irr(N), the largest constituent of Ind psi has degree at least
+2 psi(1) (proof in `construct_large_degree`), so each step of the walk is
+one `promote_degree`.
+
 For a table row, Clifford decompositions, classifications and extensions
 are views over whole-table arrays that one `_NormalPair` per normal subgroup
 holds: the columns that restrict G's table to H, with the restrictions'
@@ -33,10 +38,10 @@ import numpy as np
 
 from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
-                         conjugate_character, decompose, induce, inflate,
-                         pointwise_product, _conj_class_perms,
-                         _induction_sums, _inflated_table, _multiplicities,
-                         _restriction_classes, _same_group, _table_at, _table_nums)
+                         conjugate_character, decompose, induce,
+                         _conj_class_perms, _induction_sums, _inflated_table,
+                         _multiplicities, _restriction_classes, _same_group,
+                         _table_at, _table_nums)
 from .cyclotomic import (_absmax, _bound, _crt, _diagonal_values, _evaluate,
                          _gram_values, _power_array, lift, scaled, values)
 from .errors import (BadChain, IndexNotPrime, InternalContradiction,
@@ -63,9 +68,16 @@ class ClassificationKind(enum.Enum):
     INDUCED = "induced"
 
 
-def _require_irreducible(chi: Character) -> None:
+def _require(chi: Character, s: Subgroup, needs: str, prime: bool = False) -> None:
+    """The checks of a function that takes an irreducible over s, in this
+    order: chi is a verified irreducible, s has prime index (when `prime`),
+    and s is normal, refused as "<needs> a normal subgroup"."""
     if not isinstance(chi, Character) or not chi.irreducible:
         raise NotIrreducible("operation needs a verified irreducible character")
+    if prime and not is_prime(s.index):
+        raise IndexNotPrime(f"index {s.index} is not prime")
+    if not is_normal(s.parent, s):
+        raise NotNormal(f"{needs} a normal subgroup")
 
 
 # the Clifford checks of a row, in the order they are checked; a row's
@@ -348,9 +360,7 @@ def clifford_decomposition(chi: Character, s: Subgroup) -> tuple[int, tuple[Char
     chi(1) = e * t * theta(1), <Res chi, Res chi> = e^2 t, e^2 <= |I/H| and
     e^2 t <= |G/H|.
     """
-    _require_irreducible(chi)
-    if not is_normal(s.parent, s):
-        raise NotNormal("Clifford decomposition needs a normal subgroup")
+    _require(chi, s, "Clifford decomposition needs")
     e, orbit = _clifford_row(s, character_table(s.parent).index_of(chi))
     table_h = character_table(s.as_group())
     return e, tuple(table_h[i] for i in orbit)
@@ -378,11 +388,7 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
     The two cases are mutually exclusive; each returned object carries the
     exact checks that were performed.
     """
-    _require_irreducible(chi)
-    if not is_prime(s.index):
-        raise IndexNotPrime(f"index {s.index} is not prime")
-    if not is_normal(s.parent, s):
-        raise NotNormal("classification needs a normal subgroup")
+    _require(chi, s, "classification needs", prime=True)
     kind, j, e, orbit, checks = _classify_row(
         s, character_table(s.parent).index_of(chi))
     table_h = character_table(s.as_group())
@@ -392,11 +398,7 @@ def classify_irreducible(chi: Character, s: Subgroup) -> Classification:
 
 def find_extensions(theta: Character, s: Subgroup) -> tuple[Character, ...]:
     """All irreducibles of the parent group restricting to theta, table order."""
-    _require_irreducible(theta)
-    if not is_prime(s.index):
-        raise IndexNotPrime(f"index {s.index} is not prime")
-    if not is_normal(s.parent, s):
-        raise NotNormal("extensions need a normal subgroup")
+    _require(theta, s, "extensions need", prime=True)
     j = character_table(s.as_group()).index_of(theta)
     pair = _pair(s)
     if pair.stab[j] != s.parent.order:
@@ -458,19 +460,14 @@ def _reindex_subgroup(inner: Subgroup, outer: Subgroup) -> Subgroup:
     return subgroup(outer.as_group(), elems)
 
 
-def _max_degree_constituent(fn: ClassFunction, table) -> tuple[Character, int]:
-    parts = decompose(fn, table)
-    best = max(parts, key=lambda im: (table[im[0]].degree, -im[0]))
-    return table[best[0]], best[1]
-
-
 def promote_degree(theta: Character, s: Subgroup) -> Character:
-    """An irreducible of the parent with degree >= theta(1), from Ind theta."""
-    _require_irreducible(theta)
-    if not is_normal(s.parent, s):
-        raise NotNormal("promotion needs a normal subgroup")
+    """An irreducible of the parent with degree >= theta(1): the largest
+    constituent of Ind theta, the first in table order among those of its
+    degree."""
+    _require(theta, s, "promotion needs")
     table = character_table(s.parent)
-    chi, _ = _max_degree_constituent(induce(theta, s), table)
+    parts = decompose(induce(theta, s), table)
+    chi = table[max(parts, key=lambda im: (table[im[0]].degree, -im[0]))[0]]
     if chi.degree < theta.degree:
         raise InternalContradiction("induced constituent lost degree")
     return chi
@@ -479,31 +476,20 @@ def promote_degree(theta: Character, s: Subgroup) -> Character:
 def construct_large_degree(chain: NormalChain) -> Character:
     """An irreducible character of degree at least 2^(chain length).
 
-    Walks the chain, at each step taking the largest-degree constituent of the
-    induced character.  When that constituent is a plain extension (e = t = 1)
-    the degree has not grown, and multiplying by an inflated non-linear
-    irreducible of the quotient restores growth while staying irreducible.
+    Starts from a largest row of N_1 and walks the chain by `promote_degree`.
+    Each step N = N_m <= M = N_(m+1) at least doubles the degree: the
+    constituents chi of Ind psi all lie over one orbit of size t, with
+    chi(1) = e_chi t psi(1).  Were e t = 1 for the largest, t = 1 and every
+    e_chi = 1, so psi extends to some chi_0; by Gallagher the constituents
+    are then chi_0 beta, beta in Irr(M/N), with multiplicity beta(1), so
+    every beta is linear and M/N is abelian, which `NormalChain` refuses.
     """
     subs = chain.subgroups
     psi = max(character_table(subs[1].as_group()), key=lambda row: row.degree)
     if psi.degree < 2:
         raise InternalContradiction("non-abelian bottom group has no degree >= 2")
     for m in range(1, chain.length):
-        outer = subs[m + 1]
-        outer_group = outer.as_group()
-        inner = _reindex_subgroup(subs[m], outer)
-        table_outer = character_table(outer_group)
-        ind = induce(psi, inner)
-        cand, e = _max_degree_constituent(ind, table_outer)
-        t = len(conjugate_orbit(inner, psi))
-        if e * t >= 2:
-            psi = cand
-        else:
-            q, qmap = quotient(outer_group, inner)
-            qtable = character_table(q)
-            beta = next(row for row in qtable if row.degree >= 2)
-            prod = pointwise_product(cand, inflate(beta, qmap))
-            psi = Character.of(prod, irreducible=True)
+        psi = promote_degree(psi, _reindex_subgroup(subs[m], subs[m + 1]))
         if psi.degree < 2 ** (m + 1):
             raise InternalContradiction(
                 f"degree {psi.degree} fell below 2^{m + 1} during the walk")

@@ -174,7 +174,9 @@ class FiniteGroup:
 
     @cached
     def exponent(self) -> int:
-        return lcm(*(self.element_order(g) for g in range(self.order)))
+        # element order is a class function
+        return lcm(*(self.element_order(g)
+                     for g in conjugacy_classes(self).representatives))
 
     def __repr__(self) -> str:
         tag = self.name or "FiniteGroup"

@@ -9,6 +9,8 @@ loop for associativity, and the loops over Python tuples for conjugacy
 classes and cosets.
 """
 
+from math import lcm
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -146,6 +148,20 @@ def assert_classes_and_cosets(g, table):
                                   for a in reps]
 
 
+def oracle_exponent(table):
+    """The lcm of the orders of all elements of the group whose
+    multiplication table is `table`, a list of tuples, each order found by
+    multiplying up to the identity."""
+    e = table[0].index(0)
+    orders = []
+    for g in range(len(table)):
+        n, x = 1, g
+        while x != e:
+            x, n = table[x][g], n + 1
+        orders.append(n)
+    return lcm(*orders)
+
+
 def oracle_associativity_failure(mul):
     """The first (x, y, z) with (x y) z != x (y z), or None."""
     n = len(mul)
@@ -230,10 +246,14 @@ def test_a5_orders_its_two_classes_of_five_cycles_by_least_element():
     assert part.representatives[1] < part.representatives[2]
 
 
+# groups generated by 1-3 permutations of at most 6 points, up to S6
+_PERMUTATIONS = st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3)))
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
-    st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3))))
+@given(_PERMUTATIONS)
 def test_permutation_classes_and_cosets_match_the_tuple_loops(group):
     # groups on at most 6 points, up to S6; the table comes from tuple
     # composition, so no kernel of the package builds the oracle's input
@@ -242,6 +262,24 @@ def test_permutation_classes_and_cosets_match_the_tuple_loops(group):
     g = build_from_permutations(*group)
     assert g.mul.tolist() == [list(row) for row in table]
     assert_classes_and_cosets(g, table)
+
+
+@pytest.mark.parametrize("name", _CAT.base_names() + [
+    "S3xS3xS3", "Q8xS3xC4", "C4xC4xC3", "D6xD6"])
+def test_catalog_exponents_match_the_orders_of_all_elements(name):
+    g = _CAT.group(name)
+    assert g.exponent() == oracle_exponent([tuple(r) for r in g.mul.tolist()])
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_PERMUTATIONS)
+def test_permutation_exponents_match_the_orders_of_all_elements(group):
+    # the exponent is read off class representatives; the oracle walks the
+    # powers of every element of the tuple-composition table
+    table = [tuple(row)
+             for row in oracle_permutation_group(*group)[0].tolist()]
+    assert build_from_permutations(*group).exponent() == oracle_exponent(table)
 
 
 _GENERATED = [build_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
