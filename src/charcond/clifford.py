@@ -19,8 +19,10 @@ theta>, and how G permutes the rows of H's table.  Every Clifford and
 classification check runs once per pair, over all rows at once, into cached
 verdict arrays that a view reads one row of, so that a row fails only on its
 own checks.  The multiplicities are read as integers on first use, from a
-Gram product the pair computes with its three others in one pass modulo the
-Gram primes, so a check that reads none of them cannot fail on them.  The
+Gram product computed with the pair's three others, so a check that reads
+none of them cannot fail on them.  The sweeps build the normal pairs of one
+group together (`_pairs`), with one pass modulo the Gram primes for all
+their Gram products; a single pair is the same code on a list of one.  The
 verification sweeps read the same arrays, and record a pass only for a
 check that ran to the end and held: an error raised while the pair is built
 fails every record that needs it.  Inertia groups
@@ -33,6 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,9 +46,11 @@ from .characters import (Character, ClassFunction, character_table,
                          _multiplicities, _restriction_classes, _same_group,
                          _table_at, _table_nums)
 from .cyclotomic import (_absmax, _bound, _crt, _diagonal_values, _evaluate,
-                         _gram_values, _power_array, lift, scaled, values)
-from .errors import (BadChain, IndexNotPrime, InternalContradiction,
-                     NotInvariant, NotIrreducible, NotNormal)
+                         _fold_bound, _gram_values, _weighted, int_dtype, lift,
+                         scaled, values)
+from .errors import (BadChain, CharcondError, IndexNotPrime,
+                     InternalContradiction, NotInvariant, NotIrreducible,
+                     NotNormal)
 from .groups import (FiniteGroup, QuotientMap, Subgroup, cached,
                      conjugacy_classes, is_abelian, is_normal, quotient,
                      row_keys, subgroup)
@@ -111,21 +116,20 @@ class _NormalPair:
     - ``cols``: the classes of G that hold H's, so that tg[:, cols], one
       gather, is the table of G restricted to H;
     - ``ind``: |H| Ind theta_j, one matmul with the induction counts;
-    - four Gram products from one pass modulo the Gram primes:
+    - four Gram products, set by `_gram_pass` in one pass modulo the Gram
+      primes with those of the other pairs of G built with this one:
       ``res_norm``, |H| <Res chi_r, Res chi_r>; ``res_gram``, |H| <Res
       chi_r, theta_j>; ``ind_norm``, |H|^2 |G| <Ind theta_j, Ind theta_j>;
-      and ``ind_gram``, |H| |G| <chi_r, Ind theta_j>.  G's table is
-      evaluated once per table (`characters._table_at`), the gather's
-      evaluation is a gather of G's, and th and ind are each evaluated from
-      their own arrays; one interpolation and one CRT serve all four, and
-      each keeps the dtype of its own `_bound`;
+      and ``ind_gram``, |H| |G| <chi_r, Ind theta_j>, each a copy of the
+      dtype of its own `_bound`, equal to the pair's built alone;
     - ``perm[g, j]``: the row equal to theta_j^g, theta_j^g(h) =
       theta_j(g h g^-1), matched once per distinct permutation of the
       H-classes by array equality; ``stab[j]``: the order of the inertia
       group of theta_j; ``is_h[j]``: it is H itself; ``orbit[i, j]``:
       theta_j is conjugate to theta_i;
     - ``mult``: res_gram as integers, read off it on first use, so that a
-      check that reads no multiplicity never fails on one;
+      check that reads no multiplicity never fails on one, and
+      ``matches[r, j]``: Res chi_r = theta_j, on first use;
     - ``clifford``: the first constituent, e, t and the Clifford verdict of
       every row, and ``checks``: the classification checks of every row,
       each one array pass over the rows on first use.
@@ -139,25 +143,13 @@ class _NormalPair:
         g, h = s.parent, s.as_group()
         e = self.e = g.exponent()
         self.order_g, self.order_h = g.order, s.order
-        wg, wh = conjugacy_classes(g).sizes, conjugacy_classes(h).sizes
-        self.sizes_g, self.sizes_h = np.array(wg), np.array(wh)
+        self.sizes_g = np.array(conjugacy_classes(g).sizes)
+        self.sizes_h = np.array(conjugacy_classes(h).sizes)
         self.tg = _table_nums(g)
         th = _table_nums(h)
         self.th = lift(th, h.exponent(), e)
         self.cols = _restriction_classes(s)
-        res = self.tg[:, self.cols]
         self.ind = _induction_sums(s, self.th)
-
-        def residues(data):
-            x, xi = _table_at(g, data), _evaluate(self.ind, data)
-            xr = x[..., self.cols]
-            return [_diagonal_values(xr, wh, data),
-                    _gram_values(xr, _evaluate(self.th, data), wh, data),
-                    _diagonal_values(xi, wg, data), _gram_values(x, xi, wg, data)]
-        self.res_norm, self.res_gram, self.ind_norm, self.ind_gram = _crt(
-            e, [_bound(res, res, wh, e), _bound(res, self.th, wh, e),
-                _bound(self.ind, self.ind, wg, e), _bound(self.tg, self.ind, wg, e)],
-            residues)
         k = len(th)
         index = {key: j for j, key in enumerate(row_keys(th))}
         perms = _conj_class_perms(s)
@@ -173,6 +165,11 @@ class _NormalPair:
         fixed = self.perm == np.arange(k)
         self.stab = fixed.sum(axis=0)
         self.is_h = (fixed == (s.member_index() >= 0)[:, None]).all(axis=0)
+
+    @cached_property
+    def matches(self) -> np.ndarray:
+        """matches[r, j]: Res chi_r = theta_j, on the gather's values."""
+        return (self.tg[:, None, self.cols] == self.th).all(axis=(2, 3))
 
     @cached_property
     def mult(self) -> np.ndarray:
@@ -217,7 +214,7 @@ class _NormalPair:
         return np.stack([
             _equals(self.res_norm, self.order_h),
             ((m != 0).sum(axis=1) == 1) & (m[np.arange(len(m)), j] == 1)
-            & (self.tg[:, self.cols] == self.th[j]).all(axis=(1, 2)),
+            & self.matches[np.arange(len(m)), j],
             self.stab[j] == self.order_g, ~induced, t == q, e == 1, induced,
             self.is_h[j], _equals(self.res_norm, q * self.order_h)])
 
@@ -240,7 +237,7 @@ class _NormalPair:
     def extensions(self, j: int) -> list[int]:
         """The rows chi_r with Res chi_r = theta_j, in table order, for a
         theta_j invariant under a prime index, which must have one."""
-        rows = np.flatnonzero((self.tg[:, self.cols] == self.th[j]).all(axis=(1, 2)))
+        rows = np.flatnonzero(self.matches[:, j])
         if not len(rows):
             raise InternalContradiction(
                 "no extension found for an invariant character of prime index")
@@ -263,7 +260,7 @@ class _NormalPair:
         g, e, wg = qmap.source, self.e, self.sizes_g.tolist()
         psi = lift(_inflated_table(qmap), qmap.group.exponent(), e)
         n, m, phi = len(rows), len(psi), psi.shape[2]
-        top, fold = _absmax(self.tg[rows]) * _absmax(psi), _absmax(_power_array(e))
+        top, fold = _absmax(self.tg[rows]) * _absmax(psi), _fold_bound(e, e)
         bound = max(self.order_g * phi ** 3 * top ** 2 * e * fold, _absmax(self.ind)
                     + self.order_h * m * (2 * phi - 1) * phi * top * fold)
         seen = []
@@ -280,11 +277,74 @@ class _NormalPair:
         return np.array(repeated), np.any([d for _, d in seen], axis=0), norms
 
 
+def _gram_pass(g: FiniteGroup, pairs: list[_NormalPair]) -> None:
+    """Set the four Gram products of pairs over one group G, from one pass
+    modulo the Gram primes for all of them: G's table is evaluated once per
+    prime and gathered at the concatenated ``cols``, the restriction norms
+    are segment sums of its weighted products, the multiplicities one
+    batched matmul against the block diagonal of the lifted H tables, and
+    the stacked ``ind`` rows are evaluated once for both induced products.
+    The primes serve the largest bound of the batch, and each pair's cut is
+    a copy of the dtype of its own `_bound`, as when it is built alone."""
+    e, tg, wg = pairs[0].e, pairs[0].tg, pairs[0].sizes_g.tolist()
+    ends = list(accumulate(len(pair.th) for pair in pairs))
+    starts = [0] + ends[:-1]
+    cols = np.concatenate([pair.cols for pair in pairs])
+    wh = np.concatenate([pair.sizes_h for pair in pairs]).tolist()
+    ind = np.concatenate([pair.ind for pair in pairs])
+    block = np.zeros((ends[-1], ends[-1], tg.shape[2]),
+                     dtype=np.result_type(*(pair.th for pair in pairs)))
+    bounds = []
+    for pair, lo, hi in zip(pairs, starts, ends):
+        block[lo:hi, lo:hi] = pair.th
+        res, w = tg[:, pair.cols], pair.sizes_h.tolist()
+        bounds.append([_bound(res, res, w, e), _bound(res, pair.th, w, e),
+                       _bound(pair.ind, pair.ind, wg, e), _bound(tg, pair.ind, wg, e)])
+
+    def residues(data):
+        p, x = data.prime, _table_at(g, data)
+        xr, xi = x[..., cols], _evaluate(ind, data)
+        return [np.add.reduceat(_weighted(xr, wh, p) * xr[data.conj] % p,
+                                starts, axis=-1) % p,
+                _gram_values(xr, _evaluate(block, data), wh, data),
+                _diagonal_values(xi, wg, data), _gram_values(x, xi, wg, data)]
+    batch = _crt(e, [max(b) for b in zip(*bounds)], residues)
+    for i, (pair, lo, hi, b) in enumerate(zip(pairs, starts, ends, bounds)):
+        cuts = batch[0][:, i], batch[1][:, lo:hi], batch[2][lo:hi], batch[3][:, lo:hi]
+        pair.res_norm, pair.res_gram, pair.ind_norm, pair.ind_gram = (
+            x.astype(int_dtype(bound), order="C") for x, bound in zip(cuts, b))
+
+
+def _pairs(subs: list[Subgroup]) -> None:
+    """Build the pairs (G, s) of normal subgroups s of one group that no
+    cache holds yet, with one `_gram_pass` for all of them, and keep each as
+    `_pair` would.  Raises nothing: a subgroup whose own arrays raise is left
+    out, and a pass that raises keeps no pair, so that `_pair` raises the
+    error again within the records that need it."""
+    built = []
+    for s in subs:
+        if _pair.peek(s) is None:
+            try:
+                built.append((s, _NormalPair(s)))
+            except CharcondError:
+                pass
+    if built:
+        try:
+            _gram_pass(subs[0].parent, [pair for _, pair in built])
+        except CharcondError:
+            return
+    for s, pair in built:
+        _pair.put(s, pair)
+
+
 @cached
 def _pair(s: Subgroup) -> _NormalPair:
     """The arrays of the normal pair (G, s), built once per subgroup cache
-    and kept there by `groups.cached`."""
-    return _NormalPair(s)
+    and kept there by `groups.cached`: the build of `_pairs` on a list of
+    one, which raises where `_pairs` leaves the pair out."""
+    pair = _NormalPair(s)
+    _gram_pass(s.parent, [pair])
+    return pair
 
 
 def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:
@@ -416,10 +476,13 @@ def find_extension(theta: Character, s: Subgroup) -> Character:
 @dataclass(frozen=True)
 class NormalChain:
     """A chain 1 = N_0 <= ... <= N_n = G, each normal in G, with every
-    quotient N_i / N_(i-1) non-abelian."""
+    quotient N_i / N_(i-1) non-abelian.  ``steps[i]`` is N_i as a subgroup
+    of N_(i+1), reindexed once for the quotient check and read again by the
+    degree walk."""
 
     group: FiniteGroup
     subgroups: tuple[Subgroup, ...]
+    steps: tuple[Subgroup, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         subs = self.subgroups
@@ -434,17 +497,18 @@ class NormalChain:
                 raise BadChain("chain subgroup lives in the wrong group")
             if not is_normal(self.group, s):
                 raise BadChain(f"chain subgroup of order {s.order} is not normal")
+        steps = []
         for prev, cur in zip(subs, subs[1:]):
             if not set(prev.elements) <= set(cur.elements):
                 raise BadChain("chain is not ascending")
             if cur.order == prev.order:
                 raise BadChain("chain has a repeated term")
-            step_group = cur.as_group()
-            inner = _reindex_subgroup(prev, cur)
-            q, _ = quotient(step_group, inner)
+            steps.append(_reindex_subgroup(prev, cur))
+            q, _ = quotient(cur.as_group(), steps[-1])
             if is_abelian(q):
                 raise BadChain(
                     f"quotient of orders {cur.order}/{prev.order} is abelian")
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def length(self) -> int:
@@ -489,7 +553,7 @@ def construct_large_degree(chain: NormalChain) -> Character:
     if psi.degree < 2:
         raise InternalContradiction("non-abelian bottom group has no degree >= 2")
     for m in range(1, chain.length):
-        psi = promote_degree(psi, _reindex_subgroup(subs[m], subs[m + 1]))
+        psi = promote_degree(psi, chain.steps[m])
         if psi.degree < 2 ** (m + 1):
             raise InternalContradiction(
                 f"degree {psi.degree} fell below 2^{m + 1} during the walk")

@@ -27,9 +27,10 @@ symmetric range return the integers themselves.  The steps are shared:
 `_evaluate`, the products at the roots (`_gram_values`, `_diagonal_values`)
 and `_crt`, which interpolates several products with one matmul per prime
 and recovers them all, with primes for the largest bound, each of the dtype
-of its own bound.  A normal pair of `clifford`
-takes its four Gram products, and Gallagher's products, from one such pass
-over evaluations it keeps or gathers.  `characters._check_table` reads a
+of its own bound.  The normal pairs of one group in
+`clifford` take their four Gram products each from one such pass for the
+whole group, and Gallagher's products of a pair come from another, over
+evaluations they keep or gather.  `characters._check_table` reads a
 table's evaluations directly and never interpolates.
 
 There is one builder.  `values` turns rows into `Cyclotomic`s, each in

@@ -97,21 +97,23 @@ _TABLE_CACHES = weakref.WeakValueDictionary()
 def cached(f):
     """f(x) computed once per ``x._cache``, the cache of a group's table or
     of a subgroup, and kept there under f's name; an ndarray result is made
-    read-only.  ``f.peek(x)`` is the kept result, or None, computing nothing.
-    Every memo of data derived from a table or a subgroup goes through here,
-    so no other module names a cache key."""
+    read-only.  ``f.peek(x)`` is the kept result, or None, computing nothing,
+    and ``f.put(x, out)`` keeps out as f(x), for a caller that computes the
+    results of several x at once.  Every memo of data derived from a table
+    or a subgroup goes through here, so no other module names a cache key."""
     key = f.__name__
+
+    def put(x, out):
+        if isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        x._cache[key] = out
 
     @wraps(f)
     def memo(x):
-        cache = x._cache
-        if key not in cache:
-            out = f(x)
-            if isinstance(out, np.ndarray):
-                out.setflags(write=False)
-            cache[key] = out
-        return cache[key]
-    memo.peek = lambda x: x._cache.get(key)
+        if key not in x._cache:
+            put(x, f(x))
+        return x._cache[key]
+    memo.peek, memo.put = (lambda x: x._cache.get(key)), put
     return memo
 
 

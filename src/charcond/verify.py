@@ -13,7 +13,8 @@ error in place of a value, so that a check given one fails its records with
 it and their text shows "?".  The clifford, dichotomy, classification and
 gallagher suites share one loop over the normal pairs (G, H), and they and
 the Frobenius check read whole tables: the arrays of the pair's
-`clifford._NormalPair`, built once per subgroup.  Each check is one pass
+`clifford._NormalPair`, built once per subgroup, those of one group together
+(`clifford._pairs`).  Each check is one pass
 over those arrays, for all rows or all theta at once, and builds exact
 values only for the text of a failure.  The two sides of each identity come
 by different routes: Res Ind theta by the gather of the induced table, the
@@ -46,7 +47,7 @@ from .catalog import Catalog, default_catalog
 from .characters import (character_table, induce, _conj_class_perms, _exact,
                          _table_nums)
 from .clifford import (NormalChain, construct_large_degree, promote_degree,
-                       _classify_row, _clifford_row, _equals, _pair)
+                       _classify_row, _clifford_row, _equals, _pair, _pairs)
 from .cyclotomic import _matmul
 from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
                         conductor_exponents, conductors,
@@ -157,20 +158,22 @@ def _pair_name(g: FiniteGroup, s: Subgroup) -> str:
 def _pair_suite(suite: str, cat: Catalog | None, max_order: int,
                 prime_only: bool, checks, label=None) -> VerificationReport:
     """The records of `checks`, (identities, check of a subgroup) pairs, on
-    every proper normal pair (G, H) of the catalog, of prime index if asked.
+    every proper normal pair (G, H) of the catalog, of prime index if asked,
+    the pairs of each G built together.
     A `label`, (name, function of a subgroup), adds its value to the inputs
     of the pair's records and is its checks' second argument."""
     rep = VerificationReport(suite)
     for _, g in (cat or default_catalog()).groups_up_to(max_order):
-        for s in (prime_index_normal_subgroups(g) if prime_only
-                  else normal_subgroups(g)):
-            if s.order < g.order:
-                where, args = _pair_name(g, s), (s,)
-                if label:
-                    value = _outcome(label[1], s)
-                    where, args = f"{where}, {label[0]}={_shown(value)}", (s, value)
-                for identities, check in checks:
-                    _attempt(rep, identities, where, check, *args)
+        subs = [s for s in (prime_index_normal_subgroups(g) if prime_only
+                            else normal_subgroups(g)) if s.order < g.order]
+        _pairs(subs)
+        for s in subs:
+            where, args = _pair_name(g, s), (s,)
+            if label:
+                value = _outcome(label[1], s)
+                where, args = f"{where}, {label[0]}={_shown(value)}", (s, value)
+            for identities, check in checks:
+                _attempt(rep, identities, where, check, *args)
     return rep
 
 
@@ -477,10 +480,11 @@ def suite_tables(cat: Catalog | None = None,
     for name, g in cat.groups_up_to(max_order):
         _attempt(rep, ("tables: exact row and column orthogonality, sum of squares",),
                  f"G={name}", lambda: character_table(g).validate())
-        for s in normal_subgroups(g):
-            if s.order < g.order:
-                _attempt(rep, ("tables: Frobenius reciprocity",),
-                         _pair_name(g, s), lambda: (_pair(s).frobenius(),))
+        subs = [s for s in normal_subgroups(g) if s.order < g.order]
+        _pairs(subs)
+        for s in subs:
+            _attempt(rep, ("tables: Frobenius reciprocity",),
+                     _pair_name(g, s), lambda: (_pair(s).frobenius(),))
     return rep
 
 

@@ -199,7 +199,8 @@ def fresh_sweep():
     (each compared with the oracle kernel of `gram_oracle`, with the callers
     of any mismatch and of any `gram` of an array with itself), the passes
     modulo the Gram primes (`cyclotomic._crt`) by calling function
-    and number of products, and the
+    and number of products, one per group for the Gram products of all its
+    normal pairs (`clifford._gram_pass`), and the
     number of `Cyclotomic` values built; the builds and axiom checks of a
     second round in the same interpreter; and then the conductor cache
     statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""

@@ -268,6 +268,25 @@ def test_construct_large_degree_chains():
     assert phi3.degree <= max(character_table(p3).degrees()) == 8
 
 
+def test_the_degree_walk_reads_the_steps_the_chain_reindexed(monkeypatch):
+    # NormalChain reindexes each step N_m inside N_(m+1) once, for its
+    # quotient check; the walk validates no subgroup again
+    g = s3()
+    p3, ch3 = product_chain([g, g, g])
+    chain = NormalChain(p3, tuple(ch3))
+    assert [(s.parent.order, s.order) for s in chain.steps] == [
+        (6, 1), (36, 6), (216, 36)]
+    calls = []
+    real = clifford.subgroup
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(clifford, "subgroup", counted)
+    assert construct_large_degree(chain).degree == 8
+    assert calls == []
+
+
 def test_promote_degree():
     g = s3()
     p, chain = product_chain([g, g])

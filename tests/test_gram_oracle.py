@@ -5,8 +5,10 @@ the primitive e-th roots of unity; `gram_oracle` forms every coefficient
 product over the integers.  They must agree in values and dtype
 on every input: both widths, conductors 1 to 120, negative and zero weights,
 and entries large enough to take several primes and Python ints.  So must
-the four Gram products that a normal pair takes from one pass, and
-Gallagher's norms must equal the oracle's norms of `multiply`'s products.
+the four Gram products of a normal pair, and Gallagher's norms must equal
+the oracle's norms of `multiply`'s products.  The normal pairs of one group
+take their Gram products from one pass for the whole group; each must equal
+the same pair built alone, in values and dtype.
 """
 
 import numpy as np
@@ -20,8 +22,9 @@ from charcond.characters import (ClassFunction, character_table,
                                  inner_product_matrix)
 from charcond.cyclotomic import (_bound, _evaluation_data, _matmul_mod, _phi,
                                  gram, gram_diagonal, lift, multiply, scaled)
+from charcond.errors import InternalContradiction
 from charcond.groups import (normal_subgroups, parse_group_text, quotient,
-                             row_keys)
+                             row_keys, subgroup)
 from gram_oracle import oracle_diagonal, oracle_gram
 
 
@@ -152,14 +155,20 @@ def _gallagher_oracle(pair, thetas, rows, psi):
              ).any(axis=(1, 2)).tolist(), norms.reshape(shape[:2] + (-1,)))
 
 
+def _oracle_groups():
+    """The catalog to order 24 and four larger products, from a fresh
+    catalog."""
+    cat = Catalog()
+    return [g for _, g in cat.groups_up_to(24)] + [
+        cat.group(name) for name in ("Q8xS3xC4", "S3xS3xS3", "C4xC4xC3", "S4xS3")]
+
+
 def test_normal_pairs_match_the_oracle(monkeypatch):
     # every proper normal pair of the catalog to order 24 and of four larger
     # products: the four Gram products in values and dtype, and Gallagher's
     # checks under prime index, as the table of G/H stands and with its last
     # row read as its first, so that products repeat and sums differ
-    cat = Catalog()
-    groups = [g for _, g in cat.groups_up_to(24)] + [
-        cat.group(name) for name in ("Q8xS3xC4", "S3xS3xS3", "C4xC4xC3", "S4xS3")]
+    groups = _oracle_groups()
     real = characters._inflated_table
 
     def repeated(qmap):
@@ -228,3 +237,104 @@ def test_a_pair_takes_three_primes_where_its_bounds_need_them(monkeypatch):
     want = _gallagher_oracle(pair, thetas, rows, psi)
     assert (got[0].tolist(), got[1].tolist()) == (want[0], want[1])
     assert np.array_equal(got[2], want[2])
+
+
+_PRODUCTS = ("res_norm", "res_gram", "ind_norm", "ind_gram")
+
+
+def _fresh(s):
+    """s again, on a subgroup cache of its own, which holds no pair."""
+    return subgroup(s.parent, s.elements)
+
+
+def _proper(g):
+    return [_fresh(s) for s in normal_subgroups(g) if s.order < g.order]
+
+
+def _same_products(got, want):
+    """The four Gram products equal in values and dtype, each a copy of its
+    own, so that no pair keeps a batch alive."""
+    return all(_same(getattr(got, n), getattr(want, n))
+               and getattr(got, n).base is None for n in _PRODUCTS)
+
+
+def test_one_pass_per_group_equals_each_pair_built_alone(monkeypatch):
+    # the proper normal pairs of each group built together, with one Gram
+    # pass, against each pair built alone by `_pair` on a fresh cache
+    real, batches = clifford._gram_pass, []
+
+    def counted(g, pairs):
+        batches.append(len(pairs))
+        return real(g, pairs)
+    monkeypatch.setattr(clifford, "_gram_pass", counted)
+    pairs = 0
+    for g in _oracle_groups():
+        subs = _proper(g)
+        batches.clear()
+        clifford._pairs(subs)
+        assert batches == ([len(subs)] if subs else [])
+        for s in subs:
+            got, want = clifford._pair.peek(s), clifford._pair(_fresh(s))
+            assert got is not None and _same_products(got, want), (g.name, s.order)
+        pairs += len(subs)
+    assert pairs == 363
+
+
+def test_a_batch_takes_the_primes_of_its_largest_bound(monkeypatch):
+    # A7 in S7 needs three primes; the trivial subgroup, in the same batch,
+    # shares them, and each pair keeps the dtypes of its own bounds
+    g = parse_group_text(_S7)
+    triv, a7 = _proper(g)
+    real, used = cyclotomic._evaluation_data, []
+
+    def counted(e, i):
+        used.append(i)
+        return real(e, i)
+    monkeypatch.setattr(cyclotomic, "_evaluation_data", counted)
+    clifford._pairs([triv, a7])
+    assert used == [0, 1, 2]
+    monkeypatch.undo()
+    pair = clifford._pair.peek(a7)
+    assert [getattr(pair, n).dtype for n in _PRODUCTS] == [
+        np.int64, np.int64, object, np.int64]
+    for got, want in _pair_products(pair):
+        assert _same(got, want)
+    assert _same_products(clifford._pair.peek(triv), clifford._pair(_fresh(triv)))
+
+
+def test_a_pair_whose_arrays_raise_is_left_out_of_the_pass(monkeypatch):
+    # the other pairs are built together and equal their lone builds; the
+    # refused one is not kept, and `_pair` raises its error again
+    g = Catalog().group("D4")
+    subs = _proper(g)
+    # the rotations: the cyclic subgroup of order 4
+    rot = next(s for s in subs if s.order == 4 and s.as_group().exponent() == 4)
+    real = clifford._NormalPair.__init__
+
+    def refused(self, s):
+        if s.elements == rot.elements:
+            raise InternalContradiction("pair arrays refused")
+        real(self, s)
+    monkeypatch.setattr(clifford._NormalPair, "__init__", refused)
+    clifford._pairs(subs)
+    assert clifford._pair.peek(rot) is None
+    others = [s for s in subs if s is not rot]
+    assert len(others) == len(subs) - 1 == 4
+    for s in others:
+        assert _same_products(clifford._pair.peek(s), clifford._pair(_fresh(s)))
+    with pytest.raises(InternalContradiction, match="pair arrays refused"):
+        clifford._pair(rot)
+
+
+def test_a_pass_that_raises_keeps_no_pair(monkeypatch):
+    g = Catalog().group("D4")
+    subs = _proper(g)
+
+    def refused(*args):
+        raise InternalContradiction("pass refused")
+    monkeypatch.setattr(clifford, "_crt", refused)
+    clifford._pairs(subs)
+    assert [clifford._pair.peek(s) for s in subs] == [None] * len(subs)
+    monkeypatch.undo()
+    clifford._pairs(subs)
+    assert all(clifford._pair.peek(s) is not None for s in subs)

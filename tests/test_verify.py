@@ -316,16 +316,17 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
     # table arrays once each; the degree suite's chain steps take orbits
     # without them
     assert fresh_sweep["builds"] == {"_NormalPair": [1] * 117}
-    # per pair, one pass modulo the Gram primes when the arrays are built,
-    # for the norms of the restrictions, the multiplicities, the norms of
-    # the inductions and the induced side of Frobenius reciprocity, whose
-    # other side is the multiplicity Gram; Gallagher one pass for the norms
+    # per group with a proper normal subgroup, 38 of the 40 (all but C1 and
+    # S1), one pass modulo the Gram primes when its pairs' arrays are built
+    # together, for the norms of the restrictions, the multiplicities, the
+    # norms of the inductions and the induced side of Frobenius reciprocity,
+    # whose other side is the multiplicity Gram; Gallagher one pass for the norms
     # of all the products chi * psi_i of a prime-index pair; the degree
     # chains decompose 4 inductions and certify 3 characters moved onto the
     # chain's group, each by one Gram kernel of one pass.  Table checks call
     # no Gram kernel
     assert fresh_sweep["kernels"] == {"gram:decompose": 4, "gram_diagonal:norm": 3}
-    assert fresh_sweep["passes"] == {"__init__:4": 117, "products:1": 62,
+    assert fresh_sweep["passes"] == {"_gram_pass:4": 38, "products:1": 62,
                                      "gram:1": 4, "gram_diagonal:1": 3}
     # no round computes a full Gram of an array with itself, which only a
     # norm would need: norms read the diagonal form

@@ -1,0 +1,64 @@
+"""Milliseconds per suite and microseconds per record of `verify --suite all`.
+
+Runs ROUNDS rounds in this process, pinned to one CPU (Linux), each round
+the suites of `run_suite("all")` at order cap 24 in their order with one
+fresh `Catalog`, as `run_suite` shares it; no table or pair of one round is
+reused by the next.  Prints, per suite, the median over the rounds of its
+time and of its time per record, and the records it wrote:
+
+    python tools/suite_cost.py          # 30 rounds
+    python tools/suite_cost.py 100
+
+The benchmark's `sweep` workload (perfbench/workloads.py) times the same
+rounds and charges each record its suite's time per record.  So the median
+record of a round, `op_p50_s`, is the clifford suite's time per record, and
+`op_tail_s` is the gallagher suite's: it is the 11th-slowest of the 720
+records, right after the 10 records of the degrees suite.  A change to a
+suite's time per record here moves those metrics by as much; the benchmark
+adds its own speed scaling, which this tool leaves out.
+"""
+
+from __future__ import annotations
+
+import os
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from charcond import DEFAULT_MAX_ORDER, SUITE_NAMES  # noqa: E402
+from charcond.catalog import Catalog  # noqa: E402
+from charcond.verify import run_suite  # noqa: E402
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 2 or (len(argv) == 2 and not argv[1].isdigit()):
+        print("usage: python tools/suite_cost.py [ROUNDS]", file=sys.stderr)
+        return 2
+    rounds = int(argv[1]) if len(argv) == 2 else 30
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    suites = SUITE_NAMES[:-1]
+    spent = {name: [] for name in suites}
+    records = {}
+    for _ in range(rounds):
+        cat = Catalog()
+        for name in suites:
+            start = perf_counter()
+            rep = run_suite(name, cat=cat, max_order=DEFAULT_MAX_ORDER)
+            spent[name].append(perf_counter() - start)
+            records[name] = len(rep.checks)
+    print(f"{'suite':<16}{'ms':>10}{'records':>9}{'us/record':>11}")
+    for name in suites:
+        ms = statistics.median(spent[name]) * 1000
+        per = statistics.median(t / records[name] for t in spent[name]) * 1e6
+        print(f"{name:<16}{ms:>10.2f}{records[name]:>9}{per:>11.1f}")
+    total = statistics.median(map(sum, zip(*spent.values()))) * 1000
+    print(f"{'all':<16}{total:>10.2f}{sum(records.values()):>9}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
