@@ -25,6 +25,23 @@ from .errors import InvalidData
 MAX_DECIMAL_DIGITS = 250_000
 
 
+def _exceeds(powers, r: int) -> bool:
+    """Whether prod p^k over the pairs (p, k) of powers exceeds 10^r,
+    decided exactly.  With b the bit length of p, 2^(k (b - 1)) <= p^k <
+    2^(k b), and 8^r <= 10^r < 16^r: bit lengths settle it unless the
+    product is within a factor 2^(sum k) of 10^r, and only then are both
+    built, so an input far over the cap is refused before any large integer
+    exists."""
+    if r < 0:
+        return True
+    lo = sum(k * (p.bit_length() - 1) for p, k in powers)
+    if lo >= 4 * r and lo > 0:
+        return True
+    if lo + sum(k for _, k in powers) <= 3 * r:
+        return False
+    return prod(p ** k for p, k in powers) > 10 ** r
+
+
 class RadicalValue:
     """An exact positive real of the form prod p_i^(e_i) with rational e_i.
 
@@ -35,7 +52,8 @@ class RadicalValue:
     and the decimal exponent, and the root's start, the number of digits and
     the half-even tie are each decided by an exact integer comparison.  The
     integers it builds have about d * (digits + |log10 value|) decimal
-    digits, and a request over `MAX_DECIMAL_DIGITS` raises `InvalidData`.
+    digits, and a request over `MAX_DECIMAL_DIGITS` raises `InvalidData`;
+    that cap is decided on integers too.
     """
 
     def __init__(self, factors) -> None:
@@ -125,13 +143,17 @@ class RadicalValue:
         """Check a request for `decimal(digits)`: raise ValueError when
         digits < 1, and InvalidData when it would build integers of over
         `MAX_DECIMAL_DIGITS` decimal digits; else return the degree d of its
-        root and log10 of each prime power of the value."""
+        root and log10 of each prime power of the value.  Each d |e| is an
+        integer, so the size d (digits + sum |e| log10 p) is over the cap
+        exactly when prod p^(d |e|) > 10^(cap - d digits) (`_exceeds`); the
+        size the refusal prints is a float, for display only."""
         if digits < 1:
             raise ValueError("need at least one significant digit")
         d = lcm(*(e.denominator for _, e in self.factors))
         logs = [float(e) * log10(p) for p, e in self.factors]
-        size = d * (digits + sum(map(abs, logs)))
-        if size > MAX_DECIMAL_DIGITS:
+        if _exceeds([(p, abs(int(e * d))) for p, e in self.factors],
+                    MAX_DECIMAL_DIGITS - d * digits):
+            size = d * (digits + sum(map(abs, logs)))
             raise InvalidData(
                 f"{digits} digits of a root of degree {d} need integers of "
                 f"{size:.0f} digits, over the cap of {MAX_DECIMAL_DIGITS}")

@@ -81,10 +81,11 @@ from math import lcm
 import numpy as np
 
 from .arith import primes_1_mod, primitive_root
-from .cyclotomic import (Cyclotomic, _bound, _evaluate, _evaluation_data,
-                         _matmul, _matmul_mod, _phi, _power_array, _root_keys,
-                         _value_keys, _value_parts, align, descend, gram,
-                         gram_diagonal, lift, minimal_conductors, multiply,
+from .cyclotomic import (Cyclotomic, _absmax, _bound, _evaluate,
+                         _evaluation_data, _fold_bound, _matmul, _matmul_mod,
+                         _phi, _power_array, _root_keys, _value_keys,
+                         _value_parts, align, descend, gram, gram_diagonal,
+                         int_dtype, lift, minimal_conductors, multiply,
                          reduced, scaled, values)
 from .errors import (GroupMismatch, InternalContradiction, NotACharacter,
                      NotIrreducible, NotNormal, TooLarge)
@@ -319,9 +320,10 @@ def norm(fn: ClassFunction) -> Fraction | Cyclotomic:
     return _exact(got, fn.e, fn.den * fn.den * fn.group.order)
 
 
-def _check_table(g: FiniteGroup, e: int, nums: np.ndarray) -> None:
+def _check_table(g: FiniteGroup, e: int, nums: np.ndarray, bound: int) -> None:
     """Re-check a table of G exactly from its numerators at conductor e,
-    shape (rows, classes, phi(e)): the row count, the degrees (positive
+    shape (rows, classes, phi(e)), at most bound in absolute value: the row
+    count, the degrees (positive
     integers whose squares sum to |G|), and both orthogonality relations, in
     evaluation space modulo primes P = 1 (mod e), with no interpolation.
 
@@ -353,7 +355,7 @@ def _check_table(g: FiniteGroup, e: int, nums: np.ndarray) -> None:
             "degrees are not positive integers whose squares sum to |G|")
     # the column Gram has k <= |G| weights of 1, so this bounds both, and
     # both targets are at most |G|
-    bound = _bound(nums, nums, sizes, e) + n
+    bound = _bound(bound, bound, n, e, nums.shape[2]) + n
     m, i = 1, 0
     while m <= 2 * bound:
         data = _evaluation_data(e, i)
@@ -531,7 +533,8 @@ class CharacterTable:
         check when it was built, so it is not checked again; any other array,
         a copy included, is."""
         if self.nums is not _table.peek(self.group):
-            _check_table(self.group, self.group.exponent(), self.nums)
+            _check_table(self.group, self.group.exponent(), self.nums,
+                         _absmax(self.nums))
 
     def _distinct_values(self) -> tuple[list[Cyclotomic], list[list[int]]]:
         """The table's distinct values, from one `values` call, and for each
@@ -610,6 +613,25 @@ def _table(g: FiniteGroup) -> np.ndarray:
     if len(conjugacy_classes(g)) == g.order:
         return _abelian_rows(g)
     return _dixon_rows(g)
+
+
+@cached
+def _table_bound(g: FiniteGroup) -> int:
+    """The largest |numerator| of G's table, at least 1, which bounds its
+    rows and every gather of them: `_finished` keeps it as it narrows the
+    table, so only a table built elsewhere is scanned here."""
+    return _absmax(_table_nums(g))
+
+
+def _lifted_table(nums: np.ndarray, bound: int, e: int,
+                  big: int) -> tuple[np.ndarray, int]:
+    """Table numerators at e, at most bound, lifted to big, and a bound on
+    them.  Each value is a sum of chi(1) <= bound roots of unity, so its
+    numerators at big are at most bound times `_fold_bound(big, big)`; a lift
+    can grow them past bound, as the power table of 105 has entries 2."""
+    if e == big:
+        return nums, bound
+    return lift(nums, e, big, bound), bound * _fold_bound(big, big)
 
 
 @cached
@@ -750,7 +772,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
         raise InternalContradiction("root-of-unity multiplicities broken")
 
     # one power-basis product for the whole table
-    nums = _matmul(coeffs, _power_array(e))
+    nums = _matmul(coeffs, _power_array(e), int(degs.max()), _fold_bound(e, e))
     return _finished(g, e, nums[_row_order(nums, e)])
 
 
@@ -804,9 +826,12 @@ def _abelian_rows(g: FiniteGroup) -> np.ndarray:
 
 def _finished(g: FiniteGroup, e: int, nums: np.ndarray) -> np.ndarray:
     """A table's numerators at e over 1, rows in canonical order, in their
-    narrowest dtype after one exact `_check_table`."""
-    nums = reduced(nums, 1)[0]
-    _check_table(g, e, nums)
+    narrowest dtype after one exact `_check_table`; the one scan for the
+    largest |numerator| sets the dtype, and `_table_bound` keeps it."""
+    bound = _absmax(nums)
+    nums = nums.astype(int_dtype(bound), copy=False)
+    _check_table(g, e, nums, bound)
+    _table_bound.put(g, bound)
     return nums
 
 
@@ -856,11 +881,13 @@ def restrict(chi: ClassFunction, s: Subgroup) -> ClassFunction:
                                      chi.nums[_restriction_classes(s)], chi.den)
 
 
-def _induction_sums(s: Subgroup, nums: np.ndarray) -> np.ndarray:
+def _induction_sums(s: Subgroup, nums: np.ndarray,
+                    bound: int | None = None) -> np.ndarray:
     """|H| Ind of the class functions on H with numerators nums, of shape
-    (..., classes of H, w): one matmul with the induction counts, giving
-    shape (..., classes of G, w)."""
-    return _matmul(_induction_counts(s), nums)
+    (..., classes of H, w) and at most bound (scanned when not given): one
+    matmul with the induction counts, giving shape (..., classes of G, w).
+    A row of counts sums to at most |G|, so the result is at most |G| bound."""
+    return _matmul(_induction_counts(s), nums, s.parent.order, bound)
 
 
 def induce(theta: ClassFunction, s: Subgroup) -> ClassFunction:

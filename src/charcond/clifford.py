@@ -43,10 +43,10 @@ from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce,
                          _conj_class_perms, _induction_sums, _inflated_table,
-                         _multiplicities, _restriction_classes, _same_group,
-                         _table_at, _table_nums)
-from .cyclotomic import (_absmax, _bound, _crt, _diagonal_values, _evaluate,
-                         _fold_bound, _gram_values, _weighted, int_dtype, lift,
+                         _lifted_table, _multiplicities, _restriction_classes,
+                         _same_group, _table_at, _table_bound, _table_nums)
+from .cyclotomic import (_bound, _crt, _diagonal_values, _evaluate,
+                         _fold_bound, _gram_values, _residues, int_dtype,
                          scaled, values)
 from .errors import (BadChain, CharcondError, IndexNotPrime,
                      InternalContradiction, NotInvariant, NotIrreducible,
@@ -116,12 +116,16 @@ class _NormalPair:
     - ``cols``: the classes of G that hold H's, so that tg[:, cols], one
       gather, is the table of G restricted to H;
     - ``ind``: |H| Ind theta_j, one matmul with the induction counts;
+    - ``bound_g``, ``bound_h`` and ``bound_ind``: bounds on the entries of
+      tg (G's `_table_bound`, which tg[:, cols] keeps), th (H's, grown by
+      the lift) and ind (|G| bound_h), integers that are never rescans;
     - four Gram products, set by `_gram_pass` in one pass modulo the Gram
       primes with those of the other pairs of G built with this one:
       ``res_norm``, |H| <Res chi_r, Res chi_r>; ``res_gram``, |H| <Res
       chi_r, theta_j>; ``ind_norm``, |H|^2 |G| <Ind theta_j, Ind theta_j>;
       and ``ind_gram``, |H| |G| <chi_r, Ind theta_j>, each a copy of the
-      dtype of its own `_bound`, equal to the pair's built alone;
+      dtype of its own `_bound`, equal to the pair's built alone, and
+      ``res_bound``, res_gram's, which `frobenius` scales by;
     - ``perm[g, j]``: the row equal to theta_j^g, theta_j^g(h) =
       theta_j(g h g^-1), matched once per distinct permutation of the
       H-classes by array equality; ``stab[j]``: the order of the inertia
@@ -145,11 +149,12 @@ class _NormalPair:
         self.order_g, self.order_h = g.order, s.order
         self.sizes_g = np.array(conjugacy_classes(g).sizes)
         self.sizes_h = np.array(conjugacy_classes(h).sizes)
-        self.tg = _table_nums(g)
+        self.tg, self.bound_g = _table_nums(g), _table_bound(g)
         th = _table_nums(h)
-        self.th = lift(th, h.exponent(), e)
+        self.th, self.bound_h = _lifted_table(th, _table_bound(h), h.exponent(), e)
         self.cols = _restriction_classes(s)
-        self.ind = _induction_sums(s, self.th)
+        self.ind = _induction_sums(s, self.th, self.bound_h)
+        self.bound_ind = g.order * self.bound_h
         k = len(th)
         index = {key: j for j, key in enumerate(row_keys(th))}
         perms = _conj_class_perms(s)
@@ -210,7 +215,8 @@ class _NormalPair:
         j = j_r."""
         j, e, t, _ = self.clifford
         q, m = self.order_g // self.order_h, self.mult
-        induced = (self.ind[j] == scaled(self.tg, self.order_h)).all(axis=(1, 2))
+        induced = (self.ind[j] == scaled(self.tg, self.order_h, self.bound_g)
+                   ).all(axis=(1, 2))
         return np.stack([
             _equals(self.res_norm, self.order_h),
             ((m != 0).sum(axis=1) == 1) & (m[np.arange(len(m)), j] == 1)
@@ -226,7 +232,8 @@ class _NormalPair:
         <theta_i, Res chi_r>, the conjugates, at the last (i, r) where they
         differ."""
         lhs, rhs = self.ind_gram, self.res_gram
-        bad = np.argwhere((lhs != scaled(rhs, self.order_g)).any(axis=2).T).tolist()
+        bad = np.argwhere((lhs != scaled(rhs, self.order_g, self.res_bound)
+                           ).any(axis=2).T).tolist()
         if not bad:
             return ""
         i, r = bad[-1]
@@ -257,11 +264,12 @@ class _NormalPair:
         product's numerators sum 2 phi - 1 folded convolution sums of at
         most phi terms, and a norm's sum, per class, phi^3 terms at each of
         e powers of the power table."""
-        g, e, wg = qmap.source, self.e, self.sizes_g.tolist()
-        psi = lift(_inflated_table(qmap), qmap.group.exponent(), e)
+        g, e, q = qmap.source, self.e, qmap.group
+        psi, bound_psi = _lifted_table(_inflated_table(qmap), _table_bound(q),
+                                       q.exponent(), e)
         n, m, phi = len(rows), len(psi), psi.shape[2]
-        top, fold = _absmax(self.tg[rows]) * _absmax(psi), _fold_bound(e, e)
-        bound = max(self.order_g * phi ** 3 * top ** 2 * e * fold, _absmax(self.ind)
+        top, fold = self.bound_g * bound_psi, _fold_bound(e, e)
+        bound = max(self.order_g * phi ** 3 * top ** 2 * e * fold, self.bound_ind
                     + self.order_h * m * (2 * phi - 1) * phi * top * fold)
         seen = []
 
@@ -270,7 +278,7 @@ class _NormalPair:
             prods = x * _evaluate(psi, data)[:, None] % p
             diff = self.order_h * prods.sum(axis=2) - _evaluate(self.ind[thetas], data)
             seen.append((prods.transpose(1, 2, 0, 3), (diff % p).any(axis=(0, 2))))
-            return [_diagonal_values(prods, wg, data)]
+            return [_diagonal_values(prods, _residues(self.sizes_g, p), data)]
         (norms,) = _crt(e, [bound], residues)
         keys = row_keys(np.concatenate([x for x, _ in seen], axis=2).reshape(n * m, -1))
         repeated = [len(set(keys[x * m:(x + 1) * m])) < m for x in range(n)]
@@ -285,34 +293,40 @@ def _gram_pass(g: FiniteGroup, pairs: list[_NormalPair]) -> None:
     batched matmul against the block diagonal of the lifted H tables, and
     the stacked ``ind`` rows are evaluated once for both induced products.
     The primes serve the largest bound of the batch, and each pair's cut is
-    a copy of the dtype of its own `_bound`, as when it is built alone."""
-    e, tg, wg = pairs[0].e, pairs[0].tg, pairs[0].sizes_g.tolist()
+    a copy of the dtype of its own `_bound`, as when it is built alone.
+    Those bounds are products of integers: G's table bound, read once for
+    the group and kept by the gather at cols, and each pair's bounds of th
+    and ind; the class sizes are reduced mod each prime once per pass."""
+    first = pairs[0]
+    e, tg, bg, w = first.e, first.tg, first.bound_g, first.tg.shape[2]
     ends = list(accumulate(len(pair.th) for pair in pairs))
     starts = [0] + ends[:-1]
     cols = np.concatenate([pair.cols for pair in pairs])
-    wh = np.concatenate([pair.sizes_h for pair in pairs]).tolist()
+    wh = np.concatenate([pair.sizes_h for pair in pairs])
     ind = np.concatenate([pair.ind for pair in pairs])
-    block = np.zeros((ends[-1], ends[-1], tg.shape[2]),
+    block = np.zeros((ends[-1], ends[-1], w),
                      dtype=np.result_type(*(pair.th for pair in pairs)))
     bounds = []
     for pair, lo, hi in zip(pairs, starts, ends):
         block[lo:hi, lo:hi] = pair.th
-        res, w = tg[:, pair.cols], pair.sizes_h.tolist()
-        bounds.append([_bound(res, res, w, e), _bound(res, pair.th, w, e),
-                       _bound(pair.ind, pair.ind, wg, e), _bound(tg, pair.ind, wg, e)])
+        bh, bi, oh, og = pair.bound_h, pair.bound_ind, pair.order_h, pair.order_g
+        bounds.append([_bound(bg, bg, oh, e, w), _bound(bg, bh, oh, e, w),
+                       _bound(bi, bi, og, e, w), _bound(bg, bi, og, e, w)])
 
     def residues(data):
         p, x = data.prime, _table_at(g, data)
         xr, xi = x[..., cols], _evaluate(ind, data)
-        return [np.add.reduceat(_weighted(xr, wh, p) * xr[data.conj] % p,
+        rh, rg = _residues(wh, p), _residues(first.sizes_g, p)
+        return [np.add.reduceat(xr * rh % p * xr[data.conj] % p,
                                 starts, axis=-1) % p,
-                _gram_values(xr, _evaluate(block, data), wh, data),
-                _diagonal_values(xi, wg, data), _gram_values(x, xi, wg, data)]
+                _gram_values(xr, _evaluate(block, data), rh, data),
+                _diagonal_values(xi, rg, data), _gram_values(x, xi, rg, data)]
     batch = _crt(e, [max(b) for b in zip(*bounds)], residues)
     for i, (pair, lo, hi, b) in enumerate(zip(pairs, starts, ends, bounds)):
         cuts = batch[0][:, i], batch[1][:, lo:hi], batch[2][lo:hi], batch[3][:, lo:hi]
         pair.res_norm, pair.res_gram, pair.ind_norm, pair.ind_gram = (
             x.astype(int_dtype(bound), order="C") for x, bound in zip(cuts, b))
+        pair.res_bound = b[1]
 
 
 def _pairs(subs: list[Subgroup]) -> None:

@@ -35,7 +35,7 @@ from .bounds import (BoundInputs, RadicalValue, RestrictedBounds,
                      bound_induced_case, bound_restricted_case, global_constant)
 from .characters import (ClassFunction, CharacterTable, conjugacy_classes,
                          _aligned, _same_group)
-from .cyclotomic import _matmul, scaled, values
+from .cyclotomic import _absmax, _matmul, scaled, values
 from .errors import InvalidData, NonIntegralExponent, NotACharacter
 from .groups import (FiniteGroup, Subgroup, build_from_table, load_group_file,
                      subgroup)
@@ -199,16 +199,22 @@ def conductor_exponents(filt: RamificationFiltration, nums: np.ndarray,
         return np.zeros(len(nums), dtype=np.int64)
     if nums[:, 0, 1:].any():
         raise NotACharacter("class function has irrational degree")
+    # a count of G_j in one class is at most |G_j| <= |G_0|; one scan bounds
+    # nums, and another a caller's counts
+    order = filt.groups[0].order
+    top = order if counts is None else _absmax(counts)
     counts = filt.counts if counts is None else counts
-    sums = _matmul(counts[..., None, :, :], nums)
+    bound = _absmax(nums)
+    sums = _matmul(counts[..., None, :, :], nums, top, bound)
     irrational = sums[sums[..., 1:].any(axis=-1)]
     if len(irrational):
         value = values(irrational[:1], e or filt.groups[0].parent.exponent(), den)
         raise NonIntegralExponent(
             f"character sum over a filtration group is irrational: {value[0]}")
     # sum_j |G_j| chi(1) - chi(G_j) = sum_c (sum_j #(G_j in c)) (chi(1) - chi(c))
-    total = _matmul(counts.sum(axis=-2), (nums[:, :1, 0] - nums[:, :, 0]).T)
-    size = scaled(np.array(filt.groups[0].order), den)
+    total = _matmul(counts.sum(axis=-2), (nums[:, :1, 0] - nums[:, :, 0]).T,
+                    counts.shape[-2] * top, 2 * bound)
+    size = scaled(np.array(order), den)
     f, rem = np.divmod(total, size)
     bad = total[(rem != 0) | (f < 0)]
     if len(bad):

@@ -14,6 +14,14 @@ the same operations on the values.  Arrays are int64 while an exact
 Python-int bound on every partial sum is below 2^62, and Python ints (dtype
 object) otherwise (`int_dtype`).
 
+On the table paths those bounds are integers that travel with the arrays,
+not rescans of them: `_bound` takes a bound on each operand's entries, and
+`_matmul`, `lift` and `scaled` take one when the caller knows it; each must
+be at least the true largest |entry|.  A character table gets its bound
+once, where `characters._finished` narrows it, and a gather of it keeps
+that bound.  The kernels scan (`_absmax`) an operand given no bound, as
+the value-level and public paths do with arrays from outside.
+
 Gram products, sum_c w_c a_c conj(b_c) over the classes for every pair of
 rows (`gram` and its diagonal `gram_diagonal`), are computed by evaluation
 and interpolation modulo primes P = 1 (mod e) below 2^26, largest first
@@ -70,7 +78,7 @@ __all__ = ["Cyclotomic", "align", "cyclotomic_polynomial", "cyclo_sum", "gram",
 # Each conductor cache keeps at most its own count of results and at most
 # this many bytes of arrays, evicting the least recently used first.  A sweep
 # round plus the largest catalog tables touches 24 cyclotomic_polynomial, 24
-# _power_array, 45 _rebase_data, 24 _evaluation_data, 24 _fold_bound, 24
+# _power_array, 45 _rebase_data, 24 _evaluation_data, 47 _fold_bound, 24
 # _search_steps and 24 _root_keys keys, well under a megabyte in all; one
 # conductor near 1000 needs 8 MB of power table and as much of root keys.
 # They are the package's only memos of conductor data.
@@ -153,11 +161,12 @@ def _phi(e: int) -> int:
 def _rebase_data(e: int, d: int):
     """Pivots and exact inverse for rewriting conductor e in conductor d.
 
-    Returns (pivots, inv, den, cols) for `descend`: cols[c] is zeta_d^c on the
-    conductor-e basis, pivots are the first phi(d) coordinates on which the
-    cols are independent, and inv / den inverts cols at the pivots.  One
-    Gauss-Jordan elimination of [cols | I] over Q gives both: the pivot
-    columns of the reduced form, and the inverse in place of I.
+    Returns (pivots, inv, a bound on inv, den, cols) for `descend`: cols[c]
+    is zeta_d^c on the conductor-e basis, pivots are the first phi(d)
+    coordinates on which the cols are independent, and inv / den inverts
+    cols at the pivots.  One Gauss-Jordan elimination of [cols | I] over Q
+    gives both: the pivot columns of the reduced form, and the inverse in
+    place of I.
     """
     # a copy, so that the cache does not keep the whole power table alive
     cols = _power_array(e)[::e // d][:_phi(d)].copy()
@@ -182,8 +191,8 @@ def _rebase_data(e: int, d: int):
     if len(pivots) != n:
         raise InternalContradiction("rebase basis not of full rank")
     den = lcm(*(v.denominator for row in a for v in row[-n:]))
-    inv = [[int(v * den) for v in row[-n:]] for row in a]
-    return _int_array(pivots), _int_array(inv), den, cols
+    inv = _int_array([[int(v * den) for v in row[-n:]] for row in a])
+    return _int_array(pivots), inv, _absmax(inv), den, cols
 
 
 def _coerce(value) -> "Cyclotomic | None":
@@ -436,18 +445,27 @@ def _power_array(e: int) -> np.ndarray:
     return out
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b: int64 when a bound on every sum is below 2^62, Python ints
-    otherwise."""
-    dtype = int_dtype(a.shape[-1] * _absmax(a) * _absmax(b))
+def _matmul(a: np.ndarray, b: np.ndarray, bound_a: int | None = None,
+            bound_b: int | None = None) -> np.ndarray:
+    """Exact a @ b: int64 when a.shape[-1] * bound_a * bound_b, a bound on
+    every sum, is below 2^62, Python ints otherwise.  A bound given must be
+    at least the largest |entry| of its operand (a table's bound for its
+    rows and gathers, a count's largest possible value for a count matrix),
+    and an operand given none is scanned."""
+    bound_a = _absmax(a) if bound_a is None else bound_a
+    bound_b = _absmax(b) if bound_b is None else bound_b
+    dtype = int_dtype(a.shape[-1] * bound_a * bound_b)
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
-def scaled(a: np.ndarray, c: int) -> np.ndarray:
-    """Exact a * c for an integer c, switching to Python ints when needed."""
+def scaled(a: np.ndarray, c: int, bound: int | None = None) -> np.ndarray:
+    """Exact a * c for an integer c, switching to Python ints when needed;
+    bound, at least the largest |entry| of a, is taken by a scan when not
+    given."""
     if c == 1:
         return a
-    return a.astype(int_dtype(_absmax(a) * max(1, abs(c))), copy=False) * c
+    bound = _absmax(a) if bound is None else bound
+    return a.astype(int_dtype(bound * max(1, abs(c))), copy=False) * c
 
 
 def reduced(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -461,13 +479,17 @@ def reduced(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return nums.astype(int_dtype(_absmax(nums)), copy=False), den
 
 
-def lift(nums: np.ndarray, e: int, big: int) -> np.ndarray:
-    """Power-basis numerators at conductor e rewritten at conductor big, e | big."""
+def lift(nums: np.ndarray, e: int, big: int,
+         bound: int | None = None) -> np.ndarray:
+    """Power-basis numerators at conductor e rewritten at conductor big, e | big;
+    bound, at least their largest |entry|, is taken by a scan when not
+    given."""
     if big % e:
         raise ValueError(f"conductor {e} does not divide {big}")
     if e == big:
         return nums
-    return _matmul(nums, _power_array(big)[::big // e][:_phi(e)])
+    return _matmul(nums, _power_array(big)[::big // e][:_phi(e)], bound,
+                   _fold_bound(big, big))
 
 
 def descend(nums: np.ndarray, e: int, d: int) -> tuple[np.ndarray, int] | None:
@@ -475,11 +497,15 @@ def descend(nums: np.ndarray, e: int, d: int) -> tuple[np.ndarray, int] | None:
 
     Returns (numerators, extra denominator), or None unless every value lies
     in Q(zeta_d).  One product with the pseudo-inverse of `_rebase_data`,
-    then the exact check that the candidate reproduces every coordinate.
+    then the exact check that the candidate reproduces every coordinate; the
+    one scan of nums bounds both products.
     """
-    pivots, inv, den, cols = _rebase_data(e, d)
-    got = _matmul(nums[..., pivots], inv)
-    if not np.array_equal(_matmul(got, cols), scaled(nums, den)):
+    pivots, inv, inv_bound, den, cols = _rebase_data(e, d)
+    bound = _absmax(nums)
+    got = _matmul(nums[..., pivots], inv, bound, inv_bound)
+    if not np.array_equal(
+            _matmul(got, cols, len(pivots) * bound * inv_bound, _fold_bound(e, e)),
+            scaled(nums, den, bound)):
         return None
     return got, den
 
@@ -576,18 +602,23 @@ def _evaluation_data(e: int, i: int) -> _Evaluation:
 
 @_conductor_cache(256)
 def _fold_bound(e: int, w: int) -> int:
-    """The largest |entry| of the power-table rows of x^(s - t), 0 <= s, t < w."""
+    """The largest |entry| of the power-table rows of x^(s - t), 0 <= s, t < w.
+    At w = e that is every row, so _fold_bound(e, e) bounds every gather of
+    the power table, and n times it bounds the numerators of a sum of n e-th
+    roots of unity, such as a character value of degree n."""
     return _absmax(_power_array(e)[np.arange(1 - w, w) % e])
 
 
-def _bound(a: np.ndarray, b: np.ndarray, wts: list[int], e: int) -> int:
+def _bound(a: int, b: int, weight: int, e: int, w: int) -> int:
     """A bound on every power-basis numerator of sum_c w_c a_c conj(b_c) for
-    rows a, b of width w: a product sum is at most sum|w| max|a| max|b|, a
-    power x^(s - t) collects at most w of them, and a numerator sums at most
-    e powers times the power table."""
-    w = a.shape[2]
-    return (max(1, sum(map(abs, wts))) * w * _absmax(a) * _absmax(b)
-            * e * _fold_bound(e, w))
+    rows a, b of width w whose entries are at most a and b, with weight =
+    sum |w_c|: a product sum is at most weight a b, a power x^(s - t)
+    collects at most w of them, and a numerator sums at most e powers times
+    the power table.  a and b are the callers' bounds, never scans: a
+    table's bound for its rows and for the gathers of them, one derived from
+    it for a lifted or induced table; each must be at least the true largest
+    |entry|, or the primes that `_crt` takes for it may not suffice."""
+    return max(1, weight) * w * a * b * e * _fold_bound(e, w)
 
 
 def _evaluate(a: np.ndarray, data: _Evaluation) -> np.ndarray:
@@ -597,24 +628,26 @@ def _evaluate(a: np.ndarray, data: _Evaluation) -> np.ndarray:
     return _matmul_mod(x, data.ev[:a.shape[2]], p).transpose(2, 0, 1)
 
 
-def _weighted(x: np.ndarray, wts: list[int], p: int) -> np.ndarray:
-    return x * np.array([v % p for v in wts], dtype=np.int64) % p
+def _residues(wts: np.ndarray, p: int) -> np.ndarray:
+    """Integer weights, int64 or Python ints of any size, mod p as int64:
+    taken once per prime of a pass, for every product of the pass."""
+    return (wts % p).astype(np.int64, copy=False)
 
 
-def _gram_values(x: np.ndarray, y: np.ndarray, wts: list[int],
+def _gram_values(x: np.ndarray, y: np.ndarray, wts: np.ndarray,
                  data: _Evaluation) -> np.ndarray:
     """sum_c w_c x[u, i, c] conj(y[u, j, c]) at each primitive root u, from
-    evaluations x (phi, ka, k) and y (phi, kb, k): one batched matmul over
-    the classes, shape (phi, ka, kb)."""
+    evaluations x (phi, ka, k) and y (phi, kb, k) and the weights mod P
+    (`_residues`): one batched matmul over the classes, shape (phi, ka, kb)."""
     p = data.prime
-    return _matmul_mod(_weighted(x, wts, p), y[data.conj].transpose(0, 2, 1), p)
+    return _matmul_mod(x * wts % p, y[data.conj].transpose(0, 2, 1), p)
 
 
-def _diagonal_values(x: np.ndarray, wts: list[int], data: _Evaluation) -> np.ndarray:
+def _diagonal_values(x: np.ndarray, wts: np.ndarray, data: _Evaluation) -> np.ndarray:
     """sum_c w_c x[u, ..., c] conj(x[u, ..., c]), the diagonal of
     _gram_values(x, x, ...) over any leading axes: shape x.shape[:-1]."""
     p = data.prime
-    return (_weighted(x, wts, p) * x[data.conj] % p).sum(axis=-1) % p
+    return (x * wts % p * x[data.conj] % p).sum(axis=-1) % p
 
 
 def _crt(e: int, bounds: list[int], residues) -> list[np.ndarray]:
@@ -655,18 +688,21 @@ def gram(a: np.ndarray, b: np.ndarray, weights, e: int) -> np.ndarray:
     product of the primes exceeds twice the bound the residues determine it,
     and the CRT and the symmetric range recover it exactly.
     """
-    wts = [int(x) for x in weights]
-    return _crt(e, [_bound(a, b, wts, e)], lambda data: [_gram_values(
-        _evaluate(a, data), _evaluate(b, data), wts, data)])[0]
+    wts = np.array([int(x) for x in weights], dtype=object)
+    bound = _bound(_absmax(a), _absmax(b), abs(wts).sum(), e, a.shape[2])
+    return _crt(e, [bound], lambda data: [_gram_values(
+        _evaluate(a, data), _evaluate(b, data), _residues(wts, data.prime),
+        data)])[0]
 
 
 def gram_diagonal(a: np.ndarray, weights, e: int) -> np.ndarray:
     """The diagonal of gram(a, a, weights, e), shape (ka, phi(e)): the
     weighted sum of a[i, c] * conj(a[i, c]) at each primitive root
     (`_diagonal_values`)."""
-    wts = [int(x) for x in weights]
-    return _crt(e, [_bound(a, a, wts, e)], lambda data: [
-        _diagonal_values(_evaluate(a, data), wts, data)])[0]
+    wts = np.array([int(x) for x in weights], dtype=object)
+    bound = _bound(_absmax(a), _absmax(a), abs(wts).sum(), e, a.shape[2])
+    return _crt(e, [bound], lambda data: [_diagonal_values(
+        _evaluate(a, data), _residues(wts, data.prime), data)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -713,16 +749,18 @@ def minimal_conductors(nums: np.ndarray, e: int) -> np.ndarray:
     step of `_search_steps` down to c/q, so each prime q takes steps while the
     rows stay fixed.  Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so
     the primes are independent.  One product with a phi(e) x phi(e) matrix
-    per step, for all rows at once; the matrix is not kept.
+    per step, for all rows at once, bounded by one scan of nums; the matrix
+    is not kept.
     """
+    bound, fold = _absmax(nums), _fold_bound(e, e)
     cond = np.full(len(nums), e, dtype=np.int64)
     for q, steps in _search_steps(e):
         live = np.arange(len(nums))
         for k in steps:
             if k is not None:
                 rows = nums[live]
-                live = live[(_matmul(rows, _galois_matrix(e, k)) == rows)
-                            .all(axis=1)]
+                image = _matmul(rows, _galois_matrix(e, k), bound, fold)
+                live = live[(image == rows).all(axis=1)]
             cond[live] //= q
     return cond
 

@@ -197,8 +197,10 @@ def _induction(s: Subgroup) -> tuple[str, str]:
     th, deg, scale = pair.th, pair.th[:, 0, 0], s.order ** 2 * s.parent.order
     ratio = pair.stab // s.order
     # Res Ind theta by the gather; |I/H| times the orbit sums by the row action
+    # each orbit row holds |I| = ratio |H| <= |G|
     sums = _matmul(pair.orbit * (ratio * s.order)[:, None],
-                   th.reshape(len(th), -1)).reshape(th.shape)
+                   th.reshape(len(th), -1), s.parent.order,
+                   pair.bound_h).reshape(th.shape)
     norms = pair.ind_norm
     return (_last_failure(
         [(pair.ind[:, pair.cols] != sums).any(axis=(1, 2))],

@@ -46,6 +46,7 @@ from gram_oracle import oracle_diagonal, oracle_gram
 
 runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
 builds, kernels, built, passes = Counter(), Counter(), Counter(), Counter()
+primes, scans = Counter(), Counter()
 self_grams, mismatches, validated = [], [], []
 check_table = characters._check_table
 validate_table = groups._validate_table
@@ -107,9 +108,20 @@ def compared(fn, oracle):
 
 def counted_pass(e, bounds, residues):
     # counts the passes modulo the Gram primes by calling function and
-    # number of products
-    passes[sys._getframe(1).f_code.co_name + ":" + str(len(bounds))] += 1
-    return crt(e, bounds, residues)
+    # number of products, and the primes they take by calling function: one
+    # `residues` call per prime
+    caller = sys._getframe(1).f_code.co_name
+    passes[caller + ":" + str(len(bounds))] += 1
+
+    def each_prime(data):
+        primes[caller] += 1
+        return residues(data)
+    return crt(e, bounds, each_prime)
+
+def counted_absmax(a):
+    # counts the array scans by calling function
+    scans[sys._getframe(1).f_code.co_name] += 1
+    return absmax(a)
 
 def counted_values(fn):
     def wrapped(*args):
@@ -147,16 +159,24 @@ out = {"passed": rep.passed, "builders": builds_per_table(),
        "builds": {cls: sorted(n for (c, _, _), n in builds.items() if c == cls)
                   for cls in ("_NormalPair",)},
        "kernels": dict(kernels), "passes": dict(passes),
+       "primes": dict(primes),
        "self_grams": self_grams,
        "mismatches": mismatches, "values": built["values"],
        "tables": built["character_table"]}
 # no memo may carry a group of one round into the next
 runs.clear()
 validated.clear()
+# the second round counts its array scans, patching `_absmax` in every
+# module that binds it, since a module that imports it by name keeps its own
+absmax = cyclotomic._absmax
+for name, mod in list(sys.modules.items()):
+    if name.startswith("charcond") and getattr(mod, "_absmax", None) is absmax:
+        mod._absmax = counted_absmax
 rep = run_suite("all", cat=Catalog(), max_order=24)
 out["second"] = {"passed": rep.passed, "builders": builds_per_table(),
                  "distinct": len({table for _, table in runs}),
                  "validate_table": len(validated)}
+out["scans"] = dict(scans)
 cat = Catalog()
 for name in ("Q8xS3xC4", "C4xC4xC3", "S3xS3xS3"):
     characters.character_table(cat.group(name))
@@ -200,9 +220,11 @@ def fresh_sweep():
     of any mismatch and of any `gram` of an array with itself), the passes
     modulo the Gram primes (`cyclotomic._crt`) by calling function
     and number of products, one per group for the Gram products of all its
-    normal pairs (`clifford._gram_pass`), and the
+    normal pairs (`clifford._gram_pass`), and the primes those passes take
+    by calling function, and the
     number of `Cyclotomic` values built; the builds and axiom checks of a
-    second round in the same interpreter; and then the conductor cache
+    second round in the same interpreter, and the arrays it scans with
+    `cyclotomic._absmax`; and then the conductor cache
     statistics after the Q8xS3xC4, C4xC4xC3 and S3xS3xS3 tables as well."""
     import json
     from pathlib import Path

@@ -1,0 +1,131 @@
+"""Every carried bound is at least the largest |entry| of what it stands for.
+
+Integer widths and Gram primes come from bounds that travel with the tables
+instead of scans of the operands.  A bound below an operand's real maximum
+would let an int64 product overflow silently, or leave `_crt` too few
+primes, so a fresh interpreter wraps every function that takes a bound and
+checks each one against `_absmax` of its operand over a whole sweep round
+at cap 24, the Q8xS3xC4, S3xS3xS3 and C4xC4xC3 tables with their normal
+pairs and Gallagher products, and C105 with its own.  The catalog's
+exponents are all below 105, where no lift grows a table's numerators, so
+C105 is the input where one does: H = C35 lifted to conductor 105 has a
+numerator 2 where H's own table has 1.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+from conftest import run_fresh
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "charcond"
+
+# the operand and bound parameters of every function of `src/` that takes a
+# bound on an operand, by module
+_TAKES = {
+    "cyclotomic": {"_matmul": [["a", "bound_a"], ["b", "bound_b"]],
+                   "scaled": [["a", "bound"]], "lift": [["nums", "bound"]]},
+    "characters": {"_check_table": [["nums", "bound"]],
+                   "_induction_sums": [["nums", "bound"]],
+                   "_lifted_table": [["nums", "bound"]]},
+}
+
+_AUDIT = """
+import importlib, inspect, json, sys
+from collections import Counter
+import numpy as np
+from charcond import clifford
+from charcond.arith import is_prime
+from charcond.catalog import Catalog
+from charcond.cyclotomic import _absmax
+from charcond.groups import build_from_permutations, normal_subgroups, quotient
+from charcond.verify import run_suite
+
+checked, short, grown = Counter(), [], []
+
+def check(name, array, bound):
+    checked[name] += 1
+    if bound < _absmax(np.asarray(array)):
+        short.append(name)
+
+def audited(fn, takes):
+    sig = inspect.signature(fn)
+    def wrapped(*args, **kwargs):
+        given = sig.bind(*args, **kwargs).arguments
+        for array, bound in takes:
+            if given.get(bound) is not None:
+                check(fn.__name__, given[array], given[bound])
+        out = fn(*args, **kwargs)
+        if fn.__name__ == "_lifted_table":
+            # the bound a lifted table carries on
+            check("_lifted_table:out", *out)
+            if _absmax(out[0]) > given["bound"]:
+                grown.append(out[0].shape[2])
+        return out
+    return wrapped
+
+def audited_pass(g, pairs):
+    # the operands whose bounds `_bound` multiplies
+    for pair in pairs:
+        check("_bound:tg", pair.tg, pair.bound_g)
+        check("_bound:th", pair.th, pair.bound_h)
+        check("_bound:ind", pair.ind, pair.bound_ind)
+    return gram_pass(g, pairs)
+
+gram_pass, wrapped = clifford._gram_pass, {clifford._gram_pass: audited_pass}
+for module, takes in json.loads(sys.argv[1]).items():
+    home = importlib.import_module("charcond." + module)
+    for name, pairs in takes.items():
+        wrapped[getattr(home, name)] = audited(getattr(home, name), pairs)
+# patched in every module that binds them
+for mod in [m for n, m in sys.modules.items() if n.startswith("charcond")]:
+    for name, fn in list(vars(mod).items()):
+        if callable(fn) and fn in wrapped:
+            setattr(mod, name, wrapped[fn])
+
+def pairs_and_products(g):
+    subs = [s for s in normal_subgroups(g) if s.order < g.order]
+    clifford._pairs(subs)
+    for s in subs:
+        if is_prime(s.index):
+            pair = clifford._pair(s)
+            thetas = np.flatnonzero(pair.stab == g.order)
+            rows = [pair.extensions(j)[0] for j in thetas.tolist()]
+            pair.products(thetas, rows, quotient(g, s)[1])
+
+assert run_suite("all", cat=Catalog(), max_order=24).passed
+cat = Catalog()
+for name in ("Q8xS3xC4", "S3xS3xS3", "C4xC4xC3"):
+    pairs_and_products(cat.group(name))
+pairs_and_products(build_from_permutations(
+    105, [tuple((i + 1) % 105 for i in range(105))], name="C105"))
+print(json.dumps({"checked": checked, "short": short, "grown": grown}))
+"""
+
+
+def test_every_carried_bound_covers_its_operand():
+    run = run_fresh(_AUDIT, timeout=300, args=(json.dumps(_TAKES),))
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["short"] == []
+    # every function that takes a bound was checked on the way
+    assert set(got["checked"]) == {name for takes in _TAKES.values()
+                                   for name in takes} | {
+        "_lifted_table:out", "_bound:tg", "_bound:th", "_bound:ind"}
+    # and some lift grew a table past its own bound: C35's and the quotient
+    # tables' of C105, at conductor 105, where phi is 48
+    assert set(got["grown"]) == {48}
+
+
+def test_the_audit_wraps_every_function_that_takes_a_bound():
+    # every function of `src/` with a parameter named bound or bound_*,
+    # but `int_dtype`, which turns a bound on results into a dtype
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    a.arg == "bound" or a.arg.startswith("bound_")
+                    for a in node.args.args + node.args.kwonlyargs):
+                found.setdefault(path.stem, set()).add(node.name)
+    found["cyclotomic"] -= {"int_dtype"}
+    assert found == {module: set(takes) for module, takes in _TAKES.items()}

@@ -9,6 +9,10 @@ checks, after a sweep, that every cached array is read-only, and so is every
 array the conductor caches of `cyclotomic` hand out.  The third checks that
 no module memoizes with `functools`: conductor data go through the bounded
 `cyclotomic._conductor_cache` and everything else through `groups.cached`.
+The fourth keeps array scans at the boundary: on the table paths integer
+widths and Gram primes come from bounds that travel with the tables, and
+only where a bound is born or a kernel is given none may
+`cyclotomic._absmax` be called.
 """
 
 import ast
@@ -87,6 +91,52 @@ def test_the_check_sees_functools_memos_only():
               "from functools import cache as memo\n"
               "cache = {}\ng.cache\n")
     assert functools_memos(source) == [1, 3, 6]
+
+
+# the functions of `src/` that may scan an array with `_absmax`, by module:
+# where a table's bound is born, where conductor data are built, and the
+# kernels that scan an operand given no bound, as the value-level and public
+# paths and user-built class functions and contexts give them none
+_SCANNERS = {
+    "characters": {"_finished", "_table_bound", "validate"},
+    "conductor": {"conductor_exponents"},
+    "cyclotomic": {"_int_array", "_power_array", "_fold_bound", "_rebase_data",
+                   "reduced", "_matmul", "scaled", "descend", "multiply",
+                   "minimal_conductors", "gram", "gram_diagonal"},
+}
+
+
+def absmax_callers(source: str) -> set[str]:
+    """The names of the innermost functions of source that call `_absmax`,
+    by name or as an attribute; a call outside any function counts as
+    "<module>"."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "_absmax"
+                or getattr(node.func, "attr", None) == "_absmax"):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_boundary_functions_scan_arrays(path):
+    got = absmax_callers(path.read_text(encoding="utf-8"))
+    assert got == _SCANNERS.get(path.stem, set())
+
+
+def test_the_check_sees_scans_in_nested_functions_and_attributes():
+    source = ("def outer(a):\n    def inner(b):\n        return _absmax(b)\n"
+              "    return inner(a)\n"
+              "class T:\n    def m(self):\n        return cyclotomic._absmax(x)\n"
+              "bound = _absmax(y)\nscan = _absmax\n")
+    assert absmax_callers(source) == {"inner", "m", "<module>"}
 
 
 def _arrays(value):

@@ -6,6 +6,7 @@ comparison is re-run in-test.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcond.arith import PRIME_TEST_BOUND, is_prime
+from charcond.bounds import MAX_DECIMAL_DIGITS, _exceeds
 from charcond import characters
 from charcond.catalog import Catalog
 from charcond.characters import ClassFunction, character_table, induce
@@ -270,6 +272,33 @@ def test_decimal_rendering_policy():
     assert RadicalValue.from_rational(Fraction(5, 4)).decimal(2) == "1.2"
     assert (RadicalValue.from_rational(Fraction(99999995, 10 ** 7)).decimal(7)
             == "10.00000")
+
+
+def test_a_decimal_at_the_cap_is_admitted():
+    # 10^k at d = 1 needs digits + k = MAX_DECIMAL_DIGITS digits exactly,
+    # which the float sum k log10 2 + k log10 5 puts just past the cap
+    value = RadicalValue({10: MAX_DECIMAL_DIGITS - 10})
+    assert value.check_decimal(10)[0] == 1
+    assert value.decimal(10) == "1.000000000e+249990"
+
+
+def test_a_decimal_just_over_the_cap_is_refused_fast():
+    # refused with InvalidData, which the CLI reports with exit code 2
+    start = time.perf_counter()
+    with pytest.raises(InvalidData, match="10 digits of a root of degree 1 "
+                       "need integers of 250001 digits, over the cap of 250000"):
+        RadicalValue({10: MAX_DECIMAL_DIGITS - 9}).decimal(10)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 31, 32, 1000, 249_990])
+def test_the_cap_decision_is_exact_around_each_power_of_ten(r):
+    # 10^r itself is not over, and the next integer above it is
+    assert not _exceeds([(2, r), (5, r)], r)
+    assert _exceeds([(2, r), (5, r)], r - 1)
+    assert _exceeds([(10 ** r + 1, 1)], r)
+    assert not _exceeds([(3, 0)], 0) and not _exceeds([], 0)
+    assert _exceeds([], -1)
 
 
 _PRIMES = [p for p in range(2, 10008) if is_prime(p)]

@@ -85,7 +85,8 @@ def test_large_entries_take_several_primes(bits, dtype, primes):
     rng = np.random.default_rng(bits)
     a = _rows(rng, 3, 4, 120, bits, 0.0)
     weights = [5, -3, 0, 7]
-    bound = _bound(a, a, weights, 120)
+    top = cyclotomic._absmax(a)
+    bound = _bound(top, top, sum(map(abs, weights)), 120, a.shape[2])
     # the primes whose product first exceeds twice the bound
     used, m = 0, 1
     while m <= 2 * bound:

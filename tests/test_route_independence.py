@@ -147,8 +147,8 @@ def test_repeated_quotient_row_fails_distinct_products(monkeypatch):
 def test_perturbed_induction_row_fails_gallagher_sum(monkeypatch):
     real = characters._induction_sums
 
-    def perturbed(s, nums):
-        ind = real(s, nums).copy()
+    def perturbed(s, nums, bound):
+        ind = real(s, nums, bound).copy()
         ind[0, -1] += 1         # Ind of the trivial theta, on the last class
         return ind
 

@@ -333,6 +333,27 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
     assert fresh_sweep["self_grams"] == []
 
 
+def test_fresh_sweep_at_cap_24_takes_no_more_gram_primes_than_before_carried_bounds(
+        fresh_sweep):
+    # every pass takes one prime: carried bounds, which may exceed an
+    # operand's own largest entry, add none.  Pinned at the last commit that
+    # scanned every operand for its bound: 107 primes, one per pass
+    assert fresh_sweep["primes"] == {"_gram_pass": 38, "products": 62,
+                                     "gram": 4, "gram_diagonal": 3}
+    assert sum(fresh_sweep["primes"].values()) == 107
+
+
+def test_a_warm_sweep_round_scans_at_most_300_arrays(fresh_sweep):
+    # bounds travel with the tables, so a round after the first scans only
+    # where a bound is born or a kernel is given none: 186 measured, 60 of
+    # them where a built table is narrowed, 56 in the exact-value search of
+    # Dixon's row order (one per `descend` and `minimal_conductors` call) and
+    # 33 in `conductor_exponents` (its rows, and a caller's counts), against
+    # 2,616 when every integer width and Gram bound came from a scan of its
+    # operands
+    assert sum(fresh_sweep["scans"].values()) <= 300
+
+
 def test_fresh_sweep_at_cap_24_kernels_match_the_oracle_on_every_call(
         fresh_sweep):
     # every gram and gram_diagonal result of the round, values and dtype,
