@@ -615,39 +615,15 @@ def _table(g: FiniteGroup) -> np.ndarray:
     return _dixon_rows(g)
 
 
-@cached
-def _table_bound(g: FiniteGroup) -> int:
-    """The largest |numerator| of G's table, at least 1, which bounds its
-    rows and every gather of them: `_finished` keeps it as it narrows the
-    table, so only a table built elsewhere is scanned here."""
-    return _absmax(_table_nums(g))
-
-
-def _lifted_table(nums: np.ndarray, bound: int, e: int,
-                  big: int) -> tuple[np.ndarray, int]:
-    """Table numerators at e, at most bound, lifted to big, and a bound on
-    them.  Each value is a sum of chi(1) <= bound roots of unity, so its
-    numerators at big are at most bound times `_fold_bound(big, big)`; a lift
-    can grow them past bound, as the power table of 105 has entries 2."""
-    if e == big:
-        return nums, bound
-    return lift(nums, e, big, bound), bound * _fold_bound(big, big)
-
-
-@cached
-def _first_evaluation(g: FiniteGroup) -> np.ndarray:
-    """G's table at the primitive roots modulo the first Gram prime, kept
-    with the table, so that every normal pair of G (`clifford`) reads it; as
-    int32, which holds residues below 2^26 in half the memory."""
-    return _evaluate(_table_nums(g), _evaluation_data(g.exponent(), 0)).astype(np.int32)
-
-
-def _table_at(g: FiniteGroup, data) -> np.ndarray:
-    """G's table at the primitive roots modulo data.prime, int64: the kept
-    evaluation at the first Gram prime, a new one at a further prime."""
-    if data.prime == _evaluation_data(g.exponent(), 0).prime:
-        return _first_evaluation(g).astype(np.int64)
-    return _evaluate(_table_nums(g), data)
+def _table_bound(nums: np.ndarray, e: int) -> int:
+    """A bound on every numerator of rows at e whose column 0 holds their
+    degrees: a character value is a sum of chi(1) e-th roots of unity, so
+    each of its numerators is at most chi(1) `_fold_bound(e, e)`.  Both
+    builders' tables satisfy it (Dixon's multiplicity sums prove it, and a
+    dual group's values are single roots), and so does every array of table
+    rows that keeps the degrees in column 0: gathers, lifts, inflations, and
+    |H| Ind theta, whose degree column is |G| theta(1)."""
+    return max(1, *nums[:, 0, 0].tolist()) * _fold_bound(e, e)
 
 
 def character_table(g: FiniteGroup) -> CharacterTable:
@@ -825,13 +801,11 @@ def _abelian_rows(g: FiniteGroup) -> np.ndarray:
 
 
 def _finished(g: FiniteGroup, e: int, nums: np.ndarray) -> np.ndarray:
-    """A table's numerators at e over 1, rows in canonical order, in their
-    narrowest dtype after one exact `_check_table`; the one scan for the
-    largest |numerator| sets the dtype, and `_table_bound` keeps it."""
-    bound = _absmax(nums)
+    """A table's numerators at e over 1, rows in canonical order, in the
+    dtype of their `_table_bound` after one exact `_check_table`."""
+    bound = _table_bound(nums, e)
     nums = nums.astype(int_dtype(bound), copy=False)
     _check_table(g, e, nums, bound)
-    _table_bound.put(g, bound)
     return nums
 
 

@@ -43,11 +43,11 @@ from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce,
                          _conj_class_perms, _induction_sums, _inflated_table,
-                         _lifted_table, _multiplicities, _restriction_classes,
-                         _same_group, _table_at, _table_bound, _table_nums)
+                         _multiplicities, _restriction_classes, _same_group,
+                         _table_bound, _table_nums)
 from .cyclotomic import (_bound, _crt, _diagonal_values, _evaluate,
                          _fold_bound, _gram_values, _residues, int_dtype,
-                         scaled, values)
+                         lift, scaled, values)
 from .errors import (BadChain, CharcondError, IndexNotPrime,
                      InternalContradiction, NotInvariant, NotIrreducible,
                      NotNormal)
@@ -116,16 +116,14 @@ class _NormalPair:
     - ``cols``: the classes of G that hold H's, so that tg[:, cols], one
       gather, is the table of G restricted to H;
     - ``ind``: |H| Ind theta_j, one matmul with the induction counts;
-    - ``bound_g``, ``bound_h`` and ``bound_ind``: bounds on the entries of
-      tg (G's `_table_bound`, which tg[:, cols] keeps), th (H's, grown by
-      the lift) and ind (|G| bound_h), integers that are never rescans;
+      tg, th and ind keep their degrees in column 0, so `_table_bound`
+      bounds each one's entries, and tg's bounds tg[:, cols];
     - four Gram products, set by `_gram_pass` in one pass modulo the Gram
       primes with those of the other pairs of G built with this one:
       ``res_norm``, |H| <Res chi_r, Res chi_r>; ``res_gram``, |H| <Res
       chi_r, theta_j>; ``ind_norm``, |H|^2 |G| <Ind theta_j, Ind theta_j>;
       and ``ind_gram``, |H| |G| <chi_r, Ind theta_j>, each a copy of the
-      dtype of its own `_bound`, equal to the pair's built alone, and
-      ``res_bound``, res_gram's, which `frobenius` scales by;
+      dtype of its own `_bound`, equal to the pair's built alone;
     - ``perm[g, j]``: the row equal to theta_j^g, theta_j^g(h) =
       theta_j(g h g^-1), matched once per distinct permutation of the
       H-classes by array equality; ``stab[j]``: the order of the inertia
@@ -149,12 +147,10 @@ class _NormalPair:
         self.order_g, self.order_h = g.order, s.order
         self.sizes_g = np.array(conjugacy_classes(g).sizes)
         self.sizes_h = np.array(conjugacy_classes(h).sizes)
-        self.tg, self.bound_g = _table_nums(g), _table_bound(g)
-        th = _table_nums(h)
-        self.th, self.bound_h = _lifted_table(th, _table_bound(h), h.exponent(), e)
+        self.tg, th = _table_nums(g), _table_nums(h)
+        self.th = lift(th, h.exponent(), e, _table_bound(th, h.exponent()))
         self.cols = _restriction_classes(s)
-        self.ind = _induction_sums(s, self.th, self.bound_h)
-        self.bound_ind = g.order * self.bound_h
+        self.ind = _induction_sums(s, self.th, _table_bound(self.th, e))
         k = len(th)
         index = {key: j for j, key in enumerate(row_keys(th))}
         perms = _conj_class_perms(s)
@@ -215,7 +211,8 @@ class _NormalPair:
         j = j_r."""
         j, e, t, _ = self.clifford
         q, m = self.order_g // self.order_h, self.mult
-        induced = (self.ind[j] == scaled(self.tg, self.order_h, self.bound_g)
+        induced = (self.ind[j] == scaled(self.tg, self.order_h,
+                                         _table_bound(self.tg, self.e))
                    ).all(axis=(1, 2))
         return np.stack([
             _equals(self.res_norm, self.order_h),
@@ -228,11 +225,11 @@ class _NormalPair:
         """The detail of Frobenius reciprocity, <chi_r, Ind theta_i> =
         <Res chi_r, theta_i> for every r and i, the left side ind_gram, from
         the induced table's own evaluation, the right the multiplicity Gram
-        of the gather: "" when it holds, else <Ind theta_i, chi_r> and
-        <theta_i, Res chi_r>, the conjugates, at the last (i, r) where they
-        differ."""
-        lhs, rhs = self.ind_gram, self.res_gram
-        bad = np.argwhere((lhs != scaled(rhs, self.order_g, self.res_bound)
+        of the gather, compared by exact division by |G|: "" when it holds,
+        else <Ind theta_i, chi_r> and <theta_i, Res chi_r>, the conjugates,
+        at the last (i, r) where they differ."""
+        lhs, rhs, og = self.ind_gram, self.res_gram, self.order_g
+        bad = np.argwhere(((lhs % og != 0) | (lhs // og != rhs)
                            ).any(axis=2).T).tolist()
         if not bad:
             return ""
@@ -264,17 +261,17 @@ class _NormalPair:
         product's numerators sum 2 phi - 1 folded convolution sums of at
         most phi terms, and a norm's sum, per class, phi^3 terms at each of
         e powers of the power table."""
-        g, e, q = qmap.source, self.e, qmap.group
-        psi, bound_psi = _lifted_table(_inflated_table(qmap), _table_bound(q),
-                                       q.exponent(), e)
+        e, eq, psi = self.e, qmap.group.exponent(), _inflated_table(qmap)
+        psi = lift(psi, eq, e, _table_bound(psi, eq))
         n, m, phi = len(rows), len(psi), psi.shape[2]
-        top, fold = self.bound_g * bound_psi, _fold_bound(e, e)
-        bound = max(self.order_g * phi ** 3 * top ** 2 * e * fold, self.bound_ind
+        top, fold = _table_bound(self.tg, e) * _table_bound(psi, e), _fold_bound(e, e)
+        bound = max(self.order_g * phi ** 3 * top ** 2 * e * fold,
+                    _table_bound(self.ind, e)
                     + self.order_h * m * (2 * phi - 1) * phi * top * fold)
         seen = []
 
         def residues(data):
-            p, x = data.prime, _table_at(g, data)[:, rows, None]
+            p, x = data.prime, _evaluate(self.tg[rows], data)[:, :, None]
             prods = x * _evaluate(psi, data)[:, None] % p
             diff = self.order_h * prods.sum(axis=2) - _evaluate(self.ind[thetas], data)
             seen.append((prods.transpose(1, 2, 0, 3), (diff % p).any(axis=(0, 2))))
@@ -285,7 +282,7 @@ class _NormalPair:
         return np.array(repeated), np.any([d for _, d in seen], axis=0), norms
 
 
-def _gram_pass(g: FiniteGroup, pairs: list[_NormalPair]) -> None:
+def _gram_pass(pairs: list[_NormalPair]) -> None:
     """Set the four Gram products of pairs over one group G, from one pass
     modulo the Gram primes for all of them: G's table is evaluated once per
     prime and gathered at the concatenated ``cols``, the restriction norms
@@ -294,11 +291,11 @@ def _gram_pass(g: FiniteGroup, pairs: list[_NormalPair]) -> None:
     the stacked ``ind`` rows are evaluated once for both induced products.
     The primes serve the largest bound of the batch, and each pair's cut is
     a copy of the dtype of its own `_bound`, as when it is built alone.
-    Those bounds are products of integers: G's table bound, read once for
-    the group and kept by the gather at cols, and each pair's bounds of th
-    and ind; the class sizes are reduced mod each prime once per pass."""
+    Those bounds are products of integers: the `_table_bound` of G's table,
+    which bounds its gather at cols, and of each pair's th and ind; the
+    class sizes are reduced mod each prime once per pass."""
     first = pairs[0]
-    e, tg, bg, w = first.e, first.tg, first.bound_g, first.tg.shape[2]
+    e, w, bg = first.e, first.tg.shape[2], _table_bound(first.tg, first.e)
     ends = list(accumulate(len(pair.th) for pair in pairs))
     starts = [0] + ends[:-1]
     cols = np.concatenate([pair.cols for pair in pairs])
@@ -309,12 +306,13 @@ def _gram_pass(g: FiniteGroup, pairs: list[_NormalPair]) -> None:
     bounds = []
     for pair, lo, hi in zip(pairs, starts, ends):
         block[lo:hi, lo:hi] = pair.th
-        bh, bi, oh, og = pair.bound_h, pair.bound_ind, pair.order_h, pair.order_g
+        bh, bi = _table_bound(pair.th, e), _table_bound(pair.ind, e)
+        oh, og = pair.order_h, pair.order_g
         bounds.append([_bound(bg, bg, oh, e, w), _bound(bg, bh, oh, e, w),
                        _bound(bi, bi, og, e, w), _bound(bg, bi, og, e, w)])
 
     def residues(data):
-        p, x = data.prime, _table_at(g, data)
+        p, x = data.prime, _evaluate(first.tg, data)
         xr, xi = x[..., cols], _evaluate(ind, data)
         rh, rg = _residues(wh, p), _residues(first.sizes_g, p)
         return [np.add.reduceat(xr * rh % p * xr[data.conj] % p,
@@ -326,7 +324,6 @@ def _gram_pass(g: FiniteGroup, pairs: list[_NormalPair]) -> None:
         cuts = batch[0][:, i], batch[1][:, lo:hi], batch[2][lo:hi], batch[3][:, lo:hi]
         pair.res_norm, pair.res_gram, pair.ind_norm, pair.ind_gram = (
             x.astype(int_dtype(bound), order="C") for x, bound in zip(cuts, b))
-        pair.res_bound = b[1]
 
 
 def _pairs(subs: list[Subgroup]) -> None:
@@ -344,7 +341,7 @@ def _pairs(subs: list[Subgroup]) -> None:
                 pass
     if built:
         try:
-            _gram_pass(subs[0].parent, [pair for _, pair in built])
+            _gram_pass([pair for _, pair in built])
         except CharcondError:
             return
     for s, pair in built:
@@ -357,7 +354,7 @@ def _pair(s: Subgroup) -> _NormalPair:
     and kept there by `groups.cached`: the build of `_pairs` on a list of
     one, which raises where `_pairs` leaves the pair out."""
     pair = _NormalPair(s)
-    _gram_pass(s.parent, [pair])
+    _gram_pass([pair])
     return pair
 
 

@@ -14,13 +14,14 @@ the same operations on the values.  Arrays are int64 while an exact
 Python-int bound on every partial sum is below 2^62, and Python ints (dtype
 object) otherwise (`int_dtype`).
 
-On the table paths those bounds are integers that travel with the arrays,
-not rescans of them: `_bound` takes a bound on each operand's entries, and
-`_matmul`, `lift` and `scaled` take one when the caller knows it; each must
-be at least the true largest |entry|.  A character table gets its bound
-once, where `characters._finished` narrows it, and a gather of it keeps
-that bound.  The kernels scan (`_absmax`) an operand given no bound, as
-the value-level and public paths do with arrays from outside.
+On the table paths those bounds are integers, not rescans of the arrays:
+`_bound` takes a bound on each operand's entries, and `_matmul`, `lift` and
+`scaled` take one when the caller knows it; each must be at least the true
+largest |entry|.  A character value is a sum of chi(1) e-th roots of unity,
+so `characters._table_bound` reads a table's bound off its degrees, and so
+of every array of its rows that keeps them.  The kernels scan (`_absmax`)
+an operand given no bound, as the value-level and public paths do with
+arrays from outside.
 
 Gram products, sum_c w_c a_c conj(b_c) over the classes for every pair of
 rows (`gram` and its diagonal `gram_diagonal`), are computed by evaluation
@@ -37,8 +38,8 @@ and `_crt`, which interpolates several products with one matmul per prime
 and recovers them all, with primes for the largest bound, each of the dtype
 of its own bound.  The normal pairs of one group in
 `clifford` take their four Gram products each from one such pass for the
-whole group, and Gallagher's products of a pair come from another, over
-evaluations they keep or gather.  `characters._check_table` reads a
+whole group, and Gallagher's products of a pair come from another, which
+evaluates only the rows it reads.  `characters._check_table` reads a
 table's evaluations directly and never interpolates.
 
 There is one builder.  `values` turns rows into `Cyclotomic`s, each in
@@ -614,10 +615,10 @@ def _bound(a: int, b: int, weight: int, e: int, w: int) -> int:
     rows a, b of width w whose entries are at most a and b, with weight =
     sum |w_c|: a product sum is at most weight a b, a power x^(s - t)
     collects at most w of them, and a numerator sums at most e powers times
-    the power table.  a and b are the callers' bounds, never scans: a
-    table's bound for its rows and for the gathers of them, one derived from
-    it for a lifted or induced table; each must be at least the true largest
-    |entry|, or the primes that `_crt` takes for it may not suffice."""
+    the power table.  a and b are the callers' bounds, never scans: the
+    `characters._table_bound` of a table, of a gather, lift or induction of
+    its rows; each must be at least the true largest |entry|, or the primes
+    that `_crt` takes for it may not suffice."""
     return max(1, weight) * w * a * b * e * _fold_bound(e, w)
 
 

@@ -582,6 +582,26 @@ class Subgroup:
         return f"<Subgroup of order {self.order} in {self.parent!r}>"
 
 
+def _elements(g: FiniteGroup, values, what: str) -> np.ndarray:
+    """The distinct elements of G that `values`, a flat collection of
+    integers, names, sorted in one int64 array: floats and bools are refused,
+    as `build_from_table` refuses them, and so is "<what> out of range"."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in values):
+            raise NotAGroup(f"{what}s must be integers")
+        values = np.array(values, dtype=object)
+    elif values.size and values.dtype.kind not in "iu":
+        raise NotAGroup(f"{what}s must be integers")
+    if values.ndim != 1:
+        raise TypeError(f"{what}s must be a flat collection of integers")
+    arr = unique_sorted(values)
+    if len(arr) and (arr[0] < 0 or arr[-1] >= g.order):
+        raise NotAGroup(f"{what} out of range")
+    return arr.astype(np.int64, copy=False)
+
+
 def subgroup(g: FiniteGroup, elements) -> Subgroup:
     """Validate an element set as a subgroup.
 
@@ -593,18 +613,9 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
     failure names the first member a in sorted order, and the first t of T,
     with a t outside the set.
     """
-    try:
-        arr = np.asarray(elements if isinstance(elements, np.ndarray)
-                         else list(elements), dtype=np.int64)
-    except OverflowError:
-        raise NotAGroup("subgroup element out of range") from None
-    if arr.ndim != 1:
-        raise TypeError("subgroup elements must be a flat collection of integers")
-    arr = unique_sorted(arr)
+    arr = _elements(g, elements, "subgroup element")
     if not len(arr):
         raise NotAGroup("a subgroup cannot be empty")
-    if arr[0] < 0 or arr[-1] >= g.order:
-        raise NotAGroup("subgroup element out of range")
     inside = np.zeros(g.order, dtype=bool)
     inside[arr] = True
     if not inside[g.identity]:
@@ -631,10 +642,8 @@ def _subgroup_generators(s: Subgroup) -> np.ndarray:
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     """The subgroup generated by `gens`, closed by `_greedy_closure`."""
-    gens = sorted({int(v) for v in gens})
-    if gens and (gens[0] < 0 or gens[-1] >= g.order):
-        raise NotAGroup("subgroup generator out of range")
-    inside = _greedy_closure(g.mul, g.identity, np.array(gens, dtype=np.int64))[0]
+    inside = _greedy_closure(g.mul, g.identity,
+                             _elements(g, gens, "subgroup generator"))[0]
     return Subgroup(g, tuple(np.flatnonzero(inside).tolist()))
 
 
@@ -676,11 +685,11 @@ def _kernel_masks(g: FiniteGroup, linear_only: bool = False) -> list[int]:
             for ker in kernels]
 
 
-def _union_of_classes(g: FiniteGroup, mask: int) -> tuple[int, ...]:
+def _union_of_classes(g: FiniteGroup, mask: int) -> np.ndarray:
     """The elements of the classes in a bit mask, sorted."""
     part = conjugacy_classes(g)
     on = np.array([mask >> c & 1 for c in range(len(part))], dtype=bool)
-    return tuple(np.flatnonzero(on[part.class_of]).tolist())
+    return np.flatnonzero(on[part.class_of])
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:

@@ -45,7 +45,7 @@ import numpy as np
 from . import DEFAULT_MAX_ORDER, SUITE_NAMES
 from .catalog import Catalog, default_catalog
 from .characters import (character_table, induce, _conj_class_perms, _exact,
-                         _table_nums)
+                         _table_bound, _table_nums)
 from .clifford import (NormalChain, construct_large_degree, promote_degree,
                        _classify_row, _clifford_row, _equals, _pair, _pairs)
 from .cyclotomic import _matmul
@@ -200,7 +200,7 @@ def _induction(s: Subgroup) -> tuple[str, str]:
     # each orbit row holds |I| = ratio |H| <= |G|
     sums = _matmul(pair.orbit * (ratio * s.order)[:, None],
                    th.reshape(len(th), -1), s.parent.order,
-                   pair.bound_h).reshape(th.shape)
+                   _table_bound(th, pair.e)).reshape(th.shape)
     norms = pair.ind_norm
     return (_last_failure(
         [(pair.ind[:, pair.cols] != sums).any(axis=(1, 2))],

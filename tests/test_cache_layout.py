@@ -6,13 +6,14 @@ ndarray result read-only.  Outside `groups.py` a module may compare two
 caches with `is` (`characters._same_group`) but reads no key of one, which
 the first test checks on the syntax tree of every other module.  The second
 checks, after a sweep, that every cached array is read-only, and so is every
-array the conductor caches of `cyclotomic` hand out.  The third checks that
+array the conductor caches of `cyclotomic` hand out, and that a group's
+table cache holds its table and nothing beside it.  The third checks that
 no module memoizes with `functools`: conductor data go through the bounded
 `cyclotomic._conductor_cache` and everything else through `groups.cached`.
 The fourth keeps array scans at the boundary: on the table paths integer
-widths and Gram primes come from bounds that travel with the tables, and
-only where a bound is born or a kernel is given none may
-`cyclotomic._absmax` be called.
+widths and Gram primes come from bounds read off the tables' degrees
+(`characters._table_bound`), and only where an array may be any array or a
+kernel is given no bound may `cyclotomic._absmax` be called.
 """
 
 import ast
@@ -94,11 +95,12 @@ def test_the_check_sees_functools_memos_only():
 
 
 # the functions of `src/` that may scan an array with `_absmax`, by module:
-# where a table's bound is born, where conductor data are built, and the
-# kernels that scan an operand given no bound, as the value-level and public
-# paths and user-built class functions and contexts give them none
+# `validate`, whose array may be any copy of a table, where conductor data
+# are built, and the kernels that scan an operand given no bound, as the
+# value-level and public paths and user-built class functions and contexts
+# give them none
 _SCANNERS = {
-    "characters": {"_finished", "_table_bound", "validate"},
+    "characters": {"validate"},
     "conductor": {"conductor_exponents"},
     "cyclotomic": {"_int_array", "_power_array", "_fold_bound", "_rebase_data",
                    "reduced", "_matmul", "scaled", "descend", "multiply",
@@ -164,3 +166,13 @@ def test_every_cached_array_is_read_only():
         for d in divisors(e):
             arrays += _arrays(_rebase_data(e, d))
     assert not [a for a in arrays if a.flags.writeable]
+
+
+def test_a_table_cache_holds_the_table_and_nothing_beside_it():
+    # a table's bound is read off its degrees and its evaluations are made
+    # where they are read, so after a sweep every group's table cache holds
+    # its classes, its exponent and the table's numerators, and no sidecar
+    cat = Catalog()
+    assert run_suite("all", cat=cat, max_order=24).passed
+    assert {frozenset(g._cache) for _, g in cat.groups_up_to(24)} == {
+        frozenset({"_table", "conjugacy_classes", "exponent"})}

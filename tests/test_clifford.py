@@ -427,6 +427,21 @@ def test_verdict_arrays_match_the_per_row_oracle_on_every_pair_to_order_24(
     assert len(raised) == 6, raised
 
 
+def test_frobenius_divides_exactly_in_int64_and_python_ints():
+    # ind_gram = |G| res_gram is read by exact division, so it holds for
+    # products of either dtype, and an entry off by 1 (no multiple of |G|)
+    # or by |G| (the wrong quotient) fails at its own (i, r)
+    g = Catalog().group("S4")
+    pair = clifford._pair(next(s for s in normal_subgroups(g) if s.index == 2))
+    for dtype in (np.int64, object):
+        got = copy.copy(pair)
+        got.res_gram = pair.res_gram.astype(dtype)
+        for off in (0, 1, g.order):
+            got.ind_gram = pair.ind_gram.astype(dtype)
+            got.ind_gram[1, 0, 0] += off
+            assert got.frobenius().startswith("<Ind t0, x1> = ") == bool(off)
+
+
 def test_a_failing_row_fails_only_its_own_views_and_the_sweep_records(
         monkeypatch):
     # rows 1 and 2 of S3 over A3 get multiplicities that fail the Clifford

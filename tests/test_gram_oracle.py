@@ -210,7 +210,7 @@ _S7 = "perm 7\ngen 1 0 2 3 4 5 6\ngen 1 2 3 4 5 6 0\n"
 
 
 def test_a_pair_takes_three_primes_where_its_bounds_need_them(monkeypatch):
-    # A7 in S7: exponent 420 and degrees up to 35, so bounds of 38 to 64
+    # A7 in S7: exponent 420 and degrees up to 35, so bounds of 40 to 66
     # bits on the pair's Gram numerators, and Python ints for the norms of
     # the inductions; one pass takes the three primes below 2^26 that the
     # largest bound needs, and so does Gallagher's
@@ -264,9 +264,9 @@ def test_one_pass_per_group_equals_each_pair_built_alone(monkeypatch):
     # pass, against each pair built alone by `_pair` on a fresh cache
     real, batches = clifford._gram_pass, []
 
-    def counted(g, pairs):
+    def counted(pairs):
         batches.append(len(pairs))
-        return real(g, pairs)
+        return real(pairs)
     monkeypatch.setattr(clifford, "_gram_pass", counted)
     pairs = 0
     for g in _oracle_groups():

@@ -340,6 +340,22 @@ def test_subgroup_verdicts_for_every_kind_of_input():
         assert got == a3 and all(type(x) is int for x in got)
 
 
+@pytest.mark.parametrize("make, what", [(subgroup, "elements"),
+                                        (generated_subgroup, "generators")])
+def test_subgroups_refuse_floats_and_bools(make, what):
+    # as `build_from_table` does: 2.7 is not truncated to the element 2, and
+    # True and False are not read as 1 and 0
+    c4 = Catalog().group("C4")
+    for elems in ([0, 2.7], [2.7], [0, 2.0], [True, False], [0, True],
+                  [0, np.float64(2)], [np.bool_(True)], np.array([0.0, 2.0]),
+                  np.array([True, False])):
+        with pytest.raises(NotAGroup, match=f"subgroup {what} must be integers"):
+            make(c4, elems)
+    # integers of every kind still name elements
+    for elems in ([0, 2], (0, np.int64(2)), np.array([0, 2], dtype=np.uint8)):
+        assert make(c4, elems).elements == (0, 2)
+
+
 def test_subgroup_as_group_preserves_structure():
     g = s3()
     a3 = generated_subgroup(g, [2])

@@ -1,12 +1,16 @@
-"""Every module-level import in src/charcond is read by its module, and
-every name in a module's `__all__` exists.
+"""Every module-level import in src/charcond is read by its module, every
+name in a module's `__all__` exists, and every parameter of a function is
+read by it.
 
 No linter ships with the project, so each module's syntax tree is walked
 with `ast`: a name that a top-level `import` or `from ... import` binds must
 be loaded somewhere in the module, or be listed in its `__all__`, which
 re-exports it.  Since `__all__` exempts a name from that check, a stale
 entry could hide an unused import, so each listed name must also be an
-attribute of the imported module.
+attribute of the imported module.  A parameter that nothing reads is
+dead weight in every call, such as a group passed along beside arrays that
+already hold what is needed, so each function's parameters must be loaded
+in its body, but where a dispatch table fixes the signature.
 """
 
 import ast
@@ -56,3 +60,44 @@ def test_the_check_sees_unused_and_re_exported_names():
               "__all__ = ['d']\n"
               "def f():\n    return a, os.sep\n")
     assert unused_imports(source) == ["system", "c"]
+
+
+# signatures that a dispatch table fixes: every command handler takes the
+# parsed arguments and every suite the order cap, read or not
+_FIXED_SIGNATURES = {("cli", "_cmd_catalog", "args"),
+                     ("verify", "suite_degrees", "max_order"),
+                     ("verify", "suite_conductor", "max_order")}
+
+
+def unused_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for every parameter of a function of source
+    that its body, nested functions included, never reads; `self`, `cls`
+    and a name made of underscores, which declares a parameter unused, are
+    exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(node.name, a.arg) for a in params
+                      if a.arg not in read and a.arg not in ("self", "cls")
+                      and a.arg.strip("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    got = unused_parameters(path.read_text(encoding="utf-8"))
+    assert [x for x in got if (path.stem, *x) not in _FIXED_SIGNATURES] == []
+
+
+def test_the_check_sees_unread_parameters_only():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + c\n"
+              "class T:\n    def m(self, x, *_):\n        def g():\n"
+              "            return x\n        return g\n"
+              "def h(y):\n    y = 2\n    return 1\n")
+    assert unused_parameters(source) == [("f", "b"), ("f", "args"), ("f", "kw"),
+                                         ("h", "y")]
