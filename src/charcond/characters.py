@@ -23,10 +23,11 @@ keys and the public API.
 
 The induction counts, the restriction gather and the conjugation data of a
 subgroup are memoized by `groups.cached` in its ``_cache``, as are the
-table's numerators in the table cache, and `clifford._NormalPair` keeps
-whole tables restricted to and induced from a normal subgroup there.  An
-entry holds arrays and integers only, never a group, so it keeps no group
-alive and dies with the subgroup's cache.
+table's numerators in the table cache, and a normal subgroup's cache keeps
+its `clifford._NormalPair`, a view of the whole tables restricted to and
+induced from the normal subgroups of its group.  An entry holds arrays and
+integers only, never a group, so it keeps no group alive and dies with the
+subgroup's cache.
 
 Tables of abelian groups, where every class is one element, come from the
 dual group: `_abelian_rows` extends the characters over the generating set S
@@ -947,21 +948,29 @@ def pointwise_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     return ClassFunction._from_array(phi.group, e, prod, phi.den * psi.den)
 
 
-def _multiplicities(got: np.ndarray, e: int, scale: int) -> np.ndarray:
+def _integers(got: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
     """Gram numerators got (power-basis numerators at e in the last axis)
-    over scale as nonnegative integers, an int64 array of got's leading
-    shape; NotACharacter names the first, row-major, that is not one, by
-    its last index.  A value is rational exactly when its coordinates beyond
+    over scale, an integer or an array of got's leading shape: the values
+    that are nonnegative integers, as int64 with 0 at the others, and where
+    the others are.  A value is rational exactly when its coordinates beyond
     the first vanish."""
     m = got[..., 0] // scale
-    bad = np.argwhere((got[..., 1:] != 0).any(axis=-1) | (m * scale != got[..., 0])
-                      | (m < 0))
+    bad = (got[..., 1:] != 0).any(axis=-1) | (m * scale != got[..., 0]) | (m < 0)
+    return np.where(bad, 0, m).astype(np.int64), bad
+
+
+def _multiplicities(got: np.ndarray, e: int, scale: int) -> np.ndarray:
+    """`_integers` of got over scale, which must all be nonnegative
+    integers: NotACharacter names the first, row-major, that is not one, by
+    its last index."""
+    m, bad = _integers(got, scale)
+    bad = np.argwhere(bad)
     if len(bad):
         at = tuple(bad[0])
         value = values(got[at][None], e, scale)[0]
         raise NotACharacter(
             f"multiplicity of row {at[-1]} is {value}, not a nonnegative integer")
-    return m.astype(np.int64)
+    return m
 
 
 def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]]:

@@ -12,21 +12,25 @@ and psi in Irr(N), the largest constituent of Ind psi has degree at least
 one `promote_degree`.
 
 For a table row, Clifford decompositions, classifications and extensions
-are views over whole-table arrays that one `_NormalPair` per normal subgroup
-holds: the columns that restrict G's table to H, with the restrictions'
-norms and multiplicities, the induced table with its norms and <chi, Ind
-theta>, and how G permutes the rows of H's table.  Every Clifford and
-classification check runs once per pair, over all rows at once, into cached
-verdict arrays that a view reads one row of, so that a row fails only on its
-own checks.  The multiplicities are read as integers on first use, from a
-Gram product computed with the pair's three others, so a check that reads
-none of them cannot fail on them.  The sweeps build the normal pairs of one
-group together (`_pairs`), with one pass modulo the Gram primes for all
-their Gram products; a single pair is the same code on a list of one.  The
-verification sweeps read the same arrays, and record a pass only for a
-check that ran to the end and held: an error raised while the pair is built
-fails every record that needs it.  Inertia groups
-and conjugate orbits compare class values directly, so they read no
+are views over whole-table arrays of the normal pairs (G, H) of one group,
+which `_pairs` builds together as one `_NormalPairs`, its arrays created
+concatenated along the rows of the H tables: the columns that restrict G's
+table to each H, with the restrictions' norms and multiplicities, the
+induced tables with their norms and <chi, Ind theta>, and how G permutes
+the rows of each H table.  A pair, `_NormalPair`, is a view of its own
+segment of them; a single pair is the same code on a list of one.  Every
+Clifford and classification check runs once per group, over all rows of
+all its pairs at once, into cached verdict arrays that a view reads one row
+of its segment of, so that a row fails only on its own checks.  The
+multiplicities are read as integers on first use, from a Gram product
+computed with the three others in one pass modulo the Gram primes for the
+whole group, so a check that reads none of them cannot fail on them, and a
+pair whose multiplicities are not integers fails only the checks that read
+them.  The verification sweeps read the same arrays, and record a pass only
+for a check that ran to the end and held: an error raised while a pair is
+built fails every record that needs it, and Gallagher's products of the
+pairs of prime index of a group take one more pass (`_products`).  Inertia
+groups and conjugate orbits compare class values directly, so they read no
 character table.
 """
 
@@ -43,15 +47,15 @@ from .arith import is_prime
 from .characters import (Character, ClassFunction, character_table,
                          conjugate_character, decompose, induce,
                          _conj_class_perms, _induction_sums, _inflated_table,
-                         _multiplicities, _restriction_classes, _same_group,
-                         _table_bound, _table_nums)
+                         _integers, _multiplicities, _restriction_classes,
+                         _same_group, _table_bound, _table_nums)
 from .cyclotomic import (_bound, _crt, _diagonal_values, _evaluate,
-                         _fold_bound, _gram_values, _residues, int_dtype,
-                         lift, scaled, values)
+                         _fold_bound, _gram_values, _matmul_mod, _residues,
+                         int_dtype, lift, values)
 from .errors import (BadChain, CharcondError, IndexNotPrime,
                      InternalContradiction, NotInvariant, NotIrreducible,
                      NotNormal)
-from .groups import (FiniteGroup, QuotientMap, Subgroup, cached,
+from .groups import (FiniteGroup, Subgroup, cached,
                      conjugacy_classes, is_abelian, is_normal, quotient,
                      row_keys, subgroup)
 
@@ -109,243 +113,372 @@ def _equals(nums: np.ndarray, want) -> np.ndarray:
     return (nums[..., 0] == want) & ~(nums[..., 1:] != 0).any(axis=-1)
 
 
-class _NormalPair:
-    """Whole-table arrays of a normal pair (G, H), all at e = exp(G):
+def _segment(s: Subgroup) -> tuple:
+    """The arrays of the normal pair (G, s) that `_NormalPairs` concatenates,
+    at e = exp(G): H's table lifted to e, the classes of G that hold H's,
+    H's class sizes, |H| Ind theta_j for every row j, ``perm``, local to H's
+    rows, and whether each element of G lies in H.  Raises where the pair's
+    own arrays cannot be built."""
+    g, h = s.parent, s.as_group()
+    th = _table_nums(h)
+    lifted = lift(th, h.exponent(), g.exponent(), _table_bound(th, h.exponent()))
+    index = {key: j for j, key in enumerate(row_keys(th))}
+    perms = _conj_class_perms(s)
+    keys = row_keys(perms)
+    moved = {key: [index.get(x, -1) for x in row_keys(th[:, p])]
+             for key, p in dict(zip(keys, perms)).items()}
+    perm = np.array([moved[key] for key in keys], dtype=np.int64)
+    if np.any(perm < 0):
+        raise InternalContradiction(
+            "conjugation does not permute the rows of the subgroup's table")
+    return (lifted, _restriction_classes(s), np.array(conjugacy_classes(h).sizes),
+            _induction_sums(s, lifted, _table_bound(lifted, g.exponent())),
+            perm, s.member_index() >= 0)
 
-    - ``tg``: the table of G; ``th``: the table of H, lifted to e;
-    - ``cols``: the classes of G that hold H's, so that tg[:, cols], one
-      gather, is the table of G restricted to H;
-    - ``ind``: |H| Ind theta_j, one matmul with the induction counts;
-      tg, th and ind keep their degrees in column 0, so `_table_bound`
-      bounds each one's entries, and tg's bounds tg[:, cols];
-    - four Gram products, set by `_gram_pass` in one pass modulo the Gram
-      primes with those of the other pairs of G built with this one:
-      ``res_norm``, |H| <Res chi_r, Res chi_r>; ``res_gram``, |H| <Res
-      chi_r, theta_j>; ``ind_norm``, |H|^2 |G| <Ind theta_j, Ind theta_j>;
-      and ``ind_gram``, |H| |G| <chi_r, Ind theta_j>, each a copy of the
-      dtype of its own `_bound`, equal to the pair's built alone;
-    - ``perm[g, j]``: the row equal to theta_j^g, theta_j^g(h) =
-      theta_j(g h g^-1), matched once per distinct permutation of the
-      H-classes by array equality; ``stab[j]``: the order of the inertia
-      group of theta_j; ``is_h[j]``: it is H itself; ``orbit[i, j]``:
-      theta_j is conjugate to theta_i;
-    - ``mult``: res_gram as integers, read off it on first use, so that a
-      check that reads no multiplicity never fails on one, and
-      ``matches[r, j]``: Res chi_r = theta_j, on first use;
-    - ``clifford``: the first constituent, e, t and the Clifford verdict of
-      every row, and ``checks``: the classification checks of every row,
-      each one array pass over the rows on first use.
 
-    Arrays and integers only, so the subgroup cache that keeps it keeps no
-    group alive.  The views read one row of the verdict arrays, and the
-    sweeps read them whole.
+# where the segment of pair i lies in each array of `_NormalPairs`, axis by
+# axis, from its rows s of H, starts[i]:ends[i], and from i
+_ALL = slice(None)
+_CUTS = {name: cut for cut, names in (
+    (lambda s, i: s, "sizes_h cols ind stab is_h ind_norm reciprocity"),
+    (lambda s, i: (s, slice(s.stop - s.start)), "th orbit"),
+    (lambda s, i: (_ALL, i), "res_norm"),
+    (lambda s, i: (_ALL, s), "perm res_gram ind_gram mult matches induction"),
+    (lambda s, i: (_ALL, _ALL, i), "clifford checks")) for name in names.split()}
+
+
+class _NormalPairs:
+    """The normal pairs (G, H_0), (G, H_1), ... of one group G, built
+    together by `_pairs`, as arrays at e = exp(G) created concatenated along
+    the rows of the H tables: pair i holds rows starts[i]:ends[i], its
+    segment, and ``seg[j]`` is the pair of row j.  Each row's classes of H,
+    padded to the most classes k of an H, lie at ``pad[j]`` along the
+    concatenated classes, of which ``real[j]`` are its own:
+
+    - ``tg``: the table of G; ``th[j]``: row j of the table of H_seg[j],
+      lifted to e and padded with zeros to k classes;
+    - ``cols``: the classes of G that hold the classes of each H, so that
+      tg[:, cols], one gather, is G's table restricted to every H;
+    - ``ind``: |H| Ind theta_j, one matmul with H's induction counts;
+    - ``perm[g, j]``: the row of H_seg[j] equal to theta_j^g, theta_j^g(h)
+      = theta_j(g h g^-1), local to the segment, matched once per distinct
+      permutation of the H-classes by array equality; ``orbit[i, j]``:
+      theta_j is conjugate to theta_i, j local and padded to k;
+      ``stab[j]``: the order of the inertia group of theta_j; ``is_h[j]``:
+      it is H itself;
+    - four Gram products from one pass modulo the Gram primes
+      (`_gram_pass`): ``res_norm[r, i]``, |H_i| <Res chi_r, Res chi_r>;
+      ``res_gram[r, j]``, |H| <Res chi_r, theta_j>; ``ind_norm[j]``,
+      |H|^2 |G| <Ind theta_j, Ind theta_j>; and ``ind_gram[r, j]``, |H| |G|
+      <chi_r, Ind theta_j>; ``dtypes[i]``, those of pair i's own bounds.
+
+    Every verdict is one array pass over all the pairs on first use, with
+    segment reductions over each pair's rows and gathers at the padded
+    classes: ``mult``, ``matches``, ``clifford``, ``checks``, ``induction``
+    and ``reciprocity``.  Arrays, integers and dtypes only, so that the
+    subgroup caches that keep it keep no group alive.  `_NormalPair` is one
+    pair's segment.
     """
 
-    def __init__(self, s: Subgroup) -> None:
-        g, h = s.parent, s.as_group()
-        e = self.e = g.exponent()
-        self.order_g, self.order_h = g.order, s.order
+    def __init__(self, g: FiniteGroup, segments: list[tuple]) -> None:
+        self.e, self.order_g, self.tg = g.exponent(), g.order, _table_nums(g)
         self.sizes_g = np.array(conjugacy_classes(g).sizes)
-        self.sizes_h = np.array(conjugacy_classes(h).sizes)
-        self.tg, th = _table_nums(g), _table_nums(h)
-        self.th = lift(th, h.exponent(), e, _table_bound(th, h.exponent()))
-        self.cols = _restriction_classes(s)
-        self.ind = _induction_sums(s, self.th, _table_bound(self.th, e))
-        k = len(th)
-        index = {key: j for j, key in enumerate(row_keys(th))}
-        perms = _conj_class_perms(s)
-        keys = row_keys(perms)
-        moved = {key: [index.get(x, -1) for x in row_keys(th[:, p])]
-                 for key, p in dict(zip(keys, perms)).items()}
-        self.perm = np.array([moved[key] for key in keys], dtype=np.int64)
-        if np.any(self.perm < 0):
-            raise InternalContradiction(
-                "conjugation does not permute the rows of the subgroup's table")
-        self.orbit = np.zeros((k, k), dtype=bool)
-        self.orbit[np.arange(k), self.perm] = True
-        fixed = self.perm == np.arange(k)
+        ths, cols, sizes, inds, perms, members = zip(*segments)
+        ks = [len(th) for th in ths]
+        self.ends = list(accumulate(ks))
+        self.starts = [0] + self.ends[:-1]
+        n, k = self.ends[-1], max(ks)
+        self.seg = np.repeat(np.arange(len(ks)), ks)
+        self.order_h = np.array([x.sum() for x in members])
+        self.cols, self.sizes_h = np.concatenate(cols), np.concatenate(sizes)
+        self.ind, self.perm = np.concatenate(inds), np.concatenate(perms, axis=1)
+        # past its own classes a row's padding points at the last class,
+        # where th is 0
+        self.pad = np.minimum(np.repeat(self.starts, ks)[:, None] + np.arange(k), n - 1)
+        self.real = np.arange(k) < np.repeat(ks, ks)[:, None]
+        self.th = np.zeros((n, k, self.tg.shape[2]), dtype=np.result_type(*ths))
+        for th, lo in zip(ths, self.starts):
+            self.th[lo:lo + len(th), :len(th)] = th
+        self.orbit = np.zeros((n, k), dtype=bool)
+        self.orbit[np.arange(n), self.perm] = True
+        self.at = np.arange(n) - self.pad[:, 0]
+        fixed = self.perm == self.at
         self.stab = fixed.sum(axis=0)
-        self.is_h = (fixed == (s.member_index() >= 0)[:, None]).all(axis=0)
+        self.is_h = (fixed == np.stack(members, axis=1)[:, self.seg]).all(axis=0)
+        self._gram_pass(ths, inds)
 
-    @cached_property
-    def matches(self) -> np.ndarray:
-        """matches[r, j]: Res chi_r = theta_j, on the gather's values."""
-        return (self.tg[:, None, self.cols] == self.th).all(axis=(2, 3))
+    def _gram_pass(self, ths, inds) -> None:
+        """The four Gram products of every pair, from one pass modulo the
+        Gram primes: G's table is evaluated once per prime and gathered at
+        ``cols``, the restriction norms are segment sums of its weighted
+        products, the multiplicities one batch of matmuls over the padded
+        classes of each pair, and ``ind`` is evaluated once for both induced
+        products.  The primes serve the largest bound of the pairs, and
+        each pair's dtypes are those of its own, as when it is built
+        alone.  The bounds are products of integers: the
+        `_table_bound` of G's table, which bounds its gather at cols, and of
+        each pair's th and ind; the class sizes are reduced mod each prime
+        once per pass."""
+        e, og, w, bg = self.e, self.order_g, self.tg.shape[2], _table_bound(self.tg, self.e)
+        bounds = [[_bound(bg, bg, oh, e, w), _bound(bg, _table_bound(th, e), oh, e, w),
+                   _bound(bi, bi, og, e, w), _bound(bg, bi, og, e, w)]
+                  for th, bi, oh in zip(ths, (_table_bound(a, e) for a in inds),
+                                        self.order_h.tolist())]
+        self.dtypes = [dict(zip(("res_norm", "res_gram", "ind_norm", "ind_gram"),
+                                map(int_dtype, b))) for b in bounds]
+
+        def residues(data):
+            p, x = data.prime, _evaluate(self.tg, data)
+            xr, xi = x[..., self.cols], _evaluate(self.ind, data)
+            rh, rg = _residues(self.sizes_h, p), _residues(self.sizes_g, p)
+            # one batch of matmuls, a pair's padded rows of th against its
+            # padded classes of the gather, read at each pair's own rows
+            pad, yh = self.pad[self.starts], _evaluate(self.th, data)[data.conj]
+            mult = _matmul_mod(xr[..., pad].transpose(0, 2, 1, 3), (
+                yh * rh[self.pad] % p)[:, pad].transpose(0, 1, 3, 2), p)
+            return [np.add.reduceat(xr * rh % p * xr[data.conj] % p,
+                                    self.starts, axis=-1) % p,
+                    mult.transpose(0, 2, 1, 3)[..., self.seg, self.at],
+                    _diagonal_values(xi, rg, data), _gram_values(x, xi, rg, data)]
+        self.res_norm, self.res_gram, self.ind_norm, self.ind_gram = _crt(
+            e, [max(b) for b in zip(*bounds)], residues)
+
+    def _segments(self, a: np.ndarray, reduce=np.logical_or) -> np.ndarray:
+        """`reduce` over each pair's rows in the last axis of a."""
+        return reduce.reduceat(a, self.starts, axis=-1)
 
     @cached_property
     def mult(self) -> np.ndarray:
-        """<Res chi_r, theta_j> for every r and j; NotACharacter when one is
-        not a nonnegative integer."""
-        return _multiplicities(self.res_gram, self.e, self.order_h)
+        """<Res chi_r, theta_j> for every r and j, read off res_gram on first
+        use, so that a check that reads no multiplicity never fails on one:
+        0 where one is not a nonnegative integer, and ``refused[i]`` marks
+        the pairs that hold such a value."""
+        m, bad = _integers(self.res_gram, self.order_h[self.seg])
+        self.refused = self._segments(bad.any(axis=0))
+        return m
+
+    @cached_property
+    def matches(self) -> np.ndarray:
+        """matches[r, j]: Res chi_r = theta_j, on the gather's values at the
+        classes of j's own H: each restricted row, padded with zeros as th
+        is, and each row of th is named by its key (`row_keys`), and the
+        names are compared."""
+        n, (rows, _, w), at = len(self.seg), self.tg.shape, self.starts
+        res = np.take(self.tg, self.cols[self.pad[at]], axis=1) * self.real[at, :, None]
+        names = {}
+        ids = np.array([names.setdefault(key, len(names)) for key in row_keys(
+            np.concatenate([res.reshape(-1, *self.th.shape[1:]), self.th]))])
+        return ids[:-n].reshape(rows, -1)[:, self.seg] == ids[-n:]
 
     @cached_property
     def clifford(self) -> np.ndarray:
-        """Rows (j, e, t, fail) over the rows r of G's table: j_r the first
-        constituent of Res chi_r (0 when it has none), e_r = <Res chi_r,
-        theta_j>, t_r the size of the orbit of theta_j, and fail_r the index
-        in `_CLIFFORD_FAILURES` of the first check that row r fails, -1 when
-        Res chi_r = e_r (the orbit of theta_j) holds with chi(1) = e t
-        theta(1), <Res chi, Res chi> = e^2 t, e^2 <= |I/H| and e^2 t <= |G/H|.
-        """
-        m, parts = self.mult, self.mult != 0
-        rows, j = np.arange(len(m)), parts.argmax(axis=1)
-        e, orbit = m[rows, j], self.orbit[j]
+        """(j, e, t, fail) of every row r of G's table over every pair i,
+        shape (4, rows of G, pairs): j the first constituent of Res chi_r on
+        H_i's rows, local to them (0 when it has none), e = <Res chi_r,
+        theta_j>, t the size of the orbit of theta_j, and fail the index in
+        `_CLIFFORD_FAILURES` of the first check that the row fails, -1 when
+        Res chi_r = e (the orbit of theta_j) holds with chi(1) = e t
+        theta(1), <Res chi, Res chi> = e^2 t, e^2 <= |I/H| and e^2 t <=
+        |G/H|.  The first constituent is a segment minimum, t a segment sum
+        of the orbit rows of the first constituents, gathered at each
+        pair's rows."""
+        m, n, oh = self.mult, len(self.seg), self.order_h
+        parts, rows, starts = m != 0, np.arange(len(m))[:, None], np.array(self.starts)
+        j = self._segments(np.where(parts, np.arange(n), n), np.minimum)
+        j = np.where(j < n, j, starts)
+        e = m[rows, j]
+        orbit = self.orbit[j[:, self.seg], self.at]
         orbit[rows, j] = True
-        t = orbit.sum(axis=1)
-        fails = np.stack([
-            ~parts.any(axis=1) | (parts & (m != e[:, None])).any(axis=1),
-            (parts != orbit).any(axis=1),
-            self.tg[:, 0, 0] != e * t * self.th[j, 0, 0],
-            ~_equals(self.res_norm, e * e * t * self.order_h),
-            (e * e > self.stab[j] // self.order_h)
-            | (e * e * t > self.order_g // self.order_h)])
-        return np.stack([j, e, t, np.where(fails.any(axis=0),
-                                           fails.argmax(axis=0), -1)])
+        t = self._segments(orbit, np.add)
+        fails = np.array([
+            ~self._segments(parts) | self._segments(parts & (m != e[:, self.seg])),
+            self._segments(parts != orbit),
+            self.tg[:, :1, 0] != e * t * self.th[j, 0, 0],
+            ~_equals(self.res_norm, e * e * t * oh),
+            (e * e > self.stab[j] // oh) | (e * e * t > self.order_g // oh)])
+        return np.array([j - starts, e, t, np.where(fails.any(axis=0),
+                                                    fails.argmax(axis=0), -1)])
 
     @cached_property
     def checks(self) -> np.ndarray:
-        """The classification checks of every row under a prime index, one
-        row per name of `_CHECKS`: the restricted case's, where <Res chi,
-        Res chi> = 1 and Res chi must be theta_j on the gather's values, then
-        the induced case's; Ind theta_j = chi_r is read once per row r, at
-        j = j_r."""
+        """The classification checks of every row under every pair, shape
+        (names of `_CHECKS`, rows of G, pairs), one row per name: the
+        restricted case's, where <Res chi, Res chi> = 1 and Res chi must be
+        theta_j on the gather's values, then the induced case's; Ind theta_j
+        = chi_r is read once per row r, at j = j_r."""
         j, e, t, _ = self.clifford
-        q, m = self.order_g // self.order_h, self.mult
-        induced = (self.ind[j] == scaled(self.tg, self.order_h,
-                                         _table_bound(self.tg, self.e))
-                   ).all(axis=(1, 2))
-        return np.stack([
-            _equals(self.res_norm, self.order_h),
-            ((m != 0).sum(axis=1) == 1) & (m[np.arange(len(m)), j] == 1)
-            & self.matches[np.arange(len(m)), j],
+        m, oh, j = self.mult, self.order_h, j + self.starts
+        rows, q, by = np.arange(len(m))[:, None], self.order_g // oh, oh[:, None, None]
+        # |H| chi_r in a width that holds it
+        tg = self.tg.astype(int_dtype(_table_bound(self.tg, self.e) * int(oh.max())),
+                            copy=False)
+        induced = (self.ind[j] == tg[:, None] * by).all(axis=(2, 3))
+        return np.array([
+            _equals(self.res_norm, oh), (self._segments(m != 0, np.add) == 1)
+            & (m[rows, j] == 1) & self.matches[rows, j],
             self.stab[j] == self.order_g, ~induced, t == q, e == 1, induced,
-            self.is_h[j], _equals(self.res_norm, q * self.order_h)])
+            self.is_h[j], _equals(self.res_norm, q * oh)])
+
+    @cached_property
+    def induction(self) -> np.ndarray:
+        """For every theta_j, where Res Ind theta_j differs from |I/H| times
+        its orbit sum, <Ind theta_j, Ind theta_j> from |I/H|, I = H from
+        that norm being 1, and Ind theta_j(1) from [G:H] theta_j(1): shape
+        (4, rows of H).  Res Ind theta by the gather of ind, at the classes
+        of each H only; |I/H| times the orbit sums by the orbit rows; the
+        norms by the Gram product, |I/H| by the stabilizers."""
+        n, oh, og = len(self.seg), self.order_h[self.seg], self.order_g
+        ratio, scale = self.stab // oh, oh * oh * og
+        # the orbit sums, accumulated at each orbit's first row: at most n
+        # rows of th, each taken |I| = ratio |H| <= |G| times
+        first = self.pad[np.arange(n), self.orbit.argmax(axis=1)]
+        sums = np.zeros(self.th.shape, dtype=int_dtype(n * og * _table_bound(self.th, self.e)))
+        np.add.at(sums, first, self.th)
+        res = self.ind[np.arange(n)[:, None], self.cols[self.pad]]
+        return np.array([
+            ((res != sums[first] * (ratio * oh)[:, None, None]).any(axis=2)
+             & self.real).any(axis=1),
+            ~_equals(self.ind_norm, ratio * scale),
+            _equals(self.ind_norm, scale) != self.is_h,
+            ~_equals(self.ind[:, 0], og // oh * self.th[:, 0, 0] * oh)])
+
+    @cached_property
+    def reciprocity(self) -> np.ndarray:
+        """reciprocity[j, r]: Frobenius reciprocity <chi_r, Ind theta_j> =
+        <Res chi_r, theta_j> fails, the left side ind_gram, from the induced
+        table's own evaluation, the right the multiplicity Gram of the
+        gather, compared by exact division by |G|."""
+        lhs, og = self.ind_gram, self.order_g
+        return ((lhs % og != 0) | (lhs // og != self.res_gram)).any(axis=2).T
+
+
+class _NormalPair:
+    """The normal pair (G, H) that is pair i of ``pairs``, a `_NormalPairs`:
+    each array of the pair is its segment there, read on first use (see
+    `_CUTS`), with H's rows and classes numbered from 0, so that a row fails
+    only on its own checks.  The Gram products take the dtypes of the
+    pair's own bounds, and ``mult``, ``clifford`` and ``checks`` raise the
+    NotACharacter of a pair whose multiplicities are not integers.  e,
+    order_g, sizes_g and tg are G's."""
+
+    def __init__(self, pairs: _NormalPairs, i: int) -> None:
+        self.pairs, self.i, self.lo, self.hi = pairs, i, pairs.starts[i], pairs.ends[i]
+        self.e, self.order_g, self.sizes_g, self.tg, self.order_h = (
+            pairs.e, pairs.order_g, pairs.sizes_g, pairs.tg, int(pairs.order_h[i]))
+
+    def __getattr__(self, name):
+        if name not in _CUTS:
+            raise AttributeError(name)
+        pairs, i = self.pairs, self.i
+        value = getattr(pairs, name)[_CUTS[name](slice(self.lo, self.hi), i)]
+        if name in ("mult", "clifford", "checks") and pairs.refused[i]:
+            _multiplicities(self.res_gram, self.e, self.order_h)
+        if name in pairs.dtypes[i]:
+            value = value.astype(pairs.dtypes[i][name], copy=False)
+        setattr(self, name, value)
+        return value
 
     def frobenius(self) -> str:
-        """The detail of Frobenius reciprocity, <chi_r, Ind theta_i> =
-        <Res chi_r, theta_i> for every r and i, the left side ind_gram, from
-        the induced table's own evaluation, the right the multiplicity Gram
-        of the gather, compared by exact division by |G|: "" when it holds,
-        else <Ind theta_i, chi_r> and <theta_i, Res chi_r>, the conjugates,
-        at the last (i, r) where they differ."""
-        lhs, rhs, og = self.ind_gram, self.res_gram, self.order_g
-        bad = np.argwhere(((lhs % og != 0) | (lhs // og != rhs)
-                           ).any(axis=2).T).tolist()
+        """The detail of Frobenius reciprocity for every r and i: "" when it
+        holds, else <Ind theta_i, chi_r> and <theta_i, Res chi_r>, the
+        conjugates, at the last (i, r) where they differ."""
+        bad = np.argwhere(self.reciprocity).tolist()
         if not bad:
             return ""
         i, r = bad[-1]
+        lhs, rhs = self.ind_gram[r, i][None], self.res_gram[r, i][None]
         return (f"<Ind t{i}, x{r}> = "
-                f"{values(lhs[r, i][None], self.e, self.order_h * self.order_g)[0].conjugate()}"
-                f" != {values(rhs[r, i][None], self.e, self.order_h)[0].conjugate()}")
+                f"{values(lhs, self.e, self.order_h * self.order_g)[0].conjugate()}"
+                f" != {values(rhs, self.e, self.order_h)[0].conjugate()}")
 
-    def extensions(self, j: int) -> list[int]:
-        """The rows chi_r with Res chi_r = theta_j, in table order, for a
-        theta_j invariant under a prime index, which must have one."""
-        rows = np.flatnonzero(self.matches[:, j])
-        if not len(rows):
+    def extensions(self, j):
+        """matches[:, j], where Res chi_r = theta_j, for a theta_j invariant
+        under a prime index or for each of an array of such j: each must
+        have a row chi_r, an extension."""
+        exts = self.matches[:, j]
+        if not exts.any(axis=0).all():
             raise InternalContradiction(
                 "no extension found for an invariant character of prime index")
-        return rows.tolist()
-
-    def products(self, thetas: np.ndarray, rows: list[int], qmap: QuotientMap):
-        """Gallagher's products chi_r * psi_i for r in rows, an extension of
-        theta_j for each j in thetas, and psi_i the table of G/H inflated to
-        G: whether the products of each r repeat, whether |H| times their
-        sum differs from |H| Ind theta_j, and |G| times their norms,
-        numerators at e of shape (rows, rows of G/H, .).
-
-        One pass modulo the Gram primes: a product is G's evaluated row
-        times the evaluated psi_i, its norm is interpolated exactly, and the
-        products and sums are compared at every embedding, with primes whose
-        product exceeds twice a bound on every numerator compared.  A
-        product's numerators sum 2 phi - 1 folded convolution sums of at
-        most phi terms, and a norm's sum, per class, phi^3 terms at each of
-        e powers of the power table."""
-        e, eq, psi = self.e, qmap.group.exponent(), _inflated_table(qmap)
-        psi = lift(psi, eq, e, _table_bound(psi, eq))
-        n, m, phi = len(rows), len(psi), psi.shape[2]
-        top, fold = _table_bound(self.tg, e) * _table_bound(psi, e), _fold_bound(e, e)
-        bound = max(self.order_g * phi ** 3 * top ** 2 * e * fold,
-                    _table_bound(self.ind, e)
-                    + self.order_h * m * (2 * phi - 1) * phi * top * fold)
-        seen = []
-
-        def residues(data):
-            p, x = data.prime, _evaluate(self.tg[rows], data)[:, :, None]
-            prods = x * _evaluate(psi, data)[:, None] % p
-            diff = self.order_h * prods.sum(axis=2) - _evaluate(self.ind[thetas], data)
-            seen.append((prods.transpose(1, 2, 0, 3), (diff % p).any(axis=(0, 2))))
-            return [_diagonal_values(prods, _residues(self.sizes_g, p), data)]
-        (norms,) = _crt(e, [bound], residues)
-        keys = row_keys(np.concatenate([x for x, _ in seen], axis=2).reshape(n * m, -1))
-        repeated = [len(set(keys[x * m:(x + 1) * m])) < m for x in range(n)]
-        return np.array(repeated), np.any([d for _, d in seen], axis=0), norms
+        return exts
 
 
-def _gram_pass(pairs: list[_NormalPair]) -> None:
-    """Set the four Gram products of pairs over one group G, from one pass
-    modulo the Gram primes for all of them: G's table is evaluated once per
-    prime and gathered at the concatenated ``cols``, the restriction norms
-    are segment sums of its weighted products, the multiplicities one
-    batched matmul against the block diagonal of the lifted H tables, and
-    the stacked ``ind`` rows are evaluated once for both induced products.
-    The primes serve the largest bound of the batch, and each pair's cut is
-    a copy of the dtype of its own `_bound`, as when it is built alone.
-    Those bounds are products of integers: the `_table_bound` of G's table,
-    which bounds its gather at cols, and of each pair's th and ind; the
-    class sizes are reduced mod each prime once per pass."""
-    first = pairs[0]
-    e, w, bg = first.e, first.tg.shape[2], _table_bound(first.tg, first.e)
-    ends = list(accumulate(len(pair.th) for pair in pairs))
-    starts = [0] + ends[:-1]
-    cols = np.concatenate([pair.cols for pair in pairs])
-    wh = np.concatenate([pair.sizes_h for pair in pairs])
-    ind = np.concatenate([pair.ind for pair in pairs])
-    block = np.zeros((ends[-1], ends[-1], w),
-                     dtype=np.result_type(*(pair.th for pair in pairs)))
-    bounds = []
-    for pair, lo, hi in zip(pairs, starts, ends):
-        block[lo:hi, lo:hi] = pair.th
-        bh, bi = _table_bound(pair.th, e), _table_bound(pair.ind, e)
-        oh, og = pair.order_h, pair.order_g
-        bounds.append([_bound(bg, bg, oh, e, w), _bound(bg, bh, oh, e, w),
-                       _bound(bi, bi, og, e, w), _bound(bg, bi, og, e, w)])
+def _products(subs: list[Subgroup]) -> list:
+    """Gallagher's products on the normal pairs (G, s) of prime index of
+    one group G.  Per s: its invariant thetas, read off the stabilizers, and
+    how many extensions chi each has; for the first chi_r of each theta_j
+    and psi_i the table of G/H inflated to G, whether the products chi_r *
+    psi_i repeat, whether |H| times their sum differs from |H| Ind theta_j,
+    and |G| times their norms, numerators at e of shape (thetas, rows of
+    G/H, .) and of the dtype of the pair's own bound.  The exact error of a
+    pair whose arrays, extensions or quotient cannot be built stands in its
+    place.
+
+    One pass modulo the Gram primes for all pairs: G's table is evaluated
+    once per prime, a product is a row of it times the evaluated psi_i, its
+    norm is interpolated exactly, and the products and sums are compared at
+    every embedding, with primes whose product exceeds twice the largest
+    pair's bound on every numerator compared.  A product's numerators sum
+    2 phi - 1 folded convolution sums of at most phi terms, and a norm's
+    sum, per class, phi^3 terms at each of e powers of the power table."""
+    found, parts, bounds, seen = [], [], [], []
+    for s in subs:
+        try:
+            pair = _pair(s)
+            thetas = np.flatnonzero(pair.stab == pair.order_g)
+            exts, qmap = pair.extensions(thetas), quotient(s.parent, s)[1]
+            e, og, eq, psi = pair.e, pair.order_g, qmap.group.exponent(), _inflated_table(qmap)
+            psi = lift(psi, eq, e, _table_bound(psi, eq))
+        except CharcondError as exc:
+            found.append(exc)
+            continue
+        m, phi, top = len(psi), psi.shape[2], _table_bound(pair.tg, e) * _table_bound(psi, e)
+        found.append((thetas, exts.sum(axis=0)))
+        parts.append((len(found) - 1, pair, thetas, exts.argmax(axis=0), psi))
+        bounds.append(max(og * phi ** 3 * top ** 2 * e * _fold_bound(e, e),
+                          _table_bound(pair.ind, e) + pair.order_h * m
+                          * (2 * phi - 1) * phi * top * _fold_bound(e, e)))
+    if not parts:
+        return found
+    g = parts[0][1]
 
     def residues(data):
-        p, x = data.prime, _evaluate(first.tg, data)
-        xr, xi = x[..., cols], _evaluate(ind, data)
-        rh, rg = _residues(wh, p), _residues(first.sizes_g, p)
-        return [np.add.reduceat(xr * rh % p * xr[data.conj] % p,
-                                starts, axis=-1) % p,
-                _gram_values(xr, _evaluate(block, data), rh, data),
-                _diagonal_values(xi, rg, data), _gram_values(x, xi, rg, data)]
-    batch = _crt(e, [max(b) for b in zip(*bounds)], residues)
-    for i, (pair, lo, hi, b) in enumerate(zip(pairs, starts, ends, bounds)):
-        cuts = batch[0][:, i], batch[1][:, lo:hi], batch[2][lo:hi], batch[3][:, lo:hi]
-        pair.res_norm, pair.res_gram, pair.ind_norm, pair.ind_gram = (
-            x.astype(int_dtype(bound), order="C") for x, bound in zip(cuts, b))
+        p, x = data.prime, _evaluate(g.tg, data)
+        sizes, out = _residues(g.sizes_g, p), []
+        for _, one, thetas, rows, psi in parts:
+            prods = x[:, rows, None] * _evaluate(psi, data)[:, None] % p
+            diff = one.order_h * prods.sum(axis=2) - _evaluate(one.ind[thetas], data)
+            seen.append((prods.transpose(1, 2, 0, 3), (diff % p).any(axis=(0, 2))))
+            out.append(_diagonal_values(prods, sizes, data))
+        return out
+    for k, ((x, _, _, rows, psi), norms) in enumerate(
+            zip(parts, _crt(g.e, bounds, residues))):
+        mine, n, m = seen[k::len(parts)], len(rows), len(psi)
+        keys = row_keys(np.concatenate([y for y, _ in mine], axis=2).reshape(n * m, -1))
+        found[x] += (np.array([len(set(keys[y * m:(y + 1) * m])) < m for y in range(n)]),
+                     np.any([d for _, d in mine], axis=0), norms)
+    return found
 
 
 def _pairs(subs: list[Subgroup]) -> None:
-    """Build the pairs (G, s) of normal subgroups s of one group that no
-    cache holds yet, with one `_gram_pass` for all of them, and keep each as
-    `_pair` would.  Raises nothing: a subgroup whose own arrays raise is left
-    out, and a pass that raises keeps no pair, so that `_pair` raises the
-    error again within the records that need it."""
+    """Build the pairs (G, s) of normal subgroups s of one group G that no
+    cache holds yet as one `_NormalPairs`, and keep each pair's
+    `_NormalPair` as `_pair` would.  Raises nothing: a subgroup whose own
+    arrays raise is left out, and a Gram pass that raises keeps no pair, so
+    that `_pair` raises the error again within the records that need it."""
     built = []
     for s in subs:
         if _pair.peek(s) is None:
             try:
-                built.append((s, _NormalPair(s)))
+                built.append((s, _segment(s)))
             except CharcondError:
                 pass
     if built:
         try:
-            _gram_pass([pair for _, pair in built])
+            pairs = _NormalPairs(built[0][0].parent, [x for _, x in built])
         except CharcondError:
             return
-    for s, pair in built:
-        _pair.put(s, pair)
+        for i, (s, _) in enumerate(built):
+            _pair.put(s, _NormalPair(pairs, i))
 
 
 @cached
@@ -353,9 +486,7 @@ def _pair(s: Subgroup) -> _NormalPair:
     """The arrays of the normal pair (G, s), built once per subgroup cache
     and kept there by `groups.cached`: the build of `_pairs` on a list of
     one, which raises where `_pairs` leaves the pair out."""
-    pair = _NormalPair(s)
-    _gram_pass([pair])
-    return pair
+    return _NormalPair(_NormalPairs(s.parent, [_segment(s)]), 0)
 
 
 def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:
@@ -474,7 +605,7 @@ def find_extensions(theta: Character, s: Subgroup) -> tuple[Character, ...]:
     pair = _pair(s)
     if pair.stab[j] != s.parent.order:
         raise NotInvariant("character is not invariant in the parent group")
-    rows = pair.extensions(j)
+    rows = np.flatnonzero(pair.extensions(j)).tolist()
     table = character_table(s.parent)
     return tuple(table[r] for r in rows)
 

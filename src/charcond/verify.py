@@ -12,17 +12,19 @@ degrees and the Gallagher label come from `_outcome`, which returns an exact
 error in place of a value, so that a check given one fails its records with
 it and their text shows "?".  The clifford, dichotomy, classification and
 gallagher suites share one loop over the normal pairs (G, H), and they and
-the Frobenius check read whole tables: the arrays of the pair's
-`clifford._NormalPair`, built once per subgroup, those of one group together
-(`clifford._pairs`).  Each check is one pass
-over those arrays, for all rows or all theta at once, and builds exact
-values only for the text of a failure.  The two sides of each identity come
-by different routes: Res Ind theta by the gather of the induced table, the
-orbit sums by the row permutations; <Ind theta, Ind theta> by a Gram
-product, |I/H| by the stabilizer; e and the constituents by the
-multiplicity Gram product, the orbit by the permutations; <chi, Ind theta>
-by a Gram product of the induced table, <Res chi, theta> by the
-multiplicity Gram product of the gather.
+the Frobenius check read whole tables: the arrays of the normal pairs of
+one group, built together once (`clifford._pairs`), of which a pair's
+`clifford._NormalPair` is its segment.  Each verdict is one pass over those
+arrays, for all rows or all theta of all the pairs of a group at once, and
+a check reads its pair's segment and builds exact values only for the text
+of a failure; Gallagher's products of all the pairs of prime index of a
+group come from one pass modulo the Gram primes (`clifford._products`).
+The two sides of each identity come by different routes: Res Ind theta by
+the gather of the induced table, the orbit sums by the row permutations;
+<Ind theta, Ind theta> by a Gram product, |I/H| by the stabilizer; e and
+the constituents by the multiplicity Gram product, the orbit by the
+permutations; <chi, Ind theta> by a Gram product of the induced table,
+<Res chi, theta> by the multiplicity Gram product of the gather.
 
 The conductor checks work on arrays as well.  The random characters phi, psi
 of the additivity trials are one multiplicity matrix times the table.  The
@@ -45,9 +47,10 @@ import numpy as np
 from . import DEFAULT_MAX_ORDER, SUITE_NAMES
 from .catalog import Catalog, default_catalog
 from .characters import (character_table, induce, _conj_class_perms, _exact,
-                         _table_bound, _table_nums)
+                         _table_nums)
 from .clifford import (NormalChain, construct_large_degree, promote_degree,
-                       _classify_row, _clifford_row, _equals, _pair, _pairs)
+                       _classify_row, _clifford_row, _equals, _pair, _pairs,
+                       _products)
 from .cyclotomic import _matmul
 from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
                         conductor_exponents, conductors,
@@ -56,8 +59,8 @@ from .conductor import (GaloisContext, RamificationFiltration, artin_conductor,
                         _count_matrix)
 from .errors import CharcondError, InvalidData
 from .groups import (FiniteGroup, Subgroup, normal_subgroups,
-                     prime_index_normal_subgroups, product_chain, quotient,
-                     trivial_subgroup)
+                     prime_index_normal_subgroups, product_chain,
+                     row_keys, trivial_subgroup)
 
 _RANDOM_SEED = 20230923
 _ADDITIVITY_TRIALS = 100
@@ -156,22 +159,29 @@ def _pair_name(g: FiniteGroup, s: Subgroup) -> str:
 
 
 def _pair_suite(suite: str, cat: Catalog | None, max_order: int,
-                prime_only: bool, checks, label=None) -> VerificationReport:
+                prime_only: bool, checks, label=None,
+                batch=None) -> VerificationReport:
     """The records of `checks`, (identities, check of a subgroup) pairs, on
     every proper normal pair (G, H) of the catalog, of prime index if asked,
     the pairs of each G built together.
     A `label`, (name, function of a subgroup), adds its value to the inputs
-    of the pair's records and is its checks' second argument."""
+    of the pair's records and is its checks' second argument.  A `batch`,
+    a function of the subgroups of one G that gives one value per subgroup,
+    gives the checks their last argument; an exact error that it raises
+    stands for the value of every subgroup."""
     rep = VerificationReport(suite)
     for _, g in (cat or default_catalog()).groups_up_to(max_order):
         subs = [s for s in (prime_index_normal_subgroups(g) if prime_only
                             else normal_subgroups(g)) if s.order < g.order]
         _pairs(subs)
-        for s in subs:
+        found = _outcome(batch, subs) if batch else None
+        for k, s in enumerate(subs):
             where, args = _pair_name(g, s), (s,)
             if label:
                 value = _outcome(label[1], s)
                 where, args = f"{where}, {label[0]}={_shown(value)}", (s, value)
+            if batch:
+                args += (found if isinstance(found, CharcondError) else found[k],)
             for identities, check in checks:
                 _attempt(rep, identities, where, check, *args)
     return rep
@@ -182,7 +192,7 @@ def _last_failure(fails: list[np.ndarray], texts: list) -> str:
     with the checks inside it: fails holds one boolean array over the items
     per check, texts one function of the item per check; "" when none
     fails."""
-    at = np.argwhere(np.stack(fails).T)
+    at = np.argwhere(np.array(fails).T)
     if not len(at):
         return ""
     item, check = at[-1].tolist()
@@ -191,23 +201,19 @@ def _last_failure(fails: list[np.ndarray], texts: list) -> str:
 
 def _induction(s: Subgroup) -> tuple[str, str]:
     """Res Ind theta = |I/H| times the orbit sum, and <Ind theta, Ind theta>
-    = |I/H| with the degree bookkeeping, as arrays over every theta of H;
-    each record shows its last failure."""
+    = |I/H| with the degree bookkeeping, read off the pair's induction
+    verdicts over every theta of H; each record shows its last failure."""
     pair = _pair(s)
-    th, deg, scale = pair.th, pair.th[:, 0, 0], s.order ** 2 * s.parent.order
-    ratio = pair.stab // s.order
-    # Res Ind theta by the gather; |I/H| times the orbit sums by the row action
-    # each orbit row holds |I| = ratio |H| <= |G|
-    sums = _matmul(pair.orbit * (ratio * s.order)[:, None],
-                   th.reshape(len(th), -1), s.parent.order,
-                   _table_bound(th, pair.e)).reshape(th.shape)
-    norms = pair.ind_norm
+    fails = pair.induction
+    if not fails.any():
+        return ("", "")
+    deg, scale = pair.th[:, 0, 0], s.order ** 2 * s.parent.order
+    ratio, norms = pair.stab // s.order, pair.ind_norm
     return (_last_failure(
-        [(pair.ind[:, pair.cols] != sums).any(axis=(1, 2))],
+        fails[:1],
         [lambda i: f"Res Ind theta mismatch for theta degree {int(deg[i])}"]),
         _last_failure(
-        [~_equals(norms, ratio * scale), _equals(norms, scale) != pair.is_h,
-         ~_equals(pair.ind[:, 0], s.index * deg * s.order)],
+        fails[1:],
         [lambda i: (f"<Ind,Ind> = {_exact(norms[i], pair.e, scale)}, "
                     f"expected {int(ratio[i])}"),
          lambda i: "irreducibility of Ind theta disagrees with I=H",
@@ -279,39 +285,34 @@ def suite_classification(cat: Catalog | None = None,
          _classification)])
 
 
-def _gallagher(s: Subgroup, invariant: int) -> tuple[str]:
+def _gallagher(s: Subgroup, invariant: int, found: tuple) -> tuple[str]:
     """Each invariant theta has extensions chi; the products chi * psi_i with
     the irreducibles psi_i of G/H are distinct and irreducible, sum to Ind
     theta and are as many as the extensions, as arrays over the invariant
-    thetas, from the pair's one pass modulo the Gram primes: distinctness
-    and the sum compared at every embedding, the norms interpolated; the
-    invariant thetas, read off the stabilizers, are as many as the label
-    counted; the record shows the last failure."""
-    pair, (_, qmap) = _pair(s), quotient(s.parent, s)
-    thetas = np.flatnonzero(pair.stab == s.parent.order)
-    exts = [pair.extensions(j) for j in thetas.tolist()]
-    # the trivial theta is invariant, so there is an extension chi
-    repeated, differs, norms = pair.products(thetas, [r[0] for r in exts], qmap)
+    thetas, from the group's one pass modulo the Gram primes
+    (`clifford._products`): distinctness and the sum compared at every
+    embedding, the norms interpolated; the invariant thetas are as many as
+    the label counted; the record shows the last failure."""
+    thetas, exts, repeated, differs, norms = found
     m = norms.shape[1]
     detail = _last_failure(
-        [repeated, differs, ~_equals(norms, s.parent.order).all(axis=1),
-         np.array([len(rows) for rows in exts], dtype=np.int64) != m],
+        [repeated, differs, ~_equals(norms, s.parent.order).all(axis=1), exts != m],
         [lambda x: "products chi * psi_i are not distinct",
          lambda x: "sum of chi * psi_i differs from Ind theta",
          lambda x: "a product chi * psi_i is not irreducible",
-         lambda x: f"{len(exts[x])} extensions, expected {m}"])
+         lambda x: f"{exts[x]} extensions, expected {m}"])
     if len(thetas) != invariant:
         detail = f"{len(thetas)} invariant thetas, the label counts {invariant}"
     return (detail,)
 
 
 def _invariant_thetas(s: Subgroup) -> int:
-    """How many rows of H's table G fixes, read off the class permutations,
-    so that the record names them when the pair's own arrays cannot be
-    built."""
-    th = _table_nums(s.as_group())
-    fixed = (th[:, _conj_class_perms(s)] == th[:, None]).all(axis=(1, 2, 3))
-    return int(fixed.sum())
+    """How many rows of H's table G fixes, compared under each distinct
+    permutation of the H-classes once, so that the record names them when
+    the pair's own arrays cannot be built."""
+    th, perms = _table_nums(s.as_group()), _conj_class_perms(s)
+    perms = perms[list(dict(zip(row_keys(perms), range(len(perms)))).values())]
+    return int((th[:, perms] == th[:, None]).all(axis=(1, 2, 3)).sum())
 
 
 def suite_gallagher(cat: Catalog | None = None,
@@ -319,7 +320,7 @@ def suite_gallagher(cat: Catalog | None = None,
     """Invariant characters extend, and Ind theta = sum of chi * psi_i exactly."""
     return _pair_suite("gallagher", cat, max_order, prime_only=True, checks=[
         (("gallagher: extensions exist and exhaust Ind theta",), _gallagher)],
-        label=("invariant thetas", _invariant_thetas))
+        label=("invariant thetas", _invariant_thetas), batch=_products)
 
 
 def _s3_chain(cat: Catalog, copies: int) -> NormalChain:

@@ -46,6 +46,7 @@ from gram_oracle import oracle_diagonal, oracle_gram
 
 runs, checks, restricts, induces = Counter(), [], Counter(), Counter()
 builds, kernels, built, passes = Counter(), Counter(), Counter(), Counter()
+pairs = Counter()
 primes, scans = Counter(), Counter()
 self_grams, mismatches, validated = [], [], []
 check_table = characters._check_table
@@ -86,10 +87,12 @@ def counted_table(g, *args):
     return table(g, *args)
 
 def counted_build(cls):
+    # counts the builds per group, and the pairs each build holds
     init = cls.__init__
-    def build(self, s):
-        builds[(cls.__name__, s.parent.name, s.elements)] += 1
-        init(self, s)
+    def build(self, g, segments):
+        builds[(cls.__name__, g.name)] += 1
+        pairs[cls.__name__] += len(segments)
+        init(self, g, segments)
     cls.__init__ = build
 
 def compared(fn, oracle):
@@ -141,7 +144,7 @@ originals = {"restrict": restrict, "induce": induce, "character_table": table,
              "values": cyclotomic.values, "gram": cyclotomic.gram,
              "gram_diagonal": cyclotomic.gram_diagonal,
              "_crt": crt}
-counted_build(clifford._NormalPair)
+counted_build(clifford._NormalPairs)
 counted_builder("_dixon_rows")
 counted_builder("_abelian_rows")
 characters._check_table = counted_check_table
@@ -156,8 +159,9 @@ out = {"passed": rep.passed, "builders": builds_per_table(),
        "validate": len(checks), "validate_table": len(validated),
        "restrict": dict(restricts),
        "induce": dict(induces),
-       "builds": {cls: sorted(n for (c, _, _), n in builds.items() if c == cls)
-                  for cls in ("_NormalPair",)},
+       "builds": {cls: sorted(n for (c, _), n in builds.items() if c == cls)
+                  for cls in ("_NormalPairs",)},
+       "pairs": dict(pairs),
        "kernels": dict(kernels), "passes": dict(passes),
        "primes": dict(primes),
        "self_grams": self_grams,
@@ -214,14 +218,16 @@ def fresh_sweep():
     (`_validate_table`), the exact table checks (`_check_table`, which both
     builders run, and `validate()` on an array that is not the cached one),
     the `restrict`, `induce` and
-    `character_table` calls, how many normal pairs built their table arrays
-    how many times, the Gram kernel calls by kernel and calling function
+    `character_table` calls, how many times each group built the arrays of
+    its normal pairs (`clifford._NormalPairs`) and how many pairs those
+    builds held, the Gram kernel calls by kernel and calling function
     (each compared with the oracle kernel of `gram_oracle`, with the callers
     of any mismatch and of any `gram` of an array with itself), the passes
     modulo the Gram primes (`cyclotomic._crt`) by calling function
     and number of products, one per group for the Gram products of all its
-    normal pairs (`clifford._gram_pass`), and the primes those passes take
-    by calling function, and the
+    normal pairs (`_NormalPairs._gram_pass`) and one per group for
+    Gallagher's products of all its prime-index pairs (`clifford._products`),
+    and the primes those passes take by calling function, and the
     number of `Cyclotomic` values built; the builds and axiom checks of a
     second round in the same interpreter, and the arrays it scans with
     `cyclotomic._absmax`; and then the conductor cache

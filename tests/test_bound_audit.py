@@ -44,7 +44,7 @@ from charcond import characters, clifford
 from charcond.arith import is_prime
 from charcond.catalog import Catalog
 from charcond.cyclotomic import _absmax
-from charcond.groups import build_from_permutations, normal_subgroups, quotient
+from charcond.groups import build_from_permutations, normal_subgroups
 from charcond.verify import run_suite
 
 checked, short, grown = Counter(), [], []
@@ -87,14 +87,14 @@ for mod in [m for n, m in sys.modules.items() if n.startswith("charcond")]:
             setattr(mod, name, wrapped[fn])
 
 def pairs_and_products(g):
+    # the pairs' verdicts, and Gallagher's products of all the pairs of
+    # prime index in one pass
     subs = [s for s in normal_subgroups(g) if s.order < g.order]
     clifford._pairs(subs)
     for s in subs:
-        if is_prime(s.index):
-            pair = clifford._pair(s)
-            thetas = np.flatnonzero(pair.stab == g.order)
-            rows = [pair.extensions(j)[0] for j in thetas.tolist()]
-            pair.products(thetas, rows, quotient(g, s)[1])
+        clifford._pair(s).induction
+    got = clifford._products([s for s in subs if is_prime(s.index)])
+    assert not any(isinstance(x, Exception) for x in got)
 
 assert run_suite("all", cat=Catalog(), max_order=24).passed
 cat = Catalog()

@@ -379,17 +379,29 @@ def _outcome(fn, *args):
         return f"raised: {exc}"
 
 
+def _copied(pair, *names):
+    """The pair's segment on a copy of its group's arrays, with fresh copies
+    of the arrays `names` and no verdict computed yet but the
+    multiplicities."""
+    pair.mult
+    pairs = copy.copy(pair.pairs)
+    for name in ("clifford", "checks", "reciprocity"):
+        pairs.__dict__.pop(name, None)
+    for name in names:
+        setattr(pairs, name, getattr(pairs, name).copy())
+    return clifford._NormalPair(pairs, pair.i)
+
+
 def _perturbed(pair, rng):
     """A copy of the pair with one entry of its multiplicities, stabilizers,
-    restriction norms, I = H flags or orbits changed at random."""
-    fresh = copy.copy(pair)
-    for name in ("clifford", "checks"):
-        fresh.__dict__.pop(name, None)
+    restriction norms, I = H flags or orbits changed at random, in its
+    segment of a copy of its group's arrays."""
     name = ("mult", "stab", "res_norm", "is_h", "orbit")[rng.integers(5)]
-    a = getattr(pair, name).copy()
+    fresh = _copied(pair, name)
+    # the segment is a view of the copied array
+    a = getattr(fresh, name)
     at = tuple(int(rng.integers(n)) for n in a.shape)
     a[at] = ~a[at] if a.dtype == bool else a[at] + int(rng.choice([-2, -1, 1, 2]))
-    setattr(fresh, name, a)
     return fresh
 
 
@@ -434,11 +446,11 @@ def test_frobenius_divides_exactly_in_int64_and_python_ints():
     g = Catalog().group("S4")
     pair = clifford._pair(next(s for s in normal_subgroups(g) if s.index == 2))
     for dtype in (np.int64, object):
-        got = copy.copy(pair)
-        got.res_gram = pair.res_gram.astype(dtype)
         for off in (0, 1, g.order):
-            got.ind_gram = pair.ind_gram.astype(dtype)
-            got.ind_gram[1, 0, 0] += off
+            got = _copied(pair)
+            got.pairs.res_gram = pair.pairs.res_gram.astype(dtype)
+            got.pairs.ind_gram = pair.pairs.ind_gram.astype(dtype)
+            got.pairs.ind_gram[1, 0, 0] += off
             assert got.frobenius().startswith("<Ind t0, x1> = ") == bool(off)
 
 
@@ -451,17 +463,17 @@ def test_a_failing_row_fails_only_its_own_views_and_the_sweep_records(
     g = cat.group("S3")
     a3 = next(s for s in normal_subgroups(g) if s.order == 3)
     target = clifford._pair(a3)
-    real = clifford._NormalPair.mult.func
+    real = clifford._NormalPairs.mult.func
 
     def patched(self):
         m = real(self)
-        if self is target:
+        if self is target.pairs:
             m = m.copy()
-            m[1] = [1, 1, 0]
-            m[2] = [0, 2, 1]
+            m[1, :3] = [1, 1, 0]
+            m[2, :3] = [0, 2, 1]
         return m
 
-    monkeypatch.setattr(clifford._NormalPair, "mult", property(patched))
+    monkeypatch.setattr(clifford._NormalPairs, "mult", property(patched))
     table = character_table(g)
     e, orbit = clifford_decomposition(table[0], a3)
     assert e == 1 and orbit == (character_table(a3.as_group())[0],)

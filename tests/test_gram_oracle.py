@@ -7,7 +7,8 @@ on every input: both widths, conductors 1 to 120, negative and zero weights,
 and entries large enough to take several primes and Python ints.  So must
 the four Gram products of a normal pair, and Gallagher's norms must equal
 the oracle's norms of `multiply`'s products.  The normal pairs of one group
-take their Gram products from one pass for the whole group; each must equal
+take their Gram products from one pass for the whole group, and their
+verdicts and Gallagher's products from one array pass each; each must equal
 the same pair built alone, in values and dtype.
 """
 
@@ -23,8 +24,8 @@ from charcond.characters import (ClassFunction, character_table,
 from charcond.cyclotomic import (_bound, _evaluation_data, _matmul_mod, _phi,
                                  gram, gram_diagonal, lift, multiply, scaled)
 from charcond.errors import InternalContradiction
-from charcond.groups import (normal_subgroups, parse_group_text, quotient,
-                             row_keys, subgroup)
+from charcond.groups import (build_from_permutations, normal_subgroups,
+                             parse_group_text, quotient, row_keys, subgroup)
 from gram_oracle import oracle_diagonal, oracle_gram
 
 
@@ -190,11 +191,11 @@ def test_normal_pairs_match_the_oracle(monkeypatch):
                 continue
             _, qmap = quotient(g, s)
             thetas = np.flatnonzero(pair.stab == g.order)
-            rows = [pair.extensions(j)[0] for j in thetas.tolist()]
+            rows = pair.extensions(thetas).argmax(axis=0).tolist()
             for inflated in (real, repeated):
                 monkeypatch.setattr(clifford, "_inflated_table", inflated)
                 psi = lift(inflated(qmap), qmap.group.exponent(), pair.e)
-                got = pair.products(thetas, rows, qmap)
+                got = clifford._products([s])[0][2:]
                 want = _gallagher_oracle(pair, thetas, rows, psi)
                 assert got[0].tolist() == want[0], where
                 assert got[1].tolist() == want[1], where
@@ -230,10 +231,10 @@ def test_a_pair_takes_three_primes_where_its_bounds_need_them(monkeypatch):
         np.int64, np.int64, object, np.int64]
     _, qmap = quotient(g, s)
     thetas = np.flatnonzero(pair.stab == g.order)
-    rows = [pair.extensions(j)[0] for j in thetas.tolist()]
+    rows = pair.extensions(thetas).argmax(axis=0).tolist()
     psi = lift(characters._inflated_table(qmap), 2, pair.e)
     used.clear()
-    got = pair.products(thetas, rows, qmap)
+    got = clifford._products([s])[0][2:]
     assert used == [0, 1, 2]
     want = _gallagher_oracle(pair, thetas, rows, psi)
     assert (got[0].tolist(), got[1].tolist()) == (want[0], want[1])
@@ -241,6 +242,8 @@ def test_a_pair_takes_three_primes_where_its_bounds_need_them(monkeypatch):
 
 
 _PRODUCTS = ("res_norm", "res_gram", "ind_norm", "ind_gram")
+# every verdict array of a pair
+_VERDICTS = ("mult", "matches", "clifford", "checks", "induction", "reciprocity")
 
 
 def _fresh(s):
@@ -253,32 +256,49 @@ def _proper(g):
 
 
 def _same_products(got, want):
-    """The four Gram products equal in values and dtype, each a copy of its
-    own, so that no pair keeps a batch alive."""
-    return all(_same(getattr(got, n), getattr(want, n))
-               and getattr(got, n).base is None for n in _PRODUCTS)
+    """The four Gram products equal in values and dtype."""
+    return all(_same(getattr(got, n), getattr(want, n)) for n in _PRODUCTS)
+
+
+def _c105():
+    return build_from_permutations(
+        105, [tuple((i + 1) % 105 for i in range(105))], name="C105")
 
 
 def test_one_pass_per_group_equals_each_pair_built_alone(monkeypatch):
     # the proper normal pairs of each group built together, with one Gram
-    # pass, against each pair built alone by `_pair` on a fresh cache
-    real, batches = clifford._gram_pass, []
+    # pass, against each pair built alone by `_pair` on a fresh cache: the
+    # four Gram products, every verdict array and the Frobenius detail in
+    # values and dtype, and Gallagher's products of the pairs of prime
+    # index from one pass against each pair's own, for the catalog to order
+    # 24, four larger products and C105, where a lift grows numerators
+    real, batches = clifford._NormalPairs.__init__, []
 
-    def counted(pairs):
-        batches.append(len(pairs))
-        return real(pairs)
-    monkeypatch.setattr(clifford, "_gram_pass", counted)
-    pairs = 0
-    for g in _oracle_groups():
+    def counted(self, g, segments):
+        batches.append(len(segments))
+        real(self, g, segments)
+    monkeypatch.setattr(clifford._NormalPairs, "__init__", counted)
+    pairs, gallagher = 0, 0
+    for g in _oracle_groups() + [_c105()]:
         subs = _proper(g)
         batches.clear()
         clifford._pairs(subs)
         assert batches == ([len(subs)] if subs else [])
-        for s in subs:
-            got, want = clifford._pair.peek(s), clifford._pair(_fresh(s))
+        alone = [_fresh(s) for s in subs]
+        for s, t in zip(subs, alone):
+            got, want = clifford._pair.peek(s), clifford._pair(t)
             assert got is not None and _same_products(got, want), (g.name, s.order)
-        pairs += len(subs)
-    assert pairs == 363
+            for name in _VERDICTS:
+                assert _same(getattr(got, name), getattr(want, name)), (g.name, name)
+            assert got.frobenius() == want.frobenius()
+        prime = [k for k, s in enumerate(subs) if is_prime(s.index)]
+        together = clifford._products([subs[k] for k in prime])
+        for k, got in zip(prime, together):
+            want = clifford._products([alone[k]])[0]
+            assert len(got) == len(want) == 5
+            assert all(_same(np.asarray(x), np.asarray(y)) for x, y in zip(got, want))
+        pairs, gallagher = pairs + len(subs), gallagher + len(prime)
+    assert (pairs, gallagher) == (370, 94)
 
 
 def test_a_batch_takes_the_primes_of_its_largest_bound(monkeypatch):
@@ -310,13 +330,13 @@ def test_a_pair_whose_arrays_raise_is_left_out_of_the_pass(monkeypatch):
     subs = _proper(g)
     # the rotations: the cyclic subgroup of order 4
     rot = next(s for s in subs if s.order == 4 and s.as_group().exponent() == 4)
-    real = clifford._NormalPair.__init__
+    real = clifford._segment
 
-    def refused(self, s):
+    def refused(s):
         if s.elements == rot.elements:
             raise InternalContradiction("pair arrays refused")
-        real(self, s)
-    monkeypatch.setattr(clifford._NormalPair, "__init__", refused)
+        return real(s)
+    monkeypatch.setattr(clifford, "_segment", refused)
     clifford._pairs(subs)
     assert clifford._pair.peek(rot) is None
     others = [s for s in subs if s is not rot]

@@ -94,8 +94,17 @@ def test_memo_is_served_from_the_subgroup_cache_and_holds_no_group():
     # keeps the pair's table arrays that the Clifford views read
     again = next(t for t in normal_subgroups(g) if t.elements == s.elements)
     assert clifford._pair(again) is clifford._pair(s)
-    # arrays and integers only, the multiplicities read on first use too, so
+    # the pair is its segment of the arrays of its group's pairs: arrays,
+    # integers and dtypes only, the multiplicities read on first use too, so
     # the cache keeps no group alive
-    fields = vars(clifford._pair(s))
-    assert "mult" in fields
-    assert all(isinstance(x, (np.ndarray, int)) for x in fields.values())
+    def plain(x):
+        if isinstance(x, (list, tuple)):
+            return all(map(plain, x))
+        if isinstance(x, dict):
+            return all(map(plain, x.values()))
+        return isinstance(x, (np.ndarray, int, type))
+
+    pair = clifford._pair(s)
+    assert "mult" in vars(pair.pairs)
+    assert all(map(plain, vars(pair.pairs).values()))
+    assert all(plain(x) or x is pair.pairs for x in vars(pair).values())

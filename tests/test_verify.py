@@ -61,14 +61,14 @@ _S3_PAIR = "G=S3, |H|=3"
 def _refuse_s3_pair(monkeypatch):
     """Make building the arrays of the pair (S3, A3), and of no other pair,
     raise InternalContradiction."""
-    real = clifford._NormalPair.__init__
+    real = clifford._segment
 
-    def refused(self, s):
+    def refused(s):
         if (s.parent.name, s.order) == ("S3", 3):
             raise InternalContradiction("pair arrays refused")
-        real(self, s)
+        return real(s)
 
-    monkeypatch.setattr(clifford._NormalPair, "__init__", refused)
+    monkeypatch.setattr(clifford, "_segment", refused)
 
 
 @pytest.mark.parametrize("suite", ["clifford", "dichotomy", "classification",
@@ -83,6 +83,68 @@ def test_a_pair_that_cannot_be_built_fails_every_record_of_it(monkeypatch, suite
     assert all(not c.passed and c.detail == "pair arrays refused" for c in mine)
     others = [c for c in rep.checks if not c.inputs.startswith(_S3_PAIR)]
     assert others and all(c.passed for c in others)
+
+
+def test_a_pair_whose_multiplicities_are_not_integers_fails_only_their_records(
+        monkeypatch):
+    # D4's five proper normal pairs are built together; the Gram cut of its
+    # rotations, the cyclic subgroup of order 4, gets a multiplicity 5/4,
+    # with the induced side of reciprocity moved along, so that only the
+    # multiplicities fail.  Only the two records of that pair that read
+    # them fail, with the message of `characters._multiplicities`; its
+    # other records and those of its siblings pass
+    cat = Catalog()
+    g = cat.group("D4")
+    rot = next(s for s in normal_subgroups(g)
+               if s.order == 4 and s.as_group().exponent() == 4)
+    real = clifford._NormalPairs.__init__
+
+    def broken(self, grp, segments):
+        real(self, grp, segments)
+        for i, segment in enumerate(segments):
+            if (grp.name == "D4" and len(segments) == 5
+                    and tuple(np.flatnonzero(segment[-1]).tolist()) == rot.elements):
+                lo = self.starts[i]
+                self.res_gram, self.ind_gram = self.res_gram.copy(), self.ind_gram.copy()
+                self.res_gram[0, lo, 0] += 1
+                self.ind_gram[0, lo, 0] += grp.order
+
+    monkeypatch.setattr(clifford._NormalPairs, "__init__", broken)
+    failed, seen = [], Counter()
+    for suite in ("clifford", "dichotomy", "classification", "gallagher", "tables"):
+        for c in run_suite(suite, cat=cat, max_order=8).checks:
+            # the three subgroups of order 4 share their inputs; the
+            # rotations come first
+            seen[c.identity, c.inputs] += 1
+            if not c.passed:
+                failed.append((c.identity, c.inputs, seen[c.identity, c.inputs],
+                               c.detail))
+    message = "multiplicity of row 0 is 5/4, not a nonnegative integer"
+    assert failed == [
+        ("clifford: Res chi = e * orbit with e-bounds", "G=D4, |H|=4", 1, message),
+        ("classification: totality and exclusivity under prime index",
+         "G=D4, |H|=4", 1, message)]
+    # seven records per pair: three clifford, one each of the others
+    assert sum(n for (_, inputs), n in seen.items()
+               if inputs.startswith("G=D4, |H|=4")) == 3 * 7
+
+
+def test_a_quotient_that_cannot_be_built_fails_only_its_gallagher_record(
+        monkeypatch):
+    # D4's three pairs of prime index share one Gallagher pass; the one
+    # whose quotient is refused is left out of it, and only its record fails
+    real = clifford.quotient
+
+    def refused(g, s):
+        if g.name == "D4" and s.order == 4 and s.as_group().exponent() == 4:
+            raise InternalContradiction("quotient refused")
+        return real(g, s)
+
+    monkeypatch.setattr(clifford, "quotient", refused)
+    rep = run_suite("gallagher", cat=Catalog(), max_order=8)
+    failed = [(c.inputs, c.detail) for c in rep.checks if not c.passed]
+    assert failed == [("G=D4, |H|=4, invariant thetas=2", "quotient refused")]
+    assert sum(c.inputs.startswith("G=D4") for c in rep.checks) == 3
 
 
 def test_a_failing_frobenius_check_fails_only_its_record(monkeypatch):
@@ -313,20 +375,24 @@ def test_fresh_sweep_at_cap_24_computes_each_induction_once(fresh_sweep):
 def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
         fresh_sweep):
     # the 117 proper normal pairs of the catalog up to order 24 build their
-    # table arrays once each; the degree suite's chain steps take orbits
-    # without them
-    assert fresh_sweep["builds"] == {"_NormalPair": [1] * 117}
-    # per group with a proper normal subgroup, 38 of the 40 (all but C1 and
-    # S1), one pass modulo the Gram primes when its pairs' arrays are built
-    # together, for the norms of the restrictions, the multiplicities, the
-    # norms of the inductions and the induced side of Frobenius reciprocity,
-    # whose other side is the multiplicity Gram; Gallagher one pass for the norms
-    # of all the products chi * psi_i of a prime-index pair; the degree
-    # chains decompose 4 inductions and certify 3 characters moved onto the
+    # table arrays once each, all pairs of a group in one build: one for
+    # each of the 38 groups with a proper normal subgroup (all but C1 and
+    # S1); the degree suite's chain steps take orbits without them
+    assert fresh_sweep["builds"] == {"_NormalPairs": [1] * 38}
+    assert fresh_sweep["pairs"] == {"_NormalPairs": 117}
+    # per group, one pass modulo the Gram primes when its pairs' arrays are
+    # built together, for the norms of the restrictions, the multiplicities,
+    # the norms of the inductions and the induced side of Frobenius
+    # reciprocity, whose other side is the multiplicity Gram; Gallagher one
+    # pass per group for the norms of the products chi * psi_i of all its
+    # prime-index pairs, one product per pair: each of the 38 groups has
+    # such a pair, 21 of them one, 10 two and 7 three; the degree chains
+    # decompose 4 inductions and certify 3 characters moved onto the
     # chain's group, each by one Gram kernel of one pass.  Table checks call
     # no Gram kernel
     assert fresh_sweep["kernels"] == {"gram:decompose": 4, "gram_diagonal:norm": 3}
-    assert fresh_sweep["passes"] == {"_gram_pass:4": 38, "products:1": 62,
+    assert fresh_sweep["passes"] == {"_gram_pass:4": 38, "_products:1": 21,
+                                     "_products:2": 10, "_products:3": 7,
                                      "gram:1": 4, "gram_diagonal:1": 3}
     # no round computes a full Gram of an array with itself, which only a
     # norm would need: norms read the diagonal form
@@ -336,11 +402,13 @@ def test_fresh_sweep_at_cap_24_builds_each_pair_once_with_one_gram_per_identity(
 def test_fresh_sweep_at_cap_24_takes_no_more_gram_primes_than_before_carried_bounds(
         fresh_sweep):
     # every pass takes one prime: carried bounds, which may exceed an
-    # operand's own largest entry, add none.  Pinned at the last commit that
-    # scanned every operand for its bound: 107 primes, one per pass
-    assert fresh_sweep["primes"] == {"_gram_pass": 38, "products": 62,
+    # operand's own largest entry, add none, and neither does a pass for
+    # several pairs, which serves the largest of their bounds.  Pinned at
+    # 83: 107 at the last commit that scanned every operand for its bound,
+    # less the 24 Gallagher passes that one pass per group saves
+    assert fresh_sweep["primes"] == {"_gram_pass": 38, "_products": 38,
                                      "gram": 4, "gram_diagonal": 3}
-    assert sum(fresh_sweep["primes"].values()) == 107
+    assert sum(fresh_sweep["primes"].values()) == 83
 
 
 def test_a_warm_sweep_round_scans_at_most_150_arrays(fresh_sweep):

@@ -10,12 +10,18 @@ time and of its time per record, and the records it wrote:
     python tools/suite_cost.py 100
 
 The benchmark's `sweep` workload (perfbench/workloads.py) times the same
-rounds and charges each record its suite's time per record.  So the median
-record of a round, `op_p50_s`, is the clifford suite's time per record, and
-`op_tail_s` is the gallagher suite's: it is the 11th-slowest of the 720
-records, right after the 10 records of the degrees suite.  A change to a
-suite's time per record here moves those metrics by as much; the benchmark
-adds its own speed scaling, which this tool leaves out.
+rounds and charges each record its suite's time per record.  `op_p50_s`,
+the median record of a round, is the time per record of the suite that
+holds the 360th record in order of time per record, and `op_tail_s`, the
+11th-slowest of the 720 records, that of the slowest suite but degrees,
+whose 10 records come first.  Both are read off this tool's last column:
+while clifford's 351 records sit between the 297 faster records of tables,
+dichotomy, classification and conductor and the 72 slower ones of
+gallagher and degrees, `op_p50_s` is the clifford suite's time per record,
+and while gallagher's exceeds every other suite's but degrees', `op_tail_s`
+is the gallagher suite's.  A change to a suite's time per record here
+moves those metrics by as much; the benchmark adds its own speed scaling,
+which this tool leaves out.
 """
 
 from __future__ import annotations
