@@ -368,15 +368,15 @@ def _check_table(g: FiniteGroup, e: int, nums: np.ndarray, bound: int) -> None:
         for what, got, want in (
                 ("row", _matmul_mod(at * sizes % p, bar.T, p), [n] * k),
                 ("column", _matmul_mod(at.T, bar, p), [n // c for c in sizes])):
-            bad = np.argwhere(got != np.diag(want) % p)
-            if len(bad):
+            bad = got != np.diag(want) % p
+            if bad.any():
                 raise InternalContradiction(
-                    f"{what} orthogonality fails at {tuple(bad[0].tolist())}")
+                    f"{what} orthogonality fails at {divmod(int(bad.argmax()), k)}")
         # each row's values at every embedding, u last as `_evaluate` made
         # them, so a Galois step is a gather of contiguous runs
         vals = x.transpose(1, 2, 0)
         keys = sorted(row_keys(vals))
-        if any(sorted(row_keys(np.take(vals, s, axis=2))) != keys
+        if any(sorted(row_keys(vals.take(s, axis=2))) != keys
                for s in data.galois):
             raise InternalContradiction("the table is not Galois-stable")
         m, i = m * p, i + 1
@@ -405,7 +405,7 @@ def _row_reduce(a: np.ndarray, p: int,
     pivots = np.zeros(a.shape[1], dtype=bool)
     rank = 0
     for c in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[rank:, c])
+        nonzero = a[rank:, c].nonzero()[0]
         if not len(nonzero):
             if not a[rank:, c:].any():
                 break
@@ -465,7 +465,7 @@ def _split(mat: np.ndarray, vecs: np.ndarray, p: int,
         val, xs = np.ones(p, dtype=np.int64), np.arange(p)
         for c in mu[::-1]:
             val = (val * xs + c) % p
-        roots = np.flatnonzero(val == 0)
+        roots = (val == 0).nonzero()[0]
         if len(roots) != deg:
             raise InternalContradiction("class algebra failed to split over F_p")
         # row r of quo holds mu / (x - roots[r]), one synthetic division
@@ -476,7 +476,7 @@ def _split(mat: np.ndarray, vecs: np.ndarray, p: int,
         # row j + 1 of kry is row j times mat^T, so quo @ kry[1:] is pieces A
         pieces = quo @ kry[:deg] % p
         if (not pieces.any(axis=1).all()
-                or np.any(quo @ kry[1:] % p != roots[:, None] * pieces % p)):
+                or (quo @ kry[1:] % p != roots[:, None] * pieces % p).any()):
             raise InternalContradiction("a Krylov piece is not an eigenvector")
         out.append(pieces)
     return np.concatenate(out)
@@ -522,7 +522,7 @@ class CharacterTable:
         have equal numerator rows."""
         if not _same_group(fn.group, self.group):
             raise GroupMismatch("character does not live on the table's group")
-        hit = (np.flatnonzero((self.nums == fn.nums).all(axis=(1, 2)))
+        hit = ((self.nums == fn.nums).all(axis=(1, 2)).nonzero()[0]
                if fn.e == self.group.exponent() and fn.den == 1 else [])
         if not len(hit):
             raise NotIrreducible("character is not a row of the character table")
@@ -697,7 +697,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
         cls = np.array(cls, dtype=np.int64)
         cnt = sum(_product_counts(g.mul[cls[at:at + step]], classof, k)
                   for at in range(0, len(cls), step))
-        if np.any(cnt % sizes):
+        if (cnt % sizes).any():
             raise InternalContradiction("structure constants not class-constant")
         if i and len(vecs) < k:
             vecs = _split(cnt // sizes % p, vecs, p, inv)
@@ -705,7 +705,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
         raise InternalContradiction("simultaneous diagonalization incomplete")
 
     # scale each eigenvector to 1 at the identity class, recover the degrees
-    if np.any(vecs[:, 0] == 0):
+    if (vecs[:, 0] == 0).any():
         raise InternalContradiction("central character vanishes at identity")
     vecs = vecs * inv[vecs[:, 0]][:, None] % p
     reps = np.array(part.representatives, dtype=np.int64)
@@ -715,7 +715,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     roots = np.arange(1, (p + 1) // 2)
     square_root[roots * roots % p] = roots
     degs = square_root[n % p * inv[norms] % p]
-    if np.any(degs == 0):
+    if (degs == 0).any():
         raise InternalContradiction("degree recovery failed")
     chivals = degs[:, None] * vecs % p * inv_sizes % p
 
@@ -737,7 +737,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     # zeta_o^(-m s) times, one DFT matmul over F_p for each order o
     coeffs = np.zeros((k, k, e), dtype=np.int64)
     for o in unique_sorted(orders).tolist():
-        js = np.flatnonzero(orders == o)
+        js = (orders == o).nonzero()[0]
         t = np.arange(o)
         dft = w_powers[-(e // o) * np.outer(t, t) % e]
         coeffs[:, js, ::e // o] = (chivals[:, powers[:o, js].T] @ dft % p
@@ -745,7 +745,7 @@ def _dixon_rows(g: FiniteGroup) -> np.ndarray:
     # each multiplicity is below p and each degree is below p/2, so exact
     # sums equal to the degrees make every value a sum of chi(1) e-th roots
     # of unity
-    if np.any(coeffs.sum(axis=2) != degs[:, None]):
+    if (coeffs.sum(axis=2) != degs[:, None]).any():
         raise InternalContradiction("root-of-unity multiplicities broken")
 
     # one power-basis product for the whole table
@@ -778,7 +778,7 @@ def _abelian_rows(g: FiniteGroup) -> np.ndarray:
             x = int(g.mul[x, s])
         m = len(powers)
         c = a[:, at[x]]
-        if np.any(c % m):
+        if (c % m).any():
             raise InternalContradiction("a character does not extend to S")
         # row (chi, j) takes chi(s) = c/m + j e/m; column (t, h) is h s^t
         t = np.arange(m)
@@ -791,7 +791,7 @@ def _abelian_rows(g: FiniteGroup) -> np.ndarray:
         raise InternalContradiction("the generating set does not reach |G|")
     a = a[:, at]
     for s in g.generators:
-        if np.any(a[:, g.mul[:, s]] != (a + a[:, s, None]) % e):
+        if (a[:, g.mul[:, s]] != (a + a[:, s, None]) % e).any():
             raise InternalContradiction("a character is not a homomorphism")
     t = a[:, list(conjugacy_classes(g).representatives)]
     # every degree is 1, and zeta_e^t sorts as the rank of t among the e-th
@@ -834,7 +834,7 @@ def _induction_counts(s: Subgroup) -> np.ndarray:
     k, kh = len(reps), len(part_h)
     conj = g.mul[g.mul[g.inv, reps[:, None]], np.arange(g.order)]
     sub = s.member_index()[conj]
-    gi, x = np.nonzero(sub >= 0)
+    gi, x = (sub >= 0).nonzero()
     return np.bincount(gi * kh + part_h.class_of[sub[gi, x]],
                        minlength=k * kh).reshape(k, kh)
 
@@ -888,14 +888,13 @@ def _conj_class_perms(s: Subgroup) -> np.ndarray:
     part_h = conjugacy_classes(s.as_group())
     reps = s.embedding()[list(part_h.representatives)]
     sub = s.member_index()[g.mul[g.mul[:, reps], g.inv[:, None]]]
-    if np.any(sub < 0):
+    if (sub < 0).any():
         raise NotNormal("subgroup is not closed under conjugation")
     perms = part_h.class_of[sub]
     k = len(part_h)
     sizes = np.array(part_h.sizes)
-    if not (np.array_equal(np.sort(perms, axis=1),
-                           np.broadcast_to(np.arange(k), perms.shape))
-            and np.all(perms[:, 0] == 0) and np.all(sizes[perms] == sizes)):
+    if not ((np.sort(perms, axis=1) == np.arange(k)).all()
+            and (perms[:, 0] == 0).all() and (sizes[perms] == sizes).all()):
         raise InternalContradiction(
             "conjugation does not permute the H-classes preserving sizes")
     return perms
@@ -964,9 +963,8 @@ def _multiplicities(got: np.ndarray, e: int, scale: int) -> np.ndarray:
     integers: NotACharacter names the first, row-major, that is not one, by
     its last index."""
     m, bad = _integers(got, scale)
-    bad = np.argwhere(bad)
-    if len(bad):
-        at = tuple(bad[0])
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), bad.shape)
         value = values(got[at][None], e, scale)[0]
         raise NotACharacter(
             f"multiplicity of row {at[-1]} is {value}, not a nonnegative integer")
@@ -985,4 +983,4 @@ def decompose(phi: ClassFunction, table: CharacterTable) -> list[tuple[int, int]
                                (table.group.exponent(), table.nums, 1)])
     got = gram(a, rows, phi.partition.sizes, e)[0]
     mults = _multiplicities(got, e, den * den * phi.group.order)
-    return [(int(i), int(mults[i])) for i in np.flatnonzero(mults)]
+    return [(int(i), int(mults[i])) for i in mults.nonzero()[0]]

@@ -128,7 +128,7 @@ def _segment(s: Subgroup) -> tuple:
     moved = {key: [index.get(x, -1) for x in row_keys(th[:, p])]
              for key, p in dict(zip(keys, perms)).items()}
     perm = np.array([moved[key] for key in keys], dtype=np.int64)
-    if np.any(perm < 0):
+    if (perm < 0).any():
         raise InternalContradiction(
             "conjugation does not permute the rows of the subgroup's table")
     return (lifted, _restriction_classes(s), np.array(conjugacy_classes(h).sizes),
@@ -188,7 +188,7 @@ class _NormalPairs:
         self.ends = list(accumulate(ks))
         self.starts = [0] + self.ends[:-1]
         n, k = self.ends[-1], max(ks)
-        self.seg = np.repeat(np.arange(len(ks)), ks)
+        self.seg = np.arange(len(ks)).repeat(ks)
         self.order_h = np.array([x.sum() for x in members])
         self.cols, self.sizes_h = np.concatenate(cols), np.concatenate(sizes)
         self.ind, self.perm = np.concatenate(inds), np.concatenate(perms, axis=1)
@@ -264,7 +264,7 @@ class _NormalPairs:
         is, and each row of th is named by its key (`row_keys`), and the
         names are compared."""
         n, (rows, _, w), at = len(self.seg), self.tg.shape, self.starts
-        res = np.take(self.tg, self.cols[self.pad[at]], axis=1) * self.real[at, :, None]
+        res = self.tg.take(self.cols[self.pad[at]], axis=1) * self.real[at, :, None]
         names = {}
         ids = np.array([names.setdefault(key, len(names)) for key in row_keys(
             np.concatenate([res.reshape(-1, *self.th.shape[1:]), self.th]))])
@@ -382,10 +382,9 @@ class _NormalPair:
         """The detail of Frobenius reciprocity for every r and i: "" when it
         holds, else <Ind theta_i, chi_r> and <theta_i, Res chi_r>, the
         conjugates, at the last (i, r) where they differ."""
-        bad = np.argwhere(self.reciprocity).tolist()
-        if not bad:
+        if not self.reciprocity.any():
             return ""
-        i, r = bad[-1]
+        i, r = (int(at[-1]) for at in self.reciprocity.nonzero())
         lhs, rhs = self.ind_gram[r, i][None], self.res_gram[r, i][None]
         return (f"<Ind t{i}, x{r}> = "
                 f"{values(lhs, self.e, self.order_h * self.order_g)[0].conjugate()}"
@@ -424,7 +423,7 @@ def _products(subs: list[Subgroup]) -> list:
     for s in subs:
         try:
             pair = _pair(s)
-            thetas = np.flatnonzero(pair.stab == pair.order_g)
+            thetas = (pair.stab == pair.order_g).nonzero()[0]
             exts, qmap = pair.extensions(thetas), quotient(s.parent, s)[1]
             e, og, eq, psi = pair.e, pair.order_g, qmap.group.exponent(), _inflated_table(qmap)
             psi = lift(psi, eq, e, _table_bound(psi, eq))
@@ -455,7 +454,7 @@ def _products(subs: list[Subgroup]) -> list:
         mine, n, m = seen[k::len(parts)], len(rows), len(psi)
         keys = row_keys(np.concatenate([y for y, _ in mine], axis=2).reshape(n * m, -1))
         found[x] += (np.array([len(set(keys[y * m:(y + 1) * m])) < m for y in range(n)]),
-                     np.any([d for _, d in mine], axis=0), norms)
+                     np.logical_or.reduce([d for _, d in mine]), norms)
     return found
 
 
@@ -501,7 +500,7 @@ def _clifford_row(s: Subgroup, r: int) -> tuple[int, list[int]]:
             _CLIFFORD_FAILURES[fail].format(sorted(set(parts.tolist()))))
     # the rows conjugate to theta_j: j first, then the rest in table order,
     # which is `sort_key` order among rows of one degree
-    return e, [j] + [i for i in np.flatnonzero(pair.orbit[j]).tolist() if i != j]
+    return e, [j] + [i for i in pair.orbit[j].nonzero()[0].tolist() if i != j]
 
 
 def _classify_row(s: Subgroup, r: int):
@@ -530,7 +529,7 @@ def inertia_group(s: Subgroup, theta: Character) -> Subgroup:
     # g fixes theta when theta(g h g^-1) = theta(h) on every class; stored
     # forms are canonical, so equal values have equal numerator rows
     fixed = (nums[_conj_class_perms(s)] == nums).all(axis=(1, 2))
-    return subgroup(s.parent, np.flatnonzero(fixed))
+    return subgroup(s.parent, fixed.nonzero()[0])
 
 
 def inertia_dichotomy(s: Subgroup, theta: Character) -> InertiaKind:
@@ -605,7 +604,7 @@ def find_extensions(theta: Character, s: Subgroup) -> tuple[Character, ...]:
     pair = _pair(s)
     if pair.stab[j] != s.parent.order:
         raise NotInvariant("character is not invariant in the parent group")
-    rows = np.flatnonzero(pair.extensions(j)).tolist()
+    rows = pair.extensions(j).nonzero()[0].tolist()
     table = character_table(s.parent)
     return tuple(table[r] for r in rows)
 

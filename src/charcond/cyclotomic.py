@@ -504,9 +504,8 @@ def descend(nums: np.ndarray, e: int, d: int) -> tuple[np.ndarray, int] | None:
     pivots, inv, inv_bound, den, cols = _rebase_data(e, d)
     bound = _absmax(nums)
     got = _matmul(nums[..., pivots], inv, bound, inv_bound)
-    if not np.array_equal(
-            _matmul(got, cols, len(pivots) * bound * inv_bound, _fold_bound(e, e)),
-            scaled(nums, den, bound)):
+    if not (_matmul(got, cols, len(pivots) * bound * inv_bound, _fold_bound(e, e))
+            == scaled(nums, den, bound)).all():
         return None
     return got, den
 
@@ -773,7 +772,7 @@ def at_minimal_conductors(nums: np.ndarray, e: int):
     search and one `descend` per conductor found."""
     cond = minimal_conductors(nums, e)
     for d in unique_sorted(cond).tolist():
-        at = np.flatnonzero(cond == d)
+        at = (cond == d).nonzero()[0]
         down = (nums[at], 1) if d == e else descend(nums[at], e, d)
         if down is None:
             raise InternalContradiction("a Galois-fixed value failed to descend")
@@ -787,7 +786,7 @@ def _value_keys(nums: np.ndarray, e: int) -> np.ndarray:
     unless every value is an integer of Q(zeta_e)."""
     keys = np.zeros((len(nums), 1 + nums.shape[1]), dtype=nums.dtype)
     for d, rows, got, extra in at_minimal_conductors(nums, e):
-        if np.any(got % extra):
+        if (got % extra).any():
             raise InternalContradiction(
                 "table values are not integers of Q(zeta_exp(G))")
         got = got // extra

@@ -72,8 +72,7 @@ def row_keys(rows: np.ndarray) -> list:
     if rows.dtype == object:
         return [tuple(r.ravel().tolist()) for r in rows]
     rows = np.ascontiguousarray(rows).reshape(len(rows), prod(rows.shape[1:]))
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))
-                     )[:, 0].tolist()
+    return rows.view(np.dtype(f"V{rows.shape[1] * rows.itemsize}"))[:, 0].tolist()
 
 
 class _TableCache(dict):
@@ -145,7 +144,7 @@ class FiniteGroup:
         narrow = mul.astype(np.min_scalar_type(self.order), order="C")
         key = (self.order, zlib.crc32(narrow), zlib.adler32(narrow))
         cache = _TABLE_CACHES.get(key)
-        if cache is None or not np.array_equal(cache.mul, mul):
+        if cache is None or not (cache.mul == mul).all():
             cache = _TableCache(mul)
             _TABLE_CACHES.setdefault(key, cache)
         self._cache = cache
@@ -212,7 +211,7 @@ def _greedy_closure(mul: np.ndarray, e: int, cands: np.ndarray,
         s = int(outside[0])
         if check:
             check(s)
-        members = np.flatnonzero(inside)
+        members = inside.nonzero()[0]
         reps, x = [], s
         while not inside[x]:
             reps.append(x)
@@ -225,7 +224,7 @@ def _greedy_closure(mul: np.ndarray, e: int, cands: np.ndarray,
             # the next layer: one representative per coset, its least element
             layer = np.zeros(len(mul), dtype=bool)
             layer[cosets.min(axis=0)] = True
-            products = mul[np.flatnonzero(layer)[:, None], gens].ravel()
+            products = mul[layer.nonzero()[0][:, None], gens].ravel()
     return inside, gens
 
 
@@ -263,22 +262,20 @@ def _validate_table(mul: np.ndarray) -> tuple[int, np.ndarray, tuple]:
                 raise NotAGroup(
                     f"{what} {lo + int(bad.argmax())} is not a permutation")
     # column 0 is a permutation, so only one element can be the identity
-    e = int(np.argmax(mul[:, 0] == 0))
-    if not (np.array_equal(mul[e], want) and np.array_equal(mul[:, e], want)):
+    e = int((mul[:, 0] == 0).argmax())
+    if not ((mul[e] == want).all() and (mul[:, e] == want).all()):
         raise NotAGroup("no two-sided identity")
-    inv = np.argmax(mul == e, axis=1)
-    if not (np.array_equal(mul[want, inv], np.full(n, e))
-            and np.array_equal(mul[inv, want], np.full(n, e))):
+    inv = (mul == e).argmax(axis=1)
+    if not ((mul[want, inv] == e).all() and (mul[inv, want] == e).all()):
         raise NotAGroup("inverses are not two-sided")
 
     def light(s):
         for lo in range(0, n, step):
-            # (x s) y against x (s y) for x in one block of rows
-            left = mul[mul[lo:lo + step, s]]
-            right = mul[lo:lo + step][:, mul[s]]
-            bad = np.argwhere(left != right)
-            if len(bad):
-                x, y = (int(v) for v in bad[0])
+            # (x s) y against x (s y) for x in one block of rows; the
+            # first failure in row-major order is named
+            bad = mul[mul[lo:lo + step, s]] != mul[lo:lo + step][:, mul[s]]
+            if bad.any():
+                x, y = divmod(int(bad.argmax()), n)
                 raise NotAGroup(
                     f"associativity fails at ({lo + x}, {s}, {y})")
     return e, inv, tuple(_greedy_closure(mul, e, want, light)[1])
@@ -501,7 +498,7 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
     """
     s = np.array(g.generators, dtype=np.int64)
     least = _orbit_least(g.mul[g.mul[s], g.inv[s, None]])
-    reps = np.flatnonzero(least == np.arange(g.order))
+    reps = (least == np.arange(g.order)).nonzero()[0]
     sizes = np.bincount(least)[reps]
     # the identity's class first, then by size, then (the sort is stable)
     # by least element
@@ -509,14 +506,14 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
     rank = np.empty(g.order, dtype=np.int64)
     rank[reps[order]] = np.arange(len(reps))
     class_of = rank[least]
-    members = np.argsort(class_of, kind="stable").tolist()
-    ends = np.cumsum(sizes[order]).tolist()
+    members = class_of.argsort(kind="stable").tolist()
+    ends = sizes[order].cumsum().tolist()
     return ConjugacyPartition(
         tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)), class_of)
 
 
 def is_abelian(g: FiniteGroup) -> bool:
-    return bool(np.array_equal(g.mul, g.mul.T))
+    return bool((g.mul == g.mul.T).all())
 
 
 class Subgroup:
@@ -560,7 +557,7 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group; index i is self.elements[i]."""
         emb = self.embedding()
-        mul = self.member_index()[self.parent.mul[np.ix_(emb, emb)]]
+        mul = self.member_index()[self.parent.mul[emb[:, None], emb]]
         if mul.min() < 0:
             raise NotAGroup("element set is not closed under multiplication")
         # a local, so that the labels' function holds no subgroup
@@ -644,7 +641,7 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     """The subgroup generated by `gens`, closed by `_greedy_closure`."""
     inside = _greedy_closure(g.mul, g.identity,
                              _elements(g, gens, "subgroup generator"))[0]
-    return Subgroup(g, tuple(np.flatnonzero(inside).tolist()))
+    return Subgroup(g, tuple(inside.nonzero()[0].tolist()))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
@@ -668,7 +665,7 @@ def _closed_under_conjugation(s: Subgroup) -> bool:
     of G."""
     g, gens = s.parent, np.array(s.parent.generators, dtype=np.int64)
     conj = g.mul[g.mul[gens[:, None], s.embedding()], g.inv[gens, None]]
-    return bool(np.all(s.member_index()[conj] >= 0))
+    return bool((s.member_index()[conj] >= 0).all())
 
 
 def _kernel_masks(g: FiniteGroup, linear_only: bool = False) -> list[int]:
@@ -681,7 +678,7 @@ def _kernel_masks(g: FiniteGroup, linear_only: bool = False) -> list[int]:
     kernels = (nums == nums[:, :1]).all(axis=2)
     if linear_only:
         kernels = kernels[nums[:, 0, 0] == 1]
-    return [sum(1 << c for c in np.flatnonzero(ker).tolist())
+    return [sum(1 << c for c in ker.nonzero()[0].tolist())
             for ker in kernels]
 
 
@@ -689,7 +686,7 @@ def _union_of_classes(g: FiniteGroup, mask: int) -> np.ndarray:
     """The elements of the classes in a bit mask, sorted."""
     part = conjugacy_classes(g)
     on = np.array([mask >> c & 1 for c in range(len(part))], dtype=bool)
-    return np.flatnonzero(on[part.class_of])
+    return on[part.class_of].nonzero()[0]
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:
@@ -769,11 +766,11 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, QuotientMap]:
     if not is_normal(g, n):
         raise NotNormal("cannot form a quotient by a non-normal subgroup")
     least = _orbit_least(g.mul[:, _subgroup_generators(n)].T)
-    reps = np.flatnonzero(least == np.arange(g.order))
-    proj = np.searchsorted(reps, least)
-    qmul = proj[g.mul[np.ix_(reps, reps)]]
+    reps = (least == np.arange(g.order)).nonzero()[0]
+    proj = reps.searchsorted(least)
+    qmul = proj[g.mul[reps[:, None], reps]]
     s = np.array(g.generators, dtype=np.int64)
-    if not np.array_equal(proj[g.mul[:, s]], qmul[proj[:, None], proj[s]]):
+    if not (proj[g.mul[:, s]] == qmul[proj[:, None], proj[s]]).all():
         raise NotAGroup("projection failed the homomorphism check")
     reps = reps.tolist()
     labels = _derived_labels(

@@ -192,10 +192,10 @@ def _last_failure(fails: list[np.ndarray], texts: list) -> str:
     with the checks inside it: fails holds one boolean array over the items
     per check, texts one function of the item per check; "" when none
     fails."""
-    at = np.argwhere(np.array(fails).T)
-    if not len(at):
+    fails = np.array(fails).T
+    if not fails.any():
         return ""
-    item, check = at[-1].tolist()
+    item, check = (int(at[-1]) for at in fails.nonzero())
     return texts[check](item)
 
 
@@ -223,7 +223,7 @@ def _induction(s: Subgroup) -> tuple[str, str]:
 def _clifford_rows(s: Subgroup) -> None:
     """Res chi = e * orbit with the e-bounds for every row, read off the
     pair's Clifford verdicts: the first failing row raises its message."""
-    for r in np.flatnonzero(_pair(s).clifford[3] >= 0)[:1].tolist():
+    for r in (_pair(s).clifford[3] >= 0).nonzero()[0][:1].tolist():
         _clifford_row(s, r)
 
 
@@ -240,7 +240,7 @@ def suite_clifford(cat: Catalog | None = None,
 def _dichotomy(s: Subgroup) -> tuple[str]:
     pair = _pair(s)
     bad = [(int(pair.th[j, 0, 0]), int(pair.stab[j])) for j
-           in np.flatnonzero((pair.stab != s.parent.order) & ~pair.is_h)]
+           in ((pair.stab != s.parent.order) & ~pair.is_h).nonzero()[0]]
     return (f"violations {bad}" if bad else "",)
 
 
@@ -259,8 +259,8 @@ def _classification(s: Subgroup) -> tuple[str]:
     pair = _pair(s)
     (j, _, _, fail), checks, mult = pair.clifford, pair.checks, pair.mult
     restricted, deg = checks[0], pair.tg[:, 0, 0]
-    for r in np.flatnonzero(~restricted & ((fail >= 0) | ~checks[4:].all(axis=0))
-                            )[:1].tolist():
+    for r in (~restricted & ((fail >= 0) | ~checks[4:].all(axis=0))
+              ).nonzero()[0][:1].tolist():
         _classify_row(s, r)
     # the kind came from <Res chi, Res chi>; irreducibility and
     # Ind theta = chi are read here off the multiplicities and the
@@ -419,7 +419,7 @@ def _conjugation(ctx: GaloisContext) -> tuple[str] | None:
         counts = _count_matrix(filt, lambda h: g.mul[g.mul[:, h], g.inv[:, None]])
         got = conductor_exponents(filt, nums, counts=counts)
         want = conductor_exponents(filt, nums)
-        moved = np.flatnonzero((got != want).any(axis=1))
+        moved = (got != want).any(axis=1).nonzero()[0]
         if len(moved):
             return (f"conjugating by {moved[0]} gives exponents "
                     f"{got[moved[0]].tolist()}, not {want.tolist()}",)

@@ -21,7 +21,10 @@ gallagher and degrees, `op_p50_s` is the clifford suite's time per record,
 and while gallagher's exceeds every other suite's but degrees', `op_tail_s`
 is the gallagher suite's.  A change to a suite's time per record here
 moves those metrics by as much; the benchmark adds its own speed scaling,
-which this tool leaves out.
+which this tool leaves out.  Two runs of 30 rounds on one CPU of a shared
+2-vCPU Xeon read, in microseconds per record: tables 16-20, dichotomy
+18-22, classification 117-161, conductor 288-381, clifford 342-437,
+gallagher 438-574 and degrees 1,721-2,241, so both roles hold.
 """
 
 from __future__ import annotations
