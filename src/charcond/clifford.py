@@ -21,17 +21,18 @@ the rows of each H table.  A pair, `_NormalPair`, is a view of its own
 segment of them; a single pair is the same code on a list of one.  Every
 Clifford and classification check runs once per group, over all rows of
 all its pairs at once, into cached verdict arrays that a view reads one row
-of its segment of, so that a row fails only on its own checks.  The
+of its segment of, so that a row fails only on its own checks; whether Res
+chi equals a row theta is compared only where a check reads it.  The
 multiplicities are read as integers on first use, from a Gram product
 computed with the three others in one pass modulo the Gram primes for the
-whole group, so a check that reads none of them cannot fail on them, and a
-pair whose multiplicities are not integers fails only the checks that read
-them.  The verification sweeps read the same arrays, and record a pass only
-for a check that ran to the end and held: an error raised while a pair is
-built fails every record that needs it, and Gallagher's products of the
-pairs of prime index of a group take one more pass (`_products`).  Inertia
-groups and conjugate orbits compare class values directly, so they read no
-character table.
+whole group, each product with one bound, so a check that reads none of
+them cannot fail on them, and a pair whose multiplicities are not integers
+fails only the checks that read them.  The verification sweeps read the
+same arrays, and record a pass only for a check that ran to the end and
+held: an error raised while a pair is built fails every record that needs
+it, and Gallagher's products of the pairs of prime index of a group take
+one more pass (`_products`).  Inertia groups and conjugate orbits compare
+class values directly, so they read no character table.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ _CUTS = {name: cut for cut, names in (
     (lambda s, i: s, "sizes_h cols ind stab is_h ind_norm reciprocity"),
     (lambda s, i: (s, slice(s.stop - s.start)), "th orbit"),
     (lambda s, i: (_ALL, i), "res_norm"),
-    (lambda s, i: (_ALL, s), "perm res_gram ind_gram mult matches induction"),
+    (lambda s, i: (_ALL, i, slice(s.stop - s.start)), "res"),
+    (lambda s, i: (_ALL, s), "perm res_gram ind_gram mult induction"),
     (lambda s, i: (_ALL, _ALL, i), "clifford checks")) for name in names.split()}
 
 
@@ -170,14 +172,14 @@ class _NormalPairs:
       (`_gram_pass`): ``res_norm[r, i]``, |H_i| <Res chi_r, Res chi_r>;
       ``res_gram[r, j]``, |H| <Res chi_r, theta_j>; ``ind_norm[j]``,
       |H|^2 |G| <Ind theta_j, Ind theta_j>; and ``ind_gram[r, j]``, |H| |G|
-      <chi_r, Ind theta_j>; ``dtypes[i]``, those of pair i's own bounds.
+      <chi_r, Ind theta_j>.
 
     Every verdict is one array pass over all the pairs on first use, with
     segment reductions over each pair's rows and gathers at the padded
-    classes: ``mult``, ``matches``, ``clifford``, ``checks``, ``induction``
-    and ``reciprocity``.  Arrays, integers and dtypes only, so that the
-    subgroup caches that keep it keep no group alive.  `_NormalPair` is one
-    pair's segment.
+    classes: ``mult``, ``res``, ``clifford``, ``checks``, ``induction`` and
+    ``reciprocity``.  Arrays and integers only, so that the subgroup caches
+    that keep it keep no group alive.  `_NormalPair` is one pair's
+    segment.
     """
 
     def __init__(self, g: FiniteGroup, segments: list[tuple]) -> None:
@@ -205,27 +207,21 @@ class _NormalPairs:
         fixed = self.perm == self.at
         self.stab = fixed.sum(axis=0)
         self.is_h = (fixed == np.stack(members, axis=1)[:, self.seg]).all(axis=0)
-        self._gram_pass(ths, inds)
+        self._gram_pass()
 
-    def _gram_pass(self, ths, inds) -> None:
+    def _gram_pass(self) -> None:
         """The four Gram products of every pair, from one pass modulo the
         Gram primes: G's table is evaluated once per prime and gathered at
         ``cols``, the restriction norms are segment sums of its weighted
         products, the multiplicities one batch of matmuls over the padded
         classes of each pair, and ``ind`` is evaluated once for both induced
-        products.  The primes serve the largest bound of the pairs, and
-        each pair's dtypes are those of its own, as when it is built
-        alone.  The bounds are products of integers: the
-        `_table_bound` of G's table, which bounds its gather at cols, and of
-        each pair's th and ind; the class sizes are reduced mod each prime
-        once per pass."""
-        e, og, w, bg = self.e, self.order_g, self.tg.shape[2], _table_bound(self.tg, self.e)
-        bounds = [[_bound(bg, bg, oh, e, w), _bound(bg, _table_bound(th, e), oh, e, w),
-                   _bound(bi, bi, og, e, w), _bound(bg, bi, og, e, w)]
-                  for th, bi, oh in zip(ths, (_table_bound(a, e) for a in inds),
-                                        self.order_h.tolist())]
-        self.dtypes = [dict(zip(("res_norm", "res_gram", "ind_norm", "ind_gram"),
-                                map(int_dtype, b))) for b in bounds]
+        products.  Each product has one bound for the whole group, a
+        product of integers: the `_table_bound` of G's table, which bounds
+        its gather at cols, of th and of ind, all pairs' rows at once, and
+        the largest |H|; the class sizes are reduced mod each prime once per
+        pass."""
+        e, og, oh, w = self.e, self.order_g, int(self.order_h.max()), self.tg.shape[2]
+        bg, bh, bi = (_table_bound(a, e) for a in (self.tg, self.th, self.ind))
 
         def residues(data):
             p, x = data.prime, _evaluate(self.tg, data)
@@ -240,8 +236,9 @@ class _NormalPairs:
                                     self.starts, axis=-1) % p,
                     mult.transpose(0, 2, 1, 3)[..., self.seg, self.at],
                     _diagonal_values(xi, rg, data), _gram_values(x, xi, rg, data)]
-        self.res_norm, self.res_gram, self.ind_norm, self.ind_gram = _crt(
-            e, [max(b) for b in zip(*bounds)], residues)
+        self.res_norm, self.res_gram, self.ind_norm, self.ind_gram = _crt(e, [
+            _bound(bg, bg, oh, e, w), _bound(bg, bh, oh, e, w),
+            _bound(bi, bi, og, e, w), _bound(bg, bi, og, e, w)], residues)
 
     def _segments(self, a: np.ndarray, reduce=np.logical_or) -> np.ndarray:
         """`reduce` over each pair's rows in the last axis of a."""
@@ -258,17 +255,14 @@ class _NormalPairs:
         return m
 
     @cached_property
-    def matches(self) -> np.ndarray:
-        """matches[r, j]: Res chi_r = theta_j, on the gather's values at the
-        classes of j's own H: each restricted row, padded with zeros as th
-        is, and each row of th is named by its key (`row_keys`), and the
-        names are compared."""
-        n, (rows, _, w), at = len(self.seg), self.tg.shape, self.starts
-        res = self.tg.take(self.cols[self.pad[at]], axis=1) * self.real[at, :, None]
-        names = {}
-        ids = np.array([names.setdefault(key, len(names)) for key in row_keys(
-            np.concatenate([res.reshape(-1, *self.th.shape[1:]), self.th]))])
-        return ids[:-n].reshape(rows, -1)[:, self.seg] == ids[-n:]
+    def res(self) -> np.ndarray:
+        """res[r, i]: Res chi_r to H_i, G's table gathered at each H's
+        padded classes and padded with zeros as th is, shape (rows of G,
+        pairs, k, .), so that Res chi_r = theta_j is res[r, seg[j]] ==
+        th[j]."""
+        res = self.tg.take(self.cols[self.pad[self.starts]], axis=1)
+        res *= self.real[self.starts, :, None]
+        return res
 
     @cached_property
     def clifford(self) -> np.ndarray:
@@ -315,7 +309,7 @@ class _NormalPairs:
         induced = (self.ind[j] == tg[:, None] * by).all(axis=(2, 3))
         return np.array([
             _equals(self.res_norm, oh), (self._segments(m != 0, np.add) == 1)
-            & (m[rows, j] == 1) & self.matches[rows, j],
+            & (m[rows, j] == 1) & (self.res == self.th[j]).all(axis=(2, 3)),
             self.stab[j] == self.order_g, ~induced, t == q, e == 1, induced,
             self.is_h[j], _equals(self.res_norm, q * oh)])
 
@@ -356,8 +350,7 @@ class _NormalPair:
     """The normal pair (G, H) that is pair i of ``pairs``, a `_NormalPairs`:
     each array of the pair is its segment there, read on first use (see
     `_CUTS`), with H's rows and classes numbered from 0, so that a row fails
-    only on its own checks.  The Gram products take the dtypes of the
-    pair's own bounds, and ``mult``, ``clifford`` and ``checks`` raise the
+    only on its own checks.  ``mult``, ``clifford`` and ``checks`` raise the
     NotACharacter of a pair whose multiplicities are not integers.  e,
     order_g, sizes_g and tg are G's."""
 
@@ -373,8 +366,6 @@ class _NormalPair:
         value = getattr(pairs, name)[_CUTS[name](slice(self.lo, self.hi), i)]
         if name in ("mult", "clifford", "checks") and pairs.refused[i]:
             _multiplicities(self.res_gram, self.e, self.order_h)
-        if name in pairs.dtypes[i]:
-            value = value.astype(pairs.dtypes[i][name], copy=False)
         setattr(self, name, value)
         return value
 
@@ -391,10 +382,11 @@ class _NormalPair:
                 f" != {values(rhs, self.e, self.order_h)[0].conjugate()}")
 
     def extensions(self, j):
-        """matches[:, j], where Res chi_r = theta_j, for a theta_j invariant
-        under a prime index or for each of an array of such j: each must
-        have a row chi_r, an extension."""
-        exts = self.matches[:, j]
+        """Where Res chi_r = theta_j, over the rows r, for a theta_j invariant
+        under a prime index, or of shape (rows, len(j)) for an array of such
+        j: each must have a row chi_r, an extension.  Compares res with the
+        asked rows of th only, and reads no multiplicity."""
+        exts = (self.res == self.th[j][..., None, :, :]).all(axis=(-2, -1)).T
         if not exts.any(axis=0).all():
             raise InternalContradiction(
                 "no extension found for an invariant character of prime index")

@@ -37,9 +37,9 @@ symmetric range return the integers themselves.  The steps are shared:
 and `_crt`, which interpolates several products with one matmul per prime
 and recovers them all, with primes for the largest bound, each of the dtype
 of its own bound.  The normal pairs of one group in
-`clifford` take their four Gram products each from one such pass for the
-whole group, and Gallagher's products of a pair come from another, which
-evaluates only the rows it reads.  `characters._check_table` reads a
+`clifford` take their four Gram products from one such pass for the whole
+group, and Gallagher's products of all its pairs of prime index from
+another, which evaluates only the rows it reads.  `characters._check_table` reads a
 table's evaluations directly and never interpolates.
 
 There is one builder.  `values` turns rows into `Cyclotomic`s, each in

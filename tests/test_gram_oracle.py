@@ -6,11 +6,15 @@ product over the integers.  They must agree in values and dtype
 on every input: both widths, conductors 1 to 120, negative and zero weights,
 and entries large enough to take several primes and Python ints.  So must
 the four Gram products of a normal pair, and Gallagher's norms must equal
-the oracle's norms of `multiply`'s products.  The normal pairs of one group
-take their Gram products from one pass for the whole group, and their
-verdicts and Gallagher's products from one array pass each; each must equal
-the same pair built alone, in values and dtype.
+the oracle's norms of `multiply`'s products, and a pair's extensions must
+be the rows of G that restrict to theta by plain comparison.  The normal
+pairs of one group take their Gram products from one pass for the whole
+group, and their verdicts and Gallagher's products from one array pass
+each; each must equal the same pair built alone, in values and, where the
+group's bounds give the lone build's widths, in dtype.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,7 +247,7 @@ def test_a_pair_takes_three_primes_where_its_bounds_need_them(monkeypatch):
 
 _PRODUCTS = ("res_norm", "res_gram", "ind_norm", "ind_gram")
 # every verdict array of a pair
-_VERDICTS = ("mult", "matches", "clifford", "checks", "induction", "reciprocity")
+_VERDICTS = ("mult", "clifford", "checks", "induction", "reciprocity")
 
 
 def _fresh(s):
@@ -265,13 +269,41 @@ def _c105():
         105, [tuple((i + 1) % 105 for i in range(105))], name="C105")
 
 
+def _invariant(pair):
+    return (pair.stab == pair.order_g).nonzero()[0]
+
+
+def test_extensions_are_the_rows_that_restrict_to_theta():
+    # every prime-index pair of the catalog to order 24, four larger
+    # products and C105: row r extends theta_j exactly when G's row r at
+    # the classes of H equals theta_j, for every invariant theta at once
+    # and for each alone, and each theta has one
+    pairs = 0
+    for g in _oracle_groups() + [_c105()]:
+        for s in normal_subgroups(g):
+            if s.order == g.order or not is_prime(s.index):
+                continue
+            pair = clifford._pair(s)
+            thetas = _invariant(pair)
+            want = np.array([[np.array_equal(pair.tg[r, pair.cols], pair.th[j])
+                              for j in thetas] for r in range(len(pair.tg))])
+            got = pair.extensions(thetas)
+            assert got.shape == want.shape and (got == want).all(), (g.name, s.order)
+            assert want.any(axis=0).all()
+            for col, j in enumerate(thetas):
+                assert (pair.extensions(j) == want[:, col]).all()
+            pairs += 1
+    assert pairs == 94
+
+
 def test_one_pass_per_group_equals_each_pair_built_alone(monkeypatch):
     # the proper normal pairs of each group built together, with one Gram
     # pass, against each pair built alone by `_pair` on a fresh cache: the
     # four Gram products, every verdict array and the Frobenius detail in
-    # values and dtype, and Gallagher's products of the pairs of prime
-    # index from one pass against each pair's own, for the catalog to order
-    # 24, four larger products and C105, where a lift grows numerators
+    # values and dtype, the extensions of every invariant theta under prime
+    # index, and Gallagher's products of the pairs of prime index from one
+    # pass against each pair's own, for the catalog to order 24, four
+    # larger products and C105, where a lift grows numerators
     real, batches = clifford._NormalPairs.__init__, []
 
     def counted(self, g, segments):
@@ -291,6 +323,9 @@ def test_one_pass_per_group_equals_each_pair_built_alone(monkeypatch):
             for name in _VERDICTS:
                 assert _same(getattr(got, name), getattr(want, name)), (g.name, name)
             assert got.frobenius() == want.frobenius()
+            if is_prime(s.index):
+                assert _same(got.extensions(_invariant(got)),
+                             want.extensions(_invariant(want))), (g.name, s.order)
         prime = [k for k, s in enumerate(subs) if is_prime(s.index)]
         together = clifford._products([subs[k] for k in prime])
         for k, got in zip(prime, together):
@@ -303,7 +338,8 @@ def test_one_pass_per_group_equals_each_pair_built_alone(monkeypatch):
 
 def test_a_batch_takes_the_primes_of_its_largest_bound(monkeypatch):
     # A7 in S7 needs three primes; the trivial subgroup, in the same batch,
-    # shares them, and each pair keeps the dtypes of its own bounds
+    # shares them, and every product of the batch takes the dtype of the
+    # group's bound, which is A7's, with the trivial pair's values unchanged
     g = parse_group_text(_S7)
     triv, a7 = _proper(g)
     real, used = cyclotomic._evaluation_data, []
@@ -320,7 +356,10 @@ def test_a_batch_takes_the_primes_of_its_largest_bound(monkeypatch):
         np.int64, np.int64, object, np.int64]
     for got, want in _pair_products(pair):
         assert _same(got, want)
-    assert _same_products(clifford._pair.peek(triv), clifford._pair(_fresh(triv)))
+    got, want = clifford._pair.peek(triv), clifford._pair(_fresh(triv))
+    assert [getattr(got, n).dtype for n in _PRODUCTS] == [
+        np.int64, np.int64, object, np.int64]
+    assert all(np.array_equal(getattr(got, n), getattr(want, n)) for n in _PRODUCTS)
 
 
 def test_a_pair_whose_arrays_raise_is_left_out_of_the_pass(monkeypatch):
@@ -359,3 +398,22 @@ def test_a_pass_that_raises_keeps_no_pair(monkeypatch):
     monkeypatch.undo()
     clifford._pairs(subs)
     assert all(clifford._pair.peek(s) is not None for s in subs)
+
+
+def test_the_classification_checks_of_many_pairs_stay_small():
+    # the 168 proper normal pairs of Q8xS3xC4 built together: with the
+    # multiplicities and Clifford verdicts read, the classification checks
+    # compare Res chi with theta at each row's first constituent only, and
+    # peak at 39 MB traced
+    subs = _proper(Catalog().group("Q8xS3xC4"))
+    clifford._pairs(subs)
+    pairs = clifford._pair.peek(subs[0]).pairs
+    assert len(pairs.starts) == 168
+    pairs.mult, pairs.clifford
+    tracemalloc.start()
+    try:
+        pairs.checks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 << 20, peak

@@ -22,9 +22,9 @@ and while gallagher's exceeds every other suite's but degrees', `op_tail_s`
 is the gallagher suite's.  A change to a suite's time per record here
 moves those metrics by as much; the benchmark adds its own speed scaling,
 which this tool leaves out.  Two runs of 30 rounds on one CPU of a shared
-2-vCPU Xeon read, in microseconds per record: tables 16-20, dichotomy
-18-22, classification 117-161, conductor 288-381, clifford 342-437,
-gallagher 438-574 and degrees 1,721-2,241, so both roles hold.
+2-vCPU Xeon read, in microseconds per record: tables 11, dichotomy 11-12,
+classification 85-88, conductor 196-202, clifford 242-245, gallagher
+310-321 and degrees 1,199-1,260, so both roles hold.
 """
 
 from __future__ import annotations
