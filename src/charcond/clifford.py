@@ -58,7 +58,7 @@ from .errors import (BadChain, CharcondError, IndexNotPrime,
                      NotNormal)
 from .groups import (FiniteGroup, Subgroup, cached,
                      conjugacy_classes, is_abelian, is_normal, quotient,
-                     row_keys, subgroup)
+                     row_keys, subgroup, _subgroup_generators)
 
 __all__ = [
     "InertiaKind", "ClassificationKind", "Classification", "NormalChain",
@@ -119,8 +119,12 @@ def _segment(s: Subgroup) -> tuple:
     at e = exp(G): H's table lifted to e, the classes of G that hold H's,
     H's class sizes, |H| Ind theta_j for every row j, ``perm``, local to H's
     rows, and whether each element of G lies in H.  Raises where the pair's
-    own arrays cannot be built."""
+    own arrays cannot be built.  A subgroup with no generating set yet takes
+    Light's set of ``as_group()``, mapped into G, as `_subgroup_generators`,
+    so that `quotient` needs no closure."""
     g, h = s.parent, s.as_group()
+    if _subgroup_generators.peek(s) is None:
+        _subgroup_generators.put(s, s.embedding()[list(h.generators)])
     th = _table_nums(h)
     lifted = lift(th, h.exponent(), g.exponent(), _table_bound(th, h.exponent()))
     index = {key: j for j, key in enumerate(row_keys(th))}
@@ -172,7 +176,10 @@ class _NormalPairs:
       (`_gram_pass`): ``res_norm[r, i]``, |H_i| <Res chi_r, Res chi_r>;
       ``res_gram[r, j]``, |H| <Res chi_r, theta_j>; ``ind_norm[j]``,
       |H|^2 |G| <Ind theta_j, Ind theta_j>; and ``ind_gram[r, j]``, |H| |G|
-      <chi_r, Ind theta_j>.
+      <chi_r, Ind theta_j>;
+    - ``xg``: G's table evaluated at the last Gram prime of that pass,
+      ``xg_prime``, which `_products` reads in place of its own evaluation
+      there.
 
     Every verdict is one array pass over all the pairs on first use, with
     segment reductions over each pair's rows and gathers at the padded
@@ -211,9 +218,10 @@ class _NormalPairs:
 
     def _gram_pass(self) -> None:
         """The four Gram products of every pair, from one pass modulo the
-        Gram primes: G's table is evaluated once per prime and gathered at
-        ``cols``, the restriction norms are segment sums of its weighted
-        products, the multiplicities one batch of matmuls over the padded
+        Gram primes: G's table is evaluated once per prime, kept as ``xg``
+        at the last, and gathered at ``cols``, the restriction norms are
+        segment sums of its weighted products, the multiplicities one batch
+        of matmuls over the padded
         classes of each pair, and ``ind`` is evaluated once for both induced
         products.  Each product has one bound for the whole group, a
         product of integers: the `_table_bound` of G's table, which bounds
@@ -224,7 +232,7 @@ class _NormalPairs:
         bg, bh, bi = (_table_bound(a, e) for a in (self.tg, self.th, self.ind))
 
         def residues(data):
-            p, x = data.prime, _evaluate(self.tg, data)
+            p, x = self.xg_prime, self.xg = data.prime, _evaluate(self.tg, data)
             xr, xi = x[..., self.cols], _evaluate(self.ind, data)
             rh, rg = _residues(self.sizes_h, p), _residues(self.sizes_g, p)
             # one batch of matmuls, a pair's padded rows of th against its
@@ -405,7 +413,8 @@ def _products(subs: list[Subgroup]) -> list:
     place.
 
     One pass modulo the Gram primes for all pairs: G's table is evaluated
-    once per prime, a product is a row of it times the evaluated psi_i, its
+    once per prime, or read at the prime where its pairs' `_gram_pass` kept
+    it, a product is a row of it times the evaluated psi_i, its
     norm is interpolated exactly, and the products and sums are compared at
     every embedding, with primes whose product exceeds twice the largest
     pair's bound on every numerator compared.  A product's numerators sum
@@ -433,7 +442,8 @@ def _products(subs: list[Subgroup]) -> list:
     g = parts[0][1]
 
     def residues(data):
-        p, x = data.prime, _evaluate(g.tg, data)
+        p, kept = data.prime, g.pairs
+        x = kept.xg if kept.xg_prime == p else _evaluate(g.tg, data)
         sizes, out = _residues(g.sizes_g, p), []
         for _, one, thetas, rows, psi in parts:
             prods = x[:, rows, None] * _evaluate(psi, data)[:, None] % p

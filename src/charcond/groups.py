@@ -15,11 +15,13 @@ quotient are the orbits of one generating set, each element labelled by
 its orbit's least element in array passes (`_orbit_least`), and element
 labels are formatted only when first read.  Normal subgroups are the
 intersections of kernels of irreducible characters, read off the character
-table and each checked as a normal subgroup; the derived subgroup is the
-intersection of the kernels of the linear characters.  Tables, conjugacy data
-and subgroup machinery use numpy for the integer combinatorics; all objects
-are immutable after construction.  Everything derived from a table or a
-subgroup is memoized by `cached`, in the table's or the subgroup's cache.
+table as unions of classes and checked all at once as normal subgroups, in
+array passes over one membership matrix (`_normal_unions`); the derived
+subgroup is the intersection of the kernels of the linear characters.
+Tables, conjugacy data and subgroup machinery use numpy for the integer
+combinatorics; all objects are immutable after construction.  Everything
+derived from a table or a subgroup is memoized by `cached`, in the table's
+or the subgroup's cache.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import io
 import weakref
 import zlib
-from functools import wraps
+from functools import reduce, wraps
 from math import lcm, prod
 from pathlib import Path
 
@@ -585,10 +587,12 @@ def _elements(g: FiniteGroup, values, what: str) -> np.ndarray:
     as `build_from_table` refuses them, and so is "<what> out of range"."""
     if not isinstance(values, np.ndarray):
         values = list(values)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in values):
+        if not all(issubclass(t, (int, np.integer)) and t is not bool
+                   for t in set(map(type, values))):
             raise NotAGroup(f"{what}s must be integers")
-        values = np.array(values, dtype=object)
+        # all integers: one past int64 makes an object or float array,
+        # which the range check refuses
+        values = np.array(values)
     elif values.size and values.dtype.kind not in "iu":
         raise NotAGroup(f"{what}s must be integers")
     if values.ndim != 1:
@@ -608,7 +612,8 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
     closed under right multiplication by T: one |H| x |T| gather.  A finite
     set closed under products is a subgroup, so inverses need no check.  A
     failure names the first member a in sorted order, and the first t of T,
-    with a t outside the set.
+    with a t outside the set.  T is kept as the subgroup's
+    `_subgroup_generators`.
     """
     arr = _elements(g, elements, "subgroup element")
     if not len(arr):
@@ -629,9 +634,10 @@ def subgroup(g: FiniteGroup, elements) -> Subgroup:
 
 @cached
 def _subgroup_generators(s: Subgroup) -> np.ndarray:
-    """A generating set T of the subgroup: the greedy set `_greedy_closure`
-    takes from its elements in sorted order, which `subgroup` checks a set
-    with, so a checked subgroup carries it."""
+    """A generating set T of the subgroup, any one that a caller kept: by
+    default the greedy set `_greedy_closure` takes from its elements in
+    sorted order, which `subgroup` checks a set with; `clifford._segment`
+    keeps the Light set of ``as_group()`` mapped into the parent."""
     g = s.parent
     return np.array(_greedy_closure(g.mul, g.identity, s.embedding())[1],
                     dtype=np.int64)
@@ -678,29 +684,55 @@ def _kernel_masks(g: FiniteGroup, linear_only: bool = False) -> list[int]:
     kernels = (nums == nums[:, :1]).all(axis=2)
     if linear_only:
         kernels = kernels[nums[:, 0, 0] == 1]
-    return [sum(1 << c for c in ker.nonzero()[0].tolist())
-            for ker in kernels]
+    return [int.from_bytes(np.packbits(k, bitorder="little"), "little") for k in kernels]
 
 
-def _union_of_classes(g: FiniteGroup, mask: int) -> np.ndarray:
-    """The elements of the classes in a bit mask, sorted."""
+def _normal_unions(g: FiniteGroup, masks: list[int] | set[int]) -> list[Subgroup]:
+    """The normal subgroups that unions of classes, bit masks of classes,
+    make, sorted by order, then elements: one row of a membership matrix
+    per union, all rows checked at once.
+
+    Each row must hold the identity and be closed under conjugation by
+    Light's set S, one gather of the S x G conjugates, so it is normal and a
+    union of classes.  Then it is closed under products exactly when r y
+    lies in it for every class representative r and member y in it, one
+    gather of k x |G| products: a member x = g r g^-1 has x y = g (r g^-1 y
+    g) g^-1.  A finite set closed under products is a subgroup.  Rows go in
+    blocks of at most _CLOSURE_BLOCK entries per gather, and each subgroup
+    keeps its normality verdict."""
     part = conjugacy_classes(g)
-    on = np.array([mask >> c & 1 for c in range(len(part))], dtype=bool)
-    return on[part.class_of].nonzero()[0]
+    # each mask as a string of bits, class 0 first
+    bits = "".join(f"{m:0{len(part)}b}"[::-1] for m in masks).encode()
+    inside = (np.frombuffer(bits, "S1").reshape(len(masks), -1) == b"1")[:, part.class_of]
+    if not inside[:, g.identity].all():
+        raise NotAGroup("subgroup does not contain the identity")
+    s, reps = list(g.generators), list(part.representatives)
+    conj, prods = g.mul[g.mul[s], g.inv[s, None]], g.mul[reps]
+    rows = max(1, _CLOSURE_BLOCK // ((len(s) + len(reps)) * g.order))
+    for block in np.split(inside, range(rows, len(inside), rows)):
+        if (block[:, None] > block[:, conj]).any():
+            raise InternalContradiction("an intersection of kernels is not normal")
+        bad = block[:, reps, None] & block[:, None] > block[:, prods]
+        if bad.any():
+            _, r, y = np.unravel_index(bad.argmax(), bad.shape)
+            raise NotAGroup(f"subgroup not closed under product at ({reps[r]}, {y})")
+    subs = sorted((Subgroup(g, tuple(row.nonzero()[0].tolist())) for row in inside),
+                  key=lambda sub: (sub.order, sub.elements))
+    for sub in subs:
+        _closed_under_conjugation.put(sub, True)
+    return subs
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:
     """The commutator subgroup: the intersection of the kernels of the linear
-    characters, checked as a subgroup.
+    characters, checked by `_normal_unions`.
 
     Needs the character table, so it raises TooLarge where the table's caps
     do: more than `characters.MAX_TABLE_CLASSES` (256) conjugacy classes, or
     k^3 phi(exp G) over `characters.MAX_TABLE_WORK`.
     """
-    mask = (1 << len(conjugacy_classes(g))) - 1
-    for ker in _kernel_masks(g, linear_only=True):
-        mask &= ker
-    return subgroup(g, _union_of_classes(g, mask))
+    # the trivial character is linear, so there is at least one kernel
+    return _normal_unions(g, [reduce(int.__and__, _kernel_masks(g, linear_only=True))])[0]
 
 
 def normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -708,23 +740,18 @@ def normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
 
     Every normal subgroup is an intersection of kernels of irreducible
     characters, so the kernels of the table rows, closed under intersection,
-    give them all as unions of classes; each is checked by `subgroup` and
-    `is_normal`.  The table is computed once per multiplication table, so
-    this raises TooLarge where the table's caps do (see `derived_subgroup`).
-    Each call returns fresh subgroups that share the memoized caches, so
-    `as_group()`, induction counts and conjugation data are computed once.
+    give them all as unions of classes, checked together by
+    `_normal_unions`.  The table is computed once per multiplication table,
+    so this raises TooLarge where the table's caps do (see
+    `derived_subgroup`).  Each call returns fresh subgroups that share the
+    memoized caches, so `as_group()`, induction counts and conjugation data
+    are computed once.
     """
     if g._normal_subgroups is None:
         found = {(1 << len(conjugacy_classes(g))) - 1}
         for ker in _kernel_masks(g):
             found |= {mask & ker for mask in found}
-        subs = sorted((subgroup(g, _union_of_classes(g, mask))
-                       for mask in found), key=lambda s: (s.order, s.elements))
-        for s in subs:
-            if not is_normal(g, s):
-                raise InternalContradiction(
-                    "an intersection of kernels is not normal")
-        g._normal_subgroups = tuple((s.elements, s._cache) for s in subs)
+        g._normal_subgroups = tuple((s.elements, s._cache) for s in _normal_unions(g, found))
     subs = []
     for elements, cache in g._normal_subgroups:
         s = Subgroup(g, elements)
@@ -754,12 +781,12 @@ class QuotientMap:
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, QuotientMap]:
     """Quotient by a normal subgroup, with cosets named by least representative.
 
-    The cosets x N are the orbits of x -> x t for t in the generating set T
-    of N that `subgroup` checks it with (`_subgroup_generators`), so
-    `_orbit_least` names every element's coset by its least element in a few
-    array passes over |T| x |G| entries; cosets are numbered in the order of
-    their least elements.  The projection is verified on Light's set S,
-    proj(x s) = proj(x) proj(s) for every x and each s in S, and the
+    The cosets x N are the orbits of x -> x t for t in a generating set T
+    of N (`_subgroup_generators`, any one gives the same orbits), so
+    `_orbit_least` names every element's coset by its least element in a
+    few array passes over |T| x |G| entries; cosets are numbered in the
+    order of their least elements.  The projection is verified on Light's
+    set S, proj(x s) = proj(x) proj(s) for every x and each s in S, and the
     quotient table passes the group axioms; S generates G as a monoid, so
     together they make the projection a homomorphism on all pairs.
     """

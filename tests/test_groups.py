@@ -431,6 +431,62 @@ def test_lattice_needs_a_character_table_within_the_class_cap():
             lattice(c257)
 
 
+def _s4_with_its_table():
+    g = build_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+    characters.character_table(g)
+    return g
+
+
+def _transpositions(g):
+    """The class index of S4's transpositions: six elements of order 2."""
+    part = conjugacy_classes(g)
+    return next(c for c in range(len(part)) if part.sizes[c] == 6
+                and g.element_order(part.representatives[c]) == 2)
+
+
+@pytest.mark.parametrize("block", [1, groups._CLOSURE_BLOCK])
+@pytest.mark.parametrize("lattice", [derived_subgroup, normal_subgroups])
+@pytest.mark.parametrize("classes, reason", [
+    (lambda c: 1 << c, "does not contain the identity"),
+    (lambda c: 1 | 1 << c, "not closed under product")])
+def test_lattice_refuses_a_union_of_classes_that_is_no_subgroup(
+        monkeypatch, lattice, classes, reason, block):
+    # the kernels read off the table are replaced by the transpositions of
+    # S4, without and with the identity: neither union is a subgroup, found
+    # whether each union is checked in a block of its own or all at once
+    g = _s4_with_its_table()
+    mask = classes(_transpositions(g))
+    monkeypatch.setattr(groups, "_kernel_masks",
+                        lambda g, linear_only=False: [mask])
+    monkeypatch.setattr(groups, "_CLOSURE_BLOCK", block)
+    with pytest.raises(NotAGroup, match=reason):
+        lattice(g)
+
+
+def test_lattice_checks_its_unions_without_subgroup_or_a_closure(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    for name in ("subgroup", "_greedy_closure"):
+        monkeypatch.setattr(groups, name, counted(getattr(groups, name)))
+    for g in (_s4_with_its_table(), Catalog().group("Q8xS3")):
+        characters.character_table(g)
+        calls.clear()
+        subs = normal_subgroups(g) + (derived_subgroup(g),)
+        assert calls == [] and len(subs) > 2
+        # normality is served from the cache that the lattice's check filled
+        for s in subs:
+            assert groups._closed_under_conjugation.peek(s) is True
+            monkeypatch.setattr(s, "embedding", None)
+            monkeypatch.setattr(s, "member_index", None)
+            assert is_normal(g, s)
+
+
 def test_table_rows_and_inverses_are_permutations():
     for g in (s3(), build_from_permutations(4, [(1, 2, 3, 0)])):
         n = g.order

@@ -3,7 +3,11 @@
 import gc
 import json
 import random
+import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +424,33 @@ def test_a_warm_sweep_round_scans_at_most_150_arrays(fresh_sweep):
     assert sum(fresh_sweep["scans"].values()) <= 150
 
 
+def test_gallagher_reads_the_evaluation_of_g_its_pair_pass_kept(monkeypatch):
+    # over one round, no Gallagher pass evaluates an array at a prime where
+    # its group's pair pass evaluated it.  Arrays are keyed by object: G's
+    # table is the one array that both passes receive as it is.  Every
+    # evaluated array stays alive, so that no id is reused
+    evaluated, arrays, built = {"_gram_pass": set(), "_products": set()}, [], []
+    evaluate, init = clifford._evaluate, clifford._NormalPairs.__init__
+
+    def counted(a, data):
+        caller = sys._getframe(1).f_code.co_qualname.split(".")[-3]
+        evaluated[caller].add((id(a), data.prime))
+        arrays.append(a)
+        return evaluate(a, data)
+
+    def build(self, g, segments):
+        built.append(self)
+        init(self, g, segments)
+    monkeypatch.setattr(clifford, "_evaluate", counted)
+    monkeypatch.setattr(clifford._NormalPairs, "__init__", build)
+    assert run_suite("all", cat=Catalog(), max_order=24).passed
+    assert len(built) == 38 and len(evaluated["_products"]) > 38
+    assert {(id(p.tg), p.xg_prime) for p in built} <= evaluated["_gram_pass"]
+    assert not evaluated["_products"] & evaluated["_gram_pass"]
+    # the kept evaluations: 0.44 MB measured over the 38 groups
+    assert sum(p.xg.nbytes for p in built) <= 1 << 19
+
+
 def test_fresh_sweep_at_cap_24_kernels_match_the_oracle_on_every_call(
         fresh_sweep):
     # every gram and gram_diagonal result of the round, values and dtype,
@@ -458,3 +489,21 @@ def test_sweep_leaves_no_groups_in_reference_cycles():
         gc.set_debug(0)
         gc.garbage.clear()
     assert stuck == []
+
+
+def test_suite_cost_reports_wall_and_cpu_time_per_suite():
+    # one round: per suite its wall-clock and CPU milliseconds, its records
+    # and microseconds per record, then the round's totals
+    tool = Path(__file__).resolve().parents[1] / "tools" / "suite_cost.py"
+    run = subprocess.run([sys.executable, str(tool), "1"], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    head, *rows, total = run.stdout.splitlines()
+    assert head.split() == ["suite", "ms", "cpu", "ms", "records", "us/record"]
+    number = r"\s+[\d.]+"
+    for name, row in zip(SUITE_NAMES[:-1], rows, strict=True):
+        assert re.fullmatch(rf"{name}{number * 2}\s+\d+{number}", row), row
+    assert re.fullmatch(rf"all{number * 2}\s+720", total), total
+    usage = subprocess.run([sys.executable, str(tool), "x"], capture_output=True,
+                           text=True, timeout=60)
+    assert usage.returncode == 2 and "usage" in usage.stderr
